@@ -295,10 +295,11 @@ let analyze_cmd =
         if no_optimize then Printf.printf "optimizer: disabled (--no-optimize)\n"
         else begin
           Printf.printf
-            "optimizer: %d predicate(s) pushed down, %d hash equi-join(s), \
-             %d shared scan(s)\n"
+            "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) \
+             (%d correlated probe(s)), %d shared scan(s)\n"
             report.Aqua_xqeval.Optimize.pushed_predicates
             report.Aqua_xqeval.Optimize.hash_joins
+            report.Aqua_xqeval.Optimize.correlated_probes
             report.Aqua_xqeval.Optimize.shared_scans;
           List.iter
             (fun note -> Printf.printf "  note: %s\n" note)
@@ -367,9 +368,11 @@ let analyze_cmd =
         Printf.printf "engine counters:\n";
         Printf.printf "  rows emitted (all clauses)   %8d\n" snap.Telemetry.rows_emitted;
         Printf.printf
-          "  hash join: builds=%d build_rows=%d probes=%d collisions=%d\n"
+          "  hash join: builds=%d build_rows=%d probes=%d collisions=%d \
+           reused=%d\n"
           snap.Telemetry.hash_join_builds snap.Telemetry.hash_join_build_rows
-          snap.Telemetry.hash_join_probes snap.Telemetry.hash_join_collisions;
+          snap.Telemetry.hash_join_probes snap.Telemetry.hash_join_collisions
+          snap.Telemetry.hash_join_reused;
         let ds_spans =
           List.filter
             (fun (name, _, _) ->

@@ -112,9 +112,12 @@ let explain_optimizer env p (stmt : A.statement) =
   | exception Errors.Error _ -> ()
   | generated ->
     let _, report = Aqua_xqeval.Optimize.query generated.Generate.query in
-    line p 1 "optimizer: %d predicate(s) pushed down, %d hash equi-join(s)"
+    line p 1
+      "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) (%d \
+       correlated probe(s))"
       report.Aqua_xqeval.Optimize.pushed_predicates
-      report.Aqua_xqeval.Optimize.hash_joins;
+      report.Aqua_xqeval.Optimize.hash_joins
+      report.Aqua_xqeval.Optimize.correlated_probes;
     List.iter
       (fun note -> line p 2 "PLAN %s" note)
       report.Aqua_xqeval.Optimize.notes;

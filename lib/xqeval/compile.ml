@@ -305,9 +305,11 @@ let vcounter vctx label =
 
    [Server.execute] recompiles its plan on every call, so a memo inside
    the compiled closure would never survive long enough to hit.  When
-   the build side is a closed expression (no free variables) and the
-   build key reads nothing but the join variable, the finished table is
-   a pure function of the source *sequence* and the key expression —
+   the build side is a closed expression ([Optimize.reusable_build]:
+   no free variables beyond a shared-scan binding) and the build key
+   reads nothing but the join variable, the finished table is a pure
+   function of the source *sequence* and the key expression — the
+   same holds across the invocations of a correlated probe's FLWOR —
    and the dsp scan cache hands back the physically same sequence until
    the underlying data's revision bumps.  Keying on physical identity
    of the source therefore gets revision tracking for free: a fresh
@@ -333,26 +335,39 @@ let jt_cache : jt_entry list ref Mcore.Dls.key =
 
 let jt_cache_cap = 8
 
-let jt_find src key value_cmp =
-  let jt_cache = Mcore.Dls.get jt_cache in
-  let rec go acc = function
-    | [] -> None
-    | e :: rest ->
-      if e.je_src == src && e.je_cmp = value_cmp && e.je_key = key then begin
-        jt_cache := e :: List.rev_append acc rest;
-        Some e.je_table
-      end
-      else go (e :: acc) rest
-  in
-  go [] !jt_cache
-
-let jt_store src key value_cmp table =
-  let jt_cache = Mcore.Dls.get jt_cache in
-  let e =
-    { je_src = src; je_key = key; je_cmp = value_cmp; je_table = table }
-  in
-  let kept = List.filteri (fun i _ -> i < jt_cache_cap - 1) !jt_cache in
-  jt_cache := e :: kept
+(* The build table for one hash-join invocation.  [reusable] is
+   [Optimize.reusable_build] of the clause — the same test that lets
+   the optimizer fire a correlated probe — and selects the cache; a
+   miss builds and stores, so the first invocation pays for the rest. *)
+let join_table ~reusable src key value_cmp ~key_of =
+  let build () = Join_table.build src ~key_of ~value_cmp in
+  if not reusable then build ()
+  else begin
+    let jt_cache = Mcore.Dls.get jt_cache in
+    let rec find acc = function
+      | [] -> None
+      | e :: rest ->
+        if e.je_src == src && e.je_cmp = value_cmp && e.je_key = key then begin
+          jt_cache := e :: List.rev_append acc rest;
+          Some e.je_table
+        end
+        else find (e :: acc) rest
+    in
+    match find [] !jt_cache with
+    | Some t ->
+      (* budget parity with a real build: every invocation still
+         charges the item governor for the build rows it stands in for *)
+      Budget.tick_items (Array.length t.Join_table.items);
+      Telemetry.incr Telemetry.c_hash_join_reused;
+      t
+    | None ->
+      let t = build () in
+      let kept = List.filteri (fun i _ -> i < jt_cache_cap - 1) !jt_cache in
+      jt_cache :=
+        { je_src = src; je_key = key; je_cmp = value_cmp; je_table = t }
+        :: kept;
+      t
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Columnar (struct-of-arrays) pipeline plumbing
@@ -810,6 +825,7 @@ and compile_flwor_row cenv (f : X.flwor) : comp =
       let cenv2, var_slot = bind_slot cenv1 var in
       let cbuild = compile_expr_c cenv2 build_key in
       let crest, cenv_out = stages cenv2 rest in
+      let reusable = Optimize.reusable_build ~var ~source ~build_key in
       ( (fun rt snaps ->
           Failpoint.hit "xqeval.hashjoin";
           match lifted rt snaps with
@@ -819,12 +835,12 @@ and compile_flwor_row cenv (f : X.flwor) : comp =
                join variable), which hold the same values in every
                snapshot — evaluating against the first is safe. *)
             Array.blit first 0 rt 0 (Array.length first);
+            let src = csrc rt in
             let table =
-              Join_table.build (csrc rt)
+              join_table ~reusable src build_key value_cmp
                 ~key_of:(fun item ->
                   rt.(var_slot) <- [ item ];
                   cbuild rt)
-                ~value_cmp
             in
             let joined =
               List.concat_map
@@ -1099,15 +1115,7 @@ and compile_flwor_vec cenv (f : X.flwor) : comp =
           let cprobe = compile_expr_c cenv probe_key in
           let cenv2, var_slot = bind_slot cenv var in
           let cbuild = compile_expr_c cenv2 build_key in
-          (* reuse eligibility is static: a closed source whose build
-             key touches only the join variable always yields the same
-             table for the same materialized source sequence *)
-          let cacheable =
-            Optimize.Vars.is_empty (Optimize.free_vars source)
-            && Optimize.Vars.subset
-                 (Optimize.free_vars build_key)
-                 (Optimize.Vars.singleton var)
-          in
+          let reusable = Optimize.reusable_build ~var ~source ~build_key in
           let label = "hash-join $" ^ var in
           let mk vctx down =
             let count = vcounter vctx label in
@@ -1135,29 +1143,11 @@ and compile_flwor_vec cenv (f : X.flwor) : comp =
                            slots (plus the join variable), which hold
                            the same values in every row *)
                         let src = csrc r in
-                        let build () =
-                          Join_table.build src
+                        let t =
+                          join_table ~reusable src build_key value_cmp
                             ~key_of:(fun item ->
                               r.(var_slot) <- [ item ];
                               cbuild r)
-                            ~value_cmp
-                        in
-                        let t =
-                          if not cacheable then build ()
-                          else
-                            match jt_find src build_key value_cmp with
-                            | Some t ->
-                              (* budget parity with a real build: the
-                                 materialized build side still counts
-                                 against the item governor *)
-                              Budget.tick_items
-                                (Array.length t.Join_table.items);
-                              Telemetry.incr Telemetry.c_hash_join_reused;
-                              t
-                            | None ->
-                              let t = build () in
-                              jt_store src build_key value_cmp t;
-                              t
                         in
                         table := Some t;
                         t
@@ -1315,6 +1305,19 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
     Optimize.free_vars
       (X.Flwor { clauses = List.map cclause_view rest; return = treturn })
   in
+  (* What a clause binding [var] in [cenv] carries forward.  When [var]
+     shadows an outer binding, the name in [live] means the fresh
+     binding — never the outer column, which need not be materialized
+     here — unless it is read past a later group clause, which restores
+     the entry scope. *)
+  let carried cenv var rest live =
+    if not (Optimize.Vars.mem var live && List.mem_assoc var cenv.slots) then
+      live
+    else
+      let shadowed = C_plain (X.Let { var; value = X.Seq [] }) in
+      if Optimize.Vars.mem var (live_after (shadowed :: rest)) then live
+      else Optimize.Vars.remove var live
+  in
   (* Slots of [vars] bound in [cenv] (innermost binding per name),
      deduplicated ascending. *)
   let bound_slots cenv vars =
@@ -1353,7 +1356,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
         | C_plain (X.For { var; source }) ->
           let gslots = gather_slots cenv [ source ] in
           let csrc = compile_expr_c cenv source in
-          let copy = bound_slots cenv live in
+          let copy = bound_slots cenv (carried cenv var rest live) in
           let copy_n = Array.length copy in
           let cenv', slot = bind_slot cenv var in
           let label = "for $" ^ var in
@@ -1765,16 +1768,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           in
           let csrc = compile_expr_c cenv source in
           let cprobe = compile_expr_c cenv probe_key in
-          let copy = bound_slots cenv live in
+          let copy = bound_slots cenv (carried cenv var rest live) in
           let copy_n = Array.length copy in
           let cenv2, var_slot = bind_slot cenv var in
           let cbuild = compile_expr_c cenv2 build_key in
-          let cacheable =
-            Optimize.Vars.is_empty (Optimize.free_vars source)
-            && Optimize.Vars.subset
-                 (Optimize.free_vars build_key)
-                 (Optimize.Vars.singleton var)
-          in
+          let reusable = Optimize.reusable_build ~var ~source ~build_key in
           let label = "hash-join $" ^ var in
           let mk cctx down =
             let count = ccounter cctx label in
@@ -1809,26 +1807,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                            selected row *)
                         gather gslots scratch b b.Batch.sel.(0);
                         let src = csrc scratch in
-                        let build () =
-                          Join_table.build src
+                        let t =
+                          join_table ~reusable src build_key value_cmp
                             ~key_of:(fun item ->
                               scratch.(var_slot) <- [ item ];
                               cbuild scratch)
-                            ~value_cmp
-                        in
-                        let t =
-                          if not cacheable then build ()
-                          else
-                            match jt_find src build_key value_cmp with
-                            | Some t ->
-                              Budget.tick_items
-                                (Array.length t.Join_table.items);
-                              Telemetry.incr Telemetry.c_hash_join_reused;
-                              t
-                            | None ->
-                              let t = build () in
-                              jt_store src build_key value_cmp t;
-                              t
                         in
                         table := Some t;
                         t

@@ -16,6 +16,14 @@
       each incoming tuple probes instead of rescanning, turning the
       O(n*m) nested loop into O(n+m).
 
+      A *leading* [for] (nothing of its FLWOR bound before it) is a
+      correlated probe when P reads a variable of an enclosing binder
+      and none of its own FLWOR's: the FLWOR runs once per outer tuple
+      with a single incoming tuple, so the rewrite pays only because
+      the compiled engines reuse the build table across invocations —
+      it fires only when [reusable_build] holds, the same test the
+      compiler applies before reusing a table.
+
    3. A scoping check ([scoping_hazard]) used by both evaluators to
       reject [where] clauses that reference a variable bound only by a
       later clause of the same FLWOR — the naive clause fold would
@@ -30,16 +38,25 @@ module Vars = Set.Make (String)
 type report = {
   pushed_predicates : int;  (** conjuncts moved earlier in a pipeline *)
   hash_joins : int;         (** [For]+[Where] pairs fused into [Hash_join] *)
+  correlated_probes : int;  (** of which correlated probes (leading [for]) *)
   shared_scans : int;       (** repeated scans hoisted into a shared [let] *)
   notes : string list;      (** human-readable one-liners, newest first *)
 }
 
 let empty_report =
-  { pushed_predicates = 0; hash_joins = 0; shared_scans = 0; notes = [] }
+  {
+    pushed_predicates = 0;
+    hash_joins = 0;
+    correlated_probes = 0;
+    shared_scans = 0;
+    notes = [];
+  }
 
 type acc = {
+  externals : Vars.t Lazy.t;  (** free variables of the whole plan *)
   mutable pushed : int;
   mutable joins : int;
+  mutable correlated : int;
   mutable shared : int;
   mutable notes : string list;
 }
@@ -353,51 +370,91 @@ let push_predicates acc clauses =
 (* ------------------------------------------------------------------ *)
 (* Hash equi-join recognition                                         *)
 
+(* Scan sharing (below) replaces a repeated parameterless data-service
+   call by [$#scan:NAME], bound once at the top of the plan. *)
+let scan_prefix = "#scan:"
+
+let is_scan_var v =
+  String.length v >= String.length scan_prefix
+  && String.sub v 0 (String.length scan_prefix) = scan_prefix
+
+(* A build table is reusable across invocations when it is a pure
+   function of the materialized source sequence: the source reads no
+   variable (a hoisted shared scan stands for its closed call) and the
+   build key reads nothing but the join variable. *)
+let reusable_build ~var ~source ~build_key =
+  Vars.for_all is_scan_var (free_vars source)
+  && Vars.subset (free_vars build_key) (Vars.singleton var)
+
 (* Pipeline-relative free variables: the subset of [e]'s free vars that
    are bound by this FLWOR's earlier clauses (given in [pipeline]). *)
 let pipeline_fv pipeline e = Vars.inter (free_vars e) pipeline
 
-let recognize_joins acc clauses =
+(* [nested]: the FLWOR sits inside a binder (a clause of an enclosing
+   FLWOR, a quantifier, a predicate), so a leading for may be a
+   correlated probe.  Its comparand must read a variable that no
+   clause here binds and that is not an external of the whole plan —
+   hence one bound by an enclosing binder.  A prepared parameter is
+   external, so a top-level comparison against it is never a
+   correlated probe. *)
+let recognize_joins acc ~nested clauses =
+  let own =
+    lazy
+      (List.fold_left
+         (fun s c -> List.fold_left (fun s v -> Vars.add v s) s (clause_binds c))
+         Vars.empty clauses)
+  in
   let rec scan bound_before = function
     | [] -> []
     | (X.For { var; source } as forc) :: rest
       when Vars.is_empty (pipeline_fv bound_before source)
-           && not (Vars.is_empty bound_before) -> (
+           && (nested || not (Vars.is_empty bound_before)) -> (
+      let leading = Vars.is_empty bound_before in
+      let pipeline = Vars.add var bound_before in
+      let build_ok b =
+        Vars.equal (pipeline_fv pipeline b) (Vars.singleton var)
+        && ((not leading) || reusable_build ~var ~source ~build_key:b)
+      in
+      (* the comparand reads earlier bindings of this FLWOR, or — for a
+         leading for — enclosing variables that no clause here rebinds *)
+      let probe_ok p =
+        if leading then
+          let f = free_vars p in
+          (not (Vars.is_empty f))
+          && Vars.is_empty (Vars.inter f (Lazy.force own))
+          && not (Vars.subset f (Lazy.force acc.externals))
+        else
+          let s = pipeline_fv pipeline p in
+          (not (Vars.mem var s)) && not (Vars.is_empty s)
+      in
       (* look through the run of consecutive wheres following the for *)
       let rec find_eq seen = function
-        | X.Where (X.Binop (((X.B_general X.Eq | X.B_value X.Eq) as op), l, r))
-          :: tail -> (
+        | (X.Where (X.Binop (((X.B_general X.Eq | X.B_value X.Eq) as op), l, r))
+           as w)
+          :: tail ->
           let value_cmp = match op with X.B_value _ -> true | _ -> false in
-          let lfv = pipeline_fv (Vars.add var bound_before) l in
-          let rfv = pipeline_fv (Vars.add var bound_before) r in
-          let solo s = Vars.equal s (Vars.singleton var) in
-          let probe_ok s =
-            (not (Vars.mem var s)) && not (Vars.is_empty s)
-          in
-          if solo lfv && probe_ok rfv then
+          if probe_ok r && build_ok l then
             Some (l, r, value_cmp, List.rev seen, tail)
-          else if solo rfv && probe_ok lfv then
+          else if probe_ok l && build_ok r then
             Some (r, l, value_cmp, List.rev seen, tail)
-          else
-            find_eq
-              (X.Where (X.Binop (op, l, r)) :: seen)
-              tail)
+          else find_eq (w :: seen) tail
         | (X.Where _ as w) :: tail -> find_eq (w :: seen) tail
         | _ -> None
       in
       match find_eq [] rest with
       | Some (build_key, probe_key, value_cmp, kept_wheres, tail) ->
         acc.joins <- acc.joins + 1;
+        if leading then acc.correlated <- acc.correlated + 1;
         acc.notes <-
-          Printf.sprintf "hash equi-join on $%s (%s comparison)" var
+          Printf.sprintf "hash equi-join on $%s (%s comparison%s)" var
             (if value_cmp then "value" else "general")
+            (if leading then ", correlated probe" else "")
           :: acc.notes;
         let hj =
           X.Hash_join { var; source; build_key; probe_key; value_cmp }
         in
-        hj :: kept_wheres @ scan (Vars.add var bound_before) tail
-      | None ->
-        forc :: scan (Vars.add var bound_before) rest)
+        hj :: kept_wheres @ scan pipeline tail
+      | None -> forc :: scan pipeline rest)
     | clause :: rest ->
       let bound_before =
         match clause with
@@ -419,59 +476,70 @@ let recognize_joins acc clauses =
 (* ------------------------------------------------------------------ *)
 (* Bottom-up rewrite                                                  *)
 
-let rec rewrite acc (e : X.expr) : X.expr =
+let rec rewrite acc ~nested (e : X.expr) : X.expr =
   match e with
   | X.Literal _ | X.Var _ | X.Context_item | X.Text _ -> e
-  | X.Seq es -> X.Seq (List.map (rewrite acc) es)
+  | X.Seq es -> X.Seq (List.map (rewrite acc ~nested) es)
   | X.Flwor f ->
     let clauses = List.map (rewrite_clause acc) f.clauses in
-    let return = rewrite acc f.return in
+    let return = rewrite acc ~nested:true f.return in
     let clauses = push_predicates acc clauses in
-    let clauses = recognize_joins acc clauses in
+    let clauses = recognize_joins acc ~nested clauses in
     X.Flwor { clauses; return }
   | X.Path (base, steps) ->
     X.Path
-      ( rewrite acc base,
+      ( rewrite acc ~nested base,
         List.map
           (fun (s : X.step) ->
-            { s with X.predicates = List.map (rewrite acc) s.predicates })
+            { s with
+              X.predicates = List.map (rewrite acc ~nested:true) s.predicates })
           steps )
-  | X.Call (name, args) -> X.Call (name, List.map (rewrite acc) args)
+  | X.Call (name, args) -> X.Call (name, List.map (rewrite acc ~nested) args)
   | X.Elem { name; content } ->
-    X.Elem { name; content = List.map (rewrite acc) content }
-  | X.If (c, t, e) -> X.If (rewrite acc c, rewrite acc t, rewrite acc e)
-  | X.Binop (op, a, b) -> X.Binop (op, rewrite acc a, rewrite acc b)
-  | X.Neg e -> X.Neg (rewrite acc e)
+    X.Elem { name; content = List.map (rewrite acc ~nested) content }
+  | X.If (c, t, e) ->
+    X.If
+      (rewrite acc ~nested c, rewrite acc ~nested t, rewrite acc ~nested e)
+  | X.Binop (op, a, b) ->
+    X.Binop (op, rewrite acc ~nested a, rewrite acc ~nested b)
+  | X.Neg e -> X.Neg (rewrite acc ~nested e)
   | X.Quantified { every; bindings; satisfies } ->
     X.Quantified
       {
         every;
-        bindings = List.map (fun (v, e) -> (v, rewrite acc e)) bindings;
-        satisfies = rewrite acc satisfies;
+        bindings =
+          List.map (fun (v, e) -> (v, rewrite acc ~nested:true e)) bindings;
+        satisfies = rewrite acc ~nested:true satisfies;
       }
-  | X.Filter (base, pred) -> X.Filter (rewrite acc base, rewrite acc pred)
+  | X.Filter (base, pred) ->
+    X.Filter (rewrite acc ~nested base, rewrite acc ~nested:true pred)
 
+(* every subexpression of a clause sits inside the FLWOR's binders *)
 and rewrite_clause acc = function
-  | X.For { var; source } -> X.For { var; source = rewrite acc source }
-  | X.Let { var; value } -> X.Let { var; value = rewrite acc value }
-  | X.Where cond -> X.Where (rewrite acc cond)
+  | X.For { var; source } -> X.For { var; source = rewrite acc ~nested:true source }
+  | X.Let { var; value } -> X.Let { var; value = rewrite acc ~nested:true value }
+  | X.Where cond -> X.Where (rewrite acc ~nested:true cond)
   | X.Group { grouped; partition; keys } ->
     X.Group
       {
         grouped;
         partition;
-        keys = List.map (fun (k, v) -> (rewrite acc k, v)) keys;
+        keys = List.map (fun (k, v) -> (rewrite acc ~nested:true k, v)) keys;
       }
   | X.Order_by specs ->
     X.Order_by
-      (List.map (fun (s : X.order_spec) -> { s with X.key = rewrite acc s.X.key }) specs)
+      (List.map
+         (fun (s : X.order_spec) ->
+           { s with X.key = rewrite acc ~nested:true s.X.key })
+         specs)
   | X.Hash_join { var; source; build_key; probe_key; value_cmp } ->
+    let rw = rewrite acc ~nested:true in
     X.Hash_join
       {
         var;
-        source = rewrite acc source;
-        build_key = rewrite acc build_key;
-        probe_key = rewrite acc probe_key;
+        source = rw source;
+        build_key = rw build_key;
+        probe_key = rw probe_key;
         value_cmp;
       }
 
@@ -503,7 +571,7 @@ let is_scan_call name args =
 
 (* Variable names carry a '#' so they can never collide with anything
    the parser produces (identifiers only). *)
-let scan_var name = "#scan:" ^ name
+let scan_var name = scan_prefix ^ name
 
 let share_scans_pass acc (e : X.expr) : X.expr =
   let counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
@@ -763,8 +831,17 @@ let columnar_shape (e : X.expr) : string list =
   List.rev !out
 
 let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
-  let acc = { pushed = 0; joins = 0; shared = 0; notes = [] } in
-  let e = rewrite acc e in
+  let acc =
+    {
+      externals = lazy (free_vars e);
+      pushed = 0;
+      joins = 0;
+      correlated = 0;
+      shared = 0;
+      notes = [];
+    }
+  in
+  let e = rewrite acc ~nested:false e in
   let e = if share_scans then share_scans_pass acc e else e in
   if vectorize then
     acc.notes <-
@@ -788,6 +865,7 @@ let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
     {
       pushed_predicates = acc.pushed;
       hash_joins = acc.joins;
+      correlated_probes = acc.correlated;
       shared_scans = acc.shared;
       notes = List.rev acc.notes;
     } )

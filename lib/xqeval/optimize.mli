@@ -3,11 +3,16 @@
     Runs before evaluation ([Eval]) or compilation ([Compile]) and
     rewrites FLWOR blocks: conjunctive [where] clauses are split and
     pushed to the earliest position where their free variables are
-    bound, and [for]+[where] equality patterns over independent clause
-    variables are fused into the [Ast.Hash_join] physical operator
-    (hash table on the build side keyed by [Atomic.hash_key], probed by
-    the incoming tuple stream — O(n+m) instead of the O(n*m) nested
-    loop).
+    bound, and [for]+[where] equality patterns are fused into the
+    [Ast.Hash_join] physical operator (hash table on the build side
+    keyed by [Atomic.hash_key], probed by the incoming tuple stream —
+    O(n+m) instead of the O(n*m) nested loop).  Two patterns qualify:
+    a [for] over a source independent of the earlier clause variables
+    it joins with, and a correlated probe — a leading [for] of a
+    nested FLWOR whose comparand reads a variable of an enclosing
+    binder (not an external of the plan) and none of its own FLWOR's,
+    when {!reusable_build} holds so the compiled engines build the
+    table once and each invocation of the FLWOR is a single probe.
 
     A final scan-sharing pass hoists parameterless data-service calls
     that occur more than once in the plan (self-joins, uncorrelated
@@ -22,11 +27,23 @@ module Vars : Set.S with type elt = string
 type report = {
   pushed_predicates : int;  (** conjuncts moved earlier in a pipeline *)
   hash_joins : int;         (** [For]+[Where] pairs fused into [Hash_join] *)
+  correlated_probes : int;  (** of which correlated probes (leading [for]) *)
   shared_scans : int;       (** repeated scans hoisted into a shared [let] *)
   notes : string list;      (** human-readable one-liners *)
 }
 
 val empty_report : report
+
+val reusable_build :
+  var:string ->
+  source:Aqua_xquery.Ast.expr ->
+  build_key:Aqua_xquery.Ast.expr ->
+  bool
+(** Whether a [Hash_join]'s build table is a pure function of its
+    materialized source sequence, so the compiled engines may reuse it
+    across invocations: the source reads no variable other than a
+    shared-scan binding ({!scan_var}) and the build key reads only
+    [var].  The correlated-probe rewrite fires only when this holds. *)
 
 val scan_var : string -> string
 (** The hoisted binding name for a shared scan of the named function

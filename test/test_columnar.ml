@@ -441,6 +441,138 @@ let group_key_injective_after_buffer_reuse () =
         (run row sql))
     edge_sizes
 
+(* --------------------------------------------------------------- *)
+(* Correlated hash probes: the anti-join half of LEFT OUTER JOIN and
+   correlated subqueries run as one hash probe per outer row against a
+   build table reused across the inner FLWOR's invocations.  Every
+   engine must agree with the SQL reference engine at every edge batch
+   size, including NULL join keys on both sides, residual ON conjuncts
+   and an empty build side.                                          *)
+
+let outer_join_app () =
+  let app = Artifact.application "OJ" in
+  let int_col ?(nullable = true) name =
+    Schema.column ~nullable name Sql_type.Integer
+  in
+  let table name cols rows =
+    let t = Table.create name cols in
+    List.iter (Table.insert t) rows;
+    ignore (Artifact.import_physical_table app ~project:"P" t)
+  in
+  let i n = Value.Int n in
+  table "L"
+    [ int_col "ID"; Schema.column ~nullable:false "NAME" (Sql_type.Varchar (Some 8)) ]
+    [ [ i 1; Value.Str "a" ]; [ i 2; Value.Str "b" ]; [ Value.Null; Value.Str "c" ];
+      [ i 3; Value.Str "d" ]; [ i 2; Value.Str "e" ] ];
+  table "R"
+    [ int_col "LID"; int_col ~nullable:false "B" ]
+    [ [ i 1; i 10 ]; [ i 2; i 20 ]; [ i 2; i 5 ]; [ Value.Null; i 7 ];
+      [ i 4; i 40 ]; [ i 1; i 1 ] ];
+  table "E" [ int_col "LID"; int_col ~nullable:false "B" ] [];
+  app
+
+let correlated_queries =
+  [ "SELECT L.ID, L.NAME, R.B FROM L LEFT OUTER JOIN R ON L.ID = R.LID";
+    "SELECT L.ID, L.NAME, R.B FROM L LEFT OUTER JOIN R ON L.ID = R.LID \
+     AND R.B > 5";
+    "SELECT L.ID, L.NAME, E.B FROM L LEFT OUTER JOIN E ON L.ID = E.LID";
+    "SELECT L.NAME FROM L WHERE EXISTS (SELECT 1 FROM R WHERE R.LID = L.ID)";
+    "SELECT L.NAME FROM L WHERE NOT EXISTS (SELECT 1 FROM R WHERE R.LID = \
+     L.ID)";
+    "SELECT L.NAME, (SELECT COUNT(*) FROM R WHERE R.LID = L.ID) N FROM L" ]
+
+let correlated_probe_battery () =
+  let app = outer_join_app () in
+  let oracle_env = Aqua_sqlengine.Engine.env_of_application app in
+  let col = Connection.connect app in
+  let batched = Connection.connect ~columnar:false app in
+  let interp = Connection.connect ~vectorize:false app in
+  (* prepared statements on a non-vectorized connection run the
+     row-snapshot compiled pipeline *)
+  let row_compiled sql =
+    match
+      Result_set.to_rowset
+        (Connection.Prepared.execute_query (Connection.Prepared.prepare interp sql))
+    with
+    | rs -> Ok rs
+    | exception e -> Error (Printexc.to_string e)
+  in
+  List.iter
+    (fun sql ->
+      let _, report =
+        Optimize.query (Helpers.translate app sql).Aqua_translator.Translator.xquery
+      in
+      check_bool ("correlated probe fires on " ^ sql) true
+        (report.Optimize.correlated_probes >= 1);
+      let oracle =
+        match Aqua_sqlengine.Engine.execute_sql oracle_env sql with
+        | rs -> Ok rs
+        | exception e -> Error (Printexc.to_string e)
+      in
+      (match oracle with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "reference engine failed on %s: %s" sql e);
+      List.iter
+        (fun size ->
+          with_batch_size size @@ fun () ->
+          let what engine = Printf.sprintf "correlated %s@%d" engine size in
+          agree ~what:(what "columnar") sql (run col sql) oracle;
+          agree ~what:(what "batched") sql (run batched sql) oracle;
+          agree ~what:(what "row-compiled") sql (row_compiled sql) oracle;
+          agree ~what:(what "interpreter") sql (run interp sql) oracle)
+        edge_sizes)
+    correlated_queries;
+  (* the probe really reuses its build: each of the five invocations of
+     the NOT EXISTS FLWOR either builds or reuses, and at most one
+     builds (none when an earlier run left the table cached) *)
+  with_telemetry @@ fun () ->
+  ignore (Connection.execute_query col (List.nth correlated_queries 4));
+  let m = Telemetry.snapshot () in
+  check_bool "at most one build" true (m.Telemetry.hash_join_builds <= 1);
+  check_int "one build or reuse per invocation" 5
+    (m.Telemetry.hash_join_builds + m.Telemetry.hash_join_reused)
+
+(* Faults on a correlated probe: an armed hash-join failpoint degrades
+   to the unoptimized interpreter with identical rows, and governors
+   end in the same SQLSTATE as the nested loop.                      *)
+let correlated_probe_faults () =
+  let app = outer_join_app () in
+  let sql = List.hd correlated_queries in
+  let oracle =
+    Aqua_sqlengine.Engine.execute_sql
+      (Aqua_sqlengine.Engine.env_of_application app)
+      sql
+  in
+  (* hit 1 is the inner-join half's hash join; hits 2-6 are the five
+     invocations of the anti-join's correlated probe, so at(3) fires
+     after one invocation has built the table *)
+  List.iter
+    (fun k ->
+      with_telemetry @@ fun () ->
+      with_failpoints (Printf.sprintf "xqeval.hashjoin=at(%d)" k) @@ fun () ->
+      let rs = Connection.execute_query (Connection.connect app) sql in
+      (match Rowset.diff_summary oracle (Result_set.to_rowset rs) with
+      | None -> ()
+      | Some msg -> Alcotest.failf "hash-join fault at(%d): wrong rows: %s" k msg);
+      check_bool
+        (Printf.sprintf "the hash-join fault at(%d) fired" k)
+        true
+        (Telemetry.value Telemetry.c_faults_injected >= 1);
+      check_bool
+        (Printf.sprintf "at(%d) fell back to the interpreter" k)
+        true
+        (Telemetry.value Telemetry.c_fallbacks_unoptimized >= 1))
+    [ 1; 3 ];
+  List.iter
+    (fun (what, limits, expected) ->
+      let state optimize =
+        sqlstate_of_query (Connection.connect ~optimize ~limits app) sql
+      in
+      Alcotest.(check string) (what ^ ": nested loop") expected (state false);
+      Alcotest.(check string) (what ^ ": correlated probe") expected (state true))
+    [ ("row governor", Budget.limits ~max_rows:2 (), "53400");
+      ("step governor", Budget.limits ~max_fuel:10 (), "53000") ]
+
 let suite =
   ( "columnar",
     [ Helpers.case "battery agrees at batch size 1" (battery_at_size 1);
@@ -465,4 +597,8 @@ let suite =
       Helpers.case "rowset columnar batch view" rowset_column_batches;
       Helpers.case "scan cache zero-copy column serve" scan_cache_column_serve;
       Helpers.case "group keys stay injective under buffer reuse"
-        group_key_injective_after_buffer_reuse ] )
+        group_key_injective_after_buffer_reuse;
+      Helpers.case "correlated probes agree with the reference engine"
+        correlated_probe_battery;
+      Helpers.case "correlated probes under faults and governors"
+        correlated_probe_faults ] )

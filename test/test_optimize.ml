@@ -86,7 +86,58 @@ let hand_written_flwors () =
       "for $a in (3, 1, 2) order by $a return (for $b in (1, 2) \
        where $a = $b return ($a, $b))";
       (* legal shadowing: inner flwor rebinds $x after the where *)
-      "for $x in (1, 2) where $x = 1 return (for $x in (5, 6) return $x)" ]
+      "for $x in (1, 2) where $x = 1 return (for $x in (5, 6) return $x)";
+      (* correlated probes: the inner FLWOR's leading for joins against
+         an enclosing variable, once per outer tuple *)
+      "for $a in (1, 2, 3, 2) return (for $b in (2, 3, 4, 2) where $b = $a \
+       return ($a * 10) + $b)";
+      "for $c in (1, 2, 5) where fn:empty(for $p in (2, 3, 2) where $p = $c \
+       return 1) return $c";
+      "for $c in (1, 2, 5) where fn:exists(for $p in (2, 3, 2) where $c = $p \
+       return 1) return $c";
+      "for $a in (1, 2, 2, 3) return fn:count(for $b in (2, 2, 3) where \
+       $a eq $b return $b)";
+      "for $y in (5, 6) return (for $x in (<v>5</v>, <v>5.0</v>, <v>7</v>) \
+       where $x = $y return $y)";
+      (* multi-atom probe under a general comparison: existential *)
+      "let $k := (1, 3) return (for $b in (1, 2, 3) where $b = $k return $b)";
+      (* empty build side, residual conjunct beside the join conjunct *)
+      "for $a in (1, 2) return (for $b in () where $b = $a return $a)";
+      "for $a in (1, 2, 3) return (for $b in (1, 2, 3, 4) where $b > 1 and \
+       $b = $a return $b)";
+      (* the enclosing binder is a quantifier, and a predicate's context
+         item *)
+      "some $a in (1, 4) satisfies fn:exists(for $b in (2, 4) where $b = $a \
+       return $b)";
+      "(1, 2, 3)[fn:exists(for $b in (2, 3) where $b = . return 1)]";
+      (* the inner FLWOR's return shadows the probed variable; a nested
+         for or hash join rebinding an outer name must not copy the
+         outer, unmaterialized column *)
+      "for $x in (1, 2) return (for $y in (1, 2, 3) where $y = $x return \
+       (for $x in (7) return $x + $y))";
+      "for $z in (1, 2) return (for $y in (1, 2) return (for $x in (3, 4) \
+       for $z in (3, 4) where $z = $x return $z + $y))";
+      (* ...unless a group clause restores the entry scope, where the
+         name means the outer column again *)
+      "for $x in (1, 2) return (for $x in (3, 4) group $x as $p by $x \
+       as $k return ($x, $k))";
+      "for $x in (1, 2) return (for $y in (5, 6) return (for $x in (3, 4) \
+       group $x as $p by $x as $k return ($x, $k, $y)))";
+      (* two correlated levels *)
+      "for $a in (1, 2) return (for $b in (1, 2) where $b = $a return \
+       (for $c in (1, 2, 1) where $c = $b return ($a, $b, $c)))" ]
+
+(* A join whose build key reads an enclosing variable is not reusable:
+   even over one physically shared source sequence, each invocation
+   must build its own table. *)
+let non_reusable_build_agrees () =
+  let ints l =
+    List.map (fun i -> Aqua_xml.Item.Atomic (Aqua_xml.Atomic.Integer i)) l
+  in
+  quad_check
+    ~bindings:[ ("s", ints [ 1; 2 ]) ]
+    "for $a in (1, 2) return (for $x in (2, 3) for $b in $s where $b + $a = \
+     $x return ($a, $b))"
 
 let accepted_cast_divergence () =
   (* documented divergence (see lib/xqeval/join_table.ml): the nested
@@ -103,11 +154,27 @@ let accepted_cast_divergence () =
   (match Eval.eval ~optimize:false (Eval.context ()) expr with
   | _ -> Alcotest.fail "nested loop was expected to raise Cast_error"
   | exception Aqua_xml.Atomic.Cast_error _ -> ());
-  match Eval.eval (Eval.context ()) expr with
+  (match Eval.eval (Eval.context ()) expr with
   | [ Aqua_xml.Item.Atomic a ] when Aqua_xml.Atomic.to_lexical a = "5" -> ()
   | seq ->
     Alcotest.failf "hash join: expected (5), got %s"
-      (Serialize.sequence_to_string seq)
+      (Serialize.sequence_to_string seq));
+  (* the correlated probe carries the same divergence into a nested
+     FLWOR; translated SQL still casts both sides, and a top-level
+     comparison against a prepared parameter is never rewritten *)
+  let correlated =
+    parse
+      "for $y in (5, 6) return (for $x in (<v>5</v>, <v>hello</v>) \
+       where $x = $y return $y)"
+  in
+  (match Eval.eval ~optimize:false (Eval.context ()) correlated with
+  | _ -> Alcotest.fail "correlated nested loop was expected to raise Cast_error"
+  | exception Aqua_xml.Atomic.Cast_error _ -> ());
+  let ser = Serialize.sequence_to_string in
+  Alcotest.(check string) "correlated probe: interpreter" "5"
+    (ser (Eval.eval ~vectorize:false (Eval.context ()) correlated));
+  Alcotest.(check string) "correlated probe: compiled" "5"
+    (ser (Compile.run (Compile.compile_expr correlated)))
 
 let report_counts () =
   let counts src =
@@ -140,7 +207,83 @@ let report_counts () =
   | X.Flwor { clauses; _ } ->
     List.iter (function X.Hash_join _ -> found := true | _ -> ()) clauses
   | _ -> ());
-  Alcotest.(check bool) "Hash_join clause present" true !found
+  Alcotest.(check bool) "Hash_join clause present" true !found;
+  (* correlated probes: a leading for of a nested FLWOR whose comparand
+     reads only enclosing variables *)
+  let correlated src =
+    let _, r = Optimize.expr (parse src) in
+    (r.Optimize.hash_joins, r.Optimize.correlated_probes)
+  in
+  let check_probe what src expected =
+    let h, c = correlated src in
+    check_int (what ^ ": hash joins") expected h;
+    check_int (what ^ ": correlated probes") expected c
+  in
+  check_probe "anti-join"
+    "for $c in (1, 2) where fn:empty(for $p in (2, 3) where $p = $c return 1) \
+     return $c"
+    1;
+  check_probe "semi-join"
+    "for $c in (1, 2) where fn:exists(for $p in (2, 3) where $c eq $p \
+     return 1) return $c"
+    1;
+  (* negative cases: the rule must not fire *)
+  check_probe "source reads the outer variable"
+    "for $a in (1, 2) return (for $b in ($a, 2) where $b = $a return 1)" 0;
+  check_probe "constant comparand"
+    "for $a in (1, 2) return (for $b in (2, 3) where $b = 5 return $a)" 0;
+  check_probe "external variable only"
+    "for $b in (2, 3) where $b = $param1 return $b" 0;
+  check_probe "inner FLWOR rebinds the probed variable"
+    "for $a in (1, 2) return (for $b in (2, 3) where $b = $a let $a := 7 \
+     return $a)"
+    0;
+  check_probe "build key reads the outer variable"
+    "for $a in (1, 2) return (for $b in (2, 3) where $b + $a = $a * 2 \
+     return 1)"
+    0;
+  (* a let before the for makes it non-leading: an ordinary join on the
+     let-bound key, not a correlated probe *)
+  let h, c =
+    correlated
+      "for $a in (1, 2) return (let $k := $a for $b in (2, 3) where $b = $k \
+       return 1)"
+  in
+  check_int "let-bound key: hash joins" 1 h;
+  check_int "let-bound key: correlated probes" 0 c;
+  (* the rewritten inner clause is a Hash_join node *)
+  let optimized, _ =
+    Optimize.expr
+      (parse
+         "for $c in (1, 2) where fn:empty(for $p in (2, 3) where $p = $c \
+          return 1) return $c")
+  in
+  let inner_join =
+    match optimized with
+    | X.Flwor
+        { clauses =
+            [ _; X.Where (X.Call ("fn:empty", [ X.Flwor { clauses; _ } ])) ];
+          _ } -> (
+      match clauses with
+      | [ X.Hash_join { var = "p"; _ } ] -> true
+      | _ -> false)
+    | _ -> false
+  in
+  Alcotest.(check bool) "inner Hash_join clause present" true inner_join;
+  (* the rule fires exactly when the compiler may reuse the build *)
+  Alcotest.(check bool) "reusable: closed source" true
+    (Optimize.reusable_build ~var:"p" ~source:(parse "ns:P()")
+       ~build_key:(parse "xs:int($p/K)"));
+  Alcotest.(check bool) "reusable: shared scan binding" true
+    (Optimize.reusable_build ~var:"p"
+       ~source:(X.Var (Optimize.scan_var "ns:P"))
+       ~build_key:(parse "$p/K"));
+  Alcotest.(check bool) "not reusable: source reads a variable" false
+    (Optimize.reusable_build ~var:"p" ~source:(parse "$c/P")
+       ~build_key:(parse "$p/K"));
+  Alcotest.(check bool) "not reusable: build key reads a variable" false
+    (Optimize.reusable_build ~var:"p" ~source:(parse "ns:P()")
+       ~build_key:(parse "$p/K + $c"))
 
 let where_before_binding_fails () =
   let src = "for $x in (1, 2) where $y = 1 for $y in (3, 4) return $x" in
@@ -188,6 +331,13 @@ let sql_cases =
      PAYMENTS P WHERE P.CUSTID = C.CUSTOMERID AND P.PAYMENT > 100)";
     "SELECT (SELECT COUNT(*) FROM PAYMENTS P WHERE P.CUSTID = \
      C.CUSTOMERID) NPAY FROM CUSTOMERS C";
+    "SELECT CUSTOMERNAME FROM CUSTOMERS C WHERE NOT EXISTS (SELECT 1 FROM \
+     PAYMENTS P WHERE P.CUSTID = C.CUSTOMERID)";
+    (* PAYMENTS also scanned at the top: the correlated probe's source
+       becomes the shared-scan binding *)
+    "SELECT P2.PAYMENTID FROM PAYMENTS P2 WHERE EXISTS (SELECT 1 FROM \
+     PAYMENTS P WHERE P.CUSTID = P2.CUSTID AND P.PAYMENTID <> \
+     P2.PAYMENTID)";
     "SELECT C.CITY, COUNT(*) N, SUM(P.AMOUNT) T FROM CUSTOMERS C INNER \
      JOIN PO_CUSTOMERS P ON C.CUSTOMERID = P.CUSTOMERID GROUP BY C.CITY \
      ORDER BY T DESC" ]
@@ -313,6 +463,7 @@ let lru_disabled () =
 let suite =
   ( "optimize",
     [ Helpers.case "hand-written flwors agree" hand_written_flwors;
+      Helpers.case "non-reusable builds are rebuilt" non_reusable_build_agrees;
       Helpers.case "accepted cast divergence" accepted_cast_divergence;
       Helpers.case "report counts" report_counts;
       Helpers.case "where before binding fails" where_before_binding_fails;
