@@ -282,10 +282,20 @@ let analyze_cmd =
         Obs_stats.set_enabled false;
         (* the counters are frozen now, so re-running the optimizer for
            its notes does not skew the snapshot *)
-        let _, report =
+        let node_fns =
+          Server.physical_fns app
+            t.Translator.xquery.Aqua_xquery.Ast.prolog.Aqua_xquery.Ast.imports
+        in
+        let optimized, report =
           Aqua_xqeval.Optimize.query ~share_scans:(not no_scan_cache)
             ~vectorize:(not no_vectorize) ~columnar:(not no_columnar)
-            t.Translator.xquery
+            ~node_fns t.Translator.xquery
+        in
+        let shape =
+          if no_vectorize || no_columnar then []
+          else
+            Aqua_xqeval.Optimize.columnar_shape ~node_fns
+              optimized.Aqua_xquery.Ast.body
         in
         Printf.printf "EXPLAIN ANALYZE  %s\n" sql;
         Printf.printf "translation (three stages):\n";
@@ -296,14 +306,16 @@ let analyze_cmd =
         else begin
           Printf.printf
             "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) \
-             (%d correlated probe(s)), %d shared scan(s)\n"
+             (%d correlated probe(s)), %d shared scan(s), %d constructor \
+             fusion(s)\n"
             report.Aqua_xqeval.Optimize.pushed_predicates
             report.Aqua_xqeval.Optimize.hash_joins
             report.Aqua_xqeval.Optimize.correlated_probes
-            report.Aqua_xqeval.Optimize.shared_scans;
+            report.Aqua_xqeval.Optimize.shared_scans
+            report.Aqua_xqeval.Optimize.fusions;
           List.iter
             (fun note -> Printf.printf "  note: %s\n" note)
-            report.Aqua_xqeval.Optimize.notes
+            (report.Aqua_xqeval.Optimize.notes @ shape)
         end;
         if no_scan_cache then
           Printf.printf "scan cache: disabled (--no-scan-cache)\n"
@@ -722,13 +734,18 @@ let explain_cmd =
              annotated for/where pairs).")
   in
   let run sql show_xquery =
-    with_env (fun _app env ->
+    with_env (fun app env ->
         print_string (Aqua_translator.Explain.statement env
                         (Aqua_sql.Parser.parse sql));
         if show_xquery then begin
           let t = Translator.translate env sql in
           let optimized, _report =
-            Aqua_xqeval.Optimize.query t.Translator.xquery
+            Aqua_xqeval.Optimize.query
+              ~node_fns:
+                (Server.physical_fns app
+                   t.Translator.xquery.Aqua_xquery.Ast.prolog
+                     .Aqua_xquery.Ast.imports)
+              t.Translator.xquery
           in
           print_endline "-- optimized xquery --";
           print_endline (Aqua_xquery.Pretty.query_to_string optimized)

@@ -111,16 +111,20 @@ let explain_optimizer env p (stmt : A.statement) =
   match Generate.generate env stmt with
   | exception Errors.Error _ -> ()
   | generated ->
-    let _, report = Aqua_xqeval.Optimize.query generated.Generate.query in
+    let optimized, report =
+      Aqua_xqeval.Optimize.query generated.Generate.query
+    in
     line p 1
       "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) (%d \
-       correlated probe(s))"
+       correlated probe(s)), %d constructor fusion(s)"
       report.Aqua_xqeval.Optimize.pushed_predicates
       report.Aqua_xqeval.Optimize.hash_joins
-      report.Aqua_xqeval.Optimize.correlated_probes;
+      report.Aqua_xqeval.Optimize.correlated_probes
+      report.Aqua_xqeval.Optimize.fusions;
     List.iter
       (fun note -> line p 2 "PLAN %s" note)
-      report.Aqua_xqeval.Optimize.notes;
+      (report.Aqua_xqeval.Optimize.notes
+      @ Aqua_xqeval.Optimize.columnar_shape optimized.Aqua_xquery.Ast.body);
     if report.Aqua_xqeval.Optimize.hash_joins = 0 then
       line p 2 "PLAN joins (if any) run as nested loops"
 

@@ -54,6 +54,20 @@ let split_qname name =
       String.sub name (i + 1) (String.length name - i - 1) )
   | None -> ("", name)
 
+let physical_fns app (imports : X.schema_import list) qname =
+  let prefix, local = split_qname qname in
+  match
+    List.find_opt (fun (i : X.schema_import) -> i.X.prefix = prefix) imports
+  with
+  | None -> false
+  | Some i -> (
+    match Artifact.find_service_by_namespace app i.X.namespace with
+    | None -> false
+    | Some ds -> (
+      match Artifact.find_function ds local with
+      | Some { Artifact.body = Artifact.Physical _; _ } -> true
+      | _ -> false))
+
 (* Exceptions that say nothing about the invoked function's health:
    budget cancellations, structural errors already carrying a SQLSTATE,
    and rejections from breakers further down the chain. *)
@@ -101,7 +115,10 @@ and invoke t (ds : Artifact.data_service) (f : Artifact.ds_function) chain :
     match f.Artifact.body with
     | Artifact.Physical table -> List.map Item.node (Table.to_flat_xml table)
     | Artifact.Logical { imports; body } ->
-      let ctx = Eval.context ~resolve:(resolver t imports chain) () in
+      let ctx =
+        Eval.context ~resolve:(resolver t imports chain)
+          ~node_fns:(physical_fns t.app imports) ()
+      in
       let ctx =
         List.fold_left
           (fun (ctx, i) arg ->
@@ -170,7 +187,10 @@ and invoke t (ds : Artifact.data_service) (f : Artifact.ds_function) chain :
   else serve ()
 
 let execute ?(bindings = []) t (q : X.query) =
-  let ctx = Eval.context ~resolve:(resolver t q.prolog.imports []) () in
+  let ctx =
+    Eval.context ~resolve:(resolver t q.prolog.imports [])
+      ~node_fns:(physical_fns t.app q.prolog.imports) ()
+  in
   let ctx =
     List.fold_left (fun ctx (name, seq) -> Eval.bind ctx name seq) ctx bindings
   in
@@ -203,6 +223,7 @@ let prepare ?(vars = []) t (q : X.query) =
     ~columnar:t.columnar
     ~scan_cache:(Scan_cache.enabled t.scan_cache)
     ~resolve:(resolver t q.X.prolog.X.imports [])
+    ~node_fns:(physical_fns t.app q.X.prolog.X.imports)
     ~vars q
 
 let execute_prepared ?bindings prepared =

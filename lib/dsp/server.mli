@@ -58,6 +58,15 @@ val create :
 
 val application : t -> Artifact.application
 
+val physical_fns :
+  Artifact.application -> Aqua_xquery.Ast.schema_import list -> string -> bool
+(** [physical_fns app imports qname]: whether the prefixed name resolves,
+    under the schema [imports], to a physical data-service function — a
+    table scan, which returns only row elements (a logical function
+    evaluates an arbitrary body).  The server passes it to the optimizer
+    as [node_fns] for every query and data-service body it evaluates or
+    prepares. *)
+
 val scan_cache : t -> Scan_cache.t
 (** The server's materialized scan cache (possibly disabled). *)
 

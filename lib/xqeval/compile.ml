@@ -30,6 +30,8 @@ type cenv = {
   slots : (string * int) list;
   next : int ref;
   resolve : resolver;
+  node_fns : string -> bool;
+      (* external functions known to return only nodes *)
   vectorize : bool;
   columnar : bool;
 }
@@ -107,25 +109,7 @@ let arith_atomic (op : X.arith) a b =
     | X.Mod ->
       if y = 0.0 then dfail "modulus by zero" else promote (Float.rem x y))
 
-let normalize_content (seq : Item.sequence) : Node.t list =
-  let rec go acc pending = function
-    | [] ->
-      let acc =
-        match pending with
-        | [] -> acc
-        | parts -> Node.Text (String.concat " " (List.rev parts)) :: acc
-      in
-      List.rev acc
-    | Item.Atomic a :: rest -> go acc (Atomic.to_lexical a :: pending) rest
-    | Item.Node n :: rest ->
-      let acc =
-        match pending with
-        | [] -> acc
-        | parts -> Node.Text (String.concat " " (List.rev parts)) :: acc
-      in
-      go (n :: acc) [] rest
-  in
-  go [] [] seq
+let normalize_content = Functions.normalize_content
 
 (* Step-name matching is compiled once per path step: the common case
    (unprefixed column access over unprefixed row children) costs one
@@ -454,14 +438,16 @@ let ccounter cctx label =
 type cclause =
   | C_plain of X.clause
   | C_kernel of {
-      ck_grouped : string;
       ck_partition : string;
       ck_keys : (X.expr * string) list;
       ck_specs : Optimize.kernel_spec list;
-      ck_orig : X.clause;  (* the original [Group], for liveness views *)
+      ck_orig : X.clause;
+          (* the original [Group], for clause failpoints and node tracking *)
     }
 
 let cclause_view = function C_plain c -> c | C_kernel k -> k.ck_orig
+
+module Slots = Set.Make (Int)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                        *)
@@ -1246,11 +1232,14 @@ and compile_flwor_vec cenv (f : X.flwor) : comp =
 
    - Required-column pruning.  Each expander/barrier computes at
      compile time which slots the *remainder* of the pipeline (later
-     clauses plus the return) can still read — [Optimize.free_vars] of
-     that remainder intersected with the slots bound so far — and
-     copies only those columns into its output.  A batch arriving at an
-     operator therefore has valid data exactly in the columns live at
-     that point; everything else is stale storage no reader touches.
+     clauses plus the return) can still read, resolving every name
+     where it is read (a later binding shadows, a group clause restores
+     the FLWOR's entry scope), and copies only those columns into its
+     output.  A batch arriving at an operator therefore has valid data
+     exactly in the columns live at that point; everything else is
+     stale storage no reader touches.  A let no later clause reads is
+     skipped when its value cannot raise ([Optimize.cannot_fail]) —
+     the record constructor fused away by constructor fusion.
 
    - Kernel-fused aggregation.  When every post-group read of the
      partition variable is one of the translator's aggregate shapes,
@@ -1258,7 +1247,10 @@ and compile_flwor_vec cenv (f : X.flwor) : comp =
      kernel variables and the group operator keeps one [Kernels.state]
      per (group, kernel) instead of materializing the partition: a
      tight per-tuple update loop during cpush, finished into output
-     columns at flush.
+     columns at flush.  Each kernel folds its per-tuple input
+     ([k_arg]); when the grouped variable is let-bound to a record
+     constructor that input reads the field through the constructor,
+     so the record itself is dead and never built.
 
    Per-row expression evaluation reuses the scalar [comp] closures:
    each operator gathers its own free-variable columns into the shared
@@ -1276,48 +1268,90 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
      reads before compiling.  The rewrite happens here — in the
      columnar lowering only — so the row and row-batch oracles keep
      evaluating the original AST. *)
-  let rec transform clauses return_ =
+  let rec transform before clauses return_ =
     match clauses with
     | [] -> ([], return_)
     | (X.Group { grouped; partition; keys } as orig) :: rest -> (
-      match Optimize.group_kernels ~partition rest return_ with
+      (* a grouped variable let-bound to a record constructor feeds its
+         kernels through the constructor (constructor fusion F3) *)
+      let record =
+        Option.map fst (Optimize.record_binding (List.rev before) grouped)
+      in
+      match Optimize.group_kernels ?record ~grouped ~partition rest return_ with
       | Some (specs, rest', return') ->
-        let rest'', return'' = transform rest' return' in
+        let rest'', return'' = transform (orig :: before) rest' return' in
         ( C_kernel
-            { ck_grouped = grouped; ck_partition = partition;
-              ck_keys = keys; ck_specs = specs; ck_orig = orig }
+            { ck_partition = partition; ck_keys = keys; ck_specs = specs;
+              ck_orig = orig }
           :: rest'',
           return'' )
       | None ->
-        let rest', return' = transform rest return_ in
+        let rest', return' = transform (orig :: before) rest return_ in
         (C_plain orig :: rest', return'))
     | c :: rest ->
-      let rest', return' = transform rest return_ in
+      let rest', return' = transform (c :: before) rest return_ in
       (C_plain c :: rest', return')
   in
-  let tclauses, treturn = transform f.X.clauses f.X.return in
-  (* Liveness: the variables the rest of the pipeline can still read.
-     A fused group is viewed as its original [Group] clause — its
-     synthetic kernel variables read nothing upstream, and the slot-set
-     intersection drops them from any copy set computed before the
-     group binds them. *)
-  let live_after rest =
-    Optimize.free_vars
-      (X.Flwor { clauses = List.map cclause_view rest; return = treturn })
+  let tclauses, treturn = transform [] f.X.clauses f.X.return in
+  (* Liveness by slot: the slots of [slots] (a binding environment at
+     some clause position, innermost first) that the clauses [rest] and
+     the return can still read.  Names resolve where they are read: a
+     later binding shadows as a fresh (unmaterialized, -1) slot, and a
+     group clause restores the FLWOR's entry environment — so a name
+     shadowed here but read past a group keeps the outer column alive,
+     and the shadowing binding never stands in for it. *)
+  let entry_slots = cenv.slots in
+  let reads = function
+    | C_plain c -> Optimize.clause_reads c
+    | C_kernel k ->
+      (* a kernel group reads its keys and kernel inputs, not the
+         grouped variable itself *)
+      List.fold_left
+        (fun s e -> Optimize.Vars.union s (Optimize.free_vars e))
+        Optimize.Vars.empty
+        (List.map fst k.ck_keys
+        @ List.map (fun (s : Optimize.kernel_spec) -> s.Optimize.k_arg)
+            k.ck_specs)
   in
-  (* What a clause binding [var] in [cenv] carries forward.  When [var]
-     shadows an outer binding, the name in [live] means the fresh
-     binding — never the outer column, which need not be materialized
-     here — unless it is read past a later group clause, which restores
-     the entry scope. *)
-  let carried cenv var rest live =
-    if not (Optimize.Vars.mem var live && List.mem_assoc var cenv.slots) then
-      live
-    else
-      let shadowed = C_plain (X.Let { var; value = X.Seq [] }) in
-      if Optimize.Vars.mem var (live_after (shadowed :: rest)) then live
-      else Optimize.Vars.remove var live
+  let tarr = Array.of_list tclauses in
+  let treads = Array.map reads tarr in
+  let ret_reads = Optimize.free_vars treturn in
+  (* from clause index [from] on *)
+  let live_slots slots from =
+    let add slots vars acc =
+      Optimize.Vars.fold
+        (fun v acc ->
+          match List.assoc_opt v slots with
+          | Some s when s >= 0 -> Slots.add s acc
+          | _ -> acc)
+        vars acc
+    in
+    let fresh slots v = (v, -1) :: slots in
+    let rec walk slots acc j =
+      if j >= Array.length tarr then add slots ret_reads acc
+      else
+        let c = tarr.(j) in
+        let acc = add slots treads.(j) acc in
+        let slots =
+          match c with
+          | C_plain (X.For { var; _ } | X.Let { var; _ } | X.Hash_join { var; _ })
+            ->
+            fresh slots var
+          | C_plain (X.Where _ | X.Order_by _) -> slots
+          | C_plain (X.Group { partition; keys; _ }) ->
+            List.fold_left fresh entry_slots (partition :: List.map snd keys)
+          | C_kernel k ->
+            List.fold_left fresh entry_slots
+              ((k.ck_partition :: List.map snd k.ck_keys)
+              @ List.map
+                  (fun (s : Optimize.kernel_spec) -> s.Optimize.k_var)
+                  k.ck_specs)
+        in
+        walk slots acc (j + 1)
+    in
+    walk slots Slots.empty from
   in
+  let slot_array set = Array.of_list (Slots.elements set) in
   (* Slots of [vars] bound in [cenv] (innermost binding per name),
      deduplicated ascending. *)
   let bound_slots cenv vars =
@@ -1345,20 +1379,23 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
       scratch.(s) <- b.Batch.cols.(s).(idx)
     done
   in
-  let rec build cenv stage_base i clauses :
+  (* [nodes]: the variables known to hold only nodes, for the dead-let
+     test *)
+  let rec build cenv nodes i clauses :
       (string * (cctx -> csink -> csink)) list * cenv =
     match clauses with
     | [] -> ([], cenv)
     | clause :: rest ->
-      let live = live_after rest in
-      let labeled_mk, cenv', base' =
+      let labeled_mk, cenv' =
         match clause with
         | C_plain (X.For { var; source }) ->
           let gslots = gather_slots cenv [ source ] in
           let csrc = compile_expr_c cenv source in
-          let copy = bound_slots cenv (carried cenv var rest live) in
-          let copy_n = Array.length copy in
           let cenv', slot = bind_slot cenv var in
+          let copy =
+            slot_array (Slots.remove slot (live_slots cenv'.slots (i + 1)))
+          in
+          let copy_n = Array.length copy in
           let label = "for $" ^ var in
           let mk cctx down =
             let count = ccounter cctx label in
@@ -1406,11 +1443,17 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
               cflush = (fun () -> emit (); down.cflush ());
             }
           in
-          ((label, mk), cenv', stage_base)
+          ((label, mk), cenv')
         | C_plain (X.Let { var; value }) ->
           let gslots = gather_slots cenv [ value ] in
           let cval = compile_expr_c cenv value in
           let cenv', slot = bind_slot cenv var in
+          (* a let nothing downstream reads (a record whose every read
+             was fused away) is skipped when building it cannot raise *)
+          let dead =
+            (not (Slots.mem slot (live_slots cenv'.slots (i + 1))))
+            && Optimize.cannot_fail ~nodes value
+          in
           let label = "let $" ^ var in
           let mk cctx down =
             let count = ccounter cctx label in
@@ -1420,18 +1463,20 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                   Budget.steps b.Batch.n;
                   (* in place: write the new column into the incoming
                      batch at the selected indices *)
-                  let col = Batch.column b slot in
-                  for k = 0 to b.Batch.n - 1 do
-                    let idx = b.Batch.sel.(k) in
-                    gather gslots scratch b idx;
-                    col.(idx) <- cval scratch
-                  done;
+                  if not dead then begin
+                    let col = Batch.column b slot in
+                    for k = 0 to b.Batch.n - 1 do
+                      let idx = b.Batch.sel.(k) in
+                      gather gslots scratch b idx;
+                      col.(idx) <- cval scratch
+                    done
+                  end;
                   count b.Batch.n;
                   if b.Batch.n > 0 then down.cpush b);
               cflush = (fun () -> down.cflush ());
             }
           in
-          ((label, mk), cenv', stage_base)
+          ((label, mk), cenv')
         | C_plain (X.Where cond) ->
           let gslots = gather_slots cenv [ cond ] in
           let ccond = compile_cond cenv cond in
@@ -1459,7 +1504,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
               cflush = (fun () -> down.cflush ());
             }
           in
-          ((label, mk), cenv, stage_base)
+          ((label, mk), cenv)
         | C_plain (X.Order_by specs) ->
           let gslots =
             gather_slots cenv (List.map (fun (s : X.order_spec) -> s.X.key) specs)
@@ -1470,7 +1515,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                 (compile_expr_c cenv s.X.key, s.X.descending, s.X.empty))
               specs
           in
-          let retain = bound_slots cenv live in
+          let retain = slot_array (live_slots cenv.slots (i + 1)) in
           let retain_n = Array.length retain in
           let label = Printf.sprintf "order-by@%d" i in
           let mk cctx down =
@@ -1532,18 +1577,16 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                   down.cflush ());
             }
           in
-          ((label, mk), cenv, cenv)
+          ((label, mk), cenv)
         | C_plain (X.Group { grouped; partition; keys }) ->
           (* materializing group: the partition column is built as the
              concatenation of each group's grouped cells *)
           let grouped_slot = lookup_slot cenv grouped in
           let gslots = gather_slots cenv (List.map fst keys) in
           let ckeys = List.map (fun (k, _) -> compile_expr_c cenv k) keys in
-          (* BEA scoping: only the stage-base (pre-segment) bindings
-             survive the group *)
-          let entry_env = { cenv with slots = stage_base.slots } in
-          let entry_copy = bound_slots entry_env live in
-          let entry_n = Array.length entry_copy in
+          (* BEA scoping: only the FLWOR's entry bindings survive the
+             group *)
+          let entry_env = { cenv with slots = entry_slots } in
           let cenv_post, key_slots =
             List.fold_left
               (fun (ce, acc) (_, var) ->
@@ -1553,6 +1596,13 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           in
           let key_slots = List.rev key_slots in
           let cenv_post, partition_slot = bind_slot cenv_post partition in
+          let entry_copy =
+            slot_array
+              (Slots.diff
+                 (live_slots cenv_post.slots (i + 1))
+                 (Slots.of_list (partition_slot :: key_slots)))
+          in
+          let entry_n = Array.length entry_copy in
           let label = "group by -> $" ^ partition in
           let mk cctx down =
             let count = ccounter cctx label in
@@ -1619,21 +1669,40 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                   down.cflush ());
             }
           in
-          ((label, mk), cenv_post, cenv_post)
-        | C_kernel { ck_grouped; ck_partition; ck_keys; ck_specs; ck_orig = _ }
-          ->
+          ((label, mk), cenv_post)
+        | C_kernel { ck_partition; ck_keys; ck_specs; ck_orig = _ } ->
           (* kernel group: the partition is never materialized — one
              aggregation-kernel state per (group, spec), updated in a
-             tight loop per batch, finished into output columns at
-             flush *)
-          let grouped_slot = lookup_slot cenv ck_grouped in
-          let gslots = gather_slots cenv (List.map fst ck_keys) in
+             tight loop per batch from the spec's per-tuple input,
+             finished into output columns at flush *)
+          let args =
+            List.map (fun (s : Optimize.kernel_spec) -> s.Optimize.k_arg) ck_specs
+          in
+          let gslots = gather_slots cenv (List.map fst ck_keys @ args) in
           let ckeys =
             List.map (fun (k, _) -> compile_expr_c cenv k) ck_keys
           in
-          let entry_env = { cenv with slots = stage_base.slots } in
-          let entry_copy = bound_slots entry_env live in
-          let entry_n = Array.length entry_copy in
+          (* kernels over one column share its input: each distinct
+             argument is evaluated once per tuple *)
+          let distinct =
+            List.fold_left
+              (fun acc a -> if List.mem a acc then acc else acc @ [ a ])
+              [] args
+          in
+          let cargs = Array.of_list (List.map (compile_expr_c cenv) distinct) in
+          let arg_of =
+            Array.of_list
+              (List.map
+                 (fun a ->
+                   let rec index i = function
+                     | x :: rest -> if x = a then i else index (i + 1) rest
+                     | [] -> assert false
+                   in
+                   index 0 distinct)
+                 args)
+          in
+          let nargs = Array.length cargs in
+          let entry_env = { cenv with slots = entry_slots } in
           let cenv_post, key_slots =
             List.fold_left
               (fun (ce, acc) (_, var) ->
@@ -1649,16 +1718,22 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                 (ce', slot :: acc))
               (cenv_post, []) ck_specs
           in
-          let spec_slots = Array.of_list (List.rev spec_slots) in
-          let spec_info =
+          let spec_slots = List.rev spec_slots in
+          let entry_copy =
+            slot_array
+              (Slots.diff
+                 (live_slots cenv_post.slots (i + 1))
+                 (Slots.of_list (key_slots @ spec_slots)))
+          in
+          let entry_n = Array.length entry_copy in
+          let spec_slots = Array.of_list spec_slots in
+          let kinds =
             Array.of_list
               (List.map
-                 (fun (s : Optimize.kernel_spec) ->
-                   ( s.Optimize.k_kind,
-                     Option.map compile_step_matcher s.Optimize.k_step ))
+                 (fun (s : Optimize.kernel_spec) -> s.Optimize.k_kind)
                  ck_specs)
           in
-          let nspecs = Array.length spec_info in
+          let nspecs = Array.length kinds in
           let label = "group by -> $" ^ ck_partition in
           let mk cctx down =
             let count = ccounter cctx label in
@@ -1671,6 +1746,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
             let out_entry = Array.map (Batch.column out) entry_copy in
             let out_keys = List.map (Batch.column out) key_slots in
             let out_specs = Array.map (Batch.column out) spec_slots in
+            let inputs = Array.make nargs [] in
             let emit () =
               if out.Batch.n > 0 then begin
                 cnote_batch out.Batch.n;
@@ -1684,7 +1760,6 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                   Telemetry.with_span "xqeval.columnar.kernel" @@ fun () ->
                   Telemetry.add Telemetry.c_col_kernel_updates
                     (nspecs * b.Batch.n);
-                  let grouped_col = b.Batch.cols.(grouped_slot) in
                   let in_entry =
                     Array.map (fun s -> b.Batch.cols.(s)) entry_copy
                   in
@@ -1699,11 +1774,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                       match Hashtbl.find_opt table key_string with
                       | Some (states, _, _) -> states
                       | None ->
-                        let states =
-                          Array.map
-                            (fun (kind, _) -> Kernels.create kind)
-                            spec_info
-                        in
+                        let states = Array.map Kernels.create kinds in
                         let saved =
                           Array.map (fun c -> c.(idx)) in_entry
                         in
@@ -1712,15 +1783,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                         order := key_string :: !order;
                         states
                     in
-                    let slice = grouped_col.(idx) in
+                    for a = 0 to nargs - 1 do
+                      inputs.(a) <- cargs.(a) scratch
+                    done;
                     for t = 0 to nspecs - 1 do
-                      let input =
-                        match snd spec_info.(t) with
-                        | None -> slice
-                        | Some matches ->
-                          List.concat_map (children_matching matches) slice
-                      in
-                      Kernels.update states.(t) input
+                      Kernels.update states.(t) inputs.(arg_of.(t))
                     done
                   done);
               cflush =
@@ -1751,7 +1818,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                   down.cflush ());
             }
           in
-          ((label, mk), cenv_post, cenv_post)
+          ((label, mk), cenv_post)
         | C_plain (X.Hash_join { var; source; build_key; probe_key; value_cmp })
           ->
           (* gather set: [build_key]'s free vars minus the join
@@ -1768,9 +1835,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           in
           let csrc = compile_expr_c cenv source in
           let cprobe = compile_expr_c cenv probe_key in
-          let copy = bound_slots cenv (carried cenv var rest live) in
-          let copy_n = Array.length copy in
           let cenv2, var_slot = bind_slot cenv var in
+          let copy =
+            slot_array (Slots.remove var_slot (live_slots cenv2.slots (i + 1)))
+          in
+          let copy_n = Array.length copy in
           let cbuild = compile_expr_c cenv2 build_key in
           let reusable = Optimize.reusable_build ~var ~source ~build_key in
           let label = "hash-join $" ^ var in
@@ -1837,15 +1906,20 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
               cflush = (fun () -> emit (); down.cflush ());
             }
           in
-          ((label, mk), cenv2, cenv2)
+          ((label, mk), cenv2)
       in
-      let mks, cenv_out = build cenv' base' (i + 1) rest in
+      let nodes =
+        Optimize.nodes_after ~node_fns:cenv.node_fns ~entry:Optimize.Vars.empty
+          nodes
+          (cclause_view clause)
+      in
+      let mks, cenv_out = build cenv' nodes (i + 1) rest in
       (labeled_mk :: mks, cenv_out)
   in
-  let mks, cenv_ret = build cenv cenv 0 tclauses in
+  let mks, cenv_ret = build cenv Optimize.Vars.empty 0 tclauses in
   let ret_gslots = gather_slots cenv_ret [ treturn ] in
   let cret = compile_expr_c cenv_ret treturn in
-  let entry_copy = bound_slots cenv (live_after tclauses) in
+  let entry_copy = slot_array (live_slots cenv.slots 0) in
   let xclauses = List.map cclause_view tclauses in
   let next_ref = cenv.next in
   fun rt ->
@@ -1924,8 +1998,8 @@ type compiled = {
 let no_resolve _ = None
 
 let compile_expr ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
-    ?(columnar = Batch.columnar ()) ?(resolve = no_resolve) ?(vars = [])
-    (e : X.expr) =
+    ?(columnar = Batch.columnar ()) ?(resolve = no_resolve)
+    ?(node_fns = fun _ -> false) ?(vars = []) (e : X.expr) =
   (* scoping is checked on the un-optimized AST: pushdown deliberately
      leaves hazardous predicates in place, and the error should point
      at what the caller wrote *)
@@ -1939,10 +2013,13 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
    | None -> ());
   let e =
     if optimize then
-      fst (Optimize.expr ~share_scans:scan_cache ~vectorize ~columnar e)
+      fst
+        (Optimize.expr ~share_scans:scan_cache ~vectorize ~columnar ~node_fns e)
     else e
   in
-  let cenv = { slots = []; next = ref 0; resolve; vectorize; columnar } in
+  let cenv =
+    { slots = []; next = ref 0; resolve; node_fns; vectorize; columnar }
+  in
   let cenv, externals =
     List.fold_left
       (fun (ce, acc) v ->
@@ -1953,10 +2030,10 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
   let code = compile_expr_c cenv e in
   { code; size = !(cenv.next); externals = List.rev externals }
 
-let compile ?optimize ?scan_cache ?vectorize ?columnar ?resolve ?vars
-    (q : X.query) =
-  compile_expr ?optimize ?scan_cache ?vectorize ?columnar ?resolve ?vars
-    q.X.body
+let compile ?optimize ?scan_cache ?vectorize ?columnar ?resolve ?node_fns
+    ?vars (q : X.query) =
+  compile_expr ?optimize ?scan_cache ?vectorize ?columnar ?resolve ?node_fns
+    ?vars q.X.body
 
 let run ?(bindings = []) t =
   let rt = Array.make (max t.size 1) [] in

@@ -41,6 +41,7 @@ val compile :
   ?vectorize:bool ->
   ?columnar:bool ->
   ?resolve:resolver ->
+  ?node_fns:(string -> bool) ->
   ?vars:string list ->
   Aqua_xquery.Ast.query ->
   compiled
@@ -54,6 +55,10 @@ val compile :
     (default [true]) lowers FLWOR pipelines to the batch engine;
     [columnar] (default {!Batch.columnar}, meaningful only with
     [vectorize]) selects the struct-of-arrays batch layout.
+    [node_fns] names the external functions that return only nodes
+    (default: none); the optimizer and the columnar engine skip a dead
+    [let] only when its value provably cannot raise, which a child
+    step over such a function's rows cannot.
     @raise Compile_error on unknown functions or variables, and on a
     [where] clause referencing a variable bound only by a later clause
     of the same FLWOR. *)
@@ -64,6 +69,7 @@ val compile_expr :
   ?vectorize:bool ->
   ?columnar:bool ->
   ?resolve:resolver ->
+  ?node_fns:(string -> bool) ->
   ?vars:string list ->
   Aqua_xquery.Ast.expr ->
   compiled

@@ -13,9 +13,11 @@ type external_fn = Item.sequence list -> Item.sequence
 type context = {
   vars : Item.sequence Env.t;
   resolve : string -> external_fn option;
+  node_fns : string -> bool;
 }
 
-let context ?(resolve = fun _ -> None) () = { vars = Env.empty; resolve }
+let context ?(resolve = fun _ -> None) ?(node_fns = fun _ -> false) () =
+  { vars = Env.empty; resolve; node_fns }
 let bind ctx name seq = { ctx with vars = Env.add name seq ctx.vars }
 
 let fail = Error.fail
@@ -95,28 +97,7 @@ let arith_atomic (op : X.arith) a b =
 (* ------------------------------------------------------------------ *)
 (* Element construction                                               *)
 
-(* XQuery content normalization: adjacent atomic values are joined
-   with a single space into one text node; nodes are deep-copied
-   (structural sharing is fine for an immutable tree). *)
-let normalize_content (seq : Item.sequence) : Node.t list =
-  let rec go acc pending = function
-    | [] ->
-      let acc =
-        match pending with
-        | [] -> acc
-        | parts -> Node.Text (String.concat " " (List.rev parts)) :: acc
-      in
-      List.rev acc
-    | Item.Atomic a :: rest -> go acc (Atomic.to_lexical a :: pending) rest
-    | Item.Node n :: rest ->
-      let acc =
-        match pending with
-        | [] -> acc
-        | parts -> Node.Text (String.concat " " (List.rev parts)) :: acc
-      in
-      go (n :: acc) [] rest
-  in
-  go [] [] seq
+let normalize_content = Functions.normalize_content
 
 (* ------------------------------------------------------------------ *)
 (* Path navigation                                                    *)
@@ -430,7 +411,9 @@ let eval ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
   let interpret () =
     let e =
       if optimize then
-        fst (Optimize.expr ~share_scans:scan_cache ~vectorize:false e)
+        fst
+          (Optimize.expr ~share_scans:scan_cache ~vectorize:false
+             ~node_fns:ctx.node_fns e)
       else e
     in
     eval ctx e
@@ -445,7 +428,7 @@ let eval ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
     let bindings = Env.bindings ctx.vars in
     match
       Compile.compile_expr ~optimize ~scan_cache ~vectorize:true ~columnar
-        ~resolve:ctx.resolve
+        ~resolve:ctx.resolve ~node_fns:ctx.node_fns
         ~vars:(List.map fst bindings)
         e
     with

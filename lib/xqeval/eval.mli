@@ -15,9 +15,15 @@ type context
     for non-built-in function names. *)
 
 val context :
-  ?resolve:(string -> external_fn option) -> unit -> context
+  ?resolve:(string -> external_fn option) ->
+  ?node_fns:(string -> bool) ->
+  unit ->
+  context
 (** A fresh context. [resolve] is consulted for any function name not
-    found in the built-in library (e.g. ["ns0:CUSTOMERS"]). *)
+    found in the built-in library (e.g. ["ns0:CUSTOMERS"]).  [node_fns]
+    names the external functions known to return only nodes (default:
+    none), which lets the optimizer drop a dead record [let] over their
+    rows; see {!Optimize.expr}. *)
 
 val bind : context -> string -> Aqua_xml.Item.sequence -> context
 (** Binds a variable (name without the ['$']). *)

@@ -33,6 +33,56 @@ let numeric_of_atomic name a =
   | _ -> fail "%s: %s is not numeric" name (Atomic.type_name a)
 
 (* ---------------------------------------------------------------- *)
+(* Element content                                                  *)
+
+(* XQuery content normalization: adjacent atomic values are joined
+   with a single space into one text node; nodes are deep-copied
+   (structural sharing is fine for an immutable tree). *)
+let normalize_content (seq : Item.sequence) : Node.t list =
+  let rec go acc pending = function
+    | [] ->
+      let acc =
+        match pending with
+        | [] -> acc
+        | parts -> Node.Text (String.concat " " (List.rev parts)) :: acc
+      in
+      List.rev acc
+    | Item.Atomic a :: rest -> go acc (Atomic.to_lexical a :: pending) rest
+    | Item.Node n :: rest ->
+      let acc =
+        match pending with
+        | [] -> acc
+        | parts -> Node.Text (String.concat " " (List.rev parts)) :: acc
+      in
+      go (n :: acc) [] rest
+  in
+  go [] [] seq
+
+(* The atomized value of an element constructed with content [seq]:
+   always exactly one untypedAtomic, whose lexical form is the
+   string-value the constructor would store — [""] for empty content,
+   atomics joined with single spaces.  The single-atomic and empty
+   cases skip building the text node. *)
+let content_data (seq : Item.sequence) : Item.sequence =
+  match seq with
+  | [ Item.Atomic (Atomic.Untyped _) ] -> seq
+  | _ ->
+    let s =
+      match seq with
+      | [] -> ""
+      | [ Item.Atomic a ] -> Atomic.to_lexical a
+      | _ ->
+        String.concat "" (List.map Node.string_value (normalize_content seq))
+    in
+    [ Item.Atomic (Atomic.Untyped s) ]
+
+let content_data_name = "aqua:content-data"
+
+let fn_content_data args =
+  arity content_data_name 1 args;
+  content_data (List.hd args)
+
+(* ---------------------------------------------------------------- *)
 (* Accessors and cardinality                                        *)
 
 let fn_data args =
@@ -488,6 +538,7 @@ let register name impl = Hashtbl.replace registry name impl
 
 let () =
   register "fn:data" fn_data;
+  register content_data_name fn_content_data;
   register "fn:string" fn_string;
   register "fn:empty" fn_empty;
   register "fn:exists" fn_exists;

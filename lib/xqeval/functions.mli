@@ -12,6 +12,21 @@ val lookup : string -> impl option
 val names : unit -> string list
 (** All registered built-in names (for diagnostics and docs). *)
 
+val normalize_content : Aqua_xml.Item.sequence -> Aqua_xml.Node.t list
+(** XQuery element-content normalization: adjacent atomic values are
+    joined with a single space into one text node; nodes are kept. *)
+
+val content_data : Aqua_xml.Item.sequence -> Aqua_xml.Item.sequence
+(** [content_data seq] is [fn:data(<E>{seq}</E>)] without building the
+    element: exactly one [xs:untypedAtomic] whose lexical form is the
+    string-value the constructor would store ([""] for the empty
+    sequence, atomics joined with single spaces).  Registered as the
+    built-in {!content_data_name}, which the optimizer's constructor
+    fusion emits. *)
+
+val content_data_name : string
+(** ["aqua:content-data"]. *)
+
 val numeric_of_atomic : string -> Aqua_xml.Atomic.t -> float
 (** The numeric promotion used by [fn:sum]/[fn:avg]: numerics cast to
     double, untyped values parsed, anything else raises

@@ -1,14 +1,22 @@
 (* Logical optimizer over the XQuery AST, run before evaluation or
-   compilation.  Three rewrites, all scoped to FLWOR blocks:
+   compilation.  Four rewrites.  The first three are scoped to FLWOR
+   blocks and applied bottom-up in one traversal — constructor fusion
+   first at each FLWOR, so the clause lists it splices still get
+   pushdown and join recognition; the fourth hoists over the whole plan:
 
-   1. Predicate pushdown: conjunctive [where] clauses are split into
+   1. Constructor fusion (see its section below): the translator's
+      [let $t := <RECORDSET>{B}</RECORDSET> for $v in $t/RECORD] is
+      unnested into B's clauses, reads of [$v/C] go through the record
+      constructor, and group kernels read their columns through it.
+
+   2. Predicate pushdown: conjunctive [where] clauses are split into
       their conjuncts and each conjunct is hoisted to the earliest
       clause position at which all of its free variables are bound.
       [group] clauses are barriers (filtering before grouping changes
       the groups); [order by] is not (filtering commutes with a stable
       sort).
 
-   2. Hash equi-join recognition: a [for $b in SRC] whose source does
+   3. Hash equi-join recognition: a [for $b in SRC] whose source does
       not depend on earlier same-FLWOR bindings, followed by a
       [where P eq/= B] where one side depends exactly on [$b] and the
       other only on earlier bindings, becomes a [Hash_join] physical
@@ -24,10 +32,13 @@
       it fires only when [reusable_build] holds, the same test the
       compiler applies before reusing a table.
 
-   3. A scoping check ([scoping_hazard]) used by both evaluators to
-      reject [where] clauses that reference a variable bound only by a
-      later clause of the same FLWOR — the naive clause fold would
-      otherwise silently filter everything out.
+   4. Scan sharing: repeated parameterless data-service calls are
+      hoisted into one [let] at the top of the plan.
+
+   A scoping check ([scoping_hazard]) is shared by both evaluators: it
+   rejects [where] clauses that reference a variable bound only by a
+   later clause of the same FLWOR — the naive clause fold would
+   otherwise silently filter everything out.
 
    The pass is purely structural: it never evaluates expressions, so it
    is safe to run on queries with unresolved external functions. *)
@@ -40,6 +51,7 @@ type report = {
   hash_joins : int;         (** [For]+[Where] pairs fused into [Hash_join] *)
   correlated_probes : int;  (** of which correlated probes (leading [for]) *)
   shared_scans : int;       (** repeated scans hoisted into a shared [let] *)
+  fusions : int;            (** constructor fusions (unnest, navigate, inline) *)
   notes : string list;      (** human-readable one-liners, newest first *)
 }
 
@@ -49,15 +61,18 @@ let empty_report =
     hash_joins = 0;
     correlated_probes = 0;
     shared_scans = 0;
+    fusions = 0;
     notes = [];
   }
 
 type acc = {
   externals : Vars.t Lazy.t;  (** free variables of the whole plan *)
+  node_fns : string -> bool;  (** external functions returning only nodes *)
   mutable pushed : int;
   mutable joins : int;
   mutable correlated : int;
   mutable shared : int;
+  mutable fused : int;
   mutable notes : string list;
 }
 
@@ -139,6 +154,608 @@ and fv_flwor bound acc (f : X.flwor) : Vars.t =
 
 let free_vars e = fv Vars.empty Vars.empty e
 
+(* Variables a clause binds for the clauses after it. *)
+let clause_binds = function
+  | X.For { var; _ } | X.Let { var; _ } | X.Hash_join { var; _ } -> [ var ]
+  | X.Where _ | X.Order_by _ -> []
+  | X.Group { partition; keys; _ } ->
+    partition :: List.map snd keys
+
+let free_vars_all es =
+  List.fold_left (fun s e -> Vars.union s (free_vars e)) Vars.empty es
+
+(* Variables a clause reads from the tuple it receives (a group reads
+   its grouped variable whole). *)
+let clause_reads = function
+  | X.For { source = e; _ } | X.Let { value = e; _ } | X.Where e ->
+    free_vars e
+  | X.Order_by specs ->
+    free_vars_all (List.map (fun (s : X.order_spec) -> s.X.key) specs)
+  | X.Group { grouped; keys; _ } ->
+    Vars.add grouped (free_vars_all (List.map fst keys))
+  | X.Hash_join { var; source; build_key; probe_key; _ } ->
+    Vars.union
+      (free_vars_all [ source; probe_key ])
+      (Vars.remove var (free_vars build_key))
+
+(* clauses that see the whole tuple stream at once *)
+let reorders = function X.Group _ | X.Order_by _ -> true | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Constructor fusion                                                 *)
+
+(* Stage three emits every derived table, GROUP BY and ORDER BY over
+   finished records as
+
+     let $t := <RECORDSET>{B}</RECORDSET> for $v in $t/RECORD ...
+
+   and the section 4 wrapper adds one more layer of the same shape, so
+   every intermediate row is built as element nodes and then navigated
+   straight back into atomics.  Three exact rewrites undo that:
+
+   F1 (unnest) splices B's clauses in place of the let/for pair and
+   binds [let $v := <RECORD>...</RECORD>], the constructor B returns.
+   A sequence of such FLWORs (outer-join halves, UNION ALL) is
+   distributed over the continuation when that has no barrier.
+
+   F2 (navigate) reads [$v/C] through that constructor: the step
+   becomes the matching field ([<C>{E}</C>] or the translator's guarded
+   [if (fn:empty(G)) then () else <C>{E}</C>]), [fn:data] of it the
+   content atomization [aqua:content-data(E)] ({!Functions.content_data}),
+   and fn:empty/fn:exists/fn:count of a guarded field its guard.  A let
+   nobody reads any more is dropped when its value cannot raise, and a
+   [return $w] of a let read nowhere else is inlined.  Whole-record
+   reads ([$v], [$v/*], [fn:string($v)]) keep the constructor.
+
+   F3 (kernels) is [group_kernels ~record]: when the grouped variable
+   is such a let, each [$p/C] kernel takes F2's per-tuple argument, so
+   the columnar engine folds column values and never builds the record.
+
+   Each rewrite is exact: a RECORDSET's RECORD children are exactly the
+   records B returned, in order, and the string-value of a constructed
+   element is what content normalization stores. *)
+
+(* [Eval]'s child-step test: exact name, same local name, or "*" *)
+let step_matches step name =
+  step = "*"
+  || step = name
+  || Aqua_xml.Node.local_name step = Aqua_xml.Node.local_name name
+
+type field = {
+  f_name : string;
+  f_guard : X.expr option;  (** [G] of [if (fn:empty(G)) then () else <C/>] *)
+  f_content : X.expr list;
+}
+
+(* The fields of a direct constructor whose content is nothing but
+   (optionally guarded) element constructors. *)
+let record_fields (e : X.expr) : field list option =
+  match e with
+  | X.Elem { content; _ } ->
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | X.Seq es :: rest -> go acc (es @ rest)
+      | X.Elem { name; content } :: rest ->
+        go ({ f_name = name; f_guard = None; f_content = content } :: acc) rest
+      | X.If (X.Call ("fn:empty", [ g ]), X.Seq [], X.Elem { name; content })
+        :: rest ->
+        go ({ f_name = name; f_guard = Some g; f_content = content } :: acc)
+          rest
+      | _ -> None
+    in
+    go [] content
+  | _ -> None
+
+let seq_of = function [ e ] -> e | es -> X.Seq es
+let guarded g e = X.If (X.Call ("fn:empty", [ g ]), X.Seq [], e)
+
+let field_part f =
+  let el = X.Elem { name = f.f_name; content = f.f_content } in
+  match f.f_guard with None -> el | Some g -> guarded g el
+
+(* [fn:data] of a field without building it; literal text content is a
+   text node, not an atomic, so it stays unfused *)
+let field_data f =
+  if List.exists (function X.Text _ -> true | _ -> false) f.f_content then
+    None
+  else
+    let d =
+      match f.f_content with
+      | [ (X.Call (n, [ _ ]) as inner) ] when n = Functions.content_data_name ->
+        inner
+      | content -> X.Call (Functions.content_data_name, [ seq_of content ])
+    in
+    Some (match f.f_guard with None -> d | Some g -> guarded g d)
+
+let matching fields step =
+  List.filter (fun f -> step_matches step f.f_name) fields
+
+(* [fn:data($v/step)] through the fields *)
+let nav_data fields step =
+  let parts = List.map field_data (matching fields step) in
+  if List.mem None parts then None
+  else Some (seq_of (List.filter_map Fun.id parts))
+
+(* [fn:empty] / [fn:exists] / [fn:count] of [$v/step] *)
+let nav_test fn fields step =
+  let empty g = X.Call ("fn:empty", [ g ]) in
+  match (fn, matching fields step) with
+  | "fn:empty", [] -> Some (X.Call ("fn:true", []))
+  | "fn:exists", [] -> Some (X.Call ("fn:false", []))
+  | "fn:count", [] -> Some (X.int 0)
+  | "fn:empty", [ { f_guard = None; _ } ] -> Some (X.Call ("fn:false", []))
+  | "fn:exists", [ { f_guard = None; _ } ] -> Some (X.Call ("fn:true", []))
+  | "fn:count", [ { f_guard = None; _ } ] -> Some (X.int 1)
+  | "fn:empty", [ { f_guard = Some g; _ } ] -> Some (empty g)
+  | "fn:exists", [ { f_guard = Some g; _ } ] -> Some (X.Call ("fn:exists", [ g ]))
+  | "fn:count", [ { f_guard = Some g; _ } ] ->
+    Some (X.If (empty g, X.int 0, X.int 1))
+  | _ -> None
+
+(* Expressions cheap enough to re-evaluate at every read: variable and
+   column accesses, atomization and emptiness tests. *)
+let rec cheap (e : X.expr) =
+  match e with
+  | X.Literal _ | X.Var _ | X.Text _ | X.Context_item -> true
+  | X.Seq es -> List.for_all cheap es
+  | X.Elem { content; _ } -> List.for_all cheap content
+  | X.If (c, t, e) -> cheap c && cheap t && cheap e
+  | X.Path (base, steps) ->
+    cheap base && List.for_all (fun (s : X.step) -> s.X.predicates = []) steps
+  | X.Call
+      ( ("fn:data" | "fn:empty" | "fn:exists" | "fn:count" | "fn:true"
+        | "fn:false"),
+        args ) ->
+    List.for_all cheap args
+  | X.Call (n, [ a ]) when n = Functions.content_data_name -> cheap a
+  | _ -> false
+
+(* Scan sharing (below) replaces a repeated parameterless data-service
+   call by [$#scan:NAME], bound once at the top of the plan. *)
+let scan_prefix = "#scan:"
+
+let is_scan_var v =
+  String.length v >= String.length scan_prefix
+  && String.sub v 0 (String.length scan_prefix) = scan_prefix
+
+(* [cannot_fail ~nodes e]: evaluating [e] can raise no dynamic error,
+   given that every variable in [nodes] holds only nodes (a child step
+   over an atomic is the one error a column access can raise). *)
+let rec cannot_fail ~nodes (e : X.expr) =
+  match e with
+  | X.Literal _ | X.Var _ | X.Text _ -> true
+  | X.Seq es -> List.for_all (cannot_fail ~nodes) es
+  | X.Elem { content; _ } -> List.for_all (cannot_fail ~nodes) content
+  | X.If ((X.Call (("fn:empty" | "fn:exists"), [ _ ]) as c), t, e) ->
+    cannot_fail ~nodes c && cannot_fail ~nodes t && cannot_fail ~nodes e
+  | X.Call (("fn:data" | "fn:empty" | "fn:exists" | "fn:count"), [ a ]) ->
+    cannot_fail ~nodes a
+  | X.Call (("fn:true" | "fn:false"), []) -> true
+  | X.Call (n, [ a ]) when n = Functions.content_data_name ->
+    cannot_fail ~nodes a
+  | X.Path _ -> node_valued ~nodes e
+  | _ -> false
+
+and node_valued ~nodes (e : X.expr) =
+  match e with
+  | X.Var v -> Vars.mem v nodes
+  | X.Elem _ -> cannot_fail ~nodes e
+  | X.Seq es -> List.for_all (node_valued ~nodes) es
+  | X.Path (base, steps) ->
+    List.for_all (fun (s : X.step) -> s.X.predicates = []) steps
+    && node_valued ~nodes base
+  | X.If ((X.Call (("fn:empty" | "fn:exists"), [ _ ]) as c), t, e) ->
+    cannot_fail ~nodes c && node_valued ~nodes t && node_valued ~nodes e
+  | _ -> false
+
+(* A for/let source that yields only nodes: a call of a function
+   [node_fns] vouches for (a physical data-service scan returns row
+   elements; a logical service evaluates a body that may return
+   atomics), a shared scan of one, or a node-valued expression. *)
+let node_source ~node_fns ~nodes (e : X.expr) =
+  match e with
+  | X.Call (name, _) -> node_fns name
+  | X.Var v when is_scan_var v ->
+    let n = String.length scan_prefix in
+    node_fns (String.sub v n (String.length v - n))
+  | _ -> node_valued ~nodes e
+
+(* The node-valued variables after [clause], given those before it and
+   those of the FLWOR's entry (restored by a group clause). *)
+let nodes_after ~node_fns ~entry nodes = function
+  | X.For { var; source } | X.Hash_join { var; source; _ } ->
+    if node_source ~node_fns ~nodes source then Vars.add var nodes
+    else Vars.remove var nodes
+  | X.Let { var; value } ->
+    if node_valued ~nodes value then Vars.add var nodes
+    else Vars.remove var nodes
+  | X.Group { partition; keys; _ } ->
+    List.fold_left
+      (fun s (_, k) -> Vars.remove k s)
+      (Vars.remove partition entry) keys
+  | X.Where _ | X.Order_by _ -> nodes
+
+(* [map_reads ~var ~avoid ~visit e] rebuilds [e], offering each read of
+   [$var] that resolves to the binding in scope at the top of [e] to
+   [visit ~nested read], which returns a replacement or [None] to keep
+   it.  A read is offered in its largest recognized shape:
+   [fn:data|fn:empty|fn:exists|fn:count($var/...)], then [$var/...],
+   then the bare [$var].  Descent stops under a binder of [var] or of a
+   name in [avoid] (the free variables of a replacement); in a nested
+   FLWOR it resumes after that FLWOR's next group, which restores the
+   FLWOR's entry environment and so the binding.  [nested] is
+   set where the read may run more than once per binding of [var]:
+   inside a nested FLWOR, quantifier or predicate, and after a later
+   for of the binding FLWOR.  [own] marks that FLWOR's remainder, whose
+   group clause ends the binding's scope.  Also returns whether every
+   read was offered (descent never stopped at a binder of [avoid]). *)
+let map_reads ~var ~avoid ~visit ~own clauses return =
+  let complete = ref true in
+  let blocks v = v = var || Vars.mem v avoid in
+  let blocked v =
+    let b = v <> var && Vars.mem v avoid in
+    if b then complete := false;
+    blocks v
+  in
+  let replace ~nested e k =
+    match visit ~nested e with Some r -> r | None -> k ()
+  in
+  let rec go ~nested (e : X.expr) : X.expr =
+    match e with
+    | X.Call
+        ( (("fn:data" | "fn:empty" | "fn:exists" | "fn:count") as fn),
+          [ (X.Path (X.Var v, _) as p) ] )
+      when v = var ->
+      replace ~nested e (fun () -> X.Call (fn, [ go ~nested p ]))
+    | X.Path (X.Var v, steps) when v = var ->
+      replace ~nested e (fun () -> X.Path (X.Var v, steps_of steps))
+    | X.Var v when v = var -> replace ~nested e (fun () -> e)
+    | X.Literal _ | X.Var _ | X.Context_item | X.Text _ -> e
+    | X.Seq es -> X.Seq (List.map (go ~nested) es)
+    | X.Flwor f ->
+      let clauses, return = flwor ~own:false ~nested:true f.clauses f.return in
+      X.Flwor { clauses; return }
+    | X.Path (base, steps) -> X.Path (go ~nested base, steps_of steps)
+    | X.Call (n, args) -> X.Call (n, List.map (go ~nested) args)
+    | X.Elem { name; content } ->
+      X.Elem { name; content = List.map (go ~nested) content }
+    | X.If (c, t, e) -> X.If (go ~nested c, go ~nested t, go ~nested e)
+    | X.Binop (op, a, b) -> X.Binop (op, go ~nested a, go ~nested b)
+    | X.Neg a -> X.Neg (go ~nested a)
+    | X.Quantified { every; bindings; satisfies } ->
+      let rec bind acc = function
+        | [] -> (List.rev acc, false)
+        | (v, src) :: rest ->
+          let b = (v, go ~nested:true src) in
+          if blocked v then (List.rev_append acc (b :: rest), true)
+          else bind (b :: acc) rest
+      in
+      let bindings, blocked = bind [] bindings in
+      X.Quantified
+        {
+          every;
+          bindings;
+          satisfies =
+            (if blocked then satisfies else go ~nested:true satisfies);
+        }
+    | X.Filter (base, pred) ->
+      X.Filter
+        (go ~nested base, if blocked "." then pred else go ~nested:true pred)
+  and steps_of steps =
+    if List.for_all (fun (s : X.step) -> s.X.predicates = []) steps then steps
+    else if blocked "." then steps
+    else
+      List.map
+        (fun (s : X.step) ->
+          { s with X.predicates = List.map (go ~nested:true) s.X.predicates })
+        steps
+  and clause ~nested (c : X.clause) : X.clause =
+    match c with
+    | X.For { var = w; source } -> X.For { var = w; source = go ~nested source }
+    | X.Let { var = w; value } -> X.Let { var = w; value = go ~nested value }
+    | X.Where cond -> X.Where (go ~nested cond)
+    | X.Group { grouped; partition; keys } ->
+      (* the group reads the grouped variable whole *)
+      if grouped = var then ignore (visit ~nested (X.Var var));
+      X.Group
+        {
+          grouped;
+          partition;
+          keys = List.map (fun (k, kv) -> (go ~nested k, kv)) keys;
+        }
+    | X.Order_by specs ->
+      X.Order_by
+        (List.map
+           (fun (s : X.order_spec) -> { s with X.key = go ~nested s.X.key })
+           specs)
+    | X.Hash_join { var = w; source; build_key; probe_key; value_cmp } ->
+      X.Hash_join
+        {
+          var = w;
+          source = go ~nested source;
+          build_key = (if blocked w then build_key else go ~nested build_key);
+          probe_key = go ~nested probe_key;
+          value_cmp;
+        }
+  and flwor ~own ~nested clauses return =
+    let rec loop ~nested acc = function
+      | [] -> (List.rev acc, go ~nested return)
+      | c :: rest ->
+        let c' = clause ~nested c in
+        let nested =
+          nested || match c with X.For _ | X.Hash_join _ -> true | _ -> false
+        in
+        if own && match c with X.Group _ -> true | _ -> false then
+          (List.rev_append acc (c' :: rest), return)
+        else if List.exists blocked (clause_binds c) then
+          if own then (List.rev_append acc (c' :: rest), return)
+          else shadowed ~nested (c' :: acc) rest
+        else loop ~nested (c' :: acc) rest
+    (* a nested FLWOR's rebinding lasts up to its next group, which puts
+       the FLWOR's entry environment — and with it the binding — back *)
+    and shadowed ~nested acc = function
+      | [] -> (List.rev acc, return)
+      | (X.Group _ as g) :: rest ->
+        if List.exists blocked (clause_binds g) then
+          shadowed ~nested (g :: acc) rest
+        else loop ~nested (g :: acc) rest
+      | c :: rest -> shadowed ~nested (c :: acc) rest
+    in
+    loop ~nested [] clauses
+  in
+  let clauses, return = flwor ~own ~nested:false clauses return in
+  (clauses, return, !complete)
+
+(* The direct record constructor [var] is let-bound to by [before] (the
+   clauses preceding a use, in order), with the clauses after that let:
+   [None] when the last binding of [var] is anything else, or a later
+   clause rebinds one of the constructor's free variables, or a group
+   clause ends its scope. *)
+let record_binding (before : X.clause list) var =
+  List.fold_left
+    (fun found (c : X.clause) ->
+      match c with
+      | X.Let { var = w; value } when w = var ->
+        if record_fields value = None then None else Some (value, [])
+      | X.Group _ -> None
+      | _ -> (
+        match found with
+        | Some (value, later) ->
+          let fvs = free_vars value in
+          if List.exists (fun b -> b = var || Vars.mem b fvs) (clause_binds c)
+          then None
+          else Some (value, later @ [ c ])
+        | None -> None))
+    None before
+
+(* F2 for the let [var := value] over the remainder of its FLWOR:
+   rewrite every read it may, returning the new remainder. *)
+let navigate acc var value fields rest return =
+  let avoid = free_vars value in
+  (* which field reads may be duplicated: a cheap field always, an
+     expensive one only when read once, outside any loop *)
+  let disallowed =
+    match List.filter (fun f -> not (cheap (field_part f))) fields with
+    | [] -> []
+    | expensive ->
+      let reads = ref [] in
+      ignore
+        (map_reads ~var ~avoid ~own:true rest return ~visit:(fun ~nested r ->
+             (* declining every shape, each read reaches its path once *)
+             (match r with
+             | X.Path (_, { X.name; _ } :: _) ->
+               reads := (name, nested) :: !reads
+             | _ -> ());
+             None));
+      List.filter
+        (fun f ->
+          match List.filter (fun (s, _) -> step_matches s f.f_name) !reads with
+          | [ (_, false) ] -> false
+          | _ -> true)
+        expensive
+  in
+  let allowed f = not (List.memq f disallowed) in
+  let fused = ref 0 and kept = ref false in
+  let through step k =
+    let ms = matching fields step in
+    if step = "*" || not (List.for_all allowed ms) then None
+    else
+      let out = k ms in
+      if out <> None then incr fused;
+      out
+  in
+  let visit ~nested:_ (r : X.expr) =
+    let out =
+      match r with
+      | X.Call (fn, [ X.Path (_, [ { X.name; predicates = [] } ]) ]) ->
+        through name (fun _ ->
+            if fn = "fn:data" then nav_data fields name
+            else nav_test fn fields name)
+      | X.Path (_, { X.name; predicates = [] } :: steps) ->
+        through name (fun ms ->
+            let base = seq_of (List.map field_part ms) in
+            Some (if steps = [] then base else X.Path (base, steps)))
+      | _ -> None
+    in
+    (* a declined call shape is offered again as its path; a declined
+       path or bare read leaves the variable read *)
+    (match (out, r) with None, (X.Var _ | X.Path _) -> kept := true | _ -> ());
+    out
+  in
+  let rest, return, complete =
+    map_reads ~var ~avoid ~visit ~own:true rest return
+  in
+  if !fused > 0 then begin
+    acc.fused <- acc.fused + 1;
+    acc.notes <-
+      ("constructor fusion: " ^ string_of_int !fused ^ " read(s) of $" ^ var
+     ^ " navigate through its constructor")
+      :: acc.notes
+  end;
+  (rest, return, !kept || not complete)
+
+(* F2 over one FLWOR's own lets, then dead-let removal and [return $w]
+   inlining. *)
+let fuse_lets acc (f : X.flwor) : X.flwor =
+  (* record lets whose every read was fused away *)
+  let unread = ref [] in
+  let rec lets before clauses return =
+    match clauses with
+    | [] -> (List.rev before, return)
+    | (X.Let { var; value } as c) :: rest -> (
+      match record_fields value with
+      | Some fields ->
+        let rest, return, read = navigate acc var value fields rest return in
+        if not read then unread := c :: !unread;
+        lets (c :: before) rest return
+      | None -> lets (c :: before) rest return)
+    | c :: rest -> lets (c :: before) rest return
+  in
+  let clauses, return = lets [] f.X.clauses f.X.return in
+  (* node-valued variables in scope before each clause *)
+  let nodes_before =
+    lazy
+      (let _, out =
+         List.fold_left
+           (fun (nodes, out) c ->
+             (nodes_after ~node_fns:acc.node_fns ~entry:Vars.empty nodes c,
+              nodes :: out))
+           (Vars.empty, []) clauses
+       in
+       Array.of_list (List.rev out))
+  in
+  (* a record nothing reads any more is dropped when building it
+     cannot raise *)
+  let clauses =
+    if !unread = [] then clauses
+    else
+      List.filteri
+        (fun i c ->
+          match c with
+          | X.Let { var; value }
+            when List.memq c !unread
+                 && cannot_fail ~nodes:(Lazy.force nodes_before).(i) value ->
+            acc.notes <-
+              ("constructor fusion: $" ^ var ^ " is never read; record not built")
+              :: acc.notes;
+            false
+          | _ -> true)
+        clauses
+  in
+  (* [let $w := <C>..</C> ... return $w] with only order-by (or, when
+     the constructor cannot raise, where) clauses in between: the
+     constructor moves into the return *)
+  match return with
+  | X.Var w -> (
+    let rec split after = function
+      | X.Let { var; value = X.Elem _ as value } :: before when var = w ->
+        Some (value, before, after)
+      | ((X.Order_by _ | X.Where _) as c) :: before -> split (c :: after) before
+      | _ -> None
+    in
+    match split [] (List.rev clauses) with
+    | Some (value, before, after)
+      when (not
+              (Vars.mem w
+                 (free_vars (X.Flwor { clauses = after; return = X.Seq [] }))))
+           && List.for_all
+                (function
+                  | X.Order_by _ -> true
+                  | _ ->
+                    cannot_fail
+                      ~nodes:
+                        (List.fold_left
+                           (nodes_after ~node_fns:acc.node_fns ~entry:Vars.empty)
+                           Vars.empty (List.rev before))
+                      value)
+                after ->
+      acc.fused <- acc.fused + 1;
+      acc.notes <- ("constructor fusion: return $" ^ w ^ " inlined") :: acc.notes;
+      { X.clauses = List.rev_append before after; return = value }
+    | _ -> { X.clauses; return })
+  | _ -> { X.clauses; return }
+
+let rec strip_seq = function X.Seq [ e ] -> strip_seq e | e -> e
+
+(* The FLWORs making up a RECORDSET's content, each with the record
+   constructor it returns, when every one returns a direct constructor
+   matched by [step]. *)
+let record_branches step content =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | X.Seq es :: rest -> go acc (es @ rest)
+    | X.Flwor { clauses = _ :: _ as clauses; return } :: rest -> (
+      match strip_seq return with
+      | X.Elem { name; _ } as r when step_matches step name ->
+        go ((clauses, r) :: acc) rest
+      | _ -> None)
+    | _ -> None
+  in
+  match go [] content with Some (_ :: _ as bs) -> Some bs | _ -> None
+
+(* F1 over one FLWOR (whose subexpressions are already rewritten), then
+   F2; [finish ~nested] runs the remaining FLWOR rewrites on the result
+   and on every FLWOR distribution creates. *)
+let rec fuse_flwor acc ~finish ~nested (f : X.flwor) : X.expr =
+  let cont rest = free_vars (X.Flwor { clauses = rest; return = f.X.return }) in
+  let rec scan pre = function
+    | (X.Let { var = t; value = X.Elem { content; _ } } as lc)
+      :: (X.For
+            { var = v;
+              source = X.Path (X.Var t', [ { X.name = step; predicates = [] } ])
+            } as fc)
+      :: rest
+      when t' = t -> (
+      let cont = cont rest in
+      let unnestable (clauses, _) =
+        (* no binding of B may capture a name the continuation reads *)
+        List.for_all
+          (fun c ->
+            List.for_all
+              (fun b -> b = v || not (Vars.mem b cont))
+              (clause_binds c))
+          clauses
+      in
+      let note s =
+        acc.fused <- acc.fused + 1;
+        acc.notes <-
+          ("constructor fusion: $" ^ t ^ "/" ^ step ^ " unnested into $" ^ v ^ s)
+          :: acc.notes
+      in
+      let skip () = scan (fc :: lc :: pre) rest in
+      match record_branches step content with
+      | Some bs when (not (Vars.mem t cont)) && List.for_all unnestable bs -> (
+        match bs with
+        | [ (clauses, r) ] when pre = [] || not (List.exists reorders clauses)
+          ->
+          (* B's barriers see the same tuple stream only when nothing
+             precedes them *)
+          note "";
+          scan (X.Let { var = v; value = r } :: List.rev_append clauses pre) rest
+        | _ when not (List.exists reorders rest) ->
+          note
+            (", distributed over " ^ string_of_int (List.length bs)
+           ^ " branches");
+          let arms =
+            List.map
+              (fun (clauses, r) ->
+                fuse_flwor acc ~finish ~nested:(nested || pre <> [])
+                  { X.clauses = clauses @ (X.Let { var = v; value = r } :: rest);
+                    return = f.X.return })
+              bs
+          in
+          `Done
+            (if pre = [] then seq_of arms
+             else finish ~nested { X.clauses = List.rev pre; return = seq_of arms })
+        | _ -> skip ())
+      | _ -> skip ())
+    | c :: rest -> scan (c :: pre) rest
+    | [] -> `Clauses (List.rev pre)
+  in
+  match scan [] f.X.clauses with
+  | `Done e -> e
+  | `Clauses clauses -> finish ~nested (fuse_lets acc { f with X.clauses })
+
 (* ------------------------------------------------------------------ *)
 (* Aggregation-kernel recognition (columnar GROUP BY)                 *)
 
@@ -166,6 +783,9 @@ type kernel_spec = {
       (** [None] = the whole partition; [Some name] = the child-step
           column [$p/name] *)
   k_var : string;  (** the synthetic variable the rewrite binds *)
+  k_arg : X.expr;
+      (** the per-tuple input, evaluated before the group: [$g] or
+          [$g/name], or read through [$g]'s record constructor *)
 }
 
 let spec_label s =
@@ -175,10 +795,26 @@ let spec_label s =
 
 exception Not_kernelizable
 
-let group_kernels ~partition (clauses : X.clause list) (return_ : X.expr) :
-    (kernel_spec list * X.clause list * X.expr) option =
+let group_kernels ?record ~grouped ~partition (clauses : X.clause list)
+    (return_ : X.expr) : (kernel_spec list * X.clause list * X.expr) option =
   let specs = ref [] in
   let nspecs = ref 0 in
+  let fields = Option.bind record record_fields in
+  (* F3: through a record constructor, a column kernel folds the field's
+     content atomization — one item per element, as the child step
+     would give — and a whole-partition count one item per tuple *)
+  let arg kind step =
+    match (step, fields) with
+    | None, Some _
+      when List.mem kind Kernels.[ K_count; K_empty; K_exists ] ->
+      X.int 1
+    | Some name, Some fs -> (
+      match nav_data fs name with
+      | Some d when name <> "*" -> d
+      | _ -> X.path1 (X.Var grouped) name)
+    | None, _ -> X.Var grouped
+    | Some name, None -> X.path1 (X.Var grouped) name
+  in
   let spec kind step =
     match
       List.find_opt (fun s -> s.k_kind = kind && s.k_step = step) !specs
@@ -187,7 +823,9 @@ let group_kernels ~partition (clauses : X.clause list) (return_ : X.expr) :
     | None ->
       let v = Printf.sprintf "#agg:%s:%d" partition !nspecs in
       incr nspecs;
-      specs := { k_kind = kind; k_step = step; k_var = v } :: !specs;
+      specs :=
+        { k_kind = kind; k_step = step; k_var = v; k_arg = arg kind step }
+        :: !specs;
       v
   in
   let kind_of = function
@@ -280,13 +918,6 @@ let group_kernels ~partition (clauses : X.clause list) (return_ : X.expr) :
 (* ------------------------------------------------------------------ *)
 (* Per-clause binding bookkeeping                                     *)
 
-(* Variables a clause binds for the clauses after it. *)
-let clause_binds = function
-  | X.For { var; _ } | X.Let { var; _ } | X.Hash_join { var; _ } -> [ var ]
-  | X.Where _ | X.Order_by _ -> []
-  | X.Group { partition; keys; _ } ->
-    partition :: List.map snd keys
-
 let is_barrier = function X.Group _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -369,14 +1000,6 @@ let push_predicates acc clauses =
 
 (* ------------------------------------------------------------------ *)
 (* Hash equi-join recognition                                         *)
-
-(* Scan sharing (below) replaces a repeated parameterless data-service
-   call by [$#scan:NAME], bound once at the top of the plan. *)
-let scan_prefix = "#scan:"
-
-let is_scan_var v =
-  String.length v >= String.length scan_prefix
-  && String.sub v 0 (String.length scan_prefix) = scan_prefix
 
 (* A build table is reusable across invocations when it is a pure
    function of the materialized source sequence: the source reads no
@@ -483,9 +1106,12 @@ let rec rewrite acc ~nested (e : X.expr) : X.expr =
   | X.Flwor f ->
     let clauses = List.map (rewrite_clause acc) f.clauses in
     let return = rewrite acc ~nested:true f.return in
-    let clauses = push_predicates acc clauses in
-    let clauses = recognize_joins acc ~nested clauses in
-    X.Flwor { clauses; return }
+    (* constructor fusion first, so the clause lists it splices still
+       get pushdown and join recognition *)
+    fuse_flwor acc ~nested { clauses; return } ~finish:(fun ~nested f ->
+        let clauses = push_predicates acc f.X.clauses in
+        X.Flwor
+          { clauses = recognize_joins acc ~nested clauses; return = f.X.return })
   | X.Path (base, steps) ->
     X.Path
       ( rewrite acc ~nested base,
@@ -730,8 +1356,8 @@ let share_scans_pass acc (e : X.expr) : X.expr =
    required-columns analysis actually carries downstream, and for each
    group clause which aggregation kernels were selected.  Purely
    descriptive — the compiler recomputes the same analysis over real
-   slots. *)
-let columnar_shape (e : X.expr) : string list =
+   slots — so only EXPLAIN-style consumers call it. *)
+let columnar_shape ?(node_fns = fun _ -> false) (e : X.expr) : string list =
   let out = ref [] in
   let emit fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
   let clause_label = function
@@ -770,11 +1396,12 @@ let columnar_shape (e : X.expr) : string list =
       fv Vars.empty Vars.empty (X.Flwor { clauses = rest; return = f.return })
     in
     let visible = ref entry_used in
+    let nodes = ref Vars.empty in
     Array.iteri
       (fun i clause ->
         (match clause with
         | X.Where _ | X.Let _ -> () (* operate in place: nothing copied *)
-        | X.Group { grouped = _; partition; keys } ->
+        | X.Group { grouped; partition; keys } ->
           let post =
             List.fold_left
               (fun s (_, kv) -> Vars.add kv s)
@@ -782,18 +1409,42 @@ let columnar_shape (e : X.expr) : string list =
               keys
           in
           let live = Vars.inter (remainder i) post in
+          let record =
+            record_binding (Array.to_list (Array.sub arr 0 i)) grouped
+          in
           (match
-             group_kernels ~partition
+             group_kernels ?record:(Option.map fst record) ~grouped ~partition
                (Array.to_list (Array.sub arr (i + 1) (n - i - 1)))
                f.return
            with
           | Some (specs, _, _) ->
+            (* the record is never built when nothing between its let
+               and the group, no key and no kernel input reads it, and
+               building it cannot raise (nothing between rebinds what
+               it reads, so [nodes] holds as at the let) *)
+            let elided =
+              match record with
+              | None -> false
+              | Some (value, later) ->
+                cannot_fail ~nodes:!nodes value
+                && not
+                  (Vars.mem grouped
+                     (free_vars
+                        (X.Flwor
+                           { clauses = later;
+                             return =
+                               X.Seq
+                                 (List.map fst keys
+                                 @ List.map (fun s -> s.k_arg) specs) })))
+            in
             emit
-              "columnar: %s kernels [%s]; partition not materialized, %d \
+              "columnar: %s kernels [%s]; partition not materialized%s, %d \
                live column(s) carried"
               (clause_label clause)
               (if specs = [] then "none"
                else String.concat "; " (List.map spec_label specs))
+              (if elided then Printf.sprintf ", $%s's record not built" grouped
+               else "")
               (Vars.cardinal (Vars.remove partition live))
           | None ->
             emit
@@ -814,6 +1465,7 @@ let columnar_shape (e : X.expr) : string list =
             (clause_label clause) (Vars.cardinal live)
             (Vars.cardinal !visible)
             (Vars.cardinal (Vars.diff !visible live)));
+        nodes := nodes_after ~node_fns ~entry:Vars.empty !nodes clause;
         (* recurse into the clause's subexpressions for nested FLWORs *)
         match clause with
         | X.For { source; _ } -> walk source
@@ -830,14 +1482,17 @@ let columnar_shape (e : X.expr) : string list =
   walk e;
   List.rev !out
 
-let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
+let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true)
+    ?(node_fns = fun _ -> false) e =
   let acc =
     {
       externals = lazy (free_vars e);
+      node_fns;
       pushed = 0;
       joins = 0;
       correlated = 0;
       shared = 0;
+      fused = 0;
       notes = [];
     }
   in
@@ -850,13 +1505,11 @@ let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
          filtering)"
         (Batch.size ())
       :: acc.notes;
-  if vectorize && columnar then begin
+  if vectorize && columnar then
     acc.notes <-
       "columnar layout: one value vector per bound variable \
        (required-column pruning active)"
       :: acc.notes;
-    List.iter (fun n -> acc.notes <- n :: acc.notes) (columnar_shape e)
-  end;
   let module T = Aqua_core.Telemetry in
   T.add T.c_pushdown_rewrites acc.pushed;
   T.add T.c_hash_join_rewrites acc.joins;
@@ -867,11 +1520,14 @@ let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
       hash_joins = acc.joins;
       correlated_probes = acc.correlated;
       shared_scans = acc.shared;
+      fusions = acc.fused;
       notes = List.rev acc.notes;
     } )
 
-let query ?share_scans ?vectorize ?columnar (q : X.query) =
-  let body, report = expr ?share_scans ?vectorize ?columnar q.X.body in
+let query ?share_scans ?vectorize ?columnar ?node_fns (q : X.query) =
+  let body, report =
+    expr ?share_scans ?vectorize ?columnar ?node_fns q.X.body
+  in
   ({ q with X.body }, report)
 
 (* ------------------------------------------------------------------ *)

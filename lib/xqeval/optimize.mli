@@ -1,20 +1,35 @@
 (** Logical optimizer over the XQuery AST.
 
     Runs before evaluation ([Eval]) or compilation ([Compile]) and
-    rewrites FLWOR blocks: conjunctive [where] clauses are split and
-    pushed to the earliest position where their free variables are
-    bound, and [for]+[where] equality patterns are fused into the
-    [Ast.Hash_join] physical operator (hash table on the build side
-    keyed by [Atomic.hash_key], probed by the incoming tuple stream —
-    O(n+m) instead of the O(n*m) nested loop).  Two patterns qualify:
-    a [for] over a source independent of the earlier clause variables
-    it joins with, and a correlated probe — a leading [for] of a
-    nested FLWOR whose comparand reads a variable of an enclosing
-    binder (not an external of the plan) and none of its own FLWOR's,
-    when {!reusable_build} holds so the compiled engines build the
-    table once and each invocation of the FLWOR is a single probe.
+    applies four rewrites.  The first three work on FLWOR blocks,
+    bottom-up in one traversal:
 
-    A final scan-sharing pass hoists parameterless data-service calls
+    - Constructor fusion, first at each FLWOR.  The translator's
+      [let $t := <RECORDSET>{B}</RECORDSET> for $v in $t/RECORD]
+      (derived tables, GROUP BY, ORDER BY over finished records, the
+      section 4 wrapper) is unnested into B's clauses plus
+      [let $v := <RECORD>..</RECORD>]; reads of [$v/C] become the
+      matching field, [fn:data] of it an exact content atomization
+      ({!Functions.content_data}); a record nothing reads any more is
+      not built; and {!group_kernels} reads each kernel's column
+      through the constructor.  Every step is exact, so the
+      [~optimize:false] interpreter stays the oracle.
+    - Predicate pushdown: conjunctive [where] clauses are split and
+      pushed to the earliest position where their free variables are
+      bound.
+    - Hash equi-joins: [for]+[where] equality patterns are fused into
+      the [Ast.Hash_join] physical operator (hash table on the build
+      side keyed by [Atomic.hash_key], probed by the incoming tuple
+      stream — O(n+m) instead of the O(n*m) nested loop).  Two patterns
+      qualify: a [for] over a source independent of the earlier clause
+      variables it joins with, and a correlated probe — a leading
+      [for] of a nested FLWOR whose comparand reads a variable of an
+      enclosing binder (not an external of the plan) and none of its
+      own FLWOR's, when {!reusable_build} holds so the compiled engines
+      build the table once and each invocation of the FLWOR is a single
+      probe.
+
+    The fourth, scan sharing, hoists parameterless data-service calls
     that occur more than once in the plan (self-joins, uncorrelated
     subqueries) into a single [let]-bound materialization at the top,
     so the service is invoked once per plan instead of once per
@@ -29,6 +44,9 @@ type report = {
   hash_joins : int;         (** [For]+[Where] pairs fused into [Hash_join] *)
   correlated_probes : int;  (** of which correlated probes (leading [for]) *)
   shared_scans : int;       (** repeated scans hoisted into a shared [let] *)
+  fusions : int;
+      (** constructor fusions: RECORDSETs unnested, lets read through
+          their constructor, [return $w] inlined *)
   notes : string list;      (** human-readable one-liners *)
 }
 
@@ -53,20 +71,27 @@ val expr :
   ?share_scans:bool ->
   ?vectorize:bool ->
   ?columnar:bool ->
+  ?node_fns:(string -> bool) ->
   Aqua_xquery.Ast.expr ->
   Aqua_xquery.Ast.expr * report
 (** Optimize an expression bottom-up.  [share_scans] (default [true])
     controls the scan-sharing hoist.  [vectorize] and [columnar]
     (default [true]) do not change the plan — execution strategy is
-    chosen at compile time — but record the batch-pipeline shape
-    (current {!Batch.size}, per-operator column materialization and
-    kernel selection) in the report notes so EXPLAIN-style consumers
-    describe how the plan will run. *)
+    chosen at compile time — but record the batch layout (current
+    {!Batch.size}, columnar or not) in the report notes; the
+    per-operator shape is {!columnar_shape}, which EXPLAIN-style
+    consumers call on the optimized plan.  [node_fns] names the
+    external functions known to return only nodes (the DSP server
+    passes its physical data-service scans; default: none): a record
+    [let] constructor fusion leaves unread is dropped only when
+    building it cannot raise, and a child step over an arbitrary
+    function's result can. *)
 
 val query :
   ?share_scans:bool ->
   ?vectorize:bool ->
   ?columnar:bool ->
+  ?node_fns:(string -> bool) ->
   Aqua_xquery.Ast.query ->
   Aqua_xquery.Ast.query * report
 (** Optimize a query body (prolog is untouched). *)
@@ -82,12 +107,19 @@ type kernel_spec = {
       (** [None] = the whole partition; [Some name] = the child-step
           column [$partition/name] *)
   k_var : string;  (** the synthetic ['#agg:'] variable bound instead *)
+  k_arg : Aqua_xquery.Ast.expr;
+      (** the kernel's per-tuple input, evaluated before the group:
+          [$grouped] or [$grouped/name], or — when the grouped variable
+          is let-bound to a record constructor — the field read through
+          that constructor (constructor fusion F3) *)
 }
 
 val spec_label : kernel_spec -> string
 (** e.g. ["count"] or ["sum(PAYMENT)"], for plans and analyze output. *)
 
 val group_kernels :
+  ?record:Aqua_xquery.Ast.expr ->
+  grouped:string ->
   partition:string ->
   Aqua_xquery.Ast.clause list ->
   Aqua_xquery.Ast.expr ->
@@ -101,18 +133,63 @@ val group_kernels :
     child step of it, including the [if (fn:empty(c)) then () else
     fn:sum(c)] SQL NULL shape).  Returns the kernel inventory plus the
     rewritten remainder, or [None] when any other use (or a rebinding
-    of the partition name) forces the materializing path. *)
+    of the partition name) forces the materializing path.  [record] is
+    the direct constructor [grouped] is let-bound to (see
+    {!record_binding}); each kernel's [k_arg] then reads its column
+    through the constructor, so nothing needs the built record. *)
 
-val columnar_shape : Aqua_xquery.Ast.expr -> string list
-(** EXPLAIN-style one-liners describing the columnar pipeline shape:
-    columns carried vs pruned per expander/barrier and the kernels
-    selected per group clause. *)
+val record_binding :
+  Aqua_xquery.Ast.clause list ->
+  string ->
+  (Aqua_xquery.Ast.expr * Aqua_xquery.Ast.clause list) option
+(** [record_binding before var]: the direct record constructor [var] is
+    let-bound to within [before] (the clauses preceding a use, in
+    order) — fields all (optionally [fn:empty]-guarded) element
+    constructors — together with the clauses after that let; [None]
+    when a later clause rebinds [var] or a free variable of the
+    constructor, or a group clause ends its scope. *)
+
+val cannot_fail :
+  nodes:Vars.t -> Aqua_xquery.Ast.expr -> bool
+(** Whether evaluating the expression can raise no dynamic error, given
+    that the variables in [nodes] hold only nodes: literals, variable
+    reads, constructors, unpredicated child steps over nodes,
+    atomization, [fn:empty]/[fn:exists]/[fn:count] and
+    [if (fn:empty(..))] over such.  A dead [let] with such a value may
+    be skipped without changing any result or error. *)
+
+val nodes_after :
+  node_fns:(string -> bool) ->
+  entry:Vars.t ->
+  Vars.t ->
+  Aqua_xquery.Ast.clause ->
+  Vars.t
+(** [nodes_after ~node_fns ~entry nodes clause]: the variables known to
+    hold only nodes after [clause], given those before it ([nodes]) and
+    at the FLWOR's entry ([entry], which a group clause restores).  A
+    [for] over a call of a function in [node_fns], a shared scan of one
+    or a node-valued path, and a [let] of a constructor, bind
+    node-valued variables. *)
+
+val columnar_shape :
+  ?node_fns:(string -> bool) -> Aqua_xquery.Ast.expr -> string list
+(** EXPLAIN-style one-liners describing the columnar pipeline shape of
+    an optimized plan: columns carried vs pruned per expander/barrier,
+    the kernels selected per group clause, and whether the grouped
+    record is built ([node_fns] as for {!expr}).  Not part of {!expr}'s report: only EXPLAIN-style
+    consumers pay for it. *)
 
 val free_vars : Aqua_xquery.Ast.expr -> Vars.t
 (** Precise free variables of an expression, with the context item "."
     treated as a variable.  Unlike [Ast.free_vars] this respects
     binding structure (FLWOR clauses, quantifiers, predicates) and the
     BEA group-by scoping rule (pre-group bindings do not survive). *)
+
+val clause_reads : Aqua_xquery.Ast.clause -> Vars.t
+(** The variables a clause reads from its incoming tuple: a [for] or
+    [let] source, a condition, order keys, a group's keys and grouped
+    variable, a hash join's source, probe key and build key (less the
+    join variable). *)
 
 val scoping_hazard : bound:Vars.t -> Aqua_xquery.Ast.expr -> string option
 (** [scoping_hazard ~bound e] is [Some v] when a [where] clause inside

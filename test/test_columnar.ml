@@ -28,6 +28,7 @@ module Budget = Aqua_resilience.Budget
 module Failpoint = Aqua_resilience.Failpoint
 module Sqlstate = Aqua_resilience.Sqlstate
 module Telemetry = Aqua_core.Telemetry
+module Translator = Aqua_translator.Translator
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -269,10 +270,14 @@ let pruning_notes_golden () =
   let app = Helpers.demo_app () in
   let notes sql ~columnar =
     let t = Helpers.translate app sql in
-    let _, report =
+    let optimized, report =
       Optimize.query ~columnar t.Aqua_translator.Translator.xquery
     in
-    String.concat "\n" report.Optimize.notes
+    String.concat "\n"
+      (report.Optimize.notes
+      @
+      if columnar then Optimize.columnar_shape optimized.Aqua_xquery.Ast.body
+      else [])
   in
   let agg =
     "SELECT P.CUSTID, COUNT(*) N, SUM(P.PAYMENT) S FROM PAYMENTS P \
@@ -573,6 +578,145 @@ let correlated_probe_faults () =
     [ ("row governor", Budget.limits ~max_rows:2 (), "53400");
       ("step governor", Budget.limits ~max_fuel:10 (), "53000") ]
 
+(* --------------------------------------------------------------- *)
+(* Liveness by slot: a nested FLWOR that shadows an outer variable,
+   joins, groups, and then reads the name again gets the outer binding
+   back (the group restores the FLWOR's entry scope), not the inner
+   slot the shadowing for wrote.                                     *)
+
+let shadowed_name_after_group () =
+  let module Eval = Aqua_xqeval.Eval in
+  let module Compile = Aqua_xqeval.Compile in
+  let src =
+    "for $x in (1, 2) return (for $y in (5, 6) return (for $x in (3, 4) \
+     for $z in (3, 4) where $z = $x group $x as $p by $x as $k return ($x, \
+     $k, $y)))"
+  in
+  let e = Aqua_xquery.Parser.parse_expr src in
+  let ser = Aqua_xml.Serialize.sequence_to_string in
+  let oracle = ser (Eval.eval ~optimize:false (Eval.context ()) e) in
+  Alcotest.(check string) "the interpreter reads the outer $x"
+    "1 3 5 1 4 5 1 3 6 1 4 6 2 3 5 2 4 5 2 3 6 2 4 6" oracle;
+  List.iter
+    (fun size ->
+      with_batch_size size @@ fun () ->
+      Alcotest.(check string)
+        (Printf.sprintf "columnar agrees @%d" size)
+        oracle
+        (ser (Compile.run (Compile.compile_expr e))))
+    edge_sizes
+
+(* --------------------------------------------------------------- *)
+(* Constructor fusion: the fused plans (GROUP BY, derived tables, the
+   outer join, UNION ALL and the section 4 wrapper over all of them)
+   against the unoptimized interpreter and the SQL reference engine,
+   at every edge batch size, over NULL group keys, an all-NULL group
+   and an empty table.                                               *)
+
+let fusion_app () =
+  let app = Artifact.application "FU" in
+  let int_col ?(nullable = true) name =
+    Schema.column ~nullable name Sql_type.Integer
+  in
+  let table name rows =
+    let t = Table.create name [ int_col "K"; int_col "V"; int_col ~nullable:false "W" ] in
+    List.iter (Table.insert t) rows;
+    ignore (Artifact.import_physical_table app ~project:"P" t)
+  in
+  let i n = Value.Int n and null = Value.Null in
+  table "T"
+    [ [ i 1; i 10; i 1 ]; [ i 1; i 20; i 2 ]; [ null; i 5; i 3 ];
+      [ null; null; i 4 ]; [ i 2; null; i 5 ]; [ i 2; null; i 6 ];
+      [ i 3; i 7; i 7 ] ];
+  table "E" [];
+  app
+
+let fusion_queries =
+  [ (* NULL group key, all-NULL group (SUM/AVG/MIN/MAX are NULL) *)
+    "SELECT T.K, COUNT(*) N, COUNT(T.V) C, SUM(T.V) S, AVG(T.V) A, \
+     MIN(T.V) MN, MAX(T.V) MX FROM T GROUP BY T.K";
+    (* empty table, grouped and not *)
+    "SELECT E.K, COUNT(*) N, SUM(E.V) S FROM E GROUP BY E.K";
+    "SELECT COUNT(*) N, SUM(E.V) S FROM E";
+    (* SUM over an empty set after a filter is NULL *)
+    "SELECT T.K, SUM(T.V) S FROM T WHERE T.W > 100 GROUP BY T.K";
+    "SELECT T.W, SUM(T.V) S FROM T WHERE T.V IS NULL GROUP BY T.W";
+    (* ORDER BY over an aggregate *)
+    "SELECT T.K, SUM(T.W) S FROM T GROUP BY T.K ORDER BY S DESC";
+    (* derived table, grouped outside *)
+    "SELECT D.K, COUNT(*) N, MAX(D.V) M FROM (SELECT T.K K, T.V V FROM T \
+     WHERE T.W > 1) AS D GROUP BY D.K ORDER BY N DESC";
+    "SELECT D.K, D.V FROM (SELECT T.K K, T.V V FROM T) AS D WHERE D.V > 6";
+    (* UNION ALL and the outer join distribute over the wrapper *)
+    "SELECT T.K FROM T UNION ALL SELECT E.K FROM E";
+    "SELECT T.K, T.V FROM T UNION ALL SELECT T.V, T.K FROM T WHERE T.W < 3";
+    "SELECT L.W, R.W FROM T L LEFT OUTER JOIN T R ON L.K = R.V" ]
+
+let fused_plans_agree () =
+  let app = fusion_app () in
+  let engine = Aqua_sqlengine.Engine.env_of_application app in
+  let fused = Connection.connect app in
+  let unopt = Connection.connect ~optimize:false app in
+  List.iter
+    (fun sql ->
+      let _, report =
+        Optimize.query
+          (Translator.for_text_transport (Helpers.translate app sql))
+      in
+      check_bool ("the wrapper fuses on " ^ sql) true
+        (report.Optimize.fusions >= 1);
+      let reference =
+        match Aqua_sqlengine.Engine.execute_sql engine sql with
+        | rs -> Ok rs
+        | exception e -> Error (Printexc.to_string e)
+      in
+      List.iter
+        (fun size ->
+          with_batch_size size @@ fun () ->
+          let what = Printf.sprintf "fused@%d" size in
+          let got = run fused sql in
+          agree ~what:(what ^ " vs unoptimized interpreter") sql got
+            (run unopt sql);
+          agree ~what:(what ^ " vs reference engine") sql got reference)
+        edge_sizes)
+    fusion_queries
+
+(* Faults and governors on fused plans: an armed xqeval failpoint
+   still degrades to the interpreter with identical rows, and the row
+   governor still ends in 53400. *)
+let fused_plans_under_faults () =
+  let app = fusion_app () in
+  let sql = List.hd fusion_queries in
+  let oracle =
+    Aqua_sqlengine.Engine.execute_sql
+      (Aqua_sqlengine.Engine.env_of_application app)
+      sql
+  in
+  List.iter
+    (fun spec ->
+      with_batch_size 2 @@ fun () ->
+      with_telemetry @@ fun () ->
+      with_failpoints spec @@ fun () ->
+      let rs = Connection.execute_query (Connection.connect app) sql in
+      (match Rowset.diff_summary oracle (Result_set.to_rowset rs) with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: wrong rows after fallback: %s" spec msg);
+      check_bool (spec ^ " fired") true
+        (Telemetry.value Telemetry.c_faults_injected >= 1);
+      check_bool (spec ^ " fell back to the interpreter") true
+        (Telemetry.value Telemetry.c_fallbacks_unoptimized >= 1))
+    [ "xqeval.clause=at(2)"; "xqeval.batch=at(3)" ];
+  List.iter
+    (fun size ->
+      with_batch_size size @@ fun () ->
+      let capped =
+        Connection.connect ~limits:(Budget.limits ~max_rows:2 ()) app
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "row governor on a fused plan @%d" size)
+        "53400" (sqlstate_of_query capped sql))
+    edge_sizes
+
 let suite =
   ( "columnar",
     [ Helpers.case "battery agrees at batch size 1" (battery_at_size 1);
@@ -601,4 +745,10 @@ let suite =
       Helpers.case "correlated probes agree with the reference engine"
         correlated_probe_battery;
       Helpers.case "correlated probes under faults and governors"
-        correlated_probe_faults ] )
+        correlated_probe_faults;
+      Helpers.case "shadowed name read past a group (liveness by slot)"
+        shadowed_name_after_group;
+      Helpers.case "fused plans agree with both oracles"
+        fused_plans_agree;
+      Helpers.case "fused plans under faults and governors"
+        fused_plans_under_faults ] )

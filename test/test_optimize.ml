@@ -419,6 +419,306 @@ let prop_corpus_identical =
       else true)
 
 (* ---------------------------------------------------------------- *)
+(* Constructor fusion: F1 unnests a let-bound RECORDSET, F2 reads
+   $v/C through the record constructor, F3 feeds group kernels from
+   it.  Every fused plan must agree with the unfused one, byte for
+   byte, under the interpreter and the compiler. *)
+
+let fusions_of e = (snd (Optimize.expr e)).Optimize.fusions
+let optimized_text src =
+  Aqua_xquery.Pretty.expr_to_string (fst (Optimize.expr (parse src)))
+
+let shape_notes src = Optimize.columnar_shape (fst (Optimize.expr (parse src)))
+
+let occurrences ~needle hay =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length hay then acc
+    else if String.sub hay i n = needle then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+let fusion_rules () =
+  let fires what src =
+    quad_check src;
+    if fusions_of (parse src) = 0 then
+      Alcotest.failf "%s: expected a constructor fusion on %s" what src
+  in
+  let silent what src =
+    quad_check src;
+    check_int (what ^ ": no fusion") 0 (fusions_of (parse src))
+  in
+  (* F1 + F2: the derived-table shape; nothing reads the record whole,
+     so it is not built at all *)
+  let src =
+    "let $t := <RECORDSET>{for $x in (1, 2, 3) let $y := $x[. > 1] return \
+     <RECORD><A>{$x}</A>{if (fn:empty($y)) then () else <B>{$y}</B>}\
+     </RECORD>}</RECORDSET> \
+     for $v in $t/RECORD where fn:data($v/A) > 1 \
+     return (fn:data($v/A), fn:count($v/B), fn:exists($v/B), fn:empty($v/Z))"
+  in
+  fires "derived table" src;
+  let text = optimized_text src in
+  check_int "no RECORDSET left" 0 (occurrences ~needle:"<RECORDSET>" text);
+  check_int "record not built" 0 (occurrences ~needle:"<RECORD>" text);
+  (* a sequence of constructor FLWORs distributes over the continuation
+     (the outer-join / UNION ALL shape) *)
+  fires "union all"
+    "let $t := <RECORDSET>{(for $x in (1, 2) return <R><A>{$x}</A></R>, \
+     for $y in (7) return <R><A>{$y * 10}</A></R>)}</RECORDSET> \
+     for $v in $t/R return fn:data($v/A) + 1";
+  (* GROUP BY: the kernels read through the constructor, so the
+     columnar engine never builds the record -- when building it
+     cannot raise; [$x mod 2] can *)
+  let group xs row =
+    "let $t := <RECORDSET>{for $x in " ^ xs ^ " return " ^ row
+    ^ "}</RECORDSET> for $v in $t/R group $v as $p by fn:data($v/K) as $k \
+       return ($k, fn:count($p), fn:sum($p/V), fn:max($p/V))"
+  in
+  let src = group "(1, 2, 2, 3)" "<R><K>{$x mod 2}</K><V>{$x}</V></R>" in
+  fires "group by" src;
+  check_int "a record that may raise is built" 0
+    (occurrences ~needle:"not built" (String.concat "\n" (shape_notes src)));
+  let src =
+    group
+      "(<a><k>1</k><w>1</w></a>, <a><k>0</k><w>2</w></a>, \
+       <a><k>0</k><w>2</w></a>, <a><k>1</k><w>3</w></a>)"
+      "<R><K>{fn:data($x/k)}</K><V>{fn:data($x/w)}</V></R>"
+  in
+  fires "group by, a record that cannot raise" src;
+  Helpers.assert_contains ~needle:"$v's record not built"
+    (String.concat "\n" (shape_notes src));
+  (* ORDER BY over finished records: [return $row] is inlined *)
+  let src =
+    "let $t := <RECORDSET>{for $x in (3, 1, 2) return <R><A>{$x}</A></R>}\
+     </RECORDSET> for $row in $t/R order by fn:data($row/A) descending \
+     return $row"
+  in
+  fires "order by" src;
+  check_int "return inlined" 0 (occurrences ~needle:"let $row" (optimized_text src));
+  (* nested layers: the wrapper over a derived table *)
+  fires "two layers"
+    "fn:string-join(let $a := <RECORDSET>{let $t := <RECORDSET>{for $x in \
+     (1, 2) return <R><A>{$x}</A></R>}</RECORDSET> for $v in $t/R return \
+     <R><B>{fn:data($v/A)}</B></R>}</RECORDSET> for $w in $a/R return \
+     fn:string(fn:data($w/B)), \",\")";
+  (* negative: $t is read twice *)
+  silent "$t read twice"
+    "let $t := <RECORDSET>{for $x in (1, 2) return <R><A>{$x}</A></R>}\
+     </RECORDSET> for $v in $t/R return (fn:data($v/A), fn:count($t/R))";
+  (* negative: B's return is not a constructor *)
+  silent "return not a constructor"
+    "let $t := <RECORDSET>{for $x in (1, 2) return <R><A>{$x}</A></R>/A}\
+     </RECORDSET> for $v in $t/R return fn:data($v/A)";
+  (* negative: a binding of B captures a name the continuation reads *)
+  silent "capture clash"
+    "for $y in (10, 20) let $t := <RECORDSET>{for $y in (1, 2) return \
+     <R><A>{$y}</A></R>}</RECORDSET> for $v in $t/R return ($y, \
+     fn:data($v/A))";
+  (* a nested FLWOR's rebinding of $v ends at its group, which puts
+     the outer $v back: the read past the group keeps the record... *)
+  silent "shadowed past a group"
+    "let $v := <R><A>{1}</A></R> return (for $v in (1, 2) group $v as $p \
+     by $v as $k return $v)";
+  (* ...or is itself fused *)
+  fires "field read past a shadowing group"
+    "let $v := <R><A>{1}</A></R> return (for $v in (1, 2) group $v as $p \
+     by $v as $k return fn:data($v/A))";
+  (* negative: a whole-record read keeps the constructor *)
+  let whole =
+    "let $t := <RECORDSET>{for $x in (1, 2) return <R><A>{$x}</A></R>}\
+     </RECORDSET> for $v in $t/R return ($v, fn:data($v/A), \
+     fn:string($v), $v/*)"
+  in
+  fires "whole record" whole;
+  check_int "whole read keeps the record" 1
+    (occurrences ~needle:"let $v := <R>" (optimized_text whole));
+  (* negative: a non-kernel partition use keeps the record (and the
+     columnar engine materializes the partition) *)
+  let src =
+    "let $t := <RECORDSET>{for $x in (1, 2, 2) return <R><K>{$x}</K></R>}\
+     </RECORDSET> for $v in $t/R group $v as $p by fn:data($v/K) as $k \
+     return ($k, $p)"
+  in
+  fires "non-kernel partition" src;
+  check_int "record kept for the partition" 1
+    (occurrences ~needle:"let $v := <R>" (optimized_text src));
+  let notes = String.concat "\n" (shape_notes src) in
+  Helpers.assert_contains ~needle:"materializes the partition" notes;
+  check_int "no record-elided note" 0 (occurrences ~needle:"not built" notes)
+
+(* fn:data(<C>{E}</C>) is one untypedAtomic holding what the
+   constructor stores, never the empty sequence *)
+let content_data_exact () =
+  let module Item = Aqua_xml.Item in
+  let module Atomic = Aqua_xml.Atomic in
+  let module Functions = Aqua_xqeval.Functions in
+  let show seq = Serialize.sequence_to_string seq in
+  let untyped seq =
+    match seq with [ Item.Atomic (Atomic.Untyped s) ] -> Some s | _ -> None
+  in
+  Alcotest.(check (option string)) "empty content is \"\"" (Some "")
+    (untyped (Functions.content_data []));
+  Alcotest.(check (option string)) "atomics joined by a space" (Some "1 2")
+    (untyped (Functions.content_data [ Item.Atomic (Atomic.Integer 1);
+                                       Item.Atomic (Atomic.Integer 2) ]));
+  (* and the fused reads agree with the constructed element *)
+  let src =
+    "let $t := <RECORDSET>{for $x in (1) return <R><C>{()}</C><D>{(1, 2)}</D>\
+     </R>}</RECORDSET> for $v in $t/R return (fn:count(fn:data($v/C)), \
+     fn:data($v/C) = \"\", fn:data($v/D))"
+  in
+  quad_check src;
+  Alcotest.(check string) "exact content atomization" "1 true 1 2"
+    (show (Eval.eval (Eval.context ()) (parse src)));
+  Helpers.assert_contains ~needle:"aqua:content-data" (optimized_text src)
+
+(* The translator's shapes: each report statement and paper Examples
+   3-12, bare and under the section 4 wrapper. *)
+let report_statements =
+  [ "SELECT O.CUSTOMERID, COUNT(*) N, SUM(O.PRIORITY) S, AVG(O.PRIORITY) A, \
+     MIN(O.PRIORITY) MN, MAX(O.PRIORITY) MX FROM ORDERS O GROUP BY \
+     O.CUSTOMERID";
+    "SELECT C.CUSTOMERID, COUNT(*) N, SUM(O.PRIORITY) S FROM CUSTOMERS C, \
+     ORDERS O WHERE C.CUSTOMERID = O.CUSTOMERID GROUP BY C.CUSTOMERID";
+    "SELECT INFO.CID, COUNT(*) N, MAX(INFO.PRI) P FROM (SELECT CUSTOMERID \
+     CID, PRIORITY PRI FROM ORDERS WHERE PRIORITY > 1) AS INFO GROUP BY \
+     INFO.CID ORDER BY N DESC";
+    "SELECT C.CUSTOMERID, C.CUSTOMERNAME, P.PAYMENT FROM CUSTOMERS C LEFT \
+     OUTER JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID";
+    "SELECT O.STATUS, COUNT(*) N, SUM(L.QTY) Q FROM ORDERS O INNER JOIN \
+     ORDERLINES L ON O.ORDERID = L.ORDERID GROUP BY O.STATUS" ]
+
+let paper_statements =
+  [ "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERNAME = 'Sue'";
+    "SELECT CUSTOMERID ID FROM CUSTOMERS";
+    "SELECT * FROM CUSTOMERS";
+    "SELECT INFO.ID, INFO.NAME FROM (SELECT CUSTOMERID ID, CUSTOMERNAME NAME \
+     FROM CUSTOMERS) AS INFO WHERE INFO.ID > 10";
+    "SELECT CUSTOMERS.CUSTOMERID, PAYMENTS.PAYMENT FROM CUSTOMERS LEFT OUTER \
+     JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID";
+    "SELECT CUSTOMERS.CUSTOMERNAME, COUNT(PO_CUSTOMERS.ORDERID) N FROM \
+     CUSTOMERS, PO_CUSTOMERS WHERE CUSTOMERS.CUSTOMERID = \
+     PO_CUSTOMERS.CUSTOMERID GROUP BY CUSTOMERS.CUSTOMERID, \
+     CUSTOMERS.CUSTOMERNAME ORDER BY N DESC" ]
+
+(* A dead record over a physical scan's rows is not built; over a
+   logical service, whose body may return atomics, [$x/C] can raise,
+   so the record stays and every evaluator raises alike. *)
+let dead_records_keep_errors () =
+  let module Artifact = Aqua_dsp.Artifact in
+  let module Schema = Aqua_relational.Schema in
+  let module Sql_type = Aqua_relational.Sql_type in
+  let app = Helpers.demo_app () in
+  ignore
+    (Artifact.add_logical_service app ~project:"Views" ~name:"ATOMS"
+       [ { Artifact.fn_name = "ATOMS";
+           params = [];
+           element_name = "ATOMS";
+           columns = [ Schema.column "C" Sql_type.Integer ];
+           body = Artifact.logical_body_of_text "(1, 2)" } ]);
+  let query src =
+    let record x =
+      "for $x in " ^ x ^ " return <RECORD><C>{fn:data($x/CUSTOMERID)}</C>\
+       </RECORD>"
+    in
+    Aqua_xquery.Parser.parse_query
+      ("import schema namespace v = \"ld:Views/ATOMS\" at \
+        \"ld:Views/schemas/ATOMS.xsd\";\n\
+        import schema namespace c = \"ld:TestDataServices/CUSTOMERS\" at \
+        \"ld:TestDataServices/schemas/CUSTOMERS.xsd\";\n\
+        let $t := <RECORDSET>{" ^ src record ^ "}</RECORDSET> \
+        for $v in $t/RECORD return 1")
+  in
+  let built q =
+    let optimized, _ =
+      Optimize.query
+        ~node_fns:(Server.physical_fns app q.X.prolog.X.imports)
+        q
+    in
+    occurrences ~needle:"<RECORD>"
+      (Aqua_xquery.Pretty.query_to_string optimized)
+  in
+  let servers =
+    [ Server.create ~optimize:false app; Server.create app;
+      Server.create ~vectorize:false app; Server.create ~columnar:false app;
+      Server.create ~scan_cache:false app ]
+  in
+  let ser q srv = Serialize.sequence_to_string (Server.execute srv q) in
+  (* a single scan, and a repeated one (a shared scan) *)
+  List.iter
+    (fun src ->
+      let scan = query (fun record -> src record "c:CUSTOMERS()") in
+      check_int "physical rows: record not built" 0 (built scan);
+      let expected = ser scan (List.hd servers) in
+      List.iter
+        (fun srv ->
+          Alcotest.(check string) "physical rows agree" expected (ser scan srv))
+        servers;
+      let atoms = query (fun record -> src record "v:ATOMS()") in
+      Alcotest.(check bool) "logical rows: record kept" true (built atoms > 0);
+      List.iter
+        (fun srv ->
+          match Server.execute srv atoms with
+          | _ -> Alcotest.fail "a child step over an atomic must raise"
+          | exception Error.Dynamic_error _ -> ())
+        servers)
+    [ (fun record x -> record x);
+      (fun record x -> "(" ^ record x ^ ", " ^ record x ^ ")") ]
+
+let fused_translations () =
+  let agree app sql =
+    let env = Semantic.env_of_application app in
+    let naive = Server.create ~optimize:false app in
+    let opt = Server.create app in
+    let t = Translator.translate env sql in
+    let ser items = Serialize.sequence_to_string items in
+    List.map
+      (fun (q : X.query) ->
+        let a = ser (Server.execute naive q) in
+        let b = ser (Server.execute opt q) in
+        let c = ser (Server.execute_prepared (Server.prepare opt q)) in
+        if a <> b || a <> c then
+          Alcotest.failf "fused plan diverges on %s\n-- naive:\n%s\n-- \
+                          optimized:\n%s\n-- compiled:\n%s" sql a b c;
+        fusions_of q.X.body)
+      [ t.Translator.xquery; Translator.for_text_transport t ]
+  in
+  let report_app =
+    Aqua_workload.Datagen.application
+      { Aqua_workload.Datagen.customers = 15; orders = 40;
+        lines_per_order = 2; payments = 12 }
+  in
+  List.iter
+    (fun sql ->
+      match agree report_app sql with
+      | [ bare; wrapped ] ->
+        if bare = 0 then Alcotest.failf "no fusion in the bare plan of %s" sql;
+        if wrapped <= bare then
+          Alcotest.failf "the wrapper was not fused on %s" sql
+      | _ -> assert false)
+    report_statements;
+  let paper = Test_golden_paper.paper_app () in
+  List.iter
+    (fun sql ->
+      match agree paper sql with
+      | [ _; wrapped ] ->
+        if wrapped = 0 then Alcotest.failf "the wrapper was not fused on %s" sql
+      | _ -> assert false)
+    paper_statements;
+  (* a GROUP BY keeps exactly its outer RECORDSET once fused *)
+  let t =
+    Translator.translate
+      (Semantic.env_of_application (Helpers.demo_app ()))
+      "SELECT O.CUSTOMERID, COUNT(*) N, SUM(O.AMOUNT) S FROM PO_CUSTOMERS O \
+       GROUP BY O.CUSTOMERID"
+  in
+  let fused, _ = Optimize.query t.Translator.xquery in
+  check_int "one RECORDSET after fusion" 1
+    (occurrences ~needle:"<RECORDSET>" (Aqua_xquery.Pretty.query_to_string fused))
+
+(* ---------------------------------------------------------------- *)
 (* Driver-side LRU translation cache (satellite of the same PR)      *)
 
 let lru_cache () =
@@ -469,6 +769,10 @@ let suite =
       Helpers.case "where before binding fails" where_before_binding_fails;
       Helpers.case "sql battery agrees" sql_agreement;
       Helpers.case "engine hash join agrees" engine_join_agreement;
+      Helpers.case "constructor fusion rules" fusion_rules;
+      Helpers.case "content atomization is exact" content_data_exact;
+      Helpers.case "dead records keep their errors" dead_records_keep_errors;
+      Helpers.case "fused translations agree" fused_translations;
       Helpers.case "lru cache basics" lru_cache;
       Helpers.case "lru cache eviction" lru_eviction;
       Helpers.case "lru cache disabled" lru_disabled;
