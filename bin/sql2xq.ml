@@ -372,9 +372,12 @@ let analyze_cmd =
             let cr = snap.Telemetry.columnar_rows in
             Printf.printf
               "columnar layout: %d batch(es), %d row(s); %d column \
-               copies pruned, %d kernel update(s)\n"
+               copies pruned, %d kernel update(s); %d projected \
+               column(s) built, %d memo hit(s)\n"
               cb cr snap.Telemetry.columnar_pruned_columns
               snap.Telemetry.columnar_kernel_updates
+              (Telemetry.value Telemetry.c_col_projected_columns)
+              (Telemetry.value Telemetry.c_col_projection_hits)
           end
         end;
         Printf.printf "engine counters:\n";

@@ -40,10 +40,6 @@ type entry = {
   bytes : int;
   rows : int;
   mutable stamp : int;  (** last access; larger = more recent *)
-  mutable arr : Item.t array option;
-      (** memoized array view, built on first batched access so
-          repeated batched scans slice in O(batch) instead of
-          re-walking the list *)
 }
 
 type stats = {
@@ -197,72 +193,6 @@ let find t key =
       None
   end
 
-(* Batched lookup: the same revision/LRU/counter protocol as [find],
-   but the entry is served as size-capped array slices over a
-   memoized array view — the vectorized scan path consumes cached
-   materialized scans without re-traversing the item list per batch. *)
-let find_batches t key ~size =
-  if not t.enabled then None
-  else begin
-    Mcore.Mutex.protect t.lock @@ fun () ->
-    revalidate_unlocked t;
-    match Hashtbl.find_opt t.tbl key with
-    | Some e ->
-      t.clock <- t.clock + 1;
-      e.stamp <- t.clock;
-      t.hits <- t.hits + 1;
-      T.incr T.c_scan_cache_hits;
-      let arr =
-        match e.arr with
-        | Some a -> a
-        | None ->
-          let a = Array.of_list e.seq in
-          e.arr <- Some a;
-          a
-      in
-      let size = max 1 size in
-      let n = Array.length arr in
-      let nbatches = (n + size - 1) / size in
-      Some
-        (List.init nbatches (fun i ->
-             Array.sub arr (i * size) (min size (n - (i * size)))))
-    | None ->
-      t.misses <- t.misses + 1;
-      T.incr T.c_scan_cache_misses;
-      None
-  end
-
-(* Columnar lookup: the whole memoized array view in one piece,
-   zero-copy — the columnar engine treats a cached scan as a single
-   value vector and indexes it directly, instead of paying one
-   [Array.sub] per batch.  The array is the entry's own storage:
-   callers must treat it as read-only. *)
-let find_column t key =
-  if not t.enabled then None
-  else begin
-    Mcore.Mutex.protect t.lock @@ fun () ->
-    revalidate_unlocked t;
-    match Hashtbl.find_opt t.tbl key with
-    | Some e ->
-      t.clock <- t.clock + 1;
-      e.stamp <- t.clock;
-      t.hits <- t.hits + 1;
-      T.incr T.c_scan_cache_hits;
-      let arr =
-        match e.arr with
-        | Some a -> a
-        | None ->
-          let a = Array.of_list e.seq in
-          e.arr <- Some a;
-          a
-      in
-      Some arr
-    | None ->
-      t.misses <- t.misses + 1;
-      T.incr T.c_scan_cache_misses;
-      None
-  end
-
 let store t key (seq : Item.sequence) =
   if t.enabled then begin
     Mcore.Mutex.protect t.lock @@ fun () ->
@@ -275,7 +205,7 @@ let store t key (seq : Item.sequence) =
       if rows <= t.max_rows && bytes <= t.max_bytes then begin
         t.clock <- t.clock + 1;
         Hashtbl.replace t.tbl key
-          { seq; bytes; rows; stamp = t.clock; arr = None };
+          { seq; bytes; rows; stamp = t.clock };
         t.bytes <- t.bytes + bytes;
         T.add T.c_scan_cache_bytes bytes;
         while

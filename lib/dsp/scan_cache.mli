@@ -39,22 +39,6 @@ val find : t -> string -> Aqua_xml.Item.sequence option
 (** Revision-checked lookup; a hit refreshes the entry's LRU stamp.
     Budget accounting happens at the serve site, not here. *)
 
-val find_batches :
-  t -> string -> size:int -> Aqua_xml.Item.t array list option
-(** {!find}, served as size-capped array slices (every batch holds
-    [size] items except possibly the last).  The array view is
-    memoized on the entry at first batched access, so repeated batched
-    scans of a cached materialized scan slice in O(batch) instead of
-    re-walking the item list.  Counters and LRU behave exactly as
-    {!find}. *)
-
-val find_column : t -> string -> Aqua_xml.Item.t array option
-(** {!find}, served as the entry's whole memoized array view in one
-    piece — a zero-copy value vector the columnar engine indexes
-    directly (no per-batch [Array.sub]).  The array is shared entry
-    storage; callers must not mutate it.  Counters and LRU behave
-    exactly as {!find}. *)
-
 val store : t -> string -> Aqua_xml.Item.sequence -> unit
 (** Admit a materialized scan (no-op when disabled, when the key is
     already resident, or when the result exceeds the per-entry row or

@@ -5,49 +5,6 @@ type t = {
 
 let make schema rows = { schema; rows }
 
-(* Batch view: the row list sliced into size-capped arrays, for
-   consumers that process rows a batch at a time (the vectorized
-   engine, the SQL engine's batched filter).  A single pass over the
-   list — no per-batch re-traversal. *)
-let iter_batches ~size rs f =
-  let size = max 1 size in
-  let buf = Array.make size [||] in
-  let n = ref 0 in
-  let emit () =
-    if !n > 0 then begin
-      f (Array.sub buf 0 !n);
-      n := 0
-    end
-  in
-  List.iter
-    (fun row ->
-      buf.(!n) <- row;
-      incr n;
-      if !n = size then emit ())
-    rs.rows;
-  emit ()
-
-let batches ~size rs =
-  let acc = ref [] in
-  iter_batches ~size rs (fun b -> acc := b :: !acc);
-  List.rev !acc
-
-(* Columnar batch view: the same size-capped slices transposed to
-   struct-of-arrays — one value vector per schema column, values
-   shared with the row storage (Value.t is immutable).  Consumers that
-   scan a few columns of a wide result (the columnar engine, value
-   vector exports) touch only the vectors they need. *)
-let iter_column_batches ~size rs f =
-  let ncols = List.length rs.schema in
-  iter_batches ~size rs (fun batch ->
-      let rows = Array.length batch in
-      f (Array.init ncols (fun c -> Array.init rows (fun r -> batch.(r).(c)))))
-
-let column_batches ~size rs =
-  let acc = ref [] in
-  iter_column_batches ~size rs (fun b -> acc := b :: !acc);
-  List.rev !acc
-
 let row_key row =
   String.concat "\x01" (Array.to_list (Array.map Value.group_key row))
 

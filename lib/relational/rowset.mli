@@ -8,28 +8,6 @@ type t = {
 
 val make : Schema.t -> Value.t array list -> t
 
-val iter_batches :
-  size:int -> t -> (Value.t array array -> unit) -> unit
-(** [iter_batches ~size rs f] calls [f] with consecutive size-capped
-    slices of the rows (every batch holds [size] rows except possibly
-    the last; [size] is clamped to at least 1).  One pass over the row
-    list — the batch view consumers use instead of re-walking the
-    list per batch. *)
-
-val batches : size:int -> t -> Value.t array array list
-(** The batch view as a list (see {!iter_batches}). *)
-
-val iter_column_batches :
-  size:int -> t -> (Value.t array array -> unit) -> unit
-(** The {!iter_batches} slices transposed to struct-of-arrays: [f]
-    receives one [Value.t array] per schema column (all of equal
-    length, the batch's row count).  Values are shared with the row
-    storage, so a consumer reading a few columns of a wide result
-    touches only the vectors it needs. *)
-
-val column_batches : size:int -> t -> Value.t array array list
-(** The columnar batch view as a list (see {!iter_column_batches}). *)
-
 val equal_as_lists : t -> t -> bool
 (** Same rows in the same order (use when ORDER BY fixes the order). *)
 

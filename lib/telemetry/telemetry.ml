@@ -113,6 +113,8 @@ let c_col_batches = counter "xqeval.columnar.batches"
 let c_col_rows = counter "xqeval.columnar.rows"
 let c_col_pruned_columns = counter "xqeval.columnar.pruned_columns"
 let c_col_kernel_updates = counter "xqeval.columnar.kernel_updates"
+let c_col_projected_columns = counter "xqeval.columnar.projected_columns"
+let c_col_projection_hits = counter "xqeval.columnar.projection_hits"
 let c_pool_borrows = counter "session_pool.borrows"
 let c_pool_rejections = counter "session_pool.rejections"
 let c_pool_waits = counter "session_pool.waits"

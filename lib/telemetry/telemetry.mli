@@ -84,6 +84,8 @@ val c_col_batches : counter          (* columnar (struct-of-arrays) batches push
 val c_col_rows : counter             (* rows carried by columnar batches *)
 val c_col_pruned_columns : counter   (* column copies avoided by required-columns pruning *)
 val c_col_kernel_updates : counter   (* per-tuple aggregation-kernel state updates *)
+val c_col_projected_columns : counter  (* scan column vectors built for projection *)
+val c_col_projection_hits : counter  (* scan column vectors served from the memo *)
 val c_pool_borrows : counter         (* sessions handed out by the session pool *)
 val c_pool_rejections : counter      (* borrows rejected: pool exhausted (53300) *)
 val c_pool_waits : counter           (* borrows that had to wait for a release *)

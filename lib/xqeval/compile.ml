@@ -42,7 +42,7 @@ let bind_slot cenv name =
   ({ cenv with slots = (name, slot) :: cenv.slots }, slot)
 
 let lookup_slot cenv name =
-  match List.assoc_opt name cenv.slots with
+  match Optimize.assoc_str name cenv.slots with
   | Some slot -> slot
   | None -> cfail "undefined variable $%s" name
 
@@ -143,7 +143,7 @@ let children_matching matches (item : Item.t) : Item.sequence =
   | Item.Node (Node.Element e) ->
     List.filter_map
       (function
-        | Node.Element c when matches c.name -> Some (Item.Node (Node.Element c))
+        | Node.Element c as n when matches c.name -> Some (Item.Node n)
         | Node.Element _ | Node.Text _ -> None)
       e.Node.children
 
@@ -285,73 +285,163 @@ let vcounter vctx label =
       end
   end
 
-(* Cross-invocation reuse of hash-join build tables.
+(* Cross-invocation memo of scan sources: array view, projected
+   columns and hash-join build tables.
 
    [Server.execute] recompiles its plan on every call, so a memo inside
-   the compiled closure would never survive long enough to hit.  When
-   the build side is a closed expression ([Optimize.reusable_build]:
-   no free variables beyond a shared-scan binding) and the build key
-   reads nothing but the join variable, the finished table is a pure
-   function of the source *sequence* and the key expression — the
-   same holds across the invocations of a correlated probe's FLWOR —
-   and the dsp scan cache hands back the physically same sequence until
-   the underlying data's revision bumps.  Keying on physical identity
-   of the source therefore gets revision tracking for free: a fresh
-   materialization is a fresh list, which simply misses.
+   the compiled closure would never survive long enough to hit.  A
+   closed source (no free variables beyond a shared-scan binding, as
+   for a reusable build or a projected scan) evaluates to the same
+   sequence in every tuple and, through the dsp scan cache, across
+   invocations — the physically same list until the underlying data's
+   revision bumps.  Everything
+   derived from the list alone is therefore memoized against its
+   physical identity, which gets revision tracking for free: a fresh
+   materialization is a fresh list, which simply misses.  Lists and
+   nodes are immutable, so a hit serves exactly what a rebuild would.
 
-   The cache is a short move-to-front list; workloads hash-join against
-   a handful of hot scans and the [==] probe costs nothing.  Stale
-   entries age out by eviction. *)
+   Per source the memo keeps:
+   - the array view, built for the first hash-join build (builds index
+     it in place);
+   - projected columns: for a step name, [children_matching] of every
+     row, so a scan column read is an array index;
+   - build tables keyed by the build-key AST and the value_cmp flag,
+     when the build key reads nothing but the join variable
+     ([Optimize.reusable_build]).
+
+   The memo is a short move-to-front list, bounded by entry count and
+   by a fixed total of projected cells; a source whose own columns
+   exceed the cell bound is served but not retained.  Stale entries age
+   out by eviction. *)
 type jt_entry = {
-  je_src : Item.sequence;
   je_key : X.expr;  (* build-key AST, compared structurally *)
   je_cmp : bool;  (* value_cmp flag — changes probe/poison semantics *)
   je_table : Join_table.t;
 }
 
-(* Domain-local for the same reason as the batch pools: the cache is a
-   mutable MRU list probed on every hash-join build, and sharding it
-   per domain keeps the probe lock-free.  The build tables themselves
-   are immutable once built, and the scan cache already shares the
+type src_entry = {
+  se_src : Item.sequence;
+  mutable se_items : Item.t array;  (* [||] until a build needs it *)
+  mutable se_cols : (string * Item.sequence array) list;
+  mutable se_tables : jt_entry list;
+  mutable se_kept : bool;  (* still in the memo, its cells counted *)
+}
+
+type src_memo = {
+  mutable entries : src_entry list;  (* most recently used first *)
+  mutable cells : int;  (* projected cells of the kept entries *)
+}
+
+(* Domain-local for the same reason as the batch pools: the memo is
+   probed on every scan read and hash-join build, and sharding it per
+   domain keeps the probe lock-free.  Columns and build tables are
+   immutable once built, and the scan cache already shares the
    expensive part (the materialized source) across domains. *)
-let jt_cache : jt_entry list ref Mcore.Dls.key =
-  Mcore.Dls.new_key (fun () -> ref [])
+let src_memo : src_memo Mcore.Dls.key =
+  Mcore.Dls.new_key (fun () -> { entries = []; cells = 0 })
 
-let jt_cache_cap = 8
+let src_memo_cap = 8
+let projected_cells_max = 65536
+let src_tables_cap = 4
 
-(* The build table for one hash-join invocation.  [reusable] is
-   [Optimize.reusable_build] of the clause — the same test that lets
-   the optimizer fire a correlated probe — and selects the cache; a
-   miss builds and stores, so the first invocation pays for the rest. *)
-let join_table ~reusable src key value_cmp ~key_of =
-  let build () = Join_table.build src ~key_of ~value_cmp in
+let entry_cells e =
+  List.fold_left (fun n (_, col) -> n + Array.length col) 0 e.se_cols
+
+let entry_items e =
+  (match (e.se_items, e.se_src) with
+  | [||], _ :: _ -> e.se_items <- Array.of_list e.se_src
+  | _ -> ());
+  e.se_items
+
+let drop_entry m e =
+  if e.se_kept then begin
+    e.se_kept <- false;
+    m.cells <- m.cells - entry_cells e;
+    m.entries <- List.filter (fun x -> x != e) m.entries
+  end
+
+(* The memo entry of a closed source, created on a miss. *)
+let src_entry (src : Item.sequence) =
+  let m = Mcore.Dls.get src_memo in
+  match m.entries with
+  | e :: _ when e.se_src == src -> e
+  | _ -> (
+    match List.find_opt (fun e -> e.se_src == src) m.entries with
+    | Some e ->
+      m.entries <- e :: List.filter (fun x -> x != e) m.entries;
+      e
+    | None ->
+      let e =
+        { se_src = src; se_items = [||]; se_cols = [];
+          se_tables = []; se_kept = true }
+      in
+      m.entries <- e :: m.entries;
+      (match List.filteri (fun i _ -> i >= src_memo_cap) m.entries with
+      | [] -> ()
+      | old -> List.iter (drop_entry m) old);
+      e)
+
+(* The projected columns [steps] of a memoized source, one vector per
+   step, indexed by position in the source. *)
+let src_columns e steps =
+  Array.of_list
+    (List.map
+       (fun step ->
+         match Optimize.assoc_str step e.se_cols with
+         | Some col ->
+           Telemetry.incr Telemetry.c_col_projection_hits;
+           col
+         | None ->
+           let matches = compile_step_matcher step in
+           let col = Array.make (List.length e.se_src) [] in
+           List.iteri
+             (fun r item -> col.(r) <- children_matching matches item)
+             e.se_src;
+           Telemetry.incr Telemetry.c_col_projected_columns;
+           e.se_cols <- (step, col) :: e.se_cols;
+           if e.se_kept then begin
+             let m = Mcore.Dls.get src_memo in
+             m.cells <- m.cells + Array.length col;
+             if entry_cells e > projected_cells_max then drop_entry m e
+             else
+               while m.cells > projected_cells_max do
+                 match List.rev (List.filter (fun x -> x != e) m.entries) with
+                 | lru :: _ -> drop_entry m lru
+                 | [] -> assert false
+               done
+           end;
+           col)
+       steps)
+
+(* The build table for one hash-join invocation over a memoized source.
+   [reusable] is [Optimize.reusable_build] of the clause — the same
+   test that lets the optimizer fire a correlated probe — and selects
+   the cache; a miss builds and stores, so the first invocation pays
+   for the rest. *)
+let entry_join_table ~reusable e key value_cmp ~key_of =
+  let build () = Join_table.build (entry_items e) ~key_of ~value_cmp in
   if not reusable then build ()
-  else begin
-    let jt_cache = Mcore.Dls.get jt_cache in
-    let rec find acc = function
-      | [] -> None
-      | e :: rest ->
-        if e.je_src == src && e.je_cmp = value_cmp && e.je_key = key then begin
-          jt_cache := e :: List.rev_append acc rest;
-          Some e.je_table
-        end
-        else find (e :: acc) rest
-    in
-    match find [] !jt_cache with
+  else
+    match
+      List.find_opt
+        (fun t -> t.je_cmp = value_cmp && t.je_key = key)
+        e.se_tables
+    with
     | Some t ->
       (* budget parity with a real build: every invocation still
          charges the item governor for the build rows it stands in for *)
-      Budget.tick_items (Array.length t.Join_table.items);
+      Budget.tick_items (Array.length t.je_table.Join_table.items);
       Telemetry.incr Telemetry.c_hash_join_reused;
-      t
+      t.je_table
     | None ->
       let t = build () in
-      let kept = List.filteri (fun i _ -> i < jt_cache_cap - 1) !jt_cache in
-      jt_cache :=
-        { je_src = src; je_key = key; je_cmp = value_cmp; je_table = t }
-        :: kept;
+      let kept = List.filteri (fun i _ -> i < src_tables_cap - 1) e.se_tables in
+      e.se_tables <- { je_key = key; je_cmp = value_cmp; je_table = t } :: kept;
       t
-  end
+
+let join_table ~reusable src key value_cmp ~key_of =
+  if reusable then entry_join_table ~reusable (src_entry src) key value_cmp ~key_of
+  else Join_table.build (Array.of_list src) ~key_of ~value_cmp
 
 (* ------------------------------------------------------------------ *)
 (* Columnar (struct-of-arrays) pipeline plumbing
@@ -1292,7 +1382,19 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
       let rest', return' = transform (c :: before) rest return_ in
       (C_plain c :: rest', return')
   in
-  let tclauses, treturn = transform [] f.X.clauses f.X.return in
+  (* Scan column projection first, so kernels and record reads pick up
+     the column variables it binds. *)
+  let projs, pclauses, preturn =
+    Optimize.scan_projections ~node_fns:cenv.node_fns f.X.clauses f.X.return
+  in
+  let tclauses, treturn = transform [] pclauses preturn in
+  (* per clause position: the (step name, column variable) pairs its
+     for or hash join binds besides its own variable *)
+  let pcols = Array.make (List.length tclauses) [] in
+  List.iter
+    (fun (p : Optimize.projection) ->
+      pcols.(p.Optimize.p_index) <- p.Optimize.p_cols)
+    projs;
   (* Liveness by slot: the slots of [slots] (a binding environment at
      some clause position, innermost first) that the clauses [rest] and
      the return can still read.  Names resolve where they are read: a
@@ -1321,7 +1423,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
     let add slots vars acc =
       Optimize.Vars.fold
         (fun v acc ->
-          match List.assoc_opt v slots with
+          match Optimize.assoc_str v slots with
           | Some s when s >= 0 -> Slots.add s acc
           | _ -> acc)
         vars acc
@@ -1334,9 +1436,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
         let acc = add slots treads.(j) acc in
         let slots =
           match c with
-          | C_plain (X.For { var; _ } | X.Let { var; _ } | X.Hash_join { var; _ })
-            ->
-            fresh slots var
+          | C_plain (X.For { var; _ } | X.Hash_join { var; _ }) ->
+            List.fold_left
+              (fun slots (_, cv) -> fresh slots cv)
+              (fresh slots var) pcols.(j)
+          | C_plain (X.Let { var; _ }) -> fresh slots var
           | C_plain (X.Where _ | X.Order_by _) -> slots
           | C_plain (X.Group { partition; keys; _ }) ->
             List.fold_left fresh entry_slots (partition :: List.map snd keys)
@@ -1358,7 +1462,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
     let slots =
       Optimize.Vars.fold
         (fun v acc ->
-          match List.assoc_opt v cenv.slots with
+          match Optimize.assoc_str v cenv.slots with
           | Some s -> s :: acc
           | None -> acc)
         vars []
@@ -1379,6 +1483,29 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
       scratch.(s) <- b.Batch.cols.(s).(idx)
     done
   in
+  (* The outputs of expander [i] (a for or hash join binding [var]):
+     the environment with [var] and then its column variables bound,
+     [var]'s slot, the carried slots, whether anything still reads
+     [var] whole, and the projected columns still read (step names,
+     slots) — a column or variable no reader is left for is not
+     written. *)
+  let expander cenv var i =
+    let cenv, slot = bind_slot cenv var in
+    let cenv, cols =
+      List.fold_left_map
+        (fun ce (step, cv) ->
+          let ce, s = bind_slot ce cv in
+          (ce, (step, s)))
+        cenv pcols.(i)
+    in
+    let live = live_slots cenv.slots (i + 1) in
+    let copy =
+      slot_array (Slots.diff live (Slots.of_list (slot :: List.map snd cols)))
+    in
+    let cols = List.filter (fun (_, s) -> Slots.mem s live) cols in
+    ( cenv, slot, copy, Slots.mem slot live, List.map fst cols,
+      Array.of_list (List.map snd cols) )
+  in
   (* [nodes]: the variables known to hold only nodes, for the dead-let
      test *)
   let rec build cenv nodes i clauses :
@@ -1391,11 +1518,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
         | C_plain (X.For { var; source }) ->
           let gslots = gather_slots cenv [ source ] in
           let csrc = compile_expr_c cenv source in
-          let cenv', slot = bind_slot cenv var in
-          let copy =
-            slot_array (Slots.remove slot (live_slots cenv'.slots (i + 1)))
+          let cenv', slot, copy, var_live, steps, col_slots =
+            expander cenv var i
           in
           let copy_n = Array.length copy in
+          let ncols = Array.length col_slots in
           let label = "for $" ^ var in
           let mk cctx down =
             let count = ccounter cctx label in
@@ -1404,6 +1531,10 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
             let out = cctx.calloc () in
             let out_cols = Array.map (Batch.column out) copy in
             let var_col = Batch.column out slot in
+            let out_pcols = Array.map (Batch.column out) col_slots in
+            (* the source last served from the memo, with its columns:
+               a closed source is the same list in every tuple *)
+            let last_src = ref [] and last = ref [||] in
             let emit () =
               if out.Batch.n > 0 then begin
                 cnote_batch out.Batch.n;
@@ -1425,16 +1556,29 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                     match csrc scratch with
                     | [] -> ()
                     | items ->
+                      let vecs =
+                        if ncols = 0 then [||]
+                        else begin
+                          if items != !last_src then begin
+                            last_src := items;
+                            last := src_columns (src_entry items) steps
+                          end;
+                          !last
+                        end
+                      in
                       let nitems = List.length items in
                       Budget.steps nitems;
                       count nitems;
-                      List.iter
-                        (fun item ->
+                      List.iteri
+                        (fun r item ->
                           let j = out.Batch.n in
                           for t = 0 to copy_n - 1 do
                             out_cols.(t).(j) <- in_cols.(t).(idx)
                           done;
-                          var_col.(j) <- [ item ];
+                          if var_live then var_col.(j) <- [ item ];
+                          for c = 0 to ncols - 1 do
+                            out_pcols.(c).(j) <- vecs.(c).(r)
+                          done;
                           out.Batch.sel.(j) <- j;
                           out.Batch.n <- j + 1;
                           if out.Batch.n = cctx.ccap then emit ())
@@ -1835,12 +1979,17 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           in
           let csrc = compile_expr_c cenv source in
           let cprobe = compile_expr_c cenv probe_key in
-          let cenv2, var_slot = bind_slot cenv var in
-          let copy =
-            slot_array (Slots.remove var_slot (live_slots cenv2.slots (i + 1)))
+          let cenv2, var_slot, copy, var_live, steps, col_slots =
+            expander cenv var i
+          in
+          (* the build key sees the join variable, not its columns *)
+          let cbuild =
+            compile_expr_c
+              { cenv with slots = (var, var_slot) :: cenv.slots }
+              build_key
           in
           let copy_n = Array.length copy in
-          let cbuild = compile_expr_c cenv2 build_key in
+          let ncols = Array.length col_slots in
           let reusable = Optimize.reusable_build ~var ~source ~build_key in
           let label = "hash-join $" ^ var in
           let mk cctx down =
@@ -1848,9 +1997,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
             let pruned = max 0 (cctx.cnslots - copy_n) in
             let scratch = cctx.cscratch in
             let table = ref None in
+            let vecs = ref [||] in
             let out = cctx.calloc () in
             let out_cols = Array.map (Batch.column out) copy in
             let var_col = Batch.column out var_slot in
+            let out_pcols = Array.map (Batch.column out) col_slots in
             let emit () =
               if out.Batch.n > 0 then begin
                 cnote_batch out.Batch.n;
@@ -1876,15 +2027,30 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                            selected row *)
                         gather gslots scratch b b.Batch.sel.(0);
                         let src = csrc scratch in
+                        let key_of item =
+                          scratch.(var_slot) <- [ item ];
+                          cbuild scratch
+                        in
                         let t =
-                          join_table ~reusable src build_key value_cmp
-                            ~key_of:(fun item ->
-                              scratch.(var_slot) <- [ item ];
-                              cbuild scratch)
+                          if ncols = 0 then
+                            join_table ~reusable src build_key value_cmp ~key_of
+                          else begin
+                            (* a projected source is a scan: the table
+                               indexes the memo's array, which the
+                               columns are indexed like *)
+                            let e = src_entry src in
+                            let t =
+                              entry_join_table ~reusable e build_key value_cmp
+                                ~key_of
+                            in
+                            vecs := src_columns e steps;
+                            t
+                          end
                         in
                         table := Some t;
                         t
                     in
+                    let vecs = !vecs in
                     Join_table.probe_batch t ~value_cmp ~rows:b.Batch.n
                       ~atoms_of:(fun k ->
                         let idx = b.Batch.sel.(k) in
@@ -1898,7 +2064,10 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                         for c = 0 to copy_n - 1 do
                           out_cols.(c).(j) <- in_cols.(c).(idx)
                         done;
-                        var_col.(j) <- [ t.Join_table.items.(m) ];
+                        if var_live then var_col.(j) <- [ t.Join_table.items.(m) ];
+                        for c = 0 to ncols - 1 do
+                          out_pcols.(c).(j) <- vecs.(c).(m)
+                        done;
                         out.Batch.sel.(j) <- j;
                         out.Batch.n <- j + 1;
                         if out.Batch.n = cctx.ccap then emit ())
@@ -1909,9 +2078,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           ((label, mk), cenv2)
       in
       let nodes =
-        Optimize.nodes_after ~node_fns:cenv.node_fns ~entry:Optimize.Vars.empty
-          nodes
-          (cclause_view clause)
+        List.fold_left
+          (fun s (_, cv) -> Optimize.Vars.add cv s)
+          (Optimize.nodes_after ~node_fns:cenv.node_fns
+             ~entry:Optimize.Vars.empty nodes (cclause_view clause))
+          pcols.(i)
       in
       let mks, cenv_out = build cenv' nodes (i + 1) rest in
       (labeled_mk :: mks, cenv_out)
@@ -2011,6 +2182,18 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
    match Optimize.scoping_hazard ~bound e with
    | Some v -> cfail "where clause references $%s before it is bound" v
    | None -> ());
+  (* [node_fns] resolves a name against the catalog; the optimizer and
+     the lowering ask about the same few scans at every clause *)
+  let node_fns =
+    let known = ref [] in
+    fun name ->
+      match Optimize.assoc_str name !known with
+      | Some b -> b
+      | None ->
+        let b = node_fns name in
+        known := (name, b) :: !known;
+        b
+  in
   let e =
     if optimize then
       fst

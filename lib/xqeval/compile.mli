@@ -19,7 +19,12 @@
     reads are all translator aggregate shapes never materialize the
     partition; see {!Optimize.group_kernels} and {!Kernels}).
     [~columnar:false] selects the row-snapshot batch layout, the
-    differential oracle for the columnar engine.
+    differential oracle for the columnar engine.  The columnar engine
+    also reads single-step column accesses over physical scans from
+    per-column vectors memoized with the scan
+    ({!Optimize.scan_projections}); the memo is domain-local, keyed by
+    the physical identity of the scan's sequence, and bounded by
+    entry count and by {!projected_cells_max}.
 
     Variable scoping is resolved at compile time; referencing an
     undefined variable (including bindings dropped by the group-by
@@ -84,3 +89,8 @@ val run :
     [vars] (prepared-statement parameters).
     @raise Error.Dynamic_error on dynamic errors (casts, arity,
     unbound externals). *)
+
+val projected_cells_max : int
+(** Bound on the projected column cells (rows times columns) the
+    columnar engine's per-domain scan memo retains.  A source whose
+    own columns exceed it is served but not retained. *)

@@ -289,7 +289,7 @@ and eval_flwor ctx (f : X.flwor) : Item.sequence =
              context is the right evaluation environment. *)
           let table =
             lazy
-              (Join_table.build (eval ctx source)
+              (Join_table.build (Array.of_list (eval ctx source))
                  ~key_of:(fun item ->
                    eval { ctx with vars = Env.add var [ item ] ctx.vars }
                      build_key)

@@ -87,12 +87,14 @@ let secondary_keys (a : Atomic.t) : string list =
   | _ -> []
 
 (* [key_of] evaluates the build-key expression with the join variable
-   bound to the given item (each evaluator supplies its own closure). *)
-let build (source : Item.sequence) ~(key_of : Item.t -> Item.sequence)
+   bound to the given item (each evaluator supplies its own closure).
+   The table indexes [items] in place: the compiled engine passes the
+   array view it memoizes with the source, so a build never copies the
+   source again. *)
+let build (items : Item.t array) ~(key_of : Item.t -> Item.sequence)
     ~(value_cmp : bool) : t =
   let module T = Aqua_core.Telemetry in
   T.with_span "xqeval.hashjoin.build" @@ fun () ->
-  let items = Array.of_list source in
   T.incr T.c_hash_join_builds;
   T.add T.c_hash_join_build_rows (Array.length items);
   (* the build side is materialized wholesale: charge it to the

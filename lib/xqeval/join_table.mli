@@ -17,12 +17,13 @@ type t = {
 }
 
 val build :
-  Aqua_xml.Item.sequence ->
+  Aqua_xml.Item.t array ->
   key_of:(Aqua_xml.Item.t -> Aqua_xml.Item.sequence) ->
   value_cmp:bool ->
   t
-(** [build source ~key_of ~value_cmp] hashes every item of [source] by
-    the atomized [key_of] result.  With [value_cmp] the cardinality
+(** [build items ~key_of ~value_cmp] hashes every item of [items] by
+    the atomized [key_of] result.  The table's [items] is [items]
+    itself, not a copy; callers must not mutate it.  With [value_cmp] the cardinality
     flags of XQuery value comparison are recorded instead of indexing
     multi-atom keys. *)
 

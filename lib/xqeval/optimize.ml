@@ -1349,6 +1349,230 @@ let share_scans_pass acc (e : X.expr) : X.expr =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Scan column projection                                             *)
+
+(* A binding over a physical scan — a call of a function [node_fns]
+   vouches for, or a shared scan of one — holds flat row elements, and
+   every translated column access is the child step [$v/COL].  The
+   columnar engine reads those from per-column vectors memoized with
+   the scan; this analysis decides which reads qualify and rewrites
+   them into reads of synthetic column variables bound with [$v]. *)
+
+let column_prefix = "#col:"
+let column_var var step = column_prefix ^ var ^ "/" ^ step
+
+let scan_source ~node_fns (e : X.expr) =
+  match e with
+  | X.Call (_, []) | X.Var _ -> node_source ~node_fns ~nodes:Vars.empty e
+  | _ -> false
+
+type projection = {
+  p_index : int;  (** clause position of the binding for or hash join *)
+  p_var : string;
+  p_cols : (string * string) list;  (** (step name, column variable) *)
+}
+
+(* [List.assoc_opt] on string keys, without polymorphic compare: the
+   analysis probes at every variable read of the plan *)
+let rec assoc_str k = function
+  | [] -> None
+  | (k', v) :: rest -> if String.equal k k' then Some v else assoc_str k rest
+
+(* A [where] that keeps few rows: some conjunct is an equality against
+   a constant (the classic selectivity heuristic; a range or a join
+   predicate keeps a large share). *)
+let point_lookup cond =
+  List.exists
+    (function
+      | X.Binop ((X.B_general X.Eq | X.B_value X.Eq), a, b) ->
+        Vars.is_empty (free_vars a) || Vars.is_empty (free_vars b)
+      | _ -> false)
+    (split_conjuncts cond)
+
+type candidate = {
+  c_index : int;
+  c_var : string;
+  mutable c_ok : bool;
+  mutable c_steps : string list;  (** newest first *)
+}
+
+(* One FLWOR: a collecting pass over the clauses from the first
+   candidate on, for all candidates at once, then one rewriting pass.
+   A candidate is dropped when its name is rebound anywhere in its
+   scope (a later clause, a nested FLWOR, a quantifier) or read past a
+   group of this FLWOR, which restores the entry environment — so a
+   rewritten read always resolves to the candidate's binding, and the
+   column variables, bound at the same clause, scope exactly like it.
+   Projection stops at the first point lookup of this FLWOR after the
+   binding: the condition's own reads see every row and are projected,
+   but a column read only past it is read for the few rows that pass,
+   and projecting it would build the whole column for a few reads
+   whenever the scan is freshly materialized. *)
+let scan_projections ~node_fns (clauses : X.clause list) (return_ : X.expr) =
+  let binder = function
+    | (X.For { var; source } | X.Hash_join { var; source; _ })
+      when scan_source ~node_fns source ->
+      Some var
+    | _ -> None
+  in
+  let binders = List.map binder clauses in
+  if List.for_all Option.is_none binders then ([], clauses, return_)
+  else begin
+    let active = ref [] and closed = ref [] and cands = ref [] in
+    (* whether the clause being scanned holds a candidate read: the
+       rewriting pass leaves every other clause physically alone *)
+    let touched = ref false in
+    let kill v l =
+      match assoc_str v l with Some c -> c.c_ok <- false | None -> ()
+    in
+    let rec scan (e : X.expr) =
+      match e with
+      | X.Path (X.Var v, [ { X.name; predicates = [] } ]) when name <> "*" -> (
+        match assoc_str v !active with
+        | Some c ->
+          touched := true;
+          if not (List.exists (String.equal name) c.c_steps) then
+            c.c_steps <- name :: c.c_steps
+        | None -> kill v !closed)
+      | X.Var v -> kill v !closed
+      | X.Literal _ | X.Context_item | X.Text _ -> ()
+      | X.Seq es -> List.iter scan es
+      | X.Flwor f ->
+        List.iter
+          (fun c ->
+            scan_clause c;
+            List.iter (fun v -> kill v !active) (clause_binds c))
+          f.clauses;
+        scan f.return
+      | X.Path (base, steps) ->
+        scan base;
+        List.iter (fun (s : X.step) -> List.iter scan s.X.predicates) steps
+      | X.Call (_, args) -> List.iter scan args
+      | X.Elem { content; _ } -> List.iter scan content
+      | X.If (c, t, e) -> scan c; scan t; scan e
+      | X.Binop (_, a, b) -> scan a; scan b
+      | X.Neg a -> scan a
+      | X.Quantified { bindings; satisfies; _ } ->
+        List.iter (fun (v, src) -> kill v !active; scan src) bindings;
+        scan satisfies
+      | X.Filter (base, pred) -> scan base; scan pred
+    and scan_clause = function
+      | X.For { source = e; _ } | X.Let { value = e; _ } | X.Where e -> scan e
+      | X.Order_by specs -> List.iter (fun (s : X.order_spec) -> scan s.X.key) specs
+      | X.Group { grouped; keys; _ } ->
+        scan (X.Var grouped);
+        List.iter (fun (k, _) -> scan k) keys
+      | X.Hash_join { source; build_key; probe_key; _ } ->
+        scan source; scan probe_key; scan build_key
+    in
+    let touched_at =
+      List.mapi
+        (fun i (c, b) ->
+          touched := false;
+          if !cands <> [] then begin
+            scan_clause c;
+            List.iter (fun v -> kill v !active) (clause_binds c)
+          end;
+          (match b with
+          | Some v ->
+            let cand = { c_index = i; c_var = v; c_ok = true; c_steps = [] } in
+            active := (v, cand) :: !active;
+            cands := cand :: !cands
+          | None -> ());
+          (match c with
+          | X.Group _ ->
+            closed := !active @ !closed;
+            active := []
+          | X.Where cond when point_lookup cond -> active := []
+          | _ -> ());
+          !touched)
+        (List.combine clauses binders)
+    in
+    touched := false;
+    scan return_;
+    let projs =
+      List.filter_map
+        (fun c ->
+          if c.c_ok && c.c_steps <> [] then
+            Some
+              { p_index = c.c_index; p_var = c.c_var;
+                p_cols =
+                  List.rev_map (fun s -> (s, column_var c.c_var s)) c.c_steps }
+          else None)
+        (List.rev !cands)
+    in
+    if projs = [] then ([], clauses, return_)
+    else begin
+      let proj = ref [] in
+      let rec rw (e : X.expr) : X.expr =
+        match e with
+        | X.Path (X.Var v, [ { X.name; predicates = [] } ]) -> (
+          match assoc_str v !proj with
+          | Some cols -> (
+            match assoc_str name cols with
+            | Some col -> X.Var col
+            | None -> e)
+          | None -> e)
+        | X.Literal _ | X.Var _ | X.Context_item | X.Text _ -> e
+        | X.Seq es -> X.Seq (List.map rw es)
+        | X.Flwor f ->
+          X.Flwor { clauses = List.map rw_clause f.clauses; return = rw f.return }
+        | X.Path (base, steps) ->
+          X.Path
+            ( rw base,
+              List.map
+                (fun (s : X.step) ->
+                  if s.X.predicates = [] then s
+                  else { s with X.predicates = List.map rw s.X.predicates })
+                steps )
+        | X.Call (n, args) -> X.Call (n, List.map rw args)
+        | X.Elem { name; content } -> X.Elem { name; content = List.map rw content }
+        | X.If (c, t, e) -> X.If (rw c, rw t, rw e)
+        | X.Binop (op, a, b) -> X.Binop (op, rw a, rw b)
+        | X.Neg a -> X.Neg (rw a)
+        | X.Quantified q ->
+          X.Quantified
+            { q with
+              bindings = List.map (fun (v, src) -> (v, rw src)) q.bindings;
+              satisfies = rw q.satisfies }
+        | X.Filter (base, pred) -> X.Filter (rw base, rw pred)
+      and rw_clause (c : X.clause) : X.clause =
+        match c with
+        | X.For { var; source } -> X.For { var; source = rw source }
+        | X.Let { var; value } -> X.Let { var; value = rw value }
+        | X.Where cond -> X.Where (rw cond)
+        | X.Order_by specs ->
+          X.Order_by
+            (List.map (fun (s : X.order_spec) -> { s with X.key = rw s.X.key }) specs)
+        | X.Group g ->
+          X.Group { g with keys = List.map (fun (k, kv) -> (rw k, kv)) g.keys }
+        | X.Hash_join h ->
+          X.Hash_join
+            { h with
+              source = rw h.source;
+              build_key = rw h.build_key;
+              probe_key = rw h.probe_key }
+      in
+      let clauses =
+        List.mapi
+          (fun i (c, touched) ->
+            let c = if touched && !proj <> [] then rw_clause c else c in
+            (match List.find_opt (fun p -> p.p_index = i) projs with
+            | Some p -> proj := (p.p_var, p.p_cols) :: !proj
+            | None -> ());
+            (match c with
+            | X.Group _ -> proj := []
+            | X.Where cond when point_lookup cond -> proj := []
+            | _ -> ());
+            c)
+          (List.combine clauses touched_at)
+      in
+      let return_ = if !touched && !proj <> [] then rw return_ else return_ in
+      (projs, clauses, return_)
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Columnar pipeline shape (EXPLAIN-style notes)                      *)
 
 (* Mirrors, in name-set form, the decisions the columnar compiler
@@ -1397,6 +1621,7 @@ let columnar_shape ?(node_fns = fun _ -> false) (e : X.expr) : string list =
     in
     let visible = ref entry_used in
     let nodes = ref Vars.empty in
+    let projs, _, _ = scan_projections ~node_fns f.clauses f.return in
     Array.iteri
       (fun i clause ->
         (match clause with
@@ -1458,6 +1683,12 @@ let columnar_shape ?(node_fns = fun _ -> false) (e : X.expr) : string list =
           emit "columnar: %s carries %d of %d column(s) (pruned %d)"
             (clause_label clause) (Vars.cardinal live) (Vars.cardinal vis)
             (Vars.cardinal (Vars.diff vis live));
+          (match List.find_opt (fun p -> p.p_index = i) projs with
+          | Some p ->
+            emit "columnar: %s projects %d column(s) (%s)" (clause_label clause)
+              (List.length p.p_cols)
+              (String.concat ", " (List.map fst p.p_cols))
+          | None -> ());
           visible := vis
         | X.Order_by _ ->
           let live = Vars.inter (remainder i) !visible in

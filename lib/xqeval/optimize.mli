@@ -171,13 +171,45 @@ val nodes_after :
     or a node-valued path, and a [let] of a constructor, bind
     node-valued variables. *)
 
+val assoc_str : string -> (string * 'a) list -> 'a option
+(** [List.assoc_opt] on string keys by [String.equal]. *)
+
+type projection = {
+  p_index : int;  (** clause position of the binding for or hash join *)
+  p_var : string;
+  p_cols : (string * string) list;
+      (** (step name, column variable), in first-read order *)
+}
+
+val scan_projections :
+  node_fns:(string -> bool) ->
+  Aqua_xquery.Ast.clause list ->
+  Aqua_xquery.Ast.expr ->
+  projection list * Aqua_xquery.Ast.clause list * Aqua_xquery.Ast.expr
+(** Scan column projection for one FLWOR's clauses and return.  A [for]
+    or hash join over a call of a function in [node_fns] (or a shared
+    scan of one) binds a variable holding flat row elements; every
+    single-step, unpredicated read [$v/NAME] ([NAME] not ["*"]) in its
+    scope, up to and including the first point lookup of its FLWOR (a
+    [where] with an equality against a constant), becomes a read of a
+    ['#col:']-prefixed column variable, which
+    the columnar engine binds with [$v] from per-column vectors
+    memoized with the scan.  A binding is left alone when its name is
+    rebound anywhere in its scope (a later clause, a nested FLWOR, a
+    quantifier) or read past a group of its FLWOR.  Multi-step paths,
+    predicated steps, [$v/*] and reads past the point lookup keep
+    reading [$v].  Returns the
+    projections with the rewritten clauses and return; the physical
+    inputs when nothing is projected. *)
+
 val columnar_shape :
   ?node_fns:(string -> bool) -> Aqua_xquery.Ast.expr -> string list
 (** EXPLAIN-style one-liners describing the columnar pipeline shape of
     an optimized plan: columns carried vs pruned per expander/barrier,
-    the kernels selected per group clause, and whether the grouped
-    record is built ([node_fns] as for {!expr}).  Not part of {!expr}'s report: only EXPLAIN-style
-    consumers pay for it. *)
+    the kernels selected per group clause, whether the grouped record
+    is built, and the scan columns each binding projects
+    ({!scan_projections}; [node_fns] as for {!expr}).  Not part of
+    {!expr}'s report: only EXPLAIN-style consumers pay for it. *)
 
 val free_vars : Aqua_xquery.Ast.expr -> Vars.t
 (** Precise free variables of an expression, with the context item "."

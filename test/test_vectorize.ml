@@ -291,59 +291,6 @@ let join_build_reused_until_data_changes () =
   check_int "stale table not reused" 1
     (Telemetry.value Telemetry.c_hash_join_reused)
 
-(* --------------------------------------------------------------- *)
-(* Batch views under non-divisor sizes: Rowset.batches/iter_batches
-   and the scan cache's memoized batched serve.                      *)
-
-let rowset_batch_view () =
-  let schema = [ Schema.column ~nullable:false "N" Sql_type.Integer ] in
-  let rows = List.map (fun i -> [| Value.Int i |]) [ 1; 2; 3; 4; 5 ] in
-  let rs = Rowset.make schema rows in
-  let lengths size =
-    List.map Array.length (Rowset.batches ~size rs)
-  in
-  Alcotest.(check (list int)) "non-divisor size leaves a short tail"
-    [ 2; 2; 1 ] (lengths 2);
-  Alcotest.(check (list int)) "oversized batch takes everything"
-    [ 5 ] (lengths 7);
-  Alcotest.(check (list int)) "size is clamped to at least 1"
-    [ 1; 1; 1; 1; 1 ] (lengths 0);
-  (* batching never reorders or drops rows *)
-  let flattened =
-    List.concat_map Array.to_list (Rowset.batches ~size:2 rs)
-  in
-  Alcotest.(check (list string)) "flattened batches preserve row order"
-    [ "1"; "2"; "3"; "4"; "5" ]
-    (List.map (fun r -> Value.to_display r.(0)) flattened);
-  let seen = ref 0 in
-  Rowset.iter_batches ~size:3 rs (fun b -> seen := !seen + Array.length b);
-  check_int "iter_batches visits every row once" 5 !seen
-
-let scan_cache_batched_serve () =
-  let app = Artifact.application "A" in
-  let cache = Scan_cache.create app in
-  let items = List.init 10 (fun i -> Item.Atomic (Atomic.Integer i)) in
-  Scan_cache.store cache "k" items;
-  (match Scan_cache.find_batches cache "k" ~size:4 with
-  | None -> Alcotest.fail "stored key must be served"
-  | Some bs ->
-    Alcotest.(check (list int)) "size-capped slices with a short tail"
-      [ 4; 4; 2 ] (List.map Array.length bs);
-    let served = List.concat_map Array.to_list bs in
-    check_bool "batched serve preserves the items in order" true
-      (List.for_all2 ( == ) items served);
-    (* a second batched scan serves identical slices (off the entry's
-       memoized array view) and counts as a cache hit like find *)
-    (match Scan_cache.find_batches cache "k" ~size:4 with
-    | Some bs' ->
-      check_bool "repeat serve identical" true
-        (List.for_all2 (fun a b -> Array.for_all2 ( == ) a b) bs bs')
-    | None -> Alcotest.fail "repeat lookup must still hit"));
-  check_int "batched lookups counted as hits" 2
-    (Scan_cache.stats cache).Scan_cache.hits;
-  check_bool "unknown key misses" true
-    (Scan_cache.find_batches cache "nope" ~size:4 = None)
-
 let suite =
   ( "vectorize",
     [ Helpers.case "battery agrees at batch size 1" (battery_at_size 1);
@@ -361,6 +308,4 @@ let suite =
       Helpers.case "batch counters respect the toggle"
         batch_counters_respect_toggle;
       Helpers.case "join build reused until data changes"
-        join_build_reused_until_data_changes;
-      Helpers.case "rowset batch view edges" rowset_batch_view;
-      Helpers.case "scan cache batched serve" scan_cache_batched_serve ] )
+        join_build_reused_until_data_changes ] )
