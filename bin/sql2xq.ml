@@ -373,11 +373,14 @@ let analyze_cmd =
             Printf.printf
               "columnar layout: %d batch(es), %d row(s); %d column \
                copies pruned, %d kernel update(s); %d projected \
-               column(s) built, %d memo hit(s)\n"
+               column(s) built, %d memo hit(s); %d derived cell \
+               column(s) built, %d derived hit(s)\n"
               cb cr snap.Telemetry.columnar_pruned_columns
               snap.Telemetry.columnar_kernel_updates
               (Telemetry.value Telemetry.c_col_projected_columns)
               (Telemetry.value Telemetry.c_col_projection_hits)
+              (Telemetry.value Telemetry.c_col_derived_columns)
+              (Telemetry.value Telemetry.c_col_derived_hits)
           end
         end;
         Printf.printf "engine counters:\n";

@@ -115,6 +115,8 @@ let c_col_pruned_columns = counter "xqeval.columnar.pruned_columns"
 let c_col_kernel_updates = counter "xqeval.columnar.kernel_updates"
 let c_col_projected_columns = counter "xqeval.columnar.projected_columns"
 let c_col_projection_hits = counter "xqeval.columnar.projection_hits"
+let c_col_derived_columns = counter "xqeval.columnar.derived_columns"
+let c_col_derived_hits = counter "xqeval.columnar.derived_hits"
 let c_pool_borrows = counter "session_pool.borrows"
 let c_pool_rejections = counter "session_pool.rejections"
 let c_pool_waits = counter "session_pool.waits"

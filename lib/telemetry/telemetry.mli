@@ -86,6 +86,8 @@ val c_col_pruned_columns : counter   (* column copies avoided by required-column
 val c_col_kernel_updates : counter   (* per-tuple aggregation-kernel state updates *)
 val c_col_projected_columns : counter  (* scan column vectors built for projection *)
 val c_col_projection_hits : counter  (* scan column vectors served from the memo *)
+val c_col_derived_columns : counter  (* derived cell columns built *)
+val c_col_derived_hits : counter  (* derived cell columns served from the memo *)
 val c_pool_borrows : counter         (* sessions handed out by the session pool *)
 val c_pool_rejections : counter      (* borrows rejected: pool exhausted (53300) *)
 val c_pool_waits : counter           (* borrows that had to wait for a release *)

@@ -95,8 +95,15 @@ let parse_int s =
   | Some i -> i
   | None -> cast_error "cannot cast %S to xs:integer" s
 
+(* The one untyped-to-number cast: every numeric context (arithmetic,
+   fn:sum/avg/min/max, the aggregation kernels, hash-join secondary
+   keys, xs:double) reads untyped text through it.  It accepts what
+   OCaml's [float_of_string] accepts after trimming, which is wider than
+   the XSD lexical space (see DESIGN.md, known divergences). *)
+let untyped_number s = float_of_string_opt (String.trim s)
+
 let parse_float s =
-  match float_of_string_opt (String.trim s) with
+  match untyped_number s with
   | Some f -> f
   | None -> cast_error "cannot cast %S to a numeric type" s
 

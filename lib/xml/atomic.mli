@@ -43,6 +43,11 @@ val timestamp_of_string : string -> timestamp
 (** Parses ["YYYY-MM-DDTHH:MM:SS"] (a space separator is also accepted).
     @raise Cast_error on bad input. *)
 
+val untyped_number : string -> float option
+(** The untyped-to-number cast shared by every numeric context:
+    [float_of_string_opt] of the trimmed text.  [None] when the text is
+    not a number. *)
+
 val cast_integer : t -> int
 val cast_double : t -> float
 val cast_decimal : t -> float

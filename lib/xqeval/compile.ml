@@ -32,6 +32,9 @@ type cenv = {
   resolve : resolver;
   node_fns : string -> bool;
       (* external functions known to return only nodes *)
+  cells : (string * (Item.sequence -> Item.sequence)) list;
+      (* derived cell variables in scope, with the cell expression
+         each one memoizes (re-run on an error cell to re-raise) *)
   vectorize : bool;
   columnar : bool;
 }
@@ -74,7 +77,7 @@ let value_compare op left right =
 let arith_atomic (op : X.arith) a b =
   let untype = function
     | Atomic.Untyped s -> (
-      match float_of_string_opt (String.trim s) with
+      match Atomic.untyped_number s with
       | Some f -> Atomic.Double f
       | None -> dfail "cannot use %S in arithmetic" s)
     | v -> v
@@ -305,13 +308,19 @@ let vcounter vctx label =
      it in place);
    - projected columns: for a step name, [children_matching] of every
      row, so a scan column read is an array index;
+   - derived cell columns: for a (step, cell expression) pair, the
+     expression's value on every row's cell ([Optimize.derive]), plus,
+     built on first use, each value's group-key component and kernel
+     reading;
    - build tables keyed by the build-key AST and the value_cmp flag,
      when the build key reads nothing but the join variable
      ([Optimize.reusable_build]).
 
    The memo is a short move-to-front list, bounded by entry count and
-   by a fixed total of projected cells; a source whose own columns
-   exceed the cell bound is served but not retained.  Stale entries age
+   by a fixed total of projected and derived cells; a source whose own
+   columns exceed the cell bound is served but not retained.  A
+   projected column built only to derive from is not retained either:
+   once its derived columns exist nothing reads it.  Stale entries age
    out by eviction. *)
 type jt_entry = {
   je_key : X.expr;  (* build-key AST, compared structurally *)
@@ -319,10 +328,64 @@ type jt_entry = {
   je_table : Join_table.t;
 }
 
+(* A derived cell column.  A row whose cell expression raised holds an
+   error cell: [cell_error] followed by the row's own cell, on which the
+   expression is re-run to raise the same exception at the same read as
+   an unmemoized evaluation would. *)
+type dcol = {
+  dc_vals : Item.sequence array;
+  dc_err : bool;  (* some row holds an error cell *)
+  mutable dc_keys : string array;  (* group-key components, on first use *)
+  mutable dc_cells : Kernels.cells option;  (* kernel readings, on first use *)
+}
+
+type dentry = {
+  de_step : string;
+  de_expr : X.expr;
+  de_hash : int;  (* [Hashtbl.hash] of the expression, checked first *)
+  de_col : dcol;
+}
+
+let cell_error = Item.Atomic (Atomic.String "#cell-error")
+
+let read_cell derive (v : Item.sequence) =
+  match v with x :: cell when x == cell_error -> derive cell | _ -> v
+
+let no_dcol = { dc_vals = [||]; dc_err = false; dc_keys = [||]; dc_cells = None }
+
+(* A derived column's group-key components and kernel readings,
+   derived eagerly over the whole column on first use (an error cell is
+   never read through them: its read raises first).  Components are
+   interned: a key column holds one string per distinct value. *)
+let dcol_keys d =
+  if Array.length d.dc_keys = 0 && Array.length d.dc_vals > 0 then begin
+    let seen = Hashtbl.create 64 in
+    d.dc_keys <-
+      Array.map
+        (fun v ->
+          let k = Group_key.component v in
+          match Hashtbl.find_opt seen k with
+          | Some k -> k
+          | None ->
+            Hashtbl.add seen k k;
+            k)
+        d.dc_vals
+  end;
+  d.dc_keys
+
+let dcol_cells d =
+  match d.dc_cells with
+  | Some c -> c
+  | None ->
+    let c = Kernels.cells d.dc_vals in
+    d.dc_cells <- Some c;
+    c
+
 type src_entry = {
   se_src : Item.sequence;
   mutable se_items : Item.t array;  (* [||] until a build needs it *)
   mutable se_cols : (string * Item.sequence array) list;
+  mutable se_derived : dentry list;
   mutable se_tables : jt_entry list;
   mutable se_kept : bool;  (* still in the memo, its cells counted *)
 }
@@ -343,9 +406,13 @@ let src_memo : src_memo Mcore.Dls.key =
 let src_memo_cap = 8
 let projected_cells_max = 65536
 let src_tables_cap = 4
+let src_derived_cap = 16
 
 let entry_cells e =
-  List.fold_left (fun n (_, col) -> n + Array.length col) 0 e.se_cols
+  List.fold_left
+    (fun n d -> n + Array.length d.de_col.dc_vals)
+    (List.fold_left (fun n (_, col) -> n + Array.length col) 0 e.se_cols)
+    e.se_derived
 
 let entry_items e =
   (match (e.se_items, e.se_src) with
@@ -372,7 +439,7 @@ let src_entry (src : Item.sequence) =
       e
     | None ->
       let e =
-        { se_src = src; se_items = [||]; se_cols = [];
+        { se_src = src; se_items = [||]; se_cols = []; se_derived = [];
           se_tables = []; se_kept = true }
       in
       m.entries <- e :: m.entries;
@@ -380,6 +447,29 @@ let src_entry (src : Item.sequence) =
       | [] -> ()
       | old -> List.iter (drop_entry m) old);
       e)
+
+(* Count [n] new cells of entry [e] against the bound: an entry over
+   the bound on its own is dropped (served, not retained), otherwise
+   least recently used entries make room. *)
+let account e n =
+  if e.se_kept then begin
+    let m = Mcore.Dls.get src_memo in
+    m.cells <- m.cells + n;
+    if entry_cells e > projected_cells_max then drop_entry m e
+    else
+      while m.cells > projected_cells_max do
+        match List.rev (List.filter (fun x -> x != e) m.entries) with
+        | lru :: _ -> drop_entry m lru
+        | [] -> assert false
+      done
+  end
+
+let build_column e step =
+  let matches = compile_step_matcher step in
+  let col = Array.make (List.length e.se_src) [] in
+  List.iteri (fun r item -> col.(r) <- children_matching matches item) e.se_src;
+  Telemetry.incr Telemetry.c_col_projected_columns;
+  col
 
 (* The projected columns [steps] of a memoized source, one vector per
    step, indexed by position in the source. *)
@@ -392,26 +482,109 @@ let src_columns e steps =
            Telemetry.incr Telemetry.c_col_projection_hits;
            col
          | None ->
-           let matches = compile_step_matcher step in
-           let col = Array.make (List.length e.se_src) [] in
-           List.iteri
-             (fun r item -> col.(r) <- children_matching matches item)
-             e.se_src;
-           Telemetry.incr Telemetry.c_col_projected_columns;
+           let col = build_column e step in
            e.se_cols <- (step, col) :: e.se_cols;
-           if e.se_kept then begin
-             let m = Mcore.Dls.get src_memo in
-             m.cells <- m.cells + Array.length col;
-             if entry_cells e > projected_cells_max then drop_entry m e
-             else
-               while m.cells > projected_cells_max do
-                 match List.rev (List.filter (fun x -> x != e) m.entries) with
-                 | lru :: _ -> drop_entry m lru
-                 | [] -> assert false
-               done
-           end;
+           account e (Array.length col);
            col)
        steps)
+
+(* The derived cell columns [specs] (step, cell expression, its
+   evaluator) of a memoized source.  A miss derives over every row of
+   the step's column — the retained one, or one built for the purpose
+   and then dropped.  A hit also counts as a projection hit: it is a
+   scan column served from the memo. *)
+let src_derived e specs =
+  let scratch = ref [] in
+  let base step =
+    match Optimize.assoc_str step e.se_cols with
+    | Some col -> col
+    | None -> (
+      match Optimize.assoc_str step !scratch with
+      | Some col -> col
+      | None ->
+        let col = build_column e step in
+        scratch := (step, col) :: !scratch;
+        col)
+  in
+  Array.map
+    (fun (step, expr, hash, derive) ->
+      match
+        List.find_opt
+          (fun d ->
+            d.de_hash = hash && String.equal d.de_step step
+            && compare d.de_expr expr = 0)
+          e.se_derived
+      with
+      | Some d ->
+        Telemetry.incr Telemetry.c_col_derived_hits;
+        Telemetry.incr Telemetry.c_col_projection_hits;
+        if e.se_derived != [] && List.hd e.se_derived != d then
+          e.se_derived <- d :: List.filter (fun x -> x != d) e.se_derived;
+        d.de_col
+      | None ->
+        (* equal single-atom values are shared: values are immutable,
+           and a low-cardinality column then holds a few values *)
+        let seen = Hashtbl.create 64 in
+        let err = ref false in
+        let vals =
+          Array.map
+            (fun cell ->
+              match derive cell with
+              | [ Item.Atomic a ] as v -> (
+                match Hashtbl.find_opt seen a with
+                | Some v -> v
+                | None ->
+                  Hashtbl.add seen a v;
+                  v)
+              | v -> v
+              | exception _ ->
+                err := true;
+                cell_error :: cell)
+            (base step)
+        in
+        let d = { dc_vals = vals; dc_err = !err; dc_keys = [||]; dc_cells = None } in
+        Telemetry.incr Telemetry.c_col_derived_columns;
+        (* at most [src_derived_cap] per source, least recently used
+           out: a source read by many distinct statements would
+           otherwise fill the cell bound with columns read once *)
+        let old = e.se_derived in
+        e.se_derived <-
+          { de_step = step; de_expr = expr; de_hash = hash; de_col = d }
+          :: List.filteri (fun k _ -> k < src_derived_cap - 1) old;
+        if e.se_kept then begin
+          let m = Mcore.Dls.get src_memo in
+          List.iteri
+            (fun k x ->
+              if k >= src_derived_cap - 1 then
+                m.cells <- m.cells - Array.length x.de_col.dc_vals)
+            old
+        end;
+        account e (Array.length vals);
+        d)
+    specs
+
+(* Row positions as cells ([[xs:integer r]]), shared by every source:
+   a tuple carries its scan row this way to the kernels and group keys
+   that read derived columns.  Grown on demand, retained up to the cell
+   bound. *)
+let row_cells : Item.sequence array ref Mcore.Dls.key =
+  Mcore.Dls.new_key (fun () -> ref [||])
+
+let rows_upto n =
+  let r = Mcore.Dls.get row_cells in
+  if Array.length !r >= n then !r
+  else begin
+    let size =
+      if n > projected_cells_max then n
+      else min projected_cells_max (max n (2 * Array.length !r))
+    in
+    let a = Array.init size (fun i -> [ Item.Atomic (Atomic.Integer i) ]) in
+    if size <= projected_cells_max then r := a;
+    a
+  end
+
+let row_of (v : Item.sequence) =
+  match v with [ Item.Atomic (Atomic.Integer r) ] -> r | _ -> assert false
 
 (* The build table for one hash-join invocation over a memoized source.
    [reusable] is [Optimize.reusable_build] of the clause — the same
@@ -473,6 +646,10 @@ type cctx = {
   cinstr : bool;
   cnslots : int;
   cscratch : rt;
+  cdcols : dcol array;
+      (* this invocation's derived cell columns, by the FLWOR's cell
+         index: an expander publishes them for the kernels and group
+         keys downstream *)
 }
 
 (* Columnar batch emission: the same failpoint site and batch counters
@@ -537,6 +714,88 @@ type cclause =
 
 let cclause_view = function C_plain c -> c | C_kernel k -> k.ck_orig
 
+(* An expander's derived cells: their indices among the FLWOR's cells,
+   what [src_derived] needs to fetch them, the row-position slot (-1
+   when nothing reads it) and each cell's value slot (-1 likewise). *)
+type derivation = {
+  dn_ids : int array;
+  dn_specs : (string * X.expr * int * (Item.sequence -> Item.sequence)) array;
+  dn_row : int;
+  dn_live : (int * int) array;  (* (cell position, value slot) still read *)
+}
+
+(* A group key or kernel input: a whole derived cell, read through the
+   tuple's row position (cell index, row slot, the cell expression's
+   evaluator), or any other expression. *)
+type cinput =
+  | In_cell of int * int * (Item.sequence -> Item.sequence)
+  | In_expr of comp
+
+(* The scan row of a derived input, raising its error cell's
+   exception. *)
+let cell_row (dcols : dcol array) id rs derive (scratch : rt) =
+  let r = row_of scratch.(rs) in
+  let d = dcols.(id) in
+  if d.dc_err then ignore (read_cell derive d.dc_vals.(r));
+  r
+
+(* Per invocation: the key string of the tuple in the scratch row and,
+   for a new group, its key values.  The string is byte for byte
+   [Group_key.composite_into] over the key values: a derived key
+   splices its memoized component, any other key is evaluated once, in
+   key order, so the first error raised is the same. *)
+type key_reader = {
+  kr_string : rt -> string;
+  kr_values : unit -> Item.sequence list;
+}
+
+let key_reader (dcols : dcol array) (keys : cinput array) =
+  let n = Array.length keys in
+  let vals = Array.make n [] and rows = Array.make n 0 in
+  let buf = Buffer.create 64 in
+  let load scratch i =
+    match keys.(i) with
+    | In_cell (id, rs, derive) -> rows.(i) <- cell_row dcols id rs derive scratch
+    | In_expr c -> vals.(i) <- c scratch
+  in
+  let kr_string =
+    match keys with
+    | [| In_cell (id, _, _) |] ->
+      fun scratch ->
+        load scratch 0;
+        (dcol_keys dcols.(id)).(rows.(0))
+    | _ ->
+      fun scratch ->
+        for i = 0 to n - 1 do
+          load scratch i
+        done;
+        Buffer.clear buf;
+        for i = 0 to n - 1 do
+          match keys.(i) with
+          | In_cell (id, _, _) ->
+            Buffer.add_string buf (dcol_keys dcols.(id)).(rows.(i))
+          | In_expr _ -> Group_key.add_component buf vals.(i)
+        done;
+        Buffer.contents buf
+  in
+  let kr_values () =
+    List.init n (fun i ->
+        match keys.(i) with
+        | In_cell (id, _, _) -> dcols.(id).dc_vals.(rows.(i))
+        | In_expr _ -> vals.(i))
+  in
+  { kr_string; kr_values }
+
+(* Fetch an expander's derived columns from its source's memo entry and
+   publish them to this invocation's kernels and group keys. *)
+let fetch_derived cctx dn e =
+  if Array.length dn.dn_ids = 0 then [||]
+  else begin
+    let dcs = src_derived e dn.dn_specs in
+    Array.iteri (fun k id -> cctx.cdcols.(id) <- dcs.(k)) dn.dn_ids;
+    dcs
+  end
+
 module Slots = Set.Make (Int)
 
 (* ------------------------------------------------------------------ *)
@@ -550,9 +809,13 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
   | X.Literal a ->
     let item = [ Item.Atomic a ] in
     fun _ -> item
-  | X.Var v ->
+  | X.Var v -> (
     let slot = lookup_slot cenv v in
-    fun rt -> rt.(slot)
+    match
+      if cenv.cells = [] then None else Optimize.assoc_str v cenv.cells
+    with
+    | None -> fun rt -> rt.(slot)
+    | Some derive -> fun rt -> read_cell derive rt.(slot))
   | X.Context_item ->
     let slot = lookup_slot cenv dot in
     fun rt -> rt.(slot)
@@ -1388,13 +1651,85 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
     Optimize.scan_projections ~node_fns:cenv.node_fns f.X.clauses f.X.return
   in
   let tclauses, treturn = transform [] pclauses preturn in
+  (* Derived cell columns: the cell expressions kernels, group keys,
+     probe keys and where operands evaluate per row become reads of
+     cell variables bound with the scan variable. *)
+  let tclauses, cells =
+    if projs = [] then (tclauses, [||])
+    else begin
+      let dv = Optimize.deriver projs in
+      let tclauses =
+        List.map
+          (function
+            | C_plain c -> C_plain (Optimize.derive_clause dv c)
+            | C_kernel k ->
+              let ck_keys = Optimize.derive_keys dv k.ck_keys in
+              C_kernel
+                { k with ck_keys; ck_specs = Optimize.derive_specs dv k.ck_specs })
+          tclauses
+      in
+      (tclauses, Array.of_list (Optimize.derived dv))
+    end
+  in
   (* per clause position: the (step name, column variable) pairs its
-     for or hash join binds besides its own variable *)
+     for or hash join binds besides its own variable, and the (cell
+     index, derived cell) pairs bound with them *)
   let pcols = Array.make (List.length tclauses) [] in
   List.iter
     (fun (p : Optimize.projection) ->
       pcols.(p.Optimize.p_index) <- p.Optimize.p_cols)
     projs;
+  let pcells = Array.make (List.length tclauses) [] in
+  Array.iteri
+    (fun id (d : Optimize.derived) ->
+      let i = d.Optimize.d_index in
+      pcells.(i) <- pcells.(i) @ [ (id, d) ])
+    cells;
+  (* each cell expression compiled once, over a one-slot environment *)
+  let derives =
+    Array.map
+      (fun (d : Optimize.derived) ->
+        let ccenv =
+          { cenv with slots = [ (Optimize.cell_var, 0) ]; next = ref 1; cells = [] }
+        in
+        let c = compile_expr_c ccenv d.Optimize.d_expr in
+        let n = !(ccenv.next) in
+        fun cell ->
+          let rt = Array.make n [] in
+          rt.(0) <- cell;
+          c rt)
+      cells
+  in
+  (* the names an expander binds besides its variable *)
+  let extra_names i =
+    List.map snd pcols.(i)
+    @
+    match pcells.(i) with
+    | [] -> []
+    | (_, (d : Optimize.derived)) :: _ as ds ->
+      Optimize.row_var d.Optimize.d_binding
+      :: List.map (fun (_, (d : Optimize.derived)) -> d.Optimize.d_var) ds
+  in
+  (* Kernel inputs and group keys that are a whole derived cell read it
+     through the tuple's row position: their reads are the row
+     variable's. *)
+  let cell_rows =
+    Array.to_list
+      (Array.mapi
+         (fun id (d : Optimize.derived) ->
+           (d.Optimize.d_var, (id, Optimize.row_var d.Optimize.d_binding)))
+         cells)
+  in
+  let by_row vars =
+    if cell_rows = [] then vars
+    else
+      Optimize.Vars.map
+        (fun v ->
+          match Optimize.assoc_str v cell_rows with
+          | Some (_, row) -> row
+          | None -> v)
+        vars
+  in
   (* Liveness by slot: the slots of [slots] (a binding environment at
      some clause position, innermost first) that the clauses [rest] and
      the return can still read.  Names resolve where they are read: a
@@ -1403,21 +1738,58 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
      shadowed here but read past a group keeps the outer column alive,
      and the shadowing binding never stands in for it. *)
   let entry_slots = cenv.slots in
+  let cinput cenv (e : X.expr) =
+    match e with
+    | X.Var v -> (
+      match Optimize.assoc_str v cell_rows with
+      | Some (id, row) -> In_cell (id, lookup_slot cenv row, derives.(id))
+      | None -> In_expr (compile_expr_c cenv e))
+    | _ -> In_expr (compile_expr_c cenv e)
+  in
   let reads = function
+    | C_plain (X.Group _ as c) -> by_row (Optimize.clause_reads c)
     | C_plain c -> Optimize.clause_reads c
     | C_kernel k ->
       (* a kernel group reads its keys and kernel inputs, not the
          grouped variable itself *)
-      List.fold_left
-        (fun s e -> Optimize.Vars.union s (Optimize.free_vars e))
-        Optimize.Vars.empty
-        (List.map fst k.ck_keys
-        @ List.map (fun (s : Optimize.kernel_spec) -> s.Optimize.k_arg)
-            k.ck_specs)
+      by_row
+        (Optimize.free_vars_all
+           (List.map fst k.ck_keys
+           @ List.map (fun (s : Optimize.kernel_spec) -> s.Optimize.k_arg)
+               k.ck_specs))
   in
   let tarr = Array.of_list tclauses in
-  let treads = Array.map reads tarr in
+  (* [nodes_at.(i)]: the variables known to hold only nodes before
+     clause [i], for the dead-let test *)
+  let nodes_at = Array.make (Array.length tarr + 1) Optimize.Vars.empty in
+  Array.iteri
+    (fun i c ->
+      nodes_at.(i + 1) <-
+        List.fold_left
+          (fun s (_, cv) -> Optimize.Vars.add cv s)
+          (Optimize.nodes_after ~node_fns:cenv.node_fns
+             ~entry:Optimize.Vars.empty nodes_at.(i) (cclause_view c))
+          pcols.(i))
+    tarr;
   let ret_reads = Optimize.free_vars treturn in
+  (* A let nothing downstream reads (a record whose every read was
+     fused away) whose value cannot raise is skipped, so it reads
+     nothing either: the columns only it would read are not carried
+     or fetched.  Decided by name from the end, which can only keep a
+     let that liveness by slot would drop. *)
+  let treads = Array.make (Array.length tarr) Optimize.Vars.empty in
+  let dead_let = Array.make (Array.length tarr) false in
+  let needed = ref ret_reads in
+  for j = Array.length tarr - 1 downto 0 do
+    match tarr.(j) with
+    | C_plain (X.Let { var; value })
+      when (not (Optimize.Vars.mem var !needed))
+           && Optimize.cannot_fail ~nodes:nodes_at.(j) value ->
+      dead_let.(j) <- true
+    | c ->
+      treads.(j) <- reads c;
+      needed := Optimize.Vars.union !needed treads.(j)
+  done;
   (* from clause index [from] on *)
   let live_slots slots from =
     let add slots vars acc =
@@ -1437,9 +1809,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
         let slots =
           match c with
           | C_plain (X.For { var; _ } | X.Hash_join { var; _ }) ->
-            List.fold_left
-              (fun slots (_, cv) -> fresh slots cv)
-              (fresh slots var) pcols.(j)
+            List.fold_left fresh (fresh slots var) (extra_names j)
           | C_plain (X.Let { var; _ }) -> fresh slots var
           | C_plain (X.Where _ | X.Order_by _) -> slots
           | C_plain (X.Group { partition; keys; _ }) ->
@@ -1471,10 +1841,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
   in
   let gather_of_vars cenv fv = bound_slots cenv fv in
   let gather_slots cenv exprs =
-    gather_of_vars cenv
-      (List.fold_left
-         (fun s e -> Optimize.Vars.union s (Optimize.free_vars e))
-         Optimize.Vars.empty exprs)
+    gather_of_vars cenv (Optimize.free_vars_all exprs)
   in
   (* Load one selected row's gathered columns into the scratch row. *)
   let gather gslots (scratch : rt) (b : Batch.columns) idx =
@@ -1483,12 +1850,26 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
       scratch.(s) <- b.Batch.cols.(s).(idx)
     done
   in
+  let derivation ds row_slot dslots =
+    { dn_ids = Array.of_list (List.map fst ds);
+      dn_specs =
+        Array.of_list
+          (List.map
+             (fun (id, (d : Optimize.derived)) ->
+               ( d.Optimize.d_step, d.Optimize.d_expr,
+                 Hashtbl.hash d.Optimize.d_expr, derives.(id) ))
+             ds);
+      dn_row = row_slot;
+      dn_live =
+        Array.of_list
+          (List.filter (fun (_, s) -> s >= 0) (List.mapi (fun k s -> (k, s)) dslots)) }
+  in
   (* The outputs of expander [i] (a for or hash join binding [var]):
-     the environment with [var] and then its column variables bound,
-     [var]'s slot, the carried slots, whether anything still reads
-     [var] whole, and the projected columns still read (step names,
-     slots) — a column or variable no reader is left for is not
-     written. *)
+     the environment with [var], its column variables and its derived
+     cell variables bound, [var]'s slot, the carried slots, whether
+     anything still reads [var] whole, the projected columns still read
+     (step names, slots), and the derived cells (see [derivation]) — a
+     column or variable no reader is left for is not written. *)
   let expander cenv var i =
     let cenv, slot = bind_slot cenv var in
     let cenv, cols =
@@ -1498,17 +1879,33 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           (ce, (step, s)))
         cenv pcols.(i)
     in
+    let cenv, row_slot, dslots =
+      match pcells.(i) with
+      | [] -> (cenv, -1, [])
+      | ds ->
+        let cenv, row_slot = bind_slot cenv (Optimize.row_var var) in
+        let cenv, dslots =
+          List.fold_left_map
+            (fun ce (id, (d : Optimize.derived)) ->
+              let ce, s = bind_slot ce d.Optimize.d_var in
+              ({ ce with cells = (d.Optimize.d_var, derives.(id)) :: ce.cells }, s))
+            cenv ds
+        in
+        (cenv, row_slot, dslots)
+    in
     let live = live_slots cenv.slots (i + 1) in
     let copy =
-      slot_array (Slots.diff live (Slots.of_list (slot :: List.map snd cols)))
+      slot_array
+        (Slots.diff live
+           (Slots.of_list ((slot :: row_slot :: List.map snd cols) @ dslots)))
     in
     let cols = List.filter (fun (_, s) -> Slots.mem s live) cols in
     ( cenv, slot, copy, Slots.mem slot live, List.map fst cols,
-      Array.of_list (List.map snd cols) )
+      Array.of_list (List.map snd cols),
+      derivation pcells.(i) (if Slots.mem row_slot live then row_slot else -1)
+        (List.map (fun s -> if Slots.mem s live then s else -1) dslots) )
   in
-  (* [nodes]: the variables known to hold only nodes, for the dead-let
-     test *)
-  let rec build cenv nodes i clauses :
+  let rec build cenv i clauses :
       (string * (cctx -> csink -> csink)) list * cenv =
     match clauses with
     | [] -> ([], cenv)
@@ -1518,11 +1915,13 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
         | C_plain (X.For { var; source }) ->
           let gslots = gather_slots cenv [ source ] in
           let csrc = compile_expr_c cenv source in
-          let cenv', slot, copy, var_live, steps, col_slots =
+          let cenv', slot, copy, var_live, steps, col_slots, dn =
             expander cenv var i
           in
           let copy_n = Array.length copy in
           let ncols = Array.length col_slots in
+          let memo = ncols > 0 || Array.length dn.dn_ids > 0 in
+          let ndlive = Array.length dn.dn_live in
           let label = "for $" ^ var in
           let mk cctx down =
             let count = ccounter cctx label in
@@ -1532,9 +1931,12 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
             let out_cols = Array.map (Batch.column out) copy in
             let var_col = Batch.column out slot in
             let out_pcols = Array.map (Batch.column out) col_slots in
+            let out_dcols = Array.map (fun (_, s) -> Batch.column out s) dn.dn_live in
+            let out_row = if dn.dn_row >= 0 then Batch.column out dn.dn_row else [||] in
             (* the source last served from the memo, with its columns:
                a closed source is the same list in every tuple *)
             let last_src = ref [] and last = ref [||] in
+            let lastd = ref [||] and rows = ref [||] in
             let emit () =
               if out.Batch.n > 0 then begin
                 cnote_batch out.Batch.n;
@@ -1556,17 +1958,15 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                     match csrc scratch with
                     | [] -> ()
                     | items ->
-                      let vecs =
-                        if ncols = 0 then [||]
-                        else begin
-                          if items != !last_src then begin
-                            last_src := items;
-                            last := src_columns (src_entry items) steps
-                          end;
-                          !last
-                        end
-                      in
                       let nitems = List.length items in
+                      if memo && items != !last_src then begin
+                        last_src := items;
+                        let e = src_entry items in
+                        last := src_columns e steps;
+                        lastd := fetch_derived cctx dn e;
+                        if dn.dn_row >= 0 then rows := rows_upto nitems
+                      end;
+                      let vecs = !last and dcs = !lastd and rowv = !rows in
                       Budget.steps nitems;
                       count nitems;
                       List.iteri
@@ -1579,6 +1979,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                           for c = 0 to ncols - 1 do
                             out_pcols.(c).(j) <- vecs.(c).(r)
                           done;
+                          for c = 0 to ndlive - 1 do
+                            out_dcols.(c).(j) <-
+                              dcs.(fst dn.dn_live.(c)).dc_vals.(r)
+                          done;
+                          if dn.dn_row >= 0 then out_row.(j) <- rowv.(r);
                           out.Batch.sel.(j) <- j;
                           out.Batch.n <- j + 1;
                           if out.Batch.n = cctx.ccap then emit ())
@@ -1595,8 +2000,9 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           (* a let nothing downstream reads (a record whose every read
              was fused away) is skipped when building it cannot raise *)
           let dead =
-            (not (Slots.mem slot (live_slots cenv'.slots (i + 1))))
-            && Optimize.cannot_fail ~nodes value
+            dead_let.(i)
+            || (not (Slots.mem slot (live_slots cenv'.slots (i + 1))))
+               && Optimize.cannot_fail ~nodes:nodes_at.(i) value
           in
           let label = "let $" ^ var in
           let mk cctx down =
@@ -1726,8 +2132,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           (* materializing group: the partition column is built as the
              concatenation of each group's grouped cells *)
           let grouped_slot = lookup_slot cenv grouped in
-          let gslots = gather_slots cenv (List.map fst keys) in
-          let ckeys = List.map (fun (k, _) -> compile_expr_c cenv k) keys in
+          let gslots =
+            gather_of_vars cenv
+              (by_row (Optimize.free_vars_all (List.map fst keys)))
+          in
+          let ckeys = Array.of_list (List.map (fun (k, _) -> cinput cenv k) keys) in
           (* BEA scoping: only the FLWOR's entry bindings survive the
              group *)
           let entry_env = { cenv with slots = entry_slots } in
@@ -1754,7 +2163,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
             let scratch = cctx.cscratch in
             let table = Hashtbl.create 16 in
             let order = ref [] in
-            let keybuf = Buffer.create 64 in
+            let keys = key_reader cctx.cdcols ckeys in
             let out = cctx.calloc () in
             let out_entry = Array.map (Batch.column out) entry_copy in
             let out_keys = List.map (Batch.column out) key_slots in
@@ -1776,16 +2185,13 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                   for k = 0 to b.Batch.n - 1 do
                     let idx = b.Batch.sel.(k) in
                     gather gslots scratch b idx;
-                    let key_values = List.map (fun ck -> ck scratch) ckeys in
-                    let key_string =
-                      Group_key.composite_into keybuf key_values
-                    in
+                    let key_string = keys.kr_string scratch in
                     match Hashtbl.find_opt table key_string with
                     | Some (acc, _, _) -> acc := grouped_col.(idx) :: !acc
                     | None ->
                       let saved = Array.map (fun c -> c.(idx)) in_entry in
                       Hashtbl.add table key_string
-                        (ref [ grouped_col.(idx) ], key_values, saved);
+                        (ref [ grouped_col.(idx) ], keys.kr_values (), saved);
                       order := key_string :: !order
                   done);
               cflush =
@@ -1822,9 +2228,12 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           let args =
             List.map (fun (s : Optimize.kernel_spec) -> s.Optimize.k_arg) ck_specs
           in
-          let gslots = gather_slots cenv (List.map fst ck_keys @ args) in
+          let gslots =
+            gather_of_vars cenv
+              (by_row (Optimize.free_vars_all (List.map fst ck_keys @ args)))
+          in
           let ckeys =
-            List.map (fun (k, _) -> compile_expr_c cenv k) ck_keys
+            Array.of_list (List.map (fun (k, _) -> cinput cenv k) ck_keys)
           in
           (* kernels over one column share its input: each distinct
              argument is evaluated once per tuple *)
@@ -1833,7 +2242,10 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
               (fun acc a -> if List.mem a acc then acc else acc @ [ a ])
               [] args
           in
-          let cargs = Array.of_list (List.map (compile_expr_c cenv) distinct) in
+          let cargs = Array.of_list (List.map (cinput cenv) distinct) in
+          let arg_cell =
+            Array.map (function In_cell _ -> true | In_expr _ -> false) cargs
+          in
           let arg_of =
             Array.of_list
               (List.map
@@ -1885,12 +2297,15 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
             let scratch = cctx.cscratch in
             let table = Hashtbl.create 16 in
             let order = ref [] in
-            let keybuf = Buffer.create 64 in
+            let dcols = cctx.cdcols in
+            let keys = key_reader dcols ckeys in
             let out = cctx.calloc () in
             let out_entry = Array.map (Batch.column out) entry_copy in
             let out_keys = List.map (Batch.column out) key_slots in
             let out_specs = Array.map (Batch.column out) spec_slots in
             let inputs = Array.make nargs [] in
+            let cell_inputs = Array.make nargs (Kernels.cells [||]) in
+            let cell_rows = Array.make nargs 0 in
             let emit () =
               if out.Batch.n > 0 then begin
                 cnote_batch out.Batch.n;
@@ -1910,10 +2325,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                   for k = 0 to b.Batch.n - 1 do
                     let idx = b.Batch.sel.(k) in
                     gather gslots scratch b idx;
-                    let key_values = List.map (fun ck -> ck scratch) ckeys in
-                    let key_string =
-                      Group_key.composite_into keybuf key_values
-                    in
+                    let key_string = keys.kr_string scratch in
                     let states =
                       match Hashtbl.find_opt table key_string with
                       | Some (states, _, _) -> states
@@ -1923,15 +2335,22 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                           Array.map (fun c -> c.(idx)) in_entry
                         in
                         Hashtbl.add table key_string
-                          (states, key_values, saved);
+                          (states, keys.kr_values (), saved);
                         order := key_string :: !order;
                         states
                     in
                     for a = 0 to nargs - 1 do
-                      inputs.(a) <- cargs.(a) scratch
+                      match cargs.(a) with
+                      | In_cell (id, rs, derive) ->
+                        cell_rows.(a) <- cell_row dcols id rs derive scratch;
+                        cell_inputs.(a) <- dcol_cells dcols.(id)
+                      | In_expr c -> inputs.(a) <- c scratch
                     done;
                     for t = 0 to nspecs - 1 do
-                      Kernels.update states.(t) inputs.(arg_of.(t))
+                      let a = arg_of.(t) in
+                      if arg_cell.(a) then
+                        Kernels.update_at states.(t) cell_inputs.(a) cell_rows.(a)
+                      else Kernels.update states.(t) inputs.(a)
                     done
                   done);
               cflush =
@@ -1979,9 +2398,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           in
           let csrc = compile_expr_c cenv source in
           let cprobe = compile_expr_c cenv probe_key in
-          let cenv2, var_slot, copy, var_live, steps, col_slots =
+          let cenv2, var_slot, copy, var_live, steps, col_slots, dn =
             expander cenv var i
           in
+          let memo = Array.length col_slots > 0 || Array.length dn.dn_ids > 0 in
+          let ndlive = Array.length dn.dn_live in
           (* the build key sees the join variable, not its columns *)
           let cbuild =
             compile_expr_c
@@ -1997,11 +2418,13 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
             let pruned = max 0 (cctx.cnslots - copy_n) in
             let scratch = cctx.cscratch in
             let table = ref None in
-            let vecs = ref [||] in
+            let vecs = ref [||] and dvecs = ref [||] and rows = ref [||] in
             let out = cctx.calloc () in
             let out_cols = Array.map (Batch.column out) copy in
             let var_col = Batch.column out var_slot in
             let out_pcols = Array.map (Batch.column out) col_slots in
+            let out_dcols = Array.map (fun (_, s) -> Batch.column out s) dn.dn_live in
+            let out_row = if dn.dn_row >= 0 then Batch.column out dn.dn_row else [||] in
             let emit () =
               if out.Batch.n > 0 then begin
                 cnote_batch out.Batch.n;
@@ -2032,7 +2455,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                           cbuild scratch
                         in
                         let t =
-                          if ncols = 0 then
+                          if not memo then
                             join_table ~reusable src build_key value_cmp ~key_of
                           else begin
                             (* a projected source is a scan: the table
@@ -2044,13 +2467,16 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                                 ~key_of
                             in
                             vecs := src_columns e steps;
+                            dvecs := fetch_derived cctx dn e;
+                            if dn.dn_row >= 0 then
+                              rows := rows_upto (Array.length t.Join_table.items);
                             t
                           end
                         in
                         table := Some t;
                         t
                     in
-                    let vecs = !vecs in
+                    let vecs = !vecs and dcs = !dvecs and rowv = !rows in
                     Join_table.probe_batch t ~value_cmp ~rows:b.Batch.n
                       ~atoms_of:(fun k ->
                         let idx = b.Batch.sel.(k) in
@@ -2068,6 +2494,10 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
                         for c = 0 to ncols - 1 do
                           out_pcols.(c).(j) <- vecs.(c).(m)
                         done;
+                        for c = 0 to ndlive - 1 do
+                          out_dcols.(c).(j) <- dcs.(fst dn.dn_live.(c)).dc_vals.(m)
+                        done;
+                        if dn.dn_row >= 0 then out_row.(j) <- rowv.(m);
                         out.Batch.sel.(j) <- j;
                         out.Batch.n <- j + 1;
                         if out.Batch.n = cctx.ccap then emit ())
@@ -2077,22 +2507,16 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
           in
           ((label, mk), cenv2)
       in
-      let nodes =
-        List.fold_left
-          (fun s (_, cv) -> Optimize.Vars.add cv s)
-          (Optimize.nodes_after ~node_fns:cenv.node_fns
-             ~entry:Optimize.Vars.empty nodes (cclause_view clause))
-          pcols.(i)
-      in
-      let mks, cenv_out = build cenv' nodes (i + 1) rest in
+      let mks, cenv_out = build cenv' (i + 1) rest in
       (labeled_mk :: mks, cenv_out)
   in
-  let mks, cenv_ret = build cenv Optimize.Vars.empty 0 tclauses in
+  let mks, cenv_ret = build cenv 0 tclauses in
   let ret_gslots = gather_slots cenv_ret [ treturn ] in
   let cret = compile_expr_c cenv_ret treturn in
   let entry_copy = slot_array (live_slots cenv.slots 0) in
   let xclauses = List.map cclause_view tclauses in
   let next_ref = cenv.next in
+  let ncells = Array.length cells in
   fun rt ->
     (* clause failpoints fire once per clause per invocation, like the
        interpreter's eager pipeline fold *)
@@ -2122,7 +2546,8 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
     let scratch = Array.make nslots [] in
     let cctx =
       { ccap = cap; calloc; cinstr = Telemetry.enabled ();
-        cnslots = nslots; cscratch = scratch }
+        cnslots = nslots; cscratch = scratch;
+        cdcols = Array.make ncells no_dcol }
     in
     (* counters register in pipeline order (the chain below is built
        downstream-first) *)
@@ -2201,7 +2626,8 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
     else e
   in
   let cenv =
-    { slots = []; next = ref 0; resolve; node_fns; vectorize; columnar }
+    { slots = []; next = ref 0; resolve; node_fns; cells = []; vectorize;
+      columnar }
   in
   let cenv, externals =
     List.fold_left

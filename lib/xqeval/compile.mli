@@ -91,6 +91,6 @@ val run :
     unbound externals). *)
 
 val projected_cells_max : int
-(** Bound on the projected column cells (rows times columns) the
-    columnar engine's per-domain scan memo retains.  A source whose
-    own columns exceed it is served but not retained. *)
+(** Bound on the projected and derived column cells (rows times
+    columns) the columnar engine's per-domain scan memo retains.  A
+    source whose own columns exceed it is served but not retained. *)

@@ -57,7 +57,7 @@ let arith_atomic (op : X.arith) a b =
   let untype = function
     | Atomic.Untyped s -> (
       (* untyped operands are cast to xs:double in arithmetic *)
-      match float_of_string_opt (String.trim s) with
+      match Atomic.untyped_number s with
       | Some f -> Atomic.Double f
       | None -> fail "cannot use %S in arithmetic" s)
     | v -> v

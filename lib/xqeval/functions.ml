@@ -27,10 +27,19 @@ let numeric_of_atomic name a =
   match a with
   | Atomic.Integer _ | Atomic.Decimal _ | Atomic.Double _ -> Atomic.cast_double a
   | Atomic.Untyped s -> (
-    match float_of_string_opt (String.trim s) with
+    match Atomic.untyped_number s with
     | Some f -> f
     | None -> fail "%s: cannot treat %S as a number" name s)
   | _ -> fail "%s: %s is not numeric" name (Atomic.type_name a)
+
+(* F&O: untypedAtomic values are cast to xs:double in fn:min/fn:max;
+   text that is not a number compares as a string *)
+let untype_extremum = function
+  | Atomic.Untyped s -> (
+    match Atomic.untyped_number s with
+    | Some f -> Atomic.Double f
+    | None -> Atomic.String s)
+  | a -> a
 
 (* ---------------------------------------------------------------- *)
 (* Element content                                                  *)
@@ -173,15 +182,7 @@ let fn_avg args =
 
 let extremum name keep args =
   arity name 1 args;
-  (* F&O: untypedAtomic values are cast to xs:double in fn:min/fn:max *)
-  let untype = function
-    | Atomic.Untyped s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f -> Atomic.Double f
-      | None -> Atomic.String s)
-    | a -> a
-  in
-  match List.map untype (atomize (List.hd args)) with
+  match List.map untype_extremum (atomize (List.hd args)) with
   | [] -> []
   | first :: rest ->
     [ Item.atomic

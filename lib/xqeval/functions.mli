@@ -35,6 +35,12 @@ val numeric_of_atomic : string -> Aqua_xml.Atomic.t -> float
     same coercions and error messages as the one-shot implementations
     here. *)
 
+val untype_extremum : Aqua_xml.Atomic.t -> Aqua_xml.Atomic.t
+(** The [fn:min]/[fn:max] reading of one atom: an untyped value that
+    is a number ({!Aqua_xml.Atomic.untyped_number}) becomes a double,
+    any other untyped value a string; typed atoms pass through.  Shared
+    with the columnar min/max kernels. *)
+
 val like_match : ?escape:char -> pattern:string -> string -> bool
 (** SQL LIKE semantics ([%], [_], optional escape character); the
     engine behind [fn-bea:like], shared with the baseline SQL engine.

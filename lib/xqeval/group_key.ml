@@ -18,22 +18,30 @@
 module Atomic = Aqua_xml.Atomic
 module Item = Aqua_xml.Item
 
+(* One key expression's component, terminator included: a tuple's key
+   is the concatenation of its components, so a component memoized per
+   scan row (compile.ml's derived cell columns) splices in unchanged. *)
+let add_component buf seq =
+  (match Item.atomize seq with
+  | [] -> Buffer.add_char buf 'e'
+  | atoms ->
+    List.iter
+      (fun a ->
+        let k = Atomic.hash_key a in
+        Buffer.add_string buf (string_of_int (String.length k));
+        Buffer.add_char buf ':';
+        Buffer.add_string buf k)
+      atoms);
+  Buffer.add_char buf ';'
+
+let component seq =
+  let buf = Buffer.create 16 in
+  add_component buf seq;
+  Buffer.contents buf
+
 let composite_into buf (key_values : Item.sequence list) : string =
   Buffer.clear buf;
-  List.iter
-    (fun seq ->
-      (match Item.atomize seq with
-      | [] -> Buffer.add_char buf 'e'
-      | atoms ->
-        List.iter
-          (fun a ->
-            let k = Atomic.hash_key a in
-            Buffer.add_string buf (string_of_int (String.length k));
-            Buffer.add_char buf ':';
-            Buffer.add_string buf k)
-          atoms);
-      Buffer.add_char buf ';')
-    key_values;
+  List.iter (add_component buf) key_values;
   Buffer.contents buf
 
 let composite key_values = composite_into (Buffer.create 64) key_values

@@ -15,3 +15,10 @@ val composite_into : Buffer.t -> Aqua_xml.Item.sequence list -> string
 (** Same encoding through a caller-supplied scratch buffer (cleared on
     entry), so a grouping loop pays one buffer allocation total instead
     of one per tuple. *)
+
+val add_component : Buffer.t -> Aqua_xml.Item.sequence -> unit
+(** Append one key expression's component (terminator included). *)
+
+val component : Aqua_xml.Item.sequence -> string
+(** One key expression's component on its own: [composite keys] is the
+    concatenation of [component k] over [keys]. *)

@@ -73,7 +73,7 @@ let secondary_keys (a : Atomic.t) : string list =
       | "false" | "0" -> Atomic.hash_key (Atomic.Boolean false) :: acc
       | _ -> acc
     in
-    (match float_of_string_opt trimmed with
+    (match Atomic.untyped_number s with
     | Some f -> Atomic.hash_key (Atomic.Double f) :: acc
     | None -> acc)
   | Atomic.Date d ->

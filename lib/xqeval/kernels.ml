@@ -63,15 +63,6 @@ let create kind =
     error = None;
   }
 
-(* F&O: untypedAtomic values are cast to xs:double in fn:min/fn:max
-   (same rule as functions.ml's [extremum]). *)
-let untype = function
-  | Atomic.Untyped s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f -> Atomic.Double f
-    | None -> Atomic.String s)
-  | a -> a
-
 let numeric_update fname st a =
   st.atoms <- st.atoms + 1;
   (match a with Atomic.Integer i -> st.int_sum <- st.int_sum + i
@@ -79,6 +70,18 @@ let numeric_update fname st a =
   match Functions.numeric_of_atomic fname a with
   | f -> st.dbl_sum <- st.dbl_sum +. f
   | exception e -> if st.error = None then st.error <- Some e
+
+(* [a] already read as fn:min/fn:max read it *)
+let extremum_update st a =
+  if st.error = None then
+    match st.best with
+    | None -> st.best <- Some a
+    | Some best -> (
+      match Atomic.compare_values a best with
+      | c ->
+        if (match st.kind with K_min -> c < 0 | _ -> c > 0) then
+          st.best <- Some a
+      | exception e -> st.error <- Some e)
 
 let update st (seq : Item.sequence) =
   match st.kind with
@@ -90,20 +93,102 @@ let update st (seq : Item.sequence) =
   | K_avg -> List.iter (numeric_update "fn:avg" st) (Item.atomize seq)
   | K_min | K_max ->
     if st.error = None then
-      let keep =
-        match st.kind with K_min -> fun c -> c < 0 | _ -> fun c -> c > 0
-      in
       List.iter
-        (fun a ->
-          if st.error = None then
-            let a = untype a in
-            match st.best with
-            | None -> st.best <- Some a
-            | Some best -> (
-              match Atomic.compare_values a best with
-              | c -> if keep c then st.best <- Some a
-              | exception e -> st.error <- Some e))
+        (fun a -> extremum_update st (Functions.untype_extremum a))
         (Item.atomize seq)
+
+(* A column of tuple inputs with their numeric reading done once.  A
+   derived cell column (compile.ml) memoizes one per scan source, so the
+   per-row update below is an integer or float add instead of atomizing
+   and re-parsing the cell's text.  [update_at st (cells col) r] is
+   [update st col.(r)] for every kind: same counts, same
+   integer-preserving sum, same fold order.  An input whose reading is
+   not one clean number (tag [slow]) goes through [update] itself, so
+   its error is raised (deferred) under the kernel's own function name
+   exactly as before.  An input of one item atomizes to one atom, and
+   one of no items to none, so the tag also gives the item count. *)
+let no_atoms = '0'
+let int_atom = 'i'  (* one xs:integer, in [ints] *)
+let num_atom = 'n'  (* one atom numeric_of_atomic reads, in [nums] *)
+let slow = 's'
+
+type cells = {
+  seqs : Item.sequence array;
+  tags : Bytes.t;
+  ints : int array;
+  nums : float array;
+  mutable exts : Atomic.t array;  (* min/max readings, on first use *)
+}
+
+let cells (seqs : Item.sequence array) : cells =
+  let n = Array.length seqs in
+  let tags = Bytes.make n slow in
+  let ints = Array.make n 0 and nums = Array.make n 0.0 in
+  Array.iteri
+    (fun r seq ->
+      match seq with
+      | [] -> Bytes.set tags r no_atoms
+      | [ _ ] -> (
+        match Item.atomize seq with
+        | [ Atomic.Integer i ] ->
+          Bytes.set tags r int_atom;
+          ints.(r) <- i
+        | [ a ] -> (
+          (* the name only labels an error, which is left to [update] *)
+          match Functions.numeric_of_atomic "" a with
+          | f ->
+            Bytes.set tags r num_atom;
+            nums.(r) <- f
+          | exception _ -> ())
+        | _ -> ())
+      | _ -> ())
+    seqs;
+  { seqs; tags; ints; nums; exts = [||] }
+
+(* The min/max reading of a fast row's one atom, interned per value. *)
+let exts c =
+  if Array.length c.exts = 0 && Array.length c.seqs > 0 then begin
+    let seen = Hashtbl.create 64 in
+    c.exts <-
+      Array.mapi
+        (fun r seq ->
+          let tag = Bytes.get c.tags r in
+          match Item.atomize seq with
+          | [ a ] when tag = int_atom || tag = num_atom -> (
+            let a = Functions.untype_extremum a in
+            match Hashtbl.find_opt seen a with
+            | Some a -> a
+            | None ->
+              Hashtbl.add seen a a;
+              a)
+          | _ -> Atomic.Integer 0)
+        c.seqs
+  end;
+  c.exts
+
+let update_at st c r =
+  let tag = Bytes.unsafe_get c.tags r in
+  if tag = slow then update st c.seqs.(r)
+  else
+    let one = if tag = no_atoms then 0 else 1 in
+    match st.kind with
+    | K_count | K_empty | K_exists -> st.items <- st.items + one
+    | K_sum | K_sum_null | K_avg ->
+      if st.kind <> K_avg then st.items <- st.items + one;
+      if tag = int_atom then begin
+        let i = c.ints.(r) in
+        st.atoms <- st.atoms + 1;
+        st.int_sum <- st.int_sum + i;
+        st.dbl_sum <- st.dbl_sum +. float_of_int i
+      end
+      else if tag = num_atom then begin
+        st.atoms <- st.atoms + 1;
+        st.all_int <- false;
+        st.dbl_sum <- st.dbl_sum +. c.nums.(r)
+      end
+    | K_min | K_max ->
+      if tag <> no_atoms && st.error = None then
+        extremum_update st (exts c).(r)
 
 let finish_sum st =
   if st.atoms = 0 then Item.of_int 0

@@ -31,5 +31,16 @@ val create : kind -> state
 val update : state -> Aqua_xml.Item.sequence -> unit
 (** Fold one tuple's column slice into the accumulator. *)
 
+type cells
+(** A column of tuple inputs with their atomization and numeric reading
+    done once, for inputs memoized per scan row. *)
+
+val cells : Aqua_xml.Item.sequence array -> cells
+(** Never raises: a reading that would raise is left to {!update}. *)
+
+val update_at : state -> cells -> int -> unit
+(** [update_at st (cells col) r] has exactly the effect of
+    [update st col.(r)], for every kind. *)
+
 val finish : state -> Aqua_xml.Item.sequence
 (** The aggregate's result; re-raises any deferred dynamic error. *)

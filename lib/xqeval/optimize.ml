@@ -1573,6 +1573,164 @@ let scan_projections ~node_fns (clauses : X.clause list) (return_ : X.expr) =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Derived cell columns                                               *)
+
+(* A projected column's cell is one immutable child sequence of one
+   flat row, so an expression whose only free variable is that column
+   variable, built from atomization, emptiness tests, xs: casts,
+   conditionals, literals and comparisons, is a pure function of the
+   cell: the columnar engine evaluates it once per scan row and memoizes
+   the result beside the column.  Derivation is applied where the plan
+   evaluates such an expression per row: kernel inputs, group keys,
+   hash-join probe keys and [where] operands (a comparison's operands,
+   not the comparison, so lookups of different constants share one
+   column).  A bare column read is the column itself and is left alone. *)
+
+let cell_var = "#cell"
+let cell_prefix = "#cell:"
+let row_var v = "#row:" ^ v
+let is_cell_var v = String.starts_with ~prefix:cell_prefix v
+
+exception Not_cell
+
+(* The column variable a cell expression reads ([None]: not a cell
+   expression, a bare column read, or no column read at all). *)
+let cell_column (e : X.expr) =
+  let col = ref None in
+  let rec go (e : X.expr) =
+    match e with
+    | X.Literal _ -> ()
+    | X.Var v when String.starts_with ~prefix:column_prefix v -> (
+      match !col with
+      | None -> col := Some v
+      | Some w -> if not (String.equal v w) then raise Not_cell)
+    | X.Seq es -> List.iter go es
+    | X.Call
+        ( ("fn:data" | "aqua:content-data" | "fn:empty" | "fn:exists"
+          | "fn:true" | "fn:false"),
+          args ) ->
+      List.iter go args
+    | X.Call (n, [ a ])
+      when String.starts_with ~prefix:"xs:" n && Functions.lookup n <> None ->
+      go a
+    | X.If (c, t, e) -> go c; go t; go e
+    | X.Binop ((X.B_general _ | X.B_value _), a, b) -> go a; go b
+    | _ -> raise Not_cell
+  in
+  match (e, go e) with
+  | X.Var _, () -> None
+  | _, () -> !col
+  | exception Not_cell -> None
+
+(* [e] with the column variable [col] renamed to [cell_var]: the memo
+   key, equal across statements that bind the scan under other names *)
+let rec over_cell col (e : X.expr) : X.expr =
+  match e with
+  | X.Var v when String.equal v col -> X.Var cell_var
+  | X.Literal _ | X.Var _ -> e
+  | X.Seq es -> X.Seq (List.map (over_cell col) es)
+  | X.Call (n, args) -> X.Call (n, List.map (over_cell col) args)
+  | X.If (c, t, e) -> X.If (over_cell col c, over_cell col t, over_cell col e)
+  | X.Binop (op, a, b) -> X.Binop (op, over_cell col a, over_cell col b)
+  | _ -> e
+
+type use = Input of Kernels.kind | Key | Probe | Where
+
+type derived = {
+  d_index : int;  (** clause position of the binding *)
+  d_binding : string;  (** the scan variable [$v] *)
+  d_var : string;  (** the synthetic ['#cell:'] variable bound with [$v] *)
+  d_step : string;  (** the projected column it is derived from *)
+  d_expr : X.expr;  (** the cell expression over [$#cell] *)
+  mutable d_uses : use list;  (** its consumers, newest first *)
+}
+
+type deriver = {
+  dv_cols : (string * (int * string * string)) list;
+      (* column variable -> (binding position, binding, step) *)
+  mutable dv_cells : derived list;  (* newest first *)
+}
+
+let deriver projs =
+  { dv_cols =
+      List.concat_map
+        (fun p ->
+          List.map (fun (step, cv) -> (cv, (p.p_index, p.p_var, step))) p.p_cols)
+        projs;
+    dv_cells = [] }
+
+let derive dv ~use (e : X.expr) : X.expr =
+  let col =
+    match cell_column e with
+    | Some cv -> Option.map (fun b -> (cv, b)) (assoc_str cv dv.dv_cols)
+    | None -> None
+  in
+  match col with
+  | None -> e
+  | Some (cv, (index, binding, step)) ->
+    let expr = over_cell cv e in
+    let d =
+      match
+        List.find_opt
+          (fun d -> d.d_index = index && d.d_step = step && compare d.d_expr expr = 0)
+          dv.dv_cells
+      with
+      | Some d -> d
+      | None ->
+        let k = List.length (List.filter (fun d -> d.d_index = index) dv.dv_cells) in
+        let d =
+          { d_index = index; d_binding = binding;
+            d_var = cell_prefix ^ binding ^ "/" ^ string_of_int k;
+            d_step = step; d_expr = expr; d_uses = [] }
+        in
+        dv.dv_cells <- d :: dv.dv_cells;
+        d
+    in
+    if not (List.mem use d.d_uses) then d.d_uses <- use :: d.d_uses;
+    X.Var d.d_var
+
+let rec derive_cond dv (e : X.expr) : X.expr =
+  match e with
+  | X.Binop ((X.B_and | X.B_or) as op, a, b) ->
+    X.Binop (op, derive_cond dv a, derive_cond dv b)
+  | X.Binop ((X.B_general _ | X.B_value _) as op, a, b) ->
+    X.Binop (op, derive dv ~use:Where a, derive dv ~use:Where b)
+  | e -> derive dv ~use:Where e
+
+let derive_keys dv (keys : (X.expr * string) list) =
+  List.map (fun (k, kv) -> (derive dv ~use:Key k, kv)) keys
+
+let derive_clause dv (c : X.clause) : X.clause =
+  match c with
+  | X.Where cond -> X.Where (derive_cond dv cond)
+  | X.Hash_join h ->
+    X.Hash_join
+      { h with probe_key = derive dv ~use:Probe h.probe_key }
+  | X.Group g -> X.Group { g with keys = derive_keys dv g.keys }
+  | X.For _ | X.Let _ | X.Order_by _ -> c
+
+let derive_specs dv specs =
+  List.map (fun s -> { s with k_arg = derive dv ~use:(Input s.k_kind) s.k_arg }) specs
+
+let derived dv = List.rev dv.dv_cells
+
+let derived_label d =
+  let uses = List.rev d.d_uses in
+  let kinds =
+    List.filter_map (function Input k -> Some (Kernels.name k) | _ -> None) uses
+  in
+  let other = function
+    | Key -> Some ("key " ^ d.d_step)
+    | Probe -> Some ("probe " ^ d.d_step)
+    | Where -> Some ("where " ^ d.d_step)
+    | Input _ -> None
+  in
+  String.concat " & "
+    ((if kinds = [] then []
+      else [ Printf.sprintf "%s(%s) input" (String.concat "/" kinds) d.d_step ])
+    @ List.filter_map other uses)
+
+(* ------------------------------------------------------------------ *)
 (* Columnar pipeline shape (EXPLAIN-style notes)                      *)
 
 (* Mirrors, in name-set form, the decisions the columnar compiler
@@ -1621,7 +1779,35 @@ let columnar_shape ?(node_fns = fun _ -> false) (e : X.expr) : string list =
     in
     let visible = ref entry_used in
     let nodes = ref Vars.empty in
-    let projs, _, _ = scan_projections ~node_fns f.clauses f.return in
+    let projs, pclauses, preturn = scan_projections ~node_fns f.clauses f.return in
+    (* the derived cells, found as the columnar compiler finds them:
+       over the projected clauses, kernel inputs through the record *)
+    let cells =
+      if projs = [] then []
+      else begin
+        let dv = deriver projs in
+        let parr = Array.of_list pclauses in
+        Array.iteri
+          (fun i c ->
+            match c with
+            | X.Group { grouped; partition; keys } -> (
+              let record =
+                record_binding (Array.to_list (Array.sub parr 0 i)) grouped
+              in
+              let rest = Array.to_list (Array.sub parr (i + 1) (n - i - 1)) in
+              match
+                group_kernels ?record:(Option.map fst record) ~grouped ~partition
+                  rest preturn
+              with
+              | Some (specs, _, _) ->
+                ignore (derive_keys dv keys);
+                ignore (derive_specs dv specs)
+              | None -> ignore (derive_clause dv c))
+            | c -> ignore (derive_clause dv c))
+          parr;
+        derived dv
+      end
+    in
     Array.iteri
       (fun i clause ->
         (match clause with
@@ -1689,6 +1875,12 @@ let columnar_shape ?(node_fns = fun _ -> false) (e : X.expr) : string list =
               (List.length p.p_cols)
               (String.concat ", " (List.map fst p.p_cols))
           | None -> ());
+          (match List.filter (fun d -> d.d_index = i) cells with
+          | [] -> ()
+          | ds ->
+            emit "columnar: %s derives %d cell column(s) (%s)"
+              (clause_label clause) (List.length ds)
+              (String.concat ", " (List.map derived_label ds)));
           visible := vis
         | X.Order_by _ ->
           let live = Vars.inter (remainder i) !visible in

@@ -202,6 +202,69 @@ val scan_projections :
     projections with the rewritten clauses and return; the physical
     inputs when nothing is projected. *)
 
+(** {1 Derived cell columns}
+
+    A {e cell expression} reads exactly one projected column variable
+    and is built only from [fn:data], [aqua:content-data],
+    [fn:empty]/[fn:exists], [fn:true]/[fn:false], xs: casts,
+    conditionals, sequences, literals and comparisons: a pure function
+    of one immutable cell.  The columnar engine evaluates each one once
+    per scan row and memoizes the results beside the projected column
+    (DESIGN.md section 16). *)
+
+val cell_var : string
+(** ["#cell"]: the variable a memoized cell expression is written over. *)
+
+val row_var : string -> string
+(** [row_var v]: the synthetic variable carrying, for a binding [$v]
+    with derived cells, each tuple's row position in the scan. *)
+
+val is_cell_var : string -> bool
+(** Whether a variable is a derived cell variable (['#cell:'] prefix). *)
+
+(** What reads a derived cell: a kernel's input, a group key, a hash
+    join's probe key or a [where] operand. *)
+type use = Input of Kernels.kind | Key | Probe | Where
+
+type derived = {
+  d_index : int;  (** clause position of the binding *)
+  d_binding : string;  (** the scan variable *)
+  d_var : string;  (** the synthetic ['#cell:'] variable bound with it *)
+  d_step : string;  (** the projected column it is derived from *)
+  d_expr : Aqua_xquery.Ast.expr;  (** the cell expression over {!cell_var} *)
+  mutable d_uses : use list;  (** its consumers, newest first *)
+}
+
+type deriver
+(** The derived cells found so far for one FLWOR's projections. *)
+
+val deriver : projection list -> deriver
+
+val derive :
+  deriver -> use:use -> Aqua_xquery.Ast.expr -> Aqua_xquery.Ast.expr
+(** [derive dv ~use e]: when [e] is a cell expression over a column of
+    [dv]'s projections (not a bare column read), a read of its derived
+    cell variable, recorded as read by [use]; otherwise [e]. *)
+
+val derive_clause : deriver -> Aqua_xquery.Ast.clause -> Aqua_xquery.Ast.clause
+(** Derives a [where]'s comparison operands (through [and]/[or]), a hash
+    join's probe key and a group's keys ({!derive_keys}). *)
+
+val derive_keys :
+  deriver -> (Aqua_xquery.Ast.expr * string) list ->
+  (Aqua_xquery.Ast.expr * string) list
+(** Derives each group key. *)
+
+val derive_specs : deriver -> kernel_spec list -> kernel_spec list
+(** Derives each kernel input. *)
+
+val derived : deriver -> derived list
+(** The derived cells, in first-use order. *)
+
+val derived_label : derived -> string
+(** Its consumers, e.g. ["sum?/avg(PRIORITY) input"] or
+    ["probe CUSTOMERID & key CUSTOMERID"]. *)
+
 val columnar_shape :
   ?node_fns:(string -> bool) -> Aqua_xquery.Ast.expr -> string list
 (** EXPLAIN-style one-liners describing the columnar pipeline shape of
@@ -216,6 +279,9 @@ val free_vars : Aqua_xquery.Ast.expr -> Vars.t
     treated as a variable.  Unlike [Ast.free_vars] this respects
     binding structure (FLWOR clauses, quantifiers, predicates) and the
     BEA group-by scoping rule (pre-group bindings do not survive). *)
+
+val free_vars_all : Aqua_xquery.Ast.expr list -> Vars.t
+(** The union of {!free_vars} over a list. *)
 
 val clause_reads : Aqua_xquery.Ast.clause -> Vars.t
 (** The variables a clause reads from its incoming tuple: a [for] or

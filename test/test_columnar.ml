@@ -712,16 +712,19 @@ let report_app () =
     { Aqua_workload.Datagen.customers = 12; orders = 40; lines_per_order = 2;
       payments = 18 }
 
-(* The projection notes [analyze] prints for the plan the driver runs. *)
-let projection_notes app sql =
+(* The columnar notes [analyze] prints for the plan the driver runs
+   that contain [needle]. *)
+let shape_notes ~needle app sql =
   let q = Translator.for_text_transport (Helpers.translate app sql) in
   let node_fns =
     Aqua_dsp.Server.physical_fns app q.Aqua_xquery.Ast.prolog.Aqua_xquery.Ast.imports
   in
   let optimized, _ = Optimize.query ~node_fns q in
   List.filter
-    (fun n -> Helpers.contains ~needle:"projects" n)
+    (fun n -> Helpers.contains ~needle n)
     (Optimize.columnar_shape ~node_fns optimized.Aqua_xquery.Ast.body)
+
+let projection_notes = shape_notes ~needle:"projects"
 
 let reference app sql =
   match
@@ -1022,6 +1025,304 @@ let projection_parity () =
     [ ("xqeval.batch=at(2)", List.hd report_queries);
       ("xqeval.hashjoin=at(1)", List.nth report_queries 1) ]
 
+(* --------------------------------------------------------------- *)
+(* Derived cell columns (DESIGN.md section 16): kernel inputs, group
+   keys, probe keys and where operands over a projected scan column are
+   evaluated once per scan row and memoized beside the column.  Checked
+   against the unprojected lowering ([~columnar:false]), the
+   interpreter and the SQL reference engine at every edge batch size;
+   at the XQuery level for the error cases SQL cannot express
+   (non-numeric text under SUM/AVG/MIN/MAX, a cast error in a key),
+   message for message; and at the unit level for the two fast paths
+   (kernel readings, memoized key components). *)
+
+let derived_app () =
+  let app = Artifact.application "DC" in
+  let t =
+    Table.create "T"
+      [ Schema.column "K" Sql_type.Integer;
+        Schema.column "G" (Sql_type.Varchar (Some 10));
+        Schema.column "V" Sql_type.Integer;
+        Schema.column ~nullable:false "W" Sql_type.Integer;
+        Schema.column "D" (Sql_type.Decimal (Some (8, 2))) ]
+  in
+  let i n = Value.Int n and str x = Value.Str x and null = Value.Null in
+  List.iter (Table.insert t)
+    [ [ i 1; str "a"; i 10; i 1; Value.Num 1.5 ];
+      [ i 1; str "b"; i 20; i 2; null ];
+      [ null; str "a"; i 5; i 3; Value.Num 2.25 ];
+      [ null; null; null; i 4; Value.Num 0.5 ];
+      [ i 2; str "a"; null; i 5; null ];
+      [ i 2; null; null; i 6; Value.Num 3.0 ];
+      [ i 3; str "a;b"; i 7; i 7; Value.Num 1.0 ];
+      [ i 3; str "a"; i 8; i 8; Value.Num 2.0 ] ];
+  ignore (Artifact.import_physical_table app ~project:"P" t);
+  app
+
+let derived_queries =
+  [ (* NULL keys and NULL inputs under every kernel *)
+    "SELECT T.K, COUNT(*) N, COUNT(T.V) C, SUM(T.V) S, AVG(T.V) A, \
+     MIN(T.V) MN, MAX(T.V) MX FROM T GROUP BY T.K";
+    (* an unguarded (NOT NULL) key *)
+    "SELECT T.W, COUNT(*) N, SUM(T.V) S, MIN(T.D) MN FROM T GROUP BY T.W";
+    (* a guarded (nullable) key, multi-key groups with a separator in a
+       key value, decimal inputs *)
+    "SELECT T.G, COUNT(*) N, SUM(T.D) S, MIN(T.D) MN FROM T GROUP BY T.G";
+    "SELECT T.G, T.K, COUNT(*) N, SUM(T.W) S, MAX(T.D) M FROM T GROUP BY \
+     T.G, T.K";
+    "SELECT T.K, T.G, AVG(T.D) A FROM T GROUP BY T.K, T.G";
+    (* an integer-valued column keeps its integer SUM *)
+    "SELECT T.K, SUM(T.W) S FROM T GROUP BY T.K";
+    (* where operands (cast, NULL cells) and a derived key behind them *)
+    "SELECT T.K, T.V FROM T WHERE T.V > 6";
+    "SELECT T.G, COUNT(*) N FROM T WHERE T.W >= 3 GROUP BY T.G";
+    (* hash-join probe keys, NULLs on both sides *)
+    "SELECT A.W, B.W FROM T A, T B WHERE A.K = B.V";
+    "SELECT A.G, COUNT(*) N, SUM(B.W) S FROM T A INNER JOIN T B ON A.K = B.K \
+     GROUP BY A.G" ]
+
+let derived_notes = shape_notes ~needle:"derives"
+
+let derived_cells_agree () =
+  let app = derived_app () in
+  let col = Connection.connect app in
+  let unprojected = Connection.connect ~columnar:false app in
+  let interp = Connection.connect ~vectorize:false app in
+  List.iter
+    (fun sql ->
+      check_bool ("a cell column is derived on " ^ sql) true
+        (derived_notes app sql <> []);
+      let oracle = reference app sql in
+      List.iter
+        (fun size ->
+          with_batch_size size @@ fun () ->
+          let what = Printf.sprintf "derived@%d" size in
+          let got = run col sql in
+          agree ~what:(what ^ " vs unprojected") sql got (run unprojected sql);
+          agree ~what:(what ^ " vs interpreter") sql got (run interp sql);
+          agree ~what:(what ^ " vs reference engine") sql got oracle;
+          (* the displayed text, not only the values *)
+          let text conn =
+            match run conn sql with
+            | Ok rs ->
+              List.map
+                (fun row -> List.map Value.to_display (Array.to_list row))
+                rs.Rowset.rows
+            | Error e -> [ [ e ] ]
+          in
+          Helpers.check_rows (what ^ " text on " ^ sql) (text unprojected)
+            (text col))
+        edge_sizes)
+    derived_queries;
+  (* the report shapes derive too, and agree *)
+  projection_battery (report_app ()) report_queries;
+  check_bool "report derives its kernel inputs and keys" true
+    (List.for_all
+       (fun sql -> derived_notes (report_app ()) sql <> [])
+       (List.filter (fun q -> Helpers.contains ~needle:"GROUP BY" q) report_queries))
+
+(* XQuery shapes: the translator's record/group shape over a resolver-
+   backed physical scan whose text SQL cannot hold — padded numerics,
+   non-numeric text under the numeric kernels, a cast error in a key.
+   The columnar result, or its error message, equals the interpreter's. *)
+let d_rows =
+  xq_rows
+    "<R><K>1</K><X>10</X></R><R><K>1</K><X> 12 </X></R>\
+     <R><K>2</K><X>abc</X></R><R><K>2</K></R><R><X>5</X></R>\
+     <R><K>3</K><X>2.5</X></R><R><K>3</K><X>7</X></R>"
+
+let d_resolve = function "t:D" -> Some (fun _ -> d_rows) | _ -> None
+let d_node_fns name = name = "t:D"
+
+let grouped ?(where = "") ?(key = "aqua:content-data(fn:data($v/K))") agg =
+  Printf.sprintf
+    "for $v in t:D() %s let $r := <RECORD>{if (fn:empty($v/K)) then () else \
+     <K>{fn:data($v/K)}</K>}{if (fn:empty($v/X)) then () else \
+     <X>{fn:data($v/X)}</X>}</RECORD> group $r as $p by %s as $k return \
+     ($k, %s)"
+    where key agg
+
+let derived_xq_cases =
+  [ ("padded sum", grouped ~where:"where fn:not($v/X = \"abc\")" "fn:sum($p/X)");
+    ("padded avg", grouped ~where:"where fn:not($v/X = \"abc\")" "fn:avg($p/X)");
+    ("non-numeric sum", grouped "fn:sum($p/X)");
+    ("non-numeric avg", grouped "fn:avg($p/X)");
+    ("non-numeric min", grouped "fn:min($p/X)");
+    ("non-numeric max", grouped "fn:max($p/X)");
+    ("null-guarded sum",
+     grouped "if (fn:empty($p/X)) then () else fn:sum($p/X)");
+    ("count and empty", grouped "(fn:count($p), fn:empty($p/X))");
+    (* the key error of a later row wins over the sum error of an
+       earlier one: the kernel defers its error to the flush *)
+    ("key error after a deferred sum error",
+     grouped ~key:"xs:int(fn:data($v/X))" "fn:sum($p/X)");
+    ("key cast, bad row filtered",
+     grouped ~where:"where fn:not($v/X = \"abc\")" ~key:"xs:double(fn:data($v/X))"
+       "fn:count($p)");
+    ("where cast error", "for $v in t:D() where xs:int(fn:data($v/X)) > 6 return $v/K");
+    ("where cast, bad row filtered first",
+     "for $v in t:D() where fn:not($v/X = \"abc\") where xs:double(fn:data($v/X)) > 6 \
+      return $v/K") ]
+
+let derived_xq_shapes () =
+  let ser = Aqua_xml.Serialize.sequence_to_string in
+  let outcome f =
+    match f () with r -> Ok (ser r) | exception e -> Error (Printexc.to_string e)
+  in
+  let show = function Ok s -> s | Error e -> "raised " ^ e in
+  List.iter
+    (fun (what, src) ->
+      let e = Aqua_xquery.Parser.parse_expr src in
+      check_bool (what ^ ": a cell column is derived") true
+        (List.exists
+           (fun n -> Helpers.contains ~needle:"derives" n)
+           (Optimize.columnar_shape ~node_fns:d_node_fns
+              (fst (Optimize.expr ~node_fns:d_node_fns e))));
+      let oracle =
+        outcome (fun () ->
+            Eval.eval ~optimize:false (Eval.context ~resolve:d_resolve ()) e)
+      in
+      List.iter
+        (fun size ->
+          with_batch_size size @@ fun () ->
+          let got =
+            outcome (fun () ->
+                Compile.run
+                  (Compile.compile_expr ~resolve:d_resolve ~node_fns:d_node_fns e))
+          in
+          if got <> oracle then
+            Alcotest.failf "%s @%d: columnar %s, interpreter %s" what size
+              (show got) (show oracle))
+        edge_sizes)
+    derived_xq_cases
+
+(* The kernel fast path against [Kernels.update], table-driven: every
+   kind, folded over every prefix of several input orders. *)
+let kernel_fast_path_table () =
+  let u s = [ Item.Atomic (Atomic.Untyped s) ] in
+  let inputs =
+    [ []; u "5"; u " 7 "; u "abc"; u "2.5"; [ Item.Atomic (Atomic.Integer 3) ];
+      [ Item.Atomic (Atomic.Decimal 1.25) ]; [ Item.Atomic (Atomic.Double 4.0) ];
+      [ Item.Atomic (Atomic.String "x") ]; [ Item.Atomic (Atomic.Boolean true) ];
+      u "1" @ u "2";
+      [ Item.Node (Node.element "C" [ Node.text "9" ]) ];
+      [ Item.Node (Node.element "C" [ Node.text "nine" ]) ];
+      [ Item.Atomic (Atomic.Integer max_int) ]; u "1e3"; u "" ]
+  in
+  let kinds =
+    Kernels.[ K_count; K_sum; K_sum_null; K_avg; K_min; K_max; K_empty; K_exists ]
+  in
+  let ser = Aqua_xml.Serialize.sequence_to_string in
+  let finish st =
+    match Kernels.finish st with
+    | r -> Ok (ser r)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let orders =
+    [ inputs; List.rev inputs;
+      List.filter (fun x -> x <> u "abc" && x <> u "" ) inputs;
+      List.filter (fun x -> match x with [ Item.Atomic (Atomic.Integer _) ] | [] -> true | _ -> false) inputs ]
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun order ->
+          let col = Array.of_list order in
+          let cells = Kernels.cells col in
+          for n = 0 to Array.length col do
+            let slow = Kernels.create kind and fast = Kernels.create kind in
+            for r = 0 to n - 1 do
+              Kernels.update slow col.(r);
+              Kernels.update_at fast cells r
+            done;
+            if finish slow <> finish fast then
+              Alcotest.failf "%s over %d inputs: update %s, update_at %s"
+                (Kernels.name kind) n
+                (match finish slow with Ok s -> s | Error e -> e)
+                (match finish fast with Ok s -> s | Error e -> e)
+          done)
+        orders)
+    kinds
+
+(* A memoized key component splices into the composite unchanged:
+   byte-equal to [Group_key.composite] for multi-key tuples, empty
+   keys and separator bytes included. *)
+let key_components_concatenate () =
+  let module Group_key = Aqua_xqeval.Group_key in
+  let a s = Item.Atomic (Atomic.Untyped s) in
+  let values =
+    [ []; [ a "x" ]; [ a "a;b" ]; [ a "1:2" ]; [ a "" ];
+      [ Item.Atomic (Atomic.Integer 7) ]; [ a "e" ]; [ a "p"; a "q" ];
+      [ Item.Node (Node.element "C" [ Node.text "3;" ]) ] ]
+  in
+  List.iter
+    (fun k1 ->
+      List.iter
+        (fun k2 ->
+          List.iter
+            (fun keys ->
+              Alcotest.(check string) "components concatenate to the composite"
+                (Group_key.composite keys)
+                (String.concat "" (List.map Group_key.component keys)))
+            [ [ k1 ]; [ k1; k2 ]; [ k2; k1; k2 ] ])
+        values)
+    values
+
+(* The memo over report's five statements at report's sizes: a warm
+   cycle builds nothing, an insert into ORDERS forces a rebuild that
+   sees the new row, and a source past the cell bound is served
+   correctly without being retained. *)
+let derived_memo_lifecycle () =
+  let module Datagen = Aqua_workload.Datagen in
+  let sizes =
+    { Datagen.customers = 300; orders = 5000; lines_per_order = 2; payments = 300 }
+  in
+  let tables = Datagen.tables ~seed:45 sizes in
+  let app = Artifact.application "LIFE" in
+  List.iter (fun t -> ignore (Artifact.import_physical_table app ~project:"Sales" t)) tables;
+  let orders = List.find (fun (t : Table.t) -> t.Table.name = "ORDERS") tables in
+  let conn = Connection.connect app in
+  let cycle () = List.iter (fun sql -> ignore (run conn sql)) report_queries in
+  with_telemetry @@ fun () ->
+  cycle ();
+  cycle ();
+  check_bool "warm-up derived cell columns" true
+    (Telemetry.value Telemetry.c_col_derived_columns > 0);
+  Telemetry.reset ();
+  cycle ();
+  check_int "a warm cycle builds no projected column" 0
+    (Telemetry.value Telemetry.c_col_projected_columns);
+  check_int "a warm cycle builds no derived column" 0
+    (Telemetry.value Telemetry.c_col_derived_columns);
+  check_bool "a warm cycle is served from the memo" true
+    (Telemetry.value Telemetry.c_col_derived_hits > 0);
+  Table.insert orders
+    [ Value.Int 999999; Value.Int 1;
+      Value.Date { Atomic.year = 2024; month = 1; day = 1 }; Value.Str "NEW";
+      Value.Int 4 ];
+  Telemetry.reset ();
+  let agg_group = List.hd report_queries in
+  let lines_group = List.nth report_queries 4 in
+  agree ~what:"after an insert" agg_group (run conn agg_group) (reference app agg_group);
+  check_bool "the insert forced a rebuild" true
+    (Telemetry.value Telemetry.c_col_derived_columns > 0);
+  agree ~what:"after an insert" lines_group (run conn lines_group)
+    (reference app lines_group);
+  (* past the cell bound: two derived ORDERS columns of 40000 rows *)
+  let big =
+    Datagen.application ~seed:46
+      { sizes with Datagen.orders = 40000; lines_per_order = 1 }
+  in
+  let bconn = Connection.connect big in
+  Telemetry.reset ();
+  agree ~what:"past the cell bound" agg_group (run bconn agg_group)
+    (reference big agg_group);
+  let built = Telemetry.value Telemetry.c_col_derived_columns in
+  agree ~what:"past the cell bound, again" agg_group (run bconn agg_group)
+    (reference big agg_group);
+  check_bool "an oversized source is not retained" true
+    (Telemetry.value Telemetry.c_col_derived_columns > built)
+
 let suite =
   ( "columnar",
     [ Helpers.case "battery agrees at batch size 1" (battery_at_size 1);
@@ -1066,4 +1367,14 @@ let suite =
       Helpers.case "scan projection memo cell bound"
         projection_cell_bound;
       Helpers.case "scan projection parity with the unprojected lowering"
-        projection_parity ] )
+        projection_parity;
+      Helpers.case "derived cell columns agree with the oracles"
+        derived_cells_agree;
+      Helpers.case "derived cell columns keep error messages and order"
+        derived_xq_shapes;
+      Helpers.case "kernel fast path equals Kernels.update"
+        kernel_fast_path_table;
+      Helpers.case "memoized key components concatenate to the composite"
+        key_components_concatenate;
+      Helpers.case "derived cell memo lifecycle on report"
+        derived_memo_lifecycle ] )
