@@ -919,199 +919,6 @@ let p10 () =
   flush stdout
 
 (* ------------------------------------------------------------------ *)
-(* P12: batched FLWOR execution — batch-size sweep vs row-at-a-time    *)
-
-let p12_json_path = "BENCH_P12.json"
-
-let p12 () =
-  print_endline
-    "\n== P12: batched FLWOR execution, batch-size sweep vs row-at-a-time ==";
-  (* the P6 join workload and scales: the optimizer's hash-join plan,
-     executed by the batch engine at several batch sizes against the
-     row-at-a-time pipeline *)
-  let scales =
-    [ ("small", sizes 50 200 2 60); ("medium", sizes 150 600 2 180);
-      ("large", sizes 300 1200 2 360) ]
-  in
-  let sql =
-    "SELECT C.CUSTOMERNAME, O.ORDERID FROM CUSTOMERS C, ORDERS O WHERE \
-     C.CUSTOMERID = O.CUSTOMERID AND O.PRIORITY > 1"
-  in
-  let batch_sizes = [ 1; 64; 256; 1024; 4096 ] in
-  let default_size = Aqua_xqeval.Batch.size () in
-  let restore () = Aqua_xqeval.Batch.set_size default_size in
-  Fun.protect ~finally:restore @@ fun () ->
-  let result_rows items =
-    List.fold_left
-      (fun acc item ->
-        match item with
-        | Aqua_xml.Item.Node (Aqua_xml.Node.Element e)
-          when Aqua_xml.Node.local_name e.Aqua_xml.Node.name = "RECORDSET" ->
-          acc
-          + List.length
-              (Aqua_xml.Node.children_elements (Aqua_xml.Node.Element e))
-        | _ -> acc + 1)
-      0 items
-  in
-  let cases =
-    List.map
-      (fun (label, s) ->
-        let app = Datagen.application ~seed s in
-        let env = Semantic.env_of_application app in
-        let t = Translator.translate env sql in
-        (* the shipping configuration: both engines share one
-           materialized scan cache (as Connection.connect wires it), so
-           the sweep times FLWOR execution, not repeated scan
-           materialization *)
-        let scans = Aqua_dsp.Scan_cache.create app in
-        let srv_row = Server.create ~vectorize:false ~cache:scans app in
-        let srv_vec = Server.create ~cache:scans app in
-        let rows = result_rows (Server.execute srv_row t.Translator.xquery) in
-        (label, s, t, srv_row, srv_vec, rows))
-      scales
-  in
-  (* sanity: every batch size must agree with the row-at-a-time oracle
-     before we time anything *)
-  List.iter
-    (fun (label, _, t, srv_row, srv_vec, _) ->
-      let ser items = Aqua_xml.Serialize.sequence_to_string items in
-      let oracle = ser (Server.execute srv_row t.Translator.xquery) in
-      List.iter
-        (fun bs ->
-          Aqua_xqeval.Batch.set_size bs;
-          let got = ser (Server.execute srv_vec t.Translator.xquery) in
-          restore ();
-          if got <> oracle then
-            failwith
-              (Printf.sprintf
-                 "P12 %s: batch size %d disagrees with row-at-a-time \
-                  (BENCH_SEED=%d)"
-                 label bs seed))
-        batch_sizes)
-    cases;
-  (* Interleaved round-robin medians: one bechamel estimate per
-     configuration would be taken tens of seconds apart, and the
-     machine drifts by more than the few-percent batch-size effects
-     under measurement (same rationale as [ab_median_ratio]).  Each
-     round times one execution of every configuration back to back;
-     each configuration reports the median of its rounds. *)
-  let iters = if !smoke then 15 else 301 in
-  let measured =
-    List.map
-      (fun (label, s, t, srv_row, srv_vec, rows) ->
-        let time f =
-          let t0 = Mclock.now () in
-          f ();
-          Int64.to_float (Int64.sub (Mclock.now ()) t0)
-        in
-        let run_row () = ignore (Server.execute srv_row t.Translator.xquery) in
-        let run_vec bs () =
-          Aqua_xqeval.Batch.set_size bs;
-          ignore (Server.execute srv_vec t.Translator.xquery)
-        in
-        for _ = 1 to 5 do
-          run_row ();
-          List.iter (fun bs -> run_vec bs ()) batch_sizes
-        done;
-        let row_samples = ref [] in
-        let vec_samples = List.map (fun bs -> (bs, ref [])) batch_sizes in
-        for _ = 1 to iters do
-          row_samples := time run_row :: !row_samples;
-          List.iter
-            (fun (bs, acc) -> acc := time (run_vec bs) :: !acc)
-            vec_samples
-        done;
-        restore ();
-        let median l =
-          let sorted = List.sort compare l in
-          List.nth sorted (List.length l / 2)
-        in
-        let row_ns = median !row_samples in
-        let per_size =
-          List.map (fun (bs, acc) -> (bs, median !acc)) vec_samples
-        in
-        (label, s, rows, row_ns, per_size))
-      cases
-  in
-  print_table "P12 batch-size sweep"
-    (List.concat_map
-       (fun (label, (s : Datagen.sizes), _, row_ns, per_size) ->
-         let tag =
-           Printf.sprintf "%-6s (%dx%d)" label s.Datagen.customers
-             s.Datagen.orders
-         in
-         (Printf.sprintf "row-at-a-time %s" tag, row_ns)
-         :: List.map
-              (fun (bs, ns) -> (Printf.sprintf "batch %-5d     %s" bs tag, ns))
-              per_size)
-       measured);
-  Printf.printf "\nper-row cost and speedup at batch size 1024:\n";
-  List.iter
-    (fun (label, (s : Datagen.sizes), rows, row_ns, per_size) ->
-      let b1024 = List.assoc 1024 per_size in
-      Printf.printf
-        "  %-6s (%4d customers x %4d orders, %d rows): row %.1f ns/row, \
-         batch@1024 %.1f ns/row, speedup %.2fx\n"
-        label s.Datagen.customers s.Datagen.orders rows
-        (row_ns /. float_of_int (max 1 rows))
-        (b1024 /. float_of_int (max 1 rows))
-        (ratio row_ns b1024))
-    measured;
-  (* one instrumented batched execution at the largest scale: batch
-     traffic counters go into the JSON record *)
-  let telemetry_json, telemetry_label =
-    match List.rev cases with
-    | (label, _, t, _, srv_vec, _) :: _ ->
-      Telemetry.reset ();
-      Telemetry.set_enabled true;
-      ignore (Server.execute srv_vec t.Translator.xquery);
-      Telemetry.set_enabled false;
-      (Telemetry.metrics_to_json (Telemetry.snapshot ()), label)
-    | [] -> ("null", "none")
-  in
-  let jf f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f in
-  let jr f = if Float.is_nan f then "null" else Printf.sprintf "%.2f" f in
-  let oc = open_out p12_json_path in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"P12 batched FLWOR execution\",\n  \"sql\": \
-     \"%s\",\n  \"units\": \"ns per query execution; ns_per_row divides by \
-     output rows\",\n  \"seed\": %d,\n  \"smoke\": %b,\n  \"default_batch_size\": \
-     %d,\n  \"batch_sizes\": [%s],\n  \"scales\": [\n"
-    (String.concat " " (String.split_on_char '\n' (String.escaped sql)))
-    seed !smoke default_size
-    (String.concat ", " (List.map string_of_int batch_sizes));
-  let n_rows = List.length measured in
-  List.iteri
-    (fun i (label, (s : Datagen.sizes), rows, row_ns, per_size) ->
-      let b1024 = List.assoc 1024 per_size in
-      let per_row ns = ns /. float_of_int (max 1 rows) in
-      Printf.fprintf oc
-        "    { \"label\": \"%s\", \"customers\": %d, \"orders\": %d, \
-         \"rows\": %d,\n      \"row_at_a_time_ns\": %s, \
-         \"row_at_a_time_ns_per_row\": %s,\n      \"batched\": [\n"
-        label s.Datagen.customers s.Datagen.orders rows (jf row_ns)
-        (jr (per_row row_ns));
-      let n_sizes = List.length per_size in
-      List.iteri
-        (fun j (bs, ns) ->
-          Printf.fprintf oc
-            "        { \"batch_size\": %d, \"ns\": %s, \"ns_per_row\": %s }%s\n"
-            bs (jf ns)
-            (jr (per_row ns))
-            (if j = n_sizes - 1 then "" else ","))
-        per_size;
-      Printf.fprintf oc "      ],\n      \"speedup_at_1024\": %s }%s\n"
-        (jr (ratio row_ns b1024))
-        (if i = n_rows - 1 then "" else ","))
-    measured;
-  Printf.fprintf oc
-    "  ],\n  \"telemetry_scale\": \"%s\",\n  \"telemetry\": %s\n}\n"
-    telemetry_label telemetry_json;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" p12_json_path;
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
 (* P11: concurrent serving throughput — a mixed read workload replayed
    by 1/2/4/8 domains through a session pool over ONE shared connection
    (shared translation cache, metadata cache, materialized scan cache).
@@ -1657,221 +1464,6 @@ let p14 () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* P15: columnar batch layout vs the row-snapshot batch engine.        *)
-
-let p15_json_path = "BENCH_P15.json"
-
-(* Interleaved A/B medians (same discipline as P12): the effects under
-   measurement — kernelized GROUP BY, required-column pruning — are
-   tens of percent, but two bechamel estimates taken far apart still
-   drift by more.  Each iteration times one batched and one columnar
-   execution back to back; each configuration reports its median.
-
-   Workload kinds: "aggregation" is the kernelized GROUP BY story —
-   validate.exe hard-rejects a columnar slowdown and --min-speedup
-   gates every scale's speedup_at_1024; "join-aggregation" (hash join
-   feeding kernels, where probe/emit cost dilutes the kernel win) is
-   hard-gated against slowdown only; "wide" is the pruning story —
-   many bound variables, few live columns — and is informational. *)
-let p15 () =
-  print_endline
-    "\n== P15: columnar batch layout vs row-snapshot batches ==";
-  let scales =
-    [ ("small", sizes 100 1600 2 1600); ("medium", sizes 200 3200 2 3200);
-      ("large", sizes 300 5000 2 5000) ]
-  in
-  let workloads =
-    [ ( "agg-group", "aggregation",
-        "SELECT O.CUSTOMERID, COUNT(*) N, SUM(O.PRIORITY) S, \
-         AVG(O.PRIORITY) A, MIN(O.PRIORITY) MN, MAX(O.PRIORITY) MX \
-         FROM ORDERS O GROUP BY O.CUSTOMERID" );
-      ( "agg-join", "join-aggregation",
-        "SELECT C.CUSTOMERID, COUNT(*) N, SUM(O.PRIORITY) S FROM \
-         CUSTOMERS C, ORDERS O WHERE C.CUSTOMERID = O.CUSTOMERID \
-         GROUP BY C.CUSTOMERID" );
-      ( "wide-row", "wide",
-        "SELECT C.CUSTOMERNAME, O.ORDERID FROM CUSTOMERS C, ORDERS O, \
-         PAYMENTS P WHERE C.CUSTOMERID = O.CUSTOMERID AND \
-         P.CUSTID = C.CUSTOMERID AND O.PRIORITY > 1 \
-         ORDER BY C.CUSTOMERNAME" ) ]
-  in
-  let default_size = Aqua_xqeval.Batch.size () in
-  let restore () = Aqua_xqeval.Batch.set_size default_size in
-  Fun.protect ~finally:restore @@ fun () ->
-  Aqua_xqeval.Batch.set_size 1024;
-  let result_rows items =
-    List.fold_left
-      (fun acc item ->
-        match item with
-        | Aqua_xml.Item.Node (Aqua_xml.Node.Element e)
-          when Aqua_xml.Node.local_name e.Aqua_xml.Node.name = "RECORDSET" ->
-          acc
-          + List.length
-              (Aqua_xml.Node.children_elements (Aqua_xml.Node.Element e))
-        | _ -> acc + 1)
-      0 items
-  in
-  let cases =
-    List.map
-      (fun (wname, kind, sql) ->
-        let per_scale =
-          List.map
-            (fun (label, s) ->
-              let app = Datagen.application ~seed s in
-              let env = Semantic.env_of_application app in
-              let t = Translator.translate env sql in
-              (* shipping configuration: both engines share one
-                 materialized scan cache, so the A/B times FLWOR
-                 execution, not scan materialization *)
-              let scans = Aqua_dsp.Scan_cache.create app in
-              let srv_batched =
-                Server.create ~columnar:false ~cache:scans app
-              in
-              let srv_col = Server.create ~cache:scans app in
-              let rows =
-                result_rows (Server.execute srv_batched t.Translator.xquery)
-              in
-              (label, s, t, srv_batched, srv_col, rows))
-            scales
-        in
-        (wname, kind, sql, per_scale))
-      workloads
-  in
-  (* sanity before timing: the columnar engine must serialize
-     byte-identically to the row-snapshot batch engine *)
-  List.iter
-    (fun (wname, _, _, per_scale) ->
-      List.iter
-        (fun (label, _, t, srv_batched, srv_col, _) ->
-          let ser items = Aqua_xml.Serialize.sequence_to_string items in
-          let oracle = ser (Server.execute srv_batched t.Translator.xquery) in
-          let got = ser (Server.execute srv_col t.Translator.xquery) in
-          if got <> oracle then
-            failwith
-              (Printf.sprintf
-                 "P15 %s/%s: columnar disagrees with batched (BENCH_SEED=%d)"
-                 wname label seed))
-        per_scale)
-    cases;
-  let iters = if !smoke then 15 else 301 in
-  let measured =
-    List.map
-      (fun (wname, kind, sql, per_scale) ->
-        let per_scale =
-          List.map
-            (fun (label, s, t, srv_batched, srv_col, rows) ->
-              (* the interleaved A/B loop itself: each iteration times
-                 one batched and one columnar execution back to back *)
-              let time srv =
-                let t0 = Mclock.now () in
-                ignore (Server.execute srv t.Translator.xquery);
-                Int64.to_float (Int64.sub (Mclock.now ()) t0)
-              in
-              for _ = 1 to 5 do
-                ignore (time srv_batched);
-                ignore (time srv_col)
-              done;
-              let batched_samples = ref [] and col_samples = ref [] in
-              for _ = 1 to iters do
-                batched_samples := time srv_batched :: !batched_samples;
-                col_samples := time srv_col :: !col_samples
-              done;
-              let median l =
-                List.nth (List.sort compare l) (List.length l / 2)
-              in
-              let batched_ns = median !batched_samples in
-              let col_ns = median !col_samples in
-              (label, s, rows, batched_ns, col_ns, ratio batched_ns col_ns))
-            per_scale
-        in
-        (wname, kind, sql, per_scale))
-      cases
-  in
-  List.iter
-    (fun (wname, kind, _, per_scale) ->
-      print_table
-        (Printf.sprintf "P15 %s (%s) at batch size 1024" wname kind)
-        (List.concat_map
-           (fun (label, (s : Datagen.sizes), _, batched_ns, col_ns, _) ->
-             let tag =
-               Printf.sprintf "%-6s (%dx%d)" label s.Datagen.customers
-                 s.Datagen.orders
-             in
-             [ (Printf.sprintf "batched  %s" tag, batched_ns);
-               (Printf.sprintf "columnar %s" tag, col_ns) ])
-           per_scale);
-      List.iter
-        (fun (label, _, rows, batched_ns, col_ns, speedup) ->
-          Printf.printf
-            "  %-10s %-6s: %d rows, batched %.1f ns/row, columnar %.1f \
-             ns/row, speedup %.2fx\n"
-            wname label rows
-            (batched_ns /. float_of_int (max 1 rows))
-            (col_ns /. float_of_int (max 1 rows))
-            speedup)
-        per_scale)
-    measured;
-  (* one instrumented columnar execution at the largest aggregation
-     scale: the columnar counter family goes into the JSON record *)
-  let telemetry_json, telemetry_label =
-    match cases with
-    | (_, _, _, per_scale) :: _ -> (
-      match List.rev per_scale with
-      | (label, _, t, _, srv_col, _) :: _ ->
-        Telemetry.reset ();
-        Telemetry.set_enabled true;
-        ignore (Server.execute srv_col t.Translator.xquery);
-        Telemetry.set_enabled false;
-        (Telemetry.metrics_to_json (Telemetry.snapshot ()), label)
-      | [] -> ("null", "none"))
-    | [] -> ("null", "none")
-  in
-  let jf f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f in
-  let jr f = if Float.is_nan f then "null" else Printf.sprintf "%.2f" f in
-  let oc = open_out p15_json_path in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"P15 columnar batch layout\",\n  \"units\": \"ns \
-     per query execution at batch size 1024; ns_per_row divides by output \
-     rows\",\n  \"seed\": %d,\n  \"smoke\": %b,\n  \"batch_size\": 1024,\n  \
-     \"workloads\": [\n"
-    seed !smoke;
-  let n_workloads = List.length measured in
-  List.iteri
-    (fun wi (wname, kind, sql, per_scale) ->
-      Printf.fprintf oc
-        "    { \"name\": %S, \"kind\": %S,\n      \"sql\": \"%s\",\n      \
-         \"scales\": [\n"
-        wname kind
-        (String.concat " " (String.split_on_char '\n' (String.escaped sql)));
-      let n_scales = List.length per_scale in
-      List.iteri
-        (fun i
-             (label, (s : Datagen.sizes), rows, batched_ns, col_ns, speedup) ->
-          let per_row ns = ns /. float_of_int (max 1 rows) in
-          Printf.fprintf oc
-            "        { \"label\": %S, \"customers\": %d, \"orders\": %d, \
-             \"rows\": %d,\n          \"batched_ns\": %s, \
-             \"batched_ns_per_row\": %s,\n          \"columnar_ns\": %s, \
-             \"columnar_ns_per_row\": %s,\n          \"speedup_at_1024\": \
-             %s }%s\n"
-            label s.Datagen.customers s.Datagen.orders rows (jf batched_ns)
-            (jr (per_row batched_ns))
-            (jf col_ns)
-            (jr (per_row col_ns))
-            (jr speedup)
-            (if i = n_scales - 1 then "" else ","))
-        per_scale;
-      Printf.fprintf oc "      ] }%s\n"
-        (if wi = n_workloads - 1 then "" else ","))
-    measured;
-  Printf.fprintf oc
-    "  ],\n  \"telemetry_scale\": \"%s\",\n  \"telemetry\": %s\n}\n"
-    telemetry_label telemetry_json;
-  close_out oc;
-  Printf.printf "wrote %s\n" p15_json_path;
-  flush stdout
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args =
@@ -1889,9 +1481,9 @@ let () =
   let selected =
     match args with
     | _ :: _ -> List.map String.uppercase_ascii args
-    | [] -> [ "P1"; "P1B"; "P2"; "P3"; "P4"; "P5"; "P6"; "P7"; "P8"; "P9"; "P10"; "P11"; "P12"; "P13"; "P14"; "P15" ]
+    | [] -> [ "P1"; "P1B"; "P2"; "P3"; "P4"; "P5"; "P6"; "P7"; "P8"; "P9"; "P10"; "P11"; "P13"; "P14" ]
   in
-  let all = [ ("P1", p1); ("P1B", p1b); ("P2", p2); ("P3", p3); ("P4", p4); ("P5", p5); ("P6", p6); ("P7", p7); ("P8", p8); ("P9", p9); ("P10", p10); ("P11", p11); ("P12", p12); ("P13", p13); ("P14", p14); ("P15", p15) ] in
+  let all = [ ("P1", p1); ("P1B", p1b); ("P2", p2); ("P3", p3); ("P4", p4); ("P5", p5); ("P6", p6); ("P7", p7); ("P8", p8); ("P9", p9); ("P10", p10); ("P11", p11); ("P13", p13); ("P14", p14) ] in
   List.iter
     (fun name ->
       match List.assoc_opt name all with

@@ -7,15 +7,14 @@
 
    JSON files are dispatched on their "experiment" field (P6 join
    strategy, P9 observability overhead, P10 scan materialization, P11
-   concurrent serving throughput, P12 batched execution, P13
-   wire-protocol serving).  --prom switches to linting Prometheus text
+   concurrent serving throughput, P13 wire-protocol serving, P14
+   trace-sampling overhead).  --prom switches to linting Prometheus text
    expositions ({!Aqua_obs.Expose.lint}); --max-overhead R additionally
-   fails a P9 file whose measured probe overhead ratio exceeds R;
-   --min-speedup S fails a P10 file whose warm-phase speedup is below S
-   and a P12 file where any scale's speedup_at_1024 is below S.  A P12
-   file always fails if some scale's batched@1024 median is slower than
-   its row-at-a-time median.  Exit 0 when everything checks out; exit 1
-   with a list of problems otherwise. *)
+   fails a P9 file whose measured probe overhead ratio exceeds R (and
+   bounds P14's serve-path overhead); --min-speedup S fails a P10 file
+   whose warm-phase speedup is below S (and floors P11's 4v1 speedup).
+   Exit 0 when everything checks out; exit 1 with a list of problems
+   otherwise. *)
 
 module Json = Aqua_core.Json
 
@@ -343,194 +342,6 @@ let validate_p13 path json =
     | None -> problem "%s: missing field \"legs\"" path
   end
 
-(* P12: batched FLWOR execution — row-at-a-time and batched medians of
-   the same query, so at batch size 1024 the batched engine must never
-   be slower than the row path (a silent vectorization regression);
-   --min-speedup S additionally requires every scale's speedup_at_1024
-   to clear S. *)
-let validate_p12 ?min_speedup path json =
-  check_field path json "experiment" is_string "a string";
-  check_field path json "sql" is_string "a string";
-  check_field path json "units" is_string "a string";
-  check_field path json "seed" is_int "an integer";
-  check_field path json "smoke" is_bool "a boolean";
-  check_field path json "default_batch_size" is_int "an integer";
-  (match Json.member "batch_sizes" json with
-  | Some (Json.Arr sizes) ->
-    if sizes = [] then problem "%s: \"batch_sizes\" is empty" path;
-    List.iteri
-      (fun i v ->
-        if not (is_int v) then
-          problem "%s: batch_sizes[%d] is not an integer" path i)
-      sizes
-  | Some _ -> problem "%s: \"batch_sizes\" is not an array" path
-  | None -> problem "%s: missing field \"batch_sizes\"" path);
-  (match Json.member "scales" json with
-  | Some (Json.Arr scales) ->
-    if scales = [] then problem "%s: \"scales\" is empty" path;
-    List.iteri
-      (fun i scale ->
-        let spath = Printf.sprintf "%s: scales[%d]" path i in
-        match scale with
-        | Json.Obj _ ->
-          List.iter
-            (fun (name, pred, ty) -> check_field spath scale name pred ty)
-            [ ("label", is_string, "a string");
-              ("customers", is_int, "an integer");
-              ("orders", is_int, "an integer");
-              ("rows", is_int, "an integer");
-              ("row_at_a_time_ns", is_number_or_null, "a number or null");
-              ( "row_at_a_time_ns_per_row", is_number_or_null,
-                "a number or null" );
-              ("speedup_at_1024", is_number_or_null, "a number or null") ];
-          (match Json.member "batched" scale with
-          | Some (Json.Arr entries) ->
-            if entries = [] then problem "%s: \"batched\" is empty" spath;
-            let at_1024 = ref None in
-            List.iteri
-              (fun j entry ->
-                let epath = Printf.sprintf "%s: batched[%d]" spath j in
-                match entry with
-                | Json.Obj _ -> (
-                  check_field epath entry "batch_size" is_int "an integer";
-                  check_field epath entry "ns" is_number_or_null
-                    "a number or null";
-                  check_field epath entry "ns_per_row" is_number_or_null
-                    "a number or null";
-                  match (Json.member "batch_size" entry,
-                         Json.member "ns" entry) with
-                  | Some (Json.Num bs), Some (Json.Num ns)
-                    when Float.to_int bs = 1024 ->
-                    at_1024 := Some ns
-                  | _ -> ())
-                | _ -> problem "%s is not an object" epath)
-              entries;
-            (match (!at_1024, Json.member "row_at_a_time_ns" scale) with
-            | Some vec_ns, Some (Json.Num row_ns) when vec_ns > row_ns ->
-              problem
-                "%s: batched@1024 median %.0f ns is slower than \
-                 row-at-a-time %.0f ns"
-                spath vec_ns row_ns
-            | None, _ ->
-              problem "%s: no batched entry with batch_size 1024" spath
-            | _ -> ())
-          | Some _ -> problem "%s: \"batched\" is not an array" spath
-          | None -> problem "%s: missing field \"batched\"" spath);
-          (match (Json.member "speedup_at_1024" scale, min_speedup) with
-          | Some (Json.Num s), Some floor when s < floor ->
-            problem "%s: speedup_at_1024 %.3f below --min-speedup %.3f" spath
-              s floor
-          | Some Json.Null, Some _ ->
-            problem "%s: speedup_at_1024 is null but --min-speedup given"
-              spath
-          | _ -> ())
-        | _ -> problem "%s is not an object" spath)
-      scales
-  | Some _ -> problem "%s: \"scales\" is not an array" path
-  | None -> problem "%s: missing field \"scales\"" path);
-  match Json.member "telemetry" json with
-  | Some (Json.Obj _ as telemetry) ->
-    List.iter
-      (fun name ->
-        check_field (path ^ ": telemetry") telemetry name is_int "an integer")
-      telemetry_int_fields
-  | Some _ -> problem "%s: \"telemetry\" is not an object" path
-  | None -> problem "%s: missing field \"telemetry\"" path
-
-(* P15: columnar batch layout vs the row-snapshot batch engine —
-   interleaved A/B medians of the same query at batch size 1024.  The
-   hard gate: on every aggregation-shaped workload ("aggregation" and
-   "join-aggregation" kinds) the columnar engine must never be slower
-   than the batched engine — speedup_at_1024 below parity is a silent
-   regression of the kernelized GROUP BY path; --min-speedup S
-   additionally requires every scale of the pure "aggregation" kind
-   (where the kernels, not join probe cost, dominate) to clear S.
-   "wide"-kind workloads are informational — pruning is a
-   memory-traffic story — and only the structure is checked. *)
-let validate_p15 ?min_speedup path json =
-  check_field path json "experiment" is_string "a string";
-  check_field path json "units" is_string "a string";
-  check_field path json "seed" is_int "an integer";
-  check_field path json "smoke" is_bool "a boolean";
-  check_field path json "batch_size" is_int "an integer";
-  (match Json.member "workloads" json with
-  | Some (Json.Arr workloads) ->
-    if workloads = [] then problem "%s: \"workloads\" is empty" path;
-    let saw_aggregation = ref false in
-    List.iteri
-      (fun wi workload ->
-        let wpath = Printf.sprintf "%s: workloads[%d]" path wi in
-        match workload with
-        | Json.Obj _ ->
-          check_field wpath workload "name" is_string "a string";
-          check_field wpath workload "kind" is_string "a string";
-          check_field wpath workload "sql" is_string "a string";
-          let kind =
-            match Json.member "kind" workload with
-            | Some (Json.Str k) -> k
-            | _ -> ""
-          in
-          if kind = "aggregation" then saw_aggregation := true;
-          (match Json.member "scales" workload with
-          | Some (Json.Arr scales) ->
-            if scales = [] then problem "%s: \"scales\" is empty" wpath;
-            List.iteri
-              (fun i scale ->
-                let spath = Printf.sprintf "%s: scales[%d]" wpath i in
-                match scale with
-                | Json.Obj _ -> (
-                  List.iter
-                    (fun (name, pred, ty) ->
-                      check_field spath scale name pred ty)
-                    [ ("label", is_string, "a string");
-                      ("customers", is_int, "an integer");
-                      ("orders", is_int, "an integer");
-                      ("rows", is_int, "an integer");
-                      ("batched_ns", is_number_or_null, "a number or null");
-                      ( "batched_ns_per_row", is_number_or_null,
-                        "a number or null" );
-                      ("columnar_ns", is_number_or_null, "a number or null");
-                      ( "columnar_ns_per_row", is_number_or_null,
-                        "a number or null" );
-                      ( "speedup_at_1024", is_number_or_null,
-                        "a number or null" ) ];
-                  if kind = "aggregation" || kind = "join-aggregation" then
-                    match Json.member "speedup_at_1024" scale with
-                    | Some (Json.Num s) -> (
-                      if s < 1.0 then
-                        problem
-                          "%s: columnar is slower than batched on an \
-                           aggregation shape (speedup_at_1024 %.3f)"
-                          spath s;
-                      match min_speedup with
-                      | Some floor when kind = "aggregation" && s < floor ->
-                        problem
-                          "%s: speedup_at_1024 %.3f below --min-speedup %.3f"
-                          spath s floor
-                      | _ -> ())
-                    | Some Json.Null ->
-                      problem "%s: speedup_at_1024 is null on an \
-                               aggregation shape" spath
-                    | _ -> ())
-                | _ -> problem "%s is not an object" spath)
-              scales
-          | Some _ -> problem "%s: \"scales\" is not an array" wpath
-          | None -> problem "%s: missing field \"scales\"" wpath)
-        | _ -> problem "%s is not an object" wpath)
-      workloads;
-    if not !saw_aggregation then
-      problem "%s: no workload of kind \"aggregation\"" path
-  | Some _ -> problem "%s: \"workloads\" is not an array" path
-  | None -> problem "%s: missing field \"workloads\"" path);
-  match Json.member "telemetry" json with
-  | Some (Json.Obj _ as telemetry) ->
-    List.iter
-      (fun name ->
-        check_field (path ^ ": telemetry") telemetry name is_int "an integer")
-      telemetry_int_fields
-  | Some _ -> problem "%s: \"telemetry\" is not an object" path
-  | None -> problem "%s: missing field \"telemetry\"" path
-
 (* P14: trace-sampling overhead on the serve path — closed-loop legs
    identical but for trace wiring.  The hard gates: the baseline and
    0%-sampling legs must emit zero trace lines (0% means silent), the
@@ -609,17 +420,11 @@ let validate_p14 ?max_overhead path json =
 let validate ?max_overhead ?min_speedup path json =
   match Json.member "experiment" json with
   | Some (Json.Str e)
-    when String.length e >= 3 && String.sub e 0 3 = "P15" ->
-    validate_p15 ?min_speedup path json
-  | Some (Json.Str e)
     when String.length e >= 3 && String.sub e 0 3 = "P14" ->
     validate_p14 ?max_overhead path json
   | Some (Json.Str e)
     when String.length e >= 3 && String.sub e 0 3 = "P13" ->
     validate_p13 path json
-  | Some (Json.Str e)
-    when String.length e >= 3 && String.sub e 0 3 = "P12" ->
-    validate_p12 ?min_speedup path json
   | Some (Json.Str e)
     when String.length e >= 3 && String.sub e 0 3 = "P11" ->
     validate_p11 ?min_speedup path json

@@ -67,34 +67,6 @@ let no_scan_cache_flag =
            and the cross-query materialized scan cache for parameterless \
            data-service calls.")
 
-let no_vectorize_flag =
-  Arg.(
-    value & flag
-    & info [ "no-vectorize" ]
-        ~doc:
-          "Disable the batched FLWOR engine; execute optimized plans \
-           with the row-at-a-time pipeline (the differential oracle).")
-
-let no_columnar_flag =
-  Arg.(
-    value & flag
-    & info [ "no-columnar" ]
-        ~doc:
-          "Disable the columnar (struct-of-arrays) batch layout; execute \
-           batched plans over row-snapshot batches (the columnar engine's \
-           differential oracle).")
-
-let batch_size_opt =
-  Arg.(
-    value & opt (some int) None
-    & info [ "batch-size" ] ~docv:"N"
-        ~doc:
-          "Rows per batch for the vectorized engine (default 1024; also \
-           settable via \\$(b,AQUA_BATCH_SIZE)).")
-
-let apply_batch_size batch_size =
-  Option.iter Aqua_xqeval.Batch.set_size batch_size
-
 let translate_cmd =
   let run sql naive =
     with_env (fun _app env ->
@@ -171,7 +143,7 @@ let tick_items_as_rows items =
 
 (* Execute with graceful degradation, mirroring the driver: a crash
    inside the optimized evaluator gets one more attempt with both
-   suspects off — optimizer and batch engine — counted as a
+   suspects off (the optimizer and the compiled engine), counted as a
    fallback. *)
 let execute_degrading ~no_optimize app server xquery ~span =
   let execute srv =
@@ -186,8 +158,7 @@ let execute_degrading ~no_optimize app server xquery ~span =
     (* the fallback server shares the crashed server's scan cache, so
        scans the optimized run already materialized are not re-fetched *)
     execute
-      (Server.create ~optimize:false ~vectorize:false ~columnar:false
-         ~cache:(Server.scan_cache server) app)
+      (Server.create ~optimize:false ~cache:(Server.scan_cache server) app)
 
 let start_trace () =
   Telemetry.set_enabled true;
@@ -201,10 +172,9 @@ let finish_trace () =
     ^ "}")
 
 let run_cmd =
-  let run sql naive no_optimize no_scan_cache no_vectorize no_columnar
-      batch_size trace timeout max_rows failpoints =
+  let run sql naive no_optimize no_scan_cache trace timeout max_rows
+      failpoints =
     with_env (fun app env ->
-        apply_batch_size batch_size;
         if trace then start_trace ();
         (* the final counter snapshot must reach the sink even when
            translation or execution raises — that failing trace is the
@@ -219,7 +189,6 @@ let run_cmd =
             in
             let server =
               Server.create ~optimize:(not no_optimize)
-                ~vectorize:(not no_vectorize) ~columnar:(not no_columnar)
                 ~scan_cache:(not no_scan_cache) app
             in
             let items =
@@ -234,15 +203,13 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Translate and execute; print the XML result")
     Term.(
       const run $ sql_arg $ naive_flag $ no_optimize_flag $ no_scan_cache_flag
-      $ no_vectorize_flag $ no_columnar_flag $ batch_size_opt $ trace_flag
-      $ timeout_opt $ max_rows_opt $ failpoints_opt)
+      $ trace_flag $ timeout_opt $ max_rows_opt $ failpoints_opt)
 
 let analyze_cmd =
   let ms ns = Int64.to_float ns /. 1e6 in
-  let run sql naive no_optimize no_scan_cache no_vectorize no_columnar
-      batch_size trace timeout max_rows failpoints =
+  let run sql naive no_optimize no_scan_cache trace timeout max_rows
+      failpoints =
     with_env (fun app env ->
-        apply_batch_size batch_size;
         Telemetry.set_enabled true;
         Telemetry.reset ();
         Obs_stats.reset ();
@@ -261,7 +228,6 @@ let analyze_cmd =
         let t = Translator.translate ~style:(style_of_naive naive) env sql in
         let server =
           Server.create ~optimize:(not no_optimize)
-            ~vectorize:(not no_vectorize) ~columnar:(not no_columnar)
             ~scan_cache:(not no_scan_cache) app
         in
         let items =
@@ -288,14 +254,11 @@ let analyze_cmd =
         in
         let optimized, report =
           Aqua_xqeval.Optimize.query ~share_scans:(not no_scan_cache)
-            ~vectorize:(not no_vectorize) ~columnar:(not no_columnar)
             ~node_fns t.Translator.xquery
         in
         let shape =
-          if no_vectorize || no_columnar then []
-          else
-            Aqua_xqeval.Optimize.columnar_shape ~node_fns
-              optimized.Aqua_xquery.Ast.body
+          Aqua_xqeval.Optimize.columnar_shape ~node_fns
+            optimized.Aqua_xquery.Ast.body
         in
         Printf.printf "EXPLAIN ANALYZE  %s\n" sql;
         Printf.printf "translation (three stages):\n";
@@ -335,9 +298,8 @@ let analyze_cmd =
             (fun (label, rows) -> Printf.printf "  %-28s %8d\n" label rows)
             clause_rows
         end;
-        if no_optimize || no_vectorize then
-          Printf.printf "batch pipeline: disabled (%s)\n"
-            (if no_optimize then "--no-optimize" else "--no-vectorize")
+        if no_optimize then
+          Printf.printf "batch pipeline: disabled (--no-optimize)\n"
         else begin
           let batches = snap.Telemetry.batch_batches in
           let brows = snap.Telemetry.batch_rows in
@@ -362,26 +324,19 @@ let analyze_cmd =
                    | _ -> Printf.printf "  %-28s %8d          -\n" label rows);
                    Some rows)
                  None clause_rows)
-          end
-        end;
-        if not (no_optimize || no_vectorize) then begin
-          if no_columnar then
-            Printf.printf "columnar layout: disabled (--no-columnar)\n"
-          else begin
-            let cb = snap.Telemetry.columnar_batches in
-            let cr = snap.Telemetry.columnar_rows in
-            Printf.printf
-              "columnar layout: %d batch(es), %d row(s); %d column \
-               copies pruned, %d kernel update(s); %d projected \
-               column(s) built, %d memo hit(s); %d derived cell \
-               column(s) built, %d derived hit(s)\n"
-              cb cr snap.Telemetry.columnar_pruned_columns
-              snap.Telemetry.columnar_kernel_updates
-              (Telemetry.value Telemetry.c_col_projected_columns)
-              (Telemetry.value Telemetry.c_col_projection_hits)
-              (Telemetry.value Telemetry.c_col_derived_columns)
-              (Telemetry.value Telemetry.c_col_derived_hits)
-          end
+          end;
+          Printf.printf
+            "columnar layout: %d batch(es), %d row(s); %d column copies \
+             pruned, %d kernel update(s); %d projected column(s) built, \
+             %d memo hit(s); %d derived cell column(s) built, %d derived \
+             hit(s)\n"
+            snap.Telemetry.columnar_batches snap.Telemetry.columnar_rows
+            snap.Telemetry.columnar_pruned_columns
+            snap.Telemetry.columnar_kernel_updates
+            (Telemetry.value Telemetry.c_col_projected_columns)
+            (Telemetry.value Telemetry.c_col_projection_hits)
+            (Telemetry.value Telemetry.c_col_derived_columns)
+            (Telemetry.value Telemetry.c_col_derived_hits)
         end;
         Printf.printf "engine counters:\n";
         Printf.printf "  rows emitted (all clauses)   %8d\n" snap.Telemetry.rows_emitted;
@@ -464,8 +419,7 @@ let analyze_cmd =
           (retries, breaker state changes, governor trips).")
     Term.(
       const run $ sql_arg $ naive_flag $ no_optimize_flag $ no_scan_cache_flag
-      $ no_vectorize_flag $ no_columnar_flag $ batch_size_opt $ trace_flag
-      $ timeout_opt $ max_rows_opt $ failpoints_opt)
+      $ trace_flag $ timeout_opt $ max_rows_opt $ failpoints_opt)
 
 (* sql2xq stats: replay a workload through the driver (the real
    Connection path: translation cache, budgets, fallback, transports)
@@ -580,10 +534,9 @@ let stats_cmd =
         (Recorder.event_to_ndjson ev)
     | None -> ()
   in
-  let run queries count repeat seed top by format no_scan_cache no_vectorize
-      no_columnar batch_size trace timeout max_rows failpoints =
+  let run queries count repeat seed top by format no_scan_cache trace timeout
+      max_rows failpoints =
     with_env (fun app _env ->
-        apply_batch_size batch_size;
         Telemetry.set_enabled true;
         Telemetry.reset ();
         Obs_stats.reset ();
@@ -613,7 +566,6 @@ let stats_cmd =
         end;
         let conn =
           Aqua_driver.Connection.connect ~limits
-            ~vectorize:(not no_vectorize) ~columnar:(not no_columnar)
             ~scan_cache:(not no_scan_cache) app
         in
         let executed = ref 0 and failures = ref 0 in
@@ -642,8 +594,7 @@ let stats_cmd =
           $(b,--format prom) emits the Prometheus text exposition.")
     Term.(
       const run $ queries_opt $ count_opt $ repeat_opt $ seed_opt $ top_opt
-      $ by_opt $ format_opt $ no_scan_cache_flag $ no_vectorize_flag
-      $ no_columnar_flag $ batch_size_opt $ trace_flag $ timeout_opt
+      $ by_opt $ format_opt $ no_scan_cache_flag $ trace_flag $ timeout_opt
       $ max_rows_opt $ failpoints_opt)
 
 let text_cmd =

@@ -118,20 +118,17 @@ type t = {
 }
 
 let connect ?(transport = Text) ?(metadata_cache = true)
-    ?(translation_cache = true) ?(optimize = true) ?(vectorize = true)
-    ?(columnar = Aqua_xqeval.Batch.columnar ())
-    ?(scan_cache = true) ?(limits = Budget.no_limits) app =
+    ?(translation_cache = true) ?(optimize = true) ?(scan_cache = true)
+    ?(limits = Budget.no_limits) app =
   let cache = Metadata.Cache.create ~enabled:metadata_cache app in
   let scans = Aqua_dsp.Scan_cache.create ~enabled:scan_cache app in
   {
     app;
-    srv = Server.create ~optimize ~vectorize ~columnar ~cache:scans app;
-    (* the degradation target drops ALL suspects: the optimizer, the
-       batch engine and the columnar layout — a rerun after a crash
-       must not share code with the plan that crashed *)
-    srv_unopt =
-      Server.create ~optimize:false ~vectorize:false ~columnar:false
-        ~cache:scans app;
+    srv = Server.create ~optimize ~cache:scans app;
+    (* the degradation target drops both suspects, the optimizer and
+       the compiled engine: a rerun after a crash must not share code
+       with the plan that crashed *)
+    srv_unopt = Server.create ~optimize:false ~cache:scans app;
     scans;
     cache;
     translations = Lru.create ~enabled:translation_cache translation_cache_capacity;

@@ -36,8 +36,6 @@ val connect :
   ?metadata_cache:bool ->
   ?translation_cache:bool ->
   ?optimize:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   ?scan_cache:bool ->
   ?limits:Aqua_resilience.Budget.limits ->
   Aqua_dsp.Artifact.application ->
@@ -48,14 +46,12 @@ val connect :
     keyed by SQL text, so re-issued ad-hoc SQL skips the three-stage
     translation.  [optimize] (default [true]) enables the XQuery-side
     optimizer (predicate pushdown, hash equi-joins, streaming
-    pipeline) on the server this connection talks to; [vectorize]
-    (default [true]) additionally executes optimized plans through the
-    batched FLWOR engine, and [columnar] (default
-    {!Aqua_xqeval.Batch.columnar}) selects its struct-of-arrays batch
-    layout (required-column pruning, vectorized aggregation kernels) —
-    the graceful-degradation fallback always reruns with all three
-    off, so a crash in any suspect falls back to the plain
-    row-at-a-time interpreter.  [scan_cache]
+    pipeline) on the server this connection talks to and executes the
+    optimized plans through the compiled columnar engine;
+    [~optimize:false] keeps the interpreter, the differential oracle.
+    The graceful-degradation fallback always reruns with the optimizer
+    off, so a crash in either suspect falls back to the plain
+    interpreter.  [scan_cache]
     (default [true]) enables scan materialization: the optimizer's
     per-plan scan-sharing hoist plus a revision-aware
     {!Aqua_dsp.Scan_cache} shared by the optimized server and its

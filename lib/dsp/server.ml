@@ -13,17 +13,13 @@ let fail = Aqua_xqeval.Error.fail
 type t = {
   app : Artifact.application;
   optimize : bool;
-  vectorize : bool;
-  columnar : bool;
   retry : Retry.policy;
   breakers : Breaker.registry;
   scan_cache : Scan_cache.t;
 }
 
-let create ?(optimize = true) ?(vectorize = true)
-    ?(columnar = Aqua_xqeval.Batch.columnar ())
-    ?(retry = Retry.default_policy) ?(breaker = Breaker.default_config)
-    ?(scan_cache = true) ?cache app =
+let create ?(optimize = true) ?(retry = Retry.default_policy)
+    ?(breaker = Breaker.default_config) ?(scan_cache = true) ?cache app =
   let cache =
     match cache with
     | Some c -> c
@@ -32,8 +28,6 @@ let create ?(optimize = true) ?(vectorize = true)
   {
     app;
     optimize;
-    vectorize;
-    columnar;
     retry;
     breakers = Breaker.registry ~config:breaker ();
     scan_cache = cache;
@@ -126,10 +120,8 @@ and invoke t (ds : Artifact.data_service) (f : Artifact.ds_function) chain :
           (ctx, 1) args
         |> fst
       in
-      Eval.eval ~optimize:t.optimize ~vectorize:t.vectorize
-        ~columnar:t.columnar
-        ~scan_cache:(Scan_cache.enabled t.scan_cache)
-        ctx body
+      Eval.eval ~optimize:t.optimize
+        ~scan_cache:(Scan_cache.enabled t.scan_cache) ctx body
   in
   let br = Breaker.get t.breakers label in
   let guarded () = Breaker.call ~count_failure br run in
@@ -158,15 +150,11 @@ and invoke t (ds : Artifact.data_service) (f : Artifact.ds_function) chain :
       match f.Artifact.body with
       | Artifact.Physical _ -> label
       | Artifact.Logical _ ->
-        (* evaluator flavor in full: optimizer on/off, batch engine
-           on/off AND batch layout — a ~vectorize:false (or
-           ~columnar:false) oracle server sharing the cache must not
-           inherit rows another engine produced, or a differential run
-           would compare an engine against its own cached output *)
-        label
-        ^ (if t.optimize then "|opt" else "|unopt")
-        ^ (if t.optimize && t.vectorize then "|vec" else "")
-        ^ if t.optimize && t.vectorize && t.columnar then "|col" else ""
+        (* the evaluator: an interpreter server sharing the cache must
+           not inherit rows the compiled engine produced, or a
+           differential run would compare an engine against its own
+           cached output *)
+        label ^ if t.optimize then "|opt" else "|unopt"
     in
     let seq =
       match Scan_cache.find t.scan_cache key with
@@ -194,10 +182,8 @@ let execute ?(bindings = []) t (q : X.query) =
   let ctx =
     List.fold_left (fun ctx (name, seq) -> Eval.bind ctx name seq) ctx bindings
   in
-  Eval.eval_query ~optimize:t.optimize ~vectorize:t.vectorize
-    ~columnar:t.columnar
-    ~scan_cache:(Scan_cache.enabled t.scan_cache)
-    ctx q
+  Eval.eval_query ~optimize:t.optimize
+    ~scan_cache:(Scan_cache.enabled t.scan_cache) ctx q
 
 let execute_text ?bindings t src =
   execute ?bindings t (Aqua_xquery.Parser.parse_query src)
@@ -219,8 +205,7 @@ let execute_to_text ?bindings t q =
 type prepared = Aqua_xqeval.Compile.compiled
 
 let prepare ?(vars = []) t (q : X.query) =
-  Aqua_xqeval.Compile.compile ~optimize:t.optimize ~vectorize:t.vectorize
-    ~columnar:t.columnar
+  Aqua_xqeval.Compile.compile ~optimize:t.optimize
     ~scan_cache:(Scan_cache.enabled t.scan_cache)
     ~resolve:(resolver t q.X.prolog.X.imports [])
     ~node_fns:(physical_fns t.app q.X.prolog.X.imports)

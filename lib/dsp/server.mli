@@ -10,8 +10,6 @@ type t
 
 val create :
   ?optimize:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   ?retry:Aqua_resilience.Retry.policy ->
   ?breaker:Aqua_resilience.Breaker.config ->
   ?scan_cache:bool ->
@@ -20,23 +18,13 @@ val create :
   t
 (** [optimize] (default [true]) runs the {!Aqua_xqeval.Optimize} pass
     (predicate pushdown, hash equi-joins, streaming pipeline) on every
-    query and data-service body this server evaluates or prepares;
-    [~optimize:false] keeps the naive nested-loop evaluator as a
-    differential-testing oracle.
-
-    [vectorize] (default [true]) executes optimized plans through the
-    batched FLWOR engine ({!Aqua_xqeval.Batch}-sized batches of tuple
-    snapshots between clauses); [~vectorize:false] keeps the
-    tuple-at-a-time pipeline, the row-at-a-time oracle the batch
-    engine is differentially tested against.
-
-    [columnar] (default {!Aqua_xqeval.Batch.columnar}, meaningful only
-    with [vectorize]) selects the struct-of-arrays batch layout with
-    required-column pruning and vectorized aggregation kernels;
-    [~columnar:false] keeps the row-snapshot batch layout, the
-    columnar engine's differential oracle.  Logical scan-cache entries
-    are keyed by evaluator flavor (optimizer, batch engine and batch
-    layout), so oracle, batched and columnar servers sharing one cache
+    query and data-service body this server evaluates or prepares, and
+    executes the optimized plans through the compiled columnar engine
+    ({!Aqua_xqeval.Compile}); [~optimize:false] evaluates with the
+    naive nested-loop interpreter ({!Aqua_xqeval.Eval}), the
+    differential-testing oracle ({!prepare} still compiles, from the
+    unoptimized plan).  Logical scan-cache entries are keyed
+    by that flag, so interpreter and compiled servers sharing one cache
     never serve each other's logical rows.
 
     [scan_cache] (default [true]) enables scan materialization at both

@@ -21,13 +21,9 @@ type env = {
   optimize : bool;
       (* use the hash equi-join fast path for inner joins; off = the
          pure nested-loop oracle *)
-  vectorize : bool;
-      (* filter WHERE in fixed-size batches (selection vector, one
-         budget probe per batch); off = the row-at-a-time filter *)
 }
 
-let env_of_application ?(optimize = true) ?(scan_cache = true)
-    ?(vectorize = true) app =
+let env_of_application ?(optimize = true) ?(scan_cache = true) app =
   let sem = Semantic.env_of_application app in
   let lookup_table_data (n : A.table_name) pos =
     match Metadata.lookup app ?catalog:n.A.catalog ?schema:n.A.schema n.A.table with
@@ -99,7 +95,7 @@ let env_of_application ?(optimize = true) ?(scan_cache = true)
           r
     end
   in
-  { sem; table_data; optimize; vectorize }
+  { sem; table_data; optimize }
 
 (* ------------------------------------------------------------------ *)
 (* Tuples: one value array per view, aligned with the view's columns. *)
@@ -889,41 +885,7 @@ and exec_spec ?(params : params = [||]) env outer_scope outer_frames
     | None -> tuples
     | Some w ->
       let keep frame = Value.is_true (eval_pred ~params (mk_ctx frame) w) in
-      if not env.vectorize then List.filter keep tuples
-      else begin
-        (* batched filter: fixed-size slices with a selection vector,
-           one budget probe per batch instead of none, and batch
-           traffic on the shared xqeval.batch.* counters *)
-        let module T = Aqua_core.Telemetry in
-        let cap = Aqua_xqeval.Batch.size () in
-        let buf = Array.make cap [] in
-        let n = ref 0 in
-        let acc = ref [] in
-        let drain () =
-          if !n > 0 then begin
-            Aqua_resilience.Budget.steps !n;
-            T.incr T.c_batch_batches;
-            T.add T.c_batch_rows !n;
-            let selected = ref 0 in
-            for k = 0 to !n - 1 do
-              if keep buf.(k) then begin
-                acc := buf.(k) :: !acc;
-                incr selected
-              end
-            done;
-            T.add T.c_batch_filtered (!n - !selected);
-            n := 0
-          end
-        in
-        List.iter
-          (fun frame ->
-            buf.(!n) <- frame;
-            incr n;
-            if !n = cap then drain ())
-          tuples;
-        drain ();
-        List.rev !acc
-      end
+      List.filter keep tuples
   in
   let items = Semantic.expand_select env.sem scope spec in
   let cols = List.map fst items in

@@ -16,7 +16,6 @@ type env
 val env_of_application :
   ?optimize:bool ->
   ?scan_cache:bool ->
-  ?vectorize:bool ->
   Aqua_dsp.Artifact.application ->
   env
 (** Tables are the application's physical data-service functions.
@@ -27,10 +26,7 @@ val env_of_application :
     the nested loop).  [scan_cache] (default [true]) memoizes table
     resolution (metadata + service + function lookup) per table name
     until the application's metadata revision changes; hits and misses
-    move the shared [scan_cache.*] telemetry counters.  [vectorize]
-    (default [true]) filters WHERE in {!Aqua_xqeval.Batch}-sized
-    slices with a selection vector (one budget probe per batch);
-    [~vectorize:false] keeps the row-at-a-time filter. *)
+    move the shared [scan_cache.*] telemetry counters. *)
 
 val execute : env -> Aqua_sql.Ast.statement -> Aqua_relational.Rowset.t
 (** @raise Aqua_translator.Errors.Error on semantic errors (the same

@@ -1,16 +1,11 @@
-(* Batch-size and layout configuration for the vectorized FLWOR
-   pipeline.
+(* Batch size and layout for the compiled FLWOR pipeline.
 
-   Two global knobs: the number of tuples a vectorized operator pushes
-   downstream at a time, and whether the batches use the columnar
-   (struct-of-arrays) layout or the PR 6 row-snapshot layout.  Both are
-   read from the environment at startup (AQUA_BATCH_SIZE /
-   AQUA_COLUMNAR) and overridable programmatically (the CLI's
-   --batch-size / --no-columnar flags and the differential tests both
-   go through [set_size] / [set_columnar]).  The size is read at
-   *invocation* time by the compiled pipelines, so changing it affects
-   already-compiled plans; the layout is read at *compile* time, so it
-   selects which pipeline gets built. *)
+   One global knob: the number of tuples an operator pushes downstream
+   at a time.  It is seeded from the environment at startup
+   (AQUA_BATCH_SIZE) and overridable programmatically ([set_size]), so
+   the test suite can run every battery at sizes that leave partial
+   final batches.  The size is read at *invocation* time by the
+   compiled pipelines, so changing it affects already-compiled plans. *)
 
 let default_size = 1024
 
@@ -24,20 +19,6 @@ let current = ref initial
 let size () = !current
 
 let set_size n = current := max 1 n
-
-(* ------------------------------------------------------------------ *)
-(* Columnar layout toggle                                             *)
-
-let columnar_initial =
-  match Sys.getenv_opt "AQUA_COLUMNAR" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some _ | None -> true
-
-let columnar_current = ref columnar_initial
-
-let columnar () = !columnar_current
-
-let set_columnar b = columnar_current := b
 
 (* ------------------------------------------------------------------ *)
 (* Struct-of-arrays batch                                             *)

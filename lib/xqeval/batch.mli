@@ -1,36 +1,18 @@
-(** Batch-size and layout configuration for the vectorized FLWOR
-    pipeline.
+(** Batch size and layout for the compiled FLWOR pipeline.
 
-    The vectorized evaluator ({!Compile} with [~vectorize:true]) pushes
-    fixed-size batches of tuples through each clause operator.  The
-    batch size defaults to 1024, can be seeded from the
-    [AQUA_BATCH_SIZE] environment variable, and is adjustable at run
-    time ([sql2xq --batch-size]).  Compiled pipelines read the size at
-    invocation time, so a change takes effect on the next execution.
-
-    Since the columnar engine, batches are struct-of-arrays: one value
-    vector per bound variable plus a selection vector ({!columns}).
-    The [columnar] toggle selects between that layout and the PR 6
-    row-snapshot layout at compile time ([AQUA_COLUMNAR=0] or
-    [sql2xq --no-columnar] keep the row-snapshot engine as the
-    differential oracle). *)
-
-val default_size : int
-(** 1024. *)
+    The compiled evaluator ({!Compile}) pushes fixed-size batches of
+    tuples through each clause operator, laid out as struct-of-arrays
+    ({!columns}).  The batch size defaults to 1024 and can be seeded
+    from the [AQUA_BATCH_SIZE] environment variable; the test suite
+    overrides it with {!set_size} to cover partial final batches.
+    Compiled pipelines read the size at invocation time, so a change
+    takes effect on the next execution. *)
 
 val size : unit -> int
 (** The current batch size (>= 1). *)
 
 val set_size : int -> unit
 (** Override the batch size; values below 1 are clamped to 1. *)
-
-val columnar : unit -> bool
-(** Whether newly compiled vectorized pipelines use the columnar
-    (struct-of-arrays) layout.  Defaults to [true]; seeded from
-    [AQUA_COLUMNAR] (["0"]/["false"]/["off"]/["no"] disable it). *)
-
-val set_columnar : bool -> unit
-(** Override the columnar toggle (applies to subsequent compiles). *)
 
 (** {1 Struct-of-arrays batches}
 

@@ -4,27 +4,19 @@
     server's query compilation step (the interpreter {!Eval} is the
     reference semantics; the test suite checks both agree).
 
-    With [vectorize] (the default) FLWOR pipelines are lowered to a
-    push-based batch engine: clauses exchange fixed-capacity batches
-    ({!Batch.size} rows, selection-vector filtering), hoisting
-    per-clause setup out of the inner loop.  [~vectorize:false]
-    selects the tuple-at-a-time lowering, which the differential test
-    suite uses as the oracle.
-
-    With [columnar] (the default, gated on [vectorize]) batches use a
-    struct-of-arrays layout — one value vector per bound variable
-    ({!Batch.columns}) — with required-column pruning (expanders and
-    barriers copy only the columns the rest of the pipeline reads) and
-    vectorized aggregation kernels (group-by clauses whose post-group
-    reads are all translator aggregate shapes never materialize the
-    partition; see {!Optimize.group_kernels} and {!Kernels}).
-    [~columnar:false] selects the row-snapshot batch layout, the
-    differential oracle for the columnar engine.  The columnar engine
-    also reads single-step column accesses over physical scans from
+    FLWOR pipelines are lowered to a push-based columnar batch engine:
+    clauses exchange fixed-capacity batches ({!Batch.size} rows) laid
+    out as struct-of-arrays — one value vector per bound variable
+    ({!Batch.columns}) under a selection vector — with required-column
+    pruning (expanders and barriers copy only the columns the rest of
+    the pipeline reads) and vectorized aggregation kernels (group-by
+    clauses whose post-group reads are all translator aggregate shapes
+    never materialize the partition; see {!Optimize.group_kernels} and
+    {!Kernels}).  Single-step column accesses over physical scans read
     per-column vectors memoized with the scan
     ({!Optimize.scan_projections}); the memo is domain-local, keyed by
-    the physical identity of the scan's sequence, and bounded by
-    entry count and by {!projected_cells_max}.
+    the physical identity of the scan's sequence, and bounded by entry
+    count and by {!projected_cells_max}.
 
     Variable scoping is resolved at compile time; referencing an
     undefined variable (including bindings dropped by the group-by
@@ -43,8 +35,6 @@ type resolver = string -> (Aqua_xml.Item.sequence list -> Aqua_xml.Item.sequence
 val compile :
   ?optimize:bool ->
   ?scan_cache:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   ?resolve:resolver ->
   ?node_fns:(string -> bool) ->
   ?vars:string list ->
@@ -56,14 +46,12 @@ val compile :
     run time.  With [optimize] (the default) the {!Optimize} pass runs
     before lowering, enabling predicate pushdown and hash equi-joins;
     [scan_cache] (default [true]) additionally enables the optimizer's
-    scan-sharing hoist for repeated data-service calls; [vectorize]
-    (default [true]) lowers FLWOR pipelines to the batch engine;
-    [columnar] (default {!Batch.columnar}, meaningful only with
-    [vectorize]) selects the struct-of-arrays batch layout.
+    scan-sharing hoist for repeated data-service calls.
     [node_fns] names the external functions that return only nodes
-    (default: none); the optimizer and the columnar engine skip a dead
-    [let] only when its value provably cannot raise, which a child
-    step over such a function's rows cannot.
+    (default: none); the optimizer and the engine skip a dead [let]
+    only when its value provably cannot raise, which a child step over
+    such a function's rows cannot, and the engine projects scan
+    columns only over such functions.
     @raise Compile_error on unknown functions or variables, and on a
     [where] clause referencing a variable bound only by a later clause
     of the same FLWOR. *)
@@ -71,8 +59,6 @@ val compile :
 val compile_expr :
   ?optimize:bool ->
   ?scan_cache:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   ?resolve:resolver ->
   ?node_fns:(string -> bool) ->
   ?vars:string list ->

@@ -405,37 +405,25 @@ let check_scoping ctx e =
   | Some v -> fail "where clause references $%s before it is bound" v
   | None -> ()
 
-let eval ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
-    ?(columnar = Batch.columnar ()) ctx (e : X.expr) =
+let eval ?(optimize = true) ?(scan_cache = true) ctx (e : X.expr) =
   check_scoping ctx e;
-  let interpret () =
-    let e =
-      if optimize then
-        fst
-          (Optimize.expr ~share_scans:scan_cache ~vectorize:false
-             ~node_fns:ctx.node_fns e)
-      else e
-    in
-    eval ctx e
-  in
-  (* The optimized path executes through the compiled batch engine;
-     the tuple-at-a-time interpreter above remains the differential
-     oracle ([~vectorize:false]) and the fallback for any expression
-     the compiler rejects.  Only compile-time rejection falls back:
-     dynamic errors from the compiled code propagate, as they carry
-     the same SQLSTATE mapping either way. *)
-  if optimize && vectorize then begin
+  (* The optimized path executes through the compiled engine; the
+     interpreter above is the reference semantics ([~optimize:false])
+     and the fallback for any expression the compiler rejects.  Only
+     compile-time rejection falls back: dynamic errors from the
+     compiled code propagate, as they carry the same SQLSTATE mapping
+     either way. *)
+  if not optimize then eval ctx e
+  else
     let bindings = Env.bindings ctx.vars in
     match
-      Compile.compile_expr ~optimize ~scan_cache ~vectorize:true ~columnar
-        ~resolve:ctx.resolve ~node_fns:ctx.node_fns
-        ~vars:(List.map fst bindings)
-        e
+      Compile.compile_expr ~scan_cache ~resolve:ctx.resolve
+        ~node_fns:ctx.node_fns ~vars:(List.map fst bindings) e
     with
     | compiled -> Compile.run ~bindings compiled
-    | exception Compile.Compile_error _ -> interpret ()
-  end
-  else interpret ()
+    | exception Compile.Compile_error _ ->
+      eval ctx
+        (fst (Optimize.expr ~share_scans:scan_cache ~node_fns:ctx.node_fns e))
 
-let eval_query ?optimize ?scan_cache ?vectorize ?columnar ctx (q : X.query) =
-  eval ?optimize ?scan_cache ?vectorize ?columnar ctx q.body
+let eval_query ?optimize ?scan_cache ctx (q : X.query) =
+  eval ?optimize ?scan_cache ctx q.body

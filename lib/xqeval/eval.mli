@@ -31,39 +31,29 @@ val bind : context -> string -> Aqua_xml.Item.sequence -> context
 val eval :
   ?optimize:bool ->
   ?scan_cache:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   context ->
   Aqua_xquery.Ast.expr ->
   Aqua_xml.Item.sequence
 (** Evaluates an expression.  With [optimize] (the default) the
     {!Optimize} pass runs first, enabling predicate pushdown, hash
-    equi-joins and the streaming clause pipeline; [~optimize:false]
-    keeps the naive nested-loop semantics as a differential-testing
-    oracle.  [scan_cache] (default [true]) additionally enables the
+    equi-joins and the streaming clause pipeline, and the optimized
+    plan executes through the compiled engine ({!Compile}, with
+    {!Batch.size}-row columnar batches); an expression the compiler
+    rejects is interpreted instead.  [~optimize:false] interprets the
+    plan as written with the naive nested-loop semantics: the
+    reference semantics every compiled plan is differentially tested
+    against.  [scan_cache] (default [true]) additionally enables the
     optimizer's scan-sharing hoist, which materializes repeated
     data-service calls once per plan; [~scan_cache:false] keeps every
-    call in place (the no-materialization oracle).  [vectorize]
-    (default [true]) executes the optimized plan through the compiled
-    batch engine ({!Compile} with {!Batch.size}-row batches);
-    [~vectorize:false] keeps the tuple-at-a-time interpreter — the
-    row-at-a-time oracle the batch engine is differentially tested
-    against.  [columnar] (default {!Batch.columnar}, meaningful only
-    with [vectorize]) selects the struct-of-arrays batch layout with
-    required-column pruning and aggregation kernels;
-    [~columnar:false] keeps the row-snapshot batch layout, the
-    columnar engine's differential oracle.  Either way a [where]
-    clause referencing a variable bound
-    only by a later clause of the same FLWOR raises a clear error
-    naming the variable.
+    call in place (the no-materialization oracle).  Either way a
+    [where] clause referencing a variable bound only by a later clause
+    of the same FLWOR raises a clear error naming the variable.
     @raise Error.Dynamic_error on dynamic errors (unknown variable or
     function, type mismatches, cast failures). *)
 
 val eval_query :
   ?optimize:bool ->
   ?scan_cache:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   context ->
   Aqua_xquery.Ast.query ->
   Aqua_xml.Item.sequence

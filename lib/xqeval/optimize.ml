@@ -1905,8 +1905,7 @@ let columnar_shape ?(node_fns = fun _ -> false) (e : X.expr) : string list =
   walk e;
   List.rev !out
 
-let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true)
-    ?(node_fns = fun _ -> false) e =
+let expr ?(share_scans = true) ?(node_fns = fun _ -> false) e =
   let acc =
     {
       externals = lazy (free_vars e);
@@ -1921,18 +1920,14 @@ let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true)
   in
   let e = rewrite acc ~nested:false e in
   let e = if share_scans then share_scans_pass acc e else e in
-  if vectorize then
-    acc.notes <-
-      Printf.sprintf
-        "flwor pipelines execute as %d-row batches (selection-vector \
-         filtering)"
-        (Batch.size ())
-      :: acc.notes;
-  if vectorize && columnar then
-    acc.notes <-
-      "columnar layout: one value vector per bound variable \
-       (required-column pruning active)"
-      :: acc.notes;
+  acc.notes <-
+    "columnar layout: one value vector per bound variable \
+     (required-column pruning active)"
+    :: Printf.sprintf
+         "flwor pipelines execute as %d-row batches (selection-vector \
+          filtering)"
+         (Batch.size ())
+    :: acc.notes;
   let module T = Aqua_core.Telemetry in
   T.add T.c_pushdown_rewrites acc.pushed;
   T.add T.c_hash_join_rewrites acc.joins;
@@ -1947,10 +1942,8 @@ let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true)
       notes = List.rev acc.notes;
     } )
 
-let query ?share_scans ?vectorize ?columnar ?node_fns (q : X.query) =
-  let body, report =
-    expr ?share_scans ?vectorize ?columnar ?node_fns q.X.body
-  in
+let query ?share_scans ?node_fns (q : X.query) =
+  let body, report = expr ?share_scans ?node_fns q.X.body in
   ({ q with X.body }, report)
 
 (* ------------------------------------------------------------------ *)

@@ -69,17 +69,13 @@ val scan_var : string -> string
 
 val expr :
   ?share_scans:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   ?node_fns:(string -> bool) ->
   Aqua_xquery.Ast.expr ->
   Aqua_xquery.Ast.expr * report
 (** Optimize an expression bottom-up.  [share_scans] (default [true])
-    controls the scan-sharing hoist.  [vectorize] and [columnar]
-    (default [true]) do not change the plan — execution strategy is
-    chosen at compile time — but record the batch layout (current
-    {!Batch.size}, columnar or not) in the report notes; the
-    per-operator shape is {!columnar_shape}, which EXPLAIN-style
+    controls the scan-sharing hoist.  The report notes record the
+    compiled engine's batch layout (current {!Batch.size}, columnar);
+    the per-operator shape is {!columnar_shape}, which EXPLAIN-style
     consumers call on the optimized plan.  [node_fns] names the
     external functions known to return only nodes (the DSP server
     passes its physical data-service scans; default: none): a record
@@ -89,8 +85,6 @@ val expr :
 
 val query :
   ?share_scans:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   ?node_fns:(string -> bool) ->
   Aqua_xquery.Ast.query ->
   Aqua_xquery.Ast.query * report

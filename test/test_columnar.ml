@@ -1,13 +1,12 @@
-(* The columnar (struct-of-arrays) batch engine against its two
-   oracles (DESIGN.md section 16): the row-snapshot batch engine
-   ([~columnar:false], PR 6) and the tuple-at-a-time interpreter
-   ([~vectorize:false]).  The columnar layout must be observationally
-   identical to both at every edge batch size — including NULL-heavy
-   aggregation over LEFT OUTER JOIN, empty groups and non-kernelizable
-   group shapes — while governors still trip at batch boundaries,
-   batch faults still degrade gracefully, the columnar counters stay
-   silent with the layout off, and required-column pruning is visible
-   in the optimizer's plan notes. *)
+(* The columnar (struct-of-arrays) batch engine against the
+   interpreter oracle ([~optimize:false], DESIGN.md section 16) and,
+   where a battery says so, the SQL reference engine.  The compiled
+   plans must be observationally identical at every edge batch size —
+   including NULL-heavy aggregation over LEFT OUTER JOIN, empty groups
+   and non-kernelizable group shapes — while governors still trip at
+   batch boundaries, batch faults still degrade gracefully, the
+   columnar counters stay silent under the interpreter, and
+   required-column pruning is visible in the optimizer's plan notes. *)
 
 module Connection = Aqua_driver.Connection
 module Result_set = Aqua_driver.Result_set
@@ -70,25 +69,18 @@ let agree ~what sql col oracle =
     Alcotest.failf "%s: columnar raised (%s) but oracle succeeded on %s" what e
       sql
 
-(* Three-way: the columnar engine against the row-snapshot batch
-   oracle AND the tuple-at-a-time interpreter. *)
-let agree3 ~what sql col batched row =
-  agree ~what:(what ^ " (vs batched)") sql col batched;
-  agree ~what:(what ^ " (vs row)") sql col row
-
 (* --------------------------------------------------------------- *)
 (* Fixed batteries at every edge batch size.                        *)
 
 let battery_at_size size () =
   let app = Helpers.demo_app () in
   let col = Connection.connect app in
-  let batched = Connection.connect ~columnar:false app in
-  let row = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~optimize:false app in
   with_batch_size size @@ fun () ->
   List.iter
     (fun sql ->
-      agree3 ~what:(Printf.sprintf "battery@%d" size) sql (run col sql)
-        (run batched sql) (run row sql))
+      agree ~what:(Printf.sprintf "battery@%d" size) sql (run col sql)
+        (run interp sql))
     Test_differential.battery
 
 (* Aggregation shapes the kernel path must cover: every kernel kind,
@@ -115,20 +107,19 @@ let agg_queries =
 let aggregation_battery () =
   let app = Helpers.demo_app () in
   let col = Connection.connect app in
-  let batched = Connection.connect ~columnar:false app in
-  let row = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~optimize:false app in
   List.iter
     (fun size ->
       with_batch_size size @@ fun () ->
       List.iter
         (fun sql ->
-          agree3 ~what:(Printf.sprintf "agg@%d" size) sql (run col sql)
-            (run batched sql) (run row sql))
+          agree ~what:(Printf.sprintf "agg@%d" size) sql (run col sql)
+            (run interp sql))
         agg_queries)
     edge_sizes
 
 (* --------------------------------------------------------------- *)
-(* Randomized differential sweep, columnar vs both oracles.          *)
+(* Randomized differential sweep, columnar vs the interpreter.       *)
 
 let bench_app = lazy (
   Aqua_workload.Datagen.application
@@ -139,8 +130,7 @@ let prop_columnar_differential =
   let app = Lazy.force bench_app in
   let tables = Aqua_dsp.Metadata.list_tables app in
   let col = Connection.connect app in
-  let batched = Connection.connect ~columnar:false app in
-  let row = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~optimize:false app in
   QCheck.Test.make ~name:"random statements agree at every batch size"
     ~count:60
     QCheck.(
@@ -149,12 +139,12 @@ let prop_columnar_differential =
         ~print:Aqua_sql.Pretty.statement_to_string)
     (fun stmt ->
       let sql = Aqua_sql.Pretty.statement_to_string stmt in
-      let expected_row = run row sql in
+      let expected = run interp sql in
       List.iter
         (fun size ->
           with_batch_size size @@ fun () ->
-          agree3 ~what:(Printf.sprintf "qcheck@%d" size) sql (run col sql)
-            (run batched sql) expected_row)
+          agree ~what:(Printf.sprintf "qcheck@%d" size) sql (run col sql)
+            expected)
         edge_sizes;
       true)
 
@@ -198,7 +188,7 @@ let governors_under_columnar () =
     [ 1; 7; 1024 ]
 
 (* A batch fault at a boundary mid-aggregation degrades to the
-   row-at-a-time rerun and still produces the oracle rows. *)
+   interpreter rerun and still produces the oracle rows. *)
 let midstream_failpoint_falls_back () =
   let app = Helpers.demo_app () in
   let sql =
@@ -222,9 +212,9 @@ let midstream_failpoint_falls_back () =
     (Telemetry.value Telemetry.c_faults_injected >= 1)
 
 (* --------------------------------------------------------------- *)
-(* Counter hygiene, both directions: ~columnar:false moves the
-   xqeval.batch.* counters but leaves xqeval.columnar.* untouched;
-   the columnar default moves both families.                         *)
+(* Counter hygiene, both directions: the interpreter leaves the
+   xqeval.columnar.* counters untouched; the compiled engine moves
+   them and the xqeval.batch.* family in step.                       *)
 
 let columnar_counters_respect_toggle () =
   let app = Helpers.demo_app () in
@@ -233,17 +223,16 @@ let columnar_counters_respect_toggle () =
      WHERE P.PAYMENT > 50 GROUP BY P.CUSTID"
   in
   with_telemetry @@ fun () ->
-  let batched = Connection.connect ~columnar:false app in
-  ignore (Connection.execute_query batched sql);
+  let interp = Connection.connect ~optimize:false app in
+  ignore (Connection.execute_query interp sql);
   let m = Telemetry.snapshot () in
-  check_bool "row-batch engine still pushes batches" true
-    (m.Telemetry.batch_batches > 0);
-  check_int "no columnar batches with the layout off" 0
+  check_int "no columnar batches under the interpreter" 0
     m.Telemetry.columnar_batches;
-  check_int "no columnar rows with the layout off" 0 m.Telemetry.columnar_rows;
-  check_int "no pruning with the layout off" 0
+  check_int "no columnar rows under the interpreter" 0
+    m.Telemetry.columnar_rows;
+  check_int "no pruning under the interpreter" 0
     m.Telemetry.columnar_pruned_columns;
-  check_int "no kernel updates with the layout off" 0
+  check_int "no kernel updates under the interpreter" 0
     m.Telemetry.columnar_kernel_updates;
   Telemetry.reset ();
   let col = Connection.connect app in
@@ -264,26 +253,22 @@ let columnar_counters_respect_toggle () =
 (* --------------------------------------------------------------- *)
 (* Pruning goldens: the optimizer report names the columnar pipeline
    shape — kernels selected per group clause, columns carried vs
-   pruned per expander — and drops the lines with the layout off.    *)
+   pruned per expander.                                              *)
 
 let pruning_notes_golden () =
   let app = Helpers.demo_app () in
-  let notes sql ~columnar =
+  let notes sql =
     let t = Helpers.translate app sql in
-    let optimized, report =
-      Optimize.query ~columnar t.Aqua_translator.Translator.xquery
-    in
+    let optimized, report = Optimize.query t.Aqua_translator.Translator.xquery in
     String.concat "\n"
       (report.Optimize.notes
-      @
-      if columnar then Optimize.columnar_shape optimized.Aqua_xquery.Ast.body
-      else [])
+      @ Optimize.columnar_shape optimized.Aqua_xquery.Ast.body)
   in
   let agg =
     "SELECT P.CUSTID, COUNT(*) N, SUM(P.PAYMENT) S FROM PAYMENTS P \
      GROUP BY P.CUSTID"
   in
-  let s = notes agg ~columnar:true in
+  let s = notes agg in
   Helpers.assert_contains ~needle:"columnar layout: one value vector" s;
   Helpers.assert_contains ~needle:"kernels [" s;
   Helpers.assert_contains ~needle:"count" s;
@@ -293,18 +278,9 @@ let pruning_notes_golden () =
     "SELECT C.CUSTOMERNAME, P.PAYMENT FROM CUSTOMERS C, PAYMENTS P \
      WHERE C.CUSTOMERID = P.CUSTID"
   in
-  let s = notes join ~columnar:true in
+  let s = notes join in
   Helpers.assert_contains ~needle:"columnar:" s;
-  Helpers.assert_contains ~needle:"(pruned" s;
-  (* the layout off drops every columnar note *)
-  let t = Helpers.translate app agg in
-  let _, report =
-    Optimize.query ~columnar:false t.Aqua_translator.Translator.xquery
-  in
-  check_bool "no columnar notes with the layout off" true
-    (List.for_all
-       (fun n -> not (Helpers.contains ~needle:"columnar" n))
-       report.Optimize.notes)
+  Helpers.assert_contains ~needle:"(pruned" s
 
 (* Kernel recognition bails to the materializing path when the
    partition escapes the aggregate shapes — and the results agree
@@ -317,12 +293,12 @@ let non_kernelizable_group_agrees () =
      GROUP BY P.CUSTID"
   in
   let col = Connection.connect app in
-  let row = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~optimize:false app in
   List.iter
     (fun size ->
       with_batch_size size @@ fun () ->
       agree ~what:(Printf.sprintf "distinct-agg@%d" size) sql (run col sql)
-        (run row sql))
+        (run interp sql))
     edge_sizes
 
 (* --------------------------------------------------------------- *)
@@ -365,7 +341,7 @@ let probe_batch_matches_probe () =
            ~emit:(fun _ _ -> ())))
 
 (* --------------------------------------------------------------- *)
-(* Group-key buffer reuse (row path satellite): grouping stays
+(* Group-key buffer reuse: grouping stays
    injective — groups keyed by values that stringify alike must not
    merge after the composite buffer became shared scratch.           *)
 
@@ -383,7 +359,7 @@ let group_key_injective_after_buffer_reuse () =
   ignore (Artifact.import_physical_table app ~project:"P" t);
   let sql = "SELECT X.K, COUNT(*) N, SUM(X.V) S FROM T X GROUP BY X.K" in
   let col = Connection.connect app in
-  let row = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~optimize:false app in
   List.iter
     (fun size ->
       with_batch_size size @@ fun () ->
@@ -391,16 +367,16 @@ let group_key_injective_after_buffer_reuse () =
       | Ok rs -> check_int "three distinct groups" 3 (List.length rs.Rowset.rows)
       | Error e -> Alcotest.failf "columnar group failed: %s" e);
       agree ~what:(Printf.sprintf "group-key@%d" size) sql (run col sql)
-        (run row sql))
+        (run interp sql))
     edge_sizes
 
 (* --------------------------------------------------------------- *)
 (* Correlated hash probes: the anti-join half of LEFT OUTER JOIN and
    correlated subqueries run as one hash probe per outer row against a
-   build table reused across the inner FLWOR's invocations.  Every
-   engine must agree with the SQL reference engine at every edge batch
-   size, including NULL join keys on both sides, residual ON conjuncts
-   and an empty build side.                                          *)
+   build table reused across the inner FLWOR's invocations.  Executed,
+   prepared and interpreted, they must agree with the SQL reference
+   engine at every edge batch size, including NULL join keys on both
+   sides, residual ON conjuncts and an empty build side.             *)
 
 let outer_join_app () =
   let app = Artifact.application "OJ" in
@@ -438,14 +414,11 @@ let correlated_probe_battery () =
   let app = outer_join_app () in
   let oracle_env = Aqua_sqlengine.Engine.env_of_application app in
   let col = Connection.connect app in
-  let batched = Connection.connect ~columnar:false app in
-  let interp = Connection.connect ~vectorize:false app in
-  (* prepared statements on a non-vectorized connection run the
-     row-snapshot compiled pipeline *)
-  let row_compiled sql =
+  let interp = Connection.connect ~optimize:false app in
+  let prepared sql =
     match
       Result_set.to_rowset
-        (Connection.Prepared.execute_query (Connection.Prepared.prepare interp sql))
+        (Connection.Prepared.execute_query (Connection.Prepared.prepare col sql))
     with
     | rs -> Ok rs
     | exception e -> Error (Printexc.to_string e)
@@ -470,8 +443,7 @@ let correlated_probe_battery () =
           with_batch_size size @@ fun () ->
           let what engine = Printf.sprintf "correlated %s@%d" engine size in
           agree ~what:(what "columnar") sql (run col sql) oracle;
-          agree ~what:(what "batched") sql (run batched sql) oracle;
-          agree ~what:(what "row-compiled") sql (row_compiled sql) oracle;
+          agree ~what:(what "prepared") sql (prepared sql) oracle;
           agree ~what:(what "interpreter") sql (run interp sql) oracle)
         edge_sizes)
     correlated_queries;
@@ -671,9 +643,8 @@ let fused_plans_under_faults () =
    scan.  Checked against the interpreter and the SQL reference engine
    at every edge batch size; on the shapes that must keep navigating;
    for the memo's identity keying across an insert, with the scan
-   cache off and under its cell bound; and for parity of budgets,
-   failpoints and clause counters with the [~columnar:false] lowering,
-   which never projects.                                             *)
+   cache off and under its cell bound; and for parity of budgets and
+   clause counters with the same plan lowered without projection.    *)
 
 module Compile = Aqua_xqeval.Compile
 module Eval = Aqua_xqeval.Eval
@@ -737,7 +708,7 @@ let reference app sql =
 
 let projection_battery app sqls =
   let col = Connection.connect app in
-  let interp = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~optimize:false app in
   List.iter
     (fun sql ->
       check_bool ("a scan column is projected on " ^ sql) true
@@ -953,53 +924,88 @@ let projection_cell_bound () =
     (Telemetry.value Telemetry.c_col_projected_columns);
   check_int "never a memo hit" 0 (Telemetry.value Telemetry.c_col_projection_hits)
 
+(* The text-transport plan the driver runs for [sql], optimized once
+   and compiled directly over [app]'s data services, with scan
+   projection on or off: the engine projects columns only over the
+   functions [node_fns] vouches for. *)
+let lowered app sql ~project =
+  let q = Translator.for_text_transport (Helpers.translate app sql) in
+  let imports = q.Aqua_xquery.Ast.prolog.Aqua_xquery.Ast.imports in
+  let srv = Aqua_dsp.Server.create app in
+  let resolve qname =
+    match String.index_opt qname ':' with
+    | None -> None
+    | Some i ->
+      let prefix = String.sub qname 0 i in
+      let fn = String.sub qname (i + 1) (String.length qname - i - 1) in
+      List.find_map
+        (fun (imp : Aqua_xquery.Ast.schema_import) ->
+          if imp.Aqua_xquery.Ast.prefix <> prefix then None
+          else
+            Option.map
+              (fun (ds : Artifact.data_service) args ->
+                Aqua_dsp.Server.call_function srv ~path:ds.Artifact.ds_path
+                  ~name:ds.Artifact.ds_name ~fn args)
+              (Artifact.find_service_by_namespace app imp.Aqua_xquery.Ast.namespace))
+        imports
+  in
+  let node_fns = Aqua_dsp.Server.physical_fns app imports in
+  let optimized, _ = Optimize.query ~node_fns q in
+  Compile.compile ~optimize:false ~resolve
+    ~node_fns:(if project then node_fns else fun _ -> false)
+    optimized
+
 (* Budgets, failpoints and clause counters on projected plans: the same
-   fuel threshold, row governor and fallbacks as the [~columnar:false]
-   lowering, and the same per-clause row counts. *)
+   fuel and item thresholds and the same per-clause row counts as the
+   plan lowered without projection, and the usual row governor and
+   fallbacks through the driver. *)
 let projection_parity () =
   let app = report_app () in
-  let projected = Connection.connect app in
-  let batched = Connection.connect ~columnar:false app in
-  let outcome conn sql =
-    match Connection.execute_query conn sql with
+  let outcome limits plan =
+    match Budget.with_budget limits (fun () -> Compile.run plan) with
     | _ -> "ok"
-    | exception Sqlstate.Error e -> e.Sqlstate.sqlstate
-  in
-  let with_fuel columnar fuel =
-    Connection.connect ~columnar ~limits:(Budget.limits ~max_fuel:fuel ()) app
-  in
-  let with_items columnar items =
-    Connection.connect ~columnar ~limits:(Budget.limits ~max_items:items ()) app
+    | exception e -> Printexc.to_string e
   in
   List.iter
     (fun sql ->
-      (* clause row counters *)
-      let clause_rows conn =
+      let projected = lowered app sql ~project:true in
+      let unprojected = lowered app sql ~project:false in
+      (* clause row counters, and the scan columns each lowering read *)
+      let clause_rows plan =
         with_telemetry @@ fun () ->
-        ignore (Connection.execute_query conn sql);
-        Telemetry.clause_rows ()
+        ignore (Compile.run plan);
+        ( Telemetry.clause_rows (),
+          Telemetry.value Telemetry.c_col_projected_columns
+          + Telemetry.value Telemetry.c_col_projection_hits )
       in
+      let rows_u, columns_u = clause_rows unprojected in
+      let rows_p, columns_p = clause_rows projected in
       Alcotest.(check (list (pair string int)))
         ("clause rows match the unprojected lowering on " ^ sql)
-        (clause_rows batched) (clause_rows projected);
+        rows_u rows_p;
+      check_int ("the unprojected lowering reads no column on " ^ sql) 0
+        columns_u;
+      check_bool ("the projected lowering reads columns on " ^ sql) true
+        (columns_p > 0);
       (* step and item governors trip at the same budget, and the
          budgets span both outcomes *)
       List.iter
-        (fun (what, conn_of) ->
+        (fun (what, limits_of) ->
           let outcomes =
             List.map
               (fun budget ->
-                let expected = outcome (conn_of false budget) sql in
+                let limits = limits_of budget in
+                let expected = outcome limits unprojected in
                 Alcotest.(check string)
                   (Printf.sprintf "%s budget %d on %s" what budget sql)
-                  expected
-                  (outcome (conn_of true budget) sql);
+                  expected (outcome limits projected);
                 expected)
               [ 10; 100; 400; 1000; 4000; 20000; 100000 ]
           in
           check_bool (what ^ " budgets both trip and pass on " ^ sql) true
             (List.mem "ok" outcomes && List.exists (( <> ) "ok") outcomes))
-        [ ("step", with_fuel); ("item", with_items) ];
+        [ ("step", fun fuel -> Budget.limits ~max_fuel:fuel ());
+          ("item", fun items -> Budget.limits ~max_items:items ()) ];
       List.iter
         (fun size ->
           with_batch_size size @@ fun () ->
@@ -1029,8 +1035,8 @@ let projection_parity () =
 (* Derived cell columns (DESIGN.md section 16): kernel inputs, group
    keys, probe keys and where operands over a projected scan column are
    evaluated once per scan row and memoized beside the column.  Checked
-   against the unprojected lowering ([~columnar:false]), the
-   interpreter and the SQL reference engine at every edge batch size;
+   against the interpreter and the SQL reference engine at every edge
+   batch size;
    at the XQuery level for the error cases SQL cannot express
    (non-numeric text under SUM/AVG/MIN/MAX, a cast error in a key),
    message for message; and at the unit level for the two fast paths
@@ -1086,8 +1092,7 @@ let derived_notes = shape_notes ~needle:"derives"
 let derived_cells_agree () =
   let app = derived_app () in
   let col = Connection.connect app in
-  let unprojected = Connection.connect ~columnar:false app in
-  let interp = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~optimize:false app in
   List.iter
     (fun sql ->
       check_bool ("a cell column is derived on " ^ sql) true
@@ -1098,7 +1103,6 @@ let derived_cells_agree () =
           with_batch_size size @@ fun () ->
           let what = Printf.sprintf "derived@%d" size in
           let got = run col sql in
-          agree ~what:(what ^ " vs unprojected") sql got (run unprojected sql);
           agree ~what:(what ^ " vs interpreter") sql got (run interp sql);
           agree ~what:(what ^ " vs reference engine") sql got oracle;
           (* the displayed text, not only the values *)
@@ -1110,7 +1114,7 @@ let derived_cells_agree () =
                 rs.Rowset.rows
             | Error e -> [ [ e ] ]
           in
-          Helpers.check_rows (what ^ " text on " ^ sql) (text unprojected)
+          Helpers.check_rows (what ^ " text on " ^ sql) (text interp)
             (text col))
         edge_sizes)
     derived_queries;

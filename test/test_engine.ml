@@ -104,6 +104,20 @@ let like_semantics () =
     (Helpers.engine_rows (app ())
        "SELECT 1 FROM CUSTOMERS WHERE 'abc' LIKE 'a_c' AND CUSTOMERID = 1")
 
+(* The SQL oracle shares no machinery with the XQuery engine it
+   checks: a filtered query moves none of the compiled pipeline's
+   batch counters. *)
+let oracle_moves_no_batch_counters () =
+  let module Telemetry = Aqua_core.Telemetry in
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
+  check_rows "filtered rows" [ [ "1" ] ]
+    (rows "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = 1");
+  let m = Telemetry.snapshot () in
+  Alcotest.(check int) "no batches" 0 m.Telemetry.batch_batches;
+  Alcotest.(check int) "no batch rows" 0 m.Telemetry.batch_rows
+
 let suite =
   ( "engine",
     [ Helpers.case "3VL null semantics" null_semantics;
@@ -120,4 +134,6 @@ let suite =
       Helpers.case "scalar subquery cardinality" scalar_subquery_cardinality;
       Helpers.case "prepared parameters" prepared_parameters;
       Helpers.case "division by zero" division_by_zero;
-      Helpers.case "LIKE semantics" like_semantics ] )
+      Helpers.case "LIKE semantics" like_semantics;
+      Helpers.case "the oracle moves no batch counters"
+        oracle_moves_no_batch_counters ] )

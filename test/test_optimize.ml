@@ -172,7 +172,9 @@ let accepted_cast_divergence () =
   | exception Aqua_xml.Atomic.Cast_error _ -> ());
   let ser = Serialize.sequence_to_string in
   Alcotest.(check string) "correlated probe: interpreter" "5"
-    (ser (Eval.eval ~vectorize:false (Eval.context ()) correlated));
+    (ser
+       (Eval.eval ~optimize:false (Eval.context ())
+          (fst (Optimize.expr correlated))));
   Alcotest.(check string) "correlated probe: compiled" "5"
     (ser (Compile.run (Compile.compile_expr correlated)))
 
@@ -642,7 +644,6 @@ let dead_records_keep_errors () =
   in
   let servers =
     [ Server.create ~optimize:false app; Server.create app;
-      Server.create ~vectorize:false app; Server.create ~columnar:false app;
       Server.create ~scan_cache:false app ]
   in
   let ser q srv = Serialize.sequence_to_string (Server.execute srv q) in

@@ -1,10 +1,10 @@
-(* The batched FLWOR engine against its row-at-a-time oracle
-   (DESIGN.md section 12): the vectorized pipeline must be
-   observationally identical to the tuple-at-a-time interpreter at
-   every batch size — including sizes that leave a partial final batch
-   — while budget probes still fire at batch boundaries, failpoints
-   inside the vectorized path still degrade gracefully, and the batch
-   counters stay silent when vectorization is off. *)
+(* The compiled batch engine against the interpreter oracle (DESIGN.md
+   section 12): compiled plans, executed or prepared, must be
+   observationally identical to the interpreter at every batch size —
+   including sizes that leave a partial final batch — while budget
+   probes still fire at batch boundaries, failpoints inside the batch
+   pipeline still degrade gracefully, and the batch counters stay
+   silent under the interpreter. *)
 
 module Connection = Aqua_driver.Connection
 module Result_set = Aqua_driver.Result_set
@@ -55,39 +55,49 @@ let run conn sql =
   | rs -> Ok rs
   | exception e -> Error (Printexc.to_string e)
 
+(* The same statement prepared and executed: the plan [Server.prepare]
+   compiles once, run at the current batch size. *)
+let run_prepared conn sql =
+  match
+    Result_set.to_rowset
+      (Connection.Prepared.execute_query (Connection.Prepared.prepare conn sql))
+  with
+  | rs -> Ok rs
+  | exception e -> Error (Printexc.to_string e)
+
 let agree ~what sql vec oracle =
   match (vec, oracle) with
   | Ok v, Ok o -> (
     match Rowset.diff_summary o v with
     | None -> ()
     | Some msg ->
-      Alcotest.failf "%s diverged on %s: %s\n-- oracle:\n%s\n-- vectorized:\n%s"
+      Alcotest.failf "%s diverged on %s: %s\n-- oracle:\n%s\n-- compiled:\n%s"
         what sql msg (Rowset.to_string o) (Rowset.to_string v))
   | Error _, Error _ -> ()
   | Ok _, Error e ->
-    Alcotest.failf "%s: oracle raised (%s) but vectorized succeeded on %s"
+    Alcotest.failf "%s: oracle raised (%s) but compiled succeeded on %s"
       what e sql
   | Error e, Ok _ ->
-    Alcotest.failf "%s: vectorized raised (%s) but oracle succeeded on %s"
+    Alcotest.failf "%s: compiled raised (%s) but oracle succeeded on %s"
       what e sql
 
 (* --------------------------------------------------------------- *)
-(* Fixed batteries: the full differential battery (demo app) and the
-   paper's running examples (Datagen app, the P6/P12 schema).        *)
+(* Fixed batteries: the full differential battery (demo app), prepared,
+   and the paper's running examples (Datagen app, the P6 schema).    *)
 
 let battery_at_size size () =
   let app = Helpers.demo_app () in
-  let vec = Connection.connect app in
-  let oracle = Connection.connect ~vectorize:false app in
+  let compiled = Connection.connect app in
+  let oracle = Connection.connect ~optimize:false app in
   with_batch_size size @@ fun () ->
   List.iter
     (fun sql ->
-      agree ~what:(Printf.sprintf "battery@%d" size) sql (run vec sql)
-        (run oracle sql))
+      agree ~what:(Printf.sprintf "battery@%d" size) sql
+        (run_prepared compiled sql) (run oracle sql))
     Test_differential.battery
 
 (* The queries the paper's examples reduce to on the benchmark schema,
-   P6/P12 join shape included. *)
+   P6 join shape included. *)
 let paper_queries =
   [ "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERNAME LIKE 'C%'";
     "SELECT * FROM CUSTOMERS";
@@ -109,27 +119,27 @@ let bench_app = lazy (
 
 let paper_battery () =
   let app = Lazy.force bench_app in
-  let vec = Connection.connect app in
-  let oracle = Connection.connect ~vectorize:false app in
+  let compiled = Connection.connect app in
+  let oracle = Connection.connect ~optimize:false app in
   List.iter
     (fun size ->
       with_batch_size size @@ fun () ->
       List.iter
         (fun sql ->
-          agree ~what:(Printf.sprintf "paper@%d" size) sql (run vec sql)
+          agree ~what:(Printf.sprintf "paper@%d" size) sql (run compiled sql)
             (run oracle sql))
         paper_queries)
     edge_sizes
 
 (* --------------------------------------------------------------- *)
-(* Randomized differential sweep: every generated statement must
-   agree with the row-at-a-time oracle at every edge batch size.     *)
+(* Randomized differential sweep: every generated statement, prepared,
+   must agree with the interpreter at every edge batch size.         *)
 
 let prop_vectorized_differential =
   let app = Lazy.force bench_app in
   let tables = Aqua_dsp.Metadata.list_tables app in
-  let vec = Connection.connect app in
-  let oracle = Connection.connect ~vectorize:false app in
+  let compiled = Connection.connect app in
+  let oracle = Connection.connect ~optimize:false app in
   QCheck.Test.make ~name:"random statements agree at every batch size"
     ~count:60
     QCheck.(
@@ -142,16 +152,16 @@ let prop_vectorized_differential =
       List.iter
         (fun size ->
           with_batch_size size @@ fun () ->
-          agree ~what:(Printf.sprintf "qcheck@%d" size) sql (run vec sql)
-            expected)
+          agree ~what:(Printf.sprintf "qcheck@%d" size) sql
+            (run_prepared compiled sql) expected)
         edge_sizes;
       true)
 
 (* --------------------------------------------------------------- *)
-(* Budget probes at batch boundaries: the vectorized driver calls
+(* Budget probes at batch boundaries: the compiled pipeline calls
    Budget.probe between batches, so governors trip with the same
-   SQLSTATEs as the row-at-a-time path — even when the whole result
-   fits a single batch.                                              *)
+   SQLSTATEs as the interpreter — even when the whole result fits a
+   single batch.                                                     *)
 
 let sqlstate_of_query conn sql =
   match Connection.execute_query conn sql with
@@ -185,10 +195,10 @@ let governors_under_vectorization () =
     [ 1; 7; 1024 ]
 
 (* --------------------------------------------------------------- *)
-(* Failpoint inside the vectorized pipeline: the "xqeval.batch" site
-   fires once per batch boundary; a fault there must degrade to the
-   row-at-a-time rerun (which never reaches the site) and still
-   produce the oracle rows.                                          *)
+(* Failpoint inside the batch pipeline: the "xqeval.batch" site fires
+   once per batch boundary; a fault there must degrade to the
+   interpreter rerun (which never reaches the site) and still produce
+   the oracle rows.                                                  *)
 
 let failpoint_falls_back_to_oracle () =
   let app = Helpers.demo_app () in
@@ -224,26 +234,27 @@ let midstream_failpoint_falls_back () =
   | Some msg -> Alcotest.failf "mid-stream fallback wrong rows: %s" msg
 
 (* --------------------------------------------------------------- *)
-(* Counter hygiene: ~vectorize:false must leave the xqeval.batch.*
-   counters untouched; the vectorized path must move them.           *)
+(* Counter hygiene: the interpreter ([~optimize:false]) must leave the
+   xqeval.batch.* counters untouched; the compiled path must move
+   them.                                                             *)
 
 let batch_counters_respect_toggle () =
   let app = Helpers.demo_app () in
   let sql = "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID > 1" in
   with_telemetry @@ fun () ->
-  let oracle = Connection.connect ~vectorize:false app in
+  let oracle = Connection.connect ~optimize:false app in
   ignore (Connection.execute_query oracle sql);
   let m = Telemetry.snapshot () in
-  check_int "no batches without vectorization" 0 m.Telemetry.batch_batches;
-  check_int "no batch rows without vectorization" 0 m.Telemetry.batch_rows;
-  check_int "no batch filtering without vectorization" 0
+  check_int "no batches under the interpreter" 0 m.Telemetry.batch_batches;
+  check_int "no batch rows under the interpreter" 0 m.Telemetry.batch_rows;
+  check_int "no batch filtering under the interpreter" 0
     m.Telemetry.batch_filtered;
   Telemetry.reset ();
-  let vec = Connection.connect app in
-  ignore (Connection.execute_query vec sql);
+  let compiled = Connection.connect app in
+  ignore (Connection.execute_query compiled sql);
   let m = Telemetry.snapshot () in
-  check_bool "vectorized run pushes batches" true (m.Telemetry.batch_batches > 0);
-  check_bool "vectorized run carries rows" true (m.Telemetry.batch_rows > 0);
+  check_bool "compiled run pushes batches" true (m.Telemetry.batch_batches > 0);
+  check_bool "compiled run carries rows" true (m.Telemetry.batch_rows > 0);
   check_bool "the filter dropped rows in-batch" true
     (m.Telemetry.batch_filtered > 0)
 
