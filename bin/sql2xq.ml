@@ -247,18 +247,15 @@ let analyze_cmd =
         Telemetry.set_enabled false;
         Obs_stats.set_enabled false;
         (* the counters are frozen now, so re-running the optimizer for
-           its notes does not skew the snapshot *)
-        let node_fns =
-          Server.physical_fns app
-            t.Translator.xquery.Aqua_xquery.Ast.prolog.Aqua_xquery.Ast.imports
-        in
-        let optimized, report =
+           its report and compiling the plan again for its notes does
+           not skew the snapshot *)
+        let _, report =
           Aqua_xqeval.Optimize.query ~share_scans:(not no_scan_cache)
-            ~node_fns t.Translator.xquery
-        in
-        let shape =
-          Aqua_xqeval.Optimize.columnar_shape ~node_fns
-            optimized.Aqua_xquery.Ast.body
+            ~node_fns:
+              (Server.physical_fns app
+                 t.Translator.xquery.Aqua_xquery.Ast.prolog
+                   .Aqua_xquery.Ast.imports)
+            t.Translator.xquery
         in
         Printf.printf "EXPLAIN ANALYZE  %s\n" sql;
         Printf.printf "translation (three stages):\n";
@@ -278,7 +275,9 @@ let analyze_cmd =
             report.Aqua_xqeval.Optimize.fusions;
           List.iter
             (fun note -> Printf.printf "  note: %s\n" note)
-            (report.Aqua_xqeval.Optimize.notes @ shape)
+            (report.Aqua_xqeval.Optimize.notes
+            @ Aqua_xqeval.Compile.shape
+                (Server.prepare server t.Translator.xquery))
         end;
         if no_scan_cache then
           Printf.printf "scan cache: disabled (--no-scan-cache)\n"

@@ -105,14 +105,21 @@ and explain_query env p depth (q : A.query) =
     explain_query env p (depth + 1) right
 
 (* The physical plan the XQuery optimizer would pick for this
-   statement: translate (stage three) and run the {!Aqua_xqeval}
-   optimizer pass on the result, reporting what fired. *)
+   statement: translate (stage three), optimize, report what fired and
+   the engine's notes on the compiled plan.  With no catalog the
+   compile accepts every function name and knows no scan returns only
+   rows; the plan never runs. *)
 let explain_optimizer env p (stmt : A.statement) =
   match Generate.generate env stmt with
   | exception Errors.Error _ -> ()
   | generated ->
     let optimized, report =
       Aqua_xqeval.Optimize.query generated.Generate.query
+    in
+    let compiled =
+      Aqua_xqeval.Compile.compile ~optimize:false
+        ~resolve:(fun _ -> Some (fun _ -> []))
+        optimized
     in
     line p 1
       "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) (%d \
@@ -123,8 +130,7 @@ let explain_optimizer env p (stmt : A.statement) =
       report.Aqua_xqeval.Optimize.fusions;
     List.iter
       (fun note -> line p 2 "PLAN %s" note)
-      (report.Aqua_xqeval.Optimize.notes
-      @ Aqua_xqeval.Optimize.columnar_shape optimized.Aqua_xquery.Ast.body);
+      (report.Aqua_xqeval.Optimize.notes @ Aqua_xqeval.Compile.shape compiled);
     if report.Aqua_xqeval.Optimize.hash_joins = 0 then
       line p 2 "PLAN joins (if any) run as nested loops"
 

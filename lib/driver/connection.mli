@@ -48,10 +48,13 @@ val connect :
     optimizer (predicate pushdown, hash equi-joins, streaming
     pipeline) on the server this connection talks to and executes the
     optimized plans through the compiled columnar engine;
-    [~optimize:false] keeps the interpreter, the differential oracle.
-    The graceful-degradation fallback always reruns with the optimizer
-    off, so a crash in either suspect falls back to the plain
-    interpreter.  [scan_cache]
+    [~optimize:false] executes queries through the interpreter, the
+    differential oracle, over the unoptimized plan, while
+    {!Prepared} statements on such a connection still compile — the
+    unoptimized plan, with {!Aqua_xqeval.Compile}
+    ({!Aqua_dsp.Server.prepare}).  The graceful-degradation fallback
+    always reruns with the optimizer off, so a crash in either suspect
+    falls back to the plain interpreter.  [scan_cache]
     (default [true]) enables scan materialization: the optimizer's
     per-plan scan-sharing hoist plus a revision-aware
     {!Aqua_dsp.Scan_cache} shared by the optimized server and its

@@ -2,6 +2,7 @@ module Item = Aqua_xml.Item
 module Table = Aqua_relational.Table
 module X = Aqua_xquery.Ast
 module Eval = Aqua_xqeval.Eval
+module Compile = Aqua_xqeval.Compile
 module Budget = Aqua_resilience.Budget
 module Breaker = Aqua_resilience.Breaker
 module Retry = Aqua_resilience.Retry
@@ -109,19 +110,10 @@ and invoke t (ds : Artifact.data_service) (f : Artifact.ds_function) chain :
     match f.Artifact.body with
     | Artifact.Physical table -> List.map Item.node (Table.to_flat_xml table)
     | Artifact.Logical { imports; body } ->
-      let ctx =
-        Eval.context ~resolve:(resolver t imports chain)
-          ~node_fns:(physical_fns t.app imports) ()
+      let bindings =
+        List.mapi (fun i arg -> (Printf.sprintf "p%d" (i + 1), arg)) args
       in
-      let ctx =
-        List.fold_left
-          (fun (ctx, i) arg ->
-            (Eval.bind ctx (Printf.sprintf "p%d" i) arg, i + 1))
-          (ctx, 1) args
-        |> fst
-      in
-      Eval.eval ~optimize:t.optimize
-        ~scan_cache:(Scan_cache.enabled t.scan_cache) ctx body
+      evaluate t imports chain ~bindings body
   in
   let br = Breaker.get t.breakers label in
   let guarded () = Breaker.call ~count_failure br run in
@@ -174,16 +166,30 @@ and invoke t (ds : Artifact.data_service) (f : Artifact.ds_function) chain :
   end
   else serve ()
 
+(* The engine is chosen once, from the server's flag: the compiled
+   engine over the optimized plan, or the interpreter over the plan as
+   written.  A compile-time rejection (an unknown function or variable,
+   a [where] before its binding) raises the dynamic error the
+   interpreter raises for it, so both flavors fail with one class. *)
+and evaluate t imports chain ~bindings body =
+  let resolve = resolver t imports chain in
+  if t.optimize then
+    match
+      Compile.compile_expr ~scan_cache:(Scan_cache.enabled t.scan_cache)
+        ~resolve ~node_fns:(physical_fns t.app imports)
+        ~vars:(List.map fst bindings) body
+    with
+    | compiled -> Compile.run ~bindings compiled
+    | exception Compile.Compile_error msg -> fail "%s" msg
+  else
+    Eval.eval
+      (List.fold_left
+         (fun ctx (name, seq) -> Eval.bind ctx name seq)
+         (Eval.context ~resolve ()) bindings)
+      body
+
 let execute ?(bindings = []) t (q : X.query) =
-  let ctx =
-    Eval.context ~resolve:(resolver t q.prolog.imports [])
-      ~node_fns:(physical_fns t.app q.prolog.imports) ()
-  in
-  let ctx =
-    List.fold_left (fun ctx (name, seq) -> Eval.bind ctx name seq) ctx bindings
-  in
-  Eval.eval_query ~optimize:t.optimize
-    ~scan_cache:(Scan_cache.enabled t.scan_cache) ctx q
+  evaluate t q.prolog.imports [] ~bindings q.body
 
 let execute_text ?bindings t src =
   execute ?bindings t (Aqua_xquery.Parser.parse_query src)
@@ -202,17 +208,16 @@ let execute_to_text ?bindings t q =
     (execute ?bindings t q);
   Buffer.contents buf
 
-type prepared = Aqua_xqeval.Compile.compiled
+type prepared = Compile.compiled
 
 let prepare ?(vars = []) t (q : X.query) =
-  Aqua_xqeval.Compile.compile ~optimize:t.optimize
+  Compile.compile ~optimize:t.optimize
     ~scan_cache:(Scan_cache.enabled t.scan_cache)
     ~resolve:(resolver t q.X.prolog.X.imports [])
     ~node_fns:(physical_fns t.app q.X.prolog.X.imports)
     ~vars q
 
-let execute_prepared ?bindings prepared =
-  Aqua_xqeval.Compile.run ?bindings prepared
+let execute_prepared ?bindings prepared = Compile.run ?bindings prepared
 
 let call_function t ~path ~name ~fn args =
   match Artifact.find_service t.app ~path ~name with

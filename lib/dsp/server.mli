@@ -16,14 +16,15 @@ val create :
   ?cache:Scan_cache.t ->
   Artifact.application ->
   t
-(** [optimize] (default [true]) runs the {!Aqua_xqeval.Optimize} pass
-    (predicate pushdown, hash equi-joins, streaming pipeline) on every
-    query and data-service body this server evaluates or prepares, and
-    executes the optimized plans through the compiled columnar engine
-    ({!Aqua_xqeval.Compile}); [~optimize:false] evaluates with the
-    naive nested-loop interpreter ({!Aqua_xqeval.Eval}), the
-    differential-testing oracle ({!prepare} still compiles, from the
-    unoptimized plan).  Logical scan-cache entries are keyed
+(** [optimize] (default [true]) chooses the engine for every query and
+    data-service body this server evaluates: the {!Aqua_xqeval.Optimize}
+    pass (predicate pushdown, hash equi-joins, streaming pipeline), then
+    the compiled columnar engine ({!Aqua_xqeval.Compile});
+    [~optimize:false] runs the plan as written on the naive nested-loop
+    interpreter ({!Aqua_xqeval.Eval}), the differential-testing oracle
+    ({!prepare} still compiles, from the unoptimized plan).  On both, an
+    unknown function or variable, or a [where] before its binding,
+    raises {!Aqua_xqeval.Error.Dynamic_error}.  Logical scan-cache entries are keyed
     by that flag, so interpreter and compiled servers sharing one cache
     never serve each other's logical rows.
 
@@ -102,9 +103,10 @@ val execute_to_text :
     text-encoded row stream: concatenates the resulting string
     sequence. *)
 
-type prepared
+type prepared = Aqua_xqeval.Compile.compiled
 (** A query compiled once (via {!Aqua_xqeval.Compile}) for repeated
-    execution — the server-side compilation step of the platform. *)
+    execution — the server-side compilation step of the platform;
+    {!Aqua_xqeval.Compile.shape} explains it. *)
 
 val prepare :
   ?vars:string list -> t -> Aqua_xquery.Ast.query -> prepared

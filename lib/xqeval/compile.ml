@@ -19,11 +19,33 @@ type rt = Item.sequence array
 
 type comp = rt -> Item.sequence
 
-(* The structural type of an external function resolver ([Eval]'s
-   [external_fn] is an alias of the same type; naming it structurally
-   here keeps this module independent of [Eval], which depends on the
-   compiler for its optimized path). *)
-type resolver = string -> (Item.sequence list -> Item.sequence) option
+type resolver = string -> Eval.external_fn option
+
+(* What the lowering decided for one operator, kept as data and
+   formatted only by [shape].  Counts are the engine's slot counts:
+   [inputs] the columns valid in the batch the operator receives
+   (computed on demand), [carried] those it copies into its output. *)
+type note =
+  | N_expander of {
+      label : string;  (* "for $v" or "hash-join $v" *)
+      var : string;
+      inputs : int Lazy.t;
+      carried : int;
+      var_written : bool;
+      steps : string list;  (* the projected scan columns bound *)
+      written : string list;  (* of those, the ones written *)
+      cells : (Optimize.derived * bool) list;  (* derived; value written *)
+      row_written : bool;  (* the scan row position *)
+    }
+  | N_group of {
+      label : string;
+      kernels : Optimize.kernel_spec list option;  (* [None]: materialized *)
+      inputs : int Lazy.t;
+      carried : int;
+      keys : int;
+    }
+  | N_order of { inputs : int Lazy.t; retained : int }
+  | N_skipped of string * X.expr  (* a let nothing reads, not built *)
 
 (* Compile-time environment: name -> slot. *)
 type cenv = {
@@ -35,7 +57,16 @@ type cenv = {
   cells : (string * (Item.sequence -> Item.sequence)) list;
       (* derived cell variables in scope, with the cell expression
          each one memoizes (re-run on an error cell to re-raise) *)
+  notes : note option ref list ref;
+      (* the plan's operator notes, newest first; a place is reserved
+         before an operator compiles its expressions, so its note
+         precedes those of the FLWORs nested in them *)
 }
+
+let reserve_note cenv =
+  let r = ref None in
+  cenv.notes := r :: !(cenv.notes);
+  r
 
 let bind_slot cenv name =
   let slot = !(cenv.next) in
@@ -46,69 +77,6 @@ let lookup_slot cenv name =
   match Optimize.assoc_str name cenv.slots with
   | Some slot -> slot
   | None -> cfail "undefined variable $%s" name
-
-(* ------------------------------------------------------------------ *)
-(* Shared dynamic helpers (same semantics as Eval)                     *)
-
-let cmp_holds (op : X.cmp) c =
-  match op with
-  | X.Eq -> c = 0
-  | X.Ne -> c <> 0
-  | X.Lt -> c < 0
-  | X.Le -> c <= 0
-  | X.Gt -> c > 0
-  | X.Ge -> c >= 0
-
-let general_compare op left right =
-  let latoms = Item.atomize left and ratoms = Item.atomize right in
-  List.exists
-    (fun a ->
-      List.exists (fun b -> cmp_holds op (Atomic.compare_values a b)) ratoms)
-    latoms
-
-let value_compare op left right =
-  match (Item.atomize left, Item.atomize right) with
-  | [], _ | _, [] -> []
-  | [ a ], [ b ] -> Item.of_bool (cmp_holds op (Atomic.compare_values a b))
-  | _ -> dfail "value comparison requires singleton operands"
-
-let arith_atomic (op : X.arith) a b =
-  let untype = function
-    | Atomic.Untyped s -> (
-      match Atomic.untyped_number s with
-      | Some f -> Atomic.Double f
-      | None -> dfail "cannot use %S in arithmetic" s)
-    | v -> v
-  in
-  let a = untype a and b = untype b in
-  match (a, b, op) with
-  | Atomic.Integer x, Atomic.Integer y, X.Add -> Atomic.Integer (x + y)
-  | Atomic.Integer x, Atomic.Integer y, X.Sub -> Atomic.Integer (x - y)
-  | Atomic.Integer x, Atomic.Integer y, X.Mul -> Atomic.Integer (x * y)
-  | Atomic.Integer x, Atomic.Integer y, X.Idiv ->
-    if y = 0 then dfail "integer division by zero" else Atomic.Integer (x / y)
-  | Atomic.Integer x, Atomic.Integer y, X.Mod ->
-    if y = 0 then dfail "modulus by zero" else Atomic.Integer (x mod y)
-  | Atomic.Integer x, Atomic.Integer y, X.Div ->
-    if y = 0 then dfail "division by zero"
-    else Atomic.Decimal (float_of_int x /. float_of_int y)
-  | _ ->
-    let x = Atomic.cast_double a and y = Atomic.cast_double b in
-    let promote v =
-      match (a, b) with
-      | (Atomic.Double _, _ | _, Atomic.Double _) -> Atomic.Double v
-      | _ -> Atomic.Decimal v
-    in
-    (match op with
-    | X.Add -> promote (x +. y)
-    | X.Sub -> promote (x -. y)
-    | X.Mul -> promote (x *. y)
-    | X.Div -> if y = 0.0 then dfail "division by zero" else promote (x /. y)
-    | X.Idiv ->
-      if y = 0.0 then dfail "integer division by zero"
-      else Atomic.Integer (int_of_float (Float.trunc (x /. y)))
-    | X.Mod ->
-      if y = 0.0 then dfail "modulus by zero" else promote (Float.rem x y))
 
 let normalize_content = Functions.normalize_content
 
@@ -809,13 +777,13 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
           (Item.effective_boolean_value (ca rt)
           || Item.effective_boolean_value (cb rt))
     | X.B_general cmp ->
-      fun rt -> Item.of_bool (general_compare cmp (ca rt) (cb rt))
-    | X.B_value cmp -> fun rt -> value_compare cmp (ca rt) (cb rt)
+      fun rt -> Item.of_bool (Eval.general_compare cmp (ca rt) (cb rt))
+    | X.B_value cmp -> fun rt -> Eval.value_compare cmp (ca rt) (cb rt)
     | X.B_arith op -> (
       fun rt ->
         match (Item.atomize (ca rt), Item.atomize (cb rt)) with
         | [], _ | _, [] -> []
-        | [ x ], [ y ] -> [ Item.Atomic (arith_atomic op x y) ]
+        | [ x ], [ y ] -> [ Item.Atomic (Eval.arith_atomic op x y) ]
         | _ -> dfail "arithmetic requires singleton operands"))
   | X.Neg a -> (
     let ca = compile_expr_c cenv a in
@@ -867,17 +835,17 @@ and compile_cond cenv (e : X.expr) : rt -> bool =
     let ca = compile_expr_c cenv a in
     fun rt ->
       List.exists
-        (fun l -> cmp_holds cmp (Atomic.compare_values l atom))
+        (fun l -> Eval.cmp_holds cmp (Atomic.compare_values l atom))
         (Item.atomize (ca rt))
   | X.Binop (X.B_general cmp, X.Literal atom, b) ->
     let cb = compile_expr_c cenv b in
     fun rt ->
       List.exists
-        (fun r -> cmp_holds cmp (Atomic.compare_values atom r))
+        (fun r -> Eval.cmp_holds cmp (Atomic.compare_values atom r))
         (Item.atomize (cb rt))
   | X.Binop (X.B_general cmp, a, b) ->
     let ca = compile_expr_c cenv a and cb = compile_expr_c cenv b in
-    fun rt -> general_compare cmp (ca rt) (cb rt)
+    fun rt -> Eval.general_compare cmp (ca rt) (cb rt)
   | _ ->
     let c = compile_expr_c cenv e in
     fun rt -> Item.effective_boolean_value (c rt)
@@ -1191,8 +1159,11 @@ and compile_flwor cenv (f : X.flwor) : comp =
      cell variables bound, [var]'s slot, the carried slots, whether
      anything still reads [var] whole, the projected columns still read
      (step names, slots), and the derived cells (see [derivation]) — a
-     column or variable no reader is left for is not written. *)
-  let expander cenv var i =
+     column or variable no reader is left for is not written.  The
+     decisions go to [note]. *)
+  let inputs_at cenv i = lazy (Slots.cardinal (live_slots cenv.slots i)) in
+  let expander cenv note label var i =
+    let inputs = inputs_at cenv i in
     let cenv, slot = bind_slot cenv var in
     let cenv, cols =
       List.fold_left_map
@@ -1222,7 +1193,19 @@ and compile_flwor cenv (f : X.flwor) : comp =
            (Slots.of_list ((slot :: row_slot :: List.map snd cols) @ dslots)))
     in
     let cols = List.filter (fun (_, s) -> Slots.mem s live) cols in
-    ( cenv, slot, copy, Slots.mem slot live, List.map fst cols,
+    let written = List.map fst cols in
+    note :=
+      Some
+        (N_expander
+           { label; var; inputs; carried = Array.length copy;
+             var_written = Slots.mem slot live;
+             steps = List.map fst pcols.(i); written;
+             cells =
+               List.map2
+                 (fun (_, d) s -> (d, Slots.mem s live))
+                 pcells.(i) dslots;
+             row_written = Slots.mem row_slot live });
+    ( cenv, slot, copy, Slots.mem slot live, written,
       Array.of_list (List.map snd cols),
       derivation pcells.(i) (if Slots.mem row_slot live then row_slot else -1)
         (List.map (fun s -> if Slots.mem s live then s else -1) dslots) )
@@ -1235,16 +1218,17 @@ and compile_flwor cenv (f : X.flwor) : comp =
       let labeled_mk, cenv' =
         match clause with
         | C_plain (X.For { var; source }) ->
+          let note = reserve_note cenv in
+          let label = "for $" ^ var in
           let gslots = gather_slots cenv [ source ] in
           let csrc = compile_expr_c cenv source in
           let cenv', slot, copy, var_live, steps, col_slots, dn =
-            expander cenv var i
+            expander cenv note label var i
           in
           let copy_n = Array.length copy in
           let ncols = Array.length col_slots in
           let memo = ncols > 0 || Array.length dn.dn_ids > 0 in
           let ndlive = Array.length dn.dn_live in
-          let label = "for $" ^ var in
           let mk cctx down =
             let count = ccounter cctx label in
             let pruned = max 0 (cctx.cnslots - copy_n) in
@@ -1326,6 +1310,7 @@ and compile_flwor cenv (f : X.flwor) : comp =
             || (not (Slots.mem slot (live_slots cenv'.slots (i + 1))))
                && Optimize.cannot_fail ~nodes:nodes_at.(i) value
           in
+          if dead then reserve_note cenv := Some (N_skipped (var, value));
           let label = "let $" ^ var in
           let mk cctx down =
             let count = ccounter cctx label in
@@ -1378,6 +1363,7 @@ and compile_flwor cenv (f : X.flwor) : comp =
           in
           ((label, mk), cenv)
         | C_plain (X.Order_by specs) ->
+          let note = reserve_note cenv in
           let gslots =
             gather_slots cenv (List.map (fun (s : X.order_spec) -> s.X.key) specs)
           in
@@ -1389,6 +1375,8 @@ and compile_flwor cenv (f : X.flwor) : comp =
           in
           let retain = slot_array (live_slots cenv.slots (i + 1)) in
           let retain_n = Array.length retain in
+          note :=
+            Some (N_order { inputs = inputs_at cenv i; retained = retain_n });
           let label = Printf.sprintf "order-by@%d" i in
           let mk cctx down =
             let count = ccounter cctx label in
@@ -1453,6 +1441,7 @@ and compile_flwor cenv (f : X.flwor) : comp =
         | C_plain (X.Group { grouped; partition; keys }) ->
           (* materializing group: the partition column is built as the
              concatenation of each group's grouped cells *)
+          let note = reserve_note cenv in
           let grouped_slot = lookup_slot cenv grouped in
           let gslots =
             gather_of_vars cenv
@@ -1479,6 +1468,11 @@ and compile_flwor cenv (f : X.flwor) : comp =
           in
           let entry_n = Array.length entry_copy in
           let label = "group by -> $" ^ partition in
+          note :=
+            Some
+              (N_group
+                 { label; kernels = None; inputs = inputs_at cenv i;
+                   carried = entry_n; keys = List.length key_slots });
           let mk cctx down =
             let count = ccounter cctx label in
             let pruned = max 0 (cctx.cnslots - entry_n) in
@@ -1547,6 +1541,7 @@ and compile_flwor cenv (f : X.flwor) : comp =
              aggregation-kernel state per (group, spec), updated in a
              tight loop per batch from the spec's per-tuple input,
              finished into output columns at flush *)
+          let note = reserve_note cenv in
           let args =
             List.map (fun (s : Optimize.kernel_spec) -> s.Optimize.k_arg) ck_specs
           in
@@ -1613,6 +1608,11 @@ and compile_flwor cenv (f : X.flwor) : comp =
           in
           let nspecs = Array.length kinds in
           let label = "group by -> $" ^ ck_partition in
+          note :=
+            Some
+              (N_group
+                 { label; kernels = Some ck_specs; inputs = inputs_at cenv i;
+                   carried = entry_n; keys = List.length key_slots });
           let mk cctx down =
             let count = ccounter cctx label in
             let pruned = max 0 (cctx.cnslots - entry_n) in
@@ -1718,10 +1718,12 @@ and compile_flwor cenv (f : X.flwor) : comp =
                     (Optimize.free_vars probe_key)
                     (Optimize.Vars.remove var (Optimize.free_vars build_key))))
           in
+          let note = reserve_note cenv in
+          let label = "hash-join $" ^ var in
           let csrc = compile_expr_c cenv source in
           let cprobe = compile_expr_c cenv probe_key in
           let cenv2, var_slot, copy, var_live, steps, col_slots, dn =
-            expander cenv var i
+            expander cenv note label var i
           in
           let memo = Array.length col_slots > 0 || Array.length dn.dn_ids > 0 in
           let ndlive = Array.length dn.dn_live in
@@ -1734,7 +1736,6 @@ and compile_flwor cenv (f : X.flwor) : comp =
           let copy_n = Array.length copy in
           let ncols = Array.length col_slots in
           let reusable = Optimize.reusable_build ~var ~source ~build_key in
-          let label = "hash-join $" ^ var in
           let mk cctx down =
             let count = ccounter cctx label in
             let pruned = max 0 (cctx.cnslots - copy_n) in
@@ -1911,6 +1912,7 @@ type compiled = {
   code : comp;
   size : int;
   externals : (string * int) list;  (* runtime bindings -> slots *)
+  notes : note option ref list;  (* newest first *)
 }
 
 let no_resolve _ = None
@@ -1944,7 +1946,10 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(resolve = no_resolve)
     if optimize then fst (Optimize.expr ~share_scans:scan_cache ~node_fns e)
     else e
   in
-  let cenv = { slots = []; next = ref 0; resolve; node_fns; cells = [] } in
+  let notes = ref [] in
+  let cenv =
+    { slots = []; next = ref 0; resolve; node_fns; cells = []; notes }
+  in
   let cenv, externals =
     List.fold_left
       (fun (ce, acc) v ->
@@ -1953,7 +1958,7 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(resolve = no_resolve)
       (cenv, []) vars
   in
   let code = compile_expr_c cenv e in
-  { code; size = !(cenv.next); externals = List.rev externals }
+  { code; size = !(cenv.next); externals = List.rev externals; notes = !notes }
 
 let compile ?optimize ?scan_cache ?resolve ?node_fns ?vars (q : X.query) =
   compile_expr ?optimize ?scan_cache ?resolve ?node_fns ?vars q.X.body
@@ -1967,3 +1972,75 @@ let run ?(bindings = []) t =
       | None -> dfail "external variable $%s is not bound" name)
     t.externals;
   t.code rt
+
+let kept verb inputs n =
+  let inputs = Lazy.force inputs in
+  Printf.sprintf "%s %d of %d input column(s) (pruned %d)" verb n inputs
+    (inputs - n)
+
+let note_lines = function
+  | N_expander x ->
+    let listed what noun items =
+      Printf.sprintf "columnar: %s %s %d %s%s" x.label what (List.length items)
+        noun
+        (if items = [] then "" else " (" ^ String.concat ", " items ^ ")")
+    in
+    let derived = List.map fst x.cells in
+    let projected =
+      List.filter
+        (fun step ->
+          List.mem step x.written
+          || List.exists
+               (fun (d : Optimize.derived) -> d.d_step = step)
+               derived)
+        x.steps
+    in
+    let writes =
+      (if x.var_written then [ "$" ^ x.var ] else [])
+      @ x.written
+      @ List.filter_map
+          (fun (d, w) ->
+            if w then Some ("cell " ^ Optimize.derived_label d) else None)
+          x.cells
+      @ if x.row_written then [ "row position" ] else []
+    in
+    Printf.sprintf "columnar: %s %s" x.label (kept "carries" x.inputs x.carried)
+    :: (listed "writes" "column(s)" writes
+       ^ if x.var_written then "" else Printf.sprintf "; $%s not written" x.var)
+    :: (if projected = [] then []
+        else [ listed "projects" "column(s)" projected ])
+    @
+    if derived = [] then []
+    else
+      [ listed "derives" "cell column(s)"
+          (List.map Optimize.derived_label derived) ]
+  | N_group g ->
+    let what, writes =
+      match g.kernels with
+      | Some specs ->
+        ( Printf.sprintf "kernels [%s]; partition not materialized"
+            (if specs = [] then "none"
+             else String.concat "; " (List.map Optimize.spec_label specs)),
+          Printf.sprintf "%d key and %d kernel column(s)" g.keys
+            (List.length specs) )
+      | None ->
+        ( "materializes the partition (aggregates not kernelizable)",
+          Printf.sprintf "%d key column(s) and the partition" g.keys )
+    in
+    [ Printf.sprintf "columnar: %s %s; %s, writes %s" g.label what
+        (kept "carries" g.inputs g.carried) writes ]
+  | N_order o -> [ "columnar: order by " ^ kept "retains" o.inputs o.retained ]
+  | N_skipped (var, X.Elem _) ->
+    [ Printf.sprintf "columnar: let $%s skipped, $%s's record not built" var var ]
+  | N_skipped (var, _) ->
+    [ Printf.sprintf "columnar: let $%s skipped (nothing reads it)" var ]
+
+let shape t =
+  Printf.sprintf
+    "flwor pipelines execute as %d-row batches (selection-vector filtering)"
+    (Batch.size ())
+  :: "columnar layout: one value vector per bound variable (required-column \
+      pruning active)"
+  :: List.concat_map
+       (fun r -> match !r with Some n -> note_lines n | None -> [])
+       (List.rev t.notes)

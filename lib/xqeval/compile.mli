@@ -2,7 +2,8 @@
     closures over slot-based environments, so repeated executions skip
     AST dispatch and name lookups — the counterpart of the DSP
     server's query compilation step (the interpreter {!Eval} is the
-    reference semantics; the test suite checks both agree).
+    reference semantics; the test suite checks both agree, and the
+    engine shares its comparison and arithmetic helpers).
 
     FLWOR pipelines are lowered to a push-based columnar batch engine:
     clauses exchange fixed-capacity batches ({!Batch.size} rows) laid
@@ -27,10 +28,9 @@ type compiled
 
 exception Compile_error of string
 
-type resolver = string -> (Aqua_xml.Item.sequence list -> Aqua_xml.Item.sequence) option
-(** External function resolver — structurally identical to
-    {!Eval.external_fn} based resolvers (the DSP server passes the
-    same closure to both engines). *)
+type resolver = string -> Eval.external_fn option
+(** External function resolver, as {!Eval.context} takes it (the DSP
+    server passes the same closure to whichever engine it runs). *)
 
 val compile :
   ?optimize:bool ->
@@ -75,6 +75,13 @@ val run :
     [vars] (prepared-statement parameters).
     @raise Error.Dynamic_error on dynamic errors (casts, arity,
     unbound externals). *)
+
+val shape : compiled -> string list
+(** EXPLAIN-style notes: the batch layout, then per operator, in plan
+    order, the lowering's own decisions — input columns carried and
+    pruned (slot counts), columns written, scan columns projected, cells
+    derived, kernels selected, lets skipped.  Compiling records them as
+    data; only this formats them. *)
 
 val projected_cells_max : int
 (** Bound on the projected and derived column cells (rows times

@@ -13,11 +13,9 @@ type external_fn = Item.sequence list -> Item.sequence
 type context = {
   vars : Item.sequence Env.t;
   resolve : string -> external_fn option;
-  node_fns : string -> bool;
 }
 
-let context ?(resolve = fun _ -> None) ?(node_fns = fun _ -> false) () =
-  { vars = Env.empty; resolve; node_fns }
+let context ?(resolve = fun _ -> None) () = { vars = Env.empty; resolve }
 let bind ctx name seq = { ctx with vars = Env.add name seq ctx.vars }
 
 let fail = Error.fail
@@ -28,7 +26,7 @@ let lookup_var ctx name =
   | None -> fail "undefined variable $%s" name
 
 (* ------------------------------------------------------------------ *)
-(* Comparison helpers                                                 *)
+(* Comparison and arithmetic helpers (the compiler calls them too)    *)
 
 let cmp_holds (op : X.cmp) c =
   match op with
@@ -393,9 +391,9 @@ and eval_order ctx envs specs =
 (* ------------------------------------------------------------------ *)
 (* Public entry points                                                *)
 
-(* The scoping check and the optimizer each walk the AST once per
-   [eval] entry (never per tuple): the recursive evaluator above is
-   reached only through these wrappers from the outside. *)
+(* The scoping check walks the AST once per [eval] entry (never per
+   tuple): the recursive evaluator above is reached only through these
+   wrappers from the outside. *)
 
 let check_scoping ctx e =
   let bound =
@@ -405,25 +403,6 @@ let check_scoping ctx e =
   | Some v -> fail "where clause references $%s before it is bound" v
   | None -> ()
 
-let eval ?(optimize = true) ?(scan_cache = true) ctx (e : X.expr) =
+let eval ctx (e : X.expr) =
   check_scoping ctx e;
-  (* The optimized path executes through the compiled engine; the
-     interpreter above is the reference semantics ([~optimize:false])
-     and the fallback for any expression the compiler rejects.  Only
-     compile-time rejection falls back: dynamic errors from the
-     compiled code propagate, as they carry the same SQLSTATE mapping
-     either way. *)
-  if not optimize then eval ctx e
-  else
-    let bindings = Env.bindings ctx.vars in
-    match
-      Compile.compile_expr ~scan_cache ~resolve:ctx.resolve
-        ~node_fns:ctx.node_fns ~vars:(List.map fst bindings) e
-    with
-    | compiled -> Compile.run ~bindings compiled
-    | exception Compile.Compile_error _ ->
-      eval ctx
-        (fst (Optimize.expr ~share_scans:scan_cache ~node_fns:ctx.node_fns e))
-
-let eval_query ?optimize ?scan_cache ctx (q : X.query) =
-  eval ?optimize ?scan_cache ctx q.body
+  eval ctx e

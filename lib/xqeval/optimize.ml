@@ -55,16 +55,6 @@ type report = {
   notes : string list;      (** human-readable one-liners, newest first *)
 }
 
-let empty_report =
-  {
-    pushed_predicates = 0;
-    hash_joins = 0;
-    correlated_probes = 0;
-    shared_scans = 0;
-    fusions = 0;
-    notes = [];
-  }
-
 type acc = {
   externals : Vars.t Lazy.t;  (** free variables of the whole plan *)
   node_fns : string -> bool;  (** external functions returning only nodes *)
@@ -1589,7 +1579,6 @@ let scan_projections ~node_fns (clauses : X.clause list) (return_ : X.expr) =
 let cell_var = "#cell"
 let cell_prefix = "#cell:"
 let row_var v = "#row:" ^ v
-let is_cell_var v = String.starts_with ~prefix:cell_prefix v
 
 exception Not_cell
 
@@ -1730,181 +1719,6 @@ let derived_label d =
       else [ Printf.sprintf "%s(%s) input" (String.concat "/" kinds) d.d_step ])
     @ List.filter_map other uses)
 
-(* ------------------------------------------------------------------ *)
-(* Columnar pipeline shape (EXPLAIN-style notes)                      *)
-
-(* Mirrors, in name-set form, the decisions the columnar compiler
-   makes: per expander/barrier, how many of the visible columns the
-   required-columns analysis actually carries downstream, and for each
-   group clause which aggregation kernels were selected.  Purely
-   descriptive — the compiler recomputes the same analysis over real
-   slots — so only EXPLAIN-style consumers call it. *)
-let columnar_shape ?(node_fns = fun _ -> false) (e : X.expr) : string list =
-  let out = ref [] in
-  let emit fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  let clause_label = function
-    | X.For { var; _ } -> Printf.sprintf "for $%s" var
-    | X.Let { var; _ } -> Printf.sprintf "let $%s" var
-    | X.Where _ -> "where"
-    | X.Order_by _ -> "order by"
-    | X.Group { partition; _ } -> Printf.sprintf "group by -> $%s" partition
-    | X.Hash_join { var; _ } -> Printf.sprintf "hash-join $%s" var
-  in
-  let rec walk (e : X.expr) =
-    match e with
-    | X.Literal _ | X.Var _ | X.Context_item | X.Text _ -> ()
-    | X.Seq es -> List.iter walk es
-    | X.Flwor f -> walk_flwor f
-    | X.Path (base, steps) ->
-      walk base;
-      List.iter (fun (s : X.step) -> List.iter walk s.predicates) steps
-    | X.Call (_, args) -> List.iter walk args
-    | X.Elem { content; _ } -> List.iter walk content
-    | X.If (c, t, e) -> walk c; walk t; walk e
-    | X.Binop (_, a, b) -> walk a; walk b
-    | X.Neg e -> walk e
-    | X.Quantified { bindings; satisfies; _ } ->
-      List.iter (fun (_, src) -> walk src) bindings;
-      walk satisfies
-    | X.Filter (base, pred) -> walk base; walk pred
-  and walk_flwor (f : X.flwor) =
-    let entry_used = fv Vars.empty Vars.empty (X.Flwor f) in
-    let arr = Array.of_list f.clauses in
-    let n = Array.length arr in
-    let remainder i =
-      (* live columns after clause i: free vars of the rest of the
-         pipeline plus the return *)
-      let rest = Array.to_list (Array.sub arr (i + 1) (n - i - 1)) in
-      fv Vars.empty Vars.empty (X.Flwor { clauses = rest; return = f.return })
-    in
-    let visible = ref entry_used in
-    let nodes = ref Vars.empty in
-    let projs, pclauses, preturn = scan_projections ~node_fns f.clauses f.return in
-    (* the derived cells, found as the columnar compiler finds them:
-       over the projected clauses, kernel inputs through the record *)
-    let cells =
-      if projs = [] then []
-      else begin
-        let dv = deriver projs in
-        let parr = Array.of_list pclauses in
-        Array.iteri
-          (fun i c ->
-            match c with
-            | X.Group { grouped; partition; keys } -> (
-              let record =
-                record_binding (Array.to_list (Array.sub parr 0 i)) grouped
-              in
-              let rest = Array.to_list (Array.sub parr (i + 1) (n - i - 1)) in
-              match
-                group_kernels ?record:(Option.map fst record) ~grouped ~partition
-                  rest preturn
-              with
-              | Some (specs, _, _) ->
-                ignore (derive_keys dv keys);
-                ignore (derive_specs dv specs)
-              | None -> ignore (derive_clause dv c))
-            | c -> ignore (derive_clause dv c))
-          parr;
-        derived dv
-      end
-    in
-    Array.iteri
-      (fun i clause ->
-        (match clause with
-        | X.Where _ | X.Let _ -> () (* operate in place: nothing copied *)
-        | X.Group { grouped; partition; keys } ->
-          let post =
-            List.fold_left
-              (fun s (_, kv) -> Vars.add kv s)
-              (Vars.add partition entry_used)
-              keys
-          in
-          let live = Vars.inter (remainder i) post in
-          let record =
-            record_binding (Array.to_list (Array.sub arr 0 i)) grouped
-          in
-          (match
-             group_kernels ?record:(Option.map fst record) ~grouped ~partition
-               (Array.to_list (Array.sub arr (i + 1) (n - i - 1)))
-               f.return
-           with
-          | Some (specs, _, _) ->
-            (* the record is never built when nothing between its let
-               and the group, no key and no kernel input reads it, and
-               building it cannot raise (nothing between rebinds what
-               it reads, so [nodes] holds as at the let) *)
-            let elided =
-              match record with
-              | None -> false
-              | Some (value, later) ->
-                cannot_fail ~nodes:!nodes value
-                && not
-                  (Vars.mem grouped
-                     (free_vars
-                        (X.Flwor
-                           { clauses = later;
-                             return =
-                               X.Seq
-                                 (List.map fst keys
-                                 @ List.map (fun s -> s.k_arg) specs) })))
-            in
-            emit
-              "columnar: %s kernels [%s]; partition not materialized%s, %d \
-               live column(s) carried"
-              (clause_label clause)
-              (if specs = [] then "none"
-               else String.concat "; " (List.map spec_label specs))
-              (if elided then Printf.sprintf ", $%s's record not built" grouped
-               else "")
-              (Vars.cardinal (Vars.remove partition live))
-          | None ->
-            emit
-              "columnar: %s materializes the partition (aggregates not \
-               kernelizable); %d live column(s) carried"
-              (clause_label clause) (Vars.cardinal live));
-          visible := post
-        | X.For { var; _ } | X.Hash_join { var; _ } ->
-          let vis = Vars.add var !visible in
-          let live = Vars.inter (remainder i) vis in
-          emit "columnar: %s carries %d of %d column(s) (pruned %d)"
-            (clause_label clause) (Vars.cardinal live) (Vars.cardinal vis)
-            (Vars.cardinal (Vars.diff vis live));
-          (match List.find_opt (fun p -> p.p_index = i) projs with
-          | Some p ->
-            emit "columnar: %s projects %d column(s) (%s)" (clause_label clause)
-              (List.length p.p_cols)
-              (String.concat ", " (List.map fst p.p_cols))
-          | None -> ());
-          (match List.filter (fun d -> d.d_index = i) cells with
-          | [] -> ()
-          | ds ->
-            emit "columnar: %s derives %d cell column(s) (%s)"
-              (clause_label clause) (List.length ds)
-              (String.concat ", " (List.map derived_label ds)));
-          visible := vis
-        | X.Order_by _ ->
-          let live = Vars.inter (remainder i) !visible in
-          emit "columnar: %s retains %d of %d column(s) (pruned %d)"
-            (clause_label clause) (Vars.cardinal live)
-            (Vars.cardinal !visible)
-            (Vars.cardinal (Vars.diff !visible live)));
-        nodes := nodes_after ~node_fns ~entry:Vars.empty !nodes clause;
-        (* recurse into the clause's subexpressions for nested FLWORs *)
-        match clause with
-        | X.For { source; _ } -> walk source
-        | X.Let { value; _ } -> walk value
-        | X.Where cond -> walk cond
-        | X.Group { keys; _ } -> List.iter (fun (k, _) -> walk k) keys
-        | X.Order_by specs ->
-          List.iter (fun (s : X.order_spec) -> walk s.X.key) specs
-        | X.Hash_join { source; build_key; probe_key; _ } ->
-          walk source; walk build_key; walk probe_key)
-      arr;
-    walk f.return
-  in
-  walk e;
-  List.rev !out
-
 let expr ?(share_scans = true) ?(node_fns = fun _ -> false) e =
   let acc =
     {
@@ -1920,14 +1734,6 @@ let expr ?(share_scans = true) ?(node_fns = fun _ -> false) e =
   in
   let e = rewrite acc ~nested:false e in
   let e = if share_scans then share_scans_pass acc e else e in
-  acc.notes <-
-    "columnar layout: one value vector per bound variable \
-     (required-column pruning active)"
-    :: Printf.sprintf
-         "flwor pipelines execute as %d-row batches (selection-vector \
-          filtering)"
-         (Batch.size ())
-    :: acc.notes;
   let module T = Aqua_core.Telemetry in
   T.add T.c_pushdown_rewrites acc.pushed;
   T.add T.c_hash_join_rewrites acc.joins;

@@ -1,7 +1,7 @@
 (** Logical optimizer over the XQuery AST.
 
-    Runs before evaluation ([Eval]) or compilation ([Compile]) and
-    applies four rewrites.  The first three work on FLWOR blocks,
+    Runs before compilation ([Compile]; the interpreter [Eval] runs
+    whatever plan it is given) and applies four rewrites.  The first three work on FLWOR blocks,
     bottom-up in one traversal:
 
     - Constructor fusion, first at each FLWOR.  The translator's
@@ -13,7 +13,7 @@
       ({!Functions.content_data}); a record nothing reads any more is
       not built; and {!group_kernels} reads each kernel's column
       through the constructor.  Every step is exact, so the
-      [~optimize:false] interpreter stays the oracle.
+      interpreter over the unoptimized plan stays the oracle.
     - Predicate pushdown: conjunctive [where] clauses are split and
       pushed to the earliest position where their free variables are
       bound.
@@ -50,8 +50,6 @@ type report = {
   notes : string list;      (** human-readable one-liners *)
 }
 
-val empty_report : report
-
 val reusable_build :
   var:string ->
   source:Aqua_xquery.Ast.expr ->
@@ -73,10 +71,9 @@ val expr :
   Aqua_xquery.Ast.expr ->
   Aqua_xquery.Ast.expr * report
 (** Optimize an expression bottom-up.  [share_scans] (default [true])
-    controls the scan-sharing hoist.  The report notes record the
-    compiled engine's batch layout (current {!Batch.size}, columnar);
-    the per-operator shape is {!columnar_shape}, which EXPLAIN-style
-    consumers call on the optimized plan.  [node_fns] names the
+    controls the scan-sharing hoist.  The report notes record what
+    fired; what the compiled engine then decides per operator is
+    {!Compile.shape}.  [node_fns] names the
     external functions known to return only nodes (the DSP server
     passes its physical data-service scans; default: none): a record
     [let] constructor fusion leaves unread is dropped only when
@@ -213,9 +210,6 @@ val row_var : string -> string
 (** [row_var v]: the synthetic variable carrying, for a binding [$v]
     with derived cells, each tuple's row position in the scan. *)
 
-val is_cell_var : string -> bool
-(** Whether a variable is a derived cell variable (['#cell:'] prefix). *)
-
 (** What reads a derived cell: a kernel's input, a group key, a hash
     join's probe key or a [where] operand. *)
 type use = Input of Kernels.kind | Key | Probe | Where
@@ -258,15 +252,6 @@ val derived : deriver -> derived list
 val derived_label : derived -> string
 (** Its consumers, e.g. ["sum?/avg(PRIORITY) input"] or
     ["probe CUSTOMERID & key CUSTOMERID"]. *)
-
-val columnar_shape :
-  ?node_fns:(string -> bool) -> Aqua_xquery.Ast.expr -> string list
-(** EXPLAIN-style one-liners describing the columnar pipeline shape of
-    an optimized plan: columns carried vs pruned per expander/barrier,
-    the kernels selected per group clause, whether the grouped record
-    is built, and the scan columns each binding projects
-    ({!scan_projections}; [node_fns] as for {!expr}).  Not part of
-    {!expr}'s report: only EXPLAIN-style consumers pay for it. *)
 
 val free_vars : Aqua_xquery.Ast.expr -> Vars.t
 (** Precise free variables of an expression, with the context item "."

@@ -262,7 +262,10 @@ let pruning_notes_golden () =
     let optimized, report = Optimize.query t.Aqua_translator.Translator.xquery in
     String.concat "\n"
       (report.Optimize.notes
-      @ Optimize.columnar_shape optimized.Aqua_xquery.Ast.body)
+      @ Aqua_xqeval.Compile.shape
+          (Aqua_xqeval.Compile.compile ~optimize:false
+             ~resolve:(fun _ -> Some (fun _ -> []))
+             optimized))
   in
   let agg =
     "SELECT P.CUSTID, COUNT(*) N, SUM(P.PAYMENT) S FROM PAYMENTS P \
@@ -514,7 +517,7 @@ let shadowed_name_after_group () =
   in
   let e = Aqua_xquery.Parser.parse_expr src in
   let ser = Aqua_xml.Serialize.sequence_to_string in
-  let oracle = ser (Eval.eval ~optimize:false (Eval.context ()) e) in
+  let oracle = ser (Eval.eval (Eval.context ()) e) in
   Alcotest.(check string) "the interpreter reads the outer $x"
     "1 3 5 1 4 5 1 3 6 1 4 6 2 3 5 2 4 5 2 3 6 2 4 6" oracle;
   List.iter
@@ -687,13 +690,9 @@ let report_app () =
    that contain [needle]. *)
 let shape_notes ~needle app sql =
   let q = Translator.for_text_transport (Helpers.translate app sql) in
-  let node_fns =
-    Aqua_dsp.Server.physical_fns app q.Aqua_xquery.Ast.prolog.Aqua_xquery.Ast.imports
-  in
-  let optimized, _ = Optimize.query ~node_fns q in
   List.filter
     (fun n -> Helpers.contains ~needle n)
-    (Optimize.columnar_shape ~node_fns optimized.Aqua_xquery.Ast.body)
+    (Compile.shape (Aqua_dsp.Server.prepare (Aqua_dsp.Server.create app) q))
 
 let projection_notes = shape_notes ~needle:"projects"
 
@@ -760,8 +759,8 @@ let xq_projections e =
       if Helpers.contains ~needle:"projects" n then
         Some (String.sub n 10 (String.length n - 10))
       else None)
-    (Optimize.columnar_shape ~node_fns:xq_node_fns
-       (fst (Optimize.expr ~node_fns:xq_node_fns e)))
+    (Compile.shape
+       (Compile.compile_expr ~resolve:xq_resolve ~node_fns:xq_node_fns e))
 
 let xq_cases =
   [ (* $v read whole and projected *)
@@ -824,7 +823,7 @@ let projection_shapes () =
         (xq_projections e);
       let oracle =
         outcome (fun () ->
-            Eval.eval ~optimize:false (Eval.context ~resolve:xq_resolve ()) e)
+            Eval.eval (Eval.context ~resolve:xq_resolve ()) e)
       in
       List.iter
         (fun size ->
@@ -913,7 +912,7 @@ let projection_cell_bound () =
       "fn:count(for $v in t:BIG() where $v/A = 7 return $v/A)"
   in
   let ser = Aqua_xml.Serialize.sequence_to_string in
-  let oracle = ser (Eval.eval ~optimize:false (Eval.context ~resolve ()) e) in
+  let oracle = ser (Eval.eval (Eval.context ~resolve ()) e) in
   with_telemetry @@ fun () ->
   let once () = ser (Compile.run (Compile.compile_expr ~resolve ~node_fns e)) in
   Alcotest.(check string) "oversized source served" oracle (once ());
@@ -1180,11 +1179,12 @@ let derived_xq_shapes () =
       check_bool (what ^ ": a cell column is derived") true
         (List.exists
            (fun n -> Helpers.contains ~needle:"derives" n)
-           (Optimize.columnar_shape ~node_fns:d_node_fns
-              (fst (Optimize.expr ~node_fns:d_node_fns e))));
+           (Compile.shape
+              (Compile.compile_expr ~resolve:d_resolve ~node_fns:d_node_fns
+                 e)));
       let oracle =
         outcome (fun () ->
-            Eval.eval ~optimize:false (Eval.context ~resolve:d_resolve ()) e)
+            Eval.eval (Eval.context ~resolve:d_resolve ()) e)
       in
       List.iter
         (fun size ->
@@ -1199,6 +1199,67 @@ let derived_xq_shapes () =
               (show got) (show oracle))
         edge_sizes)
     derived_xq_cases
+
+(* The notes [analyze] prints are the lowering's own decisions.  Where
+   a group's key and kernel inputs are read through derived cells, the
+   scan binding carries no input column, never writes its variable and
+   writes no projected column: only the row position the cells are read
+   by. *)
+let engine_notes () =
+  let pin app sql expected =
+    Alcotest.(check (list string)) sql expected
+      (shape_notes ~needle:"columnar: " app sql)
+  in
+  (* the text-transport wrapper's row record, read through its
+     constructor *)
+  let tokens =
+    "columnar: let $tokenQuery skipped, $tokenQuery's record not built"
+  in
+  pin (Helpers.demo_app ())
+    "SELECT CITY, COUNT(*) N, SUM(TIER) S FROM CUSTOMERS GROUP BY CITY"
+    [ "columnar: for $var1FR0 carries 0 of 0 input column(s) (pruned 0)";
+      "columnar: for $var1FR0 writes 1 column(s) (row position); $var1FR0 not \
+       written";
+      "columnar: for $var1FR0 projects 2 column(s) (CITY, TIER)";
+      "columnar: for $var1FR0 derives 2 cell column(s) (key CITY, sum?(TIER) \
+       input)";
+      "columnar: let $var1GB0 skipped, $var1GB0's record not built";
+      "columnar: group by -> $var1Partition1 kernels [count; \
+       sum?(CUSTOMERS.TIER)]; partition not materialized; carries 0 of 1 \
+       input column(s) (pruned 1), writes 1 key and 2 kernel column(s)";
+      tokens ];
+  (* report's agg-group *)
+  pin (report_app ()) (List.hd report_queries)
+    [ "columnar: for $var1FR0 carries 0 of 0 input column(s) (pruned 0)";
+      "columnar: for $var1FR0 writes 1 column(s) (row position); $var1FR0 not \
+       written";
+      "columnar: for $var1FR0 projects 2 column(s) (CUSTOMERID, PRIORITY)";
+      "columnar: for $var1FR0 derives 2 cell column(s) (key CUSTOMERID, \
+       sum?/avg/min/max(PRIORITY) input)";
+      "columnar: let $var1GB0 skipped, $var1GB0's record not built";
+      "columnar: group by -> $var1Partition1 kernels [count; sum?(O.PRIORITY); \
+       avg(O.PRIORITY); min(O.PRIORITY); max(O.PRIORITY)]; partition not \
+       materialized; carries 0 of 1 input column(s) (pruned 1), writes 1 key \
+       and 5 kernel column(s)";
+      tokens ];
+  (* the agg-join shape: the probe key is a written cell, the group key
+     is read by row position through the join *)
+  pin (Helpers.demo_app ())
+    "SELECT C.CITY, COUNT(*) N FROM CUSTOMERS C JOIN PAYMENTS P ON \
+     C.CUSTOMERID = P.CUSTID GROUP BY C.CITY ORDER BY N DESC"
+    [ "columnar: for $var1FR0 carries 0 of 0 input column(s) (pruned 0)";
+      "columnar: for $var1FR0 writes 2 column(s) (cell probe CUSTOMERID, row \
+       position); $var1FR0 not written";
+      "columnar: for $var1FR0 projects 2 column(s) (CUSTOMERID, CITY)";
+      "columnar: for $var1FR0 derives 2 cell column(s) (probe CUSTOMERID, key \
+       CITY)";
+      "columnar: hash-join $var1FR1 carries 1 of 2 input column(s) (pruned 1)";
+      "columnar: hash-join $var1FR1 writes 0 column(s); $var1FR1 not written";
+      "columnar: let $var1GB0 skipped, $var1GB0's record not built";
+      "columnar: group by -> $var1Partition1 kernels [count]; partition not \
+       materialized; carries 0 of 1 input column(s) (pruned 1), writes 1 key \
+       and 1 kernel column(s)";
+      "columnar: order by retains 2 of 2 input column(s) (pruned 0)" ]
 
 (* The kernel fast path against [Kernels.update], table-driven: every
    kind, folded over every prefix of several input orders. *)
@@ -1376,6 +1437,7 @@ let suite =
         derived_cells_agree;
       Helpers.case "derived cell columns keep error messages and order"
         derived_xq_shapes;
+      Helpers.case "analyze notes are the engine's decisions" engine_notes;
       Helpers.case "kernel fast path equals Kernels.update"
         kernel_fast_path_table;
       Helpers.case "memoized key components concatenate to the composite"

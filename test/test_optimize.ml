@@ -30,8 +30,8 @@ let quad_check ?(bindings = []) src =
   in
   let vars = List.map fst bindings in
   let ser items = Serialize.sequence_to_string items in
-  let naive = ser (Eval.eval ~optimize:false ctx expr) in
-  let opt = ser (Eval.eval ctx expr) in
+  let naive = ser (Eval.eval ctx expr) in
+  let opt = ser (Eval.eval ctx (fst (Optimize.expr expr))) in
   let cnaive =
     ser (Compile.run ~bindings (Compile.compile_expr ~optimize:false ~vars expr))
   in
@@ -151,10 +151,10 @@ let accepted_cast_divergence () =
       "for $x in (<v>5</v>, <v>hello</v>) for $y in (5, 6) \
        where $x = $y return $y"
   in
-  (match Eval.eval ~optimize:false (Eval.context ()) expr with
+  (match Eval.eval (Eval.context ()) expr with
   | _ -> Alcotest.fail "nested loop was expected to raise Cast_error"
   | exception Aqua_xml.Atomic.Cast_error _ -> ());
-  (match Eval.eval (Eval.context ()) expr with
+  (match Compile.run (Compile.compile_expr expr) with
   | [ Aqua_xml.Item.Atomic a ] when Aqua_xml.Atomic.to_lexical a = "5" -> ()
   | seq ->
     Alcotest.failf "hash join: expected (5), got %s"
@@ -167,13 +167,13 @@ let accepted_cast_divergence () =
       "for $y in (5, 6) return (for $x in (<v>5</v>, <v>hello</v>) \
        where $x = $y return $y)"
   in
-  (match Eval.eval ~optimize:false (Eval.context ()) correlated with
+  (match Eval.eval (Eval.context ()) correlated with
   | _ -> Alcotest.fail "correlated nested loop was expected to raise Cast_error"
   | exception Aqua_xml.Atomic.Cast_error _ -> ());
   let ser = Serialize.sequence_to_string in
   Alcotest.(check string) "correlated probe: interpreter" "5"
     (ser
-       (Eval.eval ~optimize:false (Eval.context ())
+       (Eval.eval (Eval.context ())
           (fst (Optimize.expr correlated))));
   Alcotest.(check string) "correlated probe: compiled" "5"
     (ser (Compile.run (Compile.compile_expr correlated)))
@@ -300,9 +300,29 @@ let where_before_binding_fails () =
   | exception Compile.Compile_error msg ->
     Helpers.assert_contains ~needle:"$y" msg);
   (* the check fires even with the optimizer off *)
-  match Eval.eval ~optimize:false (Eval.context ()) expr with
+  match Eval.eval (Eval.context ()) expr with
   | _ -> Alcotest.fail "unoptimized interpreter accepted the hazard"
   | exception Error.Dynamic_error _ -> ()
+
+(* Both server flavors reject a where before its binding, an unknown
+   function and an unknown variable with the interpreter's dynamic
+   error (SQLSTATE 38000): the compiled engine's rejection keeps that
+   class. *)
+let server_errors_keep_their_class () =
+  let app = Helpers.demo_app () in
+  List.iter
+    (fun src ->
+      let q = Aqua_xquery.Parser.parse_query src in
+      List.iter
+        (fun (flavor, srv) ->
+          match Server.execute srv q with
+          | _ -> Alcotest.failf "%s server accepted %s" flavor src
+          | exception Error.Dynamic_error _ -> ())
+        [ ("compiled", Server.create app);
+          ("interpreter", Server.create ~optimize:false app) ])
+    [ "for $x in (1, 2) where $y = 1 for $y in (3, 4) return $x";
+      "fn:bogus()";
+      "$nope" ]
 
 (* Paper-style SQL (Examples 5-10 territory): outer joins, multi-way
    joins, correlated subqueries.  The optimized server must return the
@@ -430,7 +450,7 @@ let fusions_of e = (snd (Optimize.expr e)).Optimize.fusions
 let optimized_text src =
   Aqua_xquery.Pretty.expr_to_string (fst (Optimize.expr (parse src)))
 
-let shape_notes src = Optimize.columnar_shape (fst (Optimize.expr (parse src)))
+let shape_notes src = Compile.shape (Compile.compile_expr (parse src))
 
 let occurrences ~needle hay =
   let n = String.length needle in
@@ -573,7 +593,7 @@ let content_data_exact () =
   in
   quad_check src;
   Alcotest.(check string) "exact content atomization" "1 true 1 2"
-    (show (Eval.eval (Eval.context ()) (parse src)));
+    (show (Compile.run (Compile.compile_expr (parse src))));
   Helpers.assert_contains ~needle:"aqua:content-data" (optimized_text src)
 
 (* The translator's shapes: each report statement and paper Examples
@@ -768,6 +788,8 @@ let suite =
       Helpers.case "accepted cast divergence" accepted_cast_divergence;
       Helpers.case "report counts" report_counts;
       Helpers.case "where before binding fails" where_before_binding_fails;
+      Helpers.case "server errors keep their class"
+        server_errors_keep_their_class;
       Helpers.case "sql battery agrees" sql_agreement;
       Helpers.case "engine hash join agrees" engine_join_agreement;
       Helpers.case "constructor fusion rules" fusion_rules;

@@ -2,6 +2,7 @@
 
 module X = Aqua_xquery.Ast
 module Eval = Aqua_xqeval.Eval
+module Compile = Aqua_xqeval.Compile
 module Error = Aqua_xqeval.Error
 module Functions = Aqua_xqeval.Functions
 module Item = Aqua_xml.Item
@@ -13,7 +14,40 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 let ctx () = Eval.context ()
-let run ?(ctx = ctx ()) e = Eval.eval ctx e
+
+(* Interprets [e], and requires the compiled engine (over the
+   optimized plan) to agree: the same sequence, or an error — at
+   compile time or at run time — wherever the interpreter raises one.
+   The interpreter's outcome is returned or re-raised. *)
+let run e =
+  let compiled =
+    match Compile.run (Compile.compile_expr e) with
+    | seq -> Ok seq
+    | exception x -> Error (Printexc.to_string x)
+  in
+  match Eval.eval (ctx ()) e with
+  | seq ->
+    (match compiled with
+    | Ok c
+      when List.length c = List.length seq && List.for_all2 Item.equal c seq ->
+      ()
+    | Ok c ->
+      Alcotest.failf "compiler disagrees with the interpreter on %s: %s vs %s"
+        (Aqua_xquery.Pretty.expr_to_string e)
+        (Format.asprintf "%a" Item.pp_sequence c)
+        (Format.asprintf "%a" Item.pp_sequence seq)
+    | Error x ->
+      Alcotest.failf "compiler raised %s where the interpreter returned %s" x
+        (Format.asprintf "%a" Item.pp_sequence seq));
+    seq
+  | exception x ->
+    (match compiled with
+    | Error _ -> ()
+    | Ok c ->
+      Alcotest.failf "compiler returned %s where the interpreter raised %s"
+        (Format.asprintf "%a" Item.pp_sequence c)
+        (Printexc.to_string x));
+    raise x
 
 let int_result e =
   match run e with
