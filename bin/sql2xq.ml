@@ -248,14 +248,16 @@ let analyze_cmd =
         Obs_stats.set_enabled false;
         (* the counters are frozen now, so re-running the optimizer for
            its report and compiling the plan again for its notes does
-           not skew the snapshot *)
+           not skew the snapshot; both describe the plan the driver
+           runs, the text transport's *)
+        let wrapped = Translator.for_text_transport t in
         let _, report =
           Aqua_xqeval.Optimize.query ~share_scans:(not no_scan_cache)
             ~node_fns:
               (Server.physical_fns app
                  t.Translator.xquery.Aqua_xquery.Ast.prolog
                    .Aqua_xquery.Ast.imports)
-            t.Translator.xquery
+            wrapped
         in
         Printf.printf "EXPLAIN ANALYZE  %s\n" sql;
         Printf.printf "translation (three stages):\n";
@@ -276,8 +278,7 @@ let analyze_cmd =
           List.iter
             (fun note -> Printf.printf "  note: %s\n" note)
             (report.Aqua_xqeval.Optimize.notes
-            @ Aqua_xqeval.Compile.shape
-                (Server.prepare server t.Translator.xquery))
+            @ Aqua_xqeval.Compile.shape (Server.prepare server wrapped))
         end;
         if no_scan_cache then
           Printf.printf "scan cache: disabled (--no-scan-cache)\n"

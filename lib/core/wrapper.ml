@@ -9,9 +9,16 @@
    sample output `>987654<Acme Widget Stores` relies on the same
    property).  SQL NULL (an empty sequence) is encoded by
    fn-bea:if-empty as a single NUL byte, which escaped data can never
-   contain either (control characters become character references). *)
+   contain either (control characters become character references).
+
+   The interpreter evaluates the wrapper as written.  The compiled
+   engine recognizes its shape and writes the text directly: each
+   row's delimiters and escaped cells are appended to one buffer, with
+   no per-cell string and no final join (Compile's text writer,
+   DESIGN.md section 16).  [decode] reads it back in one pass. *)
 
 module X = Aqua_xquery.Ast
+module Value = Aqua_relational.Value
 
 let row_prefix = ">"
 let column_separator = "<"
@@ -58,16 +65,16 @@ let wrap (query : X.query) (columns : Outcol.t list) : X.query =
 
 exception Decode_error of string
 
-let unescape s =
-  (* inverse of fn-bea:xml-escape *)
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
+(* Inverse of fn-bea:xml-escape over [s.[pos .. pos + len - 1]]: a
+   reference must end inside that range. *)
+let unescape_sub s pos len =
+  let stop = pos + len in
+  let buf = Buffer.create len in
+  let i = ref pos in
+  while !i < stop do
     if s.[!i] = '&' then begin
       match String.index_from_opt s !i ';' with
-      | None -> raise (Decode_error "unterminated character reference")
-      | Some semi ->
+      | Some semi when semi < stop ->
         let name = String.sub s (!i + 1) (semi - !i - 1) in
         (match name with
         | "amp" -> Buffer.add_char buf '&'
@@ -79,6 +86,7 @@ let unescape s =
           | _ -> raise (Decode_error ("bad character reference &" ^ name ^ ";")))
         | _ -> raise (Decode_error ("unknown entity &" ^ name ^ ";")));
         i := semi + 1
+      | _ -> raise (Decode_error "unterminated character reference")
     end
     else begin
       Buffer.add_char buf s.[!i];
@@ -87,31 +95,72 @@ let unescape s =
   done;
   Buffer.contents buf
 
-let decode ~(columns : Outcol.t list) (text : string) :
-    string option list list =
-  (* Returns rows of optional lexical column values (None = NULL). *)
-  if text = "" then []
+let unescape s = unescape_sub s 0 (String.length s)
+
+(* Whether [text.[start ..]] continues with [null_marker]'s bytes
+   from position [i] of the marker on. *)
+let rec marker_at text start i =
+  i = String.length null_marker
+  || String.unsafe_get text (start + i) = String.unsafe_get null_marker i
+     && marker_at text start (i + 1)
+
+(* One pass over the text.  A row's cell boundaries are found first, so
+   an arity error is reported before any of the row's cells is read;
+   then each cell becomes its column's value in place: NULL for the
+   marker, the cell's bytes (unescaped only when they hold a '&')
+   through [Value.of_string] otherwise. *)
+let decode ~(columns : Outcol.t list) (text : string) : Value.t array list =
+  let n = String.length text in
+  if n = 0 then []
   else begin
-    if not (String.length text > 0 && text.[0] = row_prefix.[0]) then
+    if text.[0] <> row_prefix.[0] then
       raise (Decode_error "text result does not start with a row prefix");
-    let rows =
-      (* drop the leading empty chunk before the first '>' *)
-      match String.split_on_char row_prefix.[0] text with
-      | "" :: rest -> rest
-      | rest -> rest
-    in
-    let ncols = List.length columns in
-    List.map
-      (fun row ->
-        let cells = String.split_on_char column_separator.[0] row in
-        if List.length cells <> ncols then
-          raise
-            (Decode_error
-               (Printf.sprintf "row has %d cells, expected %d"
-                  (List.length cells) ncols));
-        List.map
-          (fun cell ->
-            if cell = null_marker then None else Some (unescape cell))
-          cells)
-      rows
+    let tys = Array.of_list (List.map (fun (c : Outcol.t) -> c.Outcol.ty) columns) in
+    let ncols = Array.length tys in
+    let prefix = row_prefix.[0] and sep = column_separator.[0] in
+    (* the current row's cells: start offset, length, holds a '&' *)
+    let starts = Array.make ncols 0 and lens = Array.make ncols 0 in
+    let amps = Array.make ncols false in
+    let rows = ref [] in
+    let pos = ref 1 in
+    while !pos <= n do
+      let cells = ref 0 and row_end = ref false in
+      while not !row_end do
+        let start = !pos in
+        let j = ref start and amp = ref false in
+        while
+          !j < n
+          &&
+          let c = String.unsafe_get text !j in
+          c <> sep && c <> prefix
+        do
+          if String.unsafe_get text !j = '&' then amp := true;
+          incr j
+        done;
+        if !cells < ncols then begin
+          starts.(!cells) <- start;
+          lens.(!cells) <- !j - start;
+          amps.(!cells) <- !amp
+        end;
+        incr cells;
+        row_end := !j >= n || text.[!j] = prefix;
+        pos := !j + 1
+      done;
+      if !cells <> ncols then
+        raise
+          (Decode_error
+             (Printf.sprintf "row has %d cells, expected %d" !cells ncols));
+      let row =
+        Array.init ncols (fun k ->
+            let start = starts.(k) and len = lens.(k) in
+            if len = String.length null_marker && marker_at text start 0 then
+              Value.Null
+            else
+              Value.of_string tys.(k)
+                (if amps.(k) then unescape_sub text start len
+                 else String.sub text start len))
+      in
+      rows := row :: !rows
+    done;
+    List.rev !rows
   end

@@ -22,7 +22,11 @@ val unescape : string -> string
 (** Inverse of [fn-bea:xml-escape].
     @raise Decode_error on malformed references. *)
 
-val decode : columns:Outcol.t list -> string -> string option list list
-(** Splits the wire text into rows of optional lexical column values
-    ([None] = SQL NULL).
-    @raise Decode_error on malformed input or arity mismatches. *)
+val decode :
+  columns:Outcol.t list -> string -> Aqua_relational.Value.t array list
+(** Decodes the wire text in one pass into rows of values, one per
+    column: [Value.Null] for the NULL marker, [Value.of_string] of the
+    column's type over the unescaped cell otherwise.
+    @raise Decode_error on malformed input or arity mismatches.
+    @raise Aqua_relational.Value.Type_error on a cell its column's type
+    does not parse. *)

@@ -503,14 +503,8 @@ module Prepared = struct
       | Text ->
         let text =
           timed exec (fun () ->
-              let buf = Buffer.create 256 in
-              List.iter
-                (fun item ->
-                  match item with
-                  | Item.Atomic a -> Buffer.add_string buf (Atomic.to_lexical a)
-                  | Item.Node _ -> invalid_arg "text transport returned a node")
-                (Server.execute_prepared ~bindings stmt.compiled_text);
-              Buffer.contents buf)
+              Server.text_of_sequence
+                (Server.execute_prepared ~bindings stmt.compiled_text))
         in
         timed dec (fun () -> Result_set.of_encoded_text columns text)
     in

@@ -37,6 +37,12 @@ let next t =
     t.current <- Some row;
     true
 
+let iter_rows t f =
+  let rows = t.rows in
+  t.rows <- [];
+  t.current <- None;
+  List.iter f rows
+
 let get_value t i =
   match t.current with
   | None -> invalid_arg "result set cursor is not positioned on a row"
@@ -146,20 +152,6 @@ let of_xml_text cols text =
 
 let of_encoded_text cols text =
   Aqua_resilience.Failpoint.hit "driver.decode";
-  let decoded =
-    try Aqua_translator.Wrapper.decode ~columns:cols text
-    with Aqua_translator.Wrapper.Decode_error m -> raise (Decode_error m)
-  in
-  let rows =
-    List.map
-      (fun cells ->
-        Array.of_list
-          (List.map2
-             (fun (c : Outcol.t) cell ->
-               match cell with
-               | None -> Value.Null
-               | Some lexical -> Value.of_string c.Outcol.ty lexical)
-             cols cells))
-      decoded
-  in
-  of_rows cols rows
+  match Aqua_translator.Wrapper.decode ~columns:cols text with
+  | rows -> of_rows cols rows
+  | exception Aqua_translator.Wrapper.Decode_error m -> raise (Decode_error m)

@@ -17,6 +17,12 @@ val row_count : t -> int
 val next : t -> bool
 (** Advances the cursor; [false] past the last row. *)
 
+val iter_rows : t -> (Aqua_relational.Value.t array -> unit) -> unit
+(** [iter_rows t f] applies [f] to each row ahead of the cursor, in
+    order, and leaves the cursor past the last row, as a [next] loop
+    would.  The arrays are the result set's own: [f] must not modify
+    them. *)
+
 val get_value : t -> int -> Aqua_relational.Value.t
 (** 1-based column index; [Value.Null] for SQL NULL.
     @raise Invalid_argument when the cursor is not on a row or the

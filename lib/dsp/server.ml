@@ -197,16 +197,19 @@ let execute_text ?bindings t src =
 let execute_to_xml ?bindings t q =
   Aqua_xml.Serialize.sequence_to_string (execute ?bindings t q)
 
-let execute_to_text ?bindings t q =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun item ->
-      match item with
-      | Item.Atomic a -> Buffer.add_string buf (Aqua_xml.Atomic.to_lexical a)
-      | Item.Node _ ->
-        fail "text transport expected a string result, got a node")
-    (execute ?bindings t q);
-  Buffer.contents buf
+let text_of_sequence items =
+  let text_of = function
+    | Item.Atomic a -> Aqua_xml.Atomic.to_lexical a
+    | Item.Node _ -> fail "text transport expected a string result, got a node"
+  in
+  match items with
+  | [ item ] -> text_of item (* the wrapper's one string, as is *)
+  | items ->
+    let buf = Buffer.create 1024 in
+    List.iter (fun item -> Buffer.add_string buf (text_of item)) items;
+    Buffer.contents buf
+
+let execute_to_text ?bindings t q = text_of_sequence (execute ?bindings t q)
 
 type prepared = Compile.compiled
 

@@ -100,8 +100,13 @@ val execute_to_text :
   Aqua_xquery.Ast.query ->
   string
 (** [execute] for a wrapper query that already returns the
-    text-encoded row stream: concatenates the resulting string
-    sequence. *)
+    text-encoded row stream: {!text_of_sequence} of its result. *)
+
+val text_of_sequence : Aqua_xml.Item.sequence -> string
+(** The text transport's payload: a single atomic's lexical form as is
+    (the compiled text writer's one string is not copied), otherwise
+    the concatenation of the items' lexical forms.
+    @raise Aqua_xqeval.Error.Dynamic_error on a node. *)
 
 type prepared = Aqua_xqeval.Compile.compiled
 (** A query compiled once (via {!Aqua_xqeval.Compile}) for repeated

@@ -387,14 +387,11 @@ let handle_query srv fd buf hist ~sid sql =
     | rs ->
       bump srv.s_queries T.c_net_queries;
       Histogram.record hist (Int64.sub (T.now_ns ()) t0);
-      let ncols = Result_set.column_count rs in
       Wire.row_description buf (Result_set.columns rs);
       let count = ref 0 in
-      while Result_set.next rs do
-        incr count;
-        Wire.data_row buf
-          (Array.init ncols (fun i -> Result_set.get_value rs (i + 1)))
-      done;
+      Result_set.iter_rows rs (fun row ->
+          incr count;
+          Wire.data_row buf row);
       Wire.command_complete buf (Printf.sprintf "SELECT %d" !count);
       Wire.ready_for_query buf;
       flush srv fd buf

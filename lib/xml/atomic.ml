@@ -36,6 +36,11 @@ let time_to_string t =
 let timestamp_to_string ts =
   date_to_string ts.date ^ "T" ^ time_to_string ts.time
 
+(* The C routine behind [Printf.sprintf "%.12g"] (and
+   [string_of_float]), called directly: for a [%g] conversion Printf
+   adds nothing to its output, only its format interpretation. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Canonical float printing: integral doubles print without an exponent
    or trailing zeros, like the usual XQuery serializations of small
    values.  We do not need full E-notation canonicalisation. *)
@@ -44,9 +49,18 @@ let float_to_lexical f =
     (* below 1e15 the float is an exact integer within int range, so
        this equals "%.0f" without the printf machinery *)
     string_of_int (int_of_float f)
-  else
-    let s = Printf.sprintf "%.12g" f in
-    s
+  else format_float "%.12g" f
+
+let add_int buf i =
+  if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    if i < 0 then Buffer.add_char buf '-';
+    let rec digits n =
+      if n >= 10 then digits (n / 10);
+      Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+    in
+    digits (abs i)
+  end
 
 let to_lexical = function
   | Untyped s | String s -> s

@@ -29,6 +29,14 @@ val type_name : t -> string
 val to_lexical : t -> string
 (** Canonical lexical form (what [fn:string] returns). *)
 
+val float_to_lexical : float -> string
+(** The lexical form of an [xs:double]/[xs:decimal] value: an integral
+    value below 1e15 in magnitude as its integer digits, anything else
+    as C's [%.12g]. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf i] appends [string_of_int i] without building it. *)
+
 val date_to_string : date -> string
 val time_to_string : time -> string
 val timestamp_to_string : timestamp -> string

@@ -46,6 +46,7 @@ type note =
     }
   | N_order of { inputs : int Lazy.t; retained : int }
   | N_skipped of string * X.expr  (* a let nothing reads, not built *)
+  | N_text of int  (* a text-writer sink and its cells per row *)
 
 (* Compile-time environment: name -> slot. *)
 type cenv = {
@@ -660,6 +661,149 @@ let fetch_derived cctx dn e =
 
 module Slots = Set.Make (Int)
 
+(* A FLWOR ready for lowering: its clauses after scan column
+   projection, kernel fusion and cell derivation, with its return
+   rewritten alike ([treturn]).  Planning is pure AST work; binding
+   slots and reserving notes is [lower_flwor]'s. *)
+type fplan = {
+  projs : Optimize.projection list;
+  tclauses : cclause list;
+  treturn : X.expr;
+  cells : Optimize.derived array;
+}
+
+let plan_flwor ~node_fns (f : X.flwor) =
+  (* Fuse kernelizable group clauses with their post-group aggregate
+     reads before compiling.  The rewrite happens here, in the
+     lowering, so the interpreter keeps evaluating the original AST. *)
+  let rec transform before clauses return_ =
+    match clauses with
+    | [] -> ([], return_)
+    | (X.Group { grouped; partition; keys } as orig) :: rest -> (
+      (* a grouped variable let-bound to a record constructor feeds its
+         kernels through the constructor (constructor fusion F3) *)
+      let record =
+        Option.map fst (Optimize.record_binding (List.rev before) grouped)
+      in
+      match Optimize.group_kernels ?record ~grouped ~partition rest return_ with
+      | Some (specs, rest', return') ->
+        let rest'', return'' = transform (orig :: before) rest' return' in
+        ( C_kernel
+            { ck_partition = partition; ck_keys = keys; ck_specs = specs;
+              ck_orig = orig }
+          :: rest'',
+          return'' )
+      | None ->
+        let rest', return' = transform (orig :: before) rest return_ in
+        (C_plain orig :: rest', return'))
+    | c :: rest ->
+      let rest', return' = transform (c :: before) rest return_ in
+      (C_plain c :: rest', return')
+  in
+  (* Scan column projection first, so kernels and record reads pick up
+     the column variables it binds. *)
+  let projs, pclauses, preturn =
+    Optimize.scan_projections ~node_fns f.X.clauses f.X.return
+  in
+  let tclauses, treturn = transform [] pclauses preturn in
+  (* Derived cell columns: the cell expressions kernels, group keys,
+     probe keys and where operands evaluate per row become reads of
+     cell variables bound with the scan variable. *)
+  let tclauses, cells =
+    if projs = [] then (tclauses, [||])
+    else begin
+      let dv = Optimize.deriver projs in
+      let tclauses =
+        List.map
+          (function
+            | C_plain c -> C_plain (Optimize.derive_clause dv c)
+            | C_kernel k ->
+              let ck_keys = Optimize.derive_keys dv k.ck_keys in
+              C_kernel
+                { k with ck_keys; ck_specs = Optimize.derive_specs dv k.ck_specs })
+          tclauses
+      in
+      (tclauses, Array.of_list (Optimize.derived dv))
+    end
+  in
+  { projs; tclauses; treturn; cells }
+
+(* The text writer (paper section 4).  [Wrapper.wrap] joins the rows
+   with [fn:string-join(F, "")], F one FLWOR or, for the outer-join
+   halves and UNION ALL, a sequence of FLWORs, each returning per row a
+   sequence of delimiter literals and cells
+   [fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(e)),
+   marker)].  Exactly that shape, checked on the planned returns, is
+   lowered with a sink appending each row's text to one buffer; any
+   other [fn:string-join] compiles as a call. *)
+type text_part = T_lit of string | T_cell of X.expr * string
+
+let text_parts (e : X.expr) =
+  let part = function
+    | X.Literal (Atomic.String s) -> Some (T_lit s)
+    | X.Call
+        ( "fn-bea:if-empty",
+          [ X.Call
+              ("fn-bea:xml-escape", [ X.Call ("fn-bea:serialize-atomic", [ v ]) ]);
+            X.Literal (Atomic.String marker) ] ) ->
+      Some (T_cell (v, marker))
+    | _ -> None
+  in
+  match e with
+  | X.Seq es ->
+    let parts = List.filter_map part es in
+    if
+      List.compare_lengths parts es = 0
+      && List.exists (function T_cell _ -> true | T_lit _ -> false) parts
+    then Some parts
+    else None
+  | _ -> None
+
+let text_plans ~node_fns name args =
+  match (name, args) with
+  | "fn:string-join", [ body; X.Literal (Atomic.String "") ] -> (
+    let flwors =
+      match body with
+      | X.Flwor f -> [ f ]
+      | X.Seq es ->
+        let fs = List.filter_map (function X.Flwor f -> Some f | _ -> None) es in
+        if List.compare_lengths fs es = 0 then fs else []
+      | _ -> []
+    in
+    if flwors = [] || List.exists (fun f -> Option.is_none (text_parts f.X.return)) flwors
+    then None
+    else
+      let plans =
+        List.map
+          (fun f ->
+            let p = plan_flwor ~node_fns f in
+            (p, text_parts p.treturn))
+          flwors
+      in
+      if List.exists (fun (_, parts) -> Option.is_none parts) plans then None
+      else Some (List.map (fun (p, parts) -> (p, Option.get parts)) plans))
+  | _ -> None
+
+(* One cell: the bytes [fn-bea:if-empty(fn-bea:xml-escape(
+   fn-bea:serialize-atomic(v)), marker)] evaluates to, and for more
+   than one atom its error. *)
+let write_atomic buf (a : Atomic.t) =
+  match a with
+  | Atomic.Integer i -> Atomic.add_int buf i
+  | Atomic.String s | Atomic.Untyped s -> Functions.xml_escape_into buf s
+  | a -> Functions.xml_escape_into buf (Atomic.to_lexical a)
+
+let write_cell buf marker (v : Item.sequence) =
+  match v with
+  | [] -> Buffer.add_string buf marker
+  | [ Item.Atomic a ] -> write_atomic buf a
+  | v -> (
+    match Functions.opt_atomic "fn-bea:serialize-atomic" v with
+    | None -> Buffer.add_string buf marker
+    | Some a -> write_atomic buf a)
+
+type wpart = W_lit of string | W_cell of comp * string
+
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                        *)
 
@@ -710,6 +854,9 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
             List.fold_left (fun items p -> p rt items) widened preds)
           (cbase rt) csteps)
   | X.Call (name, args) -> (
+    match text_plans ~node_fns:cenv.node_fns name args with
+    | Some plans -> compile_text_writer cenv plans
+    | None -> (
     let cargs = List.map (compile_expr_c cenv) args in
     (* arity-specialized application: no per-call List.map closure for
        the ubiquitous nullary scans and unary fn:data wrappers *)
@@ -725,7 +872,7 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
     | None -> (
       match cenv.resolve name with
       | Some impl -> apply impl
-      | None -> cfail "unknown function %s" name))
+      | None -> cfail "unknown function %s" name)))
   | X.Elem { name; content } ->
     let parts =
       List.map
@@ -908,59 +1055,58 @@ and compile_predicate cenv (pred : X.expr) : rt -> Item.sequence -> Item.sequenc
    per clause per invocation, matching the interpreter's eager
    pipeline construction. *)
 and compile_flwor cenv (f : X.flwor) : comp =
-  (* Fuse kernelizable group clauses with their post-group aggregate
-     reads before compiling.  The rewrite happens here, in the
-     lowering, so the interpreter keeps evaluating the original AST. *)
-  let rec transform before clauses return_ =
-    match clauses with
-    | [] -> ([], return_)
-    | (X.Group { grouped; partition; keys } as orig) :: rest -> (
-      (* a grouped variable let-bound to a record constructor feeds its
-         kernels through the constructor (constructor fusion F3) *)
-      let record =
-        Option.map fst (Optimize.record_binding (List.rev before) grouped)
-      in
-      match Optimize.group_kernels ?record ~grouped ~partition rest return_ with
-      | Some (specs, rest', return') ->
-        let rest'', return'' = transform (orig :: before) rest' return' in
-        ( C_kernel
-            { ck_partition = partition; ck_keys = keys; ck_specs = specs;
-              ck_orig = orig }
-          :: rest'',
-          return'' )
-      | None ->
-        let rest', return' = transform (orig :: before) rest return_ in
-        (C_plain orig :: rest', return'))
-    | c :: rest ->
-      let rest', return' = transform (c :: before) rest return_ in
-      (C_plain c :: rest', return')
+  let p = plan_flwor ~node_fns:cenv.node_fns f in
+  let cenv_ret, run = lower_flwor cenv p in
+  let cret = compile_expr_c cenv_ret p.treturn in
+  fun rt ->
+    let results = ref [] in
+    run rt (fun scratch -> results := cret scratch :: !results);
+    List.concat (List.rev !results)
+
+(* The text writer's lowering ([text_plans]): each FLWOR's pipeline
+   ends in a sink writing its row's parts, adjacent literals joined at
+   compile time, into a buffer owned by the invocation. *)
+and compile_text_writer cenv plans : comp =
+  let writers =
+    List.map
+      (fun ((p : fplan), parts) ->
+        let cenv_ret, run = lower_flwor cenv p in
+        reserve_note cenv
+        := Some
+             (N_text
+                (List.length
+                   (List.filter (function T_cell _ -> true | T_lit _ -> false) parts)));
+        let rec compile_parts = function
+          | [] -> []
+          | T_lit a :: T_lit b :: rest -> compile_parts (T_lit (a ^ b) :: rest)
+          | T_lit a :: rest -> W_lit a :: compile_parts rest
+          | T_cell (e, marker) :: rest ->
+            let c = compile_expr_c cenv_ret e in
+            W_cell (c, marker) :: compile_parts rest
+        in
+        let wparts = Array.of_list (compile_parts parts) in
+        fun rt buf ->
+          run rt (fun scratch ->
+              for k = 0 to Array.length wparts - 1 do
+                match Array.unsafe_get wparts k with
+                | W_lit s -> Buffer.add_string buf s
+                | W_cell (c, marker) -> write_cell buf marker (c scratch)
+              done))
+      plans
   in
-  (* Scan column projection first, so kernels and record reads pick up
-     the column variables it binds. *)
-  let projs, pclauses, preturn =
-    Optimize.scan_projections ~node_fns:cenv.node_fns f.X.clauses f.X.return
-  in
-  let tclauses, treturn = transform [] pclauses preturn in
-  (* Derived cell columns: the cell expressions kernels, group keys,
-     probe keys and where operands evaluate per row become reads of
-     cell variables bound with the scan variable. *)
-  let tclauses, cells =
-    if projs = [] then (tclauses, [||])
-    else begin
-      let dv = Optimize.deriver projs in
-      let tclauses =
-        List.map
-          (function
-            | C_plain c -> C_plain (Optimize.derive_clause dv c)
-            | C_kernel k ->
-              let ck_keys = Optimize.derive_keys dv k.ck_keys in
-              C_kernel
-                { k with ck_keys; ck_specs = Optimize.derive_specs dv k.ck_specs })
-          tclauses
-      in
-      (tclauses, Array.of_list (Optimize.derived dv))
-    end
-  in
+  fun rt ->
+    (* small: a buffer that starts large is a major-heap block per call *)
+    let buf = Buffer.create 256 in
+    List.iter (fun w -> w rt buf) writers;
+    [ Item.Atomic (Atomic.String (Buffer.contents buf)) ]
+
+(* Lowers a planned FLWOR's clauses.  Returns the environment its
+   return is compiled in and the runner: [run rt row] pushes the outer
+   row [rt] through the pipeline and calls [row scratch] per result
+   tuple, in order, with the return's free variables gathered into
+   [scratch]. *)
+and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
+  let { projs; tclauses; treturn; cells } = p in
   (* per clause position: the (step name, column variable) pairs its
      for or hash join binds besides its own variable, and the (cell
      index, derived cell) pairs bound with them *)
@@ -1835,12 +1981,12 @@ and compile_flwor cenv (f : X.flwor) : comp =
   in
   let mks, cenv_ret = build cenv 0 tclauses in
   let ret_gslots = gather_slots cenv_ret [ treturn ] in
-  let cret = compile_expr_c cenv_ret treturn in
   let entry_copy = slot_array (live_slots cenv.slots 0) in
   let xclauses = List.map cclause_view tclauses in
   let next_ref = cenv.next in
   let ncells = Array.length cells in
-  fun rt ->
+  cenv_ret,
+  fun rt row ->
     (* clause failpoints fire once per clause per invocation, like the
        interpreter's eager pipeline fold *)
     List.iter
@@ -1878,7 +2024,6 @@ and compile_flwor cenv (f : X.flwor) : comp =
       List.iter
         (fun (label, _) -> ignore (Telemetry.clause_counter label))
         mks;
-    let results = ref [] in
     let sink =
       { cpush =
           (fun b ->
@@ -1886,7 +2031,7 @@ and compile_flwor cenv (f : X.flwor) : comp =
             for k = 0 to b.Batch.n - 1 do
               let idx = b.Batch.sel.(k) in
               gather ret_gslots scratch b idx;
-              results := cret scratch :: !results
+              row scratch
             done);
         cflush = (fun () -> ());
       }
@@ -1903,8 +2048,7 @@ and compile_flwor cenv (f : X.flwor) : comp =
     cnote_batch 1;
     chain.cpush feed;
     chain.cflush ();
-    cbatch_release pool !acquired;
-    List.concat (List.rev !results)
+    cbatch_release pool !acquired
 
 (* ------------------------------------------------------------------ *)
 
@@ -2034,6 +2178,8 @@ let note_lines = function
     [ Printf.sprintf "columnar: let $%s skipped, $%s's record not built" var var ]
   | N_skipped (var, _) ->
     [ Printf.sprintf "columnar: let $%s skipped (nothing reads it)" var ]
+  | N_text cells ->
+    [ Printf.sprintf "columnar: string-join text writer, %d cell(s) per row" cells ]
 
 let shape t =
   Printf.sprintf

@@ -17,7 +17,11 @@
     per-column vectors memoized with the scan
     ({!Optimize.scan_projections}); the memo is domain-local, keyed by
     the physical identity of the scan's sequence, and bounded by entry
-    count and by {!projected_cells_max}.
+    count and by {!projected_cells_max}.  The section-4 wrapper's
+    [fn:string-join(F, "")] over delimiter-and-cell rows is lowered to
+    a text writer that appends each row's escaped cells to one buffer
+    per invocation (DESIGN.md section 16); the text is byte for byte
+    the interpreter's.
 
     Variable scoping is resolved at compile time; referencing an
     undefined variable (including bindings dropped by the group-by
@@ -80,7 +84,8 @@ val shape : compiled -> string list
 (** EXPLAIN-style notes: the batch layout, then per operator, in plan
     order, the lowering's own decisions — input columns carried and
     pruned (slot counts), columns written, scan columns projected, cells
-    derived, kernels selected, lets skipped.  Compiling records them as
+    derived, kernels selected, lets skipped, text writers and their
+    cells per row.  Compiling records them as
     data; only this formats them. *)
 
 val projected_cells_max : int

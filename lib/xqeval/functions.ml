@@ -496,19 +496,43 @@ let fn_bea_if_empty args =
   | [ v; dflt ] -> if v = [] then dflt else v
   | _ -> assert false
 
-let xml_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
+let needs_escape c =
+  match c with
+  | '&' | '<' | '>' -> true
+  | '\t' | '\n' | '\r' -> false
+  | c -> Char.code c < 0x20
+
+(* Runs of bytes that need no escaping are appended whole. *)
+let xml_escape_into buf s =
+  let n = String.length s in
+  let from = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !from (i - !from);
+      (match c with
       | '&' -> Buffer.add_string buf "&amp;"
       | '<' -> Buffer.add_string buf "&lt;"
       | '>' -> Buffer.add_string buf "&gt;"
-      | c when Char.code c < 0x20 && c <> '\t' && c <> '\n' && c <> '\r' ->
-        Buffer.add_string buf (Printf.sprintf "&#%d;" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c ->
+        (* a C0 control: two digits at most *)
+        let k = Char.code c in
+        Buffer.add_string buf "&#";
+        if k >= 10 then Buffer.add_char buf (Char.unsafe_chr (48 + (k / 10)));
+        Buffer.add_char buf (Char.unsafe_chr (48 + (k mod 10)));
+        Buffer.add_char buf ';');
+      from := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !from (n - !from)
+
+let xml_escape s =
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    xml_escape_into buf s;
+    Buffer.contents buf
+  end
 
 let fn_bea_xml_escape args =
   arity "fn-bea:xml-escape" 1 args;

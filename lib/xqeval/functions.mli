@@ -48,6 +48,17 @@ val like_match : ?escape:char -> pattern:string -> string -> bool
 
 val xml_escape : string -> string
 (** The [fn-bea:xml-escape] algorithm: escapes [&], [<], [>] and
-    C0 control characters as numeric character references, so that the
-    escaped text can never contain the driver's row/column delimiter
-    characters. Exposed for the driver's decoder tests. *)
+    C0 control characters other than tab, LF and CR as numeric
+    character references, so that the escaped text can never contain
+    the driver's row/column delimiter characters.  Returns [s] itself
+    when no byte needs escaping. *)
+
+val xml_escape_into : Buffer.t -> string -> unit
+(** [xml_escape_into buf s] appends [xml_escape s] to [buf]; the
+    compiled text writer ({!Compile}) escapes each cell this way. *)
+
+val opt_atomic : string -> Aqua_xml.Item.sequence -> Aqua_xml.Atomic.t option
+(** [opt_atomic name seq] atomizes [seq] to at most one atom, raising
+    {!Error.Dynamic_error} ["<name> expects at most one atomic value"]
+    on more: the argument check of [fn-bea:serialize-atomic] and other
+    single-valued built-ins. *)

@@ -103,6 +103,53 @@ let prop_date_roundtrip =
       let d = { Atomic.year; month; day } in
       Atomic.date_of_string (Atomic.date_to_string d) = d)
 
+(* The float formatting [Atomic.float_to_lexical] replaced, kept as the
+   reference: the same C routine reached through [Printf]. *)
+let old_float_to_lexical f =
+  if Float.is_integer f && Float.abs f < 1e15 then string_of_int (int_of_float f)
+  else Printf.sprintf "%.12g" f
+
+let float_edges =
+  [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 1e15; -1e15;
+    1e15 +. 1.; 999999999999999.; 0.1; -2.5; 1e-300; 4.9e-324;
+    Float.min_float; Float.max_float; -.Float.max_float; 123456789012.345 ]
+
+let float_lexical_edges () =
+  List.iter
+    (fun f ->
+      check_str (Printf.sprintf "%h" f) (old_float_to_lexical f)
+        (Atomic.float_to_lexical f))
+    float_edges
+
+let prop_float_lexical =
+  QCheck.Test.make ~name:"float lexical form matches %.12g" ~count:2000
+    QCheck.(
+      make
+        ~print:(Printf.sprintf "%h")
+        Gen.(
+          oneof
+            [ float;
+              map Int64.float_of_bits ui64;
+              map (fun i -> float_of_int i /. 100.) int;
+              map float_of_int (int_range (-1_000_000) 1_000_000) ]))
+    (fun f -> Atomic.float_to_lexical f = old_float_to_lexical f)
+
+let add_int_of i =
+  let buf = Buffer.create 8 in
+  Buffer.add_string buf "x";
+  Atomic.add_int buf i;
+  Buffer.contents buf
+
+let add_int_edges () =
+  List.iter
+    (fun i -> check_str (string_of_int i) ("x" ^ string_of_int i) (add_int_of i))
+    [ min_int; min_int + 1; -10; -9; -1; 0; 1; 9; 10; 99; 100; max_int - 1; max_int ]
+
+let prop_add_int =
+  QCheck.Test.make ~name:"add_int appends string_of_int" ~count:2000
+    QCheck.(oneof [ int; small_signed_int; int_range (-1000) 1000 ])
+    (fun i -> add_int_of i = "x" ^ string_of_int i)
+
 let suite =
   ( "atomic",
     [ Helpers.case "lexical forms" lexical_forms;
@@ -112,4 +159,8 @@ let suite =
       Helpers.case "equality and hash keys" equality_and_keys;
       Helpers.qcheck prop_int_order;
       Helpers.qcheck prop_hash_key_consistent;
-      Helpers.qcheck prop_date_roundtrip ] )
+      Helpers.qcheck prop_date_roundtrip;
+      Helpers.case "float lexical form at the edges" float_lexical_edges;
+      Helpers.qcheck prop_float_lexical;
+      Helpers.case "add_int at the edges" add_int_edges;
+      Helpers.qcheck prop_add_int ] )

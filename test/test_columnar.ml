@@ -1227,7 +1227,8 @@ let engine_notes () =
       "columnar: group by -> $var1Partition1 kernels [count; \
        sum?(CUSTOMERS.TIER)]; partition not materialized; carries 0 of 1 \
        input column(s) (pruned 1), writes 1 key and 2 kernel column(s)";
-      tokens ];
+      tokens;
+      "columnar: string-join text writer, 3 cell(s) per row" ];
   (* report's agg-group *)
   pin (report_app ()) (List.hd report_queries)
     [ "columnar: for $var1FR0 carries 0 of 0 input column(s) (pruned 0)";
@@ -1241,7 +1242,8 @@ let engine_notes () =
        avg(O.PRIORITY); min(O.PRIORITY); max(O.PRIORITY)]; partition not \
        materialized; carries 0 of 1 input column(s) (pruned 1), writes 1 key \
        and 5 kernel column(s)";
-      tokens ];
+      tokens;
+      "columnar: string-join text writer, 6 cell(s) per row" ];
   (* the agg-join shape: the probe key is a written cell, the group key
      is read by row position through the join *)
   pin (Helpers.demo_app ())
@@ -1259,7 +1261,8 @@ let engine_notes () =
       "columnar: group by -> $var1Partition1 kernels [count]; partition not \
        materialized; carries 0 of 1 input column(s) (pruned 1), writes 1 key \
        and 1 kernel column(s)";
-      "columnar: order by retains 2 of 2 input column(s) (pruned 0)" ]
+      "columnar: order by retains 2 of 2 input column(s) (pruned 0)";
+      "columnar: string-join text writer, 2 cell(s) per row" ]
 
 (* The kernel fast path against [Kernels.update], table-driven: every
    kind, folded over every prefix of several input orders. *)
@@ -1388,6 +1391,198 @@ let derived_memo_lifecycle () =
   check_bool "an oversized source is not retained" true
     (Telemetry.value Telemetry.c_col_derived_columns > built)
 
+(* --------------------------------------------------------------- *)
+(* The text writer (DESIGN.md section 16): the wrapped plan's text
+   from the compiled engine is byte for byte the interpreter's, and it
+   decodes to the rows the XML transport's independent decoder reads,
+   at every edge batch size.                                          *)
+
+module Server = Aqua_dsp.Server
+module X = Aqua_xquery.Ast
+
+let outcome f =
+  match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let rows_of rs = (Result_set.to_rowset rs).Rowset.rows
+
+let writer_notes = shape_notes ~needle:"text writer"
+
+(* Every statement that translates must be lowered with the writer; one
+   the translator rejects is skipped.  Returns how many translated. *)
+let text_battery app sqls =
+  let env = Aqua_translator.Semantic.env_of_application app in
+  let interp = Server.create ~optimize:false app in
+  let compiled = Server.create app in
+  let translated = ref 0 in
+  List.iter
+    (fun sql ->
+      match Translator.translate env sql with
+      | exception _ -> ()
+      | t ->
+        check_bool ("the text writer lowers " ^ sql) true
+          (writer_notes app sql <> []);
+        incr translated;
+        let q = Translator.for_text_transport t in
+        let cols = t.Translator.columns in
+        let oracle = outcome (fun () -> Server.execute_to_text interp q) in
+        List.iter
+          (fun size ->
+            with_batch_size size @@ fun () ->
+            let what = Printf.sprintf "%s @%d" sql size in
+            match (outcome (fun () -> Server.execute_to_text compiled q), oracle) with
+            | Ok text, Ok expected ->
+              Alcotest.(check string) ("text of " ^ what) expected text;
+              let xml =
+                Result_set.of_xml_text cols
+                  (Server.execute_to_xml compiled t.Translator.xquery)
+              in
+              check_bool ("rows of " ^ what) true
+                (compare (rows_of (Result_set.of_encoded_text cols text))
+                   (rows_of xml)
+                = 0)
+            | Error e, Error expected ->
+              Alcotest.(check string) ("error of " ^ what) expected e
+            | Ok _, Error e -> Alcotest.failf "%s: only the interpreter raised %s" what e
+            | Error e, Ok _ -> Alcotest.failf "%s: only the compiled engine raised %s" what e)
+          edge_sizes)
+    sqls;
+  !translated
+
+(* strings with the delimiters, '&', every C0 control byte (tab, LF
+   and CR among them) and the empty string; a NULL in the first, a
+   middle and the last column and an all-NULL row; doubles and dates *)
+let edge_app () =
+  let app = Artifact.application "EDGES" in
+  let t =
+    Table.create "EDGE"
+      [ Schema.column "ID" Sql_type.Integer;
+        Schema.column "S" (Sql_type.Varchar None);
+        Schema.column "G" Sql_type.Integer;
+        Schema.column "X" Sql_type.Double;
+        Schema.column "D" Sql_type.Date ]
+  in
+  let controls = String.init 31 (fun k -> Char.chr (k + 1)) in
+  let date m = Value.Date { Atomic.year = 2005; month = m; day = 1 + m } in
+  let i n = Value.Int n and str x = Value.Str x and null = Value.Null in
+  List.iter (Table.insert t)
+    [ [ i 1; str "a<b>c&d"; i 1; Value.Num 1.5; date 1 ];
+      [ i 2; str controls; i 1; Value.Num 2.25; date 2 ];
+      [ i 3; str ""; i 2; null; date 3 ];
+      [ null; str "first column NULL"; i 2; Value.Num 3.0; date 4 ];
+      [ i 5; null; i 3; Value.Num 0.1; date 5 ];
+      [ i 6; str "tab\tlf\ncr\r"; i 3; Value.Num 1e20; null ];
+      [ null; null; null; null; null ];
+      [ i 8; str "&amp;&#1;;>"; i 1; Value.Num (-2.5); date 8 ] ];
+  ignore (Artifact.import_physical_table app ~project:"P" t);
+  app
+
+let edge_queries =
+  [ "SELECT E.ID, E.S, E.G, E.X, E.D FROM EDGE E";
+    "SELECT E.S, E.D FROM EDGE E WHERE E.G > 1";
+    "SELECT E.G, COUNT(*) N, AVG(E.X) A, AVG(E.ID) AI, MIN(E.S) M FROM EDGE E \
+     GROUP BY E.G";
+    "SELECT E.S, E.X FROM EDGE E WHERE E.X > 1 ORDER BY E.X";
+    "SELECT A.ID, B.S, B.D FROM EDGE A LEFT OUTER JOIN EDGE B ON A.ID = B.G";
+    "SELECT E.S FROM EDGE E UNION ALL SELECT E.S FROM EDGE E WHERE E.ID IS NULL" ]
+
+let wire_churn_shapes =
+  [ "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = 7";
+    "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE TIER > 1";
+    "SELECT CITY, COUNT(*) N FROM CUSTOMERS GROUP BY CITY";
+    "SELECT ORDERID, ORDERDATE, STATUS FROM ORDERS WHERE CUSTOMERID = 3" ]
+
+let text_writer_fixed () =
+  let all app sqls =
+    check_int "every statement translates" (List.length sqls) (text_battery app sqls)
+  in
+  all (report_app ()) report_queries;
+  all (report_app ()) wire_churn_shapes;
+  all (fusion_app ()) fusion_queries;
+  all (edge_app ()) edge_queries
+
+let text_writer_querygen () =
+  let app = report_app () in
+  let rng = Random.State.make [| 45 |] in
+  let tables = Aqua_dsp.Metadata.list_tables app in
+  let sqls =
+    List.init 300 (fun _ ->
+        Aqua_workload.Querygen.generate_sql
+          ~profile:Aqua_workload.Querygen.default_profile rng tables)
+  in
+  let n = text_battery app sqls in
+  check_bool "most generated statements translate" true (n >= 150)
+
+(* The writer's note: one per wrapper FLWOR, after that FLWOR's
+   operators — one for agg-group, two for the outer join's halves. *)
+let text_writer_notes () =
+  let app = report_app () in
+  Alcotest.(check (list string)) "agg-group"
+    [ "columnar: string-join text writer, 6 cell(s) per row" ]
+    (writer_notes app (List.hd report_queries));
+  Alcotest.(check (list string)) "outer join"
+    [ "columnar: string-join text writer, 3 cell(s) per row";
+      "columnar: string-join text writer, 3 cell(s) per row" ]
+    (writer_notes app (List.nth report_queries 3))
+
+(* Raw XQuery: the writer takes the marker from the plan and raises the
+   interpreter's error on a multi-atom cell; a separator other than ""
+   or a return with a part that is neither a literal nor a cell keeps
+   the call, and every variant gives the interpreter's text. *)
+let text_writer_raw_xquery () =
+  let cell e =
+    Printf.sprintf
+      "fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(%s)), \"~\")" e
+  in
+  let joined ?(sep = "") ret =
+    Printf.sprintf
+      "fn:string-join(for $x in (1, 2, 3) let $s := fn:concat(\"a<\", $x) \
+       return %s, \"%s\")"
+      ret sep
+  in
+  let row =
+    Printf.sprintf "(\">\", %s, \"<\", %s, \"<\", %s, \"<\", %s)" (cell "$s")
+      (cell "()") (cell "$x * 1.5") (cell "-$x")
+  in
+  let run src =
+    let e = Aqua_xquery.Parser.parse_expr src in
+    let compiled = Compile.compile_expr e in
+    let writer =
+      List.exists (fun n -> Helpers.contains ~needle:"text writer" n)
+        (Compile.shape compiled)
+    in
+    (writer, outcome (fun () -> Compile.run compiled),
+     outcome (fun () -> Eval.eval (Eval.context ()) e))
+  in
+  let same what src ~writer:expected =
+    let writer, got, oracle = run src in
+    check_bool (what ^ ": writer") expected writer;
+    match (got, oracle) with
+    | Ok a, Ok b ->
+      check_bool (what ^ ": same text") true
+        (List.length a = List.length b && List.for_all2 Item.equal a b)
+    | Error a, Error b -> Alcotest.(check string) (what ^ ": same error") b a
+    | _ -> Alcotest.failf "%s: only one side raised" what
+  in
+  same "wrapper shape" (joined row) ~writer:true;
+  (match run (joined row) with
+  | _, Ok [ Item.Atomic (Atomic.String text) ], _ ->
+    Alcotest.(check string) "marker from the plan" ">a&lt;1<~<1.5<-1>a&lt;2<~<3<-2>a&lt;3<~<4.5<-3"
+      text
+  | _ -> Alcotest.fail "the writer returned no single string");
+  same "multi-atom cell"
+    (joined (Printf.sprintf "(\">\", %s)" (cell "($x, $x)")))
+    ~writer:true;
+  (match run (joined (Printf.sprintf "(\">\", %s)" (cell "($x, $x)"))) with
+  | _, Error e, _ ->
+    Helpers.assert_contains
+      ~needle:"fn-bea:serialize-atomic expects at most one atomic value" e
+  | _ -> Alcotest.fail "a multi-atom cell was written");
+  same "comma separator" (joined ~sep:"," row) ~writer:false;
+  same "extra return part"
+    (joined (Printf.sprintf "(\">\", %s, $x)" (cell "$s")))
+    ~writer:false;
+  same "cell-less return" (joined "(\">\", \"<\")") ~writer:false
+
 let suite =
   ( "columnar",
     [ Helpers.case "battery agrees at batch size 1" (battery_at_size 1);
@@ -1443,4 +1638,9 @@ let suite =
       Helpers.case "memoized key components concatenate to the composite"
         key_components_concatenate;
       Helpers.case "derived cell memo lifecycle on report"
-        derived_memo_lifecycle ] )
+        derived_memo_lifecycle;
+      Helpers.case "text writer matches the interpreter byte for byte"
+        text_writer_fixed;
+      Helpers.case "text writer on generated statements" text_writer_querygen;
+      Helpers.case "text writer notes" text_writer_notes;
+      Helpers.case "text writer on raw XQuery" text_writer_raw_xquery ] )

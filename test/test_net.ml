@@ -119,8 +119,8 @@ let garbage_never_crashes =
 (* ------------------------------------------------------------------ *)
 (* Live server (multicore only: Netserver.start needs domains) *)
 
-let with_server ?(config = Netserver.default_config) ?(scan_cache = true) f =
-  let app = Helpers.demo_app () in
+let with_server ?(config = Netserver.default_config) ?(scan_cache = true)
+    ?(app = Helpers.demo_app ()) f =
   let conn = Connection.connect ~scan_cache app in
   let t = Netserver.start ~config:{ config with port = 0 } conn in
   Fun.protect ~finally:(fun () -> Netserver.drain t) (fun () -> f t)
@@ -160,6 +160,47 @@ let serve_basic () =
     Client.close c;
     let s = Netserver.summary t in
     Alcotest.(check bool) "queries served" true (s.Netserver.queries >= 3)
+
+(* DataRows carry the result set's rows as decoded from the text
+   transport: NULL as length -1, every other value as its string, the
+   delimiters, '&' and control bytes unescaped. *)
+let serve_nulls_and_escapes () =
+  if not Mcore.multicore then ()
+  else begin
+    let module Table = Aqua_relational.Table in
+    let module Schema = Aqua_relational.Schema in
+    let module Sql_type = Aqua_relational.Sql_type in
+    let module Value = Aqua_relational.Value in
+    let app = Aqua_dsp.Artifact.application "NetNasty" in
+    let t =
+      Table.create "NASTY"
+        [ Schema.column "ID" Sql_type.Integer;
+          Schema.column "S" (Sql_type.Varchar None);
+          Schema.column "X" Sql_type.Double ]
+    in
+    List.iter (Table.insert t)
+      [ [ Value.Int 1; Value.Str "a<b>&c"; Value.Null ];
+        [ Value.Null; Value.Str "\x01tab\there\r\n"; Value.Num 2.5 ];
+        [ Value.Int 3; Value.Null; Value.Num (-1.) ];
+        [ Value.Int 4; Value.Str ""; Value.Num 0.1 ] ];
+    ignore (Aqua_dsp.Artifact.import_physical_table app ~project:"P" t);
+    let sql = "SELECT ID, S, X FROM NASTY" in
+    let expected =
+      [ [ Some "1"; Some "a<b>&c"; None ];
+        [ None; Some "\x01tab\there\r\n"; Some "2.5" ];
+        [ Some "3"; None; Some "-1" ];
+        [ Some "4"; Some ""; Some "0.1" ] ]
+    in
+    with_server ~app @@ fun srv ->
+    let c = connect_ok srv in
+    (match Client.query c sql with
+    | Ok reply ->
+      Alcotest.(check (list (list (option string)))) "rows" expected
+        reply.Client.rows;
+      Alcotest.(check string) "tag" "SELECT 4" reply.Client.tag
+    | Error (code, msg) -> Alcotest.failf "%s failed: %s %s" sql code msg);
+    Client.close c
+  end
 
 (* A garbage frame is session-scoped: FATAL 08P01 on that socket, any
    other session keeps working. *)
@@ -608,6 +649,8 @@ let suite =
       Helpers.case "oversized frames are refused" oversized_frame_rejected;
       Helpers.qcheck garbage_never_crashes;
       Helpers.case "serves queries over the wire" serve_basic;
+      Helpers.case "DataRows carry NULLs and escaped characters"
+        serve_nulls_and_escapes;
       Helpers.case "protocol errors are session-scoped" protocol_error_scoped;
       Helpers.case "full queue sheds with 53300" queue_admission_shed;
       Helpers.case "graceful drain: 57P01/57P03, no lost queries"
