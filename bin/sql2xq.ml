@@ -29,15 +29,9 @@ let with_env f =
   let env = Semantic.env_of_application app in
   (* every failure mode funnels through the driver taxonomy, so the
      CLI prints one "[SQLSTATE] condition: message" line and exits 1 *)
-  try Aqua_driver.Sql_error.wrap (fun () -> f app env) with
-  | Sqlstate.Error e ->
+  try Aqua_driver.Sql_error.wrap (fun () -> f app env)
+  with Sqlstate.Error e ->
     prerr_endline (Sqlstate.to_string e);
-    exit 1
-  | Errors.Error e ->
-    prerr_endline (Errors.to_string e);
-    exit 1
-  | Aqua_xqeval.Error.Dynamic_error m ->
-    prerr_endline ("dynamic error: " ^ m);
     exit 1
 
 let style_of_naive naive =
@@ -141,25 +135,6 @@ let tick_items_as_rows items =
       | _ -> Budget.tick_rows 1)
     items
 
-(* Execute with graceful degradation, mirroring the driver: a crash
-   inside the optimized evaluator gets one more attempt with both
-   suspects off (the optimizer and the compiled engine), counted as a
-   fallback. *)
-let execute_degrading ~no_optimize app server xquery ~span =
-  let execute srv =
-    Telemetry.with_span span (fun () ->
-        let items = Server.execute srv xquery in
-        tick_items_as_rows items;
-        items)
-  in
-  try execute server
-  with e when (not no_optimize) && Aqua_driver.Sql_error.degradable e ->
-    Telemetry.incr Telemetry.c_fallbacks_unoptimized;
-    (* the fallback server shares the crashed server's scan cache, so
-       scans the optimized run already materialized are not re-fetched *)
-    execute
-      (Server.create ~optimize:false ~cache:(Server.scan_cache server) app)
-
 let start_trace () =
   Telemetry.set_enabled true;
   Telemetry.reset ();
@@ -193,8 +168,10 @@ let run_cmd =
             in
             let items =
               Budget.with_budget limits @@ fun () ->
-              execute_degrading ~no_optimize app server t.Translator.xquery
-                ~span:"execute"
+              Telemetry.with_span "execute" @@ fun () ->
+              let items = Server.execute server t.Translator.xquery in
+              tick_items_as_rows items;
+              items
             in
             print_endline
               (Aqua_xml.Serialize.sequence_to_string ~indent:true items)))
@@ -230,27 +207,30 @@ let analyze_cmd =
           Server.create ~optimize:(not no_optimize)
             ~scan_cache:(not no_scan_cache) app
         in
-        let items =
+        (* the plan the driver runs: the text transport's wrapper,
+           executed and decoded as the connection does *)
+        let wrapped = Translator.for_text_transport t in
+        let text, rs =
           Budget.with_budget limits @@ fun () ->
-          execute_degrading ~no_optimize app server t.Translator.xquery
-            ~span:"execute"
-        in
-        let serialized =
-          Telemetry.with_span "serialize" (fun () ->
-              Aqua_xml.Serialize.sequence_to_string items)
+          let text =
+            Telemetry.with_span "execute" (fun () ->
+                Server.execute_to_text server wrapped)
+          in
+          ( text,
+            Telemetry.with_span "decode" (fun () ->
+                Aqua_driver.Result_set.of_encoded_text t.Translator.columns
+                  text) )
         in
         let snap = Telemetry.snapshot () in
         let clause_rows = Telemetry.clause_rows () in
         let span_stats = Telemetry.span_stats () in
         let execute_ns = Telemetry.span_total_ns "execute" in
-        let serialize_ns = Telemetry.span_total_ns "serialize" in
+        let decode_ns = Telemetry.span_total_ns "decode" in
         Telemetry.set_enabled false;
         Obs_stats.set_enabled false;
         (* the counters are frozen now, so re-running the optimizer for
            its report and compiling the plan again for its notes does
-           not skew the snapshot; both describe the plan the driver
-           runs, the text transport's *)
-        let wrapped = Translator.for_text_transport t in
+           not skew the snapshot *)
         let _, report =
           Aqua_xqeval.Optimize.query ~share_scans:(not no_scan_cache)
             ~node_fns:
@@ -278,7 +258,7 @@ let analyze_cmd =
           List.iter
             (fun note -> Printf.printf "  note: %s\n" note)
             (report.Aqua_xqeval.Optimize.notes
-            @ Aqua_xqeval.Compile.shape (Server.prepare server wrapped))
+            @ Server.shape (Server.prepare server wrapped))
         end;
         if no_scan_cache then
           Printf.printf "scan cache: disabled (--no-scan-cache)\n"
@@ -290,8 +270,8 @@ let analyze_cmd =
             sc.Aqua_dsp.Scan_cache.evictions sc.Aqua_dsp.Scan_cache.entries
             sc.Aqua_dsp.Scan_cache.bytes
         end;
-        Printf.printf "execution: %.3f ms, %d item(s) returned\n" (ms execute_ns)
-          (List.length items);
+        Printf.printf "execution: %.3f ms, %d row(s) returned\n" (ms execute_ns)
+          (Aqua_driver.Result_set.row_count rs);
         if clause_rows <> [] then begin
           Printf.printf "plan (clause -> actual rows):\n";
           List.iter
@@ -407,8 +387,8 @@ let analyze_cmd =
         end;
         let digest, shape = Fingerprint.fingerprint sql in
         Printf.printf "fingerprint: %s  %s\n" digest shape;
-        Printf.printf "serialize: %.3f ms (%d bytes)\n" (ms serialize_ns)
-          (String.length serialized))
+        Printf.printf "decode: %.3f ms (%d bytes)\n" (ms decode_ns)
+          (String.length text))
   in
   Cmd.v
     (Cmd.info "analyze"

@@ -98,13 +98,6 @@ let translation_cache_capacity = 128
 type t = {
   app : Artifact.application;
   srv : Server.t;
-  srv_unopt : Server.t;
-      (* same application, optimizer off: the graceful-degradation
-         target when an optimized plan crashes mid-evaluation *)
-  scans : Aqua_dsp.Scan_cache.t;
-      (* ONE materialized scan cache shared by both servers: a
-         fallback rerun reuses the scans the crashed optimized run
-         already fetched *)
   cache : Metadata.Cache.t;
   translations : Translator.t Lru.t;
   env : Semantic.env;
@@ -121,15 +114,9 @@ let connect ?(transport = Text) ?(metadata_cache = true)
     ?(translation_cache = true) ?(optimize = true) ?(scan_cache = true)
     ?(limits = Budget.no_limits) app =
   let cache = Metadata.Cache.create ~enabled:metadata_cache app in
-  let scans = Aqua_dsp.Scan_cache.create ~enabled:scan_cache app in
   {
     app;
-    srv = Server.create ~optimize ~cache:scans app;
-    (* the degradation target drops both suspects, the optimizer and
-       the compiled engine: a rerun after a crash must not share code
-       with the plan that crashed *)
-    srv_unopt = Server.create ~optimize:false ~cache:scans app;
-    scans;
+    srv = Server.create ~optimize ~scan_cache app;
     cache;
     translations = Lru.create ~enabled:translation_cache translation_cache_capacity;
     env = Semantic.env_of_cache cache;
@@ -148,7 +135,7 @@ let translator_env t = t.env
 let metadata_cache t = t.cache
 let limits t = t.limits
 let set_limits t l = t.limits <- l
-let scan_cache t = t.scans
+let scan_cache t = Server.scan_cache t.srv
 
 (* A metadata change (a service added after connect) silently
    invalidates every cached translation and catalog answer; compare
@@ -161,7 +148,7 @@ let revalidate t =
     Metadata.Cache.clear t.cache;
     (* the scan cache also self-checks the revision on every touch;
        flushing here keeps the two invalidation paths in lockstep *)
-    Aqua_dsp.Scan_cache.flush t.scans;
+    Aqua_dsp.Scan_cache.flush (scan_cache t);
     t.seen_revision <- rev
   end
 
@@ -169,7 +156,7 @@ let invalidate t =
   Mcore.Mutex.protect t.rev_lock @@ fun () ->
   Lru.clear t.translations;
   Metadata.Cache.clear t.cache;
-  Aqua_dsp.Scan_cache.flush t.scans;
+  Aqua_dsp.Scan_cache.flush (scan_cache t);
   t.seen_revision <- Artifact.revision t.app
 
 let translate_cached t sql =
@@ -194,9 +181,8 @@ let clear_translation_cache t = Lru.clear t.translations
 
 (* --- per-statement stage clocks and observation -------------------- *)
 
-(* Accumulators for the three driver-visible stages of one statement.
-   Accumulated (not assigned) so a fallback rerun adds its second
-   execute/decode pass to the same statement's totals. *)
+(* Accumulators for the three driver-visible stages of one statement;
+   [timed] adds each stage's cost to them. *)
 type stages = {
   mutable translate_ns : int64;
   mutable execute_ns : int64;
@@ -224,7 +210,11 @@ let timed credit f =
     finish ();
     raise e
 
-let run_on conn srv ~stages ~bindings (tr : Translator.t) =
+(* One statement through the connection's transport: [execute tr]
+   runs the server-side plan for transport [tr] (the RECORDSET query
+   for XML, the section-4 wrapper for text), which the client then
+   decodes into [columns]. *)
+let run_on conn ~stages ~columns execute =
   let exec d = stages.execute_ns <- Int64.add stages.execute_ns d in
   let dec d = stages.decode_ns <- Int64.add stages.decode_ns d in
   match conn.transport with
@@ -232,28 +222,14 @@ let run_on conn srv ~stages ~bindings (tr : Translator.t) =
     (* server executes, serializes; the client parses the text *)
     let text =
       timed exec (fun () ->
-          Server.execute_to_xml ~bindings srv tr.Translator.xquery)
+          Aqua_xml.Serialize.sequence_to_string (execute Xml))
     in
-    timed dec (fun () -> Result_set.of_xml_text tr.Translator.columns text)
+    timed dec (fun () -> Result_set.of_xml_text columns text)
   | Text ->
-    let wrapped = Translator.for_text_transport tr in
     let text =
-      timed exec (fun () -> Server.execute_to_text ~bindings srv wrapped)
+      timed exec (fun () -> Server.text_of_sequence (execute Text))
     in
-    timed dec (fun () -> Result_set.of_encoded_text tr.Translator.columns text)
-
-let run_translated conn ?(bindings = []) ~stages (tr : Translator.t) =
-  if not conn.optimize then run_on conn conn.srv ~stages ~bindings tr
-  else
-    try run_on conn conn.srv ~stages ~bindings tr
-    with e when Sql_error.degradable e ->
-      let module T = Aqua_core.Telemetry in
-      if T.enabled () then begin
-        T.incr T.c_fallbacks_unoptimized;
-        T.trace_event "fallback"
-          [ ("reason", Printexc.to_string e); ("plan", "unoptimized") ]
-      end;
-      run_on conn conn.srv_unopt ~stages ~bindings tr
+    timed dec (fun () -> Result_set.of_encoded_text columns text)
 
 module Stats = Aqua_obs.Stats
 module Recorder = Aqua_obs.Recorder
@@ -319,7 +295,9 @@ let execute_query ?limits t sql =
           stages.cache_hit <- hit;
           tr)
     in
-    run_translated t ~bindings:[] ~stages tr
+    run_on t ~stages ~columns:tr.Translator.columns (function
+      | Xml -> Server.execute t.srv tr.Translator.xquery
+      | Text -> Server.execute t.srv (Translator.for_text_transport tr))
   in
   if not (observing ()) then run ()
   else
@@ -487,26 +465,12 @@ module Prepared = struct
     (* translation happened at prepare time: a prepared execution is
        the cache-hit case by construction *)
     stages.cache_hit <- true;
-    let exec d = stages.execute_ns <- Int64.add stages.execute_ns d in
-    let dec d = stages.decode_ns <- Int64.add stages.decode_ns d in
     let run () =
       Sql_error.wrap @@ fun () ->
       Budget.with_budget stmt.conn.limits @@ fun () ->
-      match stmt.conn.transport with
-      | Xml ->
-        let text =
-          timed exec (fun () ->
-              Aqua_xml.Serialize.sequence_to_string
-                (Server.execute_prepared ~bindings stmt.compiled_xml))
-        in
-        timed dec (fun () -> Result_set.of_xml_text columns text)
-      | Text ->
-        let text =
-          timed exec (fun () ->
-              Server.text_of_sequence
-                (Server.execute_prepared ~bindings stmt.compiled_text))
-        in
-        timed dec (fun () -> Result_set.of_encoded_text columns text)
+      run_on stmt.conn ~stages ~columns (function
+        | Xml -> Server.execute_prepared ~bindings stmt.compiled_xml
+        | Text -> Server.execute_prepared ~bindings stmt.compiled_text)
     in
     if not (observing ()) then run ()
     else

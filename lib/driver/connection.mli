@@ -52,15 +52,12 @@ val connect :
     differential oracle, over the unoptimized plan, while
     {!Prepared} statements on such a connection still compile — the
     unoptimized plan, with {!Aqua_xqeval.Compile}
-    ({!Aqua_dsp.Server.prepare}).  The graceful-degradation fallback
-    always reruns with the optimizer off, so a crash in either suspect
-    falls back to the plain interpreter.  [scan_cache]
+    ({!Aqua_dsp.Server.prepare}).  Graceful degradation is the
+    server's: see {!Aqua_dsp.Server.create}.  [scan_cache]
     (default [true]) enables scan materialization: the optimizer's
-    per-plan scan-sharing hoist plus a revision-aware
-    {!Aqua_dsp.Scan_cache} shared by the optimized server and its
-    unoptimized fallback twin, so repeated parameterless data-service
-    scans are fetched once across queries and a fallback rerun reuses
-    the scans the crashed run materialized.  [limits] (default
+    per-plan scan-sharing hoist plus the server's revision-aware
+    {!Aqua_dsp.Scan_cache}, so repeated parameterless data-service
+    scans are fetched once across queries.  [limits] (default
     {!Aqua_resilience.Budget.no_limits}) is the per-query budget
     installed around every [execute_query]. *)
 
@@ -77,8 +74,7 @@ val set_limits : t -> Aqua_resilience.Budget.limits -> unit
     [Prepared.execute_query] on this connection. *)
 
 val scan_cache : t -> Aqua_dsp.Scan_cache.t
-(** The materialized scan cache shared by this connection's optimized
-    and fallback servers (disabled when connected with
+(** The server's materialized scan cache (disabled when connected with
     [~scan_cache:false]). *)
 
 val invalidate : t -> unit
@@ -109,11 +105,10 @@ val execute_query :
     transport — the full pipeline, run under the connection's budget
     (or [limits], when given — the session pool passes each session's
     own budget here) with every failure mapped through {!Sql_error}.
-    If the optimized evaluator crashes mid-query, the driver retries
-    once on the unoptimized server (graceful degradation, counted as
-    [driver.fallbacks_unoptimized] in telemetry).
+    A compiled-engine fault is rerun once on the interpreter by the
+    server ({!Aqua_dsp.Server.engine_fault}); a query error runs once.
     @raise Aqua_resilience.Sqlstate.Error with a stable SQLSTATE code
-    (see {!Sql_error}) on any classified failure *)
+    (see {!Sql_error}) on any failure *)
 
 val execute_concurrent :
   ?domains:int -> t -> string list -> (Result_set.t, exn) result list
@@ -142,7 +137,10 @@ module Prepared : sig
   val clear_parameters : stmt -> unit
 
   val execute_query : stmt -> Result_set.t
-  (** @raise Invalid_argument if a parameter is unbound. *)
+  (** Runs the plans compiled at prepare time, degrading like
+      {!execute_query} on an optimizing connection.
+      @raise Invalid_argument if a parameter is unbound.
+      @raise Aqua_resilience.Sqlstate.Error on any other failure. *)
 end
 
 (** Catalog metadata through the Figure-2 artifact mapping. *)

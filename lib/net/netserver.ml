@@ -403,12 +403,9 @@ let handle_query srv fd buf hist ~sid sql =
         e.Sqlstate.message;
       Wire.ready_for_query buf;
       flush srv fd buf
-    | exception Failpoint.Injected _ ->
-      send_error srv fd buf ~sqlstate:Sqlstate.connection_failure
-        "injected backend fault";
-      Wire.ready_for_query buf;
-      flush srv fd buf
     | exception e ->
+      (* the driver maps every failure of a statement to a SQLSTATE;
+         this guards the session pool's own code around it *)
       send_error srv fd buf ~sqlstate:Sqlstate.internal_error
         (Printexc.to_string e);
       Wire.ready_for_query buf;

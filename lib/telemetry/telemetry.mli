@@ -71,7 +71,7 @@ val c_breaker_rejections : counter (* calls rejected by an open breaker *)
 val c_deadline_exceeded : counter  (* queries canceled by their deadline *)
 val c_resource_exhausted : counter (* row/item/fuel governors tripped *)
 val c_faults_injected : counter    (* failpoint faults fired *)
-val c_fallbacks_unoptimized : counter (* driver reran a query with the optimizer off *)
+val c_fallbacks_unoptimized : counter (* server reran a statement on the interpreter after an engine fault *)
 val c_scan_cache_hits : counter      (* materialized-scan cache hits (dsp) *)
 val c_scan_cache_misses : counter    (* scan-cache misses (scan fetched and stored) *)
 val c_scan_cache_evictions : counter (* entries evicted by the byte/row/entry budgets *)

@@ -93,17 +93,23 @@ let external_bindings () =
   | _ -> Alcotest.fail "unbound external ran"
 
 (* every translated battery query executes identically through
-   Server.execute (interpreter) and Server.prepare (compiler) *)
+   Server.execute on an interpreter server and Server.prepare on the
+   compiled engine *)
 let server_agreement () =
   let app = Helpers.demo_app () in
   let env = Semantic.env_of_application app in
+  let interp = Server.create ~optimize:false app in
   let srv = Server.create app in
   List.iter
     (fun sql ->
       let t = Translator.translate env sql in
-      let interpreted = Server.execute srv t.Translator.xquery in
+      let interpreted = Server.execute interp t.Translator.xquery in
       let prepared = Server.prepare srv t.Translator.xquery in
-      let compiled = Server.execute_prepared prepared in
+      let compiled, fallbacks =
+        Helpers.counting_fallbacks (fun () ->
+            Server.execute_prepared prepared)
+      in
+      check_int ("compiled engine ran alone: " ^ sql) 0 fallbacks;
       if not (same_sequences interpreted compiled) then
         Alcotest.failf "server paths disagree on %s" sql;
       (* compiled queries are reusable *)
@@ -153,6 +159,7 @@ let prop_agreement =
   in
   let tables = Aqua_dsp.Metadata.list_tables app in
   let env = Semantic.env_of_application app in
+  let interp = Server.create ~optimize:false app in
   let srv = Server.create app in
   QCheck.Test.make ~name:"compiler agrees with interpreter" ~count:150
     QCheck.(
@@ -161,11 +168,12 @@ let prop_agreement =
         ~print:Aqua_sql.Pretty.statement_to_string)
     (fun stmt ->
       let t = Translator.translate_statement env stmt in
-      let interpreted = Server.execute srv t.Translator.xquery in
-      let compiled =
-        Server.execute_prepared (Server.prepare srv t.Translator.xquery)
+      let interpreted = Server.execute interp t.Translator.xquery in
+      let compiled, fallbacks =
+        Helpers.counting_fallbacks (fun () ->
+            Server.execute_prepared (Server.prepare srv t.Translator.xquery))
       in
-      same_sequences interpreted compiled)
+      fallbacks = 0 && same_sequences interpreted compiled)
 
 let suite =
   ( "compile",
