@@ -1,5 +1,6 @@
 let () =
   Alcotest.run "aqualogic_sql2xq"
+  @@ List.map (fun (name, cases) -> (name, List.map Helpers.guard cases))
     [ Test_atomic.suite;
       Test_xml.suite;
       Test_relational.suite;

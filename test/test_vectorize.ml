@@ -38,9 +38,7 @@ let with_batch_size n f =
   Batch.set_size n;
   Fun.protect ~finally:(fun () -> Batch.set_size prev) f
 
-let with_failpoints ?seed spec f =
-  Failpoint.arm ?seed spec;
-  Fun.protect ~finally:Failpoint.disarm f
+let with_failpoints = Helpers.with_failpoints
 
 let with_telemetry f =
   Telemetry.set_enabled true;
