@@ -34,6 +34,17 @@ let with_env f =
     prerr_endline (Sqlstate.to_string e);
     exit 1
 
+(* An input file's text ("-": stdin).  An unreadable input is the
+   caller's error, reported with the file's name before any query runs,
+   not an engine fault. *)
+let read_input file =
+  try
+    if file = "-" then In_channel.input_all stdin
+    else In_channel.with_open_text file In_channel.input_all
+  with Sys_error msg ->
+    prerr_endline ("sql2xq: cannot read input: " ^ msg);
+    exit 1
+
 let style_of_naive naive =
   if naive then Aqua_translator.Generate.Naive
   else Aqua_translator.Generate.Patterned
@@ -465,7 +476,7 @@ let stats_cmd =
              ($(b,prom)) or $(b,json).")
   in
   let read_queries file =
-    In_channel.with_open_text file In_channel.input_all
+    read_input file
     |> String.split_on_char '\n'
     |> List.filter_map (fun line ->
            let line = String.trim line in
@@ -516,6 +527,7 @@ let stats_cmd =
   in
   let run queries count repeat seed top by format no_scan_cache trace timeout
       max_rows failpoints =
+    let file_sqls = Option.map read_queries queries in
     with_env (fun app _env ->
         Telemetry.set_enabled true;
         Telemetry.reset ();
@@ -531,8 +543,8 @@ let stats_cmd =
         end;
         let limits = governors ?timeout ?max_rows failpoints in
         let sqls =
-          match queries with
-          | Some file -> read_queries file
+          match file_sqls with
+          | Some sqls -> sqls
           | None ->
             let tables = Metadata.list_tables app in
             let st = Random.State.make [| seed |] in
@@ -703,10 +715,7 @@ let xq_cmd =
     Arg.(value & flag & info [ "parse-only" ] ~doc:"Do not execute.")
   in
   let run file parse_only =
-    let src =
-      if file = "-" then In_channel.input_all stdin
-      else In_channel.with_open_text file In_channel.input_all
-    in
+    let src = read_input file in
     with_env (fun app _env ->
         match Aqua_xquery.Parser.parse_query src with
         | exception Aqua_xquery.Parser.Parse_error { offset; message } ->

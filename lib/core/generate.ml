@@ -23,15 +23,32 @@ let fail = Errors.raise_error
 
 type style = Patterned | Naive
 
+type lifted = { var : string; ordinal : int; cast : string option }
+
+(* Literals by physical identity: a statement's literals, however many
+   (a long IN-list), are each found in constant time. *)
+module Literal_ordinals = Hashtbl.Make (struct
+  type t = A.literal
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type state = {
   namer : Namer.t;
   env : Semantic.env;
   style : style;
   mutable imports : X.schema_import list;  (* reverse order *)
+  lift : int Literal_ordinals.t;  (* literals to lift -> ordinal *)
+  lifted : (string, lifted) Hashtbl.t;  (* by external name *)
+  mutable order : lifted list;  (* reverse order *)
 }
 
-let create_state ?(style = Patterned) env =
-  { namer = Namer.create (); env; style; imports = [] }
+let create_state ?(style = Patterned) ?(lift = [||]) env =
+  let ordinals = Literal_ordinals.create (Array.length lift) in
+  Array.iteri (fun k lit -> Literal_ordinals.replace ordinals lit k) lift;
+  { namer = Namer.create (); env; style; imports = []; lift = ordinals;
+    lifted = Hashtbl.create 8; order = [] }
 
 (* Registers a schema import for a table's namespace and returns the
    prefix to call its function with. *)
@@ -126,6 +143,53 @@ let cast_literal_to ty (lit : A.literal) : X.expr =
   | A.L_date _ | A.L_time _ | A.L_timestamp _ -> literal_expr lit
   | _ -> X.call (Sql_type.xquery_name ty) [ literal_expr lit ]
 
+(* Literal lifting (DESIGN.md section 17).  With [~lift], a numeric or
+   string literal used only as an opaque constant becomes the external
+   [$litK] (K its ordinal), so the plan serves every statement that
+   differs from this one only in such literals.  A cast that cannot
+   fail on the literal's class is applied when the value is bound
+   ([$litK_int] holds xs:int of literal K); one that can fail stays in
+   the plan around [$litK] and raises where it always did.  Every other
+   use of a literal (a constant LIKE pattern, below) reads its value
+   and does not lift it, so the plan holds that value. *)
+let ordinal state (lit : A.literal) = Literal_ordinals.find_opt state.lift lit
+
+let total_cast (lit : A.literal) fn =
+  match lit with
+  | A.L_int _ | A.L_num _ ->
+    List.mem fn
+      [ "xs:short"; "xs:int"; "xs:long"; "xs:integer"; "xs:decimal";
+        "xs:float"; "xs:double"; "xs:string"; "xs:boolean" ]
+  | A.L_string _ -> fn = "xs:string"
+  | _ -> false
+
+let lifted_var state k cast =
+  let var =
+    match cast with
+    | None -> Printf.sprintf "lit%d" k
+    | Some fn ->
+      Printf.sprintf "lit%d_%s" k (String.sub fn 3 (String.length fn - 3))
+  in
+  if not (Hashtbl.mem state.lifted var) then begin
+    let l = { var; ordinal = k; cast } in
+    Hashtbl.add state.lifted var l;
+    state.order <- l :: state.order
+  end;
+  X.var var
+
+let gen_literal state (lit : A.literal) =
+  match ordinal state lit with
+  | Some k -> lifted_var state k None
+  | None -> literal_expr lit
+
+let gen_literal_cast state ty (lit : A.literal) =
+  match ordinal state lit with
+  | Some k ->
+    let fn = Sql_type.xquery_name ty in
+    if total_cast lit fn then lifted_var state k (Some fn)
+    else X.call fn [ lifted_var state k None ]
+  | None -> cast_literal_to ty lit
+
 (* ------------------------------------------------------------------ *)
 (* LIKE patterns                                                      *)
 
@@ -173,7 +237,7 @@ let like_shape ~escape pattern =
 
 let rec gen_expr state gctx (e : A.expr) : X.expr =
   match e with
-  | A.Lit lit -> literal_expr lit
+  | A.Lit lit -> gen_literal state lit
   | A.Column { qualifier; name; pos } ->
     X.call "fn:data" [ gen_column_path state gctx ?qualifier name pos ]
   | A.Param n -> X.var (Printf.sprintf "param%d" n)
@@ -440,8 +504,8 @@ and gen_cmp_operand state gctx (e : A.expr) (other : A.expr) : X.expr =
   match e with
   | A.Lit lit -> (
     match infer_opt state gctx other with
-    | Some info when info.Typer.known -> cast_literal_to info.Typer.ty lit
-    | _ -> literal_expr lit)
+    | Some info when info.Typer.known -> gen_literal_cast state info.Typer.ty lit
+    | _ -> gen_literal state lit)
   | _ -> gen_typed_operand state gctx e
 
 and gen_cmp state gctx ~polarity op a b : X.expr =
@@ -1436,3 +1500,41 @@ and gen_spec_with_order state (spec : A.query_spec)
 let generate ?(style = Patterned) env (stmt : A.statement) : output =
   let state = create_state ~style env in
   gen_statement_internal state stmt
+
+let generate_lifted env ~literals (stmt : A.statement) =
+  let state = create_state ~lift:literals env in
+  let output = gen_statement_internal state stmt in
+  (output, List.rev state.order)
+
+let lifted_value (l : lifted) (lit : A.literal) : X.expr =
+  match l.cast with
+  | None -> literal_expr lit
+  | Some fn -> X.call fn [ literal_expr lit ]
+
+let instantiate lifted (values : A.literal array) (q : X.query) =
+  let by_var = Hashtbl.create (List.length lifted) in
+  List.iter (fun l -> Hashtbl.replace by_var l.var l) lifted;
+  let value v =
+    Option.map
+      (fun l -> lifted_value l values.(l.ordinal))
+      (Hashtbl.find_opt by_var v)
+  in
+  { q with X.body = X.substitute value q.X.body }
+
+(* The interpreter's cast of the literal, the one [instantiate]'s plan
+   would apply. *)
+let bindings lifted (values : A.literal array) =
+  List.map
+    (fun l ->
+      let raw =
+        match values.(l.ordinal) with
+        | A.L_int i -> [ Aqua_xml.Item.Atomic (Atomic.Integer i) ]
+        | A.L_num (f, _) -> [ Aqua_xml.Item.Atomic (Atomic.Decimal f) ]
+        | A.L_string s -> [ Aqua_xml.Item.Atomic (Atomic.String s) ]
+        | _ -> invalid_arg "Generate.bindings: not a liftable literal"
+      in
+      ( l.var,
+        match l.cast with
+        | None -> raw
+        | Some fn -> (Option.get (Aqua_xqeval.Functions.lookup fn)) [ raw ] ))
+    lifted

@@ -30,3 +30,44 @@ val generate :
 (** Requires a statement already validated by
     {!Semantic.statement_columns}.
     @raise Errors.Error on residual semantic errors. *)
+
+type lifted = {
+  var : string;  (** the external: [litK], or [litK_T] for a cast to xs:T *)
+  ordinal : int;  (** the literal's ordinal ({!Aqua_sql.Parser.literals}) *)
+  cast : string option;
+      (** the xs: cast applied to the literal when it is bound (one that
+          cannot fail on the literal's class) *)
+}
+
+val generate_lifted :
+  Semantic.env ->
+  literals:Aqua_sql.Ast.literal array ->
+  Aqua_sql.Ast.statement ->
+  output * lifted list
+(** [generate] (patterned style) with every literal of [literals]
+    ({!Aqua_sql.Parser.numbering}[.values], matched by identity) that is
+    used as an opaque constant (wherever [generate] emits the literal's
+    value or an xs: cast of it) emitted as a read of an external
+    variable, listed in the second component.  Any other use of a literal (a constant LIKE
+    pattern) reads its value, so the plan holds it as written.
+    Substituting each external's value back gives [generate]'s query
+    exactly. *)
+
+val instantiate :
+  lifted list ->
+  Aqua_sql.Ast.literal array ->
+  Aqua_xquery.Ast.query ->
+  Aqua_xquery.Ast.query
+(** [instantiate lifted values q]: the lifted plan [q] with each
+    external replaced by the expression [generate] emits for literal
+    [values.(ordinal)]. *)
+
+val bindings :
+  lifted list ->
+  Aqua_sql.Ast.literal array ->
+  (string * Aqua_xml.Item.sequence) list
+(** Each external's value for the literals [values]: the literal, cast
+    (by the interpreter's own cast code) where the external names a
+    cast.
+    @raise Aqua_xqeval.Error.Dynamic_error if a cast fails (never for
+    the literal classes the generator lifts casts for). *)

@@ -13,14 +13,12 @@ module A = Aqua_sql.Ast
 
 type transport = Xml | Text
 
-(* Bounded LRU over translated queries, keyed by SQL text.  The
-   JDBC-reporting workload of the paper re-issues identical ad-hoc SQL
-   constantly; caching skips the parse/semantic/generate stages.  LRU
-   order is kept in a doubly-linked-list-free way: a use counter per
-   entry, evicting the least recently used entry when full.  The
-   counter is renumbered (compacted to 0..n-1, preserving order) when
-   it reaches [stamp_limit], so a long-lived connection can never
-   overflow it. *)
+(* Bounded LRU over cached plans, keyed by the plan key of
+   [Fingerprint.key].  LRU order is kept in a doubly-linked-list-free
+   way: a use counter per entry, evicting the least recently used entry
+   when full.  The counter is renumbered (compacted to 0..n-1,
+   preserving order) when it reaches [stamp_limit], so a long-lived
+   connection can never overflow it. *)
 module Lru = struct
   type 'a entry = { value : 'a; mutable stamp : int }
 
@@ -83,10 +81,12 @@ module Lru = struct
   let add t key value =
     if t.enabled then
       Mcore.Mutex.protect t.lock @@ fun () ->
-      if not (Hashtbl.mem t.table key) then begin
-        if Hashtbl.length t.table >= t.capacity then evict_lru t;
-        Hashtbl.add t.table key { value; stamp = tick t }
-      end
+      if not (Hashtbl.mem t.table key)
+         && Hashtbl.length t.table >= t.capacity
+      then evict_lru t;
+      Hashtbl.replace t.table key { value; stamp = tick t }
+
+  let enabled t = t.enabled
 
   let length t = Mcore.Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
   let clock t = Mcore.Mutex.protect t.lock (fun () -> t.clock)
@@ -95,11 +95,29 @@ end
 
 let translation_cache_capacity = 128
 
+module Fingerprint = Aqua_obs.Fingerprint
+module Stats = Aqua_obs.Stats
+module Recorder = Aqua_obs.Recorder
+
+(* A cached plan (DESIGN.md section 17): the lifted translation of the
+   text that built it, that text's fingerprint (shared by every text
+   with its plan key), and per transport the server's plan, made on
+   first use and compiled on its first execution. *)
+type plan = {
+  lifted : Translator.lifted;
+  sql : string;
+  digest : string;
+  shape : string;
+  vars : string list;  (* the externals: parameters, then lifted literals *)
+  xml : Server.prepared option Stdlib.Atomic.t;
+  text : Server.prepared option Stdlib.Atomic.t;
+}
+
 type t = {
   app : Artifact.application;
   srv : Server.t;
   cache : Metadata.Cache.t;
-  translations : Translator.t Lru.t;
+  plans : plan Lru.t;
   env : Semantic.env;
   optimize : bool;
   rev_lock : Mcore.Mutex.t;
@@ -118,7 +136,7 @@ let connect ?(transport = Text) ?(metadata_cache = true)
     app;
     srv = Server.create ~optimize ~scan_cache app;
     cache;
-    translations = Lru.create ~enabled:translation_cache translation_cache_capacity;
+    plans = Lru.create ~enabled:translation_cache translation_cache_capacity;
     env = Semantic.env_of_cache cache;
     optimize;
     rev_lock = Mcore.Mutex.create ();
@@ -138,13 +156,13 @@ let set_limits t l = t.limits <- l
 let scan_cache t = Server.scan_cache t.srv
 
 (* A metadata change (a service added after connect) silently
-   invalidates every cached translation and catalog answer; compare
-   the application's revision on each use and flush when stale. *)
+   invalidates every cached plan and catalog answer; compare the
+   application's revision on each use and flush when stale. *)
 let revalidate t =
   Mcore.Mutex.protect t.rev_lock @@ fun () ->
   let rev = Artifact.revision t.app in
   if rev <> t.seen_revision then begin
-    Lru.clear t.translations;
+    Lru.clear t.plans;
     Metadata.Cache.clear t.cache;
     (* the scan cache also self-checks the revision on every touch;
        flushing here keeps the two invalidation paths in lockstep *)
@@ -154,30 +172,97 @@ let revalidate t =
 
 let invalidate t =
   Mcore.Mutex.protect t.rev_lock @@ fun () ->
-  Lru.clear t.translations;
+  Lru.clear t.plans;
   Metadata.Cache.clear t.cache;
   Aqua_dsp.Scan_cache.flush (scan_cache t);
   t.seen_revision <- Artifact.revision t.app
 
-let translate_cached t sql =
+let param_var i = Printf.sprintf "param%d" (i + 1)
+
+(* A literal of the key pass as the SQL lexer reads it. *)
+let literal_of (l : Fingerprint.literal) : A.literal =
+  match l.Fingerprint.cls with
+  | 'i' -> A.L_int (int_of_string l.Fingerprint.text)
+  | 's' -> A.L_string l.Fingerprint.text
+  | _ -> A.L_num (float_of_string l.Fingerprint.text, l.Fingerprint.text)
+
+(* The plan for [sql] (whose key pass is [key]), the literal values it
+   runs with, and whether it was reused.  A plan is cached only when
+   the parser read the same literals as the key pass, so a hit never
+   depends on the two agreeing. *)
+let plan_for t (key : Fingerprint.key) sql =
   let module T = Aqua_core.Telemetry in
   revalidate t;
   Failpoint.hit "driver.translate";
-  match Lru.find t.translations sql with
-  | Some tr ->
+  let values = Array.map literal_of key.Fingerprint.literals in
+  let cached =
+    match key.Fingerprint.plan with
+    | Some k -> Lru.find t.plans k
+    | None -> None
+  in
+  match cached with
+  | Some p when Translator.reusable p.lifted values ->
     T.incr T.c_cache_hits;
-    (tr, true)
-  | None ->
+    (p, values, true)
+  | _ ->
     T.incr T.c_cache_misses;
-    let tr = Translator.translate t.env sql in
-    Lru.add t.translations sql tr;
-    (tr, false)
+    let lifted = Translator.translate_lifted t.env sql in
+    let p =
+      {
+        lifted;
+        sql;
+        digest = key.Fingerprint.digest;
+        shape = key.Fingerprint.shape;
+        vars =
+          List.init lifted.Translator.params param_var
+          @ List.map (fun (l : Aqua_translator.Generate.lifted) -> l.var)
+              lifted.Translator.externals;
+        xml = Stdlib.Atomic.make None;
+        text = Stdlib.Atomic.make None;
+      }
+    in
+    (match key.Fingerprint.plan with
+    | Some k when lifted.Translator.literals = values -> Lru.add t.plans k p
+    | _ -> ());
+    (p, lifted.Translator.literals, false)
 
-let translate t sql = fst (translate_cached t sql)
+let query p = function
+  | Xml -> p.lifted.Translator.plan.Translator.xquery
+  | Text -> Translator.for_text_transport p.lifted.Translator.plan
 
-let translation_cache_size t = Lru.length t.translations
-let translation_cache_clock t = Lru.clock t.translations
-let clear_translation_cache t = Lru.clear t.translations
+(* The server's plan of [p] for transport [tr]. *)
+let prepared t p tr =
+  let cell = match tr with Xml -> p.xml | Text -> p.text in
+  match Stdlib.Atomic.get cell with
+  | Some s -> s
+  | None ->
+    let s = Server.prepare_lazy ~vars:p.vars t.srv (query p tr) in
+    if Stdlib.Atomic.compare_and_set cell None (Some s) then s
+    else Option.get (Stdlib.Atomic.get cell)
+
+let translate t sql =
+  let module T = Aqua_core.Telemetry in
+  if not (Lru.enabled t.plans) then begin
+    revalidate t;
+    Failpoint.hit "driver.translate";
+    T.incr T.c_cache_misses;
+    Translator.translate t.env sql
+  end
+  else
+    let p, values, _ = plan_for t (Fingerprint.key sql) sql in
+    let statement =
+      if String.equal p.sql sql then p.lifted.Translator.plan.Translator.statement
+      else Aqua_sql.Parser.parse sql
+    in
+    {
+      Translator.statement;
+      xquery = Translator.instantiate p.lifted values;
+      columns = p.lifted.Translator.plan.Translator.columns;
+    }
+
+let translation_cache_size t = Lru.length t.plans
+let translation_cache_clock t = Lru.clock t.plans
+let clear_translation_cache t = Lru.clear t.plans
 
 (* --- per-statement stage clocks and observation -------------------- *)
 
@@ -231,10 +316,6 @@ let run_on conn ~stages ~columns execute =
     in
     timed dec (fun () -> Result_set.of_encoded_text columns text)
 
-module Stats = Aqua_obs.Stats
-module Recorder = Aqua_obs.Recorder
-module Fingerprint = Aqua_obs.Fingerprint
-
 (* Run one statement under observation: feed the per-fingerprint stats
    registry and the flight recorder, tagging the event with the
    resilience outcome (deltas of the telemetry counters across the
@@ -281,34 +362,51 @@ let observe_run ~digest ~shape ~stages ~plan run =
 
 let observing () = Stats.enabled () || Recorder.enabled ()
 
-let execute_query ?limits t sql =
+(* With the plan cache on, the statement's key pass keys the plan and
+   fingerprints it; with it off, the statement is translated and run
+   afresh, as the reference for the cached path. *)
+let execute_query ?key ?limits t sql =
   let stages = fresh_stages () in
   let limits = match limits with Some l -> l | None -> t.limits in
+  let key =
+    match key with
+    | Some k -> Lazy.from_val k
+    | None -> lazy (Fingerprint.key sql)
+  in
+  let translating f =
+    timed (fun d -> stages.translate_ns <- Int64.add stages.translate_ns d) f
+  in
   let run () =
     Sql_error.wrap @@ fun () ->
     Budget.with_budget limits @@ fun () ->
-    let tr =
-      timed
-        (fun d -> stages.translate_ns <- Int64.add stages.translate_ns d)
-        (fun () ->
-          let tr, hit = translate_cached t sql in
-          stages.cache_hit <- hit;
-          tr)
-    in
-    run_on t ~stages ~columns:tr.Translator.columns (function
-      | Xml -> Server.execute t.srv tr.Translator.xquery
-      | Text -> Server.execute t.srv (Translator.for_text_transport tr))
+    if Lru.enabled t.plans then begin
+      let p, values, hit =
+        translating (fun () -> plan_for t (Lazy.force key) sql)
+      in
+      stages.cache_hit <- hit;
+      let bindings = Translator.bindings p.lifted values in
+      run_on t ~stages ~columns:p.lifted.Translator.plan.Translator.columns
+        (fun tr ->
+          if hit then Server.execute_prepared ~bindings (prepared t p tr)
+          else Server.execute ~bindings t.srv (query p tr))
+    end
+    else
+      let tr = translating (fun () -> translate t sql) in
+      run_on t ~stages ~columns:tr.Translator.columns (function
+        | Xml -> Server.execute t.srv tr.Translator.xquery
+        | Text -> Server.execute t.srv (Translator.for_text_transport tr))
   in
   if not (observing ()) then run ()
   else
-    let digest, shape = Fingerprint.fingerprint sql in
+    let key = Lazy.force key in
     let plan = if t.optimize then "optimized" else "unoptimized" in
-    observe_run ~digest ~shape ~stages ~plan run
+    observe_run ~digest:key.Fingerprint.digest ~shape:key.Fingerprint.shape
+      ~stages ~plan run
 
 (* Concurrent entry point: execute a batch of statements across
-   [domains] domains sharing THIS connection (its translation, metadata
-   and scan caches).  Statements are dealt round-robin; results come
-   back in input order, each independently an [Ok result_set] or the
+   [domains] domains sharing THIS connection (its plan, metadata and
+   scan caches).  Statements are dealt round-robin; results come back
+   in input order, each independently an [Ok result_set] or the
    [Error exn] that statement raised (one failing statement must not
    mask its siblings' results).  On a single-core build the shim runs
    the domains sequentially, so the function is portable — merely not
@@ -343,84 +441,23 @@ let execute_concurrent ?domains t sqls =
 (* ------------------------------------------------------------------ *)
 
 module Prepared = struct
-  (* Preparation compiles both transport variants of the translated
-     query once (the server's compiled-query path); execution just
-     re-binds parameters. *)
+  (* A prepared statement is a plan of the connection's cache (made
+     for it when the cache is off) with its literals' values: execution
+     binds the parameters beside them and runs the transport's plan. *)
   type stmt = {
     conn : t;
-    translated : Translator.t;
-    compiled_xml : Server.prepared;
-    compiled_text : Server.prepared;
+    plan : plan;
+    literals : (string * Item.sequence) list;
     params : Item.sequence option array;
-    fp_digest : string;
-    fp_shape : string;
   }
 
-  let count_params (s : A.statement) =
-    (* parameters are numbered consecutively by the parser *)
-    let rec expr_max acc (e : A.expr) =
-      A.fold_expr
-        (fun acc e ->
-          let acc =
-            match e with A.Param n -> max acc n | _ -> acc
-          in
-          List.fold_left query_max acc (A.subqueries_of_expr e))
-        acc e
-    and spec_max acc (spec : A.query_spec) =
-      let acc =
-        List.fold_left
-          (fun acc item ->
-            match item with
-            | A.Expr_item (e, _) -> expr_max acc e
-            | A.Star | A.Table_star _ -> acc)
-          acc spec.A.select
-      in
-      let acc = List.fold_left table_ref_max acc spec.A.from in
-      let acc =
-        match spec.A.where with Some w -> expr_max acc w | None -> acc
-      in
-      let acc = List.fold_left expr_max acc spec.A.group_by in
-      match spec.A.having with Some h -> expr_max acc h | None -> acc
-    and table_ref_max acc (tr : A.table_ref) =
-      match tr with
-      | A.Primary (A.Table_ref_name _) -> acc
-      | A.Primary (A.Derived { query; _ }) -> query_max acc query
-      | A.Join { left; right; cond; _ } ->
-        let acc = table_ref_max acc left in
-        let acc = table_ref_max acc right in
-        (match cond with Some c -> expr_max acc c | None -> acc)
-    and query_max acc (q : A.query) =
-      match q with
-      | A.Spec spec -> spec_max acc spec
-      | A.Set { left; right; _ } -> query_max (query_max acc left) right
-    in
-    let acc = query_max 0 s.A.body in
-    List.fold_left
-      (fun acc (o : A.order_item) ->
-        match o.A.key with
-        | A.Ord_expr e -> expr_max acc e
-        | A.Ord_position _ -> acc)
-      acc s.A.order_by
-
   let prepare conn sql =
-    let translated = translate conn sql in
-    let n = count_params translated.Translator.statement in
-    let vars = List.init n (fun i -> Printf.sprintf "param%d" (i + 1)) in
-    let compiled_xml =
-      Server.prepare ~vars conn.srv translated.Translator.xquery
-    in
-    let compiled_text =
-      Server.prepare ~vars conn.srv (Translator.for_text_transport translated)
-    in
-    let fp_digest, fp_shape = Fingerprint.fingerprint sql in
+    let plan, values, _ = plan_for conn (Fingerprint.key sql) sql in
     {
       conn;
-      translated;
-      compiled_xml;
-      compiled_text;
-      params = Array.make n None;
-      fp_digest;
-      fp_shape;
+      plan;
+      literals = Translator.bindings plan.lifted values;
+      params = Array.make plan.lifted.Translator.params None;
     }
 
   let parameter_count stmt = Array.length stmt.params
@@ -450,31 +487,29 @@ module Prepared = struct
 
   let execute_query stmt =
     let bindings =
-      Array.to_list
-        (Array.mapi
-           (fun i p ->
-             match p with
-             | Some seq -> (Printf.sprintf "param%d" (i + 1), seq)
-             | None ->
-               invalid_arg
-                 (Printf.sprintf "parameter %d is not bound" (i + 1)))
-           stmt.params)
+      List.mapi
+        (fun i p ->
+          match p with
+          | Some seq -> (param_var i, seq)
+          | None ->
+            invalid_arg (Printf.sprintf "parameter %d is not bound" (i + 1)))
+        (Array.to_list stmt.params)
+      @ stmt.literals
     in
-    let columns = stmt.translated.Translator.columns in
+    let conn = stmt.conn and plan = stmt.plan in
     let stages = fresh_stages () in
-    (* translation happened at prepare time: a prepared execution is
-       the cache-hit case by construction *)
+    (* the plan was found or made at prepare time: a prepared execution
+       is the cache-hit case by construction *)
     stages.cache_hit <- true;
     let run () =
       Sql_error.wrap @@ fun () ->
-      Budget.with_budget stmt.conn.limits @@ fun () ->
-      run_on stmt.conn ~stages ~columns (function
-        | Xml -> Server.execute_prepared ~bindings stmt.compiled_xml
-        | Text -> Server.execute_prepared ~bindings stmt.compiled_text)
+      Budget.with_budget conn.limits @@ fun () ->
+      run_on conn ~stages ~columns:plan.lifted.Translator.plan.Translator.columns
+        (fun tr -> Server.execute_prepared ~bindings (prepared conn plan tr))
     in
     if not (observing ()) then run ()
     else
-      observe_run ~digest:stmt.fp_digest ~shape:stmt.fp_shape ~stages
+      observe_run ~digest:plan.digest ~shape:plan.shape ~stages
         ~plan:"prepared" run
 end
 

@@ -13,8 +13,8 @@ type transport =
   | Xml   (** materialize XML, parse client-side *)
   | Text  (** section-4 delimiter-encoded text *)
 
-(** The bounded LRU used for the translation cache, exposed for direct
-    testing.  Stamps are compacted (preserving recency order) when the
+(** The bounded LRU used for the plan cache, exposed for direct
+    testing.  [add] replaces an entry already under the key.  Stamps are compacted (preserving recency order) when the
     internal clock reaches [stamp_limit], so a long-lived connection
     can never overflow the counter. *)
 module Lru : sig
@@ -42,17 +42,21 @@ val connect :
   t
 (** [transport] defaults to [Text] (the shipping configuration);
     [metadata_cache] defaults to [true].  [translation_cache] (default
-    [true]) keeps a bounded LRU (128 entries) of translated queries
-    keyed by SQL text, so re-issued ad-hoc SQL skips the three-stage
-    translation.  [optimize] (default [true]) enables the XQuery-side
+    [true]) keeps a bounded LRU (128 entries) of plans keyed by
+    statement shape with literals lifted ({!Aqua_obs.Fingerprint.key},
+    DESIGN.md section 17): a statement that differs from a cached one
+    only in the values of literals used as constants reuses its
+    translation and its compiled plan, binding its own literals; one
+    that differs in a literal the plan holds by value (a LIKE
+    pattern, an ORDER BY position, a DATE literal) replaces it.  With
+    [~translation_cache:false] every statement is translated and
+    executed afresh.  [optimize] (default [true]) enables the XQuery-side
     optimizer (predicate pushdown, hash equi-joins, streaming
     pipeline) on the server this connection talks to and executes the
     optimized plans through the compiled columnar engine;
     [~optimize:false] executes queries through the interpreter, the
-    differential oracle, over the unoptimized plan, while
-    {!Prepared} statements on such a connection still compile — the
-    unoptimized plan, with {!Aqua_xqeval.Compile}
-    ({!Aqua_dsp.Server.prepare}).  Graceful degradation is the
+    differential oracle, over the unoptimized plan ({!Prepared}
+    statements too).  Graceful degradation is the
     server's: see {!Aqua_dsp.Server.create}.  [scan_cache]
     (default [true]) enables scan materialization: the optimizer's
     per-plan scan-sharing hoist plus the server's revision-aware
@@ -78,21 +82,22 @@ val scan_cache : t -> Aqua_dsp.Scan_cache.t
     [~scan_cache:false]). *)
 
 val invalidate : t -> unit
-(** Flush the translation cache, the metadata cache and the
+(** Flush the plan cache, the metadata cache and the
     materialized scan cache.  Also happens automatically when the
     application's {!Aqua_dsp.Artifact.revision} changes (a service
-    added after connect), so stale translations are never served.  The
+    added after connect), so stale plans are never served.  The
     scan cache additionally watches {!Aqua_dsp.Artifact.data_revision}
     on its own, so row inserts flush materialized scans without
     touching the metadata-only caches. *)
 
 val translate : t -> string -> Aqua_translator.Translator.t
-(** Translation only (no execution), served from the translation cache
-    when enabled.
+(** Translation only (no execution): equal to
+    [Translator.translate env sql], served from the plan cache when
+    enabled (the cached plan with this statement's literals put back).
     @raise Aqua_translator.Errors.Error *)
 
 val translation_cache_size : t -> int
-(** Number of cached translations currently held. *)
+(** Number of cached plans currently held. *)
 
 val translation_cache_clock : t -> int
 (** Current LRU stamp counter (testing aid). *)
@@ -100,9 +105,16 @@ val translation_cache_clock : t -> int
 val clear_translation_cache : t -> unit
 
 val execute_query :
-  ?limits:Aqua_resilience.Budget.limits -> t -> string -> Result_set.t
+  ?key:Aqua_obs.Fingerprint.key ->
+  ?limits:Aqua_resilience.Budget.limits ->
+  t ->
+  string ->
+  Result_set.t
 (** Translate, execute on the server, decode through the connection's
-    transport — the full pipeline, run under the connection's budget
+    transport — the full pipeline, from a cached plan when there is
+    one.  [key] is the statement's {!Aqua_obs.Fingerprint.key}, for a
+    caller that has lexed it already (the wire server); the key pass
+    runs otherwise.  Runs under the connection's budget
     (or [limits], when given — the session pool passes each session's
     own budget here) with every failure mapped through {!Sql_error}.
     A compiled-engine fault is rerun once on the interpreter by the
@@ -115,7 +127,7 @@ val execute_concurrent :
 (** Execute a batch of statements across [domains] OCaml domains (default
     [min (Mcore.num_cores ()) (length sqls)], at least 1) all sharing
     this connection — one translation cache, one metadata cache, one
-    materialized scan cache.  Statements are dealt round-robin over the
+    materialized scan cache, one plan cache.  Statements are dealt round-robin over the
     domains; the results list is in input order, each statement's
     outcome captured independently so one failure does not mask the
     rest.  On a pre-5.0 build the domains shim runs the workers
@@ -126,7 +138,10 @@ module Prepared : sig
   type stmt
 
   val prepare : t -> string -> stmt
-  (** Translates once; execution re-binds parameters. *)
+  (** Takes the statement's plan from the connection's plan cache (or
+      makes one, the cache's miss path); execution binds the
+      parameters beside the statement's literals.  Only the transport
+      that runs is compiled, on its first execution. *)
 
   val parameter_count : stmt -> int
   val set_value : stmt -> int -> Aqua_relational.Value.t -> unit
@@ -137,7 +152,7 @@ module Prepared : sig
   val clear_parameters : stmt -> unit
 
   val execute_query : stmt -> Result_set.t
-  (** Runs the plans compiled at prepare time, degrading like
+  (** Runs the statement's plan, degrading like
       {!execute_query} on an optimizing connection.
       @raise Invalid_argument if a parameter is unbound.
       @raise Aqua_resilience.Sqlstate.Error on any other failure. *)

@@ -151,10 +151,10 @@ let with_session ?wait_ms t f =
   let s = borrow ?wait_ms t in
   Fun.protect ~finally:(fun () -> release t s) (fun () -> f s)
 
-let execute ?wait_ms t sql =
+let execute ?key ?wait_ms t sql =
   with_session ?wait_ms t @@ fun s ->
   s.queries <- s.queries + 1;
-  Connection.execute_query ~limits:s.limits t.conn sql
+  Connection.execute_query ?key ~limits:s.limits t.conn sql
 
 (* Pooled concurrent serving: [domains] domains each drain statements
    from a shared cursor, borrowing a session per statement (so the pool

@@ -46,8 +46,10 @@ val release : t -> session -> unit
 val with_session : ?wait_ms:int -> t -> (session -> 'a) -> 'a
 (** Borrow, run, release (also on exception). *)
 
-val execute : ?wait_ms:int -> t -> string -> Result_set.t
-(** [with_session] around [Connection.execute_query ~limits:(session's)]. *)
+val execute :
+  ?key:Aqua_obs.Fingerprint.key -> ?wait_ms:int -> t -> string -> Result_set.t
+(** [with_session] around [Connection.execute_query ?key
+    ~limits:(session's)]. *)
 
 val execute_concurrent :
   ?domains:int -> ?wait_ms:int -> t -> string list ->

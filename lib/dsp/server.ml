@@ -65,6 +65,27 @@ let count_failure = function
   | Budget.Exceeded _ | Sqlstate.Error _ | Breaker.Open_circuit _ -> false
   | _ -> true
 
+(* Query errors are answers: the interpreter would give the same one
+   (and after running out of memory, only run out again).  They include
+   the cast and type errors that code both engines share raises for a
+   query's values, e.g. EXTRACT from a string that is not a date.
+   Anything else is a fault of the compiled engine itself. *)
+let engine_fault = function
+  | Aqua_xqeval.Error.Dynamic_error _ | Aqua_xml.Atomic.Cast_error _
+  | Aqua_relational.Value.Type_error _ | Sqlstate.Error _ | Budget.Exceeded _
+  | Breaker.Open_circuit _ | Out_of_memory ->
+    false
+  | Failpoint.Injected { site; _ } -> String.starts_with ~prefix:"xqeval." site
+  | _ -> true
+
+(* Only an injected fault that is not an engine fault is transient: an
+   engine fault must reach the statement's rerun on the interpreter
+   untouched, not be retried on the engine that raised it. *)
+let retry_classify e =
+  match e with
+  | Failpoint.Injected _ when not (engine_fault e) -> Retry.Transient
+  | _ -> Retry.Fatal
+
 (* The engine evaluating a statement, and every logical body it calls:
    the compiled engine over the optimized plan, or the interpreter over
    the plan as written. *)
@@ -121,7 +142,7 @@ and invoke t engine (ds : Artifact.data_service) (f : Artifact.ds_function)
      nesting level would multiply the attempts exponentially. *)
   let serve () =
     match chain with
-    | [ _ ] -> Retry.with_retry ~policy:t.retry guarded
+    | [ _ ] -> Retry.with_retry ~policy:t.retry ~classify:retry_classify guarded
     | _ -> guarded ()
   in
   (* Parameterless calls are pure in the data revision: serve them
@@ -177,19 +198,6 @@ and evaluate t engine imports chain ~bindings body =
          (Eval.context ~resolve ()) bindings)
       body
 
-(* Query errors are answers: the interpreter would give the same one
-   (and after running out of memory, only run out again).  They include
-   the cast and type errors that code both engines share raises for a
-   query's values, e.g. EXTRACT from a string that is not a date.
-   Anything else is a fault of the compiled engine itself. *)
-let engine_fault = function
-  | Aqua_xqeval.Error.Dynamic_error _ | Aqua_xml.Atomic.Cast_error _
-  | Aqua_relational.Value.Type_error _ | Sqlstate.Error _ | Budget.Exceeded _
-  | Breaker.Open_circuit _ | Out_of_memory ->
-    false
-  | Failpoint.Injected { site; _ } -> String.starts_with ~prefix:"xqeval." site
-  | _ -> true
-
 let reruns = Atomic.make 0
 let fallbacks () = Atomic.get reruns
 
@@ -234,35 +242,67 @@ let text_of_sequence items =
 
 let execute_to_text ?bindings t q = text_of_sequence (execute ?bindings t q)
 
-type prepared = { srv : t; query : X.query; plan : Compile.compiled }
+type prepared = {
+  srv : t;
+  query : X.query;
+  vars : string list;
+  interpret : bool;  (* runs as [execute] does on a non-optimizing server *)
+  plan : Compile.compiled option Atomic.t;  (* compiled on first use *)
+}
 
 (* A prepared plan's nested logical bodies run on the server's engine,
    as under [execute]. *)
-let prepare ?(vars = []) t (q : X.query) =
-  let imports = q.X.prolog.X.imports in
+let compile_plan p =
+  let t = p.srv and imports = p.query.X.prolog.X.imports in
   let engine = if t.optimize then Compiled else Interpreter in
-  let plan =
-    Compile.compile ~optimize:t.optimize
-      ~scan_cache:(Scan_cache.enabled t.scan_cache)
-      ~resolve:(resolver t engine imports [])
-      ~node_fns:(physical_fns t.app imports) ~vars q
+  Compile.compile ~optimize:t.optimize
+    ~scan_cache:(Scan_cache.enabled t.scan_cache)
+    ~resolve:(resolver t engine imports [])
+    ~node_fns:(physical_fns t.app imports) ~vars:p.vars p.query
+
+let prepare ?(vars = []) t (q : X.query) =
+  let p =
+    { srv = t; query = q; vars; interpret = false; plan = Atomic.make None }
   in
-  { srv = t; query = q; plan }
+  Atomic.set p.plan (Some (compile_plan p));
+  p
 
-let shape p = Compile.shape p.plan
+let prepare_lazy ?(vars = []) t (q : X.query) =
+  { srv = t; query = q; vars; interpret = not t.optimize;
+    plan = Atomic.make None }
 
-(* An optimizing server's prepared plan degrades like [execute]; on an
-   [~optimize:false] server it is the compiled engine over the plan as
-   written, run as is. *)
+(* Two domains may both compile a fresh plan; either result serves. *)
+let compiled p =
+  match Atomic.get p.plan with
+  | Some c -> c
+  | None ->
+    let c = compile_plan p in
+    Atomic.set p.plan (Some c);
+    c
+
+let shape p = Compile.shape (compiled p)
+
+(* An optimizing server's prepared plan degrades like [execute], a
+   deferred compile included (its compile error is the dynamic error
+   [execute] raises); on an [~optimize:false] server a [prepare]d plan
+   is the compiled engine over the plan as written, run as is, and a
+   [prepare_lazy] one runs on the interpreter, as [execute] would. *)
 let execute_prepared ?(bindings = []) p =
-  let compiled () = Compile.run ~bindings p.plan in
-  if not p.srv.optimize then compiled ()
+  let interpret () =
+    evaluate p.srv Interpreter p.query.X.prolog.X.imports [] ~bindings
+      p.query.X.body
+  in
+  let compiled_run () =
+    match compiled p with
+    | c -> Compile.run ~bindings c
+    | exception Compile.Compile_error msg -> fail "%s" msg
+  in
+  if p.interpret then interpret ()
+  else if not p.srv.optimize then compiled_run ()
   else
     degrade (function
-      | Compiled -> compiled ()
-      | Interpreter ->
-        evaluate p.srv Interpreter p.query.X.prolog.X.imports [] ~bindings
-          p.query.X.body)
+      | Compiled -> compiled_run ()
+      | Interpreter -> interpret ())
 
 let call_function t ~path ~name ~fn args =
   match Artifact.find_service t.app ~path ~name with

@@ -47,7 +47,10 @@ val create :
     {!Aqua_resilience.Breaker.default_config}); root invocations are
     additionally retried with backoff on transient failures ([retry],
     default {!Aqua_resilience.Retry.default_policy} — pass
-    {!Aqua_resilience.Retry.no_retry} to disable). *)
+    {!Aqua_resilience.Retry.no_retry} to disable): an injected fault
+    that is not an {!engine_fault}.  An engine fault is never retried
+    on the engine that raised it; it reruns the statement on the
+    interpreter. *)
 
 val engine_fault : exn -> bool
 (** Whether an exception out of the compiled engine is a fault of the
@@ -143,9 +146,23 @@ val prepare :
     @raise Aqua_xqeval.Compile.Compile_error on unknown functions or
     variables. *)
 
+val prepare_lazy :
+  ?vars:string list -> t -> Aqua_xquery.Ast.query -> prepared
+(** [execute] kept for repeated runs: {!execute_prepared} of it is
+    [execute ~bindings] of the query, but an optimizing server compiles
+    it once, on its first execution and inside the engine-fault
+    boundary (a compile error raises the
+    {!Aqua_xqeval.Error.Dynamic_error} [execute] raises; a compile-time
+    engine fault reruns on the interpreter and leaves the plan to be
+    compiled next time).  On an [~optimize:false] server it runs on the
+    interpreter, as [execute] does.  Safe to run from several domains
+    at once. *)
+
 val shape : prepared -> string list
 (** {!Aqua_xqeval.Compile.shape} of the prepared plan: the compiled
-    engine's per-operator decisions. *)
+    engine's per-operator decisions (compiling a {!prepare_lazy} plan
+    that has not run yet).
+    @raise Aqua_xqeval.Compile.Compile_error as {!prepare} does. *)
 
 val execute_prepared :
   ?bindings:(string * Aqua_xml.Item.sequence) list ->

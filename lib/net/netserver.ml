@@ -370,10 +370,13 @@ let handle_query srv fd buf hist ~sid sql =
     if sampled then T.incr T.c_net_traces_sampled;
     T.with_trace ~id:trace_id ~sampled
     @@ fun () ->
-    let fp_digest, fp_shape = Fingerprint.fingerprint sql in
+    (* one key pass: the activity row's fingerprint, then the driver's
+       plan key and fingerprint *)
+    let key = Fingerprint.key sql in
     let t0 = T.now_ns () in
     Mcore.Mutex.protect srv.alock (fun () ->
-        Hashtbl.replace srv.active sid (fp_digest, fp_shape, t0, trace_id));
+        Hashtbl.replace srv.active sid
+          (key.Fingerprint.digest, key.Fingerprint.shape, t0, trace_id));
     Fun.protect
       ~finally:(fun () ->
         Mcore.Mutex.protect srv.alock (fun () ->
@@ -382,7 +385,7 @@ let handle_query srv fd buf hist ~sid sql =
     T.with_span "net.query"
     @@ fun () ->
     match
-      Session_pool.execute ~wait_ms:srv.cfg.borrow_wait_ms srv.pool sql
+      Session_pool.execute ~key ~wait_ms:srv.cfg.borrow_wait_ms srv.pool sql
     with
     | rs ->
       bump srv.s_queries T.c_net_queries;

@@ -5,9 +5,18 @@ exception Parse_error of { pos : Ast.pos; message : string }
 
 type state = {
   toks : Lexer.located array;
+  lits : literal option array;  (* per token: its literal, if it is one *)
   mutable idx : int;
   mutable next_param : int;
 }
+
+type numbering = { values : literal array; params : int }
+
+let literal_of_token = function
+  | Lexer.Int_lit i -> Some (L_int i)
+  | Lexer.Num_lit (f, s) -> Some (L_num (f, s))
+  | Lexer.String_lit s -> Some (L_string s)
+  | _ -> None
 
 let error_at pos fmt =
   Format.kasprintf (fun message -> raise (Parse_error { pos; message })) fmt
@@ -485,15 +494,11 @@ and parse_function_call st name =
 and parse_primary st =
   let pos = peek_pos st in
   match peek_token st with
-  | Lexer.Int_lit i ->
+  | Lexer.Int_lit _ | Lexer.Num_lit _ | Lexer.String_lit _ ->
+    (* the block numbered in [values], so its ordinal is its identity *)
+    let lit = Option.get st.lits.(st.idx) in
     advance st;
-    Lit (L_int i)
-  | Lexer.Num_lit (f, s) ->
-    advance st;
-    Lit (L_num (f, s))
-  | Lexer.String_lit s ->
-    advance st;
-    Lit (L_string s)
+    Lit lit
   | Lexer.Punct "?" ->
     advance st;
     let n = st.next_param in
@@ -816,18 +821,21 @@ let run_parser src f =
     try Lexer.tokenize src
     with Lexer.Lex_error { pos; message } -> raise (Parse_error { pos; message })
   in
-  let st = { toks; idx = 0; next_param = 1 } in
+  let lits = Array.map (fun (t : Lexer.located) -> literal_of_token t.token) toks in
+  let st = { toks; lits; idx = 0; next_param = 1 } in
   let result = f st in
   ignore (eat_punct st ";");
   (match peek_token st with
   | Lexer.Eof -> ()
   | t -> error st "unexpected %s after end of statement" (Lexer.token_to_string t));
-  result
+  let values = Array.of_list (List.filter_map Fun.id (Array.to_list lits)) in
+  (result, { values; params = st.next_param - 1 })
 
-let parse src =
-  run_parser src (fun st ->
-      let body = parse_query st in
-      let order_by = parse_order_by st in
-      { body; order_by })
+let statement st =
+  let body = parse_query st in
+  let order_by = parse_order_by st in
+  { body; order_by }
 
-let parse_expression src = run_parser src parse_or
+let parse_numbered src = run_parser src statement
+let parse src = fst (parse_numbered src)
+let parse_expression src = fst (run_parser src parse_or)

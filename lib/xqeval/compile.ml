@@ -55,6 +55,10 @@ type cenv = {
   resolve : resolver;
   node_fns : string -> bool;
       (* external functions known to return only nodes *)
+  consts : (string * int) list;
+      (* the plan's external variables and their slots: each holds one
+         value for the whole run, so a pipeline reads it like a literal
+         (a point lookup's constant) and never carries it per row *)
   cells : (string * (Item.sequence -> Item.sequence)) list;
       (* derived cell variables in scope, with the cell expression
          each one memoizes (re-run on an error cell to re-raise) *)
@@ -73,6 +77,10 @@ let bind_slot cenv name =
   let slot = !(cenv.next) in
   incr cenv.next;
   ({ cenv with slots = (name, slot) :: cenv.slots }, slot)
+
+let const_names cenv =
+  List.fold_left (fun s (v, _) -> Optimize.Vars.add v s) Optimize.Vars.empty
+    cenv.consts
 
 let lookup_slot cenv name =
   match Optimize.assoc_str name cenv.slots with
@@ -672,7 +680,7 @@ type fplan = {
   cells : Optimize.derived array;
 }
 
-let plan_flwor ~node_fns (f : X.flwor) =
+let plan_flwor ~node_fns ~consts (f : X.flwor) =
   (* Fuse kernelizable group clauses with their post-group aggregate
      reads before compiling.  The rewrite happens here, in the
      lowering, so the interpreter keeps evaluating the original AST. *)
@@ -703,7 +711,7 @@ let plan_flwor ~node_fns (f : X.flwor) =
   (* Scan column projection first, so kernels and record reads pick up
      the column variables it binds. *)
   let projs, pclauses, preturn =
-    Optimize.scan_projections ~node_fns f.X.clauses f.X.return
+    Optimize.scan_projections ~node_fns ~consts f.X.clauses f.X.return
   in
   let tclauses, treturn = transform [] pclauses preturn in
   (* Derived cell columns: the cell expressions kernels, group keys,
@@ -759,7 +767,7 @@ let text_parts (e : X.expr) =
     else None
   | _ -> None
 
-let text_plans ~node_fns name args =
+let text_plans ~node_fns ~consts name args =
   match (name, args) with
   | "fn:string-join", [ body; X.Literal (Atomic.String "") ] -> (
     let flwors =
@@ -776,7 +784,7 @@ let text_plans ~node_fns name args =
       let plans =
         List.map
           (fun f ->
-            let p = plan_flwor ~node_fns f in
+            let p = plan_flwor ~node_fns ~consts f in
             (p, text_parts p.treturn))
           flwors
       in
@@ -854,7 +862,7 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
             List.fold_left (fun items p -> p rt items) widened preds)
           (cbase rt) csteps)
   | X.Call (name, args) -> (
-    match text_plans ~node_fns:cenv.node_fns name args with
+    match text_plans ~node_fns:cenv.node_fns ~consts:(const_names cenv) name args with
     | Some plans -> compile_text_writer cenv plans
     | None -> (
     let cargs = List.map (compile_expr_c cenv) args in
@@ -1055,7 +1063,7 @@ and compile_predicate cenv (pred : X.expr) : rt -> Item.sequence -> Item.sequenc
    per clause per invocation, matching the interpreter's eager
    pipeline construction. *)
 and compile_flwor cenv (f : X.flwor) : comp =
-  let p = plan_flwor ~node_fns:cenv.node_fns f in
+  let p = plan_flwor ~node_fns:cenv.node_fns ~consts:(const_names cenv) f in
   let cenv_ret, run = lower_flwor cenv p in
   let cret = compile_expr_c cenv_ret p.treturn in
   fun rt ->
@@ -1126,7 +1134,11 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
     Array.map
       (fun (d : Optimize.derived) ->
         let ccenv =
-          { cenv with slots = [ (Optimize.cell_var, 0) ]; next = ref 1; cells = [] }
+          { cenv with
+            slots = [ (Optimize.cell_var, 0) ];
+            next = ref 1;
+            consts = [];
+            cells = [] }
         in
         let c = compile_expr_c ccenv d.Optimize.d_expr in
         let n = !(ccenv.next) in
@@ -1226,13 +1238,16 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
       treads.(j) <- reads c;
       needed := Optimize.Vars.union !needed treads.(j)
   done;
+  (* The plan's externals are in the scratch row from the start of
+     every run and never change: no operator carries or gathers them. *)
+  let consts = Slots.of_list (List.map snd cenv.consts) in
   (* from clause index [from] on *)
   let live_slots slots from =
     let add slots vars acc =
       Optimize.Vars.fold
         (fun v acc ->
           match Optimize.assoc_str v slots with
-          | Some s when s >= 0 -> Slots.add s acc
+          | Some s when s >= 0 && not (Slots.mem s consts) -> Slots.add s acc
           | _ -> acc)
         vars acc
     in
@@ -1269,8 +1284,8 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
       Optimize.Vars.fold
         (fun v acc ->
           match Optimize.assoc_str v cenv.slots with
-          | Some s -> s :: acc
-          | None -> acc)
+          | Some s when not (Slots.mem s consts) -> s :: acc
+          | _ -> acc)
         vars []
     in
     Array.of_list (List.sort_uniq compare slots)
@@ -2013,6 +2028,7 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
       b
     in
     let scratch = Array.make nslots [] in
+    List.iter (fun (_, s) -> scratch.(s) <- rt.(s)) cenv.consts;
     let cctx =
       { ccap = cap; calloc; cinstr = Telemetry.enabled ();
         cnslots = nslots; cscratch = scratch;
@@ -2092,7 +2108,8 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(resolve = no_resolve)
   in
   let notes = ref [] in
   let cenv =
-    { slots = []; next = ref 0; resolve; node_fns; cells = []; notes }
+    { slots = []; next = ref 0; resolve; node_fns; consts = []; cells = [];
+      notes }
   in
   let cenv, externals =
     List.fold_left
@@ -2101,6 +2118,7 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(resolve = no_resolve)
         (ce', (v, slot) :: acc))
       (cenv, []) vars
   in
+  let cenv = { cenv with consts = externals } in
   let code = compile_expr_c cenv e in
   { code; size = !(cenv.next); externals = List.rev externals; notes = !notes }
 
@@ -2109,12 +2127,25 @@ let compile ?optimize ?scan_cache ?resolve ?node_fns ?vars (q : X.query) =
 
 let run ?(bindings = []) t =
   let rt = Array.make (max t.size 1) [] in
-  List.iter
-    (fun (name, slot) ->
-      match List.assoc_opt name bindings with
-      | Some seq -> rt.(slot) <- seq
-      | None -> dfail "external variable $%s is not bound" name)
-    t.externals;
+  (* bindings usually come in the externals' order (a cached plan binds
+     hundreds for a long IN-list): take them in step, looking a name up
+     only when the order differs *)
+  let rec bind externals rest =
+    match externals with
+    | [] -> ()
+    | (name, slot) :: externals -> (
+      match rest with
+      | (n, seq) :: rest when String.equal n name ->
+        rt.(slot) <- seq;
+        bind externals rest
+      | _ -> (
+        match List.assoc_opt name bindings with
+        | Some seq ->
+          rt.(slot) <- seq;
+          bind externals rest
+        | None -> dfail "external variable $%s is not bound" name))
+  in
+  bind t.externals bindings;
   t.code rt
 
 let kept verb inputs n =

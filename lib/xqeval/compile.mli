@@ -69,14 +69,18 @@ val compile_expr :
   Aqua_xquery.Ast.expr ->
   compiled
 (** Compiles a bare expression; [vars] names external bindings that
-    must be supplied at run time (in the same order). *)
+    must be supplied at run time (in the same order).  Each holds one
+    value for the whole run, so the lowering treats it as it treats a
+    literal: a [where] equality against it is a point lookup, and no
+    pipeline carries it per row. *)
 
 val run :
   ?bindings:(string * Aqua_xml.Item.sequence) list ->
   compiled ->
   Aqua_xml.Item.sequence
 (** Executes. [bindings] supply the external variables declared via
-    [vars] (prepared-statement parameters).
+    [vars] (prepared-statement parameters, lifted literals), fastest in
+    the order of [vars].
     @raise Error.Dynamic_error on dynamic errors (casts, arity,
     unbound externals). *)
 

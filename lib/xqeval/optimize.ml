@@ -1370,12 +1370,15 @@ let rec assoc_str k = function
 
 (* A [where] that keeps few rows: some conjunct is an equality against
    a constant (the classic selectivity heuristic; a range or a join
-   predicate keeps a large share). *)
-let point_lookup cond =
+   predicate keeps a large share).  An expression is constant when it
+   reads no variable but the plan's externals [consts], which hold one
+   value for the whole run, as a literal does. *)
+let point_lookup ~consts cond =
+  let constant e = Vars.subset (free_vars e) consts in
   List.exists
     (function
       | X.Binop ((X.B_general X.Eq | X.B_value X.Eq), a, b) ->
-        Vars.is_empty (free_vars a) || Vars.is_empty (free_vars b)
+        constant a || constant b
       | _ -> false)
     (split_conjuncts cond)
 
@@ -1398,7 +1401,8 @@ type candidate = {
    but a column read only past it is read for the few rows that pass,
    and projecting it would build the whole column for a few reads
    whenever the scan is freshly materialized. *)
-let scan_projections ~node_fns (clauses : X.clause list) (return_ : X.expr) =
+let scan_projections ~node_fns ~consts (clauses : X.clause list)
+    (return_ : X.expr) =
   let binder = function
     | (X.For { var; source } | X.Hash_join { var; source; _ })
       when scan_source ~node_fns source ->
@@ -1473,7 +1477,7 @@ let scan_projections ~node_fns (clauses : X.clause list) (return_ : X.expr) =
           | X.Group _ ->
             closed := !active @ !closed;
             active := []
-          | X.Where cond when point_lookup cond -> active := []
+          | X.Where cond when point_lookup ~consts cond -> active := []
           | _ -> ());
           !touched)
         (List.combine clauses binders)
@@ -1552,7 +1556,7 @@ let scan_projections ~node_fns (clauses : X.clause list) (return_ : X.expr) =
             | None -> ());
             (match c with
             | X.Group _ -> proj := []
-            | X.Where cond when point_lookup cond -> proj := []
+            | X.Where cond when point_lookup ~consts cond -> proj := []
             | _ -> ());
             c)
           (List.combine clauses touched_at)

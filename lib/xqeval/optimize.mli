@@ -174,6 +174,7 @@ type projection = {
 
 val scan_projections :
   node_fns:(string -> bool) ->
+  consts:Vars.t ->
   Aqua_xquery.Ast.clause list ->
   Aqua_xquery.Ast.expr ->
   projection list * Aqua_xquery.Ast.clause list * Aqua_xquery.Ast.expr
@@ -182,7 +183,9 @@ val scan_projections :
     scan of one) binds a variable holding flat row elements; every
     single-step, unpredicated read [$v/NAME] ([NAME] not ["*"]) in its
     scope, up to and including the first point lookup of its FLWOR (a
-    [where] with an equality against a constant), becomes a read of a
+    [where] with an equality against a constant: an expression reading
+    no variable but those in [consts], the plan's externals), becomes a
+    read of a
     ['#col:']-prefixed column variable, which
     the columnar engine binds with [$v] from per-column vectors
     memoized with the scan.  A binding is left alone when its name is

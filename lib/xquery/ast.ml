@@ -146,3 +146,47 @@ let rec free_vars acc = function
       (List.fold_left (fun acc (_, e) -> free_vars acc e) acc bindings)
       satisfies
   | Filter (e, p) -> free_vars (free_vars acc e) p
+
+(* [e] with every read of a variable [f] maps replaced.  The translator
+   uses it to put literal values back into a lifted plan, whose
+   [$litK] externals no clause rebinds, so scoping is not tracked. *)
+let rec substitute f e =
+  let sub = substitute f in
+  match e with
+  | Var v -> ( match f v with Some e' -> e' | None -> e)
+  | Literal _ | Text _ | Context_item -> e
+  | Seq es -> Seq (List.map sub es)
+  | Flwor { clauses; return } ->
+    let clause = function
+      | For { var; source } -> For { var; source = sub source }
+      | Let { var; value } -> Let { var; value = sub value }
+      | Where c -> Where (sub c)
+      | Group g ->
+        Group { g with keys = List.map (fun (k, v) -> (sub k, v)) g.keys }
+      | Order_by specs ->
+        Order_by (List.map (fun s -> { s with key = sub s.key }) specs)
+      | Hash_join h ->
+        Hash_join
+          { h with
+            source = sub h.source;
+            build_key = sub h.build_key;
+            probe_key = sub h.probe_key }
+    in
+    Flwor { clauses = List.map clause clauses; return = sub return }
+  | Path (b, steps) ->
+    Path
+      ( sub b,
+        List.map
+          (fun s -> { s with predicates = List.map sub s.predicates })
+          steps )
+  | Call (n, args) -> Call (n, List.map sub args)
+  | Elem { name; content } -> Elem { name; content = List.map sub content }
+  | If (c, t, e) -> If (sub c, sub t, sub e)
+  | Binop (op, a, b) -> Binop (op, sub a, sub b)
+  | Neg a -> Neg (sub a)
+  | Quantified q ->
+    Quantified
+      { q with
+        bindings = List.map (fun (v, b) -> (v, sub b)) q.bindings;
+        satisfies = sub q.satisfies }
+  | Filter (a, p) -> Filter (sub a, sub p)

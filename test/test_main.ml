@@ -25,4 +25,5 @@ let () =
       Test_vectorize.suite;
       Test_columnar.suite;
       Test_concurrency.suite;
+      Test_plan_cache.suite;
       Test_net.suite ]

@@ -469,6 +469,50 @@ let engine_fault_classification () =
     [ Aqua_xml.Atomic.Cast_error "not a date";
       Aqua_relational.Value.Type_error "bad cell" ]
 
+(* An engine fault at the root of a data-service call is not retried
+   on the engine that raised it: a logical view whose compiled body
+   faults at its first batch reruns once on the interpreter, and the
+   retry counter does not move. *)
+let engine_faults_are_not_retried () =
+  let app = Helpers.demo_app () in
+  let customers =
+    { X.prefix = "c";
+      namespace = "ld:TestDataServices/CUSTOMERS";
+      location = "ld:TestDataServices/schemas/CUSTOMERS.xsd" }
+  in
+  ignore
+    (Artifact.add_logical_service app ~project:"Views" ~name:"ALL_CUSTOMERS"
+       [ { Artifact.fn_name = "ALL_CUSTOMERS";
+           params = [];
+           element_name = "CUSTOMERS";
+           columns = [];
+           body =
+             Artifact.Logical
+               { imports = [ customers ];
+                 body =
+                   X.Flwor
+                     { clauses = [ X.For { var = "r"; source = X.call "c:CUSTOMERS" [] } ];
+                       return = X.var "r" } } } ]);
+  (* a fresh server each time: a warm scan cache would serve the view *)
+  let call () =
+    Server.call_function (Server.create app) ~path:"Views"
+      ~name:"ALL_CUSTOMERS" ~fn:"ALL_CUSTOMERS" []
+  in
+  let want = List.length (call ()) in
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
+  let rows, fallbacks =
+    with_failpoints "xqeval.batch=at(1)" @@ fun () ->
+    Helpers.counting_fallbacks (fun () -> List.length (call ()))
+  in
+  Alcotest.(check int) "all rows" want rows;
+  Alcotest.(check int) "the engine faulted" 1
+    (Telemetry.value Telemetry.c_faults_injected);
+  Alcotest.(check int) "one interpreter rerun" 1 fallbacks;
+  Alcotest.(check int) "no retry" 0
+    (Telemetry.value Telemetry.c_retry_attempts)
+
 (* ------------------------------------------------------------------ *)
 (* Two-service cycle (satellite of the call-depth fix)                *)
 
@@ -663,6 +707,7 @@ let suite =
       Helpers.case "query errors run once" query_errors_run_once;
       Helpers.case "prepared statement degrades" prepared_statement_degrades;
       Helpers.case "engine-fault classification" engine_fault_classification;
+      Helpers.case "engine faults are not retried" engine_faults_are_not_retried;
       Helpers.case "two-service cycle chain" two_service_cycle;
       Helpers.case "lru stamp wraparound" lru_stamp_wraparound;
       Helpers.case "sqlstate taxonomy is pinned" sqlstate_taxonomy;
