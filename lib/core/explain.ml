@@ -5,6 +5,7 @@ module Metadata = Aqua_dsp.Metadata
 type printer = {
   buf : Buffer.t;
   mutable next_ctx : int;
+  resolved : Semantic.t;
 }
 
 let line p depth fmt =
@@ -53,11 +54,10 @@ let rec explain_table_ref env p depth (tr : A.table_ref) =
 
 and explain_spec env p depth (spec : A.query_spec) =
   let ctx = fresh_ctx p in
-  let scope = Semantic.spec_scope env Scope.root spec in
-  let items = Semantic.expand_select env scope spec in
+  let r = Semantic.spec p.resolved spec in
   line p depth "CTX%d: query%s%s" ctx
     (if spec.A.distinct then " DISTINCT" else "")
-    (if Semantic.is_grouped spec then " (grouped)" else "");
+    (if r.Semantic.grouped then " (grouped)" else "");
   line p (depth + 1) "select: %s"
     (String.concat ", "
        (List.map
@@ -65,7 +65,7 @@ and explain_spec env p depth (spec : A.query_spec) =
             Printf.sprintf "%s %s%s" c.Outcol.label
               (Aqua_relational.Sql_type.to_string c.Outcol.ty)
               (if c.Outcol.nullable then "" else " NOT NULL"))
-          items));
+          r.Semantic.items));
   List.iter (explain_table_ref env p (depth + 1)) spec.A.from;
   (match spec.A.where with
   | Some w -> line p (depth + 1) "where: %s" (Pretty.expr_to_string w)
@@ -109,35 +109,31 @@ and explain_query env p depth (q : A.query) =
    the engine's notes on the compiled plan.  With no catalog the
    compile accepts every function name and knows no scan returns only
    rows; the plan never runs. *)
-let explain_optimizer env p (stmt : A.statement) =
-  match Generate.generate env stmt with
-  | exception Errors.Error _ -> ()
-  | generated ->
-    let optimized, report =
-      Aqua_xqeval.Optimize.query generated.Generate.query
-    in
-    let compiled =
-      Aqua_xqeval.Compile.compile ~optimize:false
-        ~resolve:(fun _ -> Some (fun _ -> []))
-        optimized
-    in
-    line p 1
-      "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) (%d \
-       correlated probe(s)), %d constructor fusion(s)"
-      report.Aqua_xqeval.Optimize.pushed_predicates
-      report.Aqua_xqeval.Optimize.hash_joins
-      report.Aqua_xqeval.Optimize.correlated_probes
-      report.Aqua_xqeval.Optimize.fusions;
-    List.iter
-      (fun note -> line p 2 "PLAN %s" note)
-      (report.Aqua_xqeval.Optimize.notes @ Aqua_xqeval.Compile.shape compiled);
-    if report.Aqua_xqeval.Optimize.hash_joins = 0 then
-      line p 2 "PLAN joins (if any) run as nested loops"
+let explain_optimizer p =
+  let optimized, report =
+    Aqua_xqeval.Optimize.query (Generate.generate p.resolved).Generate.query
+  in
+  let compiled =
+    Aqua_xqeval.Compile.compile ~optimize:false
+      ~resolve:(fun _ -> Some (fun _ -> []))
+      optimized
+  in
+  line p 1
+    "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) (%d \
+     correlated probe(s)), %d constructor fusion(s)"
+    report.Aqua_xqeval.Optimize.pushed_predicates
+    report.Aqua_xqeval.Optimize.hash_joins
+    report.Aqua_xqeval.Optimize.correlated_probes
+    report.Aqua_xqeval.Optimize.fusions;
+  List.iter
+    (fun note -> line p 2 "PLAN %s" note)
+    (report.Aqua_xqeval.Optimize.notes @ Aqua_xqeval.Compile.shape compiled);
+  if report.Aqua_xqeval.Optimize.hash_joins = 0 then
+    line p 2 "PLAN joins (if any) run as nested loops"
 
 let statement env (stmt : A.statement) =
   (* validate first so the dump reflects a legal query *)
-  ignore (Semantic.statement_columns env stmt);
-  let p = { buf = Buffer.create 512; next_ctx = 1 } in
+  let p = { buf = Buffer.create 512; next_ctx = 1; resolved = Semantic.resolve env stmt } in
   line p 0 "CTX0 (outermost scope)";
   explain_query env p 1 stmt.A.body;
   (match stmt.A.order_by with
@@ -152,5 +148,5 @@ let statement env (stmt : A.statement) =
               | A.Ord_expr e -> Pretty.expr_to_string e)
               ^ if o.A.descending then " DESC" else "")
             items)));
-  explain_optimizer env p stmt;
+  explain_optimizer p;
   Buffer.contents p.buf

@@ -19,8 +19,6 @@ module Sql_type = Aqua_relational.Sql_type
 module Metadata = Aqua_dsp.Metadata
 module Atomic = Aqua_xml.Atomic
 
-let fail = Errors.raise_error
-
 type style = Patterned | Naive
 
 type lifted = { var : string; ordinal : int; cast : string option }
@@ -36,19 +34,21 @@ end)
 
 type state = {
   namer : Namer.t;
-  env : Semantic.env;
+  res : Semantic.t;
   style : style;
   mutable imports : X.schema_import list;  (* reverse order *)
+  bindings : (int, string) Hashtbl.t;  (* view id -> XQuery row variable *)
   lift : int Literal_ordinals.t;  (* literals to lift -> ordinal *)
   lifted : (string, lifted) Hashtbl.t;  (* by external name *)
   mutable order : lifted list;  (* reverse order *)
 }
 
-let create_state ?(style = Patterned) ?(lift = [||]) env =
+let create_state ?(style = Patterned) ?(lift = [||]) res =
   let ordinals = Literal_ordinals.create (Array.length lift) in
   Array.iteri (fun k lit -> Literal_ordinals.replace ordinals lit k) lift;
-  { namer = Namer.create (); env; style; imports = []; lift = ordinals;
-    lifted = Hashtbl.create 8; order = [] }
+  { namer = Namer.create (); res; style; imports = [];
+    bindings = Hashtbl.create 8; lift = ordinals; lifted = Hashtbl.create 8;
+    order = [] }
 
 (* Registers a schema import for a table's namespace and returns the
    prefix to call its function with. *)
@@ -70,9 +70,9 @@ let import state (meta : Metadata.table) =
           } ];
     prefix
 
-(* Generation context: the scope (whose views carry XQuery bindings)
-   plus, inside a grouped query, how aggregates and grouping columns
-   translate. *)
+(* Generation context: inside a grouped query, how aggregates and
+   grouping columns translate; inside a computed aggregate argument, the
+   partition record its columns are read from. *)
 type group_ctx = {
   partition_var : string;
   (* resolved grouping columns -> key variable; vcols are matched by
@@ -85,27 +85,23 @@ type group_ctx = {
 }
 
 type gctx = {
-  scope : Scope.t;
   group : group_ctx option;
+  row : (string * (Scope.view * Scope.vcol * string) list) option;
+      (* the partition record variable and its layout *)
 }
 
-let binding_of (view : Scope.view) =
-  match view.Scope.binding with
-  | Some v -> v
-  | None -> fail Errors.Unsupported "internal: view without an XQuery binding"
+let top = { group = None; row = None }
 
-let col_path (r : Scope.resolution) =
-  X.path1 (X.var (binding_of r.Scope.res_view)) r.Scope.res_col.Scope.element
+let find_col (r : Scope.resolution) table =
+  List.find_map
+    (fun (view, col, x) ->
+      if view == r.Scope.res_view && col == r.Scope.res_col then Some x else None)
+    table
 
-let resolve_exn scope ?qualifier name pos =
-  match Scope.resolve scope ?qualifier name with
-  | Ok r -> r
-  | Error Scope.Not_found_in_scope ->
-    fail ~pos Errors.Unknown_column "column %s does not exist"
-      (match qualifier with Some q -> q ^ "." ^ name | None -> name)
-  | Error (Scope.Ambiguous cs) ->
-    fail ~pos Errors.Ambiguous_column "column %s is ambiguous: %s" name
-      (String.concat ", " cs)
+let bind state (view : Scope.view) var = Hashtbl.replace state.bindings view.Scope.id var
+
+let col_path state (view : Scope.view) (col : Scope.vcol) =
+  X.path1 (X.var (Hashtbl.find state.bindings view.Scope.id)) col.Scope.element
 
 (* Null-aware optional element: absent when the value is empty.  The
    guard is elided when metadata proves the value non-null (patterned
@@ -238,8 +234,7 @@ let like_shape ~escape pattern =
 let rec gen_expr state gctx (e : A.expr) : X.expr =
   match e with
   | A.Lit lit -> gen_literal state lit
-  | A.Column { qualifier; name; pos } ->
-    X.call "fn:data" [ gen_column_path state gctx ?qualifier name pos ]
+  | A.Column _ -> X.call "fn:data" [ gen_column_path state gctx e ]
   | A.Param n -> X.var (Printf.sprintf "param%d" n)
   | A.Arith (op, a, b) ->
     let xop =
@@ -287,16 +282,9 @@ let rec gen_expr state gctx (e : A.expr) : X.expr =
         X.If (cond_of branch, gen_operand state gctx t, acc))
       branches else_expr
   | A.Scalar_subquery q ->
-    let records, cols = gen_query_records state gctx.scope q in
-    let elem =
-      match cols with
-      | [ c ] -> c.Outcol.element
-      | _ ->
-        fail Errors.Cardinality
-          "a scalar subquery must return exactly one column"
-    in
+    let records, cols = gen_query_records state gctx q in
     X.call "fn:zero-or-one"
-      [ X.call "fn:data" [ X.path1 records elem ] ]
+      [ X.call "fn:data" [ X.path1 records (single_element cols) ] ]
   | A.Cmp _ | A.And _ | A.Or _ | A.Not _ | A.Is_null _ | A.Between _
   | A.Like _ | A.In_list _ | A.In_query _ | A.Exists _ | A.Quantified _ ->
     (* a predicate used as a value: TRUE / FALSE (never NULL at this
@@ -306,130 +294,94 @@ let rec gen_expr state gctx (e : A.expr) : X.expr =
         X.Literal (Atomic.Boolean true),
         X.Literal (Atomic.Boolean false) )
 
+(* The one column a scalar, IN or quantified subquery returns. *)
+and single_element (cols : Outcol.t list) =
+  match cols with
+  | [ c ] -> c.Outcol.element
+  | _ -> invalid_arg "Generate: a subquery operand has one column"
+
 (* An operand of arithmetic / comparisons: column references stay as
    paths (atomization is implicit), exactly as in the paper's
    examples. *)
 and gen_operand state gctx (e : A.expr) : X.expr =
   match e with
-  | A.Column { qualifier; name; pos } ->
-    gen_column_path state gctx ?qualifier name pos
+  | A.Column _ -> gen_column_path state gctx e
   | _ -> gen_expr state gctx e
 
-and gen_column_path state gctx ?qualifier name pos : X.expr =
-  ignore state;
-  match gctx.group with
-  | None -> col_path (resolve_exn gctx.scope ?qualifier name pos)
-  | Some g -> (
-    (* inside a grouped query: a bare column must be a grouping column
-       (validated in stage two) and maps to its key variable *)
-    let r = resolve_exn gctx.scope ?qualifier name pos in
-    match
-      List.find_opt
-        (fun (view, col, _) ->
-          view == r.Scope.res_view && col == r.Scope.res_col)
-        g.key_vars
-    with
-    | Some (_, _, keyvar) -> X.var keyvar
-    | None ->
-      fail ~pos Errors.Grouping
-        "column %s must appear in the GROUP BY clause or inside an \
-         aggregate" name)
+(* Inside a grouped query a bare column is a grouping column (stage two
+   checks it) and maps to its key variable; inside a computed aggregate
+   argument it reads the partition record. *)
+and gen_column_path state gctx (e : A.expr) : X.expr =
+  let r = Semantic.column state.res e in
+  let on_row (var, layout) =
+    Option.map (X.path1 (X.var var)) (find_col r layout)
+  in
+  match (gctx.group, Option.bind gctx.row on_row) with
+  | Some g, _ -> X.var (Option.get (find_col r g.key_vars))
+  | None, Some path -> path
+  | None, None -> col_path state r.Scope.res_view r.Scope.res_col
 
 and gen_function state gctx name args : X.expr =
-  match Funcmap.find name with
-  | None -> fail Errors.Unsupported "unknown function %s" name
-  | Some entry ->
-    let xargs = List.map (gen_operand state gctx) args in
-    let call = entry.Funcmap.emit xargs in
-    if not entry.Funcmap.null_propagating then call
-    else begin
-      (* SQL gives NULL when any argument is NULL; guard unless
-         metadata proves all arguments non-null *)
-      let tenv = Semantic.typer_env state.env gctx.scope in
-      let needs_guard arg =
-        state.style = Naive
-        ||
-        match gctx.group with
-        | Some _ -> true  (* conservatively guard inside grouped exprs *)
-        | None -> (
-          try (Typer.infer tenv arg).Typer.nullable with Errors.Error _ -> true)
+  let entry = Option.get (Funcmap.find name) in
+  let xargs = List.map (gen_operand state gctx) args in
+  let call = entry.Funcmap.emit xargs in
+  if not entry.Funcmap.null_propagating then call
+  else begin
+    (* SQL gives NULL when any argument is NULL; guard unless
+       metadata proves all arguments non-null *)
+    let needs_guard arg =
+      state.style = Naive
+      ||
+      match gctx.group with
+      | Some _ -> true  (* conservatively guard inside grouped exprs *)
+      | None -> (Semantic.info state.res arg).Typer.nullable
+    in
+    let guarded =
+      List.filter_map
+        (fun (a, xa) -> if needs_guard a then Some xa else None)
+        (List.combine args xargs)
+    in
+    match guarded with
+    | [] -> call
+    | g :: gs ->
+      let cond =
+        List.fold_left
+          (fun acc x ->
+            X.Binop (X.B_or, acc, X.call "fn:empty" [ x ]))
+          (X.call "fn:empty" [ g ])
+          gs
       in
-      let guarded =
-        List.filter_map
-          (fun (a, xa) -> if needs_guard a then Some xa else None)
-          (List.combine args xargs)
-      in
-      match guarded with
-      | [] -> call
-      | g :: gs ->
-        let cond =
-          List.fold_left
-            (fun acc x ->
-              X.Binop (X.B_or, acc, X.call "fn:empty" [ x ]))
-            (X.call "fn:empty" [ g ])
-            gs
-        in
-        X.If (cond, X.empty_seq, call)
-    end
+      X.If (cond, X.empty_seq, call)
+  end
 
 and gen_aggregate state gctx ~(func : A.agg_func) ~distinct ~arg : X.expr =
-  let g =
-    match gctx.group with
-    | Some g -> g
-    | None ->
-      fail Errors.Grouping "aggregate function %s outside a grouped query"
-        (A.agg_func_name func)
-  in
+  let g = Option.get gctx.group in
   let partition = X.var g.partition_var in
   match (func, arg) with
   | A.A_count_star, _ -> X.call "fn:count" [ partition ]
-  | _, None -> fail Errors.Unsupported "aggregate without an argument"
+  | _, None -> invalid_arg "Generate: an aggregate without an argument"
   | func, Some arg ->
     (* The collected value sequence over the partition.  A plain column
        argument becomes a direct path over the partition (patterned
        style); a computed argument iterates the partition records. *)
-    let collected =
+    let direct =
       match arg with
-      | A.Column { qualifier; name; pos } when state.style = Patterned ->
-        let r = resolve_exn gctx.scope ?qualifier name pos in
-        let elem =
-          match
-            List.find_opt
-              (fun (view, col, _) ->
-                view == r.Scope.res_view && col == r.Scope.res_col)
-              g.inter_elem
-          with
-          | Some (_, _, elem) -> elem
-          | None ->
-            fail ~pos Errors.Grouping
-              "internal: column %s missing from the grouping record" name
-        in
-        X.path1 partition elem
-      | _ ->
+      | A.Column _ when state.style = Patterned ->
+        find_col (Semantic.column state.res arg) g.inter_elem
+      | _ -> None
+    in
+    let collected =
+      match direct with
+      | Some elem -> X.path1 partition elem
+      | None ->
         let v = Namer.var state.namer ~ctx:0 Namer.GB in
-        let inner_view =
-          {
-            Scope.alias = None;
-            cols =
-              List.map
-                (fun ((view : Scope.view), (c : Scope.vcol), elem) ->
-                  let qualifier =
-                    match c.Scope.qualifier with
-                    | Some _ as q -> q
-                    | None -> view.Scope.alias
-                  in
-                  { c with Scope.qualifier = qualifier; element = elem })
-                g.inter_elem;
-            binding = Some v;
-          }
-        in
-        (* rebuild per-alias qualifiers so T.C resolves inside the agg *)
-        let inner_scope = Scope.push Scope.root [ inner_view ] in
-        let inner_gctx = { scope = inner_scope; group = None } in
         X.Flwor
           {
             X.clauses = [ X.For { var = v; source = partition } ];
-            X.return = gen_operand state inner_gctx arg;
+            X.return =
+              gen_operand state
+                { group = None; row = Some (v, g.inter_elem) }
+                arg;
           }
     in
     let collected =
@@ -483,29 +435,22 @@ and self_cast ty expr =
   if needs_type_cast ty then X.call (Sql_type.xquery_name ty) [ expr ]
   else expr
 
-and infer_opt state gctx e =
-  let tenv = Semantic.typer_env state.env gctx.scope in
-  try Some (Typer.infer tenv e) with Errors.Error _ -> None
-
 (* An operand whose value participates in ordering or comparison:
    column paths get their metadata type made explicit. *)
 and gen_typed_operand state gctx (e : A.expr) : X.expr =
   let x = gen_operand state gctx e in
   match e with
-  | A.Column _ -> (
-    match infer_opt state gctx e with
-    | Some info when info.Typer.known -> self_cast info.Typer.ty x
-    | _ -> x)
+  | A.Column _ -> self_cast (Semantic.column state.res e).Scope.res_col.Scope.ty x
   | _ -> x
 
 (* Comparison operands: literals compared against typed expressions
    are cast to the comparison type (paper: `xs:integer(10)`). *)
 and gen_cmp_operand state gctx (e : A.expr) (other : A.expr) : X.expr =
   match e with
-  | A.Lit lit -> (
-    match infer_opt state gctx other with
-    | Some info when info.Typer.known -> gen_literal_cast state info.Typer.ty lit
-    | _ -> gen_literal state lit)
+  | A.Lit lit ->
+    let info = Semantic.info state.res other in
+    if info.Typer.known then gen_literal_cast state info.Typer.ty lit
+    else gen_literal state lit
   | _ -> gen_typed_operand state gctx e
 
 and gen_cmp state gctx ~polarity op a b : X.expr =
@@ -560,12 +505,8 @@ and gen_pred state gctx ~polarity (e : A.expr) : X.expr =
         (List.tl items)
   | A.In_query { arg; query; negated } ->
     let positive = polarity <> negated in
-    let records, cols = gen_query_records state gctx.scope query in
-    let elem =
-      match cols with
-      | [ c ] -> c.Outcol.element
-      | _ -> fail Errors.Cardinality "IN subquery must return one column"
-    in
+    let records, cols = gen_query_records state gctx query in
+    let elem = single_element cols in
     if positive then
       X.Binop
         ( X.B_general X.Eq,
@@ -588,17 +529,12 @@ and gen_pred state gctx ~polarity (e : A.expr) : X.expr =
         }
     end
   | A.Exists q ->
-    let records, _ = gen_query_records state gctx.scope q in
+    let records, _ = gen_query_records state gctx q in
     if polarity then X.call "fn:exists" [ records ]
     else X.call "fn:empty" [ records ]
   | A.Quantified { op; quantifier; arg; query } ->
-    let records, cols = gen_query_records state gctx.scope query in
-    let elem =
-      match cols with
-      | [ c ] -> c.Outcol.element
-      | _ ->
-        fail Errors.Cardinality "quantified subquery must return one column"
-    in
+    let records, cols = gen_query_records state gctx query in
+    let elem = single_element cols in
     let v = Namer.var state.namer ~ctx:0 Namer.WH in
     let body op =
       X.Binop
@@ -645,12 +581,7 @@ and gen_like state gctx ~polarity arg pattern escape : X.expr =
      empty sequence as "" — guard with fn:exists when the argument may
      be null *)
   let exists_guarded test =
-    let nullable =
-      match infer_opt state gctx arg with
-      | Some info -> info.Typer.nullable
-      | None -> true
-    in
-    if nullable || state.style = Naive then
+    if (Semantic.info state.res arg).Typer.nullable || state.style = Naive then
       X.Binop (X.B_and, X.call "fn:exists" [ xarg ], test)
     else test
   in
@@ -684,221 +615,128 @@ and gen_like state gctx ~polarity arg pattern escape : X.expr =
 (* ================================================================== *)
 (* FROM clauses: resultset nodes translating themselves               *)
 
-(* Every leaf produces FLWOR clauses plus a bound view. *)
-and gen_table_leaf state ctx (meta : Metadata.table) ~alias :
-    X.clause list * Scope.view =
-  let prefix = import state meta in
-  let v = Namer.var state.namer ~ctx Namer.FR in
-  let source = X.call (prefix ^ ":" ^ meta.Metadata.table) [] in
-  let view = { (Semantic.table_view meta ~alias) with Scope.binding = Some v } in
-  ([ X.For { var = v; source } ], view)
-
-and gen_derived_leaf state ctx (query : A.query) ~alias :
-    X.clause list * Scope.view =
-  let records, cols = gen_query_records state Scope.root query in
-  let tempvar = Namer.tempvar state.namer ~ctx Namer.FR in
-  let v = Namer.var state.namer ~ctx Namer.FR in
-  let clauses =
-    [ X.Let { var = tempvar; value = X.elem "RECORDSET" [ records ] };
-      X.For { var = v; source = X.path1 (X.var tempvar) "RECORD" } ]
-  in
-  let view = { (Semantic.derived_view cols ~alias) with Scope.binding = Some v } in
-  (clauses, view)
-
-(* Is this join tree free of outer joins (so it can be inlined as a
-   chain of for-clauses with where-conjuncts, the paper's "double
-   for")? *)
-and gen_primary_leaf state ctx (p : A.table_primary) =
-  match p with
-  | A.Table_ref_name { name; alias; pos } ->
-    let meta = state.env.Semantic.lookup_table name pos in
-    gen_table_leaf state ctx meta ~alias
-  | A.Derived { query; alias } -> gen_derived_leaf state ctx query ~alias
-
-(* Translates one FROM item into clauses + the views it contributes.
-   [parent] is the enclosing scope for correlation inside ON
-   subqueries. *)
-and gen_table_ref state ctx parent (tr : A.table_ref) :
-    X.clause list * Scope.view list =
-  match tr with
-  | A.Primary p ->
-    let clauses, view = gen_primary_leaf state ctx p in
-    (clauses, [ view ])
-  | A.Join { kind = A.J_cross; left; right; cond = _ } ->
-    let lc, lv = gen_table_ref state ctx parent left in
-    let rc, rv = gen_table_ref state ctx parent right in
-    (lc @ rc, lv @ rv)
-  | A.Join { kind = A.J_inner; left; right; cond } ->
-    let lc, lv = gen_table_ref state ctx parent left in
-    let rc, rv = gen_table_ref state ctx parent right in
-    let views = lv @ rv in
+(* Translates one FROM item into clauses, binding its views to row
+   variables; returns the views too.  [gctx] is the enclosing context
+   ON subqueries correlate with. *)
+and gen_from state ctx gctx (f : Semantic.from) : X.clause list * Scope.view list =
+  match f with
+  | Semantic.Leaf (view, Semantic.Table meta) ->
+    let prefix = import state meta in
+    let v = Namer.var state.namer ~ctx Namer.FR in
+    bind state view v;
+    ( [ X.For { var = v; source = X.call (prefix ^ ":" ^ meta.Metadata.table) [] } ],
+      [ view ] )
+  | Semantic.Leaf (view, Semantic.Derived query) ->
+    let records, _ = gen_query_records state top query in
+    let tempvar = Namer.tempvar state.namer ~ctx Namer.FR in
+    let v = Namer.var state.namer ~ctx Namer.FR in
+    bind state view v;
+    ( [ X.Let { var = tempvar; value = X.elem "RECORDSET" [ records ] };
+        X.For { var = v; source = X.path1 (X.var tempvar) "RECORD" } ],
+      [ view ] )
+  | Semantic.Inner (left, right, cond) ->
+    (* the paper's "double for": a chain of for-clauses with the ON
+       conditions as where-conjuncts *)
+    let lc, lv = gen_from state ctx gctx left in
+    let rc, rv = gen_from state ctx gctx right in
     let where =
       match cond with
       | None -> []
-      | Some c ->
-        let scope = Scope.push parent views in
-        [ X.Where (gen_pred state { scope; group = None } ~polarity:true c) ]
+      | Some c -> [ X.Where (gen_pred state gctx ~polarity:true c) ]
     in
-    (lc @ rc @ where, views)
-  | A.Join { kind = A.J_left | A.J_right | A.J_full; _ } ->
-    let clauses, view = gen_outer_join state ctx parent tr in
-    (clauses, [ view ])
+    (lc @ rc @ where, lv @ rv)
+  | Semantic.Outer { left; right; cond; full; view } ->
+    (* Materializes the outer-join tree into a let-bound RECORDSET whose
+       RECORDs carry qualified column elements, then iterates it — the
+       paper's Example 10 pattern generalized. *)
+    let records = gen_outer_join state ctx gctx ~left ~right ~cond ~full view in
+    let tempvar = Namer.tempvar state.namer ~ctx Namer.FR in
+    let v = Namer.var state.namer ~ctx Namer.FR in
+    bind state view v;
+    ( [ X.Let { var = tempvar; value = X.elem "RECORDSET" [ records ] };
+        X.For { var = v; source = X.path1 (X.var tempvar) "RECORD" } ],
+      [ view ] )
 
-(* Materializes an outer-join tree into a let-bound RECORDSET whose
-   RECORDs carry qualified column elements, then iterates it — the
-   paper's Example 10 pattern generalized. *)
-and gen_outer_join state ctx parent (tr : A.table_ref) :
-    X.clause list * Scope.view =
-  let records, view_cols = gen_join_records state ctx parent tr in
-  let tempvar = Namer.tempvar state.namer ~ctx Namer.FR in
-  let v = Namer.var state.namer ~ctx Namer.FR in
-  let view = { Scope.alias = None; cols = view_cols; binding = Some v } in
-  ( [ X.Let { var = tempvar; value = X.elem "RECORDSET" [ records ] };
-      X.For { var = v; source = X.path1 (X.var tempvar) "RECORD" } ],
-    view )
-
-(* Produces an expression yielding RECORD elements for a join tree,
-   along with the qualified column layout of those records. *)
-and gen_join_records state ctx parent (tr : A.table_ref) :
-    X.expr * Scope.vcol list =
-  match tr with
-  | A.Primary _ -> assert false  (* only called on joins *)
-  | A.Join { kind; left; right; cond } ->
-    (* RIGHT OUTER JOIN mirrors to LEFT with sides swapped *)
-    let kind, left, right =
-      match kind with
-      | A.J_right -> (A.J_left, right, left)
-      | k -> (k, left, right)
+(* RECORD elements for an outer join: the matched pairs, then the
+   unmatched rows of the preserved side(s). *)
+and gen_outer_join state ctx gctx ~left ~right ~cond ~full (view : Scope.view) =
+  let lclauses, lviews = gen_from state ctx gctx left in
+  (* The RECORD fields of [views]' columns, each named by its qualified
+     copy in [cols] (the joined view's columns follow the sides' views
+     in order); returns the copies left over. *)
+  let fields_of_views views cols =
+    let fields, rest =
+      List.fold_left
+        (fun (fields, cols) (v : Scope.view) ->
+          List.fold_left
+            (fun (fields, cols) (orig : Scope.vcol) ->
+              match cols with
+              | (q : Scope.vcol) :: cols ->
+                ( optional_element state ~nullable:orig.Scope.nullable
+                    ~elem:q.Scope.element (col_path state v orig)
+                  :: fields,
+                  cols )
+              | [] -> invalid_arg "Generate: an outer join's view is too short")
+            (fields, cols) v.Scope.cols)
+        ([], cols) views
     in
-    let side side_tr =
-      (* clauses + bound views + the qualified record layout of the side *)
-      let clauses, views = gen_table_ref state ctx parent side_tr in
-      let cols =
-        List.concat_map
-          (fun v -> Semantic.qualify_view_cols v)
-          views
-      in
-      (clauses, views, cols)
-    in
-    let lclauses, lviews, lcols = side left in
-    (* Build the RECORD fields directly: each side's views know their
-       bindings; the qualified element name pairs with the underlying
-       element in the view's rows. *)
-    let fields_of_views views =
-      List.concat_map
-        (fun (v : Scope.view) ->
-          let qualified = Semantic.qualify_view_cols v in
-          List.map2
-            (fun (orig : Scope.vcol) (q : Scope.vcol) ->
-              let value = X.path1 (X.var (binding_of v)) orig.Scope.element in
-              optional_element state ~nullable:orig.Scope.nullable
-                ~elem:q.Scope.element value)
-            v.Scope.cols qualified)
-        views
-    in
-    let lfields = fields_of_views lviews in
-    (match kind with
-    | A.J_right -> assert false  (* mirrored to J_left above *)
-    | A.J_inner | A.J_cross ->
-      let rclauses, rviews, rcols = side right in
-      let scope = Scope.push parent (lviews @ rviews) in
-      let where =
-        match cond with
-        | None -> []
-        | Some c ->
-          [ X.Where (gen_pred state { scope; group = None } ~polarity:true c) ]
-      in
-      let rfields = fields_of_views rviews in
-      ( X.Flwor
-          {
-            X.clauses = lclauses @ rclauses @ where;
-            X.return = X.elem "RECORD" (lfields @ rfields);
-          },
-        lcols @ rcols )
-    | A.J_left | A.J_full ->
-      let rclauses, rviews, rcols = side right in
-      let rcols_nullable = Semantic.make_nullable rcols in
-      let scope = Scope.push parent (lviews @ rviews) in
-      let on_pred =
-        match cond with
-        | None ->
-          fail Errors.Unsupported "outer join requires an ON condition"
-        | Some c -> gen_pred state { scope; group = None } ~polarity:true c
-      in
-      let rfields = fields_of_views rviews in
-      (* matched rows: left clauses, right clauses, ON where *)
-      let matched =
-        X.Flwor
-          {
-            X.clauses = lclauses @ rclauses @ [ X.Where on_pred ];
-            X.return = X.elem "RECORD" (lfields @ rfields);
-          }
-      in
-      (* left rows with no match: quantifier over the right side *)
-      let unmatched_left =
-        X.Flwor
-          {
-            X.clauses =
-              lclauses
-              @ [ X.Where
-                    (X.call "fn:empty"
-                       [ X.Flwor
-                           {
-                             X.clauses = rclauses @ [ X.Where on_pred ];
-                             X.return = X.int 1;
-                           } ]) ];
-            X.return = X.elem "RECORD" lfields;
-          }
-      in
-      let parts =
-        match kind with
-        | A.J_left -> [ matched; unmatched_left ]
-        | A.J_full ->
-          let unmatched_right =
-            X.Flwor
-              {
-                X.clauses =
-                  rclauses
-                  @ [ X.Where
-                        (X.call "fn:empty"
-                           [ X.Flwor
-                               {
-                                 X.clauses = lclauses @ [ X.Where on_pred ];
-                                 X.return = X.int 1;
-                               } ]) ];
-                X.return = X.elem "RECORD" rfields;
-              }
-          in
-          [ matched; unmatched_left; unmatched_right ]
-        | _ -> assert false
-      in
-      let lcols_out =
-        match kind with
-        | A.J_full -> Semantic.make_nullable lcols
-        | _ -> lcols
-      in
-      (X.Seq parts, lcols_out @ rcols_nullable))
+    (List.rev fields, rest)
+  in
+  let lfields, rcols = fields_of_views lviews view.Scope.cols in
+  let rclauses, rviews = gen_from state ctx gctx right in
+  let on_pred = gen_pred state gctx ~polarity:true cond in
+  let rfields, _ = fields_of_views rviews rcols in
+  (* matched rows: left clauses, right clauses, ON where *)
+  let matched =
+    X.Flwor
+      {
+        X.clauses = lclauses @ rclauses @ [ X.Where on_pred ];
+        X.return = X.elem "RECORD" (lfields @ rfields);
+      }
+  in
+  (* rows of one side with no match: quantifier over the other side *)
+  let unmatched clauses other fields =
+    X.Flwor
+      {
+        X.clauses =
+          clauses
+          @ [ X.Where
+                (X.call "fn:empty"
+                   [ X.Flwor
+                       {
+                         X.clauses = other @ [ X.Where on_pred ];
+                         X.return = X.int 1;
+                       } ]) ];
+        X.return = X.elem "RECORD" fields;
+      }
+  in
+  X.Seq
+    (matched
+     :: unmatched lclauses rclauses lfields
+     :: (if full then [ unmatched rclauses lclauses rfields ] else []))
 
 (* ================================================================== *)
 (* Query specs                                                        *)
 
 (* Returns an expression yielding RECORD elements plus the output
-   columns. [parent] scope enables correlated subqueries. *)
-and gen_query_records state parent (q : A.query) : X.expr * Outcol.t list =
+   columns. [gctx] is the enclosing context correlated subqueries
+   read. *)
+and gen_query_records state gctx (q : A.query) : X.expr * Outcol.t list =
   match q with
-  | A.Spec spec -> gen_spec_records state parent spec
+  | A.Spec spec -> gen_spec_records state gctx spec
   | A.Set { op; all; left; right } ->
-    gen_setop_records state parent op all left right
+    gen_setop_records state gctx op all left right
 
-and gen_spec_records state parent (spec : A.query_spec) :
+(* [order]: the statement's ORDER BY, for a top-level spec that is
+   neither grouped nor DISTINCT: its keys sort inside the spec's own
+   FLWOR. *)
+and gen_spec_records ?(order = []) state gctx (spec : A.query_spec) :
     X.expr * Outcol.t list =
+  let r = Semantic.spec state.res spec in
   let ctx = Namer.fresh_ctx state.namer in
+  let gctx = { gctx with group = None } in
   (* FROM *)
-  let from_parts = List.map (gen_table_ref state ctx parent) spec.A.from in
-  let clauses = List.concat_map fst from_parts in
-  let views = List.concat_map snd from_parts in
-  let scope = Scope.push parent views in
-  let gctx = { scope; group = None } in
+  let clauses = List.concat_map (fun f -> fst (gen_from state ctx gctx f)) r.Semantic.from in
   (* WHERE *)
   let clauses =
     clauses
@@ -907,15 +745,23 @@ and gen_spec_records state parent (spec : A.query_spec) :
     | None -> []
     | Some w -> [ X.Where (gen_pred state gctx ~polarity:true w) ]
   in
-  (* select-list expansion against the bound scope *)
-  let items = Semantic.expand_select state.env scope spec in
+  let items = r.Semantic.items in
   let cols = List.map fst items in
-  if Semantic.is_grouped spec then
-    gen_grouped state ctx spec gctx clauses items
+  if r.Semantic.grouped then gen_grouped state ctx spec r gctx clauses
   else begin
-    let records =
-      build_return state gctx ~clauses ~items ~order:[]
+    let order =
+      List.map
+        (fun (key, descending) ->
+          let key_expr =
+            match key with
+            | Semantic.Output i -> snd (List.nth items i)
+            | Semantic.Key e -> e
+          in
+          { X.key = gen_typed_operand state gctx key_expr; descending;
+            empty = X.Empty_least })
+        order
     in
+    let records = build_return state gctx ~clauses ~items ~order in
     let records =
       if spec.A.distinct then distinct_records state ctx cols records
       else records
@@ -931,8 +777,8 @@ and build_return state gctx ~clauses ~items ~order : X.expr =
     List.map
       (fun ((col : Outcol.t), expr) ->
         match expr with
-        | A.Column { qualifier; name; pos } when gctx.group = None ->
-          let path = gen_column_path state gctx ?qualifier name pos in
+        | A.Column _ when gctx.group = None ->
+          let path = gen_column_path state gctx expr in
           optional_element state ~nullable:col.Outcol.nullable
             ~elem:col.Outcol.element path
         | _ ->
@@ -962,21 +808,10 @@ and build_return state gctx ~clauses ~items ~order : X.expr =
 (* Grouped query: materialize the pre-grouping tuple stream into a
    RECORDSET, regroup with the BEA extension, then project (paper
    Example 12). *)
-and gen_grouped state ctx (spec : A.query_spec) gctx clauses items :
+and gen_grouped state ctx (spec : A.query_spec) (r : Semantic.spec) gctx clauses :
     X.expr * Outcol.t list =
+  let items = r.Semantic.items in
   let cols = List.map fst items in
-  let scope = gctx.scope in
-  (* resolve grouping columns in the pre-group scope *)
-  let group_resolutions =
-    List.map
-      (fun g ->
-        match g with
-        | A.Column { qualifier; name; pos } ->
-          (resolve_exn scope ?qualifier name pos, name)
-        | _ ->
-          fail Errors.Grouping "GROUP BY items must be column references")
-      spec.A.group_by
-  in
   (* columns needed in the intermediate record: every column referenced
      in select items, HAVING, or GROUP BY *)
   let needed : (Scope.view * Scope.vcol) list ref = ref [] in
@@ -989,23 +824,17 @@ and gen_grouped state ctx (spec : A.query_spec) gctx clauses items :
               !needed)
     then needed := !needed @ [ (r.Scope.res_view, r.Scope.res_col) ]
   in
-  let rec note_expr (e : A.expr) =
-    match e with
-    | A.Column { qualifier; name; pos } -> (
-      match Scope.resolve scope ?qualifier name with
-      | Ok r -> note r
-      | Error _ -> ignore pos)
-    | _ ->
-      ignore
-        (A.fold_expr
-           (fun () sub -> if sub == e then () else note_expr_shallow sub)
-           () e)
-  and note_expr_shallow e =
-    match e with A.Column _ -> note_expr e | _ -> ()
+  let note_expr e =
+    A.fold_expr
+      (fun () sub ->
+        match sub with
+        | A.Column _ -> note (Semantic.column state.res sub)
+        | _ -> ())
+      () e
   in
   List.iter (fun (_, e) -> note_expr e) items;
   Option.iter note_expr spec.A.having;
-  List.iter (fun (r, _) -> note r) group_resolutions;
+  List.iter note r.Semantic.group_by;
   (* naive style: carry every column of every view *)
   if state.style = Naive then
     List.iter
@@ -1013,7 +842,7 @@ and gen_grouped state ctx (spec : A.query_spec) gctx clauses items :
         List.iter
           (fun c -> note { Scope.res_view = v; res_col = c; res_depth = 0 })
           v.Scope.cols)
-      (Scope.views scope);
+      r.Semantic.views;
   (* intermediate record layout: qualified element names *)
   let used = Hashtbl.create 16 in
   let inter =
@@ -1038,8 +867,7 @@ and gen_grouped state ctx (spec : A.query_spec) gctx clauses items :
   let inter_fields =
     List.map
       (fun ((v : Scope.view), (c : Scope.vcol), elem) ->
-        let value = X.path1 (X.var (binding_of v)) c.Scope.element in
-        optional_element state ~nullable:c.Scope.nullable ~elem value)
+        optional_element state ~nullable:c.Scope.nullable ~elem (col_path state v c))
       inter
   in
   let inter_var = Namer.tempvar state.namer ~ctx Namer.GB in
@@ -1050,9 +878,6 @@ and gen_grouped state ctx (spec : A.query_spec) gctx clauses items :
     X.Let
       { var = inter_var; value = X.elem "RECORDSET" [ inter_records ] }
   in
-  let inter_elem_table =
-    List.map (fun (v, (c : Scope.vcol), elem) -> (v, c, elem)) inter
-  in
   if spec.A.group_by = [] then begin
     (* implicit single group: aggregates range over the whole input,
        which handles the empty-input case correctly (count star = 0) *)
@@ -1060,7 +885,7 @@ and gen_grouped state ctx (spec : A.query_spec) gctx clauses items :
       {
         partition_var = inter_var ^ "Rows";
         key_vars = [];
-        inter_elem = inter_elem_table;
+        inter_elem = inter;
       }
     in
     let let_rows =
@@ -1094,20 +919,11 @@ and gen_grouped state ctx (spec : A.query_spec) gctx clauses items :
     let partition_var = Namer.partition state.namer ~ctx in
     let keys =
       List.map
-        (fun ((r : Scope.resolution), _name) ->
-          let elem =
-            match
-              List.find_opt
-                (fun (v, c, _) ->
-                  v == r.Scope.res_view && c == r.Scope.res_col)
-                inter_elem_table
-            with
-            | Some (_, _, elem) -> elem
-            | None -> assert false
-          in
+        (fun (g : Scope.resolution) ->
+          let elem = Option.get (find_col g inter) in
           let keyvar = Namer.var state.namer ~ctx Namer.GB in
-          (r, elem, keyvar))
-        group_resolutions
+          (g, elem, keyvar))
+        r.Semantic.group_by
     in
     let group_clause =
       X.Group
@@ -1129,7 +945,7 @@ and gen_grouped state ctx (spec : A.query_spec) gctx clauses items :
             (fun ((r : Scope.resolution), _, keyvar) ->
               (r.Scope.res_view, r.Scope.res_col, keyvar))
             keys;
-        inter_elem = inter_elem_table;
+        inter_elem = inter;
       }
     in
     let ggctx = { gctx with group = Some g } in
@@ -1245,10 +1061,10 @@ and roweq_keys keys other_var (cols : Outcol.t list) : X.expr =
       (fun acc k c -> X.Binop (X.B_and, acc, per_col k c))
       (per_col k c) ks cs
 
-and gen_setop_records state parent op all left right : X.expr * Outcol.t list =
+and gen_setop_records state gctx op all left right : X.expr * Outcol.t list =
   let ctx = Namer.fresh_ctx state.namer in
-  let lrecords, lcols = gen_query_records state parent left in
-  let rrecords, rcols = gen_query_records state parent right in
+  let lrecords, lcols = gen_query_records state gctx left in
+  let rrecords, rcols = gen_query_records state gctx right in
   (* unified output schema (validated in stage two) *)
   let out_cols =
     List.map2
@@ -1375,135 +1191,42 @@ type output = {
   columns : Outcol.t list;
 }
 
-let output_index cols name =
-  let target = String.uppercase_ascii name in
-  let rec go i = function
-    | [] -> None
-    | (c : Outcol.t) :: rest ->
-      if String.uppercase_ascii c.Outcol.label = target then Some i
-      else go (i + 1) rest
-  in
-  go 0 cols
 
-(* ORDER BY for a plain (ungrouped, non-distinct) top-level spec can
-   use arbitrary expressions: translate keys inside the spec's own
-   FLWOR.  Everything else sorts finished records by output column. *)
-let rec gen_statement_internal state (stmt : A.statement) : output =
-  let needs_output_sort =
-    match stmt.A.body with
-    | A.Spec spec -> Semantic.is_grouped spec || spec.A.distinct
-    | A.Set _ -> true
-  in
+(* ORDER BY over output columns sorts the finished records; an
+   ungrouped, non-distinct spec sorts inside its own FLWOR instead. *)
+let gen_statement state : output =
+  let stmt = Semantic.statement state.res in
+  let order = Semantic.order_by state.res in
   let records, cols =
     match stmt.A.body with
     | A.Spec spec
-      when (not needs_output_sort) && stmt.A.order_by <> [] ->
-      (* regenerate the spec with the order clause inside its FLWOR *)
-      gen_spec_with_order state spec stmt.A.order_by
-    | _ -> gen_query_records state Scope.root stmt.A.body
-  in
-  let records =
-    if needs_output_sort && stmt.A.order_by <> [] then begin
-      (* probe the spec's own scope so column keys can be matched to
-         the select items they resolve to *)
-      let probe =
-        match stmt.A.body with
-        | A.Spec spec ->
-          let scope = Semantic.spec_scope state.env Scope.root spec in
-          Some (scope, Semantic.expand_select state.env scope spec)
-        | A.Set _ -> None
-      in
-      let order =
-        List.map
-          (fun (o : A.order_item) ->
-            let idx =
-              match probe with
-              | Some (scope, items) -> (
-                match
-                  Semantic.order_key_output_index state.env scope items o
-                with
-                | Some i -> i
-                | None ->
-                  fail Errors.Unknown_column
-                    "ORDER BY key is not an output column")
-              | None -> (
-                match o.A.key with
-                | A.Ord_position i -> i - 1
-                | A.Ord_expr (A.Column { qualifier = None; name; _ }) -> (
-                  match output_index cols name with
-                  | Some i -> i
-                  | None ->
-                    fail Errors.Unknown_column
-                      "ORDER BY key %s is not an output column" name)
-                | A.Ord_expr _ ->
-                  fail Errors.Unsupported
-                    "ORDER BY expressions over set operations")
-            in
-            (idx, o.A.descending))
-          stmt.A.order_by
-      in
-      let ctx = Namer.fresh_ctx state.namer in
-      order_output_records state ctx cols order records
-    end
-    else records
+      when not ((Semantic.spec state.res spec).Semantic.grouped || spec.A.distinct) ->
+      gen_spec_records ~order state top spec
+    | body ->
+      let records, cols = gen_query_records state top body in
+      if order = [] then (records, cols)
+      else begin
+        let ctx = Namer.fresh_ctx state.namer in
+        let order =
+          List.map
+            (function
+              | Semantic.Output i, descending -> (i, descending)
+              | Semantic.Key _, _ ->
+                invalid_arg "Generate: an expression key over output columns")
+            order
+        in
+        (order_output_records state ctx cols order records, cols)
+      end
   in
   let body = X.elem "RECORDSET" [ records ] in
-  ( {
-      query = { X.prolog = { X.imports = state.imports }; body };
-      columns = cols;
-    }
-    : output )
+  { query = { X.prolog = { X.imports = state.imports }; body }; columns = cols }
 
-and gen_spec_with_order state (spec : A.query_spec)
-    (order_by : A.order_item list) : X.expr * Outcol.t list =
-  let ctx = Namer.fresh_ctx state.namer in
-  let parent = Scope.root in
-  let from_parts = List.map (gen_table_ref state ctx parent) spec.A.from in
-  let clauses = List.concat_map fst from_parts in
-  let views = List.concat_map snd from_parts in
-  let scope = Scope.push parent views in
-  let gctx = { scope; group = None } in
-  let clauses =
-    clauses
-    @
-    match spec.A.where with
-    | None -> []
-    | Some w -> [ X.Where (gen_pred state gctx ~polarity:true w) ]
-  in
-  let items = Semantic.expand_select state.env scope spec in
-  let cols = List.map fst items in
-  let order_specs =
-    List.map
-      (fun (o : A.order_item) ->
-        let key_expr =
-          match o.A.key with
-          | A.Ord_position i ->
-            if i < 1 || i > List.length items then
-              fail Errors.Unknown_column "ORDER BY position %d out of range" i
-            else snd (List.nth items (i - 1))
-          | A.Ord_expr (A.Column { qualifier = None; name; _ } as e) -> (
-            (* output label takes precedence over source columns *)
-            match output_index cols name with
-            | Some i -> snd (List.nth items i)
-            | None -> e)
-          | A.Ord_expr e -> e
-        in
-        {
-          X.key = gen_typed_operand state gctx key_expr;
-          descending = o.A.descending;
-          empty = X.Empty_least;
-        })
-      order_by
-  in
-  (build_return state gctx ~clauses ~items ~order:order_specs, cols)
+let generate ?(style = Patterned) res : output =
+  gen_statement (create_state ~style res)
 
-let generate ?(style = Patterned) env (stmt : A.statement) : output =
-  let state = create_state ~style env in
-  gen_statement_internal state stmt
-
-let generate_lifted env ~literals (stmt : A.statement) =
-  let state = create_state ~lift:literals env in
-  let output = gen_statement_internal state stmt in
+let generate_lifted ~literals res =
+  let state = create_state ~lift:literals res in
+  let output = gen_statement state in
   (output, List.rev state.order)
 
 let lifted_value (l : lifted) (lit : A.literal) : X.expr =

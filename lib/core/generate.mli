@@ -1,5 +1,6 @@
 (** Stage three of the translation (paper sections 3.4.3 and 3.5):
-    serializes the validated SQL AST into XQuery, every resultset node
+    serializes the resolved statement stage two returns into XQuery,
+    resolving no name and inferring no type itself; every resultset node
     translating itself — tables into [for] clauses over data-service
     functions, derived tables into [let]-bound RECORDSETs, outer joins
     into the if-empty pattern of Example 10, grouping into the BEA
@@ -25,11 +26,10 @@ type output = {
   columns : Outcol.t list;
 }
 
-val generate :
-  ?style:style -> Semantic.env -> Aqua_sql.Ast.statement -> output
-(** Requires a statement already validated by
-    {!Semantic.statement_columns}.
-    @raise Errors.Error on residual semantic errors. *)
+val generate : ?style:style -> Semantic.t -> output
+(** Serializes a resolved statement: binds its views to XQuery row
+    variables and reads every column's resolution and every operand's
+    type from stage two.  Raises no translation error. *)
 
 type lifted = {
   var : string;  (** the external: [litK], or [litK_T] for a cast to xs:T *)
@@ -40,10 +40,7 @@ type lifted = {
 }
 
 val generate_lifted :
-  Semantic.env ->
-  literals:Aqua_sql.Ast.literal array ->
-  Aqua_sql.Ast.statement ->
-  output * lifted list
+  literals:Aqua_sql.Ast.literal array -> Semantic.t -> output * lifted list
 (** [generate] (patterned style) with every literal of [literals]
     ({!Aqua_sql.Parser.numbering}[.values], matched by identity) that is
     used as an opaque constant (wherever [generate] emits the literal's

@@ -3,11 +3,11 @@
     Each query spec opens a scope holding one view per FROM item (the
     paper's resultset nodes); resolution walks outward through parent
     scopes, which is how correlated subqueries see their outer query's
-    columns.  During the semantic pass views carry no XQuery binding;
-    during generation each view is bound to the XQuery row variable
-    its rows are iterated with. *)
+    columns.  Views are made by {!view}, which case-folds their alias
+    and columns' labels once; stage three binds each view, by {!view.id},
+    to the XQuery row variable its rows are iterated with. *)
 
-type vcol = {
+type vcol = private {
   label : string;  (** the SQL-visible column name *)
   qualifier : string option;
       (** alias the column may be qualified with; survives join
@@ -16,13 +16,35 @@ type vcol = {
   element : string;  (** child element name in this view's rows *)
   ty : Aqua_relational.Sql_type.t;
   nullable : bool;
+  key : string;  (** [label], case-folded *)
+  qualifier_key : string option;  (** [qualifier], case-folded *)
 }
 
-type view = {
+type view = private {
+  id : int;  (** unique among the views of a process *)
   alias : string option;
-  cols : vcol list;
-  binding : string option;  (** XQuery row variable, without ['$'] *)
+  alias_key : string option;  (** [alias], case-folded *)
+  cols : vcol list;  (** in the order of the view's rows *)
+  lookup : vcol list;
+      (** the same columns in SQL order, which ambiguity is reported
+          in; differs from [cols] only under a RIGHT OUTER JOIN, whose
+          record puts the right side first *)
 }
+
+val col :
+  ?qualifier:string ->
+  element:string ->
+  ty:Aqua_relational.Sql_type.t ->
+  nullable:bool ->
+  string ->
+  vcol
+
+val view : ?alias:string -> ?lookup:vcol list -> vcol list -> view
+
+val qualified_cols : nullable:bool -> view -> vcol list
+(** The view's columns as a join record carries them: qualified by the
+    view's alias, element [T.C]; all nullable on a null-extended side
+    ([~nullable:true]). *)
 
 type t
 
@@ -31,9 +53,6 @@ val root : t
 
 val push : t -> view list -> t
 (** A child scope with the given views. *)
-
-val views : t -> view list
-(** The scope's own (innermost) views. *)
 
 type resolution = {
   res_view : view;

@@ -3,11 +3,12 @@
     (sub)query's output schema — wildcard expansion, alias resolution,
     grouping-rule enforcement, set-operation compatibility.
 
-    The scope-construction helpers are shared with stage three (which
-    re-runs resolution with XQuery bindings attached, the way the
-    paper's contexts serve XPath-resolution requests during
-    generation) and with the baseline SQL engine (so both execution
-    paths agree on names and types). *)
+    {!resolve} returns what it found as a resolved statement: each
+    query spec's FROM views, expanded select items, grouping columns
+    and the statement's ORDER BY targets; each column reference's
+    resolution; the type of each operand stage three casts or guards
+    by.  Stage three ({!Generate}), EXPLAIN and the baseline SQL
+    engine's ORDER BY read it and resolve nothing themselves. *)
 
 type env = {
   lookup_table :
@@ -20,59 +21,78 @@ val env_of_application : Aqua_dsp.Artifact.application -> env
 val env_of_cache : Aqua_dsp.Metadata.Cache.t -> env
 (** Lookups through the driver's metadata cache (fetch on miss). *)
 
-(** {2 Scope construction} *)
+(** {2 The resolved statement} *)
+
+type source =
+  | Table of Aqua_dsp.Metadata.table
+  | Derived of Aqua_sql.Ast.query
+
+(** A FROM item in the shape stage three binds it. *)
+type from =
+  | Leaf of Scope.view * source  (** a table or derived table *)
+  | Inner of from * from * Aqua_sql.Ast.expr option
+      (** an inner join (with its ON condition) or a cross join: the
+          views of both sides stay separate *)
+  | Outer of {
+      left : from;
+      right : from;
+      cond : Aqua_sql.Ast.expr;
+      full : bool;  (** FULL, else LEFT *)
+      view : Scope.view;
+    }
+      (** an outer-join tree, flattened into one view whose record
+          carries every column of both sides as [T.C] (paper Example
+          10); a RIGHT join appears as LEFT with its sides swapped *)
+
+type spec = {
+  from : from list;
+  views : Scope.view list;  (** every view [from] binds, in order *)
+  scope : Scope.t;  (** the scope the spec's clauses resolve in *)
+  items : (Outcol.t * Aqua_sql.Ast.expr) list;
+      (** output columns with the select expressions producing them;
+          wildcards expanded into (resolved) column references *)
+  grouped : bool;  (** GROUP BY, HAVING, or aggregates in the select list *)
+  group_by : Scope.resolution list;  (** the grouping columns *)
+}
+
+type order_key =
+  | Output of int
+      (** the 0-based output column; of an ungrouped, non-distinct
+          query, a key given by position *)
+  | Key of Aqua_sql.Ast.expr
+      (** an expression over the scope of an ungrouped, non-distinct
+          query: an output label's select expression, or the key *)
+
+type t
+
+val resolve : env -> Aqua_sql.Ast.statement -> t
+(** Validates the statement.
+    @raise Errors.Error on any semantic error. *)
+
+val statement : t -> Aqua_sql.Ast.statement
+
+val order_by : t -> (order_key * bool) list
+(** The ORDER BY targets, with their descending flags. *)
+
+val spec : t -> Aqua_sql.Ast.query_spec -> spec
+(** The resolution of one of the statement's query specs (by physical
+    identity: the top-level one, a derived table's, a subquery's). *)
+
+val column : t -> Aqua_sql.Ast.expr -> Scope.resolution
+(** The resolution of one of the statement's column references,
+    including those wildcard expansion made. *)
+
+val info : t -> Aqua_sql.Ast.expr -> Typer.info
+(** The type of a literal, a column reference, or an operand noted by
+    {!Typer.env.note}. *)
+
+(** {2 For the baseline SQL engine} *)
 
 val table_view : Aqua_dsp.Metadata.table -> alias:string option -> Scope.view
 val derived_view : Outcol.t list -> alias:string -> Scope.view
 
-val qualify_view_cols : Scope.view -> Scope.vcol list
-(** Qualified column layout a view contributes to a join record
-    ([T.C] element names). *)
-
-val make_nullable : Scope.vcol list -> Scope.vcol list
-
-val join_view : env -> Scope.t -> Aqua_sql.Ast.table_ref -> Scope.view
-(** The flattened single view of a join tree (columns of both sides,
-    null-extended sides made nullable); validates ON conditions. *)
-
-val spec_scope : env -> Scope.t -> Aqua_sql.Ast.query_spec -> Scope.t
-(** The scope a query spec's clauses resolve in; detects duplicate
-    aliases. *)
-
-(** {2 Validation and schemas} *)
-
-val resolve_column :
-  env -> Scope.t -> qualifier:string option -> string -> Aqua_sql.Ast.pos ->
-  Typer.info
-(** @raise Errors.Error on unknown or ambiguous columns. *)
-
-val typer_env : env -> Scope.t -> Typer.env
-
 val is_grouped : Aqua_sql.Ast.query_spec -> bool
-(** Whether the spec is a grouped query (GROUP BY, HAVING, or
-    aggregates in the select list). *)
 
-val expand_select :
+val select_items :
   env -> Scope.t -> Aqua_sql.Ast.query_spec -> (Outcol.t * Aqua_sql.Ast.expr) list
-(** Expands wildcards and computes output columns; each output column
-    is paired with the select expression that produces it (stars
-    become explicit column references). *)
-
-val query_columns : env -> parent:Scope.t -> Aqua_sql.Ast.query -> Outcol.t list
-(** Validates a full (sub)query and returns its output columns.
-    @raise Errors.Error on any semantic error. *)
-
-val order_key_output_index :
-  env ->
-  Scope.t ->
-  (Outcol.t * Aqua_sql.Ast.expr) list ->
-  Aqua_sql.Ast.order_item ->
-  int option
-(** Maps an ORDER BY key to an output column index (position, label,
-    or a column key resolving to the same column as a select item) —
-    the notion of "output column key" grouped/distinct queries
-    restrict ORDER BY to. *)
-
-val statement_columns : env -> Aqua_sql.Ast.statement -> Outcol.t list
-(** [query_columns] plus ORDER BY validation (positions in range;
-    grouped/distinct/set queries restricted to output-column keys). *)
+(** A spec's expanded select list over the given scope. *)

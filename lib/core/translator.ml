@@ -16,15 +16,15 @@ let parse_stage parse sql =
 
 let semantic_stage env statement =
   Telemetry.with_span "translate.semantic" (fun () ->
-      ignore (Semantic.statement_columns env statement))
+      Semantic.resolve env statement)
 
 let translate_statement ?style env (statement : A.statement) : t =
   (* stage two: semantic validation against metadata *)
-  semantic_stage env statement;
+  let resolved = semantic_stage env statement in
   (* stage three: XQuery generation *)
   let output =
     Telemetry.with_span "translate.generate" (fun () ->
-        Generate.generate ?style env statement)
+        Generate.generate ?style resolved)
   in
   {
     statement;
@@ -49,11 +49,11 @@ let translate_lifted env sql =
   Telemetry.incr Telemetry.c_translations;
   Telemetry.with_span "translate" @@ fun () ->
   let statement, numbering = parse_stage Aqua_sql.Parser.parse_numbered sql in
-  semantic_stage env statement;
+  let resolved = semantic_stage env statement in
   let output, externals =
     Telemetry.with_span "translate.generate" (fun () ->
-        Generate.generate_lifted env ~literals:numbering.Aqua_sql.Parser.values
-          statement)
+        Generate.generate_lifted ~literals:numbering.Aqua_sql.Parser.values
+          resolved)
   in
   let values = numbering.Aqua_sql.Parser.values in
   let lifted = Array.make (Array.length values) false in

@@ -18,10 +18,11 @@ let unknown = { ty = Sql_type.Varchar None; nullable = true; known = false }
 
 type env = {
   (* resolves a column reference to its type *)
-  resolve_column :
-    qualifier:string option -> string -> A.pos -> info;
+  column : A.expr -> info;
   (* computes the output columns of a subquery (validating it) *)
   query_schema : A.query -> Outcol.t list;
+  (* told the type of each operand stage three casts or guards by *)
+  note : A.expr -> info -> unit;
 }
 
 let fail ?pos kind fmt = Errors.raise_error ?pos kind fmt
@@ -56,21 +57,32 @@ let subquery_column_info env q =
   (* IN / quantified subqueries must also be single-column *)
   scalar_subquery_info env q
 
-let rec infer env (e : A.expr) : info =
+let literal (lit : A.literal) =
+  match lit with
+  | A.L_int _ -> known Sql_type.Integer false
+  | A.L_num (_, spelling) ->
+    let approx = String.contains spelling 'e' || String.contains spelling 'E' in
+    known (if approx then Sql_type.Double else Sql_type.Decimal None) false
+  | A.L_string _ -> known (Sql_type.Varchar None) false
+  | A.L_date _ -> known Sql_type.Date false
+  | A.L_time _ -> known Sql_type.Time false
+  | A.L_timestamp _ -> known Sql_type.Timestamp false
+  | A.L_bool _ -> known Sql_type.Boolean false
+  | A.L_null -> { ty = Sql_type.Varchar None; nullable = true; known = false }
+
+(* Infers an operand whose type stage three reads (the other side of a
+   comparison with a literal, a function argument it may null-guard, a
+   LIKE argument); literals and columns need no note, stage three types
+   them from the literal and the column's resolution. *)
+let rec operand env (e : A.expr) =
+  let i = infer env e in
+  (match e with A.Lit _ | A.Column _ -> () | _ -> env.note e i);
+  i
+
+and infer env (e : A.expr) : info =
   match e with
-  | A.Lit lit -> (
-    match lit with
-    | A.L_int _ -> known Sql_type.Integer false
-    | A.L_num (_, spelling) ->
-      let approx = String.contains spelling 'e' || String.contains spelling 'E' in
-      known (if approx then Sql_type.Double else Sql_type.Decimal None) false
-    | A.L_string _ -> known (Sql_type.Varchar None) false
-    | A.L_date _ -> known Sql_type.Date false
-    | A.L_time _ -> known Sql_type.Time false
-    | A.L_timestamp _ -> known Sql_type.Timestamp false
-    | A.L_bool _ -> known Sql_type.Boolean false
-    | A.L_null -> { ty = Sql_type.Varchar None; nullable = true; known = false })
-  | A.Column { qualifier; name; pos } -> env.resolve_column ~qualifier name pos
+  | A.Lit lit -> literal lit
+  | A.Column _ -> env.column e
   | A.Param _ -> unknown
   | A.Arith (op, a, b) ->
     let ia = infer env a and ib = infer env b in
@@ -96,7 +108,7 @@ let rec infer env (e : A.expr) : info =
     let ia = infer env a and ib = infer env b in
     known (Sql_type.Varchar None) (ia.nullable || ib.nullable)
   | A.Cmp (_, a, b) ->
-    let ia = infer env a and ib = infer env b in
+    let ia = operand env a and ib = operand env b in
     require_comparable ia ib;
     known Sql_type.Boolean (ia.nullable || ib.nullable)
   | A.And (a, b) | A.Or (a, b) ->
@@ -107,22 +119,27 @@ let rec infer env (e : A.expr) : info =
     ignore (infer env arg);
     known Sql_type.Boolean false
   | A.Between { arg; low; high; _ } ->
-    let ia = infer env arg and il = infer env low and ih = infer env high in
+    let ia = operand env arg and il = operand env low and ih = operand env high in
     require_comparable ia il;
     require_comparable ia ih;
     known Sql_type.Boolean (ia.nullable || il.nullable || ih.nullable)
   | A.Like { arg; pattern; escape; _ } ->
-    let ia = infer env arg and ip = infer env pattern in
-    if ia.known && not (Sql_type.is_character ia.ty) then
-      fail Errors.Type_mismatch "LIKE applies to character types, not %s"
-        (Sql_type.to_string ia.ty);
+    let ia = operand env arg and ip = infer env pattern in
+    let character i =
+      if i.known && not (Sql_type.is_character i.ty) then
+        fail Errors.Type_mismatch "LIKE applies to character types, not %s"
+          (Sql_type.to_string i.ty)
+    in
+    character ia;
     let ie = Option.map (infer env) escape in
+    character ip;
+    Option.iter character ie;
     known Sql_type.Boolean
       (ia.nullable || ip.nullable
       || match ie with Some i -> i.nullable | None -> false)
   | A.In_list { arg; items; _ } ->
-    let ia = infer env arg in
-    let infos = List.map (infer env) items in
+    let ia = operand env arg in
+    let infos = List.map (operand env) items in
     List.iter (require_comparable ia) infos;
     known Sql_type.Boolean
       (ia.nullable || List.exists (fun i -> i.nullable) infos)
@@ -150,12 +167,15 @@ let rec infer env (e : A.expr) : info =
       if n < entry.Funcmap.min_args || n > entry.Funcmap.max_args then
         fail Errors.Type_mismatch "%s expects between %d and %d arguments" name
           entry.Funcmap.min_args entry.Funcmap.max_args;
-      let infos = List.map (infer env) args in
+      let infos = List.map (operand env) args in
       let tys = List.map (fun i -> if i.known then Some i.ty else None) infos in
       known
         (entry.Funcmap.result_type tys)
         (entry.Funcmap.nullable (List.map (fun i -> i.nullable) infos)))
   | A.Agg { func; arg; _ } -> (
+    if Option.fold ~none:false ~some:A.contains_aggregate arg then
+      fail Errors.Grouping "aggregate function %s takes an aggregate argument"
+        (A.agg_func_name func);
     let arg_info = Option.map (infer env) arg in
     (match arg_info with
     | Some i
@@ -181,7 +201,7 @@ let rec infer env (e : A.expr) : info =
     let ia = infer env a in
     known ty ia.nullable
   | A.Case { operand; branches; else_ } ->
-    (match operand with Some o -> ignore (infer env o) | None -> ());
+    let operand_info = Option.map (infer env) operand in
     let branch_infos = List.map (fun (_, t) -> infer env t) branches in
     let else_info = Option.map (infer env) else_ in
     let all = branch_infos @ Option.to_list else_info in
@@ -198,6 +218,13 @@ let rec infer env (e : A.expr) : info =
             else Some i)
         None all
     in
+    (* each WHEN is checked as WHERE checks its condition; a simple
+       CASE compares its operand with each WHEN value *)
+    List.iter
+      (fun (w, _) ->
+        let iw = infer env w in
+        Option.iter (fun io -> require_comparable io iw) operand_info)
+      branches;
     let nullable =
       else_ = None || List.exists (fun i -> i.nullable) all
     in

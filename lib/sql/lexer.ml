@@ -166,7 +166,7 @@ let skip_block_comment st =
 
 let two_char_punct = [ "<="; ">="; "<>"; "!="; "||" ]
 
-let tokenize src =
+let tokens src =
   let st = { src; pos = 0; line = 1; bol = 0 } in
   let toks = ref [] in
   let emit pos token = toks := { token; pos } :: !toks in
@@ -224,4 +224,6 @@ let tokenize src =
         | _ -> error st "unexpected character %C" c)
   in
   loop ();
-  Array.of_list (List.rev !toks)
+  List.rev !toks
+
+let tokenize src = Array.of_list (tokens src)

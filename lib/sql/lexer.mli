@@ -16,6 +16,12 @@ type located = {
 
 exception Lex_error of { pos : Ast.pos; message : string }
 
+val tokens : string -> located list
+(** The tokens as a list, which the parser walks: an array of more than
+    256 tokens would be allocated in the major heap, a step in the cost
+    of every long statement.
+    @raise Lex_error as {!tokenize}. *)
+
 val tokenize : string -> located array
 (** @raise Lex_error on an unrecognized character or unterminated
     literal. The result always ends with an [Eof] token. *)

@@ -4,9 +4,9 @@ open Ast
 exception Parse_error of { pos : Ast.pos; message : string }
 
 type state = {
-  toks : Lexer.located array;
-  lits : literal option array;  (* per token: its literal, if it is one *)
-  mutable idx : int;
+  mutable rest : (Lexer.located * literal option) list;
+      (* the tokens from the current one on, each with its literal if it
+         is one; never empty, it ends with [Eof] *)
   mutable next_param : int;
 }
 
@@ -21,15 +21,15 @@ let literal_of_token = function
 let error_at pos fmt =
   Format.kasprintf (fun message -> raise (Parse_error { pos; message })) fmt
 
-let current st = st.toks.(st.idx)
+let current st = fst (List.hd st.rest)
 let peek_token st = (current st).token
 let peek_pos st = (current st).pos
 
 let peek_ahead st n =
-  let i = st.idx + n in
-  if i < Array.length st.toks then st.toks.(i).token else Lexer.Eof
+  match List.nth_opt st.rest n with Some (t, _) -> t.token | None -> Lexer.Eof
 
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+let advance st =
+  match st.rest with _ :: (_ :: _ as rest) -> st.rest <- rest | _ -> ()
 
 let error st fmt = error_at (peek_pos st) fmt
 
@@ -209,9 +209,9 @@ and parse_predicate st =
   (* a parenthesized comma list opens a row-value-constructor
      comparison; look ahead to distinguish from a grouped expression *)
   if at_punct st "(" && not (is_kw (peek_ahead st 1) "SELECT") then begin
-    let save = st.idx and save_param = st.next_param in
+    let save = st.rest and save_param = st.next_param in
     let restore () =
-      st.idx <- save;
+      st.rest <- save;
       st.next_param <- save_param
     in
     advance st;
@@ -496,7 +496,7 @@ and parse_primary st =
   match peek_token st with
   | Lexer.Int_lit _ | Lexer.Num_lit _ | Lexer.String_lit _ ->
     (* the block numbered in [values], so its ordinal is its identity *)
-    let lit = Option.get st.lits.(st.idx) in
+    let lit = Option.get (snd (List.hd st.rest)) in
     advance st;
     Lit lit
   | Lexer.Punct "?" ->
@@ -818,17 +818,19 @@ let parse_order_by st =
 
 let run_parser src f =
   let toks =
-    try Lexer.tokenize src
+    try Lexer.tokens src
     with Lexer.Lex_error { pos; message } -> raise (Parse_error { pos; message })
   in
-  let lits = Array.map (fun (t : Lexer.located) -> literal_of_token t.token) toks in
-  let st = { toks; lits; idx = 0; next_param = 1 } in
+  let toks =
+    List.map (fun (t : Lexer.located) -> (t, literal_of_token t.token)) toks
+  in
+  let st = { rest = toks; next_param = 1 } in
   let result = f st in
   ignore (eat_punct st ";");
   (match peek_token st with
   | Lexer.Eof -> ()
   | t -> error st "unexpected %s after end of statement" (Lexer.token_to_string t));
-  let values = Array.of_list (List.filter_map Fun.id (Array.to_list lits)) in
+  let values = Array.of_list (List.filter_map snd toks) in
   (result, { values; params = st.next_param - 1 })
 
 let statement st =

@@ -613,31 +613,23 @@ and rows_of_table_ref ?(params : params = [||]) env outer_scope outer_frames
     in
     let lwidth = List.length lview.Scope.cols in
     let rwidth = List.length rview.Scope.cols in
-    let lcols = Semantic.qualify_view_cols lview in
-    let rcols = Semantic.qualify_view_cols rview in
     let lcols =
-      match kind with
-      | A.J_right | A.J_full -> Semantic.make_nullable lcols
-      | _ -> lcols
+      Scope.qualified_cols ~nullable:(kind = A.J_right || kind = A.J_full) lview
     in
     let rcols =
-      match kind with
-      | A.J_left | A.J_full -> Semantic.make_nullable rcols
-      | _ -> rcols
+      Scope.qualified_cols ~nullable:(kind = A.J_left || kind = A.J_full) rview
     in
-    let view =
-      { Scope.alias = None; cols = lcols @ rcols; binding = None }
-    in
+    let view = Scope.view (lcols @ rcols) in
+    let join_scope = Scope.push outer_scope [ view ] in
     let on_holds lrow rrow =
       match cond with
       | None -> true
       | Some c ->
         let combined = Array.append lrow rrow in
-        let scope = Scope.push outer_scope [ view ] in
         let ctx =
           {
             env;
-            scope;
+            scope = join_scope;
             frames = [ (view, combined) ] :: outer_frames;
             group = None;
           }
@@ -656,7 +648,6 @@ and rows_of_table_ref ?(params : params = [||]) env outer_scope outer_frames
        (NULL keys never match: [x = NULL] is Unknown).  Classification
        is conservative: any subquery, aggregate or unresolvable column
        reference falls back to the nested loop. *)
-    let join_scope = Scope.push outer_scope [ view ] in
     let join_ctx combined =
       {
         env;
@@ -887,7 +878,7 @@ and exec_spec ?(params : params = [||]) env outer_scope outer_frames
       let keep frame = Value.is_true (eval_pred ~params (mk_ctx frame) w) in
       List.filter keep tuples
   in
-  let items = Semantic.expand_select env.sem scope spec in
+  let items = Semantic.select_items env.sem scope spec in
   let cols = List.map fst items in
   let project_tuple frame =
     Array.of_list
@@ -944,16 +935,25 @@ and exec_spec ?(params : params = [||]) env outer_scope outer_frames
     else begin
       match order_hook with
       | None -> List.map project_tuple tuples
-      | Some order_items ->
-        (* sort by expression keys evaluated in tuple scope, then project *)
+      | Some order ->
+        (* sort by expression keys evaluated in tuple scope, then project;
+           an output column's key is its select expression *)
+        let order =
+          List.map
+            (fun (key, descending) ->
+              match key with
+              | Semantic.Output i -> (snd (List.nth items i), descending)
+              | Semantic.Key e -> (e, descending))
+            order
+        in
         let keyed =
           List.map
             (fun frame ->
               let keys =
                 List.map
-                  (fun ((o : A.order_item), key_expr) ->
-                    (eval_expr ~params (mk_ctx frame) key_expr, o.A.descending))
-                  order_items
+                  (fun (key_expr, descending) ->
+                    (eval_expr ~params (mk_ctx frame) key_expr, descending))
+                  order
               in
               (keys, project_tuple frame))
             tuples
@@ -1072,84 +1072,30 @@ and exec_query ?(params : params = [||]) env outer_scope outer_frames
 (* Statement: top-level ORDER BY                                      *)
 
 let execute_with_params env (stmt : A.statement) (params : params) : Rowset.t =
-  (* stage-two validation gives coherent errors before evaluation *)
-  ignore (Semantic.statement_columns env.sem stmt);
+  (* stage-two validation gives coherent errors before evaluation, and
+     the ORDER BY targets *)
+  let order = Semantic.order_by (Semantic.resolve env.sem stmt) in
   let cols, rows =
     match stmt.A.body with
     | A.Spec spec
       when (not (Semantic.is_grouped spec))
            && (not spec.A.distinct)
-           && stmt.A.order_by <> [] ->
-      (* expression-capable ORDER BY path: resolve order keys to
-         expressions (positions and labels map to select expressions) *)
-      let probe_scope =
-        Semantic.spec_scope env.sem Scope.root spec
-      in
-      let probe_items = Semantic.expand_select env.sem probe_scope spec in
-      let key_exprs =
-        List.map
-          (fun (o : A.order_item) ->
-            let expr =
-              match o.A.key with
-              | A.Ord_position i -> snd (List.nth probe_items (i - 1))
-              | A.Ord_expr (A.Column { qualifier = None; name; _ } as e) -> (
-                let by_label =
-                  List.find_opt
-                    (fun ((c : Outcol.t), _) ->
-                      String.uppercase_ascii c.Outcol.label
-                      = String.uppercase_ascii name)
-                    probe_items
-                in
-                match by_label with Some (_, e') -> e' | None -> e)
-              | A.Ord_expr e -> e
-            in
-            (o, expr))
-          stmt.A.order_by
-      in
-      exec_spec ~params env Scope.root [] spec ~order_hook:(Some key_exprs)
+           && order <> [] ->
+      (* expression-capable ORDER BY path: keys evaluated per tuple *)
+      exec_spec ~params env Scope.root [] spec ~order_hook:(Some order)
     | _ ->
       let cols, rows = exec_query ~params env Scope.root [] stmt.A.body in
-      (* for a grouped/distinct spec, column keys may also be matched
-         by resolving them against the select items *)
-      let probe =
-        match stmt.A.body with
-        | A.Spec spec ->
-          let scope = Semantic.spec_scope env.sem Scope.root spec in
-          Some (scope, Semantic.expand_select env.sem scope spec)
-        | A.Set _ -> None
-      in
       let rows =
-        if stmt.A.order_by = [] then rows
+        if order = [] then rows
         else begin
-          let index_of (o : A.order_item) =
-            match probe with
-            | Some (scope, items) -> (
-              match Semantic.order_key_output_index env.sem scope items o with
-              | Some i -> i
-              | None ->
-                fail Errors.Unknown_column
-                  "ORDER BY key is not an output column")
-            | None -> (
-              match o.A.key with
-              | A.Ord_position i -> i - 1
-              | A.Ord_expr (A.Column { qualifier = None; name; _ }) -> (
-                let rec go i = function
-                  | [] ->
-                    fail Errors.Unknown_column
-                      "ORDER BY key %s is not an output column" name
-                  | (c : Outcol.t) :: rest ->
-                    if
-                      String.uppercase_ascii c.Outcol.label
-                      = String.uppercase_ascii name
-                    then i
-                    else go (i + 1) rest
-                in
-                go 0 cols)
-              | A.Ord_expr _ ->
-                fail Errors.Unsupported
-                  "ORDER BY expressions over set operations")
+          let keys =
+            List.map
+              (function
+                | Semantic.Output i, desc -> (i, desc)
+                | Semantic.Key _, _ ->
+                  invalid_arg "Engine: an expression key over output columns")
+              order
           in
-          let keys = List.map (fun o -> (index_of o, o.A.descending)) stmt.A.order_by in
           let compare_rows a b =
             let rec go = function
               | [] -> 0

@@ -284,10 +284,45 @@ let naive_style_agrees () =
       "SELECT CITY, COUNT(*) N FROM CUSTOMERS GROUP BY CITY";
       "SELECT C.CUSTOMERNAME, P.PAYMENT FROM CUSTOMERS C LEFT OUTER JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID" ]
 
+(* Known oracle divergence: a subquery the driver never evaluates.
+   With CUSTOMERID < 0 no outer row reaches the subquery, so both XQuery
+   engines return no rows, while the SQL engine evaluates the subquery
+   anyway and fails (38000: more than one row, a division by zero).
+   Hoisting uncorrelated subqueries out of the outer FLWOR must decide
+   whether this stays so; until then the divergence is pinned here. *)
+let never_reached_subqueries () =
+  let app = Helpers.demo_app () in
+  let engine_env = Engine.env_of_application app in
+  List.iter
+    (fun sql ->
+      List.iter
+        (fun optimize ->
+          let conn = Connection.connect ~optimize app in
+          let rows =
+            Aqua_driver.Result_set.to_rowset (Connection.execute_query conn sql)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "no rows (optimize=%b): %s" optimize sql)
+            0 (List.length rows.Rowset.rows))
+        [ true; false ];
+      match Engine.execute_sql engine_env sql with
+      | _ -> Alcotest.failf "the SQL engine answered: %s" sql
+      | exception e ->
+        Alcotest.(check string)
+          ("the SQL engine fails: " ^ sql)
+          "38000"
+          (Aqua_driver.Sql_error.classify e).Aqua_resilience.Sqlstate.sqlstate)
+    [ "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 0 AND TIER = \
+       (SELECT TIER FROM CUSTOMERS)";
+      "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID < 0 AND TIER IN \
+       (SELECT 1 / 0 FROM CUSTOMERS)" ]
+
 let suite =
   ( "differential",
     [ Helpers.case "battery via text transport" (battery_case Connection.Text);
       Helpers.case "battery via xml transport" (battery_case Connection.Xml);
       Helpers.case "naive style agrees" naive_style_agrees;
+      Helpers.case "never-reached subqueries (known divergence)"
+        never_reached_subqueries;
       Helpers.qcheck prop_differential;
       Helpers.qcheck prop_differential_reporting ] )

@@ -119,7 +119,9 @@ let metadata_cache_counts () =
   let c = conn () in
   let cache = Connection.metadata_cache c in
   ignore (Connection.execute_query c "SELECT * FROM CUSTOMERS");
-  ignore (Connection.execute_query c "SELECT * FROM CUSTOMERS");
+  (* a second shape: the same text would reuse the cached plan and look
+     nothing up *)
+  ignore (Connection.execute_query c "SELECT CITY FROM CUSTOMERS");
   check_bool "cache hits recorded" true (Metadata.Cache.hits cache > 0)
 
 let qualified_table_names () =

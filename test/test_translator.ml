@@ -15,39 +15,87 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
 
+(* Each statement's error as [Errors.to_string] prints it (kind,
+   position, message), all raised by stage two: [Semantic.resolve]
+   alone rejects every one of them. *)
 let semantic_errors () =
   let a = app () in
-  Helpers.expect_error ~kind:Errors.Unknown_table a "SELECT * FROM NOPE";
-  Helpers.expect_error ~kind:Errors.Unknown_column a
-    "SELECT NOPE FROM CUSTOMERS";
-  Helpers.expect_error ~kind:Errors.Unknown_column a
-    "SELECT X.CUSTOMERID FROM CUSTOMERS C";
-  Helpers.expect_error ~kind:Errors.Ambiguous_column a
-    "SELECT CUSTOMERID FROM CUSTOMERS, PO_CUSTOMERS";
-  (* the paper's grouping example: SELECT EMPNO ... GROUP BY EMPNAME *)
-  Helpers.expect_error ~kind:Errors.Grouping a
-    "SELECT CUSTOMERID FROM CUSTOMERS GROUP BY CUSTOMERNAME";
-  Helpers.expect_error ~kind:Errors.Grouping a
-    "SELECT CITY, COUNT(*) FROM CUSTOMERS GROUP BY CITY HAVING TIER > 1";
-  Helpers.expect_error ~kind:Errors.Grouping a
-    "SELECT * FROM CUSTOMERS WHERE COUNT(*) > 1";
-  Helpers.expect_error ~kind:Errors.Grouping a
-    "SELECT * FROM CUSTOMERS C, CUSTOMERS C";
-  Helpers.expect_error ~kind:Errors.Type_mismatch a
-    "SELECT CITY FROM CUSTOMERS UNION SELECT CITY, TIER FROM CUSTOMERS";
-  Helpers.expect_error ~kind:Errors.Type_mismatch a
-    "SELECT * FROM CUSTOMERS WHERE CUSTOMERNAME > 5";
-  Helpers.expect_error ~kind:Errors.Type_mismatch a
-    "SELECT CUSTOMERNAME + 1 FROM CUSTOMERS";
-  Helpers.expect_error ~kind:Errors.Unknown_column a
-    "SELECT CUSTOMERID FROM CUSTOMERS ORDER BY 9";
-  Helpers.expect_error ~kind:Errors.Cardinality a
-    "SELECT * FROM CUSTOMERS WHERE CUSTOMERID IN (SELECT CUSTOMERID, TIER FROM CUSTOMERS)";
-  Helpers.expect_error ~kind:Errors.Unsupported a
-    "SELECT BOGUSFN(CUSTOMERID) FROM CUSTOMERS";
-  (* correlation works, sibling derived tables must not see each other *)
-  Helpers.expect_error ~kind:Errors.Unknown_column a
-    "SELECT * FROM CUSTOMERS C, (SELECT CUSTOMERID FROM PO_CUSTOMERS WHERE CUSTOMERID = C.CUSTOMERID) D"
+  let env = Semantic.env_of_application a in
+  List.iter
+    (fun (sql, expected) ->
+      match Semantic.resolve env (Aqua_sql.Parser.parse sql) with
+      | _ -> Alcotest.failf "stage two accepted: %s" sql
+      | exception Errors.Error e -> check_str sql expected (Errors.to_string e))
+    [ ("SELECT * FROM NOPE",
+       "unknown table at line 1, column 15: table NOPE does not exist");
+      ("SELECT NOPE FROM CUSTOMERS",
+       "unknown column at line 1, column 8: column NOPE does not exist");
+      ("SELECT X.CUSTOMERID FROM CUSTOMERS C",
+       "unknown column at line 1, column 8: column X.CUSTOMERID does not exist");
+      ("SELECT CUSTOMERID FROM CUSTOMERS, PO_CUSTOMERS",
+       "ambiguous column at line 1, column 8: column CUSTOMERID is ambiguous: \
+        CUSTOMERS.CUSTOMERID, PO_CUSTOMERS.CUSTOMERID");
+      (* ambiguity is reported in SQL order, also where the generated
+         record puts a RIGHT JOIN's right side first *)
+      ("SELECT CUSTOMERID FROM CUSTOMERS C RIGHT OUTER JOIN PO_CUSTOMERS P ON \
+        C.CUSTOMERID = P.CUSTOMERID",
+       "ambiguous column at line 1, column 8: column CUSTOMERID is ambiguous: \
+        C.CUSTOMERID, P.CUSTOMERID");
+      (* the paper's grouping example: SELECT EMPNO ... GROUP BY EMPNAME *)
+      ("SELECT CUSTOMERID FROM CUSTOMERS GROUP BY CUSTOMERNAME",
+       "grouping error at line 1, column 8: column CUSTOMERID must appear in \
+        the GROUP BY clause or be used in an aggregate function (in SELECT)");
+      ("SELECT CITY, COUNT(*) FROM CUSTOMERS GROUP BY CITY HAVING TIER > 1",
+       "grouping error at line 1, column 59: column TIER must appear in the \
+        GROUP BY clause or be used in an aggregate function (in HAVING)");
+      ("SELECT * FROM CUSTOMERS WHERE COUNT(*) > 1",
+       "grouping error: aggregate functions are not allowed in WHERE");
+      ("SELECT CUSTOMERID FROM CUSTOMERS ORDER BY COUNT(*)",
+       "grouping error: aggregate function COUNT outside a grouped query");
+      ("SELECT SUM(COUNT(*)) FROM CUSTOMERS",
+       "grouping error: aggregate function SUM takes an aggregate argument");
+      ("SELECT * FROM CUSTOMERS C, CUSTOMERS C",
+       "grouping error: duplicate table alias C in FROM");
+      ("SELECT CITY FROM CUSTOMERS UNION SELECT CITY, TIER FROM CUSTOMERS",
+       "type mismatch: set operation sides have different column counts (1 vs 2)");
+      ("SELECT * FROM CUSTOMERS WHERE CUSTOMERNAME > 5",
+       "type mismatch: cannot compare VARCHAR(40) with INTEGER");
+      ("SELECT CUSTOMERNAME + 1 FROM CUSTOMERS",
+       "type mismatch: arithmetic on non-numeric type VARCHAR(40)");
+      (* every WHEN is checked as WHERE checks its condition *)
+      ("SELECT CUSTOMERID, CASE WHEN CUSTOMERNAME > 5 THEN 1 ELSE 0 END FROM \
+        CUSTOMERS",
+       "type mismatch: cannot compare VARCHAR(40) with INTEGER");
+      ("SELECT CUSTOMERID, CASE TIER WHEN 'x' THEN 1 ELSE 0 END FROM CUSTOMERS",
+       "type mismatch: cannot compare INTEGER with VARCHAR");
+      ("SELECT CUSTOMERID, CASE WHEN CUSTOMERNAME LIKE 3 THEN 1 ELSE 0 END FROM \
+        CUSTOMERS",
+       "type mismatch: LIKE applies to character types, not INTEGER");
+      ("SELECT CUSTOMERID, CASE WHEN NOSUCH = 1 THEN 1 ELSE 0 END FROM CUSTOMERS",
+       "unknown column at line 1, column 30: column NOSUCH does not exist");
+      ("SELECT CUSTOMERID FROM CUSTOMERS ORDER BY 9",
+       "unknown column: ORDER BY position 9 is out of range (1..1)");
+      ("SELECT DISTINCT CITY FROM CUSTOMERS ORDER BY TIER",
+       "unknown column: ORDER BY over a grouped or DISTINCT query must name an \
+        output column or position");
+      ("SELECT CITY FROM CUSTOMERS UNION SELECT CITY FROM CUSTOMERS ORDER BY \
+        UPPER(CITY)",
+       "unsupported construct: ORDER BY over a set operation must name an \
+        output column or position");
+      ("SELECT * FROM CUSTOMERS WHERE CUSTOMERID IN (SELECT CUSTOMERID, TIER \
+        FROM CUSTOMERS)",
+       "cardinality error: a scalar subquery must return exactly one column, \
+        this one returns 2");
+      ("SELECT BOGUSFN(CUSTOMERID) FROM CUSTOMERS",
+       "unsupported construct: unknown function BOGUSFN (supported: CONCAT, \
+        UPPER, UCASE, LOWER, LCASE, LENGTH, CHAR_LENGTH, CHARACTER_LENGTH, \
+        SUBSTRING, SUBSTR, POSITION, LOCATE, TRIM, LTRIM, RTRIM, ABS, FLOOR, \
+        CEILING, CEIL, ROUND, MOD, EXTRACT_YEAR, EXTRACT_MONTH, EXTRACT_DAY, \
+        EXTRACT_HOUR, EXTRACT_MINUTE, EXTRACT_SECOND, COALESCE, NULLIF)");
+      (* correlation works, sibling derived tables must not see each other *)
+      ("SELECT * FROM CUSTOMERS C, (SELECT CUSTOMERID FROM PO_CUSTOMERS WHERE \
+        CUSTOMERID = C.CUSTOMERID) D",
+       "unknown column at line 1, column 84: column C.CUSTOMERID does not exist") ]
 
 let syntax_errors_carry_positions () =
   match Translator.translate (Semantic.env_of_application (app ())) "SELECT FROM" with
@@ -200,6 +248,106 @@ let translate_result_api () =
   | Ok _ -> Alcotest.fail "expected an error"
   | Error e -> check_bool "kind" true (e.Errors.kind = Errors.Unknown_table)
 
+(* Stage two is total: whatever it accepts, stage three translates
+   without an exception.  Statements come from the query generator's
+   profiles, then one mutation makes them likely to break a name or
+   ORDER BY rule: qualifiers dropped, the text lowercased, one column
+   name swapped for another of the catalog's, or an ORDER BY added. *)
+let stage_two_is_total =
+  let a = app () in
+  let env = Semantic.env_of_application a in
+  let tables = Aqua_dsp.Metadata.list_tables a in
+  let columns =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.concat_map
+            (fun (t : Aqua_dsp.Metadata.table) ->
+              List.map
+                (fun (c : Aqua_relational.Schema.column) -> c.Aqua_relational.Schema.name)
+                t.Aqua_dsp.Metadata.columns)
+            tables))
+  in
+  let every_feature =
+    { Aqua_workload.Querygen.max_joins = 3; allow_outer = true; allow_group = true;
+      allow_subquery = true; allow_setop = true; allow_distinct = true }
+  in
+  let profiles =
+    [| Aqua_workload.Querygen.default_profile;
+       Aqua_workload.Querygen.reporting_profile; every_feature |]
+  in
+  let is_ident c =
+    match c with 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false
+  in
+  (* "T0.CUSTOMERID" -> "CUSTOMERID"; numbers like 1.5 stay *)
+  let drop_qualifiers sql =
+    let b = Buffer.create (String.length sql) in
+    let n = String.length sql in
+    let rec go i =
+      if i < n then
+        if is_ident sql.[i] && (i = 0 || not (is_ident sql.[i - 1])) then begin
+          let j = ref i in
+          while !j < n && is_ident sql.[!j] do incr j done;
+          let qualifier =
+            !j + 1 < n && sql.[!j] = '.'
+            && (match sql.[!j + 1] with 'A' .. 'Z' -> true | _ -> false)
+            && not (match sql.[i] with '0' .. '9' -> true | _ -> false)
+          in
+          if not qualifier then Buffer.add_string b (String.sub sql i (!j - i));
+          go (if qualifier then !j + 1 else !j)
+        end
+        else begin
+          Buffer.add_char b sql.[i];
+          go (i + 1)
+        end
+    in
+    go 0;
+    Buffer.contents b
+  in
+  let swap_column rand sql =
+    let occurs c =
+      let n = String.length c in
+      let rec at i =
+        i + n <= String.length sql && (String.sub sql i n = c || at (i + 1))
+      in
+      at 0
+    in
+    match List.filter occurs (Array.to_list columns) with
+    | [] -> sql
+    | present ->
+      let c = List.nth present (Random.State.int rand (List.length present)) in
+      let n = String.length c in
+      let rec find i = if String.sub sql i n = c then i else find (i + 1) in
+      let i = find 0 in
+      String.sub sql 0 i
+      ^ columns.(Random.State.int rand (Array.length columns))
+      ^ String.sub sql (i + n) (String.length sql - i - n)
+  in
+  let gen rand =
+    let profile = profiles.(Random.State.int rand (Array.length profiles)) in
+    let sql = Aqua_workload.Querygen.generate_sql ~profile rand tables in
+    match Random.State.int rand 5 with
+    | 0 -> drop_qualifiers sql
+    | 1 -> String.lowercase_ascii sql
+    | 2 -> swap_column rand sql
+    | 3 -> sql ^ " ORDER BY 1"
+    | _ -> sql ^ " ORDER BY " ^ columns.(Random.State.int rand (Array.length columns))
+  in
+  QCheck.Test.make ~name:"stage two is total" ~count:600
+    (QCheck.make ~print:Fun.id gen)
+    (fun sql ->
+      match Aqua_sql.Parser.parse_numbered sql with
+      | exception Aqua_sql.Parser.Parse_error _ -> true
+      | stmt, numbering -> (
+        match Semantic.resolve env stmt with
+        | exception Errors.Error _ -> true
+        | resolved ->
+          ignore (Generate.generate resolved);
+          ignore (Generate.generate ~style:Generate.Naive resolved);
+          ignore
+            (Generate.generate_lifted
+               ~literals:numbering.Aqua_sql.Parser.values resolved);
+          true))
+
 let suite =
   ( "translator",
     [ Helpers.case "semantic errors" semantic_errors;
@@ -213,4 +361,5 @@ let suite =
       Helpers.case "group-by uses BEA extension" group_by_uses_bea_extension;
       Helpers.case "outer join pattern" outer_join_pattern;
       Helpers.case "explain tree (figures 3-4)" explain_tree;
-      Helpers.case "translate_result api" translate_result_api ] )
+      Helpers.case "translate_result api" translate_result_api;
+      Helpers.qcheck stage_two_is_total ] )
