@@ -1065,13 +1065,7 @@ and gen_setop_records state gctx op all left right : X.expr * Outcol.t list =
   let ctx = Namer.fresh_ctx state.namer in
   let lrecords, lcols = gen_query_records state gctx left in
   let rrecords, rcols = gen_query_records state gctx right in
-  (* unified output schema (validated in stage two) *)
-  let out_cols =
-    List.map2
-      (fun (l : Outcol.t) (r : Outcol.t) ->
-        { l with Outcol.nullable = l.Outcol.nullable || r.Outcol.nullable })
-      lcols rcols
-  in
+  let out_cols = Semantic.set_columns lcols rcols in
   let rrecords = reproject state ctx ~from_cols:rcols ~to_cols:out_cols rrecords in
   match (op, all) with
   | A.S_union, true -> (X.Seq [ lrecords; rrecords ], out_cols)

@@ -147,6 +147,20 @@ let join_cols ~nullable views =
       (q @ cols, l @ lookup))
     views ([], [])
 
+(* A set operation's output columns (SQL-92): the left side's names, a
+   numeric column promoted over both sides, nullable if either side
+   is. *)
+let set_columns lcols rcols =
+  List.map2
+    (fun (l : Outcol.t) (r : Outcol.t) ->
+      let ty =
+        if Sql_type.is_numeric l.Outcol.ty && Sql_type.is_numeric r.Outcol.ty
+        then Option.value (Sql_type.promote l.Outcol.ty r.Outcol.ty) ~default:l.Outcol.ty
+        else l.Outcol.ty
+      in
+      { l with Outcol.ty; nullable = l.Outcol.nullable || r.Outcol.nullable })
+    lcols rcols
+
 let rec leaves acc = function
   | Leaf (v, _) -> v :: acc
   | Inner (l, r, _) -> leaves (leaves acc r) l
@@ -250,7 +264,7 @@ and typer_env st scope : Typer.env =
       (fun e ->
         let c = (resolve_column st scope e).Scope.res_col in
         Typer.known c.Scope.ty c.Scope.nullable);
-    query_schema = (fun q -> fst (query_columns st ~parent:scope q));
+    query_schema = query_columns st ~parent:scope;
     note = Exprs.replace st.st_infos;
   }
 
@@ -274,7 +288,7 @@ and from_item st parent (tr : A.table_ref) : from * Scope.view list =
   | A.Primary (A.Derived { query; alias }) ->
     (* SQL-92: derived tables are not correlated with their siblings
        or the outer query *)
-    let v = derived_view (snd (query_columns st ~parent:Scope.root query)) ~alias in
+    let v = derived_view (query_columns st ~parent:Scope.root query) ~alias in
     (Leaf (v, Derived query), [ v ])
   | A.Join { kind = A.J_inner | A.J_cross; left; right; cond } ->
     let l, lviews = from_item st parent left in
@@ -472,44 +486,29 @@ and resolve_spec st ~parent (spec : A.query_spec) : spec =
   Specs.replace st.st_specs spec r;
   r
 
-(* A query's output columns twice: as SQL types them (a set operation
-   promotes numeric columns), which subqueries are typed by, and as the
-   generated XQuery lays them out (a set operation keeps its left side's
-   types), which derived tables and the statement's result read. *)
-and query_columns st ~parent (q : A.query) : Outcol.t list * Outcol.t list =
+(* A query's output columns; a set operation's are typed by
+   {!set_columns}, which subqueries, derived tables, the generated
+   XQuery and the statement's result all read. *)
+and query_columns st ~parent (q : A.query) : Outcol.t list =
   match q with
-  | A.Spec spec ->
-    let cols = List.map fst (resolve_spec st ~parent spec).items in
-    (cols, cols)
+  | A.Spec spec -> List.map fst (resolve_spec st ~parent spec).items
   | A.Set { op = _; all = _; left; right } ->
-    let lcols, llayout = query_columns st ~parent left in
-    let rcols, rlayout = query_columns st ~parent right in
+    let lcols = query_columns st ~parent left in
+    let rcols = query_columns st ~parent right in
     if List.length lcols <> List.length rcols then
       fail Errors.Type_mismatch
         "set operation sides have different column counts (%d vs %d)"
         (List.length lcols) (List.length rcols);
-    let sql =
-      List.map2
-        (fun (l : Outcol.t) (r : Outcol.t) ->
-          if not (Sql_type.comparable l.Outcol.ty r.Outcol.ty) then
-            fail Errors.Type_mismatch
-              "set operation column %s: incompatible types %s and %s"
-              l.Outcol.label
-              (Sql_type.to_string l.Outcol.ty)
-              (Sql_type.to_string r.Outcol.ty);
-          let ty =
-            if Sql_type.is_numeric l.Outcol.ty && Sql_type.is_numeric r.Outcol.ty
-            then Option.value (Sql_type.promote l.Outcol.ty r.Outcol.ty) ~default:l.Outcol.ty
-            else l.Outcol.ty
-          in
-          { l with Outcol.ty; nullable = l.Outcol.nullable || r.Outcol.nullable })
-        lcols rcols
-    in
-    ( sql,
-      List.map2
-        (fun (l : Outcol.t) (r : Outcol.t) ->
-          { l with Outcol.nullable = l.Outcol.nullable || r.Outcol.nullable })
-        llayout rlayout )
+    List.iter2
+      (fun (l : Outcol.t) (r : Outcol.t) ->
+        if not (Sql_type.comparable l.Outcol.ty r.Outcol.ty) then
+          fail Errors.Type_mismatch
+            "set operation column %s: incompatible types %s and %s"
+            l.Outcol.label
+            (Sql_type.to_string l.Outcol.ty)
+            (Sql_type.to_string r.Outcol.ty))
+      lcols rcols;
+    set_columns lcols rcols
 
 (* ------------------------------------------------------------------ *)
 (* ORDER BY                                                           *)
@@ -613,7 +612,7 @@ let set_order_key cols (o : A.order_item) =
 
 let resolve env (stmt : A.statement) : t =
   let st = state env in
-  let cols, _ = query_columns st ~parent:Scope.root stmt.A.body in
+  let cols = query_columns st ~parent:Scope.root stmt.A.body in
   let order_key =
     match stmt.A.body with
     | A.Spec spec ->

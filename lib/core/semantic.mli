@@ -86,10 +86,17 @@ val info : t -> Aqua_sql.Ast.expr -> Typer.info
 (** The type of a literal, a column reference, or an operand noted by
     {!Typer.env.note}. *)
 
-(** {2 For the baseline SQL engine} *)
+(** {2 For stage three and the baseline SQL engine} *)
 
 val table_view : Aqua_dsp.Metadata.table -> alias:string option -> Scope.view
 val derived_view : Outcol.t list -> alias:string -> Scope.view
+
+val set_columns : Outcol.t list -> Outcol.t list -> Outcol.t list
+(** A set operation's output columns from its validated sides' (as
+    many on each side): the left side's names, a numeric column
+    promoted over both sides (SQL-92), nullable if either side is.
+    Stage two types the operation by it, and so do stage three and the
+    engine. *)
 
 val is_grouped : Aqua_sql.Ast.query_spec -> bool
 

@@ -45,10 +45,10 @@ type lifted = {
   params : int;
 }
 
-let translate_lifted env sql =
+let translate_lifted env tokens =
   Telemetry.incr Telemetry.c_translations;
   Telemetry.with_span "translate" @@ fun () ->
-  let statement, numbering = parse_stage Aqua_sql.Parser.parse_numbered sql in
+  let statement, numbering = parse_stage Aqua_sql.Parser.parse_tokens tokens in
   let resolved = semantic_stage env statement in
   let output, externals =
     Telemetry.with_span "translate.generate" (fun () ->

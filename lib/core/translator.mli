@@ -41,7 +41,7 @@ type lifted = {
       (** the translation with those literals lifted: its [xquery]
           reads them as externals, bound by {!bindings} *)
   literals : Aqua_sql.Ast.literal array;
-      (** every literal token of the text, in order (by ordinal) *)
+      (** every literal token's block, in text order (by ordinal) *)
   externals : Generate.lifted list;
   pinned : int list;
       (** the ordinals of the literals the plan holds by value: ORDER
@@ -50,9 +50,9 @@ type lifted = {
   params : int;  (** the statement's ['?'] parameters *)
 }
 
-val translate_lifted : Semantic.env -> string -> lifted
-(** The three stages once, with lifting.  Counts one translation, as
-    {!translate} does.
+val translate_lifted : Semantic.env -> Aqua_sql.Lexer.located list -> lifted
+(** The three stages once, with lifting, over the text the tokens were
+    lexed from.  Counts one translation, as {!translate} does.
     @raise Errors.Error on syntax or semantic errors. *)
 
 val reusable : lifted -> Aqua_sql.Ast.literal array -> bool

@@ -99,21 +99,10 @@ let prepare conn src =
 let parameter_count t = Array.length t.params
 let procedure t = t.meta
 
-let item_of_value (v : Value.t) : Aqua_xml.Item.sequence =
-  match v with
-  | Value.Null -> []
-  | Value.Int i -> [ Aqua_xml.Item.Atomic (Aqua_xml.Atomic.Integer i) ]
-  | Value.Num f -> [ Aqua_xml.Item.Atomic (Aqua_xml.Atomic.Decimal f) ]
-  | Value.Str s -> [ Aqua_xml.Item.Atomic (Aqua_xml.Atomic.String s) ]
-  | Value.Bool b -> [ Aqua_xml.Item.Atomic (Aqua_xml.Atomic.Boolean b) ]
-  | Value.Date d -> [ Aqua_xml.Item.Atomic (Aqua_xml.Atomic.Date d) ]
-  | Value.Time tm -> [ Aqua_xml.Item.Atomic (Aqua_xml.Atomic.Time tm) ]
-  | Value.Timestamp ts -> [ Aqua_xml.Item.Atomic (Aqua_xml.Atomic.Timestamp ts) ]
-
 let set_value t i v =
   if i < 1 || i > Array.length t.params then
     invalid_arg (Printf.sprintf "parameter index %d out of range" i);
-  t.params.(i - 1) <- Some (item_of_value v)
+  t.params.(i - 1) <- Some (Connection.item_of_value v)
 
 let set_int t i v = set_value t i (Value.Int v)
 let set_string t i v = set_value t i (Value.Str v)

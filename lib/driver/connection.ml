@@ -9,7 +9,6 @@ module Semantic = Aqua_translator.Semantic
 module Budget = Aqua_resilience.Budget
 module Mcore = Aqua_multicore.Mcore
 module Failpoint = Aqua_resilience.Failpoint
-module A = Aqua_sql.Ast
 
 type transport = Xml | Text
 
@@ -179,22 +178,16 @@ let invalidate t =
 
 let param_var i = Printf.sprintf "param%d" (i + 1)
 
-(* A literal of the key pass as the SQL lexer reads it. *)
-let literal_of (l : Fingerprint.literal) : A.literal =
-  match l.Fingerprint.cls with
-  | 'i' -> A.L_int (int_of_string l.Fingerprint.text)
-  | 's' -> A.L_string l.Fingerprint.text
-  | _ -> A.L_num (float_of_string l.Fingerprint.text, l.Fingerprint.text)
-
 (* The plan for [sql] (whose key pass is [key]), the literal values it
-   runs with, and whether it was reused.  A plan is cached only when
-   the parser read the same literals as the key pass, so a hit never
-   depends on the two agreeing. *)
+   runs with, and whether it was reused.  A miss parses the key's
+   tokens, so the plan's literals are the key's. *)
 let plan_for t (key : Fingerprint.key) sql =
   let module T = Aqua_core.Telemetry in
   revalidate t;
   Failpoint.hit "driver.translate";
-  let values = Array.map literal_of key.Fingerprint.literals in
+  let values =
+    Array.map (fun (l : Fingerprint.literal) -> l.value) key.Fingerprint.literals
+  in
   let cached =
     match key.Fingerprint.plan with
     | Some k -> Lru.find t.plans k
@@ -206,7 +199,7 @@ let plan_for t (key : Fingerprint.key) sql =
     (p, values, true)
   | _ ->
     T.incr T.c_cache_misses;
-    let lifted = Translator.translate_lifted t.env sql in
+    let lifted = Translator.translate_lifted t.env key.Fingerprint.tokens in
     let p =
       {
         lifted;
@@ -221,10 +214,8 @@ let plan_for t (key : Fingerprint.key) sql =
         text = Stdlib.Atomic.make None;
       }
     in
-    (match key.Fingerprint.plan with
-    | Some k when lifted.Translator.literals = values -> Lru.add t.plans k p
-    | _ -> ());
-    (p, lifted.Translator.literals, false)
+    Option.iter (fun k -> Lru.add t.plans k p) key.Fingerprint.plan;
+    (p, values, false)
 
 let query p = function
   | Xml -> p.lifted.Translator.plan.Translator.xquery
@@ -249,10 +240,11 @@ let translate t sql =
     Translator.translate t.env sql
   end
   else
-    let p, values, _ = plan_for t (Fingerprint.key sql) sql in
+    let key = Fingerprint.key sql in
+    let p, values, _ = plan_for t key sql in
     let statement =
       if String.equal p.sql sql then p.lifted.Translator.plan.Translator.statement
-      else Aqua_sql.Parser.parse sql
+      else fst (Aqua_sql.Parser.parse_tokens key.Fingerprint.tokens)
     in
     {
       Translator.statement;
@@ -440,6 +432,17 @@ let execute_concurrent ?domains t sqls =
 
 (* ------------------------------------------------------------------ *)
 
+let item_of_value (v : Value.t) : Item.sequence =
+  match v with
+  | Value.Null -> []
+  | Value.Int i -> [ Item.Atomic (Atomic.Integer i) ]
+  | Value.Num f -> [ Item.Atomic (Atomic.Decimal f) ]
+  | Value.Str s -> [ Item.Atomic (Atomic.String s) ]
+  | Value.Bool b -> [ Item.Atomic (Atomic.Boolean b) ]
+  | Value.Date d -> [ Item.Atomic (Atomic.Date d) ]
+  | Value.Time tm -> [ Item.Atomic (Atomic.Time tm) ]
+  | Value.Timestamp ts -> [ Item.Atomic (Atomic.Timestamp ts) ]
+
 module Prepared = struct
   (* A prepared statement is a plan of the connection's cache (made
      for it when the cache is off) with its literals' values: execution
@@ -461,17 +464,6 @@ module Prepared = struct
     }
 
   let parameter_count stmt = Array.length stmt.params
-
-  let item_of_value (v : Value.t) : Item.sequence =
-    match v with
-    | Value.Null -> []
-    | Value.Int i -> [ Item.Atomic (Atomic.Integer i) ]
-    | Value.Num f -> [ Item.Atomic (Atomic.Decimal f) ]
-    | Value.Str s -> [ Item.Atomic (Atomic.String s) ]
-    | Value.Bool b -> [ Item.Atomic (Atomic.Boolean b) ]
-    | Value.Date d -> [ Item.Atomic (Atomic.Date d) ]
-    | Value.Time tm -> [ Item.Atomic (Atomic.Time tm) ]
-    | Value.Timestamp ts -> [ Item.Atomic (Atomic.Timestamp ts) ]
 
   let set_value stmt i v =
     if i < 1 || i > Array.length stmt.params then

@@ -133,6 +133,10 @@ val execute_concurrent :
     rest.  On a pre-5.0 build the domains shim runs the workers
     sequentially: same results, no parallelism. *)
 
+val item_of_value : Aqua_relational.Value.t -> Aqua_xml.Item.sequence
+(** A parameter's value as the sequence bound to its external: [Null]
+    is the empty sequence. *)
+
 (** Prepared statements with ['?'] parameters. *)
 module Prepared : sig
   type stmt

@@ -1,178 +1,47 @@
-(* Lexical SQL normalizer + FNV-1a digest, and the driver's plan key.
-   This deliberately does not reuse the SQL parser: fingerprinting must
-   work on statements the parser rejects (so errors aggregate by
-   shape), and must not care about grammar details.  One left-to-right
-   pass produces the shape's token list, the plan key and the literal
-   vector; a second tiny pass collapses literal IN-lists in the shape. *)
+(* SQL normalizer + FNV-1a digest, and the driver's plan key, read off
+   the SQL lexer's tokens.  The lexer never raises, so statements the
+   parser rejects still fingerprint and errors aggregate by shape.  One
+   pass over the tokens produces the shape's token list, the plan key
+   and the literal vector; a second tiny pass collapses literal
+   IN-lists in the shape. *)
 
-let is_ident_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+module L = Aqua_sql.Lexer
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '$'
-let is_digit c = c >= '0' && c <= '9'
-
-(* Two-character operators that must stay one token. *)
-let two_char_ops = [ "<="; ">="; "<>"; "!="; "||" ]
-
-type literal = { cls : char; text : string; pos : int; len : int }
-
-type scan = {
-  shape_toks : string list;
-  plan : string option;
-  literals : literal array;
+type literal = {
+  cls : char;
+  text : string;
+  pos : int;
+  len : int;
+  value : Aqua_sql.Ast.literal;
 }
 
-(* The plan key follows the SQL lexer's token boundaries exactly, so
-   two texts with one key lex to the same tokens but for the values of
-   same-class literals.  Where the lexer would reject the text (an
-   unterminated string, quoted identifier or block comment, or an
-   exponent sign without digits) there is no key. *)
-let scan sql =
-  let n = String.length sql in
-  let toks = ref [] in
-  let push t = toks := t :: !toks in
-  (* tokens as written, one space apart: unambiguous, as no token but
-     a quoted identifier holds a space and that one ends at the first
-     quote not doubled *)
-  let plan = Buffer.create (n + 16) in
-  let plan_span start stop =
-    Buffer.add_char plan ' ';
-    Buffer.add_substring plan sql start (stop - start)
-  in
-  let keyed = ref true in
-  let lits = ref [] in
-  let i = ref 0 in
-  let literal cls text ~pos =
-    push "?";
-    Buffer.add_string plan " ?";
-    Buffer.add_char plan cls;
-    lits := { cls; text; pos; len = !i - pos } :: !lits
-  in
-  while !i < n do
-    let c = sql.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '-' && !i + 1 < n && sql.[!i + 1] = '-' then begin
-      (* line comment *)
-      while !i < n && sql.[!i] <> '\n' do incr i done
-    end
-    else if c = '/' && !i + 1 < n && sql.[!i + 1] = '*' then begin
-      (* block comment (unterminated: swallow the rest) *)
-      i := !i + 2;
-      let fin = ref false in
-      while not !fin && !i < n do
-        if sql.[!i] = '*' && !i + 1 < n && sql.[!i + 1] = '/' then begin
-          i := !i + 2;
-          fin := true
-        end
-        else incr i
-      done;
-      if not !fin then keyed := false
-    end
-    else if c = '\'' then begin
-      (* string literal, '' escapes; unterminated swallows the rest *)
-      let pos = !i in
-      incr i;
-      let escaped = ref false in
-      let fin = ref false in
-      while not !fin && !i < n do
-        if sql.[!i] = '\'' then
-          if !i + 1 < n && sql.[!i + 1] = '\'' then begin
-            escaped := true;
-            i := !i + 2
-          end
-          else begin
-            incr i;
-            fin := true
-          end
-        else incr i
-      done;
-      if not !fin then keyed := false;
-      let body = String.sub sql (pos + 1) (!i - pos - if !fin then 2 else 1) in
-      let text =
-        if !escaped then
-          String.concat "'" (List.filteri (fun k _ -> k mod 2 = 0)
-            (String.split_on_char '\'' body))
-        else body
-      in
-      literal 's' text ~pos
-    end
-    else if c = '"' then begin
-      (* quoted identifier: kept verbatim, case preserved.  The shape
-         ends it at the next quote; the lexer (and so the plan key)
-         reads [""] as an escaped quote and goes on. *)
-      let start = !i in
-      let fin = ref false in
-      while not !fin do
-        let seg = !i in
-        incr i;
-        while !i < n && sql.[!i] <> '"' do incr i done;
-        if !i < n then incr i else keyed := false;
-        push (String.sub sql seg (!i - seg));
-        if not (!i < n && sql.[!i] = '"') then fin := true
-      done;
-      plan_span start !i
-    end
-    else if is_digit c || (c = '.' && !i + 1 < n && is_digit sql.[!i + 1])
-    then begin
-      (* numeric literal: digits [. digits] [eE [+-] digits] *)
-      let start = !i in
-      let dot = ref false and exp = ref false in
-      while !i < n && is_digit sql.[!i] do incr i done;
-      if !i < n && sql.[!i] = '.' then begin
-        dot := true;
-        incr i;
-        while !i < n && is_digit sql.[!i] do incr i done
-      end;
-      if !i < n && (sql.[!i] = 'e' || sql.[!i] = 'E') then begin
-        let j = !i + 1 in
-        let signed = j < n && (sql.[j] = '+' || sql.[j] = '-') in
-        let j = if signed then j + 1 else j in
-        if j < n && is_digit sql.[j] then begin
-          exp := true;
-          i := j;
-          while !i < n && is_digit sql.[!i] do incr i done
-        end
-        else if signed then
-          (* the lexer takes the sign into the number and fails *)
-          keyed := false
-      end;
-      let text = String.sub sql start (!i - start) in
-      let cls =
-        if !exp then 'e'
-        else if !dot then 'n'
-        else if int_of_string_opt text <> None then 'i'
-        else 'n'
-      in
-      literal cls text ~pos:start
-    end
-    else if is_ident_start c then begin
-      let start = !i in
-      while !i < n && is_ident_char sql.[!i] do incr i done;
-      push (String.uppercase_ascii (String.sub sql start (!i - start)));
-      plan_span start !i
-    end
-    else begin
-      let start = !i in
-      let two =
-        if !i + 1 < n then Some (String.sub sql !i 2) else None
-      in
-      (match two with
-      | Some op when List.mem op two_char_ops ->
-        push op;
-        i := !i + 2
-      | _ ->
-        push (String.make 1 c);
-        incr i);
-      plan_span start !i
-    end
-  done;
-  {
-    shape_toks = List.rev !toks;
-    plan = (if !keyed then Some (Buffer.contents plan) else None);
-    literals = Array.of_list (List.rev !lits);
-  }
+(* A quoted identifier's shape tokens: its value split at each quote,
+   each piece quoted, so ["a""b"] reads as ["a"] ["b"]; an
+   unterminated one (its token is one byte shorter) leaves the last
+   piece open. *)
+let quoted_segments value ~len push =
+  let pieces = String.split_on_char '"' value in
+  let closed = len = String.length value + List.length pieces + 1 in
+  let last = List.length pieces - 1 in
+  List.iteri
+    (fun k p -> push (if closed || k < last then "\"" ^ p ^ "\"" else "\"" ^ p))
+    pieces
 
-let tokens sql = (scan sql).shape_toks
+(* The shape's tokens: identifiers case-folded, literals as [?], an
+   error token as the text it covers. *)
+let shape_token sql push (t : L.located) =
+  match t.L.token with
+  | L.Ident s ->
+    (* most SQL is upper case already: keep the token's string *)
+    push
+      (if String.exists (fun c -> c >= 'a' && c <= 'z') s then
+         String.uppercase_ascii s
+       else s)
+  | L.Quoted_ident s -> quoted_segments s ~len:t.L.len push
+  | L.Int_lit _ | L.Num_lit _ | L.String_lit _ -> push "?"
+  | L.Punct p -> push p
+  | L.Error _ -> if t.L.len > 0 then push (String.sub sql t.L.offset t.L.len)
+  | L.Eof -> ()
 
 (* [IN ( ? , ? , ... ? )] -> [IN ( ? )]: the arity of a literal
    IN-list is workload noise, not query shape. *)
@@ -196,49 +65,97 @@ let assemble toks =
   let buf = Buffer.create 128 in
   let no_space_before t = t = "," || t = ")" || t = "." || t = "(" in
   let no_space_after t = t = "(" || t = "." in
-  let prev = ref None in
-  List.iter
-    (fun t ->
-      (match !prev with
-      | Some p when not (no_space_before t) && not (no_space_after p) ->
-        Buffer.add_char buf ' '
-      | _ -> ());
-      Buffer.add_string buf t;
-      prev := Some t)
-    toks;
+  (match toks with
+  | [] -> ()
+  | first :: rest ->
+    Buffer.add_string buf first;
+    ignore
+      (List.fold_left
+         (fun prev t ->
+           if not (no_space_before t || no_space_after prev) then
+             Buffer.add_char buf ' ';
+           Buffer.add_string buf t;
+           t)
+         first rest));
   Buffer.contents buf
 
-let normalize sql = assemble (collapse_in_lists (tokens sql))
+(* the shape of its tokens, given last first *)
+let shape_of_tokens rev_toks = assemble (collapse_in_lists (List.rev rev_toks))
 
 (* FNV-1a, 64-bit *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* a loop, not [String.iter]: a closure would box [h] at every byte *)
 let digest_of_normalized s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+  done;
   Printf.sprintf "%016Lx" !h
 
-let normalize_and_digest sql =
+let normalize sql =
+  let toks = ref [] in
+  List.iter (shape_token sql (fun t -> toks := t :: !toks)) (L.tokens sql);
+  shape_of_tokens !toks
+
+let fingerprint sql =
   let n = normalize sql in
   (digest_of_normalized n, n)
 
-let digest sql = fst (normalize_and_digest sql)
-let fingerprint = normalize_and_digest
+let digest sql = fst (fingerprint sql)
 
 type key = {
   digest : string;
   shape : string;
   plan : string option;
   literals : literal array;
+  tokens : L.located list;
 }
 
 let key sql =
-  let s = scan sql in
-  let shape = assemble (collapse_in_lists s.shape_toks) in
-  { digest = digest_of_normalized shape; shape; plan = s.plan;
-    literals = s.literals }
+  let tokens = L.tokens sql in
+  let toks = ref [] in
+  let push t = toks := t :: !toks in
+  (* tokens as written, one space apart: unambiguous, as no token but
+     a quoted identifier holds a space and that one ends at the first
+     quote not doubled *)
+  let plan = Buffer.create (String.length sql + 16) in
+  let keyed = ref true in
+  let lits = ref [] in
+  List.iter
+    (fun (t : L.located) ->
+      shape_token sql push t;
+      match (t.L.token, t.L.literal) with
+      | L.Error _, _ -> keyed := false
+      | L.Eof, _ -> ()
+      | token, Some value ->
+        let cls =
+          match token with
+          | L.Int_lit _ -> 'i'
+          | L.String_lit _ -> 's'
+          | L.Num_lit (_, s) when String.contains s 'e' || String.contains s 'E'
+            ->
+            'e'
+          | _ -> 'n'
+        in
+        let text =
+          match token with
+          | L.String_lit s | L.Num_lit (_, s) -> s
+          | _ -> String.sub sql t.L.offset t.L.len
+        in
+        Buffer.add_string plan " ?";
+        Buffer.add_char plan cls;
+        lits := { cls; text; pos = t.L.offset; len = t.L.len; value } :: !lits
+      | _, None ->
+        Buffer.add_char plan ' ';
+        Buffer.add_substring plan sql t.L.offset t.L.len)
+    tokens;
+  let shape = shape_of_tokens !toks in
+  {
+    digest = digest_of_normalized shape;
+    shape;
+    plan = (if !keyed then Some (Buffer.contents plan) else None);
+    literals = Array.of_list (List.rev !lits);
+    tokens;
+  }

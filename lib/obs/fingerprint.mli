@@ -8,8 +8,9 @@
     one stable key.  {!digest} is a 64-bit FNV-1a hash of the
     normalized text in fixed-width hex, usable as a metric label.
 
-    The normalizer is a standalone lexical pass (it does not parse),
-    so even SQL the translator rejects still fingerprints — errors
+    Shapes are read off the tokens of {!Aqua_sql.Lexer.tokens}, which
+    never raises (a lexical error is a token too), without parsing: so
+    even SQL the translator rejects still fingerprints — errors
     aggregate by shape too. *)
 
 val normalize : string -> string
@@ -26,8 +27,9 @@ val fingerprint : string -> string * string
 (** {2 The plan key}
 
     The driver's plan cache keys statements by their token sequence
-    with every numeric or string literal replaced by its class, and
-    takes the literal values from the same pass. *)
+    with every numeric or string literal replaced by its class, takes
+    the literal values from the same tokens, and on a miss parses
+    those tokens. *)
 
 type literal = {
   cls : char;
@@ -37,6 +39,8 @@ type literal = {
   text : string;  (** a number's spelling; a string's unescaped value *)
   pos : int;  (** byte offset of the literal's first character *)
   len : int;  (** bytes the literal spans, quotes included *)
+  value : Aqua_sql.Ast.literal;
+      (** the token's block, which the parser's [Lit] node holds *)
 }
 
 type key = {
@@ -45,13 +49,11 @@ type key = {
   plan : string option;
       (** The token sequence, comments and whitespace dropped, tokens
           as written (identifiers not case-folded, IN-lists at their
-          arity), each literal replaced by its class.  Token
-          boundaries are the SQL lexer's, so two texts with one plan
-          key lex alike but for their literals' values.  [None] when
-          the lexer would reject the text (an unterminated string,
-          quoted identifier or block comment, or an exponent sign
-          without digits). *)
+          arity), each literal replaced by its class, so two texts with
+          one plan key lex alike but for their literals' values.
+          [None] when a token is a lexical error. *)
   literals : literal array;  (** every literal, in text order *)
+  tokens : Aqua_sql.Lexer.located list;  (** what the key was read from *)
 }
 
 val key : string -> key

@@ -5,11 +5,15 @@ type token =
   | Int_lit of int
   | Num_lit of float * string
   | Punct of string
+  | Error of string
   | Eof
 
 type located = {
   token : token;
   pos : Ast.pos;
+  offset : int;
+  len : int;
+  literal : Ast.literal option;
 }
 
 exception Lex_error of { pos : Ast.pos; message : string }
@@ -21,34 +25,8 @@ let token_to_string = function
   | Int_lit i -> string_of_int i
   | Num_lit (_, s) -> s
   | Punct s -> s
+  | Error message -> message
   | Eof -> "<end of input>"
-
-type state = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable bol : int;  (* offset of beginning of current line *)
-}
-
-let current_pos st : Ast.pos = { line = st.line; col = st.pos - st.bol + 1 }
-
-let error st fmt =
-  let pos = current_pos st in
-  Format.kasprintf (fun message -> raise (Lex_error { pos; message })) fmt
-
-let peek st =
-  if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
-
-let advance st =
-  (match peek st with
-  | Some '\n' ->
-    st.line <- st.line + 1;
-    st.bol <- st.pos + 1
-  | _ -> ());
-  st.pos <- st.pos + 1
 
 let is_ident_start c =
   match c with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
@@ -60,170 +38,160 @@ let is_ident_char c =
 
 let is_digit c = match c with '0' .. '9' -> true | _ -> false
 
-let read_ident st =
-  let start = st.pos in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
-    advance st
-  done;
-  String.sub st.src start (st.pos - start)
+let punct1 = function
+  | '(' -> Some "(" | ')' -> Some ")" | ',' -> Some "," | '.' -> Some "."
+  | '*' -> Some "*" | '+' -> Some "+" | '-' -> Some "-" | '/' -> Some "/"
+  | '<' -> Some "<" | '>' -> Some ">" | '=' -> Some "=" | '?' -> Some "?"
+  | ';' -> Some ";"
+  | _ -> None
 
-let read_number st =
-  let start = st.pos in
-  let seen_dot = ref false in
-  let seen_exp = ref false in
-  let continue = ref true in
-  while !continue do
-    match peek st with
-    | Some c when is_digit c -> advance st
-    | Some '.' when not !seen_dot && not !seen_exp ->
-      seen_dot := true;
-      advance st
-    | Some ('e' | 'E') when not !seen_exp -> (
-      (* exponent must be followed by optional sign + digit *)
-      match peek2 st with
-      | Some c when is_digit c ->
-        seen_exp := true;
-        advance st;
-        advance st
-      | Some ('+' | '-') ->
-        seen_exp := true;
-        advance st;
-        advance st
-      | _ -> continue := false)
-    | _ -> continue := false
-  done;
-  let text = String.sub st.src start (st.pos - start) in
-  if (not !seen_dot) && not !seen_exp then
-    match int_of_string_opt text with
-    | Some i -> Int_lit i
-    | None -> Num_lit (float_of_string text, text)
-  else Num_lit (float_of_string text, text)
-
-let read_string st =
-  advance st;
-  (* opening quote *)
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> error st "unterminated string literal"
-    | Some '\'' -> (
-      match peek2 st with
-      | Some '\'' ->
-        Buffer.add_char buf '\'';
-        advance st;
-        advance st;
-        go ()
-      | _ -> advance st)
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      go ()
-  in
-  go ();
-  String_lit (Buffer.contents buf)
-
-let read_quoted_ident st =
-  advance st;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> error st "unterminated quoted identifier"
-    | Some '"' -> (
-      match peek2 st with
-      | Some '"' ->
-        Buffer.add_char buf '"';
-        advance st;
-        advance st;
-        go ()
-      | _ -> advance st)
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      go ()
-  in
-  go ();
-  Quoted_ident (Buffer.contents buf)
-
-let skip_line_comment st =
-  while (match peek st with Some c -> c <> '\n' | None -> false) do
-    advance st
-  done
-
-let skip_block_comment st =
-  advance st;
-  advance st;
-  let rec go () =
-    match (peek st, peek2 st) with
-    | Some '*', Some '/' ->
-      advance st;
-      advance st
-    | None, _ -> error st "unterminated block comment"
-    | _ ->
-      advance st;
-      go ()
-  in
-  go ()
-
-let two_char_punct = [ "<="; ">="; "<>"; "!="; "||" ]
+let punct2 a b =
+  match (a, b) with
+  | '<', '=' -> Some "<=" | '>', '=' -> Some ">=" | '<', '>' -> Some "<>"
+  | '!', '=' -> Some "!=" | '|', '|' -> Some "||"
+  | _ -> None
 
 let tokens src =
-  let st = { src; pos = 0; line = 1; bol = 0 } in
+  let n = String.length src in
+  let line = ref 1 and bol = ref 0 in
+  let pos_at i : Ast.pos = { line = !line; col = i - !bol + 1 } in
   let toks = ref [] in
-  let emit pos token = toks := { token; pos } :: !toks in
-  let rec loop () =
-    match peek st with
-    | None -> emit (current_pos st) Eof
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      loop ()
-    | Some '-' when peek2 st = Some '-' ->
-      skip_line_comment st;
-      loop ()
-    | Some '/' when peek2 st = Some '*' ->
-      skip_block_comment st;
-      loop ()
-    | Some '\'' ->
-      let pos = current_pos st in
-      emit pos (read_string st);
-      loop ()
-    | Some '"' ->
-      let pos = current_pos st in
-      emit pos (read_quoted_ident st);
-      loop ()
-    | Some c when is_digit c ->
-      let pos = current_pos st in
-      emit pos (read_number st);
-      loop ()
-    | Some '.' when (match peek2 st with Some d -> is_digit d | None -> false)
-      ->
-      let pos = current_pos st in
-      emit pos (read_number st);
-      loop ()
-    | Some c when is_ident_start c ->
-      let pos = current_pos st in
-      emit pos (Ident (read_ident st));
-      loop ()
-    | Some c -> (
-      let pos = current_pos st in
-      let two =
-        if st.pos + 1 < String.length src then String.sub src st.pos 2 else ""
-      in
-      if List.mem two two_char_punct then begin
-        advance st;
-        advance st;
-        emit pos (Punct two);
-        loop ()
-      end
-      else
-        match c with
-        | '(' | ')' | ',' | '.' | '*' | '+' | '-' | '/' | '<' | '>' | '='
-        | '?' | ';' ->
-          advance st;
-          emit pos (Punct (String.make 1 c));
-          loop ()
-        | _ -> error st "unexpected character %C" c)
+  let emit ?literal ~start ~stop pos token =
+    toks := { token; pos; offset = start; len = stop - start; literal } :: !toks
   in
-  loop ();
+  (* a zero-width error token at [i] *)
+  let error i message = emit ~start:i ~stop:i (pos_at i) (Error message) in
+  let newline_at i = if src.[i] = '\n' then begin incr line; bol := i + 1 end in
+  let digit_at i = i < n && is_digit src.[i] in
+  let sign_at i = i < n && (src.[i] = '+' || src.[i] = '-') in
+  (* the body of a [q]-delimited token from [i], a doubled [q] standing
+     for one: the body, where the token stops, and whether it closed *)
+  let delimited i q =
+    let escaped = ref false in
+    let rec close j =
+      if j >= n then (j, false)
+      else if src.[j] <> q then begin
+        newline_at j;
+        close (j + 1)
+      end
+      else if j + 1 < n && src.[j + 1] = q then begin
+        escaped := true;
+        close (j + 2)
+      end
+      else (j + 1, true)
+    in
+    let stop, closed = close (i + 1) in
+    let body = String.sub src (i + 1) (stop - i - if closed then 2 else 1) in
+    let body =
+      if !escaped then
+        (* a doubled [q] splits into an empty piece between two others *)
+        String.concat (String.make 1 q)
+          (List.filteri (fun k _ -> k mod 2 = 0) (String.split_on_char q body))
+      else body
+    in
+    (body, stop, closed)
+  in
+  (* digits [. digits] [eE [+-] digits], or from a leading dot; an
+     exponent sign without digits ends the number before the [e] *)
+  let number i =
+    let dot = ref false and exp = ref false and bad_exp = ref false in
+    let rec go j =
+      if j >= n then j
+      else
+        match src.[j] with
+        | '0' .. '9' -> go (j + 1)
+        | '.' when not (!dot || !exp) ->
+          dot := true;
+          go (j + 1)
+        | ('e' | 'E') when not !exp ->
+          if digit_at (j + 1) || (sign_at (j + 1) && digit_at (j + 2)) then begin
+            exp := true;
+            go (j + 2)
+          end
+          else begin
+            bad_exp := sign_at (j + 1);
+            j
+          end
+        | _ -> j
+    in
+    let stop = go i in
+    let text = String.sub src i (stop - i) in
+    let pos = pos_at i in
+    (match if !dot || !exp then None else int_of_string_opt text with
+    | Some k -> emit ~literal:(Ast.L_int k) ~start:i ~stop pos (Int_lit k)
+    | None ->
+      let f = float_of_string text in
+      emit ~literal:(Ast.L_num (f, text)) ~start:i ~stop pos (Num_lit (f, text)));
+    if !bad_exp then
+      error stop
+        (Printf.sprintf "exponent without digits in numeric literal %s"
+           (String.sub src i (stop - i + 2)));
+    stop
+  in
+  let rec loop i =
+    if i >= n then emit ~start:n ~stop:n (pos_at n) Eof
+    else
+      match src.[i] with
+      | '\n' ->
+        newline_at i;
+        loop (i + 1)
+      | ' ' | '\t' | '\r' -> loop (i + 1)
+      | '-' when i + 1 < n && src.[i + 1] = '-' ->
+        let rec eol j = if j < n && src.[j] <> '\n' then eol (j + 1) else j in
+        loop (eol i)
+      | '/' when i + 1 < n && src.[i + 1] = '*' ->
+        let rec close j =
+          if j >= n then None
+          else if src.[j] = '*' && j + 1 < n && src.[j + 1] = '/' then Some (j + 2)
+          else begin
+            newline_at j;
+            close (j + 1)
+          end
+        in
+        (match close (i + 2) with
+        | Some j -> loop j
+        | None ->
+          error n "unterminated block comment";
+          loop n)
+      | ('\'' | '"') as q ->
+        let pos = pos_at i in
+        let body, stop, closed = delimited i q in
+        if q = '\'' then
+          emit ~literal:(Ast.L_string body) ~start:i ~stop pos (String_lit body)
+        else emit ~start:i ~stop pos (Quoted_ident body);
+        if not closed then
+          error stop
+            (if q = '\'' then "unterminated string literal"
+             else "unterminated quoted identifier");
+        loop stop
+      | c when is_digit c || (c = '.' && digit_at (i + 1)) -> loop (number i)
+      | c when is_ident_start c ->
+        let rec stop j = if j < n && is_ident_char src.[j] then stop (j + 1) else j in
+        let stop = stop i in
+        emit ~start:i ~stop (pos_at i) (Ident (String.sub src i (stop - i)));
+        loop stop
+      | c -> (
+        match if i + 1 < n then punct2 c src.[i + 1] else None with
+        | Some p ->
+          emit ~start:i ~stop:(i + 2) (pos_at i) (Punct p);
+          loop (i + 2)
+        | None ->
+          emit ~start:i ~stop:(i + 1) (pos_at i)
+            (match punct1 c with
+            | Some p -> Punct p
+            | None -> Error (Printf.sprintf "unexpected character %C" c));
+          loop (i + 1))
+  in
+  loop 0;
   List.rev !toks
 
-let tokenize src = Array.of_list (tokens src)
+let first_error toks =
+  List.find_map
+    (fun t -> match t.token with Error m -> Some (t.pos, m) | _ -> None)
+    toks
+
+let tokenize src =
+  let toks = tokens src in
+  match first_error toks with
+  | Some (pos, message) -> raise (Lex_error { pos; message })
+  | None -> Array.of_list toks

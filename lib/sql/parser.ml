@@ -4,29 +4,23 @@ open Ast
 exception Parse_error of { pos : Ast.pos; message : string }
 
 type state = {
-  mutable rest : (Lexer.located * literal option) list;
-      (* the tokens from the current one on, each with its literal if it
-         is one; never empty, it ends with [Eof] *)
+  mutable rest : Lexer.located list;
+      (* the tokens from the current one on; never empty, it ends with
+         [Eof] *)
   mutable next_param : int;
 }
 
 type numbering = { values : literal array; params : int }
 
-let literal_of_token = function
-  | Lexer.Int_lit i -> Some (L_int i)
-  | Lexer.Num_lit (f, s) -> Some (L_num (f, s))
-  | Lexer.String_lit s -> Some (L_string s)
-  | _ -> None
-
 let error_at pos fmt =
   Format.kasprintf (fun message -> raise (Parse_error { pos; message })) fmt
 
-let current st = fst (List.hd st.rest)
+let current st = List.hd st.rest
 let peek_token st = (current st).token
 let peek_pos st = (current st).pos
 
 let peek_ahead st n =
-  match List.nth_opt st.rest n with Some (t, _) -> t.token | None -> Lexer.Eof
+  match List.nth_opt st.rest n with Some t -> t.token | None -> Lexer.Eof
 
 let advance st =
   match st.rest with _ :: (_ :: _ as rest) -> st.rest <- rest | _ -> ()
@@ -496,7 +490,7 @@ and parse_primary st =
   match peek_token st with
   | Lexer.Int_lit _ | Lexer.Num_lit _ | Lexer.String_lit _ ->
     (* the block numbered in [values], so its ordinal is its identity *)
-    let lit = Option.get (snd (List.hd st.rest)) in
+    let lit = Option.get (current st).literal in
     advance st;
     Lit lit
   | Lexer.Punct "?" ->
@@ -816,21 +810,19 @@ let parse_order_by st =
     go [ first ]
   end
 
-let run_parser src f =
-  let toks =
-    try Lexer.tokens src
-    with Lexer.Lex_error { pos; message } -> raise (Parse_error { pos; message })
-  in
-  let toks =
-    List.map (fun (t : Lexer.located) -> (t, literal_of_token t.token)) toks
-  in
+let run_parser toks f =
+  Option.iter
+    (fun (pos, message) -> raise (Parse_error { pos; message }))
+    (Lexer.first_error toks);
   let st = { rest = toks; next_param = 1 } in
   let result = f st in
   ignore (eat_punct st ";");
   (match peek_token st with
   | Lexer.Eof -> ()
   | t -> error st "unexpected %s after end of statement" (Lexer.token_to_string t));
-  let values = Array.of_list (List.filter_map snd toks) in
+  let values =
+    Array.of_list (List.filter_map (fun (t : Lexer.located) -> t.literal) toks)
+  in
   (result, { values; params = st.next_param - 1 })
 
 let statement st =
@@ -838,6 +830,6 @@ let statement st =
   let order_by = parse_order_by st in
   { body; order_by }
 
-let parse_numbered src = run_parser src statement
-let parse src = fst (parse_numbered src)
-let parse_expression src = fst (run_parser src parse_or)
+let parse_tokens toks = run_parser toks statement
+let parse src = fst (parse_tokens (Lexer.tokens src))
+let parse_expression src = fst (run_parser (Lexer.tokens src) parse_or)

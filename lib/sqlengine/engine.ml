@@ -999,8 +999,6 @@ and exec_query ?(params : params = [||]) env outer_scope outer_frames
   | A.Set { op; all; left; right } ->
     let lcols, lrows = exec_query ~params env outer_scope outer_frames left in
     let rcols, rrows = exec_query ~params env outer_scope outer_frames right in
-    if List.length lcols <> List.length rcols then
-      fail Errors.Type_mismatch "set operation column count mismatch";
     let key row =
       String.concat "\x01" (Array.to_list (Array.map Value.group_key row))
     in
@@ -1060,13 +1058,7 @@ and exec_query ?(params : params = [||]) env outer_scope outer_frames
             | _ -> true)
           lrows
     in
-    let cols =
-      List.map2
-        (fun (l : Outcol.t) (r : Outcol.t) ->
-          { l with Outcol.nullable = l.Outcol.nullable || r.Outcol.nullable })
-        lcols rcols
-    in
-    (cols, rows)
+    (Semantic.set_columns lcols rcols, rows)
 
 (* ------------------------------------------------------------------ *)
 (* Statement: top-level ORDER BY                                      *)

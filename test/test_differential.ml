@@ -151,6 +151,10 @@ let battery =
     "SELECT DISTINCT CITY FROM CUSTOMERS ORDER BY CITY DESC";
     "SELECT CITY, COUNT(*) N FROM CUSTOMERS GROUP BY CITY ORDER BY N DESC, CITY";
     "SELECT CITY FROM CUSTOMERS UNION SELECT CITY FROM CUSTOMERS ORDER BY 1";
+    (* a set operation promotes a numeric column over both sides *)
+    "SELECT CUSTOMERID FROM CUSTOMERS UNION SELECT PAYMENT FROM PAYMENTS";
+    "SELECT * FROM (SELECT CUSTOMERID X FROM CUSTOMERS UNION SELECT PAYMENT FROM PAYMENTS) D WHERE D.X > 75";
+    "SELECT PAYMENT FROM PAYMENTS EXCEPT SELECT CUSTOMERID FROM CUSTOMERS";
     "SELECT TIER FROM CUSTOMERS ORDER BY TIER";
     (* qualified column keys over grouped/distinct queries resolve to
        their output columns *)

@@ -386,6 +386,110 @@ let plan_key_follows_the_lexer () =
     @ report_statements @ wire_statements
     @ querygen_statements app ~seed:45 300)
 
+(* One lexer: on any text the key never raises, its shape is the
+   reference normalizer's, it has no plan exactly when a token is a
+   lexical error (and then the parser reports that error before
+   parsing), and the literals it lifts are the ones the parser numbers.
+   Texts are random strings over a SQL-ish alphabet and workload
+   statements with pieces of that alphabet spliced in. *)
+let prop_one_lexer =
+  let module L = Aqua_sql.Lexer in
+  let module P = Aqua_sql.Parser in
+  let app = Datagen.application ~seed:45 adhoc_sizes in
+  let pool =
+    Array.of_list
+      (report_statements @ wire_statements @ querygen_statements app ~seed:45 200)
+  in
+  let alphabet =
+    [| "'"; "\""; "''"; "e"; "E"; "+"; "-"; "."; "--"; "/*"; "*/"; "@"; "1";
+       "7"; "0"; " "; "\n"; "SELECT"; "FROM"; "T"; "a"; "("; ")"; ","; "=";
+       "<"; ">"; "!"; "|"; "?"; "*"; "IN"; "1e+"; "3e-x"; "2.5E3" |]
+  in
+  let piece rand = alphabet.(Random.State.int rand (Array.length alphabet)) in
+  let splice rand sql =
+    let i = Random.State.int rand (String.length sql + 1) in
+    let rest = String.sub sql i (String.length sql - i) in
+    match Random.State.int rand 3 with
+    | 0 -> String.sub sql 0 i ^ piece rand ^ rest
+    | 1 -> String.sub sql 0 i ^ piece rand
+    | _ ->
+      String.sub sql 0 i
+      ^ if rest = "" then "" else String.sub rest 1 (String.length rest - 1)
+  in
+  let gen rand =
+    if Random.State.bool rand then
+      String.concat "" (List.init (Random.State.int rand 30) (fun _ -> piece rand))
+    else
+      let sql = pool.(Random.State.int rand (Array.length pool)) in
+      List.fold_left (fun s _ -> splice rand s) sql
+        (List.init (1 + Random.State.int rand 3) Fun.id)
+  in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  QCheck.Test.make ~name:"one lexer: key, shape, plan and literals" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun sql ->
+      let k =
+        try Fingerprint.key sql
+        with e -> fail "the key raised %s" (Printexc.to_string e)
+      in
+      if k.Fingerprint.shape <> Reference.shape sql then
+        fail "shape %S, reference %S" k.Fingerprint.shape (Reference.shape sql);
+      let lexical = L.first_error k.Fingerprint.tokens in
+      if (lexical = None) <> (k.Fingerprint.plan <> None) then
+        fail "plan key %s, lexical error %b"
+          (Option.value k.Fingerprint.plan ~default:"none")
+          (lexical <> None);
+      match P.parse sql with
+      | exception P.Parse_error { pos; message } -> (
+        match lexical with
+        | Some (p, m) when p <> pos || m <> message ->
+          fail "the parser reported %S, the lexer's first error is %S" message m
+        | _ -> true)
+      | exception e -> fail "the parser raised %s" (Printexc.to_string e)
+      | _ ->
+        if lexical <> None then fail "parsed a text with a lexical error";
+        let key_values =
+          Array.map (fun (l : Fingerprint.literal) -> l.Fingerprint.value)
+            k.Fingerprint.literals
+        in
+        let _, from_key = P.parse_tokens k.Fingerprint.tokens in
+        let _, from_text = P.parse_tokens (L.tokens sql) in
+        if
+          Array.length from_key.P.values <> Array.length key_values
+          || not (Array.for_all2 ( == ) from_key.P.values key_values)
+        then fail "the parser numbered other blocks than the key's";
+        if from_text.P.values <> key_values then
+          fail "the key's literals differ from the parser's";
+        true)
+
+(* A lexical error is a positioned 42601 through the parser and the
+   driver, never an engine fault. *)
+let lexical_errors_are_syntax_errors () =
+  let conn = Connection.connect (Datagen.application ~seed:45 adhoc_sizes) in
+  List.iter
+    (fun (sql, want) ->
+      (match Aqua_sql.Parser.parse sql with
+      | exception Aqua_sql.Parser.Parse_error { pos; message } ->
+        Alcotest.(check string)
+          ("parse of " ^ sql) want
+          (Printf.sprintf "at line %d, column %d: %s" pos.Aqua_sql.Ast.line
+             pos.Aqua_sql.Ast.col message)
+      | _ -> Alcotest.failf "parsed %s" sql);
+      match Connection.execute_query conn sql with
+      | exception Sqlstate.Error e ->
+        Alcotest.(check (pair string string))
+          ("execute_query of " ^ sql) ("42601", want)
+          (e.Sqlstate.sqlstate, e.Sqlstate.message)
+      | _ -> Alcotest.failf "executed %s" sql)
+    [ ( "SELECT 1e+ FROM CUSTOMERS",
+        "at line 1, column 9: exponent without digits in numeric literal 1e+" );
+      ( "SELECT 3e-x FROM CUSTOMERS",
+        "at line 1, column 9: exponent without digits in numeric literal 3e-" );
+      ( "CALL 1e+",
+        "at line 1, column 7: exponent without digits in numeric literal 1e+" );
+      ("SELECT 'abc FROM CUSTOMERS", "at line 1, column 27: unterminated string literal");
+      ("SELECT @ FROM CUSTOMERS", "at line 1, column 8: unexpected character '@'") ]
+
 (* ------------------------------------------------------------------ *)
 (* Translation through the cache                                      *)
 
@@ -401,7 +505,7 @@ let translate_is_literal () =
       match Translator.translate env sql with
       | exception Aqua_translator.Errors.Error _ -> ()
       | want ->
-        let lifted = Translator.translate_lifted env sql in
+        let lifted = Translator.translate_lifted env (Aqua_sql.Lexer.tokens sql) in
         if
           Translator.instantiate lifted lifted.Translator.literals
           <> want.Translator.xquery
@@ -430,7 +534,7 @@ let lowering_notes_agree () =
   let check app sql =
     let env = Semantic.env_of_application app in
     let srv = Server.create app in
-    let lifted = Translator.translate_lifted env sql in
+    let lifted = Translator.translate_lifted env (Aqua_sql.Lexer.tokens sql) in
     let vars =
       List.map
         (fun (l : Aqua_translator.Generate.lifted) -> l.var)
@@ -637,4 +741,7 @@ let suite =
         plans_follow_revisions_and_data;
       Helpers.case "cached plans across 4 domains" cached_plans_across_domains;
       Helpers.case "cached plans over the wire, 2 workers"
-        cached_plans_over_the_wire ] )
+        cached_plans_over_the_wire;
+      Helpers.qcheck prop_one_lexer;
+      Helpers.case "lexical errors are positioned 42601s"
+        lexical_errors_are_syntax_errors ] )

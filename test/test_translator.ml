@@ -335,7 +335,7 @@ let stage_two_is_total =
   QCheck.Test.make ~name:"stage two is total" ~count:600
     (QCheck.make ~print:Fun.id gen)
     (fun sql ->
-      match Aqua_sql.Parser.parse_numbered sql with
+      match Aqua_sql.Parser.parse_tokens (Aqua_sql.Lexer.tokens sql) with
       | exception Aqua_sql.Parser.Parse_error _ -> true
       | stmt, numbering -> (
         match Semantic.resolve env stmt with
