@@ -606,14 +606,13 @@ let text_cmd =
     Term.(const run $ sql_arg $ naive_flag $ no_optimize_flag)
 
 let diff_cmd =
-  let run sql naive =
+  let run sql =
     with_env (fun app env ->
         ignore env;
         let conn =
           Aqua_driver.Connection.connect ~transport:Aqua_driver.Connection.Text
             app
         in
-        ignore naive;
         let rs = Aqua_driver.Connection.execute_query conn sql in
         let via_driver = Aqua_driver.Result_set.to_rowset rs in
         let engine_env = Aqua_sqlengine.Engine.env_of_application app in
@@ -633,13 +632,12 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:"Run via the driver AND the baseline SQL engine; compare rows")
-    Term.(const run $ sql_arg $ naive_flag)
+    Term.(const run $ sql_arg)
 
 let wdiff_cmd =
   (* like diff, but against the synthetic workload catalog used by the
      randomized test suite — for reproducing generator findings *)
-  let run sql naive =
-    ignore naive;
+  let run sql =
     let app =
       Aqua_workload.Datagen.application
         { Aqua_workload.Datagen.customers = 12; orders = 25;
@@ -671,7 +669,7 @@ let wdiff_cmd =
   in
   Cmd.v
     (Cmd.info "wdiff" ~doc:"diff against the synthetic workload catalog")
-    Term.(const run $ sql_arg $ naive_flag)
+    Term.(const run $ sql_arg)
 
 let explain_cmd =
   let show_xquery =

@@ -81,7 +81,7 @@ let unescape_sub s pos len =
         | "lt" -> Buffer.add_char buf '<'
         | "gt" -> Buffer.add_char buf '>'
         | _ when String.length name > 1 && name.[0] = '#' -> (
-          match int_of_string_opt (String.sub name 1 (String.length name - 1)) with
+          match Aqua_xml.Atomic.scan_integer (String.sub name 1 (String.length name - 1)) with
           | Some c when c >= 0 && c < 256 -> Buffer.add_char buf (Char.chr c)
           | _ -> raise (Decode_error ("bad character reference &" ^ name ^ ";")))
         | _ -> raise (Decode_error ("unknown entity &" ^ name ^ ";")));

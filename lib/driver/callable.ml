@@ -12,14 +12,15 @@ type t = {
   params : Aqua_xml.Item.sequence option array;
 }
 
-let fail fmt = Errors.raise_error Errors.Syntax fmt
+let fail ?pos fmt = Errors.raise_error ?pos Errors.Syntax fmt
 
 (* {call schema.name(?, ?)} — braces optional, case-insensitive CALL *)
 let parse_call_syntax src =
-  let toks =
-    try Lexer.tokenize src
-    with Lexer.Lex_error { message; _ } -> fail "%s" message
-  in
+  let toks = Lexer.tokens src in
+  Option.iter
+    (fun (pos, message) -> fail ~pos "%s" message)
+    (Lexer.first_error toks);
+  let toks = Array.of_list toks in
   let idx = ref 0 in
   let peek () = toks.(!idx).Lexer.token in
   let advance () = if !idx < Array.length toks - 1 then incr idx in
@@ -62,11 +63,14 @@ let parse_call_syntax src =
   | t -> fail "unexpected %s after call" (Lexer.token_to_string t));
   (schema, name, !nparams)
 
+(* The braces of {call …} become blanks, so positions stay the
+   caller's. *)
 let strip_braces src =
   let s = String.trim src in
   if String.length s >= 2 && s.[0] = '{' && s.[String.length s - 1] = '}' then
-    String.sub s 1 (String.length s - 2)
-  else s
+    let i = String.index src '{' and j = String.rindex src '}' in
+    String.mapi (fun k c -> if k = i || k = j then ' ' else c) src
+  else src
 
 let prepare conn src =
   let schema, name, nparams = parse_call_syntax (strip_braces src) in

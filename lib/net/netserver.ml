@@ -221,13 +221,11 @@ let trace_id_char_ok c =
   || c = '-' || c = '_'
 
 (* A leading [/*traceparent:<id>*/] comment carries the client's trace
-   id.  It is stripped from the SQL either way — the translator's
-   parser has no comment syntax, and the translation LRU must key on
-   the bare statement so a thousand distinct trace ids share one cache
-   entry.  (The fingerprint normalizer already drops comments
-   lexically, so shapes were never at risk.)  An id that is empty,
-   over 64 chars, or outside [A-Za-z0-9_-] is ignored and the server
-   mints its own. *)
+   id.  Only the id is read; the statement runs as the client sent it:
+   the SQL lexer skips comments, so error positions stay the client's,
+   and the plan key drops them, so a thousand distinct trace ids share
+   one cache entry.  An id that is empty, over 64 chars, or outside
+   [A-Za-z0-9_-] is ignored and the server mints its own. *)
 let extract_traceparent sql =
   let n = String.length sql in
   let i = ref 0 in
@@ -247,17 +245,14 @@ let extract_traceparent sql =
       else find_close (j + 1)
     in
     match find_close (!i + plen) with
-    | None -> (None, sql)
+    | None -> None
     | Some j ->
       let id = String.trim (String.sub sql (!i + plen) (j - !i - plen)) in
-      let rest = String.sub sql (j + 2) (n - j - 2) in
-      let ok =
-        id <> "" && String.length id <= 64
-        && String.for_all trace_id_char_ok id
-      in
-      ((if ok then Some id else None), rest)
+      if id <> "" && String.length id <= 64 && String.for_all trace_id_char_ok id
+      then Some id
+      else None
   end
-  else (None, sql)
+  else None
 
 (* Head-based probabilistic sampling, deterministic in the trace id
    (FNV-1a 64 of the id against the rate): retries of the same trace
@@ -358,11 +353,11 @@ let handle_query srv fd buf hist ~sid sql =
     Atomic.incr srv.in_flight;
     Fun.protect ~finally:(fun () -> Atomic.decr srv.in_flight)
     @@ fun () ->
-    (* trace context: a client-supplied /*traceparent:…*/ id (stripped
-       from the SQL) or a freshly minted one, with the head-based
-       sampling decision; the DLS context travels through the session
-       pool, the driver and every span below without threading *)
-    let client_id, sql = extract_traceparent sql in
+    (* trace context: the id of a client's /*traceparent:…*/ comment
+       or a freshly minted one, with the head-based sampling decision;
+       the DLS context travels through the session pool, the driver and
+       every span below without threading *)
+    let client_id = extract_traceparent sql in
     let trace_id =
       match client_id with Some id -> id | None -> mint_trace srv
     in

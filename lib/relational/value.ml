@@ -18,67 +18,36 @@ let type_error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
 let is_null = function Null -> true | _ -> false
 
-let float_lexical f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+let scanned what scan s =
+  match scan s with
+  | Some v -> v
+  | None -> type_error "malformed %s literal %S" what s
 
-let to_string = function
-  | Null -> type_error "NULL has no lexical form"
-  | Int i -> string_of_int i
-  | Num f -> float_lexical f
-  | Str s -> s
-  | Bool b -> if b then "true" else "false"
-  | Date d -> Atomic.date_to_string d
-  | Time t -> Atomic.time_to_string t
-  | Timestamp ts -> Atomic.timestamp_to_string ts
-
-let to_display = function Null -> "NULL" | v -> to_string v
-
+(* DECIMAL, REAL and DOUBLE cells read as xs:double: the float printer
+   may write an exponent, INF or NaN for any of them *)
 let of_string ty s =
-  let num () =
-    match float_of_string_opt (String.trim s) with
-    | Some f -> Num f
-    | None -> type_error "malformed numeric literal %S" s
-  in
-  let int () =
-    match int_of_string_opt (String.trim s) with
-    | Some i -> Int i
-    | None -> type_error "malformed integer literal %S" s
-  in
   try
     match ty with
-    | Sql_type.Smallint | Sql_type.Integer | Sql_type.Bigint -> int ()
-    | Sql_type.Decimal _ | Sql_type.Real | Sql_type.Double -> num ()
+    | Sql_type.Smallint | Sql_type.Integer | Sql_type.Bigint ->
+      Int (scanned "integer" Atomic.scan_integer s)
+    | Sql_type.Decimal _ | Sql_type.Real | Sql_type.Double ->
+      Num (scanned "numeric" Atomic.scan_double s)
     | Sql_type.Char _ | Sql_type.Varchar _ -> Str s
-    | Sql_type.Boolean -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "true" | "1" -> Bool true
-      | "false" | "0" -> Bool false
-      | _ -> type_error "malformed boolean literal %S" s)
+    | Sql_type.Boolean -> Bool (scanned "boolean" Atomic.scan_boolean s)
     | Sql_type.Date -> Date (Atomic.date_of_string s)
     | Sql_type.Time -> Time (Atomic.time_of_string s)
     | Sql_type.Timestamp -> Timestamp (Atomic.timestamp_of_string s)
   with Atomic.Cast_error m -> raise (Type_error m)
 
-let to_atomic ty v =
-  match v with
-  | Null -> None
-  | Int i -> (
-    match ty with
-    | Sql_type.Decimal _ -> Some (Atomic.Decimal (float_of_int i))
-    | Sql_type.Real | Sql_type.Double -> Some (Atomic.Double (float_of_int i))
-    | _ -> Some (Atomic.Integer i))
-  | Num f -> (
-    match ty with
-    | Sql_type.Decimal _ -> Some (Atomic.Decimal f)
-    | Sql_type.Smallint | Sql_type.Integer | Sql_type.Bigint ->
-      Some (Atomic.Integer (int_of_float f))
-    | _ -> Some (Atomic.Double f))
-  | Str s -> Some (Atomic.String s)
-  | Bool b -> Some (Atomic.Boolean b)
-  | Date d -> Some (Atomic.Date d)
-  | Time t -> Some (Atomic.Time t)
-  | Timestamp ts -> Some (Atomic.Timestamp ts)
+let atomic = function
+  | Null -> type_error "NULL has no atomic value"
+  | Int i -> Atomic.Integer i
+  | Num f -> Atomic.Double f
+  | Str s -> Atomic.String s
+  | Bool b -> Atomic.Boolean b
+  | Date d -> Atomic.Date d
+  | Time t -> Atomic.Time t
+  | Timestamp ts -> Atomic.Timestamp ts
 
 let of_atomic = function
   | Atomic.Untyped s | Atomic.String s -> Str s
@@ -89,31 +58,22 @@ let of_atomic = function
   | Atomic.Time t -> Time t
   | Atomic.Timestamp ts -> Timestamp ts
 
-let as_float = function
-  | Int i -> Some (float_of_int i)
-  | Num f -> Some f
-  | Null | Str _ | Bool _ | Date _ | Time _ | Timestamp _ -> None
+let to_string = function
+  | Null -> type_error "NULL has no lexical form"
+  | Int i -> string_of_int i
+  | Str s -> s
+  | v -> Atomic.to_lexical (atomic v)
+
+let to_display = function Null -> "NULL" | v -> to_string v
 
 let compare_nonnull a b =
   match (a, b) with
-  | Int x, Int y -> compare x y
-  | (Int _ | Num _), (Int _ | Num _) -> (
-    match (as_float a, as_float b) with
-    | Some x, Some y -> Float.compare x y
-    | _ -> assert false)
+  | Int x, Int y -> Int.compare x y
   | Str x, Str y -> String.compare x y
-  | Bool x, Bool y -> Bool.compare x y
-  | Date x, Date y -> compare (x.year, x.month, x.day) (y.year, y.month, y.day)
-  | Time x, Time y ->
-    compare (x.hour, x.minute, x.second) (y.hour, y.minute, y.second)
-  | Timestamp x, Timestamp y ->
-    compare
-      ( x.date.year, x.date.month, x.date.day, x.time.hour, x.time.minute,
-        x.time.second )
-      ( y.date.year, y.date.month, y.date.day, y.time.hour, y.time.minute,
-        y.time.second )
-  | _ ->
-    type_error "cannot compare %s with %s" (to_display a) (to_display b)
+  | _ -> (
+    try Atomic.compare_values (atomic a) (atomic b)
+    with Atomic.Cast_error _ ->
+      type_error "cannot compare %s with %s" (to_display a) (to_display b))
 
 let compare_sql a b =
   match (a, b) with
@@ -151,12 +111,6 @@ let is_true = function True -> true | False | Unknown -> false
 
 let group_key = function
   | Null -> "\x00null"
-  | Int i -> "n" ^ float_lexical (float_of_int i)
-  | Num f -> "n" ^ float_lexical f
-  | Str s -> "s" ^ s
-  | Bool b -> if b then "bT" else "bF"
-  | Date d -> "d" ^ Atomic.date_to_string d
-  | Time t -> "t" ^ Atomic.time_to_string t
-  | Timestamp ts -> "ts" ^ Atomic.timestamp_to_string ts
+  | v -> Atomic.hash_key (atomic v)
 
 let pp fmt v = Format.pp_print_string fmt (to_display v)

@@ -26,17 +26,23 @@ val to_display : t -> string
 (** Human-oriented rendering, [Null] printed as ["NULL"]. *)
 
 val of_string : Sql_type.t -> string -> t
-(** Parses a lexical form according to a column type.
+(** Decodes a cell's lexical form by its column type, through
+    {!Aqua_xml.Atomic}'s scanners: the INTEGER family as [xs:integer],
+    DECIMAL/REAL/DOUBLE as [xs:double] (the printer may write an
+    exponent, [INF] or [NaN]), BOOLEAN as [xs:boolean], the datetime
+    types by their XSD forms.
     @raise Type_error on malformed input. *)
 
-val to_atomic : Sql_type.t -> t -> Aqua_xml.Atomic.t option
-(** XQuery atomic value carried in flat XML; [None] for SQL NULL. *)
+val atomic : t -> Aqua_xml.Atomic.t
+(** The matching atomic value: [Num] as [xs:double].
+    @raise Type_error on [Null]. *)
 
 val of_atomic : Aqua_xml.Atomic.t -> t
 
 val compare_sql : t -> t -> int
 (** Total order treating [Null] as smallest (used for sorting with
-    NULLS FIRST semantics); numerics compare numerically.
+    NULLS FIRST semantics); non-null values compare as
+    [Atomic.compare_values] of their atomics.
     @raise Type_error on incomparable non-null values. *)
 
 val compare3 : t -> t -> bool3 * int
@@ -52,7 +58,8 @@ val of_bool : bool -> bool3
 val is_true : bool3 -> bool
 
 val group_key : t -> string
-(** Key for GROUP BY / DISTINCT hashing: SQL considers two nulls
-    identical for grouping, so [Null] gets its own stable key. *)
+(** Key for GROUP BY / DISTINCT hashing: [Atomic.hash_key] of the
+    matching atomic.  SQL considers two nulls identical for grouping, so
+    [Null] gets its own stable key. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,8 +16,6 @@ type located = {
   literal : Ast.literal option;
 }
 
-exception Lex_error of { pos : Ast.pos; message : string }
-
 let token_to_string = function
   | Ident s -> s
   | Quoted_ident s -> Printf.sprintf "%S" s
@@ -190,8 +188,3 @@ let first_error toks =
     (fun t -> match t.token with Error m -> Some (t.pos, m) | _ -> None)
     toks
 
-let tokenize src =
-  let toks = tokens src in
-  match first_error toks with
-  | Some (pos, message) -> raise (Lex_error { pos; message })
-  | None -> Array.of_list toks

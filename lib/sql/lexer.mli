@@ -27,8 +27,6 @@ type located = {
           [Lit] node holds this very block *)
 }
 
-exception Lex_error of { pos : Ast.pos; message : string }
-
 val tokens : string -> located list
 (** The tokens as a list, which the parser walks (an array of more than
     256 tokens would be allocated in the major heap, a step in the cost
@@ -39,11 +37,5 @@ val tokens : string -> located list
 
 val first_error : located list -> (Ast.pos * string) option
 (** The position and message of the first [Error] token. *)
-
-val tokenize : string -> located array
-(** {!tokens} for a text without lexical errors.
-    @raise Lex_error for the first [Error] token: an unexpected
-    character, an unterminated string, quoted identifier or block
-    comment, or an exponent sign without digits. *)
 
 val token_to_string : token -> string

@@ -230,59 +230,14 @@ let extract_sql field v =
   | _ ->
     type_error "EXTRACT(%s FROM %s) is not defined" field (Value.to_display v)
 
+(* CAST runs the xs: constructor the translator emits for the target
+   type, so the oracle and the driver read text through one lexical
+   space (DESIGN.md section 5). *)
 let cast_sql ty v =
   if Value.is_null v then Value.Null
   else
-    match ty with
-    | Sql_type.Smallint | Sql_type.Integer | Sql_type.Bigint -> (
-      match v with
-      | Value.Int _ -> v
-      | Value.Num f -> Value.Int (int_of_float f)
-      | Value.Str s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some i -> Value.Int i
-        | None -> (
-          match float_of_string_opt (String.trim s) with
-          | Some f -> Value.Int (int_of_float f)
-          | None -> type_error "cannot cast %S to %s" s (Sql_type.to_string ty)))
-      | Value.Bool b -> Value.Int (if b then 1 else 0)
-      | _ -> type_error "cannot cast %s to %s" (Value.to_display v) (Sql_type.to_string ty))
-    | Sql_type.Decimal _ | Sql_type.Real | Sql_type.Double -> (
-      match v with
-      | Value.Int i -> Value.Num (float_of_int i)
-      | Value.Num _ -> v
-      | Value.Str s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some f -> Value.Num f
-        | None -> type_error "cannot cast %S to %s" s (Sql_type.to_string ty))
-      | _ -> type_error "cannot cast %s to %s" (Value.to_display v) (Sql_type.to_string ty))
-    | Sql_type.Char _ | Sql_type.Varchar _ -> Value.Str (Value.to_string v)
-    | Sql_type.Boolean -> (
-      match v with
-      | Value.Bool _ -> v
-      | Value.Int i -> Value.Bool (i <> 0)
-      | Value.Str s -> Value.of_string Sql_type.Boolean s
-      | _ -> type_error "cannot cast %s to BOOLEAN" (Value.to_display v))
-    | Sql_type.Date -> (
-      match v with
-      | Value.Date _ -> v
-      | Value.Timestamp ts -> Value.Date ts.Atomic.date
-      | Value.Str s -> Value.of_string Sql_type.Date s
-      | _ -> type_error "cannot cast %s to DATE" (Value.to_display v))
-    | Sql_type.Time -> (
-      match v with
-      | Value.Time _ -> v
-      | Value.Timestamp ts -> Value.Time ts.Atomic.time
-      | Value.Str s -> Value.of_string Sql_type.Time s
-      | _ -> type_error "cannot cast %s to TIME" (Value.to_display v))
-    | Sql_type.Timestamp -> (
-      match v with
-      | Value.Timestamp _ -> v
-      | Value.Date d ->
-        Value.Timestamp
-          { Atomic.date = d; time = { Atomic.hour = 0; minute = 0; second = 0 } }
-      | Value.Str s -> Value.of_string Sql_type.Timestamp s
-      | _ -> type_error "cannot cast %s to TIMESTAMP" (Value.to_display v))
+    try Value.of_atomic (Atomic.cast (Sql_type.xquery_name ty) (Value.atomic v))
+    with Atomic.Cast_error m -> type_error "%s" m
 
 let function_sql name args =
   match (String.uppercase_ascii name, args) with

@@ -30,9 +30,10 @@ val to_lexical : t -> string
 (** Canonical lexical form (what [fn:string] returns). *)
 
 val float_to_lexical : float -> string
-(** The lexical form of an [xs:double]/[xs:decimal] value: an integral
-    value below 1e15 in magnitude as its integer digits, anything else
-    as C's [%.12g]. *)
+(** The lexical form of an [xs:double]/[xs:decimal] value, the only
+    float printer: an integral value below 1e18 in magnitude as its
+    integer digits, infinities and NaN as [INF], [-INF] and [NaN],
+    anything else as C's [%.12g]. *)
 
 val add_int : Buffer.t -> int -> unit
 (** [add_int buf i] appends [string_of_int i] without building it. *)
@@ -51,19 +52,39 @@ val timestamp_of_string : string -> timestamp
 (** Parses ["YYYY-MM-DDTHH:MM:SS"] (a space separator is also accepted).
     @raise Cast_error on bad input. *)
 
-val untyped_number : string -> float option
-(** The untyped-to-number cast shared by every numeric context:
-    [float_of_string_opt] of the trimmed text.  [None] when the text is
-    not a number. *)
+(** {2 Lexical spaces}
 
-val cast_integer : t -> int
+    The only readers of a number or a boolean out of data text, one per
+    XML Schema 1.0 Part 2 type, [None] outside its lexical space.  XSD
+    whitespace (space, tab, CR, LF) may surround the value; hexadecimal,
+    underscores, [infinity] and [nan] are not numbers. *)
+
+val scan_integer : string -> int option
+(** [xs:integer] (3.3.13); [None] too when the value does not fit an
+    int. *)
+
+val scan_decimal : string -> float option
+(** [xs:decimal] (3.2.3): digits with at most one dot; also an
+    exponent, which [float_to_lexical] writes for small and large
+    values; no [INF] or [NaN]. *)
+
+val scan_double : string -> float option
+(** [xs:double] (3.2.5): a decimal with an optional exponent, or [INF],
+    [-INF], [NaN]; every untyped-to-number reading uses it. *)
+
+val scan_boolean : string -> bool option
+(** [xs:boolean] (3.2.2): [true], [false], [1] or [0]. *)
+
 val cast_double : t -> float
-val cast_decimal : t -> float
-val cast_string : t -> string
-val cast_boolean : t -> bool
-val cast_date : t -> date
-val cast_time : t -> time
-val cast_timestamp : t -> timestamp
+(** [xs:double] of a value; text reads as [scan_double]. *)
+
+val constructors : (string * (t -> t)) list
+(** The [xs:] constructor functions by name ([xs:int], [xs:decimal],
+    ...), each reading text in its type's lexical space. *)
+
+val cast : string -> t -> t
+(** [cast name] is the constructor [name] (a [Sql_type.xquery_name]).
+    @raise Cast_error when the value is outside the target's space. *)
 
 val is_numeric : t -> bool
 
@@ -79,6 +100,7 @@ val equal : t -> t -> bool
 
 val hash_key : t -> string
 (** Injective-enough key for grouping/distinct: equal values (per
-    [compare_values]) map to equal keys. *)
+    [compare_values]) map to equal keys; an integer and the double
+    equal to it share one key below 2^53. *)
 
 val pp : Format.formatter -> t -> unit

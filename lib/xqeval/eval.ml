@@ -55,7 +55,7 @@ let arith_atomic (op : X.arith) a b =
   let untype = function
     | Atomic.Untyped s -> (
       (* untyped operands are cast to xs:double in arithmetic *)
-      match Atomic.untyped_number s with
+      match Atomic.scan_double s with
       | Some f -> Atomic.Double f
       | None -> fail "cannot use %S in arithmetic" s)
     | v -> v

@@ -27,7 +27,7 @@ let numeric_of_atomic name a =
   match a with
   | Atomic.Integer _ | Atomic.Decimal _ | Atomic.Double _ -> Atomic.cast_double a
   | Atomic.Untyped s -> (
-    match Atomic.untyped_number s with
+    match Atomic.scan_double s with
     | Some f -> f
     | None -> fail "%s: cannot treat %S as a number" name s)
   | _ -> fail "%s: %s is not numeric" name (Atomic.type_name a)
@@ -36,7 +36,7 @@ let numeric_of_atomic name a =
    text that is not a number compares as a string *)
 let untype_extremum = function
   | Atomic.Untyped s -> (
-    match Atomic.untyped_number s with
+    match Atomic.scan_double s with
     | Some f -> Atomic.Double f
     | None -> Atomic.String s)
   | a -> a
@@ -608,18 +608,7 @@ let () =
   register "fn-bea:trim" (trim_with "fn-bea:trim" `Both);
   register "fn-bea:trim-left" (trim_with "fn-bea:trim-left" `Leading);
   register "fn-bea:trim-right" (trim_with "fn-bea:trim-right" `Trailing);
-  register "xs:string" (cast "xs:string" (fun a -> Atomic.String (Atomic.cast_string a)));
-  register "xs:integer" (cast "xs:integer" (fun a -> Atomic.Integer (Atomic.cast_integer a)));
-  register "xs:int" (cast "xs:int" (fun a -> Atomic.Integer (Atomic.cast_integer a)));
-  register "xs:long" (cast "xs:long" (fun a -> Atomic.Integer (Atomic.cast_integer a)));
-  register "xs:short" (cast "xs:short" (fun a -> Atomic.Integer (Atomic.cast_integer a)));
-  register "xs:decimal" (cast "xs:decimal" (fun a -> Atomic.Decimal (Atomic.cast_decimal a)));
-  register "xs:double" (cast "xs:double" (fun a -> Atomic.Double (Atomic.cast_double a)));
-  register "xs:float" (cast "xs:float" (fun a -> Atomic.Double (Atomic.cast_double a)));
-  register "xs:boolean" (cast "xs:boolean" (fun a -> Atomic.Boolean (Atomic.cast_boolean a)));
-  register "xs:date" (cast "xs:date" (fun a -> Atomic.Date (Atomic.cast_date a)));
-  register "xs:time" (cast "xs:time" (fun a -> Atomic.Time (Atomic.cast_time a)));
-  register "xs:dateTime" (cast "xs:dateTime" (fun a -> Atomic.Timestamp (Atomic.cast_timestamp a)))
+  List.iter (fun (name, conv) -> register name (cast name conv)) Atomic.constructors
 
 let lookup name = Hashtbl.find_opt registry name
 

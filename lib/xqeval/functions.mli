@@ -37,7 +37,7 @@ val numeric_of_atomic : string -> Aqua_xml.Atomic.t -> float
 
 val untype_extremum : Aqua_xml.Atomic.t -> Aqua_xml.Atomic.t
 (** The [fn:min]/[fn:max] reading of one atom: an untyped value that
-    is a number ({!Aqua_xml.Atomic.untyped_number}) becomes a double,
+    is an xs:double ({!Aqua_xml.Atomic.scan_double}) becomes a double,
     any other untyped value a string; typed atoms pass through.  Shared
     with the columnar min/max kernels. *)
 

@@ -35,55 +35,33 @@ type t = {
   mutable stamp : int;  (** current probe generation, starts at 0 *)
 }
 
+(* The key of [a] cast to the type [name] when [shape] says the cast
+   can succeed.  This runs once per build atom and once per probe, so
+   the date/time casts (which raise on failure) are only attempted when
+   the string's length and separators could match: a numeric key never
+   pays an exception here. *)
+let cast_key a name shape =
+  if not shape then []
+  else
+    match Atomic.cast name a with
+    | v -> [ Atomic.hash_key v ]
+    | exception Atomic.Cast_error _ -> []
+
 let secondary_keys (a : Atomic.t) : string list =
-  let try_cast f = try Some (f ()) with Atomic.Cast_error _ -> None in
   match a with
   | Atomic.Untyped s ->
-    (* Shape-guarded casts: this runs once per build atom and once per
-       probe, so the date/time casts (which raise on failure) are only
-       attempted when the string's length and separators could match —
-       a numeric key never pays an exception here.  The guards mirror
-       the length/separator preconditions the parsers themselves
-       check before reading any digits. *)
-    let trimmed = String.trim s in
-    let acc =
-      if String.length s = 19 && (s.[10] = 'T' || s.[10] = ' ') then
-        match try_cast (fun () -> Atomic.timestamp_of_string s) with
-        | Some ts -> [ Atomic.hash_key (Atomic.Timestamp ts) ]
-        | None -> []
-      else []
-    in
-    let acc =
-      if String.length s = 8 && s.[2] = ':' && s.[5] = ':' then
-        match try_cast (fun () -> Atomic.time_of_string s) with
-        | Some t -> Atomic.hash_key (Atomic.Time t) :: acc
-        | None -> acc
-      else acc
-    in
-    let acc =
-      if String.length s = 10 && s.[4] = '-' && s.[7] = '-' then
-        match try_cast (fun () -> Atomic.date_of_string s) with
-        | Some d -> Atomic.hash_key (Atomic.Date d) :: acc
-        | None -> acc
-      else acc
-    in
-    let acc =
-      match trimmed with
-      | "true" | "1" -> Atomic.hash_key (Atomic.Boolean true) :: acc
-      | "false" | "0" -> Atomic.hash_key (Atomic.Boolean false) :: acc
-      | _ -> acc
-    in
-    (match Atomic.untyped_number s with
-    | Some f -> Atomic.hash_key (Atomic.Double f) :: acc
-    | None -> acc)
-  | Atomic.Date d ->
-    [
-      Atomic.hash_key
-        (Atomic.Timestamp
-           { date = d; time = { hour = 0; minute = 0; second = 0 } });
-    ]
-  | Atomic.Timestamp ts when ts.time = { hour = 0; minute = 0; second = 0 } ->
-    [ Atomic.hash_key (Atomic.Date ts.date) ]
+    let n = String.length s in
+    cast_key a "xs:dateTime" (n = 19 && (s.[10] = 'T' || s.[10] = ' '))
+    @ cast_key a "xs:time" (n = 8 && s.[2] = ':' && s.[5] = ':')
+    @ cast_key a "xs:date" (n = 10 && s.[4] = '-' && s.[7] = '-')
+    @ (match Atomic.scan_boolean s with
+      | Some b -> [ Atomic.hash_key (Atomic.Boolean b) ]
+      | None -> [])
+    @ (match Atomic.scan_double s with
+      | Some f -> [ Atomic.hash_key (Atomic.Double f) ]
+      | None -> [])
+  | Atomic.Date _ -> cast_key a "xs:dateTime" true
+  | Atomic.Timestamp ts -> cast_key a "xs:date" (ts.time = { hour = 0; minute = 0; second = 0 })
   | _ -> []
 
 (* [key_of] evaluates the build-key expression with the join variable

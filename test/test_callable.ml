@@ -92,6 +92,19 @@ let call_errors () =
   (match Callable.prepare conn "call customersByTier" with
   | exception Errors.Error _ -> ()
   | _ -> Alcotest.fail "missing parens accepted");
+  (* a lexical error is positioned in the caller's text, braces and
+     leading blanks included, as through [Connection.execute_query] *)
+  List.iter
+    (fun (src, col) ->
+      match Callable.prepare conn src with
+      | exception Errors.Error e ->
+        Alcotest.(check bool) ("syntax error: " ^ src) true (e.Errors.kind = Errors.Syntax);
+        Alcotest.(check (option (pair int int)))
+          ("position of " ^ src)
+          (Some (1, col))
+          (Option.map (fun (p : Aqua_sql.Ast.pos) -> (p.line, p.col)) e.Errors.pos)
+      | _ -> Alcotest.failf "accepted %s" src)
+    [ ("CALL 1e+", 7); ("{ CALL @ }", 8); ("  CALL 'abc", 12) ];
   (* unbound parameter *)
   let stmt = Callable.prepare conn "{call customersByTier(?)}" in
   match Callable.execute_query stmt with

@@ -426,7 +426,7 @@ let trace_over_wire () =
     with_server ~config @@ fun t ->
     let c = connect_ok t in
     (* a client-supplied traceparent comment tags every span of the
-       query with that id, comment stripped before translation *)
+       query with that id; the lexer skips the comment *)
     expect_rows c
       "/*traceparent:wire-trace-1*/ SELECT CUSTOMERID FROM CUSTOMERS" 6;
     let spans =
@@ -460,6 +460,29 @@ let trace_over_wire () =
             Alcotest.failf "non-hex minted id %s" id)
         id
     | ids -> Alcotest.failf "expected one trace id, got %d" (List.length ids));
+    Client.close c
+
+(* The statement runs as the client sent it, comment and all, so a
+   syntax error's position is the client's: the '@' sits at column 40
+   bare and at column 60 behind a 20-byte traceparent prefix. *)
+let traceparent_keeps_positions () =
+  if not Mcore.multicore then ()
+  else
+    with_server @@ fun t ->
+    let c = connect_ok t in
+    let stmt = "SELECT CUSTOMERID FROM CUSTOMERS WHERE @" in
+    List.iter
+      (fun (prefix, column) ->
+        let sql = prefix ^ stmt in
+        match Client.query c sql with
+        | Error ("42601", msg) ->
+          let at = Printf.sprintf "at line 1, column %d" column in
+          if not (Helpers.contains ~needle:at msg) then
+            Alcotest.failf "%s: expected %S in %S" sql at msg
+        | Error (code, msg) -> Alcotest.failf "%s: expected 42601, got %s %s" sql code msg
+        | Ok _ -> Alcotest.failf "%s: accepted" sql)
+      [ ("", 40); ("/* hello */ ", 52); ("/*traceparent:abc*/ ", 60) ];
+    expect_rows c "/*traceparent:abc*/ SELECT CUSTOMERID FROM CUSTOMERS" 6;
     Client.close c
 
 let trace_sampling_zero_is_silent () =
@@ -658,6 +681,8 @@ let suite =
       Helpers.case "open breaker fast-rejects, half-open admitted"
         breaker_fast_reject;
       Helpers.case "trace ids propagate over the wire" trace_over_wire;
+      Helpers.case "a traceparent comment keeps error positions"
+        traceparent_keeps_positions;
       Helpers.case "zero sampling emits no trace lines"
         trace_sampling_zero_is_silent;
       Helpers.case "aqua_stat_* virtual tables answer over the wire"

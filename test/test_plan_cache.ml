@@ -341,8 +341,9 @@ let key_pass_matches_fingerprint () =
 let plan_key_follows_the_lexer () =
   let module L = Aqua_sql.Lexer in
   let lex sql =
-    try Some (Array.to_list (Array.map (fun (t : L.located) -> t.L.token) (L.tokenize sql)))
-    with _ -> None
+    let toks = L.tokens sql in
+    if L.first_error toks <> None then None
+    else Some (List.map (fun (t : L.located) -> t.L.token) toks)
   in
   let literal = function
     | L.Int_lit _ -> Some 'i'

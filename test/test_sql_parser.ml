@@ -171,8 +171,7 @@ let comments_skipped () =
   | _ -> Alcotest.fail "comments broke parsing"
 
 let lexer_positions () =
-  let toks = Lexer.tokenize "SELECT\n  a" in
-  match Array.to_list toks with
+  match Lexer.tokens "SELECT\n  a" with
   | [ t1; t2; _eof ] ->
     check_int "first line" 1 t1.Lexer.pos.A.line;
     check_int "second line" 2 t2.Lexer.pos.A.line;
