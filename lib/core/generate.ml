@@ -88,9 +88,13 @@ type gctx = {
   group : group_ctx option;
   row : (string * (Scope.view * Scope.vcol * string) list) option;
       (* the partition record variable and its layout *)
+  outer_keys : (Scope.view * Scope.vcol * string) list;
+      (* inside a subquery of a grouped query: the enclosing groups'
+         grouping columns and key variables, which outer references to
+         those columns read (the rows they came from are out of scope) *)
 }
 
-let top = { group = None; row = None }
+let top = { group = None; row = None; outer_keys = [] }
 
 let find_col (r : Scope.resolution) table =
   List.find_map
@@ -319,7 +323,10 @@ and gen_column_path state gctx (e : A.expr) : X.expr =
   match (gctx.group, Option.bind gctx.row on_row) with
   | Some g, _ -> X.var (Option.get (find_col r g.key_vars))
   | None, Some path -> path
-  | None, None -> col_path state r.Scope.res_view r.Scope.res_col
+  | None, None -> (
+    match find_col r gctx.outer_keys with
+    | Some keyvar -> X.var keyvar
+    | None -> col_path state r.Scope.res_view r.Scope.res_col)
 
 and gen_function state gctx name args : X.expr =
   let entry = Option.get (Funcmap.find name) in
@@ -380,7 +387,7 @@ and gen_aggregate state gctx ~(func : A.agg_func) ~distinct ~arg : X.expr =
             X.clauses = [ X.For { var = v; source = partition } ];
             X.return =
               gen_operand state
-                { group = None; row = Some (v, g.inter_elem) }
+                { gctx with group = None; row = Some (v, g.inter_elem) }
                 arg;
           }
     in
@@ -734,7 +741,12 @@ and gen_spec_records ?(order = []) state gctx (spec : A.query_spec) :
     X.expr * Outcol.t list =
   let r = Semantic.spec state.res spec in
   let ctx = Namer.fresh_ctx state.namer in
-  let gctx = { gctx with group = None } in
+  let outer_keys =
+    match gctx.group with
+    | Some g -> g.key_vars @ gctx.outer_keys
+    | None -> gctx.outer_keys
+  in
+  let gctx = { gctx with group = None; outer_keys } in
   (* FROM *)
   let clauses = List.concat_map (fun f -> fst (gen_from state ctx gctx f)) r.Semantic.from in
   (* WHERE *)

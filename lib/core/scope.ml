@@ -130,11 +130,12 @@ let resolve scope ?qualifier name =
 
 (* Wildcard expansion: all columns of the scope's own views, in FROM
    order ([SELECT *]), or of the view(s) matching an alias
-   ([SELECT T.*]). *)
-let star_columns scope = List.concat_map (fun v -> List.map (fun c -> (v, c)) v.cols) scope.views
+   ([SELECT T.*]); each view's columns in SQL order, which differs from
+   its record order under a RIGHT OUTER JOIN. *)
+let star_columns scope = List.concat_map (fun v -> List.map (fun c -> (v, c)) v.lookup) scope.views
 
 let qualified_star_columns scope alias =
   let q = fold alias in
   List.concat_map
-    (fun v -> List.filter_map (fun c -> if qualifies v c q then Some (v, c) else None) v.cols)
+    (fun v -> List.filter_map (fun c -> if qualifies v c q then Some (v, c) else None) v.lookup)
     scope.views

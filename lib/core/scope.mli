@@ -70,7 +70,8 @@ val resolve : t -> ?qualifier:string -> string -> (resolution, error) result
     across levels is not. *)
 
 val star_columns : t -> (view * vcol) list
-(** All columns of the scope's own views in FROM order ([SELECT *]). *)
+(** All columns of the scope's own views in FROM order ([SELECT *]),
+    each view's in SQL ({!view.lookup}) order. *)
 
 val qualified_star_columns : t -> string -> (view * vcol) list
-(** Columns matching [alias.*]. *)
+(** Columns matching [alias.*], in the same order. *)

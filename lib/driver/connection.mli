@@ -59,7 +59,7 @@ val connect :
     statements too).  Graceful degradation is the
     server's: see {!Aqua_dsp.Server.create}.  [scan_cache]
     (default [true]) enables scan materialization: the optimizer's
-    per-plan scan-sharing hoist plus the server's revision-aware
+    per-plan scan-sharing hoist plus the server's version-aware
     {!Aqua_dsp.Scan_cache}, so repeated parameterless data-service
     scans are fetched once across queries.  [limits] (default
     {!Aqua_resilience.Budget.no_limits}) is the per-query budget
@@ -86,9 +86,9 @@ val invalidate : t -> unit
     materialized scan cache.  Also happens automatically when the
     application's {!Aqua_dsp.Artifact.revision} changes (a service
     added after connect), so stale plans are never served.  The
-    scan cache additionally watches {!Aqua_dsp.Artifact.data_revision}
-    on its own, so row inserts flush materialized scans without
-    touching the metadata-only caches. *)
+    scan cache also checks each entry against the versions of the
+    tables it read, so a row insert invalidates only the scans of its
+    own table, without touching the metadata-only caches. *)
 
 val translate : t -> string -> Aqua_translator.Translator.t
 (** Translation only (no execution): equal to

@@ -51,23 +51,6 @@ let application name = { app_name = name; services = []; revision = 0 }
 
 let revision app = app.revision
 
-(* Metadata plus data: the invalidation signal for caches holding
-   materialized scan *results* (the scan cache, the engine's table
-   memo).  [revision] alone only moves on metadata changes; a
-   [Table.insert] mutates rows without touching it, so result caches
-   fold every physical table's data version into the signal.  All
-   components are monotone, so the sum moves on any change. *)
-let data_revision app =
-  List.fold_left
-    (fun acc ds ->
-      List.fold_left
-        (fun acc f ->
-          match f.body with
-          | Physical t -> acc + Table.version t
-          | Logical _ -> acc)
-        acc ds.functions)
-    app.revision app.services
-
 let namespace_of_service ds = Printf.sprintf "ld:%s/%s" ds.ds_path ds.ds_name
 
 let schema_location_of_service ds =

@@ -51,15 +51,6 @@ val revision : application -> int
     added.  Driver-side caches compare it to invalidate stale
     translations and metadata. *)
 
-val data_revision : application -> int
-(** Monotonic metadata-plus-data revision: {!revision} plus every
-    physical table's {!Aqua_relational.Table.version}, so it also moves
-    when rows are inserted into a backing table.  Caches that hold
-    materialized scan results (the scan cache, the SQL engine's table
-    memo) must key on this, not on {!revision} — translations and
-    catalog answers depend only on metadata and may keep using
-    {!revision}. *)
-
 val namespace_of_service : data_service -> string
 (** e.g. ["ld:TestDataServices/CUSTOMERS"]. *)
 

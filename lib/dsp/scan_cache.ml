@@ -1,21 +1,23 @@
 (* Cross-query materialized scan cache (paper section 4: repeated
    data-service scans dominate translated-query cost).
 
-   Parameterless data-service calls are pure functions of the
-   application's data revision: a physical function returns its
-   backing table, a logical one a deterministic view over other
-   services.  [Server.invoke] therefore serves them from this cache
-   across queries, keyed by the invocation label
-   ("path/service:function", suffixed with the evaluator flavor for
-   logical bodies — see server.ml).
+   Parameterless data-service calls are pure functions of the tables
+   they read: a physical function returns its backing table, a logical
+   one a deterministic view over other services.  [Server.invoke]
+   therefore serves them from this cache across queries, keyed by the
+   invocation label ("path/service:function", suffixed with the
+   evaluator flavor for logical bodies — see server.ml).
 
-   Revision safety: every lookup and store first compares
-   [Artifact.data_revision] — metadata revision plus every physical
-   table's data version — against the revision the resident entries
-   were materialized under; on any metadata change OR row insert the
-   whole cache is flushed before proceeding, so a stale scan can never
-   be served (the driver's translation cache follows the same
-   protocol, on the metadata revision alone).
+   Revision safety: each entry records what it was materialized from —
+   a physical scan its table and that table's version, a logical
+   result the (table, version) of every physical scan served while its
+   body ran — and is served only while every one of those tables is
+   still at that version.  Tables are append-only, so a stale physical
+   scan is a prefix of the current one: it is dropped and handed back
+   to the server, which extends it by the new rows.  A stale logical
+   result is dropped.  An insert therefore invalidates only what read
+   its table.  A metadata change (the application's revision) still
+   empties the whole cache.
 
    Budgets: the materialization toll ([Budget.tick_items] over the
    served row count) is charged by [Server.invoke] at serve time,
@@ -32,21 +34,31 @@
 module Item = Aqua_xml.Item
 module Node = Aqua_xml.Node
 module Atomic = Aqua_xml.Atomic
+module Table = Aqua_relational.Table
 module T = Aqua_core.Telemetry
 module Mcore = Aqua_multicore.Mcore
 
+type source =
+  | Scan of Table.t * int
+  | View of (Table.t * int) list
+
 type entry = {
   seq : Item.sequence;
+  source : source;
   bytes : int;
-  rows : int;
   mutable stamp : int;  (** last access; larger = more recent *)
 }
+
+type lookup =
+  | Hit of Item.sequence
+  | Stale of { seq : Item.sequence; version : int; bytes : int }
+  | Miss
 
 type stats = {
   hits : int;
   misses : int;
   evictions : int;  (** capacity evictions only *)
-  invalidations : int;  (** entries dropped by a revision change *)
+  invalidations : int;  (** entries dropped as stale *)
   entries : int;
   bytes : int;  (** resident estimate *)
 }
@@ -56,8 +68,8 @@ type t = {
   enabled : bool;
   lock : Mcore.Mutex.t;
       (** guards [tbl], the byte/stat accounting and every entry's
-          [stamp]/[arr]; per-instance, so two servers' caches never
-          contend.  Not re-entrant: internal helpers assume it held. *)
+          [stamp]; per-instance, so two servers' caches never contend.
+          Not re-entrant: internal helpers assume it held. *)
   max_entries : int;
   max_bytes : int;
   max_rows : int;
@@ -81,7 +93,7 @@ let create ?(enabled = true) ?(max_entries = 64)
     max_bytes = max 1 max_bytes;
     max_rows = max 1 max_rows;
     tbl = Hashtbl.create 16;
-    seen_revision = Artifact.data_revision app;
+    seen_revision = Artifact.revision app;
     clock = 0;
     bytes = 0;
     hits = 0;
@@ -130,7 +142,39 @@ let item_bytes = function
 let sequence_bytes seq = List.fold_left (fun acc i -> acc + item_bytes i) 0 seq
 
 (* ------------------------------------------------------------------ *)
-(* Revision tracking and eviction                                     *)
+(* Dependencies                                                       *)
+
+let deps_of = function Scan (tbl, v) -> [ (tbl, v) ] | View deps -> deps
+let current source =
+  List.for_all (fun (tbl, v) -> Table.version tbl = v) (deps_of source)
+
+(* The open collections of this domain, innermost first: each gathers
+   the table versions served while one logical body runs.  A nested
+   logical miss passes its own on through its [store]. *)
+let collectors : (Table.t * int) list ref list Mcore.Dls.key =
+  Mcore.Dls.new_key (fun () -> [])
+
+let depend source =
+  match Mcore.Dls.get collectors with
+  | [] -> ()
+  | acc :: _ ->
+    List.iter
+      (fun (tbl, v) ->
+        if not (List.exists (fun (t', v') -> t' == tbl && v' = v) !acc) then
+          acc := (tbl, v) :: !acc)
+      (deps_of source)
+
+let collect f =
+  let acc = ref [] in
+  let outer = Mcore.Dls.get collectors in
+  Mcore.Dls.set collectors (acc :: outer);
+  let result =
+    Fun.protect ~finally:(fun () -> Mcore.Dls.set collectors outer) f
+  in
+  (result, View !acc)
+
+(* ------------------------------------------------------------------ *)
+(* Invalidation and eviction                                          *)
 
 let drop t key (e : entry) ~invalidated =
   Hashtbl.remove t.tbl key;
@@ -148,12 +192,11 @@ let flush_unlocked t =
 
 let flush t = Mcore.Mutex.protect t.lock (fun () -> flush_unlocked t)
 
-(* Flush everything the moment the application's data revision moves
-   (metadata change or a row inserted into any physical table) —
-   called on every cache touch, so a served entry is always from the
-   current revision. *)
+(* Empty the cache the moment the application's metadata revision
+   moves — called on every cache touch.  Row inserts are checked per
+   entry instead. *)
 let revalidate_unlocked t =
-  let rev = Artifact.data_revision t.app in
+  let rev = Artifact.revision t.app in
   if rev <> t.seen_revision then begin
     flush_unlocked t;
     t.seen_revision <- rev
@@ -175,37 +218,64 @@ let evict_lru t =
 (* ------------------------------------------------------------------ *)
 (* Lookup / store                                                     *)
 
-let find t key =
-  if not t.enabled then None
+let miss t =
+  t.misses <- t.misses + 1;
+  T.incr T.c_scan_cache_misses
+
+let lookup t key =
+  if not t.enabled then Miss
   else begin
-    Mcore.Mutex.protect t.lock @@ fun () ->
-    revalidate_unlocked t;
-    match Hashtbl.find_opt t.tbl key with
-    | Some e ->
-      t.clock <- t.clock + 1;
-      e.stamp <- t.clock;
-      t.hits <- t.hits + 1;
-      T.incr T.c_scan_cache_hits;
-      Some e.seq
-    | None ->
-      t.misses <- t.misses + 1;
-      T.incr T.c_scan_cache_misses;
-      None
+    let found =
+      Mcore.Mutex.protect t.lock @@ fun () ->
+      revalidate_unlocked t;
+      match Hashtbl.find_opt t.tbl key with
+      | Some e when current e.source ->
+        t.clock <- t.clock + 1;
+        e.stamp <- t.clock;
+        t.hits <- t.hits + 1;
+        T.incr T.c_scan_cache_hits;
+        `Hit e
+      | Some e ->
+        drop t key e ~invalidated:true;
+        miss t;
+        `Stale e
+      | None ->
+        miss t;
+        `Miss
+    in
+    match found with
+    | `Hit e ->
+      depend e.source;
+      Hit e.seq
+    | `Stale { seq; source = Scan (_, version); bytes; _ } ->
+      Stale { seq; version; bytes }
+    | `Stale _ | `Miss -> Miss
   end
 
-let store t key (seq : Item.sequence) =
+let store ?bytes t key source (seq : Item.sequence) =
   if t.enabled then begin
+    depend source;
     Mcore.Mutex.protect t.lock @@ fun () ->
     revalidate_unlocked t;
-    if not (Hashtbl.mem t.tbl key) then begin
+    let resident =
+      match Hashtbl.find_opt t.tbl key with
+      | Some e when current e.source -> true
+      | Some e ->
+        drop t key e ~invalidated:true;
+        false
+      | None -> false
+    in
+    if not resident then begin
       let rows = List.length seq in
-      let bytes = sequence_bytes seq in
+      let bytes =
+        match bytes with Some b -> b | None -> sequence_bytes seq
+      in
       (* oversized scans are served but never resident: admitting one
          would evict the entire working set for a single entry *)
       if rows <= t.max_rows && bytes <= t.max_bytes then begin
         t.clock <- t.clock + 1;
         Hashtbl.replace t.tbl key
-          { seq; bytes; rows; stamp = t.clock };
+          { seq; source; bytes; stamp = t.clock };
         t.bytes <- t.bytes + bytes;
         T.add T.c_scan_cache_bytes bytes;
         while

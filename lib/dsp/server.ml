@@ -86,6 +86,21 @@ let retry_classify e =
   | Failpoint.Injected _ when not (engine_fault e) -> Retry.Transient
   | _ -> Retry.Fatal
 
+(* A physical function's row elements for the table's rows after its
+   first [since], with the version they bring it to. *)
+let scan ?since table =
+  let snap = Table.snapshot table in
+  ( Table.snapshot_version snap,
+    List.map Item.node (Table.flat_xml_since ?since table snap) )
+
+(* The materialization toll, charged at serve time whether the rows
+   were fetched or found resident: warm and cold runs of one query must
+   see identical item-governor accounting (a cached logical serve still
+   skips its nested serves' charges, exactly as it skips their work). *)
+let charge seq =
+  if Budget.active () then Budget.tick_items (List.length seq);
+  seq
+
 (* The engine evaluating a statement, and every logical body it calls:
    the compiled engine over the optimized plan, or the interpreter over
    the plan as written. *)
@@ -126,56 +141,79 @@ and invoke t engine (ds : Artifact.data_service) (f : Artifact.ds_function)
     fail "function %s expects %d argument(s), got %d" f.Artifact.fn_name
       (List.length f.Artifact.params)
       (List.length args);
-  let run () =
-    Failpoint.hit "dsp.invoke";
-    match f.Artifact.body with
-    | Artifact.Physical table -> List.map Item.node (Table.to_flat_xml table)
-    | Artifact.Logical { imports; body } ->
-      let bindings =
-        List.mapi (fun i arg -> (Printf.sprintf "p%d" (i + 1), arg)) args
-      in
-      evaluate t engine imports chain ~bindings body
-  in
   let br = Breaker.get t.breakers label in
-  let guarded () = Breaker.call ~count_failure br run in
-  (* Retry only at the root of the invocation chain: retrying at every
-     nesting level would multiply the attempts exponentially. *)
-  let serve () =
+  (* One attempt at producing the function's result: the failpoint, the
+     breaker and, at the root of the invocation chain only (retrying at
+     every nesting level would multiply the attempts exponentially),
+     the retry policy. *)
+  let attempt produce =
+    let run () =
+      Failpoint.hit "dsp.invoke";
+      produce ()
+    in
+    let guarded () = Breaker.call ~count_failure br run in
     match chain with
     | [ _ ] -> Retry.with_retry ~policy:t.retry ~classify:retry_classify guarded
     | _ -> guarded ()
   in
-  (* Parameterless calls are pure in the data revision: serve them
-     from the materialized scan cache.  A hit bypasses the failpoint /
-     breaker / retry chain entirely.  Physical scans are
-     engine-independent, so an interpreter rerun reuses those the
-     faulted run materialized; a logical body's entries are keyed by the
-     engine evaluating it, so the rerun never inherits rows the suspect
-     compiled engine produced. *)
-  if args = [] then begin
-    let key =
-      match f.Artifact.body, engine with
-      | Artifact.Physical _, _ -> label
-      | Artifact.Logical _, Compiled -> label ^ "|opt"
-      | Artifact.Logical _, Interpreter -> label ^ "|unopt"
+  let evaluate_body imports body =
+    let bindings =
+      List.mapi (fun i arg -> (Printf.sprintf "p%d" (i + 1), arg)) args
     in
+    evaluate t engine imports chain ~bindings body
+  in
+  (* Parameterless calls are pure in the tables they read: serve them
+     from the materialized scan cache.  A hit bypasses the failpoint /
+     breaker / retry chain entirely; a miss, an extension included, runs
+     it as a fresh call does.  Physical scans are engine-independent, so
+     an interpreter rerun reuses those the faulted run materialized; a
+     logical body's entries are keyed by the engine evaluating it, so
+     the rerun never inherits rows the suspect compiled engine
+     produced. *)
+  match f.Artifact.body with
+  | Artifact.Physical table when args <> [] ->
+    attempt (fun () -> snd (scan table))
+  | Artifact.Logical { imports; body } when args <> [] ->
+    attempt (fun () -> evaluate_body imports body)
+  | Artifact.Physical table ->
     let seq =
-      match Scan_cache.find t.scan_cache key with
-      | Some seq -> seq
-      | None ->
-        let seq = serve () in
-        Scan_cache.store t.scan_cache key seq;
+      match Scan_cache.lookup t.scan_cache label with
+      | Scan_cache.Hit seq -> seq
+      | Scan_cache.Miss ->
+        let version, seq = attempt (fun () -> scan table) in
+        Scan_cache.store t.scan_cache label (Scan_cache.Scan (table, version)) seq;
+        seq
+      | Scan_cache.Stale { seq = prefix; version = since; bytes } ->
+        (* the table only grew: build elements for the new rows alone,
+           behind the stale scan's own items *)
+        let version, fresh = attempt (fun () -> scan ~since table) in
+        let seq = prefix @ fresh in
+        Scan_cache.store
+          ~bytes:(bytes + Scan_cache.sequence_bytes fresh)
+          t.scan_cache label
+          (Scan_cache.Scan (table, version))
+          seq;
         seq
     in
-    (* The materialization toll, charged at serve time whether the
-       rows were fetched or found resident: warm and cold runs of one
-       query must see identical item-governor accounting (a cached
-       logical serve still skips its nested serves' charges, exactly
-       as it skips their work). *)
-    if Budget.active () then Budget.tick_items (List.length seq);
-    seq
-  end
-  else serve ()
+    charge seq
+  | Artifact.Logical { imports; body } ->
+    let key =
+      match engine with
+      | Compiled -> label ^ "|opt"
+      | Interpreter -> label ^ "|unopt"
+    in
+    let seq =
+      match Scan_cache.lookup t.scan_cache key with
+      | Scan_cache.Hit seq -> seq
+      | Scan_cache.Stale _ | Scan_cache.Miss ->
+        let seq, source =
+          Scan_cache.collect (fun () ->
+              attempt (fun () -> evaluate_body imports body))
+        in
+        Scan_cache.store t.scan_cache key source seq;
+        seq
+    in
+    charge seq
 
 (* A compile-time rejection (an unknown function or variable, a [where]
    before its binding) raises the dynamic error the interpreter raises

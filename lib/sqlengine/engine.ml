@@ -25,7 +25,7 @@ type env = {
 
 let env_of_application ?(optimize = true) ?(scan_cache = true) app =
   let sem = Semantic.env_of_application app in
-  let lookup_table_data (n : A.table_name) pos =
+  let lookup_table (n : A.table_name) pos =
     match Metadata.lookup app ?catalog:n.A.catalog ?schema:n.A.schema n.A.table with
     | Error e ->
       fail ~pos Errors.Unknown_table "%s" (Metadata.error_to_string e)
@@ -38,61 +38,72 @@ let env_of_application ?(optimize = true) ?(scan_cache = true) app =
       | None -> fail ~pos Errors.Unknown_table "no service for %s" n.A.table
       | Some ds -> (
         match Artifact.find_function ds meta.Metadata.table with
-        | Some { Artifact.body = Artifact.Physical t; _ } ->
-          (meta, Table.rows t)
+        | Some { Artifact.body = Artifact.Physical t; _ } -> (meta, t)
         | Some { Artifact.body = Artifact.Logical _; _ } ->
           fail ~pos Errors.Unsupported
             "the baseline engine only reads physical tables (%s is logical)"
             n.A.table
         | None -> fail ~pos Errors.Unknown_table "%s" n.A.table))
   in
-  (* Revision-aware scan memo: the catalog lookup chain (metadata,
+  (* Version-aware scan memo: the catalog lookup chain (metadata,
      service-by-namespace, function) is three linear scans per table
      reference, repeated for every scan of the same table inside one
      statement and across statements.  Successful resolutions are
-     memoized until the application's *data* revision moves — the memo
-     snapshots row lists, so a [Table.insert] (which bumps the table's
-     data version) must flush it just like a metadata change; failures
-     are never cached — their errors carry the reference position.
-     Counted against the shared scan-cache telemetry so the baseline
-     engine's scan reuse shows up in the same place as the DSP
-     server's. *)
+     memoized with the table's rows at the version they were read; a
+     metadata change empties the memo, and a table that has grown
+     since is caught up by its new rows alone (tables are append-only,
+     so the memoized rows are a prefix).  Failures are never cached —
+     their errors carry the reference position.  Counted against the
+     shared scan-cache telemetry so the baseline engine's scan reuse
+     shows up in the same place as the DSP server's. *)
   let table_data =
-    if not scan_cache then lookup_table_data
+    if not scan_cache then fun n pos ->
+      let meta, t = lookup_table n pos in
+      (meta, Table.rows t)
     else begin
       let module T = Aqua_core.Telemetry in
       let module Mcore = Aqua_multicore.Mcore in
       let memo :
           (string option * string option * string,
-           Metadata.table * Value.t array list)
+           Metadata.table * Table.t * int * Value.t array list)
           Hashtbl.t =
         Hashtbl.create 16
       in
       let lock = Mcore.Mutex.create () in
-      let seen_revision = ref (Artifact.data_revision app) in
+      let seen_revision = ref (Artifact.revision app) in
       fun (n : A.table_name) pos ->
         let key = (n.A.catalog, n.A.schema, n.A.table) in
-        let hit =
+        let found =
           Mcore.Mutex.protect lock (fun () ->
-              let rev = Artifact.data_revision app in
+              let rev = Artifact.revision app in
               if rev <> !seen_revision then begin
                 Hashtbl.reset memo;
                 seen_revision := rev
               end;
               Hashtbl.find_opt memo key)
         in
-        match hit with
-        | Some r ->
+        match found with
+        | Some (meta, t, version, rows) when Table.version t = version ->
           T.incr T.c_scan_cache_hits;
-          r
-        | None ->
+          (meta, rows)
+        | _ ->
           T.incr T.c_scan_cache_misses;
           (* resolve outside the lock — the lookup chain can raise with
              the reference position, and a racing domain at worst
              resolves the same table twice before [replace] dedupes *)
-          let r = lookup_table_data n pos in
-          Mcore.Mutex.protect lock (fun () -> Hashtbl.replace memo key r);
-          r
+          let meta, t, since, prefix =
+            match found with
+            | Some (meta, t, since, rows) -> (meta, t, since, rows)
+            | None ->
+              let meta, t = lookup_table n pos in
+              (meta, t, 0, [])
+          in
+          let snap = Table.snapshot t in
+          let rows = prefix @ Table.rows_since ~since snap in
+          Mcore.Mutex.protect lock (fun () ->
+              Hashtbl.replace memo key
+                (meta, t, Table.snapshot_version snap, rows));
+          (meta, rows)
     end
   in
   { sem; table_data; optimize }

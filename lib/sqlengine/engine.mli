@@ -24,9 +24,10 @@ val env_of_application :
     for inner joins; [~optimize:false] keeps the pure nested-loop
     evaluation (outer joins and comma-style cross products always use
     the nested loop).  [scan_cache] (default [true]) memoizes table
-    resolution (metadata + service + function lookup) per table name
-    until the application's metadata revision changes; hits and misses
-    move the shared [scan_cache.*] telemetry counters. *)
+    resolution (metadata + service + function lookup) and rows per
+    table name, with the table's version: a metadata revision change
+    empties the memo and a grown table is caught up by its new rows;
+    hits and misses move the shared [scan_cache.*] telemetry counters. *)
 
 val execute : env -> Aqua_sql.Ast.statement -> Aqua_relational.Rowset.t
 (** @raise Aqua_translator.Errors.Error on semantic errors (the same

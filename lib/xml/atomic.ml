@@ -28,7 +28,26 @@ let type_name = function
   | Time _ -> "xs:time"
   | Timestamp _ -> "xs:dateTime"
 
-let date_to_string d = Printf.sprintf "%04d-%02d-%02d" d.year d.month d.day
+(* [Printf.sprintf "%04d-%02d-%02d"], written digit by digit for the
+   dates it pads to ten characters: a scan prints one per date cell. *)
+let date_to_string d =
+  if d.year < 0 || d.year > 9999 || d.month < 0 || d.month > 99 || d.day < 0
+     || d.day > 99
+  then Printf.sprintf "%04d-%02d-%02d" d.year d.month d.day
+  else begin
+    let b = Bytes.make 10 '-' in
+    let put pos width n =
+      let n = ref n in
+      for k = pos + width - 1 downto pos do
+        Bytes.unsafe_set b k (Char.unsafe_chr (48 + (!n mod 10)));
+        n := !n / 10
+      done
+    in
+    put 0 4 d.year;
+    put 5 2 d.month;
+    put 8 2 d.day;
+    Bytes.unsafe_to_string b
+  end
 
 let time_to_string t =
   Printf.sprintf "%02d:%02d:%02d" t.hour t.minute t.second

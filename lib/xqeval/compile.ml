@@ -155,12 +155,20 @@ let compare_order_keys ckeys ka kb =
    closed source (no free variables beyond a shared-scan binding, as
    for a reusable build or a projected scan) evaluates to the same
    sequence in every tuple and, through the dsp scan cache, across
-   invocations — the physically same list until the underlying data's
-   revision bumps.  Everything
-   derived from the list alone is therefore memoized against its
-   physical identity, which gets revision tracking for free: a fresh
-   materialization is a fresh list, which simply misses.  Lists and
-   nodes are immutable, so a hit serves exactly what a rebuild would.
+   invocations — the physically same list until its table grows.
+   Everything derived from the list alone is therefore memoized against
+   its physical identity.  Lists and nodes are immutable, so a hit
+   serves exactly what a rebuild would.
+
+   A table only grows by appending, and the scan cache extends a stale
+   scan by the new rows behind its own items.  So on an identity miss
+   a kept entry whose source is a strict prefix of the new one, item by
+   item physically, is extended instead of rebuilt: equal items have
+   equal cells, so only the new rows are read.  The new entry takes the
+   predecessor's columns and cells (the predecessor leaves the memo),
+   and each column catches up by the new rows when it is next read.  A
+   fresh materialization shares no item with a kept source and simply
+   misses.
 
    Per source the memo keeps:
    - the array view, built for the first hash-join build (builds index
@@ -170,10 +178,11 @@ let compare_order_keys ckeys ka kb =
    - derived cell columns: for a (step, cell expression) pair, the
      expression's value on every row's cell ([Optimize.derive]), plus,
      built on first use, each value's group-key component and kernel
-     reading;
+     reading (extended with the column);
    - build tables keyed by the build-key AST and the value_cmp flag,
      when the build key reads nothing but the join variable
-     ([Optimize.reusable_build]).
+     ([Optimize.reusable_build]); an extended entry rebuilds them on
+     first use.
 
    The memo is a short move-to-front list, bounded by entry count and
    by a fixed total of projected and derived cells; a source whose own
@@ -240,8 +249,45 @@ let dcol_cells d =
     d.dc_cells <- Some c;
     c
 
+(* The cell expression's value on each cell; equal single-atom values
+   are shared (values are immutable, and a low-cardinality column then
+   holds a few values).  The flag: some cell raised. *)
+let derive_cells derive cells =
+  let seen = Hashtbl.create 64 in
+  let err = ref false in
+  let vals =
+    Array.map
+      (fun cell ->
+        match derive cell with
+        | [ Item.Atomic a ] as v -> (
+          match Hashtbl.find_opt seen a with
+          | Some v -> v
+          | None ->
+            Hashtbl.add seen a v;
+            v)
+        | v -> v
+        | exception _ ->
+          err := true;
+          cell_error :: cell)
+      cells
+  in
+  (vals, !err)
+
+(* [d] followed by the derived values of the new rows' cells, with its
+   group-key components and kernel readings extended if built. *)
+let extend_dcol d derive cells =
+  let fresh, err = derive_cells derive cells in
+  let vals = Array.append d.dc_vals fresh in
+  { dc_vals = vals;
+    dc_err = d.dc_err || err;
+    dc_keys =
+      (if Array.length d.dc_keys = 0 then [||]
+       else Array.append d.dc_keys (Array.map Group_key.component fresh));
+    dc_cells = Option.map (fun c -> Kernels.extend_cells c vals) d.dc_cells }
+
 type src_entry = {
   se_src : Item.sequence;
+  se_len : int;  (* rows in [se_src]; a column shorter than this lags *)
   mutable se_items : Item.t array;  (* [||] until a build needs it *)
   mutable se_cols : (string * Item.sequence array) list;
   mutable se_derived : dentry list;
@@ -286,7 +332,22 @@ let drop_entry m e =
     m.entries <- List.filter (fun x -> x != e) m.entries
   end
 
-(* The memo entry of a closed source, created on a miss. *)
+(* The number of items that follow [prefix] in [src] when [prefix] is a
+   non-empty strict prefix of it, item by item physically; the first
+   items are compared first, so an unrelated source is rejected at
+   once. *)
+let extension_of prefix src =
+  let rec go prefix src =
+    match (prefix, src) with
+    | [], _ :: _ -> Some (List.length src)
+    | p :: prefix, s :: src when p == s -> go prefix src
+    | _ -> None
+  in
+  match prefix with [] -> None | _ -> go prefix src
+
+(* The memo entry of a closed source, created on a miss: as the
+   extension of a kept entry whose source it extends, which then leaves
+   the memo (its cells, now the new entry's, stay counted), or empty. *)
 let src_entry (src : Item.sequence) =
   let m = Mcore.Dls.get src_memo in
   match m.entries with
@@ -297,9 +358,23 @@ let src_entry (src : Item.sequence) =
       m.entries <- e :: List.filter (fun x -> x != e) m.entries;
       e
     | None ->
+      let grown =
+        List.find_map
+          (fun p ->
+            Option.map (fun k -> (p, k)) (extension_of p.se_src src))
+          m.entries
+      in
       let e =
-        { se_src = src; se_items = [||]; se_cols = []; se_derived = [];
-          se_tables = []; se_kept = true }
+        match grown with
+        | Some (p, k) ->
+          p.se_kept <- false;
+          m.entries <- List.filter (fun x -> x != p) m.entries;
+          { se_src = src; se_len = p.se_len + k; se_items = [||];
+            se_cols = p.se_cols; se_derived = p.se_derived; se_tables = [];
+            se_kept = true }
+        | None ->
+          { se_src = src; se_len = List.length src; se_items = [||];
+            se_cols = []; se_derived = []; se_tables = []; se_kept = true }
       in
       m.entries <- e :: m.entries;
       (match List.filteri (fun i _ -> i >= src_memo_cap) m.entries with
@@ -323,21 +398,41 @@ let account e n =
       done
   end
 
+let rec drop_items k items =
+  match items with _ :: more when k > 0 -> drop_items (k - 1) more | _ -> items
+
+(* [step]'s cells of the rows after the first [from]. *)
+let step_cells e step from =
+  match Optimize.assoc_str step e.se_cols with
+  | Some col when Array.length col = e.se_len ->
+    Array.sub col from (e.se_len - from)
+  | _ ->
+    let matches = compile_step_matcher step in
+    Array.of_list
+      (List.map (children_matching matches) (drop_items from e.se_src))
+
 let build_column e step =
-  let matches = compile_step_matcher step in
-  let col = Array.make (List.length e.se_src) [] in
-  List.iteri (fun r item -> col.(r) <- children_matching matches item) e.se_src;
   Telemetry.incr Telemetry.c_col_projected_columns;
-  col
+  step_cells e step 0
 
 (* The projected columns [steps] of a memoized source, one vector per
-   step, indexed by position in the source. *)
+   step, indexed by position in the source.  A column that lags the
+   source is extended by the new rows; it counts as a hit. *)
 let src_columns e steps =
   Array.of_list
     (List.map
        (fun step ->
          match Optimize.assoc_str step e.se_cols with
+         | Some col when Array.length col = e.se_len ->
+           Telemetry.incr Telemetry.c_col_projection_hits;
+           col
          | Some col ->
+           let from = Array.length col in
+           let col = Array.append col (step_cells e step from) in
+           e.se_cols <-
+             (step, col)
+             :: List.filter (fun (s, _) -> not (String.equal s step)) e.se_cols;
+           account e (e.se_len - from);
            Telemetry.incr Telemetry.c_col_projection_hits;
            col
          | None ->
@@ -350,14 +445,15 @@ let src_columns e steps =
 (* The derived cell columns [specs] (step, cell expression, its
    evaluator) of a memoized source.  A miss derives over every row of
    the step's column — the retained one, or one built for the purpose
-   and then dropped.  A hit also counts as a projection hit: it is a
-   scan column served from the memo. *)
+   and then dropped; a column that lags the source derives over the new
+   rows only.  A hit also counts as a projection hit: it is a scan
+   column served from the memo. *)
 let src_derived e specs =
   let scratch = ref [] in
   let base step =
     match Optimize.assoc_str step e.se_cols with
-    | Some col -> col
-    | None -> (
+    | Some col when Array.length col = e.se_len -> col
+    | _ -> (
       match Optimize.assoc_str step !scratch with
       | Some col -> col
       | None ->
@@ -377,31 +473,19 @@ let src_derived e specs =
       | Some d ->
         Telemetry.incr Telemetry.c_col_derived_hits;
         Telemetry.incr Telemetry.c_col_projection_hits;
-        if e.se_derived != [] && List.hd e.se_derived != d then
-          e.se_derived <- d :: List.filter (fun x -> x != d) e.se_derived;
-        d.de_col
-      | None ->
-        (* equal single-atom values are shared: values are immutable,
-           and a low-cardinality column then holds a few values *)
-        let seen = Hashtbl.create 64 in
-        let err = ref false in
-        let vals =
-          Array.map
-            (fun cell ->
-              match derive cell with
-              | [ Item.Atomic a ] as v -> (
-                match Hashtbl.find_opt seen a with
-                | Some v -> v
-                | None ->
-                  Hashtbl.add seen a v;
-                  v)
-              | v -> v
-              | exception _ ->
-                err := true;
-                cell_error :: cell)
-            (base step)
+        let from = Array.length d.de_col.dc_vals in
+        let d' =
+          if from = e.se_len then d
+          else
+            { d with de_col = extend_dcol d.de_col derive (step_cells e step from) }
         in
-        let d = { dc_vals = vals; dc_err = !err; dc_keys = [||]; dc_cells = None } in
+        if d' != d || List.hd e.se_derived != d then
+          e.se_derived <- d' :: List.filter (fun x -> x != d) e.se_derived;
+        if d' != d then account e (e.se_len - from);
+        d'.de_col
+      | None ->
+        let vals, err = derive_cells derive (base step) in
+        let d = { dc_vals = vals; dc_err = err; dc_keys = [||]; dc_cells = None } in
         Telemetry.incr Telemetry.c_col_derived_columns;
         (* at most [src_derived_cap] per source, least recently used
            out: a source read by many distinct statements would

@@ -120,30 +120,44 @@ type cells = {
   mutable exts : Atomic.t array;  (* min/max readings, on first use *)
 }
 
-let cells (seqs : Item.sequence array) : cells =
+(* [cells seqs], reusing [prev]'s readings of its rows, which are the
+   first rows of [seqs]. *)
+let cells_from prev (seqs : Item.sequence array) : cells =
   let n = Array.length seqs in
   let tags = Bytes.make n slow in
   let ints = Array.make n 0 and nums = Array.make n 0.0 in
-  Array.iteri
-    (fun r seq ->
-      match seq with
-      | [] -> Bytes.set tags r no_atoms
-      | [ _ ] -> (
-        match Item.atomize seq with
-        | [ Atomic.Integer i ] ->
-          Bytes.set tags r int_atom;
-          ints.(r) <- i
-        | [ a ] -> (
-          (* the name only labels an error, which is left to [update] *)
-          match Functions.numeric_of_atomic "" a with
-          | f ->
-            Bytes.set tags r num_atom;
-            nums.(r) <- f
-          | exception _ -> ())
-        | _ -> ())
+  let from =
+    match prev with
+    | None -> 0
+    | Some c ->
+      let k = Bytes.length c.tags in
+      Bytes.blit c.tags 0 tags 0 k;
+      Array.blit c.ints 0 ints 0 k;
+      Array.blit c.nums 0 nums 0 k;
+      k
+  in
+  for r = from to n - 1 do
+    match seqs.(r) with
+    | [] -> Bytes.set tags r no_atoms
+    | [ _ ] as seq -> (
+      match Item.atomize seq with
+      | [ Atomic.Integer i ] ->
+        Bytes.set tags r int_atom;
+        ints.(r) <- i
+      | [ a ] -> (
+        (* the name only labels an error, which is left to [update] *)
+        match Functions.numeric_of_atomic "" a with
+        | f ->
+          Bytes.set tags r num_atom;
+          nums.(r) <- f
+        | exception _ -> ())
       | _ -> ())
-    seqs;
+    | _ -> ()
+  done;
   { seqs; tags; ints; nums; exts = [||] }
+
+let cells seqs = cells_from None seqs
+let extend_cells c seqs = cells_from (Some c) seqs
 
 (* The min/max reading of a fast row's one atom, interned per value. *)
 let exts c =

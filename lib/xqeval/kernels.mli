@@ -38,6 +38,10 @@ type cells
 val cells : Aqua_xml.Item.sequence array -> cells
 (** Never raises: a reading that would raise is left to {!update}. *)
 
+val extend_cells : cells -> Aqua_xml.Item.sequence array -> cells
+(** [extend_cells (cells col) col'], where [col] is a prefix of [col'],
+    is [cells col'], reading only the rows after [col]. *)
+
 val update_at : state -> cells -> int -> unit
 (** [update_at st (cells col) r] has exactly the effect of
     [update st col.(r)], for every kind. *)

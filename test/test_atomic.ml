@@ -292,6 +292,22 @@ let prop_add_int =
     QCheck.(oneof [ int; small_signed_int; int_range (-1000) 1000 ])
     (fun i -> add_int_of i = "x" ^ string_of_int i)
 
+(* The digit-by-digit date printer writes what [%04d-%02d-%02d] does,
+   padded or not, signed or not. *)
+let date_lexical_edges () =
+  List.iter
+    (fun year ->
+      List.iter
+        (fun month ->
+          List.iter
+            (fun day ->
+              let d = { Atomic.year; month; day } in
+              check_str "date" (Printf.sprintf "%04d-%02d-%02d" year month day)
+                (Atomic.date_to_string d))
+            [ -1; 0; 1; 9; 10; 31; 99; 100 ])
+        [ -3; 0; 1; 9; 10; 12; 99; 100 ])
+    [ -10000; -5; -1; 0; 1; 9; 10; 999; 1000; 2005; 9999; 10000; 123456 ]
+
 let suite =
   ( "atomic",
     [ Helpers.case "lexical forms" lexical_forms;
@@ -305,6 +321,7 @@ let suite =
       Helpers.case "float lexical form at the edges" float_lexical_edges;
       Helpers.qcheck prop_float_lexical;
       Helpers.case "add_int at the edges" add_int_edges;
+      Helpers.case "date lexical form at the edges" date_lexical_edges;
       Helpers.qcheck prop_add_int;
       Helpers.qcheck prop_scan_integer;
       Helpers.qcheck prop_scan_decimal;

@@ -128,9 +128,9 @@ let connection_replay () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Scan-cache coherence: a revision bump (row insert) landing between
-   two concurrent waves must flush the materialized scans — the next
-   wave serves the new row, never a stale scan. *)
+(* Scan-cache coherence: a row insert landing between two concurrent
+   waves must invalidate the table's materialized scan — the next wave
+   serves the new row, never a stale scan. *)
 let scan_cache_coherence () =
   let app = Helpers.demo_app () in
   let conn = Connection.connect app in
@@ -147,7 +147,7 @@ let scan_cache_coherence () =
   let before = count_rows () in
   List.iter (Alcotest.(check int) "pre-insert row count" 6) before;
   (* the mid-stress mutation: bumps the table's data version, which
-     moves Artifact.data_revision and must invalidate resident scans *)
+     must invalidate the resident CUSTOMERS scan *)
   let customers =
     match
       Artifact.find_service app ~path:"TestDataServices" ~name:"CUSTOMERS"
@@ -166,6 +166,83 @@ let scan_cache_coherence () =
   Alcotest.(check bool)
     "revision bump invalidated resident scans" true
     (s.Scan_cache.invalidations > 0)
+
+(* Appends racing a concurrent wave: one domain inserts ORDERS rows
+   while the pool runs a point lookup on four.  Every result is the
+   table at some version between the wave's start and end — the first
+   rows plus a prefix of the inserted ones, never a stale prefix served
+   after a newer scan, nor a version paired with another's rows — and
+   the wave after the inserter stops sees every row.  Repeated
+   [stress] times. *)
+let appends_round () =
+  let app =
+    Aqua_workload.Datagen.application ~seed:9
+      { Aqua_workload.Datagen.customers = 8; orders = 60; lines_per_order = 1;
+        payments = 4 }
+  in
+  let orders =
+    match Artifact.find_service app ~path:"Sales" ~name:"ORDERS" with
+    | Some ds -> (
+      match Artifact.find_function ds "ORDERS" with
+      | Some { Artifact.body = Artifact.Physical t; _ } -> t
+      | _ -> Alcotest.fail "ORDERS is not physical")
+    | None -> Alcotest.fail "no ORDERS service"
+  in
+  let sql = "SELECT ORDERID, ORDERDATE, STATUS FROM ORDERS WHERE CUSTOMERID = 3" in
+  let base = Engine.execute_sql (Engine.env_of_application app) sql in
+  let date = Value.Date { Aqua_xml.Atomic.year = 2024; month = 2; day = 1 } in
+  let order k = [ Value.Int (500_000 + k); Value.Int 3; date; Value.Str "NEW"; Value.Null ] in
+  (* the reference with the first [k] inserted rows *)
+  let reference k =
+    Rowset.make base.Rowset.schema
+      (base.Rowset.rows
+      @ List.init k (fun i -> [| Value.Int (500_000 + i + 1); date; Value.Str "NEW" |]))
+  in
+  let start = Table.cardinality orders in
+  let conn = Connection.connect app in
+  let pool = Session_pool.create ~capacity:domains conn in
+  let wave () =
+    let lo = Table.cardinality orders - start in
+    let results =
+      Session_pool.execute_concurrent ~domains ~wait_ms:10_000 pool
+        (List.init domains (fun _ -> sql))
+    in
+    let hi = Table.cardinality orders - start in
+    List.map
+      (function
+        | Ok rs ->
+          let rs = rowset_of rs in
+          let k = List.length rs.Rowset.rows - List.length base.Rowset.rows in
+          if k < lo || k > hi then
+            Alcotest.failf "a result with %d inserted rows, outside %d..%d" k lo hi;
+          check_same sql (reference k) rs;
+          k
+        | Error e -> raise e)
+      results
+  in
+  ignore (wave ());
+  let total = 40 in
+  let finished = Atomic.make false in
+  let inserter =
+    Mcore.Domains.spawn (fun () ->
+        for k = 1 to total do
+          Table.insert orders (order k);
+          Unix.sleepf 0.0002
+        done;
+        Atomic.set finished true)
+  in
+  let waves = ref 0 in
+  while (not (Atomic.get finished)) && !waves < 500 do
+    ignore (wave ());
+    incr waves
+  done;
+  Mcore.Domains.join inserter;
+  List.iter (Alcotest.(check int) "the last wave sees every row" total) (wave ())
+
+let concurrent_appends () =
+  for _round = 1 to stress do
+    appends_round ()
+  done
 
 (* ------------------------------------------------------------------ *)
 
@@ -370,6 +447,7 @@ let suite =
         connection_replay;
       Helpers.case "scan cache stays coherent across a revision bump"
         scan_cache_coherence;
+      Helpers.case "appends racing a concurrent wave" concurrent_appends;
       Helpers.case "exhausted pool raises SQLSTATE 53300" pool_exhaustion;
       Helpers.case "bounded-wait borrow succeeds after a release"
         blocking_borrow;

@@ -166,7 +166,15 @@ let battery =
        their output columns *)
     "SELECT C.CITY, SUM(P.PAYMENT) T FROM CUSTOMERS C LEFT OUTER JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID GROUP BY C.CITY ORDER BY C.CITY";
     "SELECT DISTINCT C.CITY FROM CUSTOMERS C ORDER BY C.CITY DESC";
-    "SELECT C.TIER, COUNT(*) N FROM CUSTOMERS C WHERE C.TIER IS NOT NULL GROUP BY C.TIER ORDER BY C.TIER DESC, N" ]
+    "SELECT C.TIER, COUNT(*) N FROM CUSTOMERS C WHERE C.TIER IS NOT NULL GROUP BY C.TIER ORDER BY C.TIER DESC, N";
+    (* a subquery of a grouped query reads the outer group's key *)
+    "SELECT C.TIER, (SELECT COUNT(*) FROM PAYMENTS P WHERE P.CUSTID = C.TIER) N FROM CUSTOMERS C GROUP BY C.TIER";
+    "SELECT C.TIER, COUNT(*) N FROM CUSTOMERS C GROUP BY C.TIER HAVING EXISTS (SELECT 1 FROM PAYMENTS P WHERE P.CUSTID = C.TIER)";
+    (* a star over a RIGHT OUTER JOIN lists its columns in SQL order,
+       though the join's record puts the right side first *)
+    "SELECT * FROM CUSTOMERS C RIGHT OUTER JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID";
+    "SELECT DISTINCT * FROM CUSTOMERS C RIGHT OUTER JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID ORDER BY PAYMENT";
+    "SELECT P.*, C.* FROM CUSTOMERS C RIGHT OUTER JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID" ]
 
 let sort_keys_of (stmt : Aqua_sql.Ast.statement) cols =
   (* indexes of ORDER BY keys that map to output columns *)

@@ -1,5 +1,5 @@
 (* Scan materialization, both levels: the optimizer's per-plan
-   shared-scan hoist and the cross-query revision-aware scan cache —
+   shared-scan hoist and the cross-query version-aware scan cache —
    plus the group-key injectivity regression that rode along (the flat
    separator-joined encoding collided on keys containing the
    separator). *)
@@ -30,6 +30,12 @@ module Metadata = Aqua_dsp.Metadata
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* Direct cache entries that depend on no table, only on metadata. *)
+let no_tables = Scan_cache.View []
+
+let hit c key =
+  match Scan_cache.lookup c key with Scan_cache.Hit _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Optimizer hoist goldens                                            *)
@@ -191,10 +197,10 @@ let revision_invalidation () =
 let direct_revision_flush () =
   let app = Artifact.application "App" in
   let c = Scan_cache.create app in
-  Scan_cache.store c "k" [ Item.Atomic (Atomic.Integer 1) ];
-  check_bool "hit before bump" true (Scan_cache.find c "k" <> None);
+  Scan_cache.store c "k" no_tables [ Item.Atomic (Atomic.Integer 1) ];
+  check_bool "hit before bump" true (hit c "k");
   ignore (Artifact.add_logical_service app ~project:"P" ~name:"S" []);
-  check_bool "miss after bump" true (Scan_cache.find c "k" = None);
+  check_bool "miss after bump" true (not (hit c "k"));
   let s = Scan_cache.stats c in
   check_int "flushed entry counted as invalidation" 1 s.Scan_cache.invalidations;
   check_int "resident bytes back to zero" 0 s.Scan_cache.bytes
@@ -203,28 +209,28 @@ let budget_eviction () =
   let app = Artifact.application "App" in
   let c = Scan_cache.create ~max_entries:2 app in
   let seq n = [ Item.Atomic (Atomic.Integer n) ] in
-  Scan_cache.store c "a" (seq 1);
-  Scan_cache.store c "b" (seq 2);
-  ignore (Scan_cache.find c "a");
+  Scan_cache.store c "a" no_tables (seq 1);
+  Scan_cache.store c "b" no_tables (seq 2);
+  ignore (Scan_cache.lookup c "a");
   (* "b" is now least-recently used; a third entry evicts it *)
-  Scan_cache.store c "c" (seq 3);
-  check_bool "lru entry evicted" true (Scan_cache.find c "b" = None);
-  check_bool "recent entry kept" true (Scan_cache.find c "a" <> None);
-  check_bool "new entry kept" true (Scan_cache.find c "c" <> None);
+  Scan_cache.store c "c" no_tables (seq 3);
+  check_bool "lru entry evicted" true (not (hit c "b"));
+  check_bool "recent entry kept" true (hit c "a");
+  check_bool "new entry kept" true (hit c "c");
   check_int "one eviction" 1 (Scan_cache.stats c).Scan_cache.evictions;
   (* byte budget: entries are dropped until resident bytes fit *)
   let big = Scan_cache.create ~max_bytes:200 app in
   let payload tag = [ Item.Atomic (Atomic.String (String.make 80 tag)) ] in
-  Scan_cache.store big "x" (payload 'x');
-  Scan_cache.store big "y" (payload 'y');
-  Scan_cache.store big "z" (payload 'z');
+  Scan_cache.store big "x" no_tables (payload 'x');
+  Scan_cache.store big "y" no_tables (payload 'y');
+  Scan_cache.store big "z" no_tables (payload 'z');
   check_bool "byte budget enforced" true
     ((Scan_cache.stats big).Scan_cache.bytes <= 200);
   check_bool "byte budget evicted" true
     ((Scan_cache.stats big).Scan_cache.evictions > 0);
   (* an oversized result is served but never admitted *)
   let capped = Scan_cache.create ~max_rows:2 app in
-  Scan_cache.store capped "wide"
+  Scan_cache.store capped "wide" no_tables
     [ Item.Atomic (Atomic.Integer 1); Item.Atomic (Atomic.Integer 2);
       Item.Atomic (Atomic.Integer 3) ];
   check_int "oversized result not resident" 0
@@ -272,8 +278,8 @@ let serve_budget_symmetry () =
   once ~scan_cache:true
 
 (* Data changes must invalidate result caches: inserting a row bumps
-   the table version, which moves the application's data revision, so
-   both the scan cache and the baseline engine's table memo re-fetch. *)
+   the table version, so both the scan cache and the baseline engine's
+   table memo catch up and serve the new row. *)
 let insert_invalidates () =
   let app, table = tiny_app [ 1; 2 ] in
   let sql = "SELECT ID FROM T" in
@@ -298,6 +304,159 @@ let insert_invalidates () =
   Table.insert table [ Value.Int 4 ];
   check_int "engine read after insert" 4
     (List.length (Engine.execute_sql env sql).Rowset.rows)
+
+(* The physical table behind a parameterless service of [app]. *)
+let physical app name =
+  List.find_map
+    (fun (ds : Artifact.data_service) ->
+      List.find_map
+        (fun (f : Artifact.ds_function) ->
+          match f.Artifact.body with
+          | Artifact.Physical t when t.Table.name = name -> Some t
+          | _ -> None)
+        ds.Artifact.functions)
+    app.Artifact.services
+  |> Option.get
+
+let new_order id customer =
+  [ Value.Int id; Value.Int customer;
+    Value.Date { Atomic.year = 2024; month = 1; day = 1 }; Value.Str "NEW";
+    Value.Null ]
+
+(* An insert invalidates only what read its table: after an ORDERS
+   insert a CUSTOMERS-only statement is served from the resident scan
+   and the compiled engine's column memo, and nothing is invalidated;
+   the next ORDERS statement replaces the stale ORDERS scan (one
+   invalidation) and sees the new row. *)
+let insert_invalidates_own_table () =
+  let app =
+    Datagen.application ~seed:3
+      { Datagen.customers = 12; orders = 30; lines_per_order = 1; payments = 5 }
+  in
+  let conn = Connection.connect app in
+  let customers_only = "SELECT C.CITY, COUNT(*) N FROM CUSTOMERS C GROUP BY C.CITY" in
+  let by_customer = "SELECT O.ORDERID, O.STATUS FROM ORDERS O WHERE O.CUSTOMERID = 2" in
+  let rows sql =
+    Result_set.to_rowset (Connection.execute_query conn sql)
+  in
+  let agree sql =
+    match
+      Rowset.diff_summary
+        (Engine.execute_sql (Engine.env_of_application app) sql)
+        (rows sql)
+    with
+    | None -> ()
+    | Some msg -> Alcotest.failf "%s: %s" sql msg
+  in
+  let module T = Aqua_core.Telemetry in
+  T.set_enabled true;
+  Fun.protect ~finally:(fun () -> T.set_enabled false) @@ fun () ->
+  List.iter agree [ customers_only; by_customer; customers_only; by_customer ];
+  let before = Scan_cache.stats (Connection.scan_cache conn) in
+  let built = T.value T.c_col_projected_columns
+  and derived = T.value T.c_col_derived_columns
+  and memo_hits = T.value T.c_col_projection_hits in
+  Table.insert (physical app "ORDERS") (new_order 900001 2);
+  agree customers_only;
+  let after = Scan_cache.stats (Connection.scan_cache conn) in
+  check_int "the CUSTOMERS scan is a hit" (before.Scan_cache.hits + 1)
+    after.Scan_cache.hits;
+  check_int "and no miss" before.Scan_cache.misses after.Scan_cache.misses;
+  check_int "nothing is invalidated" before.Scan_cache.invalidations
+    after.Scan_cache.invalidations;
+  check_int "no column is built" built (T.value T.c_col_projected_columns);
+  check_int "no cell column is derived" derived
+    (T.value T.c_col_derived_columns);
+  check_bool "the memo serves the columns" true
+    (T.value T.c_col_projection_hits > memo_hits);
+  agree by_customer;
+  let orders = Scan_cache.stats (Connection.scan_cache conn) in
+  check_int "the stale ORDERS scan is replaced" (after.Scan_cache.invalidations + 1)
+    orders.Scan_cache.invalidations;
+  check_int "the new order is seen" 1
+    (List.length
+       (List.filter
+          (fun row -> row.(0) = Value.Int 900001)
+          (rows by_customer).Rowset.rows))
+
+(* A logical service's entry depends on the tables its body read,
+   recorded on the miss — through a nested logical hit as well: an
+   insert into another table leaves it resident, an insert into its
+   own table makes it miss and the rerun sees the row, in both engines
+   and at every batch size. *)
+let logical_entry_dependencies () =
+  let app = Artifact.application "App" in
+  let table name =
+    let t = Table.create name [ Schema.column ~nullable:false "ID" Sql_type.Integer ] in
+    List.iter (fun i -> Table.insert t [ Value.Int i ]) [ 1; 2 ];
+    ignore (Artifact.import_physical_table app ~project:"P" t);
+    t
+  in
+  let t = table "T" and u = table "U" in
+  let service name =
+    Option.get (Artifact.find_service app ~path:"P" ~name)
+  in
+  let import prefix ds =
+    { X.prefix; namespace = Artifact.namespace_of_service ds;
+      location = Artifact.schema_location_of_service ds }
+  in
+  (* V reads T; W reads V *)
+  let logical name ~over ~fn =
+    ignore
+      (Artifact.add_logical_service app ~project:"P" ~name
+         [ { Artifact.fn_name = name; params = []; element_name = "T"; columns = [];
+             body =
+               Artifact.Logical
+                 { imports = [ import "b" (service over) ];
+                   body =
+                     X.Flwor
+                       { clauses = [ X.For { var = "r"; source = X.Call ("b:" ^ fn, []) } ];
+                         return = X.Var "r" } } } ])
+  in
+  logical "V" ~over:"T" ~fn:"T";
+  logical "W" ~over:"V" ~fn:"V";
+  let query name =
+    let ds = service name in
+    Aqua_xquery.Parser.parse_query
+      (Printf.sprintf
+         "import schema namespace v = %S at %S;\nfor $x in v:%s() return $x"
+         (Artifact.namespace_of_service ds)
+         (Artifact.schema_location_of_service ds)
+         name)
+  in
+  let servers = [ Server.create app; Server.create ~optimize:false app ] in
+  let count srv name = List.length (Server.execute srv (query name)) in
+  let stats srv = Scan_cache.stats (Server.scan_cache srv) in
+  let sizes f =
+    let module Batch = Aqua_xqeval.Batch in
+    let prev = Batch.size () in
+    Fun.protect ~finally:(fun () -> Batch.set_size prev) @@ fun () ->
+    List.iter (fun n -> Batch.set_size n; f ()) [ 1; 7; 1024 ]
+  in
+  List.iter
+    (fun srv ->
+      (* V resident first, so W's miss finds it as a nested hit *)
+      let n = Table.cardinality t in
+      check_int "V cold" n (count srv "V");
+      check_int "W cold" n (count srv "W");
+      Table.insert u [ Value.Int (Table.cardinality u + 1) ];
+      let s0 = stats srv in
+      sizes (fun () ->
+          check_int "V after a U insert" n (count srv "V");
+          check_int "W after a U insert" n (count srv "W"));
+      let s1 = stats srv in
+      check_int "both stay resident" s0.Scan_cache.invalidations
+        s1.Scan_cache.invalidations;
+      check_int "and are hits" s0.Scan_cache.misses s1.Scan_cache.misses;
+      let n = Table.cardinality t + 1 in
+      Table.insert t [ Value.Int n ];
+      sizes (fun () ->
+          check_int "W after a T insert" n (count srv "W");
+          check_int "V after a T insert" n (count srv "V"));
+      let s2 = stats srv in
+      check_bool "the T insert invalidated the views" true
+        (s2.Scan_cache.invalidations >= s1.Scan_cache.invalidations + 3))
+    servers
 
 (* A compiled-engine fault reruns the statement on the interpreter over
    the same scan cache, but a logical function's materialized result
@@ -380,8 +539,8 @@ let fallback_logical_independence () =
 let disabled_is_inert () =
   let app = Artifact.application "App" in
   let c = Scan_cache.create ~enabled:false app in
-  Scan_cache.store c "k" [ Item.Atomic (Atomic.Integer 1) ];
-  check_bool "disabled cache never hits" true (Scan_cache.find c "k" = None);
+  Scan_cache.store c "k" no_tables [ Item.Atomic (Atomic.Integer 1) ];
+  check_bool "disabled cache never hits" true (not (hit c "k"));
   let s = Scan_cache.stats c in
   check_int "no entries" 0 s.Scan_cache.entries;
   check_int "no counters" 0 (s.Scan_cache.hits + s.Scan_cache.misses)
@@ -567,6 +726,10 @@ let suite =
       Helpers.case "entry and byte budgets evict LRU" budget_eviction;
       Helpers.case "budget charges warm and cold alike" serve_budget_symmetry;
       Helpers.case "insert invalidates result caches" insert_invalidates;
+      Helpers.case "an insert invalidates only what read its table"
+        insert_invalidates_own_table;
+      Helpers.case "logical entries depend on the tables they read"
+        logical_entry_dependencies;
       Helpers.case "fallback keyed per evaluator" fallback_logical_independence;
       Helpers.case "disabled cache is inert" disabled_is_inert;
       Helpers.case "fallback rerun hits the cache" fallback_hits_cache;
