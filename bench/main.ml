@@ -838,18 +838,19 @@ let p9 () =
   flush stdout
 
 (* ------------------------------------------------------------------ *)
-(* P10: scan materialization (per-plan sharing + cross-query cache)    *)
+(* P10: scan materialization (the cross-query scan cache)             *)
 
 let p10_json_path = "BENCH_P10.json"
 
 let p10 () =
   print_endline
-    "\n== P10: scan materialization (shared-scan hoist + revision-aware \
+    "\n== P10: scan materialization (version-aware cross-query scan \
      cache) ==";
   let app = Datagen.application ~seed (sizes 300 400 2 200) in
   (* a self-join (two occurrences of the same scan) whose filter holds
-     an uncorrelated subquery (a third scan, re-invoked per row unless
-     hoisted) — the paper's repeated-data-service-call shape *)
+     an uncorrelated subquery (a third scan, re-invoked per row) — the
+     paper's repeated-data-service-call shape; with the cache on, every
+     call after a table's first in a statement is a hit *)
   let sql =
     "SELECT A.CUSTOMERNAME, B.CITY FROM CUSTOMERS A, CUSTOMERS B WHERE \
      A.CUSTOMERID = B.CUSTOMERID AND B.TIER > 1 AND A.CUSTOMERID IN \

@@ -42,7 +42,7 @@ let telemetry_int_fields =
     "engine_rows_scanned"; "engine_rows_joined"; "cache_hits"; "cache_misses";
     "resultset_rows"; "ds_calls"; "ds_call_ns"; "scan_cache_hits";
     "scan_cache_misses"; "scan_cache_evictions"; "scan_cache_bytes";
-    "shared_scan_rewrites"; "batch_batches"; "batch_rows"; "batch_filtered";
+    "batch_batches"; "batch_rows"; "batch_filtered";
     "columnar_batches"; "columnar_rows"; "columnar_pruned_columns";
     "columnar_kernel_updates" ]
 

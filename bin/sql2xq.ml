@@ -68,9 +68,9 @@ let no_scan_cache_flag =
     value & flag
     & info [ "no-scan-cache" ]
         ~doc:
-          "Disable scan materialization: the per-plan shared-scan hoist \
-           and the cross-query materialized scan cache for parameterless \
-           data-service calls.")
+          "Disable the cross-query materialized scan cache for \
+           parameterless data-service calls: every call materializes its \
+           rows afresh.")
 
 let translate_cmd =
   let run sql naive =
@@ -243,7 +243,7 @@ let analyze_cmd =
            its report and compiling the plan again for its notes does
            not skew the snapshot *)
         let _, report =
-          Aqua_xqeval.Optimize.query ~share_scans:(not no_scan_cache)
+          Aqua_xqeval.Optimize.query
             ~node_fns:
               (Server.physical_fns app
                  t.Translator.xquery.Aqua_xquery.Ast.prolog
@@ -259,12 +259,10 @@ let analyze_cmd =
         else begin
           Printf.printf
             "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) \
-             (%d correlated probe(s)), %d shared scan(s), %d constructor \
-             fusion(s)\n"
+             (%d correlated probe(s)), %d constructor fusion(s)\n"
             report.Aqua_xqeval.Optimize.pushed_predicates
             report.Aqua_xqeval.Optimize.hash_joins
             report.Aqua_xqeval.Optimize.correlated_probes
-            report.Aqua_xqeval.Optimize.shared_scans
             report.Aqua_xqeval.Optimize.fusions;
           List.iter
             (fun note -> Printf.printf "  note: %s\n" note)

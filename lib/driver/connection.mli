@@ -58,10 +58,9 @@ val connect :
     differential oracle, over the unoptimized plan ({!Prepared}
     statements too).  Graceful degradation is the
     server's: see {!Aqua_dsp.Server.create}.  [scan_cache]
-    (default [true]) enables scan materialization: the optimizer's
-    per-plan scan-sharing hoist plus the server's version-aware
+    (default [true]) enables the server's version-aware
     {!Aqua_dsp.Scan_cache}, so repeated parameterless data-service
-    scans are fetched once across queries.  [limits] (default
+    scans are fetched once across queries and statements.  [limits] (default
     {!Aqua_resilience.Budget.no_limits}) is the per-query budget
     installed around every [execute_query]. *)
 

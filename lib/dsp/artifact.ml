@@ -112,6 +112,14 @@ let find_service app ~path ~name =
 let find_service_by_namespace app namespace =
   List.find_opt (fun s -> namespace_of_service s = namespace) app.services
 
+(* A statement reads every physical table as it was when the statement
+   started: the whole list is pinned at once, so the statement never
+   sees a row of one table without an earlier insert into another. *)
+let read_view app f =
+  let physical f = match f.body with Physical t -> Some t | Logical _ -> None in
+  let tables ds = List.filter_map physical ds.functions in
+  Table.within (Table.pin (List.concat_map tables app.services)) f
+
 let find_function ds name =
   List.find_opt (fun f -> String.uppercase_ascii f.fn_name = String.uppercase_ascii name) ds.functions
 

@@ -84,6 +84,11 @@ val logical_body_of_text : string -> function_body
 val find_service : application -> path:string -> name:string -> data_service option
 val find_service_by_namespace : application -> string -> data_service option
 
+val read_view : application -> (unit -> 'a) -> 'a
+(** [read_view app f] runs [f] in a {!Aqua_relational.Table.view} that
+    pins every physical table of [app] at once, or in the view already
+    open on this domain: one statement, one state of the data. *)
+
 val find_function : data_service -> string -> ds_function option
 (** Case-insensitive lookup by function name. *)
 

@@ -11,13 +11,17 @@
    Revision safety: each entry records what it was materialized from —
    a physical scan its table and that table's version, a logical
    result the (table, version) of every physical scan served while its
-   body ran — and is served only while every one of those tables is
-   still at that version.  Tables are append-only, so a stale physical
-   scan is a prefix of the current one: it is dropped and handed back
-   to the server, which extends it by the new rows.  A stale logical
-   result is dropped.  An insert therefore invalidates only what read
-   its table.  A metadata change (the application's revision) still
-   empties the whole cache.
+   body ran — and is a hit only at the versions the statement's read
+   view pinned ([Table.version] reads them).  Tables are append-only,
+   so a physical scan behind its pinned version is a prefix of it: it
+   is dropped and handed back to the server, which extends it by the
+   new rows.  One ahead of it (a statement pinned later extended it)
+   serves its first items and stays.  A logical result behind is
+   dropped, one ahead is bypassed and stays: [store] never replaces an
+   entry by one read at older versions, so statements pinned at
+   different versions do not thrash a key.  An insert therefore
+   invalidates only what read its table.  A metadata change (the
+   application's revision) still empties the whole cache.
 
    Budgets: the materialization toll ([Budget.tick_items] over the
    served row count) is charged by [Server.invoke] at serve time,
@@ -102,8 +106,6 @@ let create ?(enabled = true) ?(max_entries = 64)
     invalidations = 0;
   }
 
-let enabled t = t.enabled
-
 let stats t =
   Mcore.Mutex.protect t.lock @@ fun () ->
   {
@@ -145,6 +147,19 @@ let sequence_bytes seq = List.fold_left (fun acc i -> acc + item_bytes i) 0 seq
 (* Dependencies                                                       *)
 
 let deps_of = function Scan (tbl, v) -> [ (tbl, v) ] | View deps -> deps
+
+(* Whether [source] read some table at a later version than [than]
+   holds: the pinned versions when [than] is [None]. *)
+let ahead ?than source =
+  let version tbl =
+    match than with
+    | None -> Some (Table.version tbl)
+    | Some other -> List.assq_opt tbl (deps_of other)
+  in
+  List.exists
+    (fun (tbl, v) -> match version tbl with Some w -> v > w | None -> false)
+    (deps_of source)
+
 let current source =
   List.for_all (fun (tbl, v) -> Table.version tbl = v) (deps_of source)
 
@@ -172,6 +187,19 @@ let collect f =
     Fun.protect ~finally:(fun () -> Mcore.Dls.set collectors outer) f
   in
   (result, View !acc)
+
+(* The physical scans served in the open statement, by table: a table
+   is served one list per statement even when over the caps, and the
+   compiled engine's source memo, matching lists by identity, hits. *)
+let statement_scans : (Table.t * Item.sequence) list ref option Mcore.Dls.key =
+  Mcore.Dls.new_key (fun () -> None)
+
+let statement f =
+  match Mcore.Dls.get statement_scans with
+  | Some _ -> f ()
+  | None ->
+    Mcore.Dls.set statement_scans (Some (ref []));
+    Fun.protect ~finally:(fun () -> Mcore.Dls.set statement_scans None) f
 
 (* ------------------------------------------------------------------ *)
 (* Invalidation and eviction                                          *)
@@ -222,6 +250,12 @@ let miss t =
   t.misses <- t.misses + 1;
   T.incr T.c_scan_cache_misses
 
+let hit t (e : entry) =
+  t.clock <- t.clock + 1;
+  e.stamp <- t.clock;
+  t.hits <- t.hits + 1;
+  T.incr T.c_scan_cache_hits
+
 let lookup t key =
   if not t.enabled then Miss
   else begin
@@ -230,11 +264,14 @@ let lookup t key =
       revalidate_unlocked t;
       match Hashtbl.find_opt t.tbl key with
       | Some e when current e.source ->
-        t.clock <- t.clock + 1;
-        e.stamp <- t.clock;
-        t.hits <- t.hits + 1;
-        T.incr T.c_scan_cache_hits;
+        hit t e;
         `Hit e
+      | Some ({ source = Scan (tbl, v); _ } as e) when v > Table.version tbl ->
+        hit t e;
+        `Prefix (e, tbl)
+      | Some e when ahead e.source ->
+        miss t;
+        `Miss
       | Some e ->
         drop t key e ~invalidated:true;
         miss t;
@@ -247,10 +284,29 @@ let lookup t key =
     | `Hit e ->
       depend e.source;
       Hit e.seq
+    | `Prefix (e, tbl) ->
+      let v = Table.version tbl in
+      depend (Scan (tbl, v));
+      Hit (List.filteri (fun i _ -> i < v) e.seq)
     | `Stale { seq; source = Scan (_, version); bytes; _ } ->
       Stale { seq; version; bytes }
     | `Stale _ | `Miss -> Miss
   end
+
+let scan t table produce =
+  match Mcore.Dls.get statement_scans with
+  | Some served when t.enabled -> (
+    match List.assq_opt table !served with
+    | Some seq ->
+      Mcore.Mutex.protect t.lock (fun () -> t.hits <- t.hits + 1);
+      T.incr T.c_scan_cache_hits;
+      depend (Scan (table, Table.version table));
+      seq
+    | None ->
+      let seq = produce () in
+      served := (table, seq) :: !served;
+      seq)
+  | _ -> produce ()
 
 let store ?bytes t key source (seq : Item.sequence) =
   if t.enabled then begin
@@ -259,7 +315,7 @@ let store ?bytes t key source (seq : Item.sequence) =
     revalidate_unlocked t;
     let resident =
       match Hashtbl.find_opt t.tbl key with
-      | Some e when current e.source -> true
+      | Some e when not (ahead ~than:e.source source) -> true
       | Some e ->
         drop t key e ~invalidated:true;
         false

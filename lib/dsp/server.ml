@@ -87,7 +87,8 @@ let retry_classify e =
   | _ -> Retry.Fatal
 
 (* A physical function's row elements for the table's rows after its
-   first [since], with the version they bring it to. *)
+   first [since], with the version they bring it to: the version the
+   statement's read view pinned. *)
 let scan ?since table =
   let snap = Table.snapshot table in
   ( Table.snapshot_version snap,
@@ -165,7 +166,9 @@ and invoke t engine (ds : Artifact.data_service) (f : Artifact.ds_function)
   (* Parameterless calls are pure in the tables they read: serve them
      from the materialized scan cache.  A hit bypasses the failpoint /
      breaker / retry chain entirely; a miss, an extension included, runs
-     it as a fresh call does.  Physical scans are engine-independent, so
+     it as a fresh call does.  A physical table is served once per
+     statement, resident or not; later calls reuse that list.  Physical
+     scans are engine-independent, so
      an interpreter rerun reuses those the faulted run materialized; a
      logical body's entries are keyed by the engine evaluating it, so
      the rerun never inherits rows the suspect compiled engine
@@ -177,6 +180,7 @@ and invoke t engine (ds : Artifact.data_service) (f : Artifact.ds_function)
     attempt (fun () -> evaluate_body imports body)
   | Artifact.Physical table ->
     let seq =
+      Scan_cache.scan t.scan_cache table @@ fun () ->
       match Scan_cache.lookup t.scan_cache label with
       | Scan_cache.Hit seq -> seq
       | Scan_cache.Miss ->
@@ -223,8 +227,7 @@ and evaluate t engine imports chain ~bindings body =
   match engine with
   | Compiled -> (
     match
-      Compile.compile_expr ~scan_cache:(Scan_cache.enabled t.scan_cache)
-        ~resolve ~node_fns:(physical_fns t.app imports)
+      Compile.compile_expr ~resolve ~node_fns:(physical_fns t.app imports)
         ~vars:(List.map fst bindings) body
     with
     | compiled -> Compile.run ~bindings compiled
@@ -253,8 +256,14 @@ let degrade run =
         [ ("reason", Printexc.to_string e); ("plan", "unoptimized") ];
     run Interpreter
 
+(* A statement, its rerun included, reads one state of the data, and
+   is served one list per physical table it scans. *)
+let read_view t f = Artifact.read_view t.app (fun () -> Scan_cache.statement f)
+
 (* The engine is chosen once per statement, from the server's flag. *)
-let statement t run = if t.optimize then degrade run else run Interpreter
+let statement t run =
+  read_view t @@ fun () ->
+  if t.optimize then degrade run else run Interpreter
 
 let execute ?(bindings = []) t (q : X.query) =
   statement t (fun engine ->
@@ -293,9 +302,7 @@ type prepared = {
 let compile_plan p =
   let t = p.srv and imports = p.query.X.prolog.X.imports in
   let engine = if t.optimize then Compiled else Interpreter in
-  Compile.compile ~optimize:t.optimize
-    ~scan_cache:(Scan_cache.enabled t.scan_cache)
-    ~resolve:(resolver t engine imports [])
+  Compile.compile ~optimize:t.optimize ~resolve:(resolver t engine imports [])
     ~node_fns:(physical_fns t.app imports) ~vars:p.vars p.query
 
 let prepare ?(vars = []) t (q : X.query) =
@@ -335,6 +342,7 @@ let execute_prepared ?(bindings = []) p =
     | c -> Compile.run ~bindings c
     | exception Compile.Compile_error msg -> fail "%s" msg
   in
+  read_view p.srv @@ fun () ->
   if p.interpret then interpret ()
   else if not p.srv.optimize then compiled_run ()
   else

@@ -33,14 +33,23 @@ val create :
     XML forms), {!execute_prepared} and {!call_function} all degrade.
     A query error is not an engine fault: it runs once and propagates.
 
-    [scan_cache] (default [true]) enables scan materialization at both
-    levels: the optimizer's per-plan scan-sharing hoist and the
-    cross-query {!Scan_cache} serving parameterless data-service calls
-    (revision-checked, so metadata changes invalidate automatically).
-    Physical scans are shared by both engines, so a rerun reuses the
-    scans the faulted run materialized; logical entries are keyed by
-    the engine that evaluated them, so the rerun never inherits logical
-    rows from the compiled engine.
+    Each statement reads one state of the data: {!execute} (and its
+    forms), {!execute_prepared} and {!call_function} run in a read view
+    ({!Artifact.read_view}) that pins every physical table when the
+    statement starts.  Every call of a table in the statement, from a
+    logical body or from the interpreter rerun too, returns the rows of
+    the pinned version.
+
+    [scan_cache] (default [true]) enables the cross-query {!Scan_cache}
+    serving parameterless data-service calls at the statement's pinned
+    versions (revision-checked, so metadata changes invalidate
+    automatically), and serving every call of a physical table in one
+    statement the list its first call got, even when the cache does not
+    admit it; off, every call materializes afresh, the
+    no-materialization oracle.  Physical scans are shared by both
+    engines, so a rerun reuses the scans the faulted run materialized;
+    logical entries are keyed by the engine that evaluated them, so the
+    rerun never inherits logical rows from the compiled engine.
 
     Every data-service function invocation runs through a
     per-function circuit breaker ([breaker], default

@@ -1,4 +1,5 @@
 module Node = Aqua_xml.Node
+module Mcore = Aqua_multicore.Mcore
 
 (* Rows are only appended, so the row count is the data version: the
    table at version v is exactly its first v rows.  Rows and count are
@@ -32,7 +33,35 @@ let insert t row =
     raise (Value.Type_error (Printf.sprintf "table %s: %s" t.name msg))
 
 let insert_all t rows = List.iter (insert t) rows
-let snapshot t = Atomic.get t.state
+
+(* A read view: the snapshots of a set of tables at one moment.
+   Snapshots are immutable, so a pin copies no row.  A second read of
+   every table that finds the same snapshots proves them current
+   together between the reads (an insert always publishes a fresh one);
+   a pin retries only while an insert into one of its own tables
+   completes inside that window of a few atomic reads. *)
+type view = (t * snapshot) list
+
+let open_view : view option Mcore.Dls.key = Mcore.Dls.new_key (fun () -> None)
+
+let rec pin tables =
+  let view = List.map (fun t -> (t, Atomic.get t.state)) tables in
+  if List.for_all (fun (t, s) -> Atomic.get t.state == s) view then view
+  else pin tables
+
+let within view f =
+  match Mcore.Dls.get open_view with
+  | Some _ -> f ()
+  | None ->
+    Mcore.Dls.set open_view (Some view);
+    Fun.protect ~finally:(fun () -> Mcore.Dls.set open_view None) f
+
+let snapshot t =
+  match Mcore.Dls.get open_view with
+  | None -> Atomic.get t.state
+  | Some view -> (
+    match List.assq_opt t view with Some s -> s | None -> Atomic.get t.state)
+
 let snapshot_version s = s.count
 let version t = (snapshot t).count
 let cardinality = version

@@ -25,14 +25,28 @@ val insert : t -> Value.t list -> unit
 
 val insert_all : t -> Value.t list list -> unit
 
+type view
+(** A read view: one state of a set of tables.  While one is open on a
+    domain, {!snapshot} and {!version} of a table it pins read it there. *)
+
+val pin : t list -> view
+(** The tables as of now, read at one moment: a row inserted before
+    another is pinned whenever the other is.  No row is copied.  The
+    read is retried while an insert into one of [tables] completes
+    during it; inserts into other tables never delay it. *)
+
+val within : view -> (unit -> 'a) -> 'a
+(** [within v f] runs [f] in the read view [v], or in the one already
+    open on this domain: a nested statement keeps its statement's. *)
+
 val snapshot : t -> snapshot
-(** The table as of now. *)
+(** The table in the open read view, or as of now. *)
 
 val snapshot_version : snapshot -> int
 (** The snapshot's row count, which is its data version. *)
 
 val version : t -> int
-(** Current data version: the row count (0 for a fresh table). *)
+(** Data version of {!snapshot}: the row count (0 for a fresh table). *)
 
 val cardinality : t -> int
 (** Same as {!version}, O(1). *)

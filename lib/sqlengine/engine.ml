@@ -16,6 +16,7 @@ let fail = Errors.raise_error
 let type_error fmt = Format.kasprintf (fun s -> raise (Value.Type_error s)) fmt
 
 type env = {
+  app : Artifact.application;
   sem : Semantic.env;
   table_data : A.table_name -> A.pos -> Metadata.table * Value.t array list;
   optimize : bool;
@@ -50,12 +51,12 @@ let env_of_application ?(optimize = true) ?(scan_cache = true) app =
      reference, repeated for every scan of the same table inside one
      statement and across statements.  Successful resolutions are
      memoized with the table's rows at the version they were read; a
-     metadata change empties the memo, and a table that has grown
-     since is caught up by its new rows alone (tables are append-only,
-     so the memoized rows are a prefix).  Failures are never cached —
-     their errors carry the reference position.  Counted against the
-     shared scan-cache telemetry so the baseline engine's scan reuse
-     shows up in the same place as the DSP server's. *)
+     metadata change empties the memo.  Tables are append-only: a table
+     pinned later than the memo is caught up by its new rows alone, one
+     pinned earlier reads the memo's first rows.  Failures are never
+     cached — their errors carry the reference position.  Counted
+     against the shared scan-cache telemetry so the baseline engine's
+     scan reuse shows up in the same place as the DSP server's. *)
   let table_data =
     if not scan_cache then fun n pos ->
       let meta, t = lookup_table n pos in
@@ -83,9 +84,11 @@ let env_of_application ?(optimize = true) ?(scan_cache = true) app =
               Hashtbl.find_opt memo key)
         in
         match found with
-        | Some (meta, t, version, rows) when Table.version t = version ->
+        | Some (meta, t, version, rows) when Table.version t <= version ->
           T.incr T.c_scan_cache_hits;
-          (meta, rows)
+          let pinned = Table.version t in
+          (meta, if pinned = version then rows
+                 else List.filteri (fun i _ -> i < pinned) rows)
         | _ ->
           T.incr T.c_scan_cache_misses;
           (* resolve outside the lock — the lookup chain can raise with
@@ -99,14 +102,16 @@ let env_of_application ?(optimize = true) ?(scan_cache = true) app =
               (meta, t, 0, [])
           in
           let snap = Table.snapshot t in
+          let version = Table.snapshot_version snap in
           let rows = prefix @ Table.rows_since ~since snap in
           Mcore.Mutex.protect lock (fun () ->
-              Hashtbl.replace memo key
-                (meta, t, Table.snapshot_version snap, rows));
+              match Hashtbl.find_opt memo key with
+              | Some (_, _, newer, _) when newer >= version -> ()
+              | _ -> Hashtbl.replace memo key (meta, t, version, rows));
           (meta, rows)
     end
   in
-  { sem; table_data; optimize }
+  { app; sem; table_data; optimize }
 
 (* ------------------------------------------------------------------ *)
 (* Tuples: one value array per view, aligned with the view's columns. *)
@@ -1029,7 +1034,9 @@ and exec_query ?(params : params = [||]) env outer_scope outer_frames
 (* ------------------------------------------------------------------ *)
 (* Statement: top-level ORDER BY                                      *)
 
+(* A statement reads one state of the data, as through the DSP server. *)
 let execute_with_params env (stmt : A.statement) (params : params) : Rowset.t =
+  Artifact.read_view env.app @@ fun () ->
   (* stage-two validation gives coherent errors before evaluation, and
      the ORDER BY targets *)
   let order = Semantic.order_by (Semantic.resolve env.sem stmt) in

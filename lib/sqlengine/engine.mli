@@ -26,8 +26,12 @@ val env_of_application :
     the nested loop).  [scan_cache] (default [true]) memoizes table
     resolution (metadata + service + function lookup) and rows per
     table name, with the table's version: a metadata revision change
-    empties the memo and a grown table is caught up by its new rows;
-    hits and misses move the shared [scan_cache.*] telemetry counters. *)
+    empties the memo, a grown table is caught up by its new rows, and a
+    statement pinned at an earlier version reads the memo's first rows;
+    hits and misses move the shared [scan_cache.*] telemetry counters.
+    Each statement reads one state of the data: it runs in the read
+    view {!Aqua_dsp.Artifact.read_view} opens, as a DSP server
+    statement does. *)
 
 val execute : env -> Aqua_sql.Ast.statement -> Aqua_relational.Rowset.t
 (** @raise Aqua_translator.Errors.Error on semantic errors (the same

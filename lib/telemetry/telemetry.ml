@@ -105,7 +105,6 @@ let c_scan_cache_evictions = counter "scan_cache.evictions"
    a gauge kept in the counter table so snapshots and the Prometheus
    exposition pick it up for free *)
 let c_scan_cache_bytes = counter "scan_cache.bytes"
-let c_shared_scan_rewrites = counter "optimize.shared_scan_rewrites"
 let c_batch_batches = counter "xqeval.batch.batches"
 let c_batch_rows = counter "xqeval.batch.rows"
 let c_batch_filtered = counter "xqeval.batch.filtered"
@@ -335,7 +334,6 @@ type metrics = {
   scan_cache_misses : int;
   scan_cache_evictions : int;
   scan_cache_bytes : int;
-  shared_scan_rewrites : int;
   batch_batches : int;
   batch_rows : int;
   batch_filtered : int;
@@ -382,7 +380,6 @@ let snapshot () =
     scan_cache_misses = value c_scan_cache_misses;
     scan_cache_evictions = value c_scan_cache_evictions;
     scan_cache_bytes = value c_scan_cache_bytes;
-    shared_scan_rewrites = value c_shared_scan_rewrites;
     batch_batches = value c_batch_batches;
     batch_rows = value c_batch_rows;
     batch_filtered = value c_batch_filtered;
@@ -394,7 +391,7 @@ let snapshot () =
 
 let metrics_to_json m =
   Printf.sprintf
-    "{\"translations\":%d,\"parse_ns\":%Ld,\"semantic_ns\":%Ld,\"generate_ns\":%Ld,\"rows_emitted\":%d,\"hash_join_builds\":%d,\"hash_join_build_rows\":%d,\"hash_join_probes\":%d,\"hash_join_collisions\":%d,\"hash_join_reused\":%d,\"pushdown_rewrites\":%d,\"hash_join_rewrites\":%d,\"engine_rows_scanned\":%d,\"engine_rows_joined\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"resultset_rows\":%d,\"ds_calls\":%d,\"ds_call_ns\":%Ld,\"scan_cache_hits\":%d,\"scan_cache_misses\":%d,\"scan_cache_evictions\":%d,\"scan_cache_bytes\":%d,\"shared_scan_rewrites\":%d,\"batch_batches\":%d,\"batch_rows\":%d,\"batch_filtered\":%d,\"columnar_batches\":%d,\"columnar_rows\":%d,\"columnar_pruned_columns\":%d,\"columnar_kernel_updates\":%d}"
+    "{\"translations\":%d,\"parse_ns\":%Ld,\"semantic_ns\":%Ld,\"generate_ns\":%Ld,\"rows_emitted\":%d,\"hash_join_builds\":%d,\"hash_join_build_rows\":%d,\"hash_join_probes\":%d,\"hash_join_collisions\":%d,\"hash_join_reused\":%d,\"pushdown_rewrites\":%d,\"hash_join_rewrites\":%d,\"engine_rows_scanned\":%d,\"engine_rows_joined\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"resultset_rows\":%d,\"ds_calls\":%d,\"ds_call_ns\":%Ld,\"scan_cache_hits\":%d,\"scan_cache_misses\":%d,\"scan_cache_evictions\":%d,\"scan_cache_bytes\":%d,\"batch_batches\":%d,\"batch_rows\":%d,\"batch_filtered\":%d,\"columnar_batches\":%d,\"columnar_rows\":%d,\"columnar_pruned_columns\":%d,\"columnar_kernel_updates\":%d}"
     m.translations m.parse_ns m.semantic_ns m.generate_ns m.rows_emitted
     m.hash_join_builds m.hash_join_build_rows m.hash_join_probes
     m.hash_join_collisions m.hash_join_reused m.pushdown_rewrites
@@ -402,7 +399,7 @@ let metrics_to_json m =
     m.engine_rows_scanned m.engine_rows_joined m.cache_hits m.cache_misses
     m.resultset_rows m.ds_calls m.ds_call_ns m.scan_cache_hits
     m.scan_cache_misses m.scan_cache_evictions m.scan_cache_bytes
-    m.shared_scan_rewrites m.batch_batches m.batch_rows m.batch_filtered
+    m.batch_batches m.batch_rows m.batch_filtered
     m.columnar_batches m.columnar_rows m.columnar_pruned_columns
     m.columnar_kernel_updates
 

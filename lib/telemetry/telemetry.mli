@@ -76,7 +76,6 @@ val c_scan_cache_hits : counter      (* materialized-scan cache hits (dsp) *)
 val c_scan_cache_misses : counter    (* scan-cache misses (scan fetched and stored) *)
 val c_scan_cache_evictions : counter (* entries evicted by the byte/row/entry budgets *)
 val c_scan_cache_bytes : counter     (* resident scan-cache bytes (gauge: +insert/-evict) *)
-val c_shared_scan_rewrites : counter (* repeated scans hoisted into a shared let *)
 val c_batch_batches : counter        (* batches pushed by the vectorized pipeline *)
 val c_batch_rows : counter           (* rows carried by those batches *)
 val c_batch_filtered : counter       (* rows dropped by vectorized where filters *)
@@ -196,7 +195,6 @@ type metrics = {
   scan_cache_misses : int;
   scan_cache_evictions : int;
   scan_cache_bytes : int;  (** resident bytes at snapshot time *)
-  shared_scan_rewrites : int;
   batch_batches : int;     (** batches pushed by the vectorized pipeline *)
   batch_rows : int;        (** rows carried by those batches *)
   batch_filtered : int;    (** rows dropped by vectorized where filters *)

@@ -152,8 +152,8 @@ let compare_order_keys ckeys ka kb =
 
    [Server.execute] recompiles its plan on every call, so a memo inside
    the compiled closure would never survive long enough to hit.  A
-   closed source (no free variables beyond a shared-scan binding, as
-   for a reusable build or a projected scan) evaluates to the same
+   closed source (no free variables, as for a reusable build or a
+   projected scan) evaluates to the same
    sequence in every tuple and, through the dsp scan cache, across
    invocations — the physically same list until its table grows.
    Everything derived from the list alone is therefore memoized against
@@ -2161,7 +2161,7 @@ type compiled = {
 
 let no_resolve _ = None
 
-let compile_expr ?(optimize = true) ?(scan_cache = true) ?(resolve = no_resolve)
+let compile_expr ?(optimize = true) ?(resolve = no_resolve)
     ?(node_fns = fun _ -> false) ?(vars = []) (e : X.expr) =
   (* scoping is checked on the un-optimized AST: pushdown deliberately
      leaves hazardous predicates in place, and the error should point
@@ -2187,7 +2187,7 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(resolve = no_resolve)
         b
   in
   let e =
-    if optimize then fst (Optimize.expr ~share_scans:scan_cache ~node_fns e)
+    if optimize then fst (Optimize.expr ~node_fns e)
     else e
   in
   let notes = ref [] in
@@ -2206,8 +2206,8 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(resolve = no_resolve)
   let code = compile_expr_c cenv e in
   { code; size = !(cenv.next); externals = List.rev externals; notes = !notes }
 
-let compile ?optimize ?scan_cache ?resolve ?node_fns ?vars (q : X.query) =
-  compile_expr ?optimize ?scan_cache ?resolve ?node_fns ?vars q.X.body
+let compile ?optimize ?resolve ?node_fns ?vars (q : X.query) =
+  compile_expr ?optimize ?resolve ?node_fns ?vars q.X.body
 
 let run ?(bindings = []) t =
   let rt = Array.make (max t.size 1) [] in

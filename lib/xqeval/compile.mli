@@ -38,7 +38,6 @@ type resolver = string -> Eval.external_fn option
 
 val compile :
   ?optimize:bool ->
-  ?scan_cache:bool ->
   ?resolve:resolver ->
   ?node_fns:(string -> bool) ->
   ?vars:string list ->
@@ -48,9 +47,7 @@ val compile :
     variable slots now; dynamic errors remain dynamic.  [vars] names
     external bindings (e.g. prepared-statement parameters) supplied at
     run time.  With [optimize] (the default) the {!Optimize} pass runs
-    before lowering, enabling predicate pushdown and hash equi-joins;
-    [scan_cache] (default [true]) additionally enables the optimizer's
-    scan-sharing hoist for repeated data-service calls.
+    before lowering, enabling predicate pushdown and hash equi-joins.
     [node_fns] names the external functions that return only nodes
     (default: none); the optimizer and the engine skip a dead [let]
     only when its value provably cannot raise, which a child step over
@@ -62,7 +59,6 @@ val compile :
 
 val compile_expr :
   ?optimize:bool ->
-  ?scan_cache:bool ->
   ?resolve:resolver ->
   ?node_fns:(string -> bool) ->
   ?vars:string list ->

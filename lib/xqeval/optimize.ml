@@ -1,8 +1,8 @@
 (* Logical optimizer over the XQuery AST, run before evaluation or
-   compilation.  Four rewrites.  The first three are scoped to FLWOR
-   blocks and applied bottom-up in one traversal — constructor fusion
-   first at each FLWOR, so the clause lists it splices still get
-   pushdown and join recognition; the fourth hoists over the whole plan:
+   compilation.  Three rewrites, scoped to FLWOR blocks and applied
+   bottom-up in one traversal — constructor fusion first at each FLWOR,
+   so the clause lists it splices still get pushdown and join
+   recognition:
 
    1. Constructor fusion (see its section below): the translator's
       [let $t := <RECORDSET>{B}</RECORDSET> for $v in $t/RECORD] is
@@ -32,8 +32,9 @@
       it fires only when [reusable_build] holds, the same test the
       compiler applies before reusing a table.
 
-   4. Scan sharing: repeated parameterless data-service calls are
-      hoisted into one [let] at the top of the plan.
+   A repeated data-service call is left in place: every call of a
+   table in one statement returns the rows of the version the
+   statement's read view pinned, served from the DSP scan cache.
 
    A scoping check ([scoping_hazard]) is shared by both evaluators: it
    rejects [where] clauses that reference a variable bound only by a
@@ -50,7 +51,9 @@ type report = {
   pushed_predicates : int;  (** conjuncts moved earlier in a pipeline *)
   hash_joins : int;         (** [For]+[Where] pairs fused into [Hash_join] *)
   correlated_probes : int;  (** of which correlated probes (leading [for]) *)
-  shared_scans : int;       (** repeated scans hoisted into a shared [let] *)
+  shared_scans : int;
+      (** always 0: kept only because perfbench/perfbench.ml reads it;
+          the benchmark's next change (ROADMAP item 2) deletes it *)
   fusions : int;            (** constructor fusions (unnest, navigate, inline) *)
   notes : string list;      (** human-readable one-liners, newest first *)
 }
@@ -61,7 +64,6 @@ type acc = {
   mutable pushed : int;
   mutable joins : int;
   mutable correlated : int;
-  mutable shared : int;
   mutable fused : int;
   mutable notes : string list;
 }
@@ -300,14 +302,6 @@ let rec cheap (e : X.expr) =
   | X.Call (n, [ a ]) when n = Functions.content_data_name -> cheap a
   | _ -> false
 
-(* Scan sharing (below) replaces a repeated parameterless data-service
-   call by [$#scan:NAME], bound once at the top of the plan. *)
-let scan_prefix = "#scan:"
-
-let is_scan_var v =
-  String.length v >= String.length scan_prefix
-  && String.sub v 0 (String.length scan_prefix) = scan_prefix
-
 (* [cannot_fail ~nodes e]: evaluating [e] can raise no dynamic error,
    given that every variable in [nodes] holds only nodes (a child step
    over an atomic is the one error a column access can raise). *)
@@ -341,13 +335,10 @@ and node_valued ~nodes (e : X.expr) =
 (* A for/let source that yields only nodes: a call of a function
    [node_fns] vouches for (a physical data-service scan returns row
    elements; a logical service evaluates a body that may return
-   atomics), a shared scan of one, or a node-valued expression. *)
+   atomics), or a node-valued expression. *)
 let node_source ~node_fns ~nodes (e : X.expr) =
   match e with
   | X.Call (name, _) -> node_fns name
-  | X.Var v when is_scan_var v ->
-    let n = String.length scan_prefix in
-    node_fns (String.sub v n (String.length v - n))
   | _ -> node_valued ~nodes e
 
 (* The node-valued variables after [clause], given those before it and
@@ -993,10 +984,9 @@ let push_predicates acc clauses =
 
 (* A build table is reusable across invocations when it is a pure
    function of the materialized source sequence: the source reads no
-   variable (a hoisted shared scan stands for its closed call) and the
-   build key reads nothing but the join variable. *)
+   variable and the build key reads nothing but the join variable. *)
 let reusable_build ~var ~source ~build_key =
-  Vars.for_all is_scan_var (free_vars source)
+  Vars.is_empty (free_vars source)
   && Vars.subset (free_vars build_key) (Vars.singleton var)
 
 (* Pipeline-relative free variables: the subset of [e]'s free vars that
@@ -1160,189 +1150,10 @@ and rewrite_clause acc = function
       }
 
 (* ------------------------------------------------------------------ *)
-(* Per-plan scan sharing                                               *)
-
-(* A "scan" is a parameterless prefixed call that is not a built-in
-   function — i.e. a data-service function invocation that returns the
-   same sequence every time within one plan.  When the same scan
-   appears more than once (a self-join, an uncorrelated subquery, two
-   branches of a union), every invocation re-fetches through the DSP
-   server; hoisting them into one [let]-bound materialization at the
-   top of the plan fetches once and shares the sequence.
-
-   The hoisted call has no free variables, so lifting it to the top is
-   always scope-safe.  Eager hoisting does trade laziness for sharing,
-   so a scan is hoisted only when at least one of its occurrences sits
-   in an always-evaluated position (an "anchor"): then the unshared
-   plan would have invoked the service at least once anyway, and the
-   hoist can only ever *reduce* the number of invocations.  A scan
-   whose every occurrence is conditional — never-taken [if] branches,
-   short-circuited [and]/[or] operands, tuple-driven FLWOR positions,
-   lazily-built hash-join sides — stays in place: hoisting it could
-   invoke a breaker-open or failpoint-armed service that the plan
-   would never have touched. *)
-
-let is_scan_call name args =
-  args = [] && String.contains name ':' && Functions.lookup name = None
-
-(* Variable names carry a '#' so they can never collide with anything
-   the parser produces (identifiers only). *)
-let scan_var name = scan_prefix ^ name
-
-let share_scans_pass acc (e : X.expr) : X.expr =
-  let counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  (* scans with at least one anchor occurrence (a position evaluated
-     whenever the whole plan is) — the precondition for eager hoisting *)
-  let anchored : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let first_seen = ref [] in
-  let note ~cond name =
-    (match Hashtbl.find_opt counts name with
-    | Some n -> Hashtbl.replace counts name (n + 1)
-    | None ->
-      Hashtbl.add counts name 1;
-      first_seen := name :: !first_seen);
-    if not cond then Hashtbl.replace anchored name ()
-  in
-  (* [cond] marks positions the evaluators may skip: if-branches, the
-     short-circuited right operand of and/or, everything driven by a
-     FLWOR's tuple stream (all clauses after the first, the return),
-     predicates, non-leading quantifier bindings and satisfies
-     clauses, and the lazily-built sides of a hash join. *)
-  let rec count cond (e : X.expr) =
-    match e with
-    | X.Literal _ | X.Var _ | X.Context_item | X.Text _ -> ()
-    | X.Seq es -> List.iter (count cond) es
-    | X.Flwor f ->
-      (match f.clauses with
-      | first :: rest ->
-        count_clause cond first;
-        List.iter (count_clause true) rest
-      | [] -> ());
-      count true f.return
-    | X.Path (base, steps) ->
-      count cond base;
-      List.iter (fun (s : X.step) -> List.iter (count true) s.predicates) steps
-    | X.Call (name, args) ->
-      if is_scan_call name args then note ~cond name;
-      List.iter (count cond) args
-    | X.Elem { content; _ } -> List.iter (count cond) content
-    | X.If (c, t, e) ->
-      count cond c;
-      count true t;
-      count true e
-    | X.Binop ((X.B_and | X.B_or), a, b) ->
-      count cond a;
-      count true b
-    | X.Binop (_, a, b) -> count cond a; count cond b
-    | X.Neg e -> count cond e
-    | X.Quantified { bindings; satisfies; _ } ->
-      (match bindings with
-      | (_, src) :: rest ->
-        count cond src;
-        List.iter (fun (_, src) -> count true src) rest
-      | [] -> ());
-      count true satisfies
-    | X.Filter (base, pred) ->
-      count cond base;
-      count true pred
-  and count_clause cond = function
-    (* a leading for/let source (and a leading where, probed by the
-       single initial tuple) runs whenever the FLWOR does; grouping and
-       ordering keys and hash-join sides are tuple- or demand-driven *)
-    | X.For { source = e; _ } | X.Let { value = e; _ } | X.Where e ->
-      count cond e
-    | X.Group { keys; _ } -> List.iter (fun (k, _) -> count true k) keys
-    | X.Order_by specs ->
-      List.iter (fun (s : X.order_spec) -> count true s.X.key) specs
-    | X.Hash_join { source; build_key; probe_key; _ } ->
-      count true source;
-      count true build_key;
-      count true probe_key
-  in
-  count false e;
-  let shared =
-    List.filter
-      (fun n -> Hashtbl.find counts n >= 2 && Hashtbl.mem anchored n)
-      (List.rev !first_seen)
-  in
-  if shared = [] then e
-  else begin
-    let rec sub (e : X.expr) : X.expr =
-      match e with
-      | X.Call (name, args) when is_scan_call name args && List.mem name shared
-        ->
-        X.Var (scan_var name)
-      | X.Literal _ | X.Var _ | X.Context_item | X.Text _ -> e
-      | X.Seq es -> X.Seq (List.map sub es)
-      | X.Flwor f ->
-        X.Flwor
-          { clauses = List.map sub_clause f.clauses; return = sub f.return }
-      | X.Path (base, steps) ->
-        X.Path
-          ( sub base,
-            List.map
-              (fun (s : X.step) ->
-                { s with X.predicates = List.map sub s.predicates })
-              steps )
-      | X.Call (name, args) -> X.Call (name, List.map sub args)
-      | X.Elem { name; content } ->
-        X.Elem { name; content = List.map sub content }
-      | X.If (c, t, e) -> X.If (sub c, sub t, sub e)
-      | X.Binop (op, a, b) -> X.Binop (op, sub a, sub b)
-      | X.Neg e -> X.Neg (sub e)
-      | X.Quantified { every; bindings; satisfies } ->
-        X.Quantified
-          {
-            every;
-            bindings = List.map (fun (v, src) -> (v, sub src)) bindings;
-            satisfies = sub satisfies;
-          }
-      | X.Filter (base, pred) -> X.Filter (sub base, sub pred)
-    and sub_clause = function
-      | X.For { var; source } -> X.For { var; source = sub source }
-      | X.Let { var; value } -> X.Let { var; value = sub value }
-      | X.Where cond -> X.Where (sub cond)
-      | X.Group { grouped; partition; keys } ->
-        X.Group
-          { grouped; partition; keys = List.map (fun (k, v) -> (sub k, v)) keys }
-      | X.Order_by specs ->
-        X.Order_by
-          (List.map
-             (fun (s : X.order_spec) -> { s with X.key = sub s.X.key })
-             specs)
-      | X.Hash_join { var; source; build_key; probe_key; value_cmp } ->
-        X.Hash_join
-          {
-            var;
-            source = sub source;
-            build_key = sub build_key;
-            probe_key = sub probe_key;
-            value_cmp;
-          }
-    in
-    acc.shared <- acc.shared + List.length shared;
-    List.iter
-      (fun n ->
-        acc.notes <-
-          Printf.sprintf "shared scan %s (%d occurrences)" n
-            (Hashtbl.find counts n)
-          :: acc.notes)
-      shared;
-    X.Flwor
-      {
-        clauses =
-          List.map
-            (fun n -> X.Let { var = scan_var n; value = X.Call (n, []) })
-            shared;
-        return = sub e;
-      }
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Scan column projection                                             *)
 
 (* A binding over a physical scan — a call of a function [node_fns]
-   vouches for, or a shared scan of one — holds flat row elements, and
+   vouches for — holds flat row elements, and
    every translated column access is the child step [$v/COL].  The
    columnar engine reads those from per-column vectors memoized with
    the scan; this analysis decides which reads qualify and rewrites
@@ -1352,9 +1163,7 @@ let column_prefix = "#col:"
 let column_var var step = column_prefix ^ var ^ "/" ^ step
 
 let scan_source ~node_fns (e : X.expr) =
-  match e with
-  | X.Call (_, []) | X.Var _ -> node_source ~node_fns ~nodes:Vars.empty e
-  | _ -> false
+  match e with X.Call (name, []) -> node_fns name | _ -> false
 
 type projection = {
   p_index : int;  (** clause position of the binding for or hash join *)
@@ -1723,7 +1532,7 @@ let derived_label d =
       else [ Printf.sprintf "%s(%s) input" (String.concat "/" kinds) d.d_step ])
     @ List.filter_map other uses)
 
-let expr ?(share_scans = true) ?(node_fns = fun _ -> false) e =
+let expr ?(node_fns = fun _ -> false) e =
   let acc =
     {
       externals = lazy (free_vars e);
@@ -1731,29 +1540,26 @@ let expr ?(share_scans = true) ?(node_fns = fun _ -> false) e =
       pushed = 0;
       joins = 0;
       correlated = 0;
-      shared = 0;
       fused = 0;
       notes = [];
     }
   in
   let e = rewrite acc ~nested:false e in
-  let e = if share_scans then share_scans_pass acc e else e in
   let module T = Aqua_core.Telemetry in
   T.add T.c_pushdown_rewrites acc.pushed;
   T.add T.c_hash_join_rewrites acc.joins;
-  T.add T.c_shared_scan_rewrites acc.shared;
   ( e,
     {
       pushed_predicates = acc.pushed;
       hash_joins = acc.joins;
       correlated_probes = acc.correlated;
-      shared_scans = acc.shared;
+      shared_scans = 0;
       fusions = acc.fused;
       notes = List.rev acc.notes;
     } )
 
-let query ?share_scans ?node_fns (q : X.query) =
-  let body, report = expr ?share_scans ?node_fns q.X.body in
+let query ?node_fns (q : X.query) =
+  let body, report = expr ?node_fns q.X.body in
   ({ q with X.body }, report)
 
 (* ------------------------------------------------------------------ *)

@@ -1,8 +1,8 @@
 (** Logical optimizer over the XQuery AST.
 
     Runs before compilation ([Compile]; the interpreter [Eval] runs
-    whatever plan it is given) and applies four rewrites.  The first three work on FLWOR blocks,
-    bottom-up in one traversal:
+    whatever plan it is given) and applies three rewrites to FLWOR
+    blocks, bottom-up in one traversal:
 
     - Constructor fusion, first at each FLWOR.  The translator's
       [let $t := <RECORDSET>{B}</RECORDSET> for $v in $t/RECORD]
@@ -29,11 +29,10 @@
       build the table once and each invocation of the FLWOR is a single
       probe.
 
-    The fourth, scan sharing, hoists parameterless data-service calls
-    that occur more than once in the plan (self-joins, uncorrelated
-    subqueries) into a single [let]-bound materialization at the top,
-    so the service is invoked once per plan instead of once per
-    occurrence.
+    A parameterless data-service call that occurs more than once in the
+    plan (a self-join, an uncorrelated subquery) stays in place: the DSP
+    server pins one read view per statement, so every occurrence returns
+    the same rows, and serves the repeats from its scan cache.
 
     The pass is purely structural and never evaluates expressions. *)
 
@@ -43,7 +42,9 @@ type report = {
   pushed_predicates : int;  (** conjuncts moved earlier in a pipeline *)
   hash_joins : int;         (** [For]+[Where] pairs fused into [Hash_join] *)
   correlated_probes : int;  (** of which correlated probes (leading [for]) *)
-  shared_scans : int;       (** repeated scans hoisted into a shared [let] *)
+  shared_scans : int;
+      (** always 0: kept only because perfbench/perfbench.ml reads it;
+          the benchmark's next change (ROADMAP item 2) deletes it *)
   fusions : int;
       (** constructor fusions: RECORDSETs unnested, lets read through
           their constructor, [return $w] inlined *)
@@ -57,21 +58,15 @@ val reusable_build :
   bool
 (** Whether a [Hash_join]'s build table is a pure function of its
     materialized source sequence, so the compiled engines may reuse it
-    across invocations: the source reads no variable other than a
-    shared-scan binding ({!scan_var}) and the build key reads only
-    [var].  The correlated-probe rewrite fires only when this holds. *)
-
-val scan_var : string -> string
-(** The hoisted binding name for a shared scan of the named function
-    ('#'-prefixed, so it can never collide with parsed identifiers). *)
+    across invocations: the source reads no variable and the build key
+    reads only [var].  The correlated-probe rewrite fires only when this
+    holds. *)
 
 val expr :
-  ?share_scans:bool ->
   ?node_fns:(string -> bool) ->
   Aqua_xquery.Ast.expr ->
   Aqua_xquery.Ast.expr * report
-(** Optimize an expression bottom-up.  [share_scans] (default [true])
-    controls the scan-sharing hoist.  The report notes record what
+(** Optimize an expression bottom-up.  The report notes record what
     fired; what the compiled engine then decides per operator is
     {!Compile.shape}.  [node_fns] names the
     external functions known to return only nodes (the DSP server
@@ -81,7 +76,6 @@ val expr :
     function's result can. *)
 
 val query :
-  ?share_scans:bool ->
   ?node_fns:(string -> bool) ->
   Aqua_xquery.Ast.query ->
   Aqua_xquery.Ast.query * report
@@ -158,8 +152,8 @@ val nodes_after :
 (** [nodes_after ~node_fns ~entry nodes clause]: the variables known to
     hold only nodes after [clause], given those before it ([nodes]) and
     at the FLWOR's entry ([entry], which a group clause restores).  A
-    [for] over a call of a function in [node_fns], a shared scan of one
-    or a node-valued path, and a [let] of a constructor, bind
+    [for] over a call of a function in [node_fns] or a node-valued
+    path, and a [let] of a constructor, bind
     node-valued variables. *)
 
 val assoc_str : string -> (string * 'a) list -> 'a option
@@ -179,8 +173,8 @@ val scan_projections :
   Aqua_xquery.Ast.expr ->
   projection list * Aqua_xquery.Ast.clause list * Aqua_xquery.Ast.expr
 (** Scan column projection for one FLWOR's clauses and return.  A [for]
-    or hash join over a call of a function in [node_fns] (or a shared
-    scan of one) binds a variable holding flat row elements; every
+    or hash join over a call of a function in [node_fns] binds a
+    variable holding flat row elements; every
     single-step, unpredicated read [$v/NAME] ([NAME] not ["*"]) in its
     scope, up to and including the first point lookup of its FLWOR (a
     [where] with an equality against a constant: an expression reading

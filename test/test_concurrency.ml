@@ -12,6 +12,7 @@ module T = Aqua_core.Telemetry
 module Mcore = Aqua_multicore.Mcore
 module Budget = Aqua_resilience.Budget
 module Sqlstate = Aqua_resilience.Sqlstate
+module Failpoint = Aqua_resilience.Failpoint
 module Table = Aqua_relational.Table
 module Value = Aqua_relational.Value
 module Rowset = Aqua_relational.Rowset
@@ -246,6 +247,149 @@ let concurrent_appends () =
 
 (* ------------------------------------------------------------------ *)
 
+(* One read view per statement: while a domain appends ORDERS rows, a
+   statement that reads ORDERS twice reads it at one version.  Each
+   probe subtracts two counts of ORDERS, which is 0 in one state of the
+   data: two scalar subqueries (neither always evaluated, so no plan
+   reads the table once for both), a logical view read beside its base
+   table, and the interpreter's rerun after an engine fault.  At batch
+   sizes 1, 7 and 1024.  Needs a real second domain to race with. *)
+let probe_sql over =
+  Printf.sprintf
+    "SELECT (SELECT COUNT(*) FROM ORDERS) - (SELECT COUNT(*) FROM %s) D \
+     FROM CUSTOMERS WHERE CUSTOMERID = 1"
+    over
+
+let racing_appends ~runs probe =
+  if not Mcore.multicore then ()
+  else begin
+    let app =
+      Aqua_workload.Datagen.application ~seed:5
+        { Aqua_workload.Datagen.customers = 8; orders = 60;
+          lines_per_order = 1; payments = 4 }
+    in
+    let orders_ds = Option.get (Artifact.find_service app ~path:"Sales" ~name:"ORDERS") in
+    let orders =
+      match Artifact.find_function orders_ds "ORDERS" with
+      | Some { Artifact.body = Artifact.Physical t; _ } -> t
+      | _ -> Alcotest.fail "ORDERS is not physical"
+    in
+    (* ALL_ORDERS, a logical view returning ORDERS' rows *)
+    ignore
+      (Artifact.add_logical_service app ~project:"Views" ~name:"ALL_ORDERS"
+         [ { Artifact.fn_name = "ALL_ORDERS"; params = []; element_name = "ORDERS";
+             columns =
+               [ Aqua_relational.Schema.column ~nullable:false "ORDERID"
+                   Aqua_relational.Sql_type.Integer ];
+             body =
+               Artifact.logical_body_of_text
+                 (Printf.sprintf
+                    "import schema namespace o = %S at %S;\n\
+                     for $r in o:ORDERS() return $r"
+                    (Artifact.namespace_of_service orders_ds)
+                    (Artifact.schema_location_of_service orders_ds)) } ]);
+    let conn = Connection.connect app in
+    (* every table and view resident before the race *)
+    ignore (Connection.execute_query conn (probe_sql "ALL_ORDERS"));
+    let date = Value.Date { Aqua_xml.Atomic.year = 2024; month = 3; day = 1 } in
+    let stop = Atomic.make false in
+    let inserter =
+      Mcore.Domains.spawn (fun () ->
+          let k = ref 0 in
+          while not (Atomic.get stop) do
+            incr k;
+            Table.insert orders
+              [ Value.Int (700_000 + !k); Value.Int 2; date; Value.Str "NEW"; Value.Null ];
+            Unix.sleepf 0.0002
+          done)
+    in
+    Fun.protect ~finally:(fun () ->
+        Atomic.set stop true;
+        Mcore.Domains.join inserter)
+    @@ fun () ->
+    let module Batch = Aqua_xqeval.Batch in
+    let prev = Batch.size () in
+    Fun.protect ~finally:(fun () -> Batch.set_size prev) @@ fun () ->
+    List.iter
+      (fun size ->
+        Batch.set_size size;
+        for run = 1 to runs do
+          match (rowset_of (probe conn orders)).Rowset.rows with
+          | [ row ] when row.(0) = Value.Int 0 -> ()
+          | rows ->
+            Alcotest.failf "batch size %d, run %d: D = %s, not 0" size run
+              (String.concat "; "
+                 (List.map
+                    (fun row ->
+                      String.concat "," (Array.to_list (Array.map Value.to_display row)))
+                    rows))
+        done)
+      [ 1; 7; 1024 ]
+  end
+
+let two_counts_one_version () =
+  racing_appends ~runs:500 (fun conn _ ->
+      Connection.execute_query conn (probe_sql "ORDERS"))
+
+let view_beside_its_table () =
+  racing_appends ~runs:200 (fun conn _ ->
+      Connection.execute_query conn (probe_sql "ALL_ORDERS"))
+
+(* The compiled run faults at its first batch after it has served
+   ORDERS: the trace sink arms the failpoint when the ORDERS call ends.
+   When the fault is reported, the test inserts one more ORDERS row and
+   notes the version the statement pinned.  The interpreter reruns the
+   statement in the same read view: it counts the pinned rows, not the
+   one inserted before it started, and is served the scan the faulted
+   run materialized (the statement adds at most one scan-cache miss). *)
+let rerun_reads_the_pinned_version () =
+  let date = Value.Date { Aqua_xml.Atomic.year = 2024; month = 3; day = 1 } in
+  racing_appends ~runs:200 (fun conn orders ->
+      let misses () = (Scan_cache.stats (Connection.scan_cache conn)).Scan_cache.misses in
+      let before = misses () in
+      let served = ref false and at_fault = ref None in
+      T.set_trace_sink
+        (Some
+           (fun line ->
+             if Helpers.contains ~needle:"\"name\":\"dsp.call.ORDERS\"" line then begin
+               if not !served then Failpoint.arm "xqeval.batch=at(1)";
+               served := true
+             end
+             else if Helpers.contains ~needle:"\"ev\":\"fallback\"" line then begin
+               at_fault := Some (!served, Table.version orders);
+               Table.insert orders
+                 [ Value.Int (900_000 + Table.cardinality orders); Value.Int 2; date;
+                   Value.Str "LATE"; Value.Null ]
+             end));
+      let rs, fallbacks =
+        Fun.protect ~finally:(fun () -> T.set_trace_sink None) @@ fun () ->
+        Helpers.with_failpoints "xqeval.batch=at(1000000)" (fun () ->
+            Helpers.counting_fallbacks (fun () ->
+                Connection.execute_query conn
+                  "SELECT (SELECT COUNT(*) FROM ORDERS) - (SELECT COUNT(*) \
+                   FROM ORDERS) D, (SELECT COUNT(*) FROM ORDERS) N FROM \
+                   CUSTOMERS WHERE CUSTOMERID = 1"))
+      in
+      Alcotest.(check int) "the compiled run faulted" 1 fallbacks;
+      let served, pinned =
+        match !at_fault with
+        | Some f -> f
+        | None -> Alcotest.fail "no fallback event was traced"
+      in
+      if not served then Alcotest.fail "the faulted run had not served ORDERS";
+      (match (rowset_of rs).Rowset.rows with
+       | [ [| _; Value.Int n |] ] ->
+         Alcotest.(check int) "the rerun counts the pinned rows" pinned n;
+         if Table.cardinality orders <= n then
+           Alcotest.fail "the row inserted before the rerun is not newer"
+       | _ -> Alcotest.fail "expected one row of D and N");
+      if misses () - before > 1 then
+        Alcotest.failf "the rerun materialized ORDERS again (%d misses)"
+          (misses () - before);
+      rs)
+
+(* ------------------------------------------------------------------ *)
+
 (* Pool exhaustion is a typed, bounded error: SQLSTATE 53300. *)
 let pool_exhaustion () =
   let app = Helpers.demo_app () in
@@ -448,6 +592,12 @@ let suite =
       Helpers.case "scan cache stays coherent across a revision bump"
         scan_cache_coherence;
       Helpers.case "appends racing a concurrent wave" concurrent_appends;
+      Helpers.case "two counts of a table read one version"
+        two_counts_one_version;
+      Helpers.case "a logical view reads its table's pinned version"
+        view_beside_its_table;
+      Helpers.case "an engine-fault rerun reads the pinned version"
+        rerun_reads_the_pinned_version;
       Helpers.case "exhausted pool raises SQLSTATE 53300" pool_exhaustion;
       Helpers.case "bounded-wait borrow succeeds after a release"
         blocking_borrow;

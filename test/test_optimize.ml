@@ -276,10 +276,6 @@ let report_counts () =
   Alcotest.(check bool) "reusable: closed source" true
     (Optimize.reusable_build ~var:"p" ~source:(parse "ns:P()")
        ~build_key:(parse "xs:int($p/K)"));
-  Alcotest.(check bool) "reusable: shared scan binding" true
-    (Optimize.reusable_build ~var:"p"
-       ~source:(X.Var (Optimize.scan_var "ns:P"))
-       ~build_key:(parse "$p/K"));
   Alcotest.(check bool) "not reusable: source reads a variable" false
     (Optimize.reusable_build ~var:"p" ~source:(parse "$c/P")
        ~build_key:(parse "$p/K"));
@@ -667,7 +663,7 @@ let dead_records_keep_errors () =
       Server.create ~scan_cache:false app ]
   in
   let ser q srv = Serialize.sequence_to_string (Server.execute srv q) in
-  (* a single scan, and a repeated one (a shared scan) *)
+  (* a single scan, and a repeated one *)
   List.iter
     (fun src ->
       let scan = query (fun record -> src record "c:CUSTOMERS()") in

@@ -1,8 +1,7 @@
-(* Scan materialization, both levels: the optimizer's per-plan
-   shared-scan hoist and the cross-query version-aware scan cache —
-   plus the group-key injectivity regression that rode along (the flat
-   separator-joined encoding collided on keys containing the
-   separator). *)
+(* Scan materialization: the cross-query version-aware scan cache and
+   the statement's read view it serves — plus the group-key injectivity
+   regression that rode along (the flat separator-joined encoding
+   collided on keys containing the separator). *)
 
 module X = Aqua_xquery.Ast
 module Atomic = Aqua_xml.Atomic
@@ -37,105 +36,9 @@ let no_tables = Scan_cache.View []
 let hit c key =
   match Scan_cache.lookup c key with Scan_cache.Hit _ -> true | _ -> false
 
-(* ------------------------------------------------------------------ *)
-(* Optimizer hoist goldens                                            *)
-
-let scan name = X.Call (name, [])
-
-let pair a b = X.Seq [ a; b ]
-
-let hoist_goldens () =
-  (* two occurrences of the same data-service scan: hoisted into one
-     shared let at the top *)
-  let e = pair (scan "ns0:T") (scan "ns0:T") in
-  let opt, report = Optimize.expr e in
-  check_int "one shared scan" 1 report.Optimize.shared_scans;
-  (match opt with
-  | X.Flwor
-      {
-        clauses = [ X.Let { var; value = X.Call ("ns0:T", []) } ];
-        return = X.Seq [ X.Var v1; X.Var v2 ];
-      } ->
-    Alcotest.(check string) "hoisted var" (Optimize.scan_var "ns0:T") var;
-    Alcotest.(check string) "first use" var v1;
-    Alcotest.(check string) "second use" var v2
-  | _ -> Alcotest.fail "expected a wrapping FLWOR with one shared let");
-  (* a single occurrence is left alone *)
-  let opt, report = Optimize.expr (scan "ns0:T") in
-  check_int "single scan not hoisted" 0 report.Optimize.shared_scans;
-  (match opt with
-  | X.Call ("ns0:T", []) -> ()
-  | _ -> Alcotest.fail "single scan must stay in place");
-  (* parameterless BUILT-INS are not scans, however often repeated *)
-  let e = pair (scan "fn:true") (scan "fn:true") in
-  let _, report = Optimize.expr e in
-  check_int "builtins never hoisted" 0 report.Optimize.shared_scans;
-  (* parameterized calls are not cacheable scans *)
-  let c = X.Call ("ns0:F", [ X.Literal (Atomic.Integer 1) ]) in
-  let _, report = Optimize.expr (pair c c) in
-  check_int "parameterized calls never hoisted" 0 report.Optimize.shared_scans;
-  (* the toggle: ~share_scans:false leaves everything in place *)
-  let e = pair (scan "ns0:T") (scan "ns0:T") in
-  let opt, report = Optimize.expr ~share_scans:false e in
-  check_int "toggle off" 0 report.Optimize.shared_scans;
-  check_bool "ast unchanged" true (opt = e);
-  (* occurrences inside FLWOR clauses are found and substituted *)
-  let e =
-    X.Flwor
-      {
-        clauses =
-          [
-            X.For { var = "a"; source = scan "ns0:T" };
-            X.For { var = "b"; source = scan "ns0:T" };
-          ];
-        return = X.Var "a";
-      }
-  in
-  let opt, report = Optimize.expr e in
-  check_int "for-sources shared" 1 report.Optimize.shared_scans;
-  (match opt with
-  | X.Flwor { clauses = X.Let _ :: _; _ } -> ()
-  | _ -> Alcotest.fail "expected the shared let to wrap the plan");
-  (* laziness guard: a scan whose every occurrence hides in if-branches
-     is never hoisted — eager evaluation could invoke a breaker-open or
-     failing service the plan would never have touched *)
-  let cond = X.Literal (Atomic.Boolean false) in
-  let e = X.If (cond, scan "ns0:T", scan "ns0:T") in
-  let opt, report = Optimize.expr e in
-  check_int "branch-only scans stay lazy" 0 report.Optimize.shared_scans;
-  check_bool "conditional ast unchanged" true (opt = e);
-  (* ...but one always-evaluated occurrence anchors the hoist: the plan
-     was going to invoke the service anyway, sharing only reduces calls *)
-  let e = pair (scan "ns0:T") (X.If (cond, scan "ns0:T", X.Seq [])) in
-  let _, report = Optimize.expr e in
-  check_int "anchored scan hoisted" 1 report.Optimize.shared_scans;
-  (* a lazily-built hash-join side alone is conditional; paired with an
-     anchored for-source it shares the anchor's materialization *)
-  let e =
-    X.Flwor
-      {
-        clauses =
-          [
-            X.For { var = "a"; source = scan "ns0:T" };
-            X.Hash_join
-              {
-                var = "b";
-                source = scan "ns0:T";
-                build_key = X.Var "b";
-                probe_key = X.Var "a";
-                value_cmp = false;
-              };
-          ];
-        return = X.Var "a";
-      }
-  in
-  let _, report = Optimize.expr e in
-  check_int "join build shares the anchored scan" 1
-    report.Optimize.shared_scans
-
-(* The hoist must be semantics-preserving on executable queries: a
-   self-join through the server returns the same rows with the cache
-   on and off, through interpreter and compiler alike. *)
+(* A self-join calls one table twice: through the server it returns the
+   same rows with the cache on and off, through interpreter and
+   compiler alike. *)
 let self_join_semantics () =
   let app = Helpers.demo_app () in
   let sql =
@@ -458,6 +361,125 @@ let logical_entry_dependencies () =
         (s2.Scan_cache.invalidations >= s1.Scan_cache.invalidations + 3))
     servers
 
+(* One read view per statement, at the scan cache.  A physical entry at
+   the version the statement pinned is a hit; one behind it is extended
+   up to the pinned version; one ahead of it (extended by a statement
+   that pinned later) serves its first items, the entry's own elements
+   with none rebuilt, and stays resident without an invalidation.  A
+   logical entry ahead of the pinned version is bypassed, and the
+   result read at the older version never replaces it.  Counts the rows
+   each serve returns. *)
+let pinned_versions () =
+  let app, t = tiny_app [ 1; 2; 3 ] in
+  let base = Option.get (Artifact.find_service app ~path:"P" ~name:"T") in
+  ignore
+    (Artifact.add_logical_service app ~project:"P" ~name:"V"
+       [ { Artifact.fn_name = "V"; params = []; element_name = "T"; columns = [];
+           body =
+             Artifact.logical_body_of_text
+               (Printf.sprintf
+                  "import schema namespace b = %S at %S;\n\
+                   for $r in b:T() return $r"
+                  (Artifact.namespace_of_service base)
+                  (Artifact.schema_location_of_service base)) } ]);
+  let srv = Server.create app in
+  let serve fn = Server.call_function srv ~path:"P" ~name:fn ~fn [] in
+  let stats () = Scan_cache.stats (Server.scan_cache srv) in
+  (* hits, misses and invalidations since [s] *)
+  let moved msg (h, m, i) s =
+    let s' = stats () in
+    Alcotest.(check (triple int int int))
+      msg (h, m, i)
+      ( s'.Scan_cache.hits - s.Scan_cache.hits,
+        s'.Scan_cache.misses - s.Scan_cache.misses,
+        s'.Scan_cache.invalidations - s.Scan_cache.invalidations )
+  in
+  let same_elements msg a b =
+    check_bool msg true (List.length a = List.length b && List.for_all2 ( == ) a b)
+  in
+  check_int "cold" 3 (List.length (serve "T"));
+  let at3 = Table.pin [ t ] in
+  let s = stats () in
+  check_int "at the pinned version" 3 (List.length (serve "T"));
+  moved "a hit" (1, 0, 0) s;
+  Table.insert t [ Value.Int 4 ];
+  Table.insert t [ Value.Int 5 ];
+  let s = stats () in
+  let five = serve "T" in
+  check_int "behind the pinned version: extended" 5 (List.length five);
+  moved "a miss that replaces the entry" (0, 1, 1) s;
+  let s = stats () in
+  let three = Table.within at3 (fun () -> serve "T") in
+  check_int "ahead of the pinned version: the pinned rows" 3
+    (List.length three);
+  same_elements "the entry's first elements" (List.filteri (fun i _ -> i < 3) five)
+    three;
+  moved "a hit, nothing dropped" (1, 0, 0) s;
+  let s = stats () in
+  let a, b =
+    Table.within at3 (fun () ->
+        Scan_cache.statement (fun () ->
+            let a = serve "T" in
+            (a, serve "T")))
+  in
+  check_bool "one statement pinned behind the entry is served one list" true
+    (a == b);
+  moved "its first call copies, its second reuses the copy" (2, 0, 0) s;
+  let s = stats () in
+  same_elements "the entry stays at 5 rows" five (serve "T");
+  moved "and still hits" (1, 0, 0) s;
+  (* the logical view V over T *)
+  check_int "V at 5 rows" 5 (List.length (serve "V"));
+  let s = stats () in
+  check_int "V pinned at 3 rows" 3
+    (List.length (Table.within at3 (fun () -> serve "V")));
+  moved "V bypassed, T's first rows served" (1, 1, 0) s;
+  let s = stats () in
+  check_int "V still at 5 rows" 5 (List.length (serve "V"));
+  moved "the newer V stayed resident" (1, 0, 0) s;
+  (* a direct store at an older version keeps the newer entry *)
+  let c = Server.scan_cache srv in
+  Scan_cache.store c "k" (Scan_cache.Scan (t, 5)) five;
+  Scan_cache.store c "k" (Scan_cache.Scan (t, 3)) three;
+  match Scan_cache.lookup c "k" with
+  | Scan_cache.Hit seq -> same_elements "store kept the newer entry" five seq
+  | _ -> Alcotest.fail "the newer entry was replaced"
+
+(* Within one statement a table is served one list even when the cache
+   does not admit it: a scan over the row cap is built once per
+   statement, not once per call.  Outside a statement, and on a
+   disabled cache, every call builds. *)
+let one_scan_per_statement () =
+  let app, t = tiny_app [ 1; 2; 3 ] in
+  let capped = Scan_cache.create ~max_rows:2 app in
+  let built = ref 0 in
+  let produce c () =
+    incr built;
+    let seq = List.map Item.node (Table.to_flat_xml t) in
+    Scan_cache.store c "T" (Scan_cache.Scan (t, Table.version t)) seq;
+    seq
+  in
+  let twice c =
+    Scan_cache.statement (fun () ->
+        let a = Scan_cache.scan c t (produce c) in
+        (a, Scan_cache.scan c t (produce c)))
+  in
+  let a, b = twice capped in
+  check_bool "both calls get one list" true (a == b);
+  check_int "built once" 1 !built;
+  check_int "the second call is a hit" 1 (Scan_cache.stats capped).Scan_cache.hits;
+  check_int "the scan is over the cap, not resident" 0
+    (Scan_cache.stats capped).Scan_cache.entries;
+  ignore (twice capped);
+  check_int "the next statement builds again" 2 !built;
+  ignore (Scan_cache.scan capped t (produce capped));
+  ignore (Scan_cache.scan capped t (produce capped));
+  check_int "outside a statement every call builds" 4 !built;
+  let off = Scan_cache.create ~enabled:false app in
+  let a, b = twice off in
+  check_bool "a disabled cache builds per call" true (a != b);
+  check_int "twice" 6 !built
+
 (* A compiled-engine fault reruns the statement on the interpreter over
    the same scan cache, but a logical function's materialized result
    depends on which engine produced it (the whole point of the rerun
@@ -718,7 +740,8 @@ let group_key_injective_random =
 let suite =
   ( "scan_cache",
     [
-      Helpers.case "optimizer hoist goldens" hoist_goldens;
+      Helpers.case "read view: pinned, behind and ahead entries" pinned_versions;
+      Helpers.case "a table is scanned once per statement" one_scan_per_statement;
       Helpers.case "self-join semantics preserved" self_join_semantics;
       Helpers.case "warm run hits the cache" warm_hits;
       Helpers.case "revision bump invalidates" revision_invalidation;
