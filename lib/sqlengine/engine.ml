@@ -70,6 +70,14 @@ let env_of_application ?(optimize = true) ?(scan_cache = true) app =
           Hashtbl.t =
         Hashtbl.create 16
       in
+      (* per table, the memo's first rows last served to a statement
+         pinned behind it, with that version: every reference of one
+         such statement is served one copy *)
+      let pinned_prefix :
+          (string option * string option * string, int * Value.t array list)
+          Hashtbl.t =
+        Hashtbl.create 16
+      in
       let lock = Mcore.Mutex.create () in
       let seen_revision = ref (Artifact.revision app) in
       fun (n : A.table_name) pos ->
@@ -79,6 +87,7 @@ let env_of_application ?(optimize = true) ?(scan_cache = true) app =
               let rev = Artifact.revision app in
               if rev <> !seen_revision then begin
                 Hashtbl.reset memo;
+                Hashtbl.reset pinned_prefix;
                 seen_revision := rev
               end;
               Hashtbl.find_opt memo key)
@@ -87,8 +96,20 @@ let env_of_application ?(optimize = true) ?(scan_cache = true) app =
         | Some (meta, t, version, rows) when Table.version t <= version ->
           T.incr T.c_scan_cache_hits;
           let pinned = Table.version t in
-          (meta, if pinned = version then rows
-                 else List.filteri (fun i _ -> i < pinned) rows)
+          if pinned = version then (meta, rows)
+          else (
+            (* append-only rows: a prefix at one version is the same
+               whichever memo rows it was cut from *)
+            match
+              Mcore.Mutex.protect lock (fun () ->
+                  Hashtbl.find_opt pinned_prefix key)
+            with
+            | Some (v, prefix) when v = pinned -> (meta, prefix)
+            | _ ->
+              let prefix = List.filteri (fun i _ -> i < pinned) rows in
+              Mcore.Mutex.protect lock (fun () ->
+                  Hashtbl.replace pinned_prefix key (pinned, prefix));
+              (meta, prefix))
         | _ ->
           T.incr T.c_scan_cache_misses;
           (* resolve outside the lock — the lookup chain can raise with
@@ -112,6 +133,9 @@ let env_of_application ?(optimize = true) ?(scan_cache = true) app =
     end
   in
   { app; sem; table_data; optimize }
+
+let table_rows env table =
+  snd (env.table_data { A.catalog = None; schema = None; table } A.no_pos)
 
 (* ------------------------------------------------------------------ *)
 (* Tuples: one value array per view, aligned with the view's columns. *)

@@ -27,11 +27,18 @@ val env_of_application :
     resolution (metadata + service + function lookup) and rows per
     table name, with the table's version: a metadata revision change
     empties the memo, a grown table is caught up by its new rows, and a
-    statement pinned at an earlier version reads the memo's first rows;
+    statement pinned at an earlier version reads the memo's first rows,
+    copied once per table and version (every reference of the statement
+    shares the copy);
     hits and misses move the shared [scan_cache.*] telemetry counters.
     Each statement reads one state of the data: it runs in the read
     view {!Aqua_dsp.Artifact.read_view} opens, as a DSP server
     statement does. *)
+
+val table_rows : env -> string -> Aqua_relational.Value.t array list
+(** The rows one reference to the named table reads, in the current
+    read view (as a statement's [FROM] does).
+    @raise Aqua_translator.Errors.Error on an unknown table. *)
 
 val execute : env -> Aqua_sql.Ast.statement -> Aqua_relational.Rowset.t
 (** @raise Aqua_translator.Errors.Error on semantic errors (the same

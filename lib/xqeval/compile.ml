@@ -36,6 +36,7 @@ type note =
       written : string list;  (* of those, the ones written *)
       cells : (Optimize.derived * bool) list;  (* derived; value written *)
       row_written : bool;  (* the scan row position *)
+      probe_id : Optimize.derived option;  (* a hash join probing by value id *)
     }
   | N_group of {
       label : string;
@@ -43,6 +44,7 @@ type note =
       inputs : int Lazy.t;
       carried : int;
       keys : int;
+      key_id : Optimize.derived option;  (* the single key read by value id *)
     }
   | N_order of { inputs : int Lazy.t; retained : int }
   | N_skipped of string * X.expr  (* a let nothing reads, not built *)
@@ -177,16 +179,18 @@ let compare_order_keys ckeys ka kb =
      row, so a scan column read is an array index;
    - derived cell columns: for a (step, cell expression) pair, the
      expression's value on every row's cell ([Optimize.derive]), plus,
-     built on first use, each value's group-key component and kernel
-     reading (extended with the column);
+     built on first use, each value's group-key component, kernel
+     reading and value id (extended with the column), and the probe
+     results of the column's value ids against build tables;
    - build tables keyed by the build-key AST and the value_cmp flag,
      when the build key reads nothing but the join variable
      ([Optimize.reusable_build]); an extended entry rebuilds them on
      first use.
 
    The memo is a short move-to-front list, bounded by entry count and
-   by a fixed total of projected and derived cells; a source whose own
-   columns exceed the cell bound is served but not retained.  A
+   by a fixed total of projected and derived cells (value ids and probe
+   results included); a source whose own columns exceed the cell bound
+   is served but not retained.  A
    projected column built only to derive from is not retained either:
    once its derived columns exist nothing reads it.  Stale entries age
    out by eviction. *)
@@ -195,6 +199,39 @@ type jt_entry = {
   je_cmp : bool;  (* value_cmp flag — changes probe/poison semantics *)
   je_table : Join_table.t;
 }
+
+(* Dense value ids of a derived column: one id per distinct cell value,
+   numbered in order of first appearance.  Equal single atoms share an
+   id, so do all empty cells; a multi-atom cell and an error cell each
+   get their own.  Ids are a refinement of both keyings that read them:
+   two rows with one id hold the same value, hence the same group-key
+   component and the same probe result (the reverse does not hold:
+   [Integer 5] and [Double 5.0] share a component under two ids).  The
+   interning state is shared with the column's extensions, so an
+   extended column keeps its rows' ids and numbers only the new ones. *)
+type intern = {
+  atoms : (Atomic.t, int) Hashtbl.t;
+  mutable count : int;  (* ids handed out *)
+  mutable empty : int;  (* the empty cell's id, -1 until one is seen *)
+}
+
+type ids = {
+  id_of : int array;  (* by row *)
+  ix : intern;
+  nids : int;  (* every id in [id_of] is below it *)
+}
+
+(* One build table's matches by probe value id, filled one id at a time
+   ([unprobed] until then).  Keyed by the table's physical identity,
+   which also fixes the comparison (builds are cached per [value_cmp]
+   flag): a rebuilt table (its source grew) starts a new memo.
+   [jm_rows] is empty until the pair is seen a second time. *)
+type jmemo = {
+  jm_table : Join_table.t;
+  mutable jm_rows : int list array;
+}
+
+let unprobed = [ -1 ]
 
 (* A derived cell column.  A row whose cell expression raised holds an
    error cell: [cell_error] followed by the row's own cell, on which the
@@ -205,6 +242,8 @@ type dcol = {
   dc_err : bool;  (* some row holds an error cell *)
   mutable dc_keys : string array;  (* group-key components, on first use *)
   mutable dc_cells : Kernels.cells option;  (* kernel readings, on first use *)
+  mutable dc_ids : ids option;  (* value ids, on first use *)
+  mutable dc_joins : jmemo list;  (* probe results, most recent first *)
 }
 
 type dentry = {
@@ -219,7 +258,11 @@ let cell_error = Item.Atomic (Atomic.String "#cell-error")
 let read_cell derive (v : Item.sequence) =
   match v with x :: cell when x == cell_error -> derive cell | _ -> v
 
-let no_dcol = { dc_vals = [||]; dc_err = false; dc_keys = [||]; dc_cells = None }
+let make_dcol vals err =
+  { dc_vals = vals; dc_err = err; dc_keys = [||]; dc_cells = None; dc_ids = None;
+    dc_joins = [] }
+
+let no_dcol = make_dcol [||] false
 
 (* A derived column's group-key components and kernel readings,
    derived eagerly over the whole column on first use (an error cell is
@@ -249,6 +292,40 @@ let dcol_cells d =
     d.dc_cells <- Some c;
     c
 
+let value_id ix (v : Item.sequence) =
+  let fresh () =
+    let i = ix.count in
+    ix.count <- i + 1;
+    i
+  in
+  match v with
+  | x :: _ when x == cell_error -> fresh ()
+  | [ Item.Atomic a ] -> (
+    match Hashtbl.find_opt ix.atoms a with
+    | Some i -> i
+    | None ->
+      let i = fresh () in
+      Hashtbl.add ix.atoms a i;
+      i)
+  | [] ->
+    if ix.empty < 0 then ix.empty <- fresh ();
+    ix.empty
+  | _ -> fresh ()
+
+let id_values ix vals =
+  let id_of = Array.map (value_id ix) vals in
+  (id_of, ix.count)
+
+let dcol_ids d =
+  match d.dc_ids with
+  | Some ids -> ids
+  | None ->
+    let ix = { atoms = Hashtbl.create 64; count = 0; empty = -1 } in
+    let id_of, nids = id_values ix d.dc_vals in
+    let ids = { id_of; ix; nids } in
+    d.dc_ids <- Some ids;
+    ids
+
 (* The cell expression's value on each cell; equal single-atom values
    are shared (values are immutable, and a low-cardinality column then
    holds a few values).  The flag: some cell raised. *)
@@ -274,7 +351,9 @@ let derive_cells derive cells =
   (vals, !err)
 
 (* [d] followed by the derived values of the new rows' cells, with its
-   group-key components and kernel readings extended if built. *)
+   group-key components, kernel readings and value ids extended if
+   built.  Probe results are not carried: the grown source's build
+   tables are new. *)
 let extend_dcol d derive cells =
   let fresh, err = derive_cells derive cells in
   let vals = Array.append d.dc_vals fresh in
@@ -283,7 +362,14 @@ let extend_dcol d derive cells =
     dc_keys =
       (if Array.length d.dc_keys = 0 then [||]
        else Array.append d.dc_keys (Array.map Group_key.component fresh));
-    dc_cells = Option.map (fun c -> Kernels.extend_cells c vals) d.dc_cells }
+    dc_cells = Option.map (fun c -> Kernels.extend_cells c vals) d.dc_cells;
+    dc_ids =
+      Option.map
+        (fun ids ->
+          let id_of, nids = id_values ids.ix fresh in
+          { ids with id_of = Array.append ids.id_of id_of; nids })
+        d.dc_ids;
+    dc_joins = [] }
 
 type src_entry = {
   se_src : Item.sequence;
@@ -297,7 +383,7 @@ type src_entry = {
 
 type src_memo = {
   mutable entries : src_entry list;  (* most recently used first *)
-  mutable cells : int;  (* projected cells of the kept entries *)
+  mutable cells : int;  (* cells of the kept entries *)
 }
 
 (* Domain-local for the same reason as the batch pools below: the
@@ -313,9 +399,18 @@ let projected_cells_max = 65536
 let src_tables_cap = 4
 let src_derived_cap = 16
 
+(* A derived column's cells: one per row, one more per row with value
+   ids, and one per value id per join memo.  A memo's match lists are
+   not counted: together they hold at most about one entry per build
+   row per key, as the build table itself does. *)
+let dcol_size d =
+  Array.length d.dc_vals
+  + (match d.dc_ids with Some ids -> Array.length ids.id_of | None -> 0)
+  + List.fold_left (fun n j -> n + Array.length j.jm_rows) 0 d.dc_joins
+
 let entry_cells e =
   List.fold_left
-    (fun n d -> n + Array.length d.de_col.dc_vals)
+    (fun n d -> n + dcol_size d.de_col)
     (List.fold_left (fun n (_, col) -> n + Array.length col) 0 e.se_cols)
     e.se_derived
 
@@ -397,6 +492,54 @@ let account e n =
         | [] -> assert false
       done
   end
+
+(* The same check after a derived column grew in place or was replaced
+   by its extension (value ids built, a join memo added or dropped): the
+   column does not know its entry, so the total is counted afresh from
+   the kept entries, whichever of them holds it. *)
+let recount () =
+  let m = Mcore.Dls.get src_memo in
+  m.cells <- List.fold_left (fun n e -> n + entry_cells e) 0 m.entries;
+  List.iter
+    (fun e -> if entry_cells e > projected_cells_max then drop_entry m e)
+    m.entries;
+  while m.cells > projected_cells_max do
+    match List.rev m.entries with
+    | lru :: _ -> drop_entry m lru
+    | [] -> assert false
+  done
+
+(* Column [d]'s probe results against build table [t], or [None] the
+   first time the pair is seen: a column probed once against a table (a
+   statement run once) pays for no ids and no memo.  The second time,
+   the memo is allocated empty (value ids built on first use) and
+   counted against the bound.  A new pair drops those whose table no
+   kept entry holds any more (its source grew or left the memo), and at
+   most [src_tables_cap] stay. *)
+let join_memo d t =
+  match List.find_opt (fun j -> j.jm_table == t) d.dc_joins with
+  | Some j ->
+    if Array.length j.jm_rows = 0 then begin
+      j.jm_rows <- Array.make (dcol_ids d).nids unprobed;
+      recount ()
+    end;
+    Some j
+  | None ->
+    let held j =
+      List.exists
+        (fun e -> List.exists (fun x -> x.je_table == j.jm_table) e.se_tables)
+        (Mcore.Dls.get src_memo).entries
+    in
+    let old = d.dc_joins in
+    d.dc_joins <-
+      { jm_table = t; jm_rows = [||] }
+      :: List.filteri (fun k _ -> k < src_tables_cap - 1) (List.filter held old);
+    if
+      List.exists
+        (fun j -> Array.length j.jm_rows > 0 && not (List.memq j d.dc_joins))
+        old
+    then recount ();
+    None
 
 let rec drop_items k items =
   match items with _ :: more when k > 0 -> drop_items (k - 1) more | _ -> items
@@ -481,11 +624,11 @@ let src_derived e specs =
         in
         if d' != d || List.hd e.se_derived != d then
           e.se_derived <- d' :: List.filter (fun x -> x != d) e.se_derived;
-        if d' != d then account e (e.se_len - from);
+        if d' != d then recount ();
         d'.de_col
       | None ->
         let vals, err = derive_cells derive (base step) in
-        let d = { dc_vals = vals; dc_err = err; dc_keys = [||]; dc_cells = None } in
+        let d = make_dcol vals err in
         Telemetry.incr Telemetry.c_col_derived_columns;
         (* at most [src_derived_cap] per source, least recently used
            out: a source read by many distinct statements would
@@ -498,8 +641,7 @@ let src_derived e specs =
           let m = Mcore.Dls.get src_memo in
           List.iteri
             (fun k x ->
-              if k >= src_derived_cap - 1 then
-                m.cells <- m.cells - Array.length x.de_col.dc_vals)
+              if k >= src_derived_cap - 1 then m.cells <- m.cells - dcol_size x.de_col)
             old
         end;
         account e (Array.length vals);
@@ -694,13 +836,16 @@ let cell_row (dcols : dcol array) id rs derive (scratch : rt) =
   if d.dc_err then ignore (read_cell derive d.dc_vals.(r));
   r
 
-(* Per invocation: the key string of the tuple in the scratch row and,
-   for a new group, its key values.  The string is byte for byte
+(* Per invocation: the group slot of the tuple in the scratch row —
+   dense, in first-seen order — and, for a new group, its key values.
+   Groups are told apart by the key string, byte for byte
    [Group_key.composite_into] over the key values: a derived key
    splices its memoized component, any other key is evaluated once, in
-   key order, so the first error raised is the same. *)
+   key order, so the first error raised is the same.  A single derived
+   key reads its memoized component only the first time a value id is
+   seen: the slot of every later row with that id is an array read. *)
 type key_reader = {
-  kr_string : rt -> string;
+  kr_slot : rt -> int;
   kr_values : unit -> Item.sequence list;
 }
 
@@ -708,17 +853,47 @@ let key_reader (dcols : dcol array) (keys : cinput array) =
   let n = Array.length keys in
   let vals = Array.make n [] and rows = Array.make n 0 in
   let buf = Buffer.create 64 in
+  let table = Hashtbl.create 16 in
+  let slot_of_string k =
+    match Hashtbl.find_opt table k with
+    | Some s -> s
+    | None ->
+      let s = Hashtbl.length table in
+      Hashtbl.add table k s;
+      s
+  in
   let load scratch i =
     match keys.(i) with
     | In_cell (id, rs, derive) -> rows.(i) <- cell_row dcols id rs derive scratch
     | In_expr c -> vals.(i) <- c scratch
   in
-  let kr_string =
+  let kr_slot =
     match keys with
     | [| In_cell (id, _, _) |] ->
+      (* the id -> slot array of the column last read: a column
+         republished mid-invocation (its source grew) starts a new one,
+         the string table still deciding the slots *)
+      let cur = ref no_dcol and ids = ref [||] and slots = ref [||] in
       fun scratch ->
         load scratch 0;
-        (dcol_keys dcols.(id)).(rows.(0))
+        let d = dcols.(id) in
+        if d != !cur then begin
+          let built = Option.is_none d.dc_ids in
+          let x = dcol_ids d in
+          if built then recount ();
+          cur := d;
+          ids := x.id_of;
+          slots := Array.make x.nids (-1)
+        end;
+        let r = rows.(0) in
+        let v = !ids.(r) in
+        let s = !slots.(v) in
+        if s >= 0 then s
+        else begin
+          let s = slot_of_string (dcol_keys d).(r) in
+          !slots.(v) <- s;
+          s
+        end
     | _ ->
       fun scratch ->
         for i = 0 to n - 1 do
@@ -731,7 +906,7 @@ let key_reader (dcols : dcol array) (keys : cinput array) =
             Buffer.add_string buf (dcol_keys dcols.(id)).(rows.(i))
           | In_expr _ -> Group_key.add_component buf vals.(i)
         done;
-        Buffer.contents buf
+        slot_of_string (Buffer.contents buf)
   in
   let kr_values () =
     List.init n (fun i ->
@@ -739,7 +914,21 @@ let key_reader (dcols : dcol array) (keys : cinput array) =
         | In_cell (id, _, _) -> dcols.(id).dc_vals.(rows.(i))
         | In_expr _ -> vals.(i))
   in
-  { kr_string; kr_values }
+  { kr_slot; kr_values }
+
+(* Per-group state by dense slot, grown by doubling. *)
+type 'a groups = { mutable g : 'a array; mutable ng : int }
+
+let groups () = { g = [||]; ng = 0 }
+
+let add_group gs x =
+  if gs.ng = Array.length gs.g then begin
+    let a = Array.make (max 8 (2 * gs.ng)) x in
+    Array.blit gs.g 0 a 0 gs.ng;
+    gs.g <- a
+  end;
+  gs.g.(gs.ng) <- x;
+  gs.ng <- gs.ng + 1
 
 (* Fetch an expander's derived columns from its source's memo entry and
    publish them to this invocation's kernels and group keys. *)
@@ -1242,9 +1431,9 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
       Optimize.row_var d.Optimize.d_binding
       :: List.map (fun (_, (d : Optimize.derived)) -> d.Optimize.d_var) ds
   in
-  (* Kernel inputs and group keys that are a whole derived cell read it
-     through the tuple's row position: their reads are the row
-     variable's. *)
+  (* Kernel inputs, group keys and probes by value id that are a whole
+     derived cell read it through the tuple's row position: their reads
+     are the row variable's. *)
   let cell_rows =
     Array.to_list
       (Array.mapi
@@ -1278,8 +1467,30 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
       | None -> In_expr (compile_expr_c cenv e))
     | _ -> In_expr (compile_expr_c cenv e)
   in
-  let reads = function
+  (* A hash join whose probe key is a whole derived cell of this FLWOR
+     and whose build is reusable (the same table across invocations)
+     probes by value id: it reads the cell through the row position,
+     like a group key. *)
+  let probe_cell = function
+    | X.Hash_join { var; source; build_key; probe_key = X.Var v; _ } -> (
+      match Optimize.assoc_str v cell_rows with
+      | Some _ as cell when Optimize.reusable_build ~var ~source ~build_key -> cell
+      | _ -> None)
+    | _ -> None
+  in
+  (* the key a group reads by value id ([key_reader]) *)
+  let key_id = function
+    | [| In_cell (cid, _, _) |] -> Some cells.(cid)
+    | _ -> None
+  in
+  let tarr = Array.of_list tclauses in
+  let probe_cells =
+    Array.map (function C_plain c -> probe_cell c | C_kernel _ -> None) tarr
+  in
+  let reads j = function
     | C_plain (X.Group _ as c) -> by_row (Optimize.clause_reads c)
+    | C_plain (X.Hash_join _ as c) when Option.is_some probe_cells.(j) ->
+      by_row (Optimize.clause_reads c)
     | C_plain c -> Optimize.clause_reads c
     | C_kernel k ->
       (* a kernel group reads its keys and kernel inputs, not the
@@ -1290,7 +1501,6 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
            @ List.map (fun (s : Optimize.kernel_spec) -> s.Optimize.k_arg)
                k.ck_specs))
   in
-  let tarr = Array.of_list tclauses in
   (* [nodes_at.(i)]: the variables known to hold only nodes before
      clause [i], for the dead-let test *)
   let nodes_at = Array.make (Array.length tarr + 1) Optimize.Vars.empty in
@@ -1319,7 +1529,7 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
            && Optimize.cannot_fail ~nodes:nodes_at.(j) value ->
       dead_let.(j) <- true
     | c ->
-      treads.(j) <- reads c;
+      treads.(j) <- reads j c;
       needed := Optimize.Vars.union !needed treads.(j)
   done;
   (* The plan's externals are in the scratch row from the start of
@@ -1407,7 +1617,7 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
      column or variable no reader is left for is not written.  The
      decisions go to [note]. *)
   let inputs_at cenv i = lazy (Slots.cardinal (live_slots cenv.slots i)) in
-  let expander cenv note label var i =
+  let expander ?probe_id cenv note label var i =
     let inputs = inputs_at cenv i in
     let cenv, slot = bind_slot cenv var in
     let cenv, cols =
@@ -1449,7 +1659,7 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
                List.map2
                  (fun (_, d) s -> (d, Slots.mem s live))
                  pcells.(i) dslots;
-             row_written = Slots.mem row_slot live });
+             row_written = Slots.mem row_slot live; probe_id });
     ( cenv, slot, copy, Slots.mem slot live, written,
       Array.of_list (List.map snd cols),
       derivation pcells.(i) (if Slots.mem row_slot live then row_slot else -1)
@@ -1717,13 +1927,13 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
             Some
               (N_group
                  { label; kernels = None; inputs = inputs_at cenv i;
-                   carried = entry_n; keys = List.length key_slots });
+                   carried = entry_n; keys = List.length key_slots;
+                   key_id = key_id ckeys });
           let mk cctx down =
             let count = ccounter cctx label in
             let pruned = max 0 (cctx.cnslots - entry_n) in
             let scratch = cctx.cscratch in
-            let table = Hashtbl.create 16 in
-            let order = ref [] in
+            let gs = groups () in
             let keys = key_reader cctx.cdcols ckeys in
             let out = cctx.calloc () in
             let out_entry = Array.map (Batch.column out) entry_copy in
@@ -1746,36 +1956,32 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
                   for k = 0 to b.Batch.n - 1 do
                     let idx = b.Batch.sel.(k) in
                     gather gslots scratch b idx;
-                    let key_string = keys.kr_string scratch in
-                    match Hashtbl.find_opt table key_string with
-                    | Some (acc, _, _) -> acc := grouped_col.(idx) :: !acc
-                    | None ->
+                    let g = keys.kr_slot scratch in
+                    if g < gs.ng then begin
+                      let acc, _, _ = gs.g.(g) in
+                      acc := grouped_col.(idx) :: !acc
+                    end
+                    else
                       let saved = Array.map (fun c -> c.(idx)) in_entry in
-                      Hashtbl.add table key_string
-                        (ref [ grouped_col.(idx) ], keys.kr_values (), saved);
-                      order := key_string :: !order
+                      add_group gs
+                        (ref [ grouped_col.(idx) ], keys.kr_values (), saved)
                   done);
               cflush =
                 (fun () ->
-                  let groups = List.rev !order in
-                  count (List.length groups);
-                  Telemetry.add Telemetry.c_col_pruned_columns
-                    (pruned * List.length groups);
-                  List.iter
-                    (fun key_string ->
-                      let acc, key_values, saved =
-                        Hashtbl.find table key_string
-                      in
-                      let j = out.Batch.n in
-                      for t = 0 to entry_n - 1 do
-                        out_entry.(t).(j) <- saved.(t)
-                      done;
-                      List.iter2 (fun c v -> c.(j) <- v) out_keys key_values;
-                      part_col.(j) <- List.concat (List.rev !acc);
-                      out.Batch.sel.(j) <- j;
-                      out.Batch.n <- j + 1;
-                      if out.Batch.n = cctx.ccap then emit ())
-                    groups;
+                  count gs.ng;
+                  Telemetry.add Telemetry.c_col_pruned_columns (pruned * gs.ng);
+                  for g = 0 to gs.ng - 1 do
+                    let acc, key_values, saved = gs.g.(g) in
+                    let j = out.Batch.n in
+                    for t = 0 to entry_n - 1 do
+                      out_entry.(t).(j) <- saved.(t)
+                    done;
+                    List.iter2 (fun c v -> c.(j) <- v) out_keys key_values;
+                    part_col.(j) <- List.concat (List.rev !acc);
+                    out.Batch.sel.(j) <- j;
+                    out.Batch.n <- j + 1;
+                    if out.Batch.n = cctx.ccap then emit ()
+                  done;
                   emit ();
                   down.cflush ());
             }
@@ -1857,13 +2063,13 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
             Some
               (N_group
                  { label; kernels = Some ck_specs; inputs = inputs_at cenv i;
-                   carried = entry_n; keys = List.length key_slots });
+                   carried = entry_n; keys = List.length key_slots;
+                   key_id = key_id ckeys });
           let mk cctx down =
             let count = ccounter cctx label in
             let pruned = max 0 (cctx.cnslots - entry_n) in
             let scratch = cctx.cscratch in
-            let table = Hashtbl.create 16 in
-            let order = ref [] in
+            let gs = groups () in
             let dcols = cctx.cdcols in
             let keys = key_reader dcols ckeys in
             let out = cctx.calloc () in
@@ -1892,19 +2098,19 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
                   for k = 0 to b.Batch.n - 1 do
                     let idx = b.Batch.sel.(k) in
                     gather gslots scratch b idx;
-                    let key_string = keys.kr_string scratch in
+                    let g = keys.kr_slot scratch in
                     let states =
-                      match Hashtbl.find_opt table key_string with
-                      | Some (states, _, _) -> states
-                      | None ->
+                      if g < gs.ng then
+                        let states, _, _ = gs.g.(g) in
+                        states
+                      else begin
                         let states = Array.map Kernels.create kinds in
                         let saved =
                           Array.map (fun c -> c.(idx)) in_entry
                         in
-                        Hashtbl.add table key_string
-                          (states, keys.kr_values (), saved);
-                        order := key_string :: !order;
+                        add_group gs (states, keys.kr_values (), saved);
                         states
+                      end
                     in
                     for a = 0 to nargs - 1 do
                       match cargs.(a) with
@@ -1923,27 +2129,22 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
               cflush =
                 (fun () ->
                   Telemetry.with_span "xqeval.columnar.kernel" @@ fun () ->
-                  let groups = List.rev !order in
-                  count (List.length groups);
-                  Telemetry.add Telemetry.c_col_pruned_columns
-                    (pruned * List.length groups);
-                  List.iter
-                    (fun key_string ->
-                      let states, key_values, saved =
-                        Hashtbl.find table key_string
-                      in
-                      let j = out.Batch.n in
-                      for t = 0 to entry_n - 1 do
-                        out_entry.(t).(j) <- saved.(t)
-                      done;
-                      List.iter2 (fun c v -> c.(j) <- v) out_keys key_values;
-                      for t = 0 to nspecs - 1 do
-                        out_specs.(t).(j) <- Kernels.finish states.(t)
-                      done;
-                      out.Batch.sel.(j) <- j;
-                      out.Batch.n <- j + 1;
-                      if out.Batch.n = cctx.ccap then emit ())
-                    groups;
+                  count gs.ng;
+                  Telemetry.add Telemetry.c_col_pruned_columns (pruned * gs.ng);
+                  for g = 0 to gs.ng - 1 do
+                    let states, key_values, saved = gs.g.(g) in
+                    let j = out.Batch.n in
+                    for t = 0 to entry_n - 1 do
+                      out_entry.(t).(j) <- saved.(t)
+                    done;
+                    List.iter2 (fun c v -> c.(j) <- v) out_keys key_values;
+                    for t = 0 to nspecs - 1 do
+                      out_specs.(t).(j) <- Kernels.finish states.(t)
+                    done;
+                    out.Batch.sel.(j) <- j;
+                    out.Batch.n <- j + 1;
+                    if out.Batch.n = cctx.ccap then emit ()
+                  done;
                   emit ();
                   down.cflush ());
             }
@@ -1951,16 +2152,24 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
           ((label, mk), cenv_post)
         | C_plain (X.Hash_join { var; source; build_key; probe_key; value_cmp })
           ->
+          (* probing by value id: (cell index, row slot, evaluator) *)
+          let by_id =
+            Option.map
+              (fun (cid, row) -> (cid, lookup_slot cenv row, derives.(cid)))
+              probe_cells.(i)
+          in
           (* gather set: [build_key]'s free vars minus the join
              variable — the variable resolves to the fresh slot (bound
              below), never to a same-named outer column, which may be
-             pruned at this point *)
+             pruned at this point — and the probe key's, unless it is
+             read by row *)
           let gslots =
             gather_of_vars cenv
               (Optimize.Vars.union
                  (Optimize.free_vars source)
                  (Optimize.Vars.union
-                    (Optimize.free_vars probe_key)
+                    (if by_id = None then Optimize.free_vars probe_key
+                     else Optimize.Vars.empty)
                     (Optimize.Vars.remove var (Optimize.free_vars build_key))))
           in
           let note = reserve_note cenv in
@@ -1969,6 +2178,7 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
           let cprobe = compile_expr_c cenv probe_key in
           let cenv2, var_slot, copy, var_live, steps, col_slots, dn =
             expander cenv note label var i
+              ?probe_id:(Option.map (fun (cid, _, _) -> cells.(cid)) by_id)
           in
           let memo = Array.length col_slots > 0 || Array.length dn.dn_ids > 0 in
           let ndlive = Array.length dn.dn_live in
@@ -2045,30 +2255,70 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
                         t
                     in
                     let vecs = !vecs and dcs = !dvecs and rowv = !rows in
-                    Join_table.probe_batch t ~value_cmp ~rows:b.Batch.n
-                      ~atoms_of:(fun k ->
-                        let idx = b.Batch.sel.(k) in
-                        gather gslots scratch b idx;
-                        Item.atomize (cprobe scratch))
-                      ~emit:(fun k m ->
-                        Budget.step ();
-                        count 1;
-                        let idx = b.Batch.sel.(k) in
-                        let j = out.Batch.n in
-                        for c = 0 to copy_n - 1 do
-                          out_cols.(c).(j) <- in_cols.(c).(idx)
-                        done;
-                        if var_live then var_col.(j) <- [ t.Join_table.items.(m) ];
-                        for c = 0 to ncols - 1 do
-                          out_pcols.(c).(j) <- vecs.(c).(m)
-                        done;
-                        for c = 0 to ndlive - 1 do
-                          out_dcols.(c).(j) <- dcs.(fst dn.dn_live.(c)).dc_vals.(m)
-                        done;
-                        if dn.dn_row >= 0 then out_row.(j) <- rowv.(m);
-                        out.Batch.sel.(j) <- j;
-                        out.Batch.n <- j + 1;
-                        if out.Batch.n = cctx.ccap then emit ())
+                    let emit_match k m =
+                      Budget.step ();
+                      count 1;
+                      let idx = b.Batch.sel.(k) in
+                      let j = out.Batch.n in
+                      for c = 0 to copy_n - 1 do
+                        out_cols.(c).(j) <- in_cols.(c).(idx)
+                      done;
+                      if var_live then var_col.(j) <- [ t.Join_table.items.(m) ];
+                      for c = 0 to ncols - 1 do
+                        out_pcols.(c).(j) <- vecs.(c).(m)
+                      done;
+                      for c = 0 to ndlive - 1 do
+                        out_dcols.(c).(j) <- dcs.(fst dn.dn_live.(c)).dc_vals.(m)
+                      done;
+                      if dn.dn_row >= 0 then out_row.(j) <- rowv.(m);
+                      out.Batch.sel.(j) <- j;
+                      out.Batch.n <- j + 1;
+                      if out.Batch.n = cctx.ccap then emit ()
+                    in
+                    match by_id with
+                    | None ->
+                      Join_table.probe_batch t ~value_cmp ~rows:b.Batch.n
+                        ~atoms_of:(fun k ->
+                          let idx = b.Batch.sel.(k) in
+                          gather gslots scratch b idx;
+                          Item.atomize (cprobe scratch))
+                        ~emit:emit_match
+                    | Some (cid, rs, derive) -> (
+                      (* the probe key is the row's cell: an error cell
+                         raises here, as reading the cell would *)
+                      let d = cctx.cdcols.(cid) and rowc = b.Batch.cols.(rs) in
+                      let row k =
+                        let r = row_of rowc.(b.Batch.sel.(k)) in
+                        if d.dc_err then ignore (read_cell derive d.dc_vals.(r));
+                        r
+                      in
+                      match join_memo d t with
+                      | None ->
+                        Join_table.probe_batch t ~value_cmp ~rows:b.Batch.n
+                          ~atoms_of:(fun k -> Item.atomize d.dc_vals.(row k))
+                          ~emit:emit_match
+                      | Some jm ->
+                        (* one probe per distinct value id, memoized with
+                           the column; a probe that raises is not
+                           memoized and raises again at its row *)
+                        let ids = (dcol_ids d).id_of in
+                        Telemetry.add Telemetry.c_hash_join_probes b.Batch.n;
+                        for k = 0 to b.Batch.n - 1 do
+                          let r = row k in
+                          let v = ids.(r) in
+                          let ms =
+                            match jm.jm_rows.(v) with
+                            | ms when ms != unprobed -> ms
+                            | _ ->
+                              let ms =
+                                Join_table.matches t ~value_cmp
+                                  (Item.atomize d.dc_vals.(r))
+                              in
+                              jm.jm_rows.(v) <- ms;
+                              ms
+                          in
+                          List.iter (emit_match k) ms
+                        done)
                   end);
               cflush = (fun () -> emit (); down.cflush ());
             }
@@ -2237,6 +2487,12 @@ let kept verb inputs n =
   Printf.sprintf "%s %d of %d input column(s) (pruned %d)" verb n inputs
     (inputs - n)
 
+let by_value_id label verb = function
+  | None -> []
+  | Some d ->
+    [ Printf.sprintf "columnar: %s %s by value id (%s)" label verb
+        (Optimize.derived_label d) ]
+
 let note_lines = function
   | N_expander x ->
     let listed what noun items =
@@ -2268,11 +2524,11 @@ let note_lines = function
        ^ if x.var_written then "" else Printf.sprintf "; $%s not written" x.var)
     :: (if projected = [] then []
         else [ listed "projects" "column(s)" projected ])
-    @
-    if derived = [] then []
-    else
-      [ listed "derives" "cell column(s)"
-          (List.map Optimize.derived_label derived) ]
+    @ (if derived = [] then []
+       else
+         [ listed "derives" "cell column(s)"
+             (List.map Optimize.derived_label derived) ])
+    @ by_value_id x.label "probes" x.probe_id
   | N_group g ->
     let what, writes =
       match g.kernels with
@@ -2286,8 +2542,9 @@ let note_lines = function
         ( "materializes the partition (aggregates not kernelizable)",
           Printf.sprintf "%d key column(s) and the partition" g.keys )
     in
-    [ Printf.sprintf "columnar: %s %s; %s, writes %s" g.label what
-        (kept "carries" g.inputs g.carried) writes ]
+    Printf.sprintf "columnar: %s %s; %s, writes %s" g.label what
+      (kept "carries" g.inputs g.carried) writes
+    :: by_value_id g.label "keys" g.key_id
   | N_order o -> [ "columnar: order by " ^ kept "retains" o.inputs o.retained ]
   | N_skipped (var, X.Elem _) ->
     [ Printf.sprintf "columnar: let $%s skipped, $%s's record not built" var var ]

@@ -153,9 +153,7 @@ let dedup_build_order t (matched : int list) : int list =
    an empty operand short-circuits to the empty sequence before the
    singleton check, so an empty probe never errors even against a
    multi-atom build key. *)
-let probe t ~value_cmp (probe_atoms : Atomic.t list) : int list =
-  let module T = Aqua_core.Telemetry in
-  T.incr T.c_hash_join_probes;
+let matches t ~value_cmp (probe_atoms : Atomic.t list) : int list =
   let matched =
     if value_cmp then
       match probe_atoms with
@@ -172,6 +170,11 @@ let probe t ~value_cmp (probe_atoms : Atomic.t list) : int list =
   in
   dedup_build_order t matched
 
+let probe t ~value_cmp probe_atoms =
+  let module T = Aqua_core.Telemetry in
+  T.incr T.c_hash_join_probes;
+  matches t ~value_cmp probe_atoms
+
 (* Batched probe: one call per batch instead of one closure-allocating
    [probe] per row.  [atoms_of i] supplies probe row [i]'s key atoms;
    [emit i row] receives each match in (probe row, ascending build
@@ -183,19 +186,5 @@ let probe_batch t ~value_cmp ~rows ~(atoms_of : int -> Atomic.t list)
   let module T = Aqua_core.Telemetry in
   T.add T.c_hash_join_probes rows;
   for i = 0 to rows - 1 do
-    let matched =
-      if value_cmp then
-        match atoms_of i with
-        | [] -> []
-        | [ a ] ->
-          if t.poison then
-            Error.fail "value comparison requires singleton operands"
-          else rows_for_atom t a
-        | _ ->
-          if t.any_nonempty then
-            Error.fail "value comparison requires singleton operands"
-          else []
-      else List.concat_map (rows_for_atom t) (atoms_of i)
-    in
-    List.iter (fun r -> emit i r) (dedup_build_order t matched)
+    List.iter (fun r -> emit i r) (matches t ~value_cmp (atoms_of i))
   done

@@ -29,9 +29,13 @@ val build :
 
 val probe : t -> value_cmp:bool -> Aqua_xml.Atomic.t list -> int list
 (** Matching build rows for one probe key, sorted ascending (build
-    order), deduplicated.  @raise Error.Dynamic_error on the value
-    comparison cardinality violation, exactly where the nested loop's
-    [value_compare] would. *)
+    order), deduplicated; counts one probe.  @raise Error.Dynamic_error
+    on the value comparison cardinality violation, exactly where the
+    nested loop's [value_compare] would. *)
+
+val matches : t -> value_cmp:bool -> Aqua_xml.Atomic.t list -> int list
+(** {!probe} without counting it, for a caller that counts its probe
+    rows itself (the compiled engine's probes by value id). *)
 
 val probe_batch :
   t ->

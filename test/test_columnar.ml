@@ -988,6 +988,55 @@ let projection_cell_bound () =
     (Telemetry.value Telemetry.c_col_projected_columns);
   check_int "never a memo hit" 0 (Telemetry.value Telemetry.c_col_projection_hits)
 
+(* A join probing by value id over a probe column past the memo's cell
+   bound: answered correctly, every row counted as a probe, and nothing
+   retained — the second run derives the probe column (and its ids and
+   probe results) again. *)
+let probe_id_cell_bound () =
+  let n = Compile.projected_cells_max + 1 in
+  let big =
+    List.init n (fun i ->
+        Item.Node
+          (Node.element "R"
+             [ Node.element "A" [ Node.text (string_of_int (i mod 1000)) ] ]))
+  in
+  let small =
+    List.init 20 (fun i ->
+        Item.Node
+          (Node.element "S"
+             [ Node.element "A" [ Node.text (string_of_int (i * 7)) ] ]))
+  in
+  let resolve = function
+    | "t:BIG" -> Some (fun _ -> big)
+    | "t:SMALL" -> Some (fun _ -> small)
+    | _ -> None
+  in
+  let node_fns name = name = "t:BIG" || name = "t:SMALL" in
+  let e =
+    Aqua_xquery.Parser.parse_expr
+      "fn:count(for $v in t:BIG() for $w in t:SMALL() where fn:data($v/A) = \
+       fn:data($w/A) return $w)"
+  in
+  let plan = Compile.compile_expr ~resolve ~node_fns e in
+  check_int "the join probes by value id" 1
+    (List.length
+       (List.filter
+          (fun n -> Helpers.contains ~needle:"probes by value id" n)
+          (Compile.shape plan)));
+  let ser = Aqua_xml.Serialize.sequence_to_string in
+  let oracle = ser (Eval.eval (Eval.context ~resolve ()) e) in
+  with_telemetry @@ fun () ->
+  let once () = ser (Compile.run plan) in
+  Alcotest.(check string) "oversized probe column served" oracle (once ());
+  check_int "one derived column built" 1
+    (Telemetry.value Telemetry.c_col_derived_columns);
+  check_int "every probe row counted" n
+    (Telemetry.value Telemetry.c_hash_join_probes);
+  Alcotest.(check string) "served again" oracle (once ());
+  check_int "not retained: derived again" 2
+    (Telemetry.value Telemetry.c_col_derived_columns);
+  check_int "never a derived hit" 0 (Telemetry.value Telemetry.c_col_derived_hits)
+
 (* The text-transport plan the driver runs for [sql], optimized once
    and compiled directly over [app]'s data services, with scan
    projection on or off: the engine projects columns only over the
@@ -1106,7 +1155,7 @@ let projection_parity () =
    message for message; and at the unit level for the two fast paths
    (kernel readings, memoized key components). *)
 
-let derived_app () =
+let derived_app_table () =
   let app = Artifact.application "DC" in
   let t =
     Table.create "T"
@@ -1127,7 +1176,9 @@ let derived_app () =
       [ i 3; str "a;b"; i 7; i 7; Value.Num 1.0 ];
       [ i 3; str "a"; i 8; i 8; Value.Num 2.0 ] ];
   ignore (Artifact.import_physical_table app ~project:"P" t);
-  app
+  (app, t)
+
+let derived_app () = fst (derived_app_table ())
 
 let derived_queries =
   [ (* NULL keys and NULL inputs under every kernel *)
@@ -1292,6 +1343,7 @@ let engine_notes () =
       "columnar: group by -> $var1Partition1 kernels [count; \
        sum?(CUSTOMERS.TIER)]; partition not materialized; carries 0 of 1 \
        input column(s) (pruned 1), writes 1 key and 2 kernel column(s)";
+      "columnar: group by -> $var1Partition1 keys by value id (key CITY)";
       tokens;
       "columnar: string-join text writer, 3 cell(s) per row" ];
   (* report's agg-group *)
@@ -1307,25 +1359,28 @@ let engine_notes () =
        avg(O.PRIORITY); min(O.PRIORITY); max(O.PRIORITY)]; partition not \
        materialized; carries 0 of 1 input column(s) (pruned 1), writes 1 key \
        and 5 kernel column(s)";
+      "columnar: group by -> $var1Partition1 keys by value id (key CUSTOMERID)";
       tokens;
       "columnar: string-join text writer, 6 cell(s) per row" ];
-  (* the agg-join shape: the probe key is a written cell, the group key
-     is read by row position through the join *)
+  (* the agg-join shape: the probe key and the group key are both read
+     by row position, so the scan writes only that *)
   pin (Helpers.demo_app ())
     "SELECT C.CITY, COUNT(*) N FROM CUSTOMERS C JOIN PAYMENTS P ON \
      C.CUSTOMERID = P.CUSTID GROUP BY C.CITY ORDER BY N DESC"
     [ "columnar: for $var1FR0 carries 0 of 0 input column(s) (pruned 0)";
-      "columnar: for $var1FR0 writes 2 column(s) (cell probe CUSTOMERID, row \
-       position); $var1FR0 not written";
+      "columnar: for $var1FR0 writes 1 column(s) (row position); $var1FR0 not \
+       written";
       "columnar: for $var1FR0 projects 2 column(s) (CUSTOMERID, CITY)";
       "columnar: for $var1FR0 derives 2 cell column(s) (probe CUSTOMERID, key \
        CITY)";
-      "columnar: hash-join $var1FR1 carries 1 of 2 input column(s) (pruned 1)";
+      "columnar: hash-join $var1FR1 carries 1 of 1 input column(s) (pruned 0)";
       "columnar: hash-join $var1FR1 writes 0 column(s); $var1FR1 not written";
+      "columnar: hash-join $var1FR1 probes by value id (probe CUSTOMERID)";
       "columnar: let $var1GB0 skipped, $var1GB0's record not built";
       "columnar: group by -> $var1Partition1 kernels [count]; partition not \
        materialized; carries 0 of 1 input column(s) (pruned 1), writes 1 key \
        and 1 kernel column(s)";
+      "columnar: group by -> $var1Partition1 keys by value id (key CITY)";
       "columnar: order by retains 2 of 2 input column(s) (pruned 0)";
       "columnar: string-join text writer, 2 cell(s) per row" ]
 
@@ -1400,6 +1455,220 @@ let key_components_concatenate () =
             [ [ k1 ]; [ k1; k2 ]; [ k2; k1; k2 ] ])
         values)
     values
+
+(* --------------------------------------------------------------- *)
+(* Value ids (DESIGN.md section 16): a group whose single key is a
+   derived cell finds its slot by the cell's value id, and a hash join
+   whose probe key is one probes each distinct id once, memoized with
+   the column.  Checked against the interpreter, the SQL reference
+   engine and, where the interpreter's nested loop raises on a pair a
+   hash join never matches, the same plan lowered without projection
+   (no derived cells, so the row-by-row [probe_batch]), at batch sizes
+   1, 7 and 1024. *)
+
+let id_sizes = [ 1; 7; 1024 ]
+
+let by_id_notes notes =
+  List.filter (fun n -> Helpers.contains ~needle:"by value id" n) notes
+
+(* Runs [src] over the resolver's scans at every id size: the compiled
+   plan must print [ids] "by value id" notes and give, result or error
+   message, what the unprojected plan gives and, with [interp], what the
+   interpreter gives. *)
+let ids_agree ?(interp = true) ~resolve ~node_fns ~ids what src =
+  let e = Aqua_xquery.Parser.parse_expr src in
+  let ser = Aqua_xml.Serialize.sequence_to_string in
+  let outcome f =
+    match f () with r -> Ok (ser r) | exception e -> Error (Printexc.to_string e)
+  in
+  let show = function Ok s -> s | Error e -> "raised " ^ e in
+  let plan = Compile.compile_expr ~resolve ~node_fns e in
+  check_int (what ^ ": by value id notes") ids
+    (List.length (by_id_notes (Compile.shape plan)));
+  let flat = Compile.compile_expr ~resolve e in
+  check_int (what ^ ": the unprojected plan reads no id") 0
+    (List.length (by_id_notes (Compile.shape flat)));
+  let oracle = outcome (fun () -> Eval.eval (Eval.context ~resolve ()) e) in
+  let results = ref [] in
+  List.iter
+    (fun size ->
+      with_batch_size size @@ fun () ->
+      (* twice: the second run reads the memoized ids and probes *)
+      for pass = 1 to 2 do
+        let got = outcome (fun () -> Compile.run plan) in
+        let expected = outcome (fun () -> Compile.run flat) in
+        if got <> expected then
+          Alcotest.failf "%s @%d pass %d: by id %s, probe_batch %s" what size pass
+            (show got) (show expected);
+        if interp && got <> oracle then
+          Alcotest.failf "%s @%d pass %d: by id %s, interpreter %s" what size pass
+            (show got) (show oracle);
+        results := got :: !results
+      done)
+    id_sizes;
+  List.hd !results
+
+let id_a_rows =
+  xq_rows
+    "<A><I>1</I><K>5</K></A><A><I>2</I><K>5.0</K></A><A><I>3</I><K></K></A>\
+     <A><I>4</I></A><A><I>5</I><K>2005-01-02</K></A><A><I>6</I><K>true</K></A>\
+     <A><I>7</I><K>5</K></A><A><I>8</I><K>7</K></A><A><I>9</I><K>5.0</K></A>\
+     <A><I>10</I></A><A><I>11</I><K>2005-01-02</K></A>"
+
+(* T: how the build key types K — i(nteger), d(ate), b(oolean),
+   x (double), anything else untyped *)
+let id_b_rows =
+  xq_rows
+    "<B><J>a</J><T>i</T><K>5</K></B><B><J>b</J><T>u</T><K>5</K></B>\
+     <B><J>c</J><T>u</T><K>5.0</K></B><B><J>d</J><T>d</T><K>2005-01-02</K></B>\
+     <B><J>e</J><T>b</T><K>true</K></B><B><J>f</J><T>x</T><K>7</K></B>\
+     <B><J>g</J><T>u</T></B><B><J>h</J><T>u</T><K></K></B>\
+     <B><J>i</J><T>x</T><K>5</K></B>"
+
+let id_resolve rows name = List.assoc_opt name rows |> Option.map (fun r _ -> r)
+
+let typed_build_key =
+  "if (fn:data($b/T) = \"i\") then xs:integer(fn:data($b/K)) else if \
+   (fn:data($b/T) = \"d\") then xs:date(fn:data($b/K)) else if \
+   (fn:data($b/T) = \"b\") then xs:boolean(fn:data($b/K)) else if \
+   (fn:data($b/T) = \"x\") then xs:double(fn:data($b/K)) else fn:data($b/K)"
+
+let join_xq ?(cmp = "=") ?(probe = "fn:data($a/K)") build =
+  Printf.sprintf
+    "for $a in t:A() for $b in t:B() where %s %s (%s) return \
+     fn:concat(fn:data($a/I), \"-\", fn:data($b/J))"
+    probe cmp build
+
+(* An untyped probe against typed and untyped build keys: the typed
+   ones match through the probe's secondary keys, an untyped one by its
+   string; empty cells and missing keys match nothing.  The interpreter's
+   nested loop raises on the incomparable pairs a hash join skips, so
+   the untyped-only build is also checked against it. *)
+let ids_probe_secondary_keys () =
+  let rows = [ ("t:A", id_a_rows); ("t:B", id_b_rows) ] in
+  let resolve = id_resolve rows and node_fns n = List.mem_assoc n rows in
+  let got =
+    ids_agree ~interp:false ~resolve ~node_fns ~ids:1 "typed and untyped build"
+      (join_xq typed_build_key)
+  in
+  (match got with
+  | Ok s ->
+    List.iter
+      (fun m -> Helpers.assert_contains ~needle:m s)
+      [ "1-a"; "1-b"; "1-i"; "2-a"; "2-c"; "2-i"; "3-h"; "5-d"; "6-e"; "7-b"; "8-f";
+        "9-c"; "11-d" ]
+  | Error e -> Alcotest.failf "typed and untyped build raised %s" e);
+  ignore
+    (ids_agree ~resolve ~node_fns ~ids:1 "untyped build" (join_xq "fn:data($b/K)"));
+  ignore
+    (ids_agree ~interp:false ~resolve ~node_fns ~ids:1 "value comparison"
+       (join_xq ~cmp:"eq" typed_build_key))
+
+(* A multi-atom build key under value comparison: every non-empty probe
+   raises the cardinality error, so the first non-empty probe row
+   raises it; an earlier cast error in a probe cell wins, and a later
+   one does not. *)
+let ids_cardinality_error () =
+  let b = xq_rows "<B><J>m</J><K>5</K><K>6</K></B><B><J>a</J><K>5</K></B>" in
+  let a order =
+    xq_rows (String.concat "" (List.map (Printf.sprintf "<A><I>1</I>%s</A>") order))
+  in
+  let check ?(probe = "fn:data($a/K)") what order expect =
+    let rows = [ ("t:A", a order); ("t:B", b) ] in
+    let resolve = id_resolve rows and node_fns n = List.mem_assoc n rows in
+    match
+      ids_agree ~resolve ~node_fns ~ids:1 what
+        (join_xq ~cmp:"eq" ~probe "fn:data($b/K)")
+    with
+    | Error e -> Helpers.assert_contains ~needle:expect e
+    | Ok s -> Alcotest.failf "%s: no error, got %s" what s
+  in
+  check "empty probes, then a non-empty one" [ ""; ""; "<K>5</K>"; "<K>x</K>" ]
+    "singleton operands";
+  let probe = "xs:integer(fn:data($a/K))" in
+  check ~probe "a cast error first" [ ""; "<K>x</K>"; "<K>5</K>" ] "xs:integer";
+  check ~probe "a cast error after the first probe" [ ""; "<K>5</K>"; "<K>x</K>" ]
+    "singleton operands"
+
+(* A derived group key whose values mix equal integers and doubles: one
+   value id each, one group, keyed by the first value seen; the
+   materializing group and the kernel group alike. *)
+let ids_group_mixed_numbers () =
+  let rows =
+    [ ( "t:G",
+        xq_rows
+          "<G><I>1</I><K>5</K></G><G><I>2</I><K>5.0</K></G><G><I>3</I><K>6</K></G>\
+           <G><I>4</I><K>5e0</K></G><G><I>5</I></G><G><I>6</I><K>5</K></G>\
+           <G><I>7</I></G>" ) ]
+  in
+  let resolve = id_resolve rows and node_fns n = List.mem_assoc n rows in
+  let key =
+    "(if (fn:data($v/K) = \"5\") then xs:integer(fn:data($v/K)) else \
+     xs:double(fn:data($v/K)))"
+  in
+  let grouped ret =
+    Printf.sprintf "for $v in t:G() group $v as $p by %s as $k return %s" key ret
+  in
+  let kernel =
+    ids_agree ~resolve ~node_fns ~ids:1 "kernel group" (grouped "($k, fn:count($p))")
+  in
+  (* the empty key's group prints its count alone *)
+  Alcotest.(check (result string string)) "one group for 5, 5.0 and 5e0"
+    (Ok "5 4 6 1 2") (Result.map String.trim kernel);
+  ignore
+    (ids_agree ~resolve ~node_fns ~ids:1 "materializing group"
+       (grouped "<g>{$k}{fn:data($p/I)}</g>"))
+
+(* SQL shapes on the derived app, against the interpreter and the
+   reference engine: NULL keys and probes, a second run of one cached
+   plan after inserts into both sides (ids extend with the column, the
+   join memo follows the rebuilt build table), and the left outer
+   join, whose anti-join half probes an outer variable and stays on
+   [probe_batch]. *)
+let ids_sql_shapes () =
+  let app, t = derived_app_table () in
+  let col = Connection.connect app in
+  let interp = Connection.connect ~optimize:false app in
+  let queries =
+    [ ("SELECT T.K, COUNT(*) N, SUM(T.V) S FROM T GROUP BY T.K", 1);
+      ("SELECT T.G, COUNT(*) N FROM T GROUP BY T.G", 1);
+      ("SELECT A.W, B.W FROM T A, T B WHERE A.K = B.V", 1);
+      ("SELECT A.G, COUNT(*) N FROM T A INNER JOIN T B ON A.K = B.K GROUP BY A.G", 2);
+      ("SELECT A.W, B.W FROM T A LEFT OUTER JOIN T B ON A.V = B.K", 1) ]
+  in
+  let round what =
+    List.iter
+      (fun (sql, ids) ->
+        check_int ("by value id notes on " ^ sql) ids
+          (List.length (shape_notes ~needle:"by value id" app sql));
+        let oracle = reference app sql in
+        List.iter
+          (fun size ->
+            with_batch_size size @@ fun () ->
+            let w = Printf.sprintf "%s@%d" what size in
+            let got = run col sql in
+            agree ~what:(w ^ " vs interpreter") sql got (run interp sql);
+            agree ~what:(w ^ " vs reference engine") sql got oracle)
+          id_sizes)
+      queries
+  in
+  with_telemetry @@ fun () ->
+  round "ids";
+  let i n = Value.Int n and null = Value.Null in
+  List.iter (Table.insert t)
+    [ [ i 9; Value.Str "a"; i 1; i 9; null ];
+      [ null; Value.Str "z"; i 9; i 10; Value.Num 4.5 ];
+      [ i 1; Value.Str "b"; null; i 11; null ] ];
+  Telemetry.reset ();
+  round "ids after inserts";
+  check_int "the inserts extend the derived columns, none is rebuilt" 0
+    (Telemetry.value Telemetry.c_col_derived_columns);
+  check_bool "the plans are reused" true (Telemetry.value Telemetry.c_cache_hits > 0);
+  (* the outer join's anti-join half is a correlated probe *)
+  Alcotest.(check (list string)) "only the inner half probes by value id"
+    [ "columnar: hash-join $var1FR1 probes by value id (probe V)" ]
+    (shape_notes ~needle:"by value id" app
+       "SELECT A.W, B.W FROM T A LEFT OUTER JOIN T B ON A.V = B.K")
 
 (* The memo over report's five statements at report's sizes: a warm
    cycle builds nothing, an insert into ORDERS extends the columns by
@@ -1698,6 +1967,8 @@ let suite =
         projection_without_scan_cache;
       Helpers.case "scan projection memo cell bound"
         projection_cell_bound;
+      Helpers.case "value ids: a probe column past the cell bound"
+        probe_id_cell_bound;
       Helpers.case "scan projection parity with the unprojected lowering"
         projection_parity;
       Helpers.case "derived cell columns agree with the oracles"
@@ -1709,6 +1980,14 @@ let suite =
         kernel_fast_path_table;
       Helpers.case "memoized key components concatenate to the composite"
         key_components_concatenate;
+      Helpers.case "value ids: untyped probes and secondary keys"
+        ids_probe_secondary_keys;
+      Helpers.case "value ids: cardinality errors at the same row"
+        ids_cardinality_error;
+      Helpers.case "value ids: equal integers and doubles group once"
+        ids_group_mixed_numbers;
+      Helpers.case "value ids: SQL shapes, inserts, anti-join"
+        ids_sql_shapes;
       Helpers.case "derived cell memo lifecycle on report"
         derived_memo_lifecycle;
       Helpers.case "text writer matches the interpreter byte for byte"

@@ -118,6 +118,51 @@ let oracle_moves_no_batch_counters () =
   Alcotest.(check int) "no batches" 0 m.Telemetry.batch_batches;
   Alcotest.(check int) "no batch rows" 0 m.Telemetry.batch_rows
 
+(* A statement pinned behind the table memo's version reads the memo's
+   first rows: one copy per table and version, shared by every
+   reference of the statement and by the next statement at that
+   version; a reference at the memo's own version reads the memo's
+   rows. *)
+let pinned_prefix_copied_once () =
+  let module Artifact = Aqua_dsp.Artifact in
+  let module Table = Aqua_relational.Table in
+  let module Schema = Aqua_relational.Schema in
+  let module Sql_type = Aqua_relational.Sql_type in
+  let app = Artifact.application "App" in
+  let t =
+    Table.create "T" [ Schema.column ~nullable:false "ID" Sql_type.Integer ]
+  in
+  List.iter (fun i -> Table.insert t [ Value.Int i ]) [ 1; 2; 3 ];
+  ignore (Artifact.import_physical_table app ~project:"P" t);
+  let env = Engine.env_of_application app in
+  let at3 = Table.pin [ t ] in
+  Table.insert t [ Value.Int 4 ];
+  Table.insert t [ Value.Int 5 ];
+  let five = Engine.table_rows env "T" in
+  Alcotest.(check int) "the memo is at 5 rows" 5 (List.length five);
+  let reads () =
+    Table.within at3 (fun () ->
+        List.init 3 (fun _ -> Engine.table_rows env "T"))
+  in
+  let first = reads () in
+  List.iter
+    (fun rows -> Alcotest.(check int) "the pinned rows" 3 (List.length rows))
+    first;
+  Alcotest.(check bool) "the memo's own first rows" true
+    (List.for_all2 ( == ) (List.hd first) (List.filteri (fun i _ -> i < 3) five));
+  Alcotest.(check bool) "three references, one copy" true
+    (List.for_all (fun rows -> rows == List.hd first) first);
+  Alcotest.(check bool) "the next statement at that version shares it" true
+    (List.hd (reads ()) == List.hd first);
+  Alcotest.(check bool) "at the memo's version, the memo's rows" true
+    (Engine.table_rows env "T" == five);
+  check_rows "a statement pinned behind the memo" [ [ "3"; "6" ] ]
+    (Table.within at3 (fun () ->
+         let rs = Engine.execute_sql env "SELECT COUNT(*), SUM(ID) FROM T" in
+         List.map
+           (fun row -> List.map Value.to_display (Array.to_list row))
+           rs.Aqua_relational.Rowset.rows))
+
 let suite =
   ( "engine",
     [ Helpers.case "3VL null semantics" null_semantics;
@@ -136,4 +181,6 @@ let suite =
       Helpers.case "division by zero" division_by_zero;
       Helpers.case "LIKE semantics" like_semantics;
       Helpers.case "the oracle moves no batch counters"
-        oracle_moves_no_batch_counters ] )
+        oracle_moves_no_batch_counters;
+      Helpers.case "a pinned prefix is copied once per statement"
+        pinned_prefix_copied_once ] )
