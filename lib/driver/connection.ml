@@ -127,10 +127,9 @@ type t = {
   mutable seen_revision : int;
 }
 
-let connect ?(transport = Text) ?(metadata_cache = true)
-    ?(translation_cache = true) ?(optimize = true) ?(scan_cache = true)
-    ?(limits = Budget.no_limits) app =
-  let cache = Metadata.Cache.create ~enabled:metadata_cache app in
+let connect ?(transport = Text) ?(translation_cache = true) ?(optimize = true)
+    ?(scan_cache = true) ?(limits = Budget.no_limits) app =
+  let cache = Metadata.Cache.create app in
   {
     app;
     srv = Server.create ~optimize ~scan_cache app;

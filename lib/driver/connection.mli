@@ -33,16 +33,15 @@ end
 
 val connect :
   ?transport:transport ->
-  ?metadata_cache:bool ->
   ?translation_cache:bool ->
   ?optimize:bool ->
   ?scan_cache:bool ->
   ?limits:Aqua_resilience.Budget.limits ->
   Aqua_dsp.Artifact.application ->
   t
-(** [transport] defaults to [Text] (the shipping configuration);
-    [metadata_cache] defaults to [true].  [translation_cache] (default
-    [true]) keeps a bounded LRU (128 entries) of plans keyed by
+(** [transport] defaults to [Text] (the shipping configuration).
+    Catalog answers are cached ({!metadata_cache}).  [translation_cache]
+    (default [true]) keeps a bounded LRU (128 entries) of plans keyed by
     statement shape with literals lifted ({!Aqua_obs.Fingerprint.key},
     DESIGN.md section 17): a statement that differs from a cached one
     only in the values of literals used as constants reuses its
@@ -58,9 +57,11 @@ val connect :
     differential oracle, over the unoptimized plan ({!Prepared}
     statements too).  Graceful degradation is the
     server's: see {!Aqua_dsp.Server.create}.  [scan_cache]
-    (default [true]) enables the server's version-aware
-    {!Aqua_dsp.Scan_cache}, so repeated parameterless data-service
-    scans are fetched once across queries and statements.  [limits] (default
+    (default [true]) serves physical scans from the elements each
+    table keeps per version and logical results from the server's
+    version-aware {!Aqua_dsp.Scan_cache}, so repeated parameterless
+    data-service calls are built once across queries and statements.
+    [limits] (default
     {!Aqua_resilience.Budget.no_limits}) is the per-query budget
     installed around every [execute_query]. *)
 
@@ -86,8 +87,10 @@ val invalidate : t -> unit
     application's {!Aqua_dsp.Artifact.revision} changes (a service
     added after connect), so stale plans are never served.  The
     scan cache also checks each entry against the versions of the
-    tables it read, so a row insert invalidates only the scans of its
-    own table, without touching the metadata-only caches. *)
+    tables it read, so a row insert invalidates only the results that
+    read its table, without touching the metadata-only caches.  A
+    physical table's elements are kept by the table, per version, and
+    no flush drops them. *)
 
 val translate : t -> string -> Aqua_translator.Translator.t
 (** Translation only (no execution): equal to

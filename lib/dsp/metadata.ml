@@ -169,22 +169,19 @@ module Cache = struct
     app : Artifact.application;
     entries : (string, table) Hashtbl.t;
     lock : Mcore.Mutex.t;  (* guards entries and the hit/miss stats *)
-    mutable enabled : bool;
     mutable hits : int;
     mutable misses : int;
   }
 
-  let create ?(enabled = true) app =
+  let create app =
     {
       app;
       entries = Hashtbl.create 16;
       lock = Mcore.Mutex.create ();
-      enabled;
       hits = 0;
       misses = 0;
     }
 
-  let set_enabled t b = t.enabled <- b
   let clear t = Mcore.Mutex.protect t.lock (fun () -> Hashtbl.reset t.entries)
 
   let key ?catalog ?schema name =
@@ -198,7 +195,7 @@ module Cache = struct
     let k = key ?catalog ?schema name in
     let cached =
       Mcore.Mutex.protect t.lock (fun () ->
-          match if t.enabled then Hashtbl.find_opt t.entries k else None with
+          match Hashtbl.find_opt t.entries k with
           | Some tbl ->
             t.hits <- t.hits + 1;
             Some tbl
@@ -213,8 +210,7 @@ module Cache = struct
          fetch the same table twice, but [replace] keeps one copy *)
       match fetch t.app ?catalog ?schema name with
       | Ok tbl ->
-        Mcore.Mutex.protect t.lock (fun () ->
-            if t.enabled then Hashtbl.replace t.entries k tbl);
+        Mcore.Mutex.protect t.lock (fun () -> Hashtbl.replace t.entries k tbl);
         Ok tbl
       | Error _ as e -> e)
 

@@ -57,8 +57,7 @@ val fetch :
 module Cache : sig
   type t
 
-  val create : ?enabled:bool -> Artifact.application -> t
-  val set_enabled : t -> bool -> unit
+  val create : Artifact.application -> t
   val clear : t -> unit
 
   val lookup :

@@ -1,23 +1,20 @@
-(* Cross-query materialized scan cache (paper section 4: repeated
-   data-service scans dominate translated-query cost).
+(* Cross-query materialized result cache for logical data-service
+   calls (paper section 4: repeated data-service calls dominate
+   translated-query cost).
 
-   Parameterless data-service calls are pure functions of the tables
-   they read: a physical function returns its backing table, a logical
-   one a deterministic view over other services.  [Server.invoke]
-   therefore serves them from this cache across queries, keyed by the
-   invocation label ("path/service:function", suffixed with the
-   evaluator flavor for logical bodies — see server.ml).
+   A parameterless logical function is a deterministic view over the
+   tables its body reads.  [Server.invoke] therefore serves it from this
+   cache across queries, keyed by the invocation label suffixed with the
+   evaluator flavor (see server.ml).  A physical function's answer is
+   its table's rows as elements: each version's list lives on the
+   table's snapshot ([Table.items]), so the cache holds none; it only
+   counts those serves ([scanned]) and records them as dependencies.
 
    Revision safety: each entry records what it was materialized from —
-   a physical scan its table and that table's version, a logical
-   result the (table, version) of every physical scan served while its
-   body ran — and is a hit only at the versions the statement's read
-   view pinned ([Table.version] reads them).  Tables are append-only,
-   so a physical scan behind its pinned version is a prefix of it: it
-   is dropped and handed back to the server, which extends it by the
-   new rows.  One ahead of it (a statement pinned later extended it)
-   serves its first items and stays.  A logical result behind is
-   dropped, one ahead is bypassed and stays: [store] never replaces an
+   the (table, version) of every physical scan served while its body
+   ran — and is a hit only at the versions the statement's read view
+   pinned ([Table.version] reads them).  An entry behind them is
+   dropped; one ahead is bypassed and stays: [store] never replaces an
    entry by one read at older versions, so statements pinned at
    different versions do not thrash a key.  An insert therefore
    invalidates only what read its table.  A metadata change (the
@@ -29,8 +26,9 @@
    of one query see the same budget accounting and caching cannot be
    used to evade governors.  Capacity is bounded three ways: entry
    count, resident bytes (structural estimate), and a per-entry row
-   cap above which results are served but never cached (one huge scan
-   must not wipe the working set).  Eviction is LRU by access stamp.
+   cap above which results are served but never cached (one huge
+   result must not wipe the working set).  Eviction is LRU by access
+   stamp.
 
    A disabled instance ([enabled:false]) is the oracle: every lookup
    misses silently, nothing is stored, no counters move. *)
@@ -42,9 +40,7 @@ module Table = Aqua_relational.Table
 module T = Aqua_core.Telemetry
 module Mcore = Aqua_multicore.Mcore
 
-type source =
-  | Scan of Table.t * int
-  | View of (Table.t * int) list
+type source = (Table.t * int) list
 
 type entry = {
   seq : Item.sequence;
@@ -52,11 +48,6 @@ type entry = {
   bytes : int;
   mutable stamp : int;  (** last access; larger = more recent *)
 }
-
-type lookup =
-  | Hit of Item.sequence
-  | Stale of { seq : Item.sequence; version : int; bytes : int }
-  | Miss
 
 type stats = {
   hits : int;
@@ -146,22 +137,19 @@ let sequence_bytes seq = List.fold_left (fun acc i -> acc + item_bytes i) 0 seq
 (* ------------------------------------------------------------------ *)
 (* Dependencies                                                       *)
 
-let deps_of = function Scan (tbl, v) -> [ (tbl, v) ] | View deps -> deps
-
 (* Whether [source] read some table at a later version than [than]
    holds: the pinned versions when [than] is [None]. *)
 let ahead ?than source =
   let version tbl =
     match than with
     | None -> Some (Table.version tbl)
-    | Some other -> List.assq_opt tbl (deps_of other)
+    | Some other -> List.assq_opt tbl other
   in
   List.exists
     (fun (tbl, v) -> match version tbl with Some w -> v > w | None -> false)
-    (deps_of source)
+    source
 
-let current source =
-  List.for_all (fun (tbl, v) -> Table.version tbl = v) (deps_of source)
+let current source = List.for_all (fun (tbl, v) -> Table.version tbl = v) source
 
 (* The open collections of this domain, innermost first: each gathers
    the table versions served while one logical body runs.  A nested
@@ -177,7 +165,7 @@ let depend source =
       (fun (tbl, v) ->
         if not (List.exists (fun (t', v') -> t' == tbl && v' = v) !acc) then
           acc := (tbl, v) :: !acc)
-      (deps_of source)
+      source
 
 let collect f =
   let acc = ref [] in
@@ -186,20 +174,7 @@ let collect f =
   let result =
     Fun.protect ~finally:(fun () -> Mcore.Dls.set collectors outer) f
   in
-  (result, View !acc)
-
-(* The physical scans served in the open statement, by table: a table
-   is served one list per statement even when over the caps, and the
-   compiled engine's source memo, matching lists by identity, hits. *)
-let statement_scans : (Table.t * Item.sequence) list ref option Mcore.Dls.key =
-  Mcore.Dls.new_key (fun () -> None)
-
-let statement f =
-  match Mcore.Dls.get statement_scans with
-  | Some _ -> f ()
-  | None ->
-    Mcore.Dls.set statement_scans (Some (ref []));
-    Fun.protect ~finally:(fun () -> Mcore.Dls.set statement_scans None) f
+  (result, !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Invalidation and eviction                                          *)
@@ -246,69 +221,42 @@ let evict_lru t =
 (* ------------------------------------------------------------------ *)
 (* Lookup / store                                                     *)
 
-let miss t =
-  t.misses <- t.misses + 1;
-  T.incr T.c_scan_cache_misses
-
-let hit t (e : entry) =
-  t.clock <- t.clock + 1;
-  e.stamp <- t.clock;
-  t.hits <- t.hits + 1;
-  T.incr T.c_scan_cache_hits
+let count t ~hit =
+  if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+  T.incr (if hit then T.c_scan_cache_hits else T.c_scan_cache_misses)
 
 let lookup t key =
-  if not t.enabled then Miss
+  if not t.enabled then None
   else begin
     let found =
       Mcore.Mutex.protect t.lock @@ fun () ->
       revalidate_unlocked t;
-      match Hashtbl.find_opt t.tbl key with
-      | Some e when current e.source ->
-        hit t e;
-        `Hit e
-      | Some ({ source = Scan (tbl, v); _ } as e) when v > Table.version tbl ->
-        hit t e;
-        `Prefix (e, tbl)
-      | Some e when ahead e.source ->
-        miss t;
-        `Miss
-      | Some e ->
-        drop t key e ~invalidated:true;
-        miss t;
-        `Stale e
-      | None ->
-        miss t;
-        `Miss
+      let found =
+        match Hashtbl.find_opt t.tbl key with
+        | Some e when current e.source ->
+          t.clock <- t.clock + 1;
+          e.stamp <- t.clock;
+          Some e
+        | Some e when ahead e.source -> None
+        | Some e ->
+          drop t key e ~invalidated:true;
+          None
+        | None -> None
+      in
+      count t ~hit:(Option.is_some found);
+      found
     in
-    match found with
-    | `Hit e ->
-      depend e.source;
-      Hit e.seq
-    | `Prefix (e, tbl) ->
-      let v = Table.version tbl in
-      depend (Scan (tbl, v));
-      Hit (List.filteri (fun i _ -> i < v) e.seq)
-    | `Stale { seq; source = Scan (_, version); bytes; _ } ->
-      Stale { seq; version; bytes }
-    | `Stale _ | `Miss -> Miss
+    Option.iter (fun e -> depend e.source) found;
+    Option.map (fun e -> e.seq) found
   end
 
-let scan t table produce =
-  match Mcore.Dls.get statement_scans with
-  | Some served when t.enabled -> (
-    match List.assq_opt table !served with
-    | Some seq ->
-      Mcore.Mutex.protect t.lock (fun () -> t.hits <- t.hits + 1);
-      T.incr T.c_scan_cache_hits;
-      depend (Scan (table, Table.version table));
-      seq
-    | None ->
-      let seq = produce () in
-      served := (table, seq) :: !served;
-      seq)
-  | _ -> produce ()
+let scanned t table ~hit =
+  if t.enabled then begin
+    Mcore.Mutex.protect t.lock (fun () -> count t ~hit);
+    depend [ (table, Table.version table) ]
+  end
 
-let store ?bytes t key source (seq : Item.sequence) =
+let store t key source (seq : Item.sequence) =
   if t.enabled then begin
     depend source;
     Mcore.Mutex.protect t.lock @@ fun () ->
@@ -323,10 +271,8 @@ let store ?bytes t key source (seq : Item.sequence) =
     in
     if not resident then begin
       let rows = List.length seq in
-      let bytes =
-        match bytes with Some b -> b | None -> sequence_bytes seq
-      in
-      (* oversized scans are served but never resident: admitting one
+      let bytes = sequence_bytes seq in
+      (* oversized results are served but never resident: admitting one
          would evict the entire working set for a single entry *)
       if rows <= t.max_rows && bytes <= t.max_bytes then begin
         t.clock <- t.clock + 1;

@@ -17,6 +17,7 @@ type t = {
   retry : Retry.policy;
   breakers : Breaker.registry;
   scan_cache : Scan_cache.t;
+  share_scans : bool;  (* serve the table's kept elements, counted *)
 }
 
 let create ?(optimize = true) ?(retry = Retry.default_policy)
@@ -27,6 +28,7 @@ let create ?(optimize = true) ?(retry = Retry.default_policy)
     retry;
     breakers = Breaker.registry ~config:breaker ();
     scan_cache = Scan_cache.create ~enabled:scan_cache app;
+    share_scans = scan_cache;
   }
 
 let application t = t.app
@@ -86,13 +88,9 @@ let retry_classify e =
   | Failpoint.Injected _ when not (engine_fault e) -> Retry.Transient
   | _ -> Retry.Fatal
 
-(* A physical function's row elements for the table's rows after its
-   first [since], with the version they bring it to: the version the
-   statement's read view pinned. *)
-let scan ?since table =
-  let snap = Table.snapshot table in
-  ( Table.snapshot_version snap,
-    List.map Item.node (Table.flat_xml_since ?since table snap) )
+(* A physical function's rows as elements built afresh, at the version
+   the statement's read view pinned. *)
+let fresh_scan table = List.map Item.node (Table.to_flat_xml table)
 
 (* The materialization toll, charged at serve time whether the rows
    were fetched or found resident: warm and cold runs of one query must
@@ -163,41 +161,30 @@ and invoke t engine (ds : Artifact.data_service) (f : Artifact.ds_function)
     in
     evaluate t engine imports chain ~bindings body
   in
-  (* Parameterless calls are pure in the tables they read: serve them
-     from the materialized scan cache.  A hit bypasses the failpoint /
-     breaker / retry chain entirely; a miss, an extension included, runs
-     it as a fresh call does.  A physical table is served once per
-     statement, resident or not; later calls reuse that list.  Physical
-     scans are engine-independent, so
-     an interpreter rerun reuses those the faulted run materialized; a
-     logical body's entries are keyed by the engine evaluating it, so
-     the rerun never inherits rows the suspect compiled engine
-     produced. *)
+  (* Parameterless calls are pure in the tables they read.  A physical
+     one serves the elements its table keeps for the pinned version
+     (Table.items), one list per version shared by every call, both
+     engines and every statement; only a call that builds them runs the
+     failpoint / breaker / retry chain.  A logical one is served from
+     the scan cache; a hit bypasses that chain, a miss runs it as a
+     fresh call does.  Its entries are keyed by the engine evaluating
+     it, so an interpreter rerun never inherits rows the suspect
+     compiled engine produced. *)
   match f.Artifact.body with
   | Artifact.Physical table when args <> [] ->
-    attempt (fun () -> snd (scan table))
+    attempt (fun () -> fresh_scan table)
   | Artifact.Logical { imports; body } when args <> [] ->
     attempt (fun () -> evaluate_body imports body)
   | Artifact.Physical table ->
     let seq =
-      Scan_cache.scan t.scan_cache table @@ fun () ->
-      match Scan_cache.lookup t.scan_cache label with
-      | Scan_cache.Hit seq -> seq
-      | Scan_cache.Miss ->
-        let version, seq = attempt (fun () -> scan table) in
-        Scan_cache.store t.scan_cache label (Scan_cache.Scan (table, version)) seq;
+      match Table.built_items table with
+      | _ when not t.share_scans -> attempt (fun () -> fresh_scan table)
+      | Some seq ->
+        Scan_cache.scanned t.scan_cache table ~hit:true;
         seq
-      | Scan_cache.Stale { seq = prefix; version = since; bytes } ->
-        (* the table only grew: build elements for the new rows alone,
-           behind the stale scan's own items *)
-        let version, fresh = attempt (fun () -> scan ~since table) in
-        let seq = prefix @ fresh in
-        Scan_cache.store
-          ~bytes:(bytes + Scan_cache.sequence_bytes fresh)
-          t.scan_cache label
-          (Scan_cache.Scan (table, version))
-          seq;
-        seq
+      | None ->
+        Scan_cache.scanned t.scan_cache table ~hit:false;
+        attempt (fun () -> Table.items table)
     in
     charge seq
   | Artifact.Logical { imports; body } ->
@@ -208,8 +195,8 @@ and invoke t engine (ds : Artifact.data_service) (f : Artifact.ds_function)
     in
     let seq =
       match Scan_cache.lookup t.scan_cache key with
-      | Scan_cache.Hit seq -> seq
-      | Scan_cache.Stale _ | Scan_cache.Miss ->
+      | Some seq -> seq
+      | None ->
         let seq, source =
           Scan_cache.collect (fun () ->
               attempt (fun () -> evaluate_body imports body))
@@ -256,9 +243,8 @@ let degrade run =
         [ ("reason", Printexc.to_string e); ("plan", "unoptimized") ];
     run Interpreter
 
-(* A statement, its rerun included, reads one state of the data, and
-   is served one list per physical table it scans. *)
-let read_view t f = Artifact.read_view t.app (fun () -> Scan_cache.statement f)
+(* A statement, its rerun included, reads one state of the data. *)
+let read_view t f = Artifact.read_view t.app f
 
 (* The engine is chosen once per statement, from the server's flag. *)
 let statement t run =

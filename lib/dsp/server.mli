@@ -40,16 +40,19 @@ val create :
     logical body or from the interpreter rerun too, returns the rows of
     the pinned version.
 
-    [scan_cache] (default [true]) enables the cross-query {!Scan_cache}
-    serving parameterless data-service calls at the statement's pinned
-    versions (revision-checked, so metadata changes invalidate
-    automatically), and serving every call of a physical table in one
-    statement the list its first call got, even when the cache does not
-    admit it; off, every call materializes afresh, the
-    no-materialization oracle.  Physical scans are shared by both
-    engines, so a rerun reuses the scans the faulted run materialized;
-    logical entries are keyed by the engine that evaluated them, so the
-    rerun never inherits logical rows from the compiled engine.
+    [scan_cache] (default [true]) serves a parameterless physical call
+    the elements its table keeps for the pinned version
+    ({!Aqua_relational.Table.items}): one list per version, built by
+    the first call that needs it and shared by every later call, both
+    engines and every statement, so a rerun reuses the scans the
+    faulted run built.  Each such serve counts as a {!Scan_cache} hit
+    or miss.  Parameterless logical calls are served from the
+    cross-query {!Scan_cache} at the statement's pinned versions
+    (revision-checked, so metadata changes invalidate automatically),
+    keyed by the engine that evaluated them, so the rerun never
+    inherits logical rows from the compiled engine.  Off, every call
+    builds fresh elements and evaluates afresh, the no-materialization
+    oracle.
 
     Every data-service function invocation runs through a
     per-function circuit breaker ([breaker], default
@@ -89,7 +92,8 @@ val physical_fns :
     prepares. *)
 
 val scan_cache : t -> Scan_cache.t
-(** The server's materialized scan cache (possibly disabled). *)
+(** The server's cache of logical results and counter of physical
+    scans (possibly disabled). *)
 
 val breakers : t -> Aqua_resilience.Breaker.t list
 (** The per-function circuit breakers created so far, sorted by

@@ -3,17 +3,23 @@
 
     Rows are only appended (there is no update or delete), so a table's
     data version is its row count: the table at version [v] is exactly
-    its first [v] rows, and a reader holding version [v] can catch up
-    by reading the rows from [v] on. *)
+    its first [v] rows.  Each version is one snapshot, and a snapshot
+    builds its row list ({!rows}) and its row elements ({!items}) once,
+    on their first read, and keeps them. *)
 
 type snapshot
 (** The rows and the version as one published value: a reader never
     pairs one version with another version's rows. *)
 
+type lists
+(** The newest snapshots with their lists built, and the lock that
+    builds them. *)
+
 type t = private {
   name : string;
   schema : Schema.t;
   state : snapshot Atomic.t;
+  lists : lists;
 }
 
 val create : string -> Schema.t -> t
@@ -27,7 +33,7 @@ val insert_all : t -> Value.t list list -> unit
 
 type view
 (** A read view: one state of a set of tables.  While one is open on a
-    domain, {!snapshot} and {!version} of a table it pins read it there. *)
+    domain, every read of a table it pins reads it there. *)
 
 val pin : t list -> view
 (** The tables as of now, read at one moment: a row inserted before
@@ -39,31 +45,31 @@ val within : view -> (unit -> 'a) -> 'a
 (** [within v f] runs [f] in the read view [v], or in the one already
     open on this domain: a nested statement keeps its statement's. *)
 
-val snapshot : t -> snapshot
-(** The table in the open read view, or as of now. *)
-
-val snapshot_version : snapshot -> int
-(** The snapshot's row count, which is its data version. *)
-
 val version : t -> int
-(** Data version of {!snapshot}: the row count (0 for a fresh table). *)
+(** Data version in the open read view, or as of now: the row count
+    (0 for a fresh table). *)
 
 val cardinality : t -> int
 (** Same as {!version}, O(1). *)
 
-val rows_since : ?since:int -> snapshot -> Value.t array list
-(** The snapshot's rows after its first [since] (default 0), in
-    insertion order; O(rows returned). *)
-
 val rows : t -> Value.t array list
-(** All rows in insertion order. *)
+(** The rows at {!version}, in insertion order.  Every call at one
+    version returns the same list ([==]).  The first call at a version
+    builds it from the newest version already built: extended by the
+    new rows when that version is behind, its first rows when ahead. *)
 
-val flat_xml_since :
-  ?ns_prefix:string -> ?since:int -> t -> snapshot -> Aqua_xml.Node.t list
-(** {!to_flat_xml} of the snapshot's rows after its first [since]. *)
+val items : t -> Aqua_xml.Item.sequence
+(** The physical data-service function's answer at {!version}: one row
+    element per row, as {!to_flat_xml} builds them, kept and built like
+    {!rows}.  A version extended from an older one shares that
+    version's elements, physically. *)
+
+val built_items : t -> Aqua_xml.Item.sequence option
+(** {!items}, when they are built already. *)
 
 val to_flat_xml : ?ns_prefix:string -> t -> Aqua_xml.Node.t list
-(** Serializes the table the way a physical data-service function
-    returns it: one element per row named after the table (Example 1 of
-    the paper), with one simple-typed child element per non-null
-    column.  NULL columns are omitted (absent element). *)
+(** Serializes the table at {!version} the way a physical data-service
+    function returns it, in fresh elements: one element per row named
+    after the table (Example 1 of the paper), with one simple-typed
+    child element per non-null column.  NULL columns are omitted
+    (absent element). *)

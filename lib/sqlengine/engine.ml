@@ -18,124 +18,33 @@ let type_error fmt = Format.kasprintf (fun s -> raise (Value.Type_error s)) fmt
 type env = {
   app : Artifact.application;
   sem : Semantic.env;
-  table_data : A.table_name -> A.pos -> Metadata.table * Value.t array list;
   optimize : bool;
       (* use the hash equi-join fast path for inner joins; off = the
          pure nested-loop oracle *)
 }
 
-let env_of_application ?(optimize = true) ?(scan_cache = true) app =
-  let sem = Semantic.env_of_application app in
-  let lookup_table (n : A.table_name) pos =
-    match Metadata.lookup app ?catalog:n.A.catalog ?schema:n.A.schema n.A.table with
-    | Error e ->
-      fail ~pos Errors.Unknown_table "%s" (Metadata.error_to_string e)
-    | Ok meta -> (
-      (* find the backing physical table *)
-      let service =
-        Artifact.find_service_by_namespace app meta.Metadata.namespace
-      in
-      match service with
-      | None -> fail ~pos Errors.Unknown_table "no service for %s" n.A.table
-      | Some ds -> (
-        match Artifact.find_function ds meta.Metadata.table with
-        | Some { Artifact.body = Artifact.Physical t; _ } -> (meta, t)
-        | Some { Artifact.body = Artifact.Logical _; _ } ->
-          fail ~pos Errors.Unsupported
-            "the baseline engine only reads physical tables (%s is logical)"
-            n.A.table
-        | None -> fail ~pos Errors.Unknown_table "%s" n.A.table))
-  in
-  (* Version-aware scan memo: the catalog lookup chain (metadata,
-     service-by-namespace, function) is three linear scans per table
-     reference, repeated for every scan of the same table inside one
-     statement and across statements.  Successful resolutions are
-     memoized with the table's rows at the version they were read; a
-     metadata change empties the memo.  Tables are append-only: a table
-     pinned later than the memo is caught up by its new rows alone, one
-     pinned earlier reads the memo's first rows.  Failures are never
-     cached — their errors carry the reference position.  Counted
-     against the shared scan-cache telemetry so the baseline engine's
-     scan reuse shows up in the same place as the DSP server's. *)
-  let table_data =
-    if not scan_cache then fun n pos ->
-      let meta, t = lookup_table n pos in
-      (meta, Table.rows t)
-    else begin
-      let module T = Aqua_core.Telemetry in
-      let module Mcore = Aqua_multicore.Mcore in
-      let memo :
-          (string option * string option * string,
-           Metadata.table * Table.t * int * Value.t array list)
-          Hashtbl.t =
-        Hashtbl.create 16
-      in
-      (* per table, the memo's first rows last served to a statement
-         pinned behind it, with that version: every reference of one
-         such statement is served one copy *)
-      let pinned_prefix :
-          (string option * string option * string, int * Value.t array list)
-          Hashtbl.t =
-        Hashtbl.create 16
-      in
-      let lock = Mcore.Mutex.create () in
-      let seen_revision = ref (Artifact.revision app) in
-      fun (n : A.table_name) pos ->
-        let key = (n.A.catalog, n.A.schema, n.A.table) in
-        let found =
-          Mcore.Mutex.protect lock (fun () ->
-              let rev = Artifact.revision app in
-              if rev <> !seen_revision then begin
-                Hashtbl.reset memo;
-                Hashtbl.reset pinned_prefix;
-                seen_revision := rev
-              end;
-              Hashtbl.find_opt memo key)
-        in
-        match found with
-        | Some (meta, t, version, rows) when Table.version t <= version ->
-          T.incr T.c_scan_cache_hits;
-          let pinned = Table.version t in
-          if pinned = version then (meta, rows)
-          else (
-            (* append-only rows: a prefix at one version is the same
-               whichever memo rows it was cut from *)
-            match
-              Mcore.Mutex.protect lock (fun () ->
-                  Hashtbl.find_opt pinned_prefix key)
-            with
-            | Some (v, prefix) when v = pinned -> (meta, prefix)
-            | _ ->
-              let prefix = List.filteri (fun i _ -> i < pinned) rows in
-              Mcore.Mutex.protect lock (fun () ->
-                  Hashtbl.replace pinned_prefix key (pinned, prefix));
-              (meta, prefix))
-        | _ ->
-          T.incr T.c_scan_cache_misses;
-          (* resolve outside the lock — the lookup chain can raise with
-             the reference position, and a racing domain at worst
-             resolves the same table twice before [replace] dedupes *)
-          let meta, t, since, prefix =
-            match found with
-            | Some (meta, t, since, rows) -> (meta, t, since, rows)
-            | None ->
-              let meta, t = lookup_table n pos in
-              (meta, t, 0, [])
-          in
-          let snap = Table.snapshot t in
-          let version = Table.snapshot_version snap in
-          let rows = prefix @ Table.rows_since ~since snap in
-          Mcore.Mutex.protect lock (fun () ->
-              match Hashtbl.find_opt memo key with
-              | Some (_, _, newer, _) when newer >= version -> ()
-              | _ -> Hashtbl.replace memo key (meta, t, version, rows));
-          (meta, rows)
-    end
-  in
-  { app; sem; table_data; optimize }
+let env_of_application ?(optimize = true) app =
+  { app; sem = Semantic.env_of_application app; optimize }
 
-let table_rows env table =
-  snd (env.table_data { A.catalog = None; schema = None; table } A.no_pos)
+(* The catalog entry of a table reference and its backing physical
+   table's rows at the statement's pinned version, kept on the table's
+   snapshot. *)
+let table_data env (n : A.table_name) pos =
+  match
+    Metadata.lookup env.app ?catalog:n.A.catalog ?schema:n.A.schema n.A.table
+  with
+  | Error e -> fail ~pos Errors.Unknown_table "%s" (Metadata.error_to_string e)
+  | Ok meta -> (
+    match Artifact.find_service_by_namespace env.app meta.Metadata.namespace with
+    | None -> fail ~pos Errors.Unknown_table "no service for %s" n.A.table
+    | Some ds -> (
+      match Artifact.find_function ds meta.Metadata.table with
+      | Some { Artifact.body = Artifact.Physical t; _ } -> (meta, Table.rows t)
+      | Some { Artifact.body = Artifact.Logical _; _ } ->
+        fail ~pos Errors.Unsupported
+          "the baseline engine only reads physical tables (%s is logical)"
+          n.A.table
+      | None -> fail ~pos Errors.Unknown_table "%s" n.A.table))
 
 (* ------------------------------------------------------------------ *)
 (* Tuples: one value array per view, aligned with the view's columns. *)
@@ -592,7 +501,7 @@ and rows_of_table_ref ?(params : params = [||]) env outer_scope outer_frames
     let module T = Aqua_core.Telemetry in
     T.with_span "engine.scan" @@ fun () ->
     Aqua_resilience.Failpoint.hit "engine.scan";
-    let meta, rows = env.table_data name pos in
+    let meta, rows = table_data env name pos in
     if T.enabled () then T.add T.c_engine_rows_scanned (List.length rows);
     Aqua_resilience.Budget.tick_items (List.length rows);
     (Semantic.table_view meta ~alias, rows)

@@ -155,15 +155,16 @@ let compare_order_keys ckeys ka kb =
    [Server.execute] recompiles its plan on every call, so a memo inside
    the compiled closure would never survive long enough to hit.  A
    closed source (no free variables, as for a reusable build or a
-   projected scan) evaluates to the same
-   sequence in every tuple and, through the dsp scan cache, across
-   invocations — the physically same list until its table grows.
+   projected scan) evaluates to the same sequence in every tuple and,
+   because a table keeps one element list per version
+   ([Table.items]), across invocations — the physically same list
+   until its table grows.
    Everything derived from the list alone is therefore memoized against
    its physical identity.  Lists and nodes are immutable, so a hit
    serves exactly what a rebuild would.
 
-   A table only grows by appending, and the scan cache extends a stale
-   scan by the new rows behind its own items.  So on an identity miss
+   A table only grows by appending, and its next version's list is
+   the older list's items followed by the new rows'.  So on an identity miss
    a kept entry whose source is a strict prefix of the new one, item by
    item physically, is extended instead of rebuilt: equal items have
    equal cells, so only the new rows are read.  The new entry takes the
@@ -389,7 +390,7 @@ type src_memo = {
 (* Domain-local for the same reason as the batch pools below: the
    memo is probed on every scan read and hash-join build, and sharding
    it per domain keeps the probe lock-free.  Columns and build tables
-   are immutable once built, and the scan cache already shares the
+   are immutable once built, and the table already shares the
    expensive part (the materialized source) across domains. *)
 let src_memo : src_memo Mcore.Dls.key =
   Mcore.Dls.new_key (fun () -> { entries = []; cells = 0 })

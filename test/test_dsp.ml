@@ -84,11 +84,7 @@ let cache_behaviour () =
   check_int "one hit" 1 (Metadata.Cache.hits cache);
   Metadata.Cache.clear cache;
   ignore (Metadata.Cache.lookup cache "C");
-  check_int "miss after clear" 2 (Metadata.Cache.misses cache);
-  Metadata.Cache.set_enabled cache false;
-  ignore (Metadata.Cache.lookup cache "C");
-  ignore (Metadata.Cache.lookup cache "C");
-  check_int "disabled cache always misses" 4 (Metadata.Cache.misses cache)
+  check_int "miss after clear" 2 (Metadata.Cache.misses cache)
 
 let physical_execution () =
   let app = Artifact.application "App5" in

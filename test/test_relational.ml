@@ -7,6 +7,7 @@ module Schema = Aqua_relational.Schema
 module Table = Aqua_relational.Table
 module Rowset = Aqua_relational.Rowset
 module Node = Aqua_xml.Node
+module Mcore = Aqua_multicore.Mcore
 
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -92,6 +93,100 @@ let table_flat_xml () =
   | exception Value.Type_error _ -> ()
   | _ -> Alcotest.fail "bad row accepted")
 
+(* The lists a table keeps per version. *)
+
+let int_table ids =
+  let t =
+    Table.create "T" [ Schema.column ~nullable:false "ID" Sql_type.Integer ]
+  in
+  List.iter (fun i -> Table.insert t [ Value.Int i ]) ids;
+  t
+
+let insert_int t i = Table.insert t [ Value.Int i ]
+let first n l = List.filteri (fun i _ -> i < n) l
+
+let same_elements a b =
+  List.length a = List.length b && List.for_all2 ( == ) a b
+
+let one_list_per_snapshot () =
+  let t = int_table [ 1; 2; 3 ] in
+  let at3 = Table.pin [ t ] in
+  check_bool "not built before the first read" true (Table.built_items t = None);
+  let items = Table.items t in
+  check_bool "built by it" true
+    (match Table.built_items t with Some l -> l == items | None -> false);
+  check_bool "every call, the same items" true (Table.items t == items);
+  check_bool "every call, the same rows" true (Table.rows t == Table.rows t);
+  insert_int t 4;
+  check_bool "a pinned snapshot keeps its list" true
+    (Table.within at3 (fun () -> Table.items t) == items);
+  check_bool "the new version is not built yet" true (Table.built_items t = None)
+
+let extension_shares_items () =
+  let t = int_table [ 1; 2; 3 ] in
+  let three = Table.items t and three_rows = Table.rows t in
+  insert_int t 4;
+  insert_int t 5;
+  let five = Table.items t in
+  Alcotest.(check int) "five elements" 5 (List.length five);
+  check_bool "the older version's elements, then the new rows'" true
+    (same_elements three (first 3 five));
+  check_bool "rows likewise" true (same_elements three_rows (first 3 (Table.rows t)))
+
+let ahead_cut_once () =
+  let t = int_table [ 1; 2; 3 ] in
+  let at3 = Table.pin [ t ] in
+  insert_int t 4;
+  insert_int t 5;
+  let five = Table.items t in
+  let pinned () = Table.within at3 (fun () -> Table.items t) in
+  let three = pinned () in
+  check_bool "the newer list's first elements" true
+    (same_elements (first 3 five) three);
+  check_bool "cut once" true (pinned () == three);
+  check_bool "the newer list stays" true (Table.items t == five);
+  insert_int t 6;
+  check_bool "the next version extends the newest list" true
+    (same_elements five (first 5 (Table.items t)))
+
+(* Two domains reading one unbuilt snapshot at once both get the list
+   one of them published. *)
+let two_domains_one_list () =
+  if Mcore.multicore then
+    for _ = 1 to 20 do
+      let t = int_table (List.init 2000 Fun.id) in
+      let go = Atomic.make false in
+      let read () =
+        while not (Atomic.get go) do
+          Mcore.cpu_relax ()
+        done;
+        Table.items t
+      in
+      let other = Mcore.Domains.spawn read in
+      Atomic.set go true;
+      let mine = read () in
+      check_bool "one published list" true (mine == Mcore.Domains.join other)
+    done
+
+(* Built in any order, each version's rows are its first rows. *)
+let rows_at_every_version () =
+  let t = int_table [] in
+  let views =
+    List.init 8 (fun i ->
+        insert_int t i;
+        Table.pin [ t ])
+  in
+  List.iter
+    (fun v ->
+      let rows = Table.within (List.nth views (v - 1)) (fun () -> Table.rows t) in
+      check_bool
+        (Printf.sprintf "the rows at version %d" v)
+        true
+        (List.map (fun r -> r.(0)) rows = List.init v (fun i -> Value.Int i)))
+    [ 8; 3; 5; 1; 2; 7; 6; 4 ];
+  check_bool "the newest rows" true
+    (List.length (Table.rows t) = 8)
+
 let rowset_comparison () =
   let schema = [ Schema.column "A" Sql_type.Integer ] in
   let rs rows = Rowset.make schema (List.map (fun i -> [| Value.Int i |]) rows) in
@@ -131,6 +226,13 @@ let suite =
       Helpers.case "type promotion" promotion;
       Helpers.case "schema checks" schema_checks;
       Helpers.case "flat xml" table_flat_xml;
+      Helpers.case "a snapshot serves one list" one_list_per_snapshot;
+      Helpers.case "an extension shares its predecessor's items"
+        extension_shares_items;
+      Helpers.case "an ahead snapshot is cut once" ahead_cut_once;
+      Helpers.case "two domains building one snapshot get one list"
+        two_domains_one_list;
+      Helpers.case "rows at every version" rows_at_every_version;
       Helpers.case "rowset comparison" rowset_comparison;
       Helpers.case "value parsing" value_parsing;
       Helpers.qcheck prop_group_key_injective ] )

@@ -1,5 +1,6 @@
-(* Scan materialization: the cross-query version-aware scan cache and
-   the statement's read view it serves — plus the group-key injectivity
+(* Scan materialization: the cross-query version-aware cache of logical
+   results, the element lists physical tables keep per version, and the
+   statement's read view they serve — plus the group-key injectivity
    regression that rode along (the flat separator-joined encoding
    collided on keys containing the separator). *)
 
@@ -31,10 +32,21 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* Direct cache entries that depend on no table, only on metadata. *)
-let no_tables = Scan_cache.View []
+let no_tables = []
+let hit c key = Option.is_some (Scan_cache.lookup c key)
 
-let hit c key =
-  match Scan_cache.lookup c key with Scan_cache.Hit _ -> true | _ -> false
+(* The physical table behind a parameterless service of [app]. *)
+let physical app name =
+  List.find_map
+    (fun (ds : Artifact.data_service) ->
+      List.find_map
+        (fun (f : Artifact.ds_function) ->
+          match f.Artifact.body with
+          | Artifact.Physical t when t.Table.name = name -> Some t
+          | _ -> None)
+        ds.Artifact.functions)
+    app.Artifact.services
+  |> Option.get
 
 (* A self-join calls one table twice: through the server it returns the
    same rows with the cache on and off, through interpreter and
@@ -58,6 +70,33 @@ let self_join_semantics () =
   Alcotest.(check string) "compiled agrees" (run ~scan_cache:false)
     (Aqua_xml.Serialize.sequence_to_string (Server.execute_prepared prepared))
 
+(* A one-table application small enough to reason about exact row and
+   budget counts. *)
+let tiny_app rows =
+  let app = Artifact.application "App" in
+  let schema = [ Schema.column ~nullable:false "ID" Sql_type.Integer ] in
+  let t = Table.create "T" schema in
+  List.iter (fun i -> Table.insert t [ Value.Int i ]) rows;
+  ignore (Artifact.import_physical_table app ~project:"P" t);
+  (app, t)
+
+let serve srv fn = Server.call_function srv ~path:"P" ~name:fn ~fn []
+let serve_rows srv = serve srv "T"
+
+(* A logical service V over the table T of [tiny_app]. *)
+let add_view app =
+  let base = Option.get (Artifact.find_service app ~path:"P" ~name:"T") in
+  ignore
+    (Artifact.add_logical_service app ~project:"P" ~name:"V"
+       [ { Artifact.fn_name = "V"; params = []; element_name = "T"; columns = [];
+           body =
+             Artifact.logical_body_of_text
+               (Printf.sprintf
+                  "import schema namespace b = %S at %S;\n\
+                   for $r in b:T() return $r"
+                  (Artifact.namespace_of_service base)
+                  (Artifact.schema_location_of_service base)) } ])
+
 (* ------------------------------------------------------------------ *)
 (* Cross-query cache behaviour                                        *)
 
@@ -72,30 +111,33 @@ let warm_hits () =
   let s2 = Scan_cache.stats (Connection.scan_cache conn) in
   check_int "second run hits" (s1.Scan_cache.hits + 1) s2.Scan_cache.hits;
   check_int "no new miss" s1.Scan_cache.misses s2.Scan_cache.misses;
-  check_bool "entry resident" true (s2.Scan_cache.entries = 1);
-  check_bool "bytes accounted" true (s2.Scan_cache.bytes > 0)
+  check_int "no entry: the table keeps its elements" 0 s2.Scan_cache.entries;
+  check_bool "the elements are built" true
+    (Option.is_some (Table.built_items (physical app "CUSTOMERS")))
 
+(* A metadata change bumps the application revision: every resident
+   result is dropped before the next serve, while the elements a table
+   keeps for its version still serve. *)
 let revision_invalidation () =
-  let app = Helpers.demo_app () in
-  let conn = Connection.connect app in
-  let sql = "SELECT CUSTOMERNAME FROM CUSTOMERS" in
-  ignore (Connection.execute_query conn sql);
-  ignore (Connection.execute_query conn sql);
-  let before = Scan_cache.stats (Connection.scan_cache conn) in
+  let app, _ = tiny_app [ 1; 2; 3 ] in
+  add_view app;
+  let srv = Server.create app in
+  let serve_view () = ignore (serve srv "V") in
+  serve_view ();
+  serve_view ();
+  let before = Scan_cache.stats (Server.scan_cache srv) in
   check_bool "warm before the bump" true (before.Scan_cache.hits > 0);
-  (* a metadata change bumps the application revision: every resident
-     scan must be dropped before the next serve *)
   ignore (Artifact.add_logical_service app ~project:"Aux" ~name:"NOOP" []);
-  ignore (Connection.execute_query conn sql);
-  let after = Scan_cache.stats (Connection.scan_cache conn) in
+  serve_view ();
+  let after = Scan_cache.stats (Server.scan_cache srv) in
   check_bool "entries were invalidated, not evicted" true
     (after.Scan_cache.invalidations > before.Scan_cache.invalidations);
   check_int "no capacity evictions" before.Scan_cache.evictions
     after.Scan_cache.evictions;
-  check_int "rerun re-fetches (a miss, not a stale hit)"
+  check_int "the view re-evaluates (a miss, not a stale hit)"
     (before.Scan_cache.misses + 1) after.Scan_cache.misses;
-  check_int "no hit served across the bump" before.Scan_cache.hits
-    after.Scan_cache.hits
+  check_int "only its table's kept elements are a hit"
+    (before.Scan_cache.hits + 1) after.Scan_cache.hits
 
 let direct_revision_flush () =
   let app = Artifact.application "App" in
@@ -139,18 +181,6 @@ let budget_eviction () =
   check_int "oversized result not resident" 0
     (Scan_cache.stats capped).Scan_cache.entries
 
-(* A one-table application small enough to reason about exact row and
-   budget counts. *)
-let tiny_app rows =
-  let app = Artifact.application "App" in
-  let schema = [ Schema.column ~nullable:false "ID" Sql_type.Integer ] in
-  let t = Table.create "T" schema in
-  List.iter (fun i -> Table.insert t [ Value.Int i ]) rows;
-  ignore (Artifact.import_physical_table app ~project:"P" t);
-  (app, t)
-
-let serve_rows srv = Server.call_function srv ~path:"P" ~name:"T" ~fn:"T" []
-
 (* The item governor must charge cached serves exactly like uncached
    ones: a query admitted cold is admitted warm, a query rejected cold
    is rejected warm — the cache changes latency, never admission. *)
@@ -180,9 +210,9 @@ let serve_budget_symmetry () =
   once ~scan_cache:false;
   once ~scan_cache:true
 
-(* Data changes must invalidate result caches: inserting a row bumps
-   the table version, so both the scan cache and the baseline engine's
-   table memo catch up and serve the new row. *)
+(* Data changes must reach every reader: inserting a row bumps the
+   table version, so both the server and the baseline engine serve the
+   new version's list, with the new row. *)
 let insert_invalidates () =
   let app, table = tiny_app [ 1; 2 ] in
   let sql = "SELECT ID FROM T" in
@@ -198,9 +228,9 @@ let insert_invalidates () =
   Table.insert table [ Value.Int 3 ];
   check_int "read after insert sees the new row" 3 (count ());
   let after = Scan_cache.stats (Connection.scan_cache conn) in
-  check_bool "insert invalidated resident scans" true
-    (after.Scan_cache.invalidations > warm.Scan_cache.invalidations);
-  (* the baseline engine's table-resolution memo obeys the same signal *)
+  check_int "the new version's elements are built (a miss)"
+    (warm.Scan_cache.misses + 1) after.Scan_cache.misses;
+  (* the baseline engine reads the table's rows at the new version too *)
   let env = Engine.env_of_application app in
   check_int "engine cold read" 3
     (List.length (Engine.execute_sql env sql).Rowset.rows);
@@ -208,29 +238,16 @@ let insert_invalidates () =
   check_int "engine read after insert" 4
     (List.length (Engine.execute_sql env sql).Rowset.rows)
 
-(* The physical table behind a parameterless service of [app]. *)
-let physical app name =
-  List.find_map
-    (fun (ds : Artifact.data_service) ->
-      List.find_map
-        (fun (f : Artifact.ds_function) ->
-          match f.Artifact.body with
-          | Artifact.Physical t when t.Table.name = name -> Some t
-          | _ -> None)
-        ds.Artifact.functions)
-    app.Artifact.services
-  |> Option.get
-
 let new_order id customer =
   [ Value.Int id; Value.Int customer;
     Value.Date { Atomic.year = 2024; month = 1; day = 1 }; Value.Str "NEW";
     Value.Null ]
 
 (* An insert invalidates only what read its table: after an ORDERS
-   insert a CUSTOMERS-only statement is served from the resident scan
-   and the compiled engine's column memo, and nothing is invalidated;
-   the next ORDERS statement replaces the stale ORDERS scan (one
-   invalidation) and sees the new row. *)
+   insert a CUSTOMERS-only statement is served from the kept scan and
+   the compiled engine's column memo, and nothing is invalidated; the
+   next ORDERS statement builds the new version's elements (a miss,
+   with nothing to invalidate) and sees the new row. *)
 let insert_invalidates_own_table () =
   let app =
     Datagen.application ~seed:3
@@ -274,7 +291,9 @@ let insert_invalidates_own_table () =
     (T.value T.c_col_projection_hits > memo_hits);
   agree by_customer;
   let orders = Scan_cache.stats (Connection.scan_cache conn) in
-  check_int "the stale ORDERS scan is replaced" (after.Scan_cache.invalidations + 1)
+  check_int "the ORDERS scan is built for the new version"
+    (after.Scan_cache.misses + 1) orders.Scan_cache.misses;
+  check_int "and nothing is invalidated" after.Scan_cache.invalidations
     orders.Scan_cache.invalidations;
   check_int "the new order is seen" 1
     (List.length
@@ -358,32 +377,21 @@ let logical_entry_dependencies () =
           check_int "V after a T insert" n (count srv "V"));
       let s2 = stats srv in
       check_bool "the T insert invalidated the views" true
-        (s2.Scan_cache.invalidations >= s1.Scan_cache.invalidations + 3))
+        (s2.Scan_cache.invalidations >= s1.Scan_cache.invalidations + 2))
     servers
 
-(* One read view per statement, at the scan cache.  A physical entry at
-   the version the statement pinned is a hit; one behind it is extended
-   up to the pinned version; one ahead of it (extended by a statement
-   that pinned later) serves its first items, the entry's own elements
-   with none rebuilt, and stays resident without an invalidation.  A
-   logical entry ahead of the pinned version is bypassed, and the
-   result read at the older version never replaces it.  Counts the rows
+(* One read view per statement, at the table's kept lists.  A version
+   serves one list to every call: direct calls, a logical body over the
+   table and the interpreter alike.  A newer version extends the older
+   list's elements, and a statement pinned at the older version is
+   still served the older list.  A logical entry ahead of the pinned
+   version is bypassed, and the result read at the older version never
+   replaces it.  With the cache off, every call builds.  Counts the rows
    each serve returns. *)
 let pinned_versions () =
   let app, t = tiny_app [ 1; 2; 3 ] in
-  let base = Option.get (Artifact.find_service app ~path:"P" ~name:"T") in
-  ignore
-    (Artifact.add_logical_service app ~project:"P" ~name:"V"
-       [ { Artifact.fn_name = "V"; params = []; element_name = "T"; columns = [];
-           body =
-             Artifact.logical_body_of_text
-               (Printf.sprintf
-                  "import schema namespace b = %S at %S;\n\
-                   for $r in b:T() return $r"
-                  (Artifact.namespace_of_service base)
-                  (Artifact.schema_location_of_service base)) } ]);
-  let srv = Server.create app in
-  let serve fn = Server.call_function srv ~path:"P" ~name:fn ~fn [] in
+  add_view app;
+  let srv = Server.create app and oracle = Server.create ~optimize:false app in
   let stats () = Scan_cache.stats (Server.scan_cache srv) in
   (* hits, misses and invalidations since [s] *)
   let moved msg (h, m, i) s =
@@ -397,88 +405,45 @@ let pinned_versions () =
   let same_elements msg a b =
     check_bool msg true (List.length a = List.length b && List.for_all2 ( == ) a b)
   in
-  check_int "cold" 3 (List.length (serve "T"));
+  let three = serve srv "T" in
+  check_int "cold" 3 (List.length three);
+  check_bool "a second call, the same list" true (serve srv "T" == three);
+  check_bool "the interpreter's call, the same list" true
+    (serve oracle "T" == three);
+  same_elements "the view's body reads those elements" three (serve srv "V");
   let at3 = Table.pin [ t ] in
-  let s = stats () in
-  check_int "at the pinned version" 3 (List.length (serve "T"));
-  moved "a hit" (1, 0, 0) s;
   Table.insert t [ Value.Int 4 ];
   Table.insert t [ Value.Int 5 ];
   let s = stats () in
-  let five = serve "T" in
-  check_int "behind the pinned version: extended" 5 (List.length five);
-  moved "a miss that replaces the entry" (0, 1, 1) s;
+  let five = serve srv "T" in
+  check_int "a new version" 5 (List.length five);
+  same_elements "extends the older list's elements" three
+    (List.filteri (fun i _ -> i < 3) five);
+  moved "a miss, nothing to invalidate" (0, 1, 0) s;
   let s = stats () in
-  let three = Table.within at3 (fun () -> serve "T") in
-  check_int "ahead of the pinned version: the pinned rows" 3
-    (List.length three);
-  same_elements "the entry's first elements" (List.filteri (fun i _ -> i < 3) five)
-    three;
-  moved "a hit, nothing dropped" (1, 0, 0) s;
-  let s = stats () in
-  let a, b =
-    Table.within at3 (fun () ->
-        Scan_cache.statement (fun () ->
-            let a = serve "T" in
-            (a, serve "T")))
-  in
-  check_bool "one statement pinned behind the entry is served one list" true
-    (a == b);
-  moved "its first call copies, its second reuses the copy" (2, 0, 0) s;
-  let s = stats () in
-  same_elements "the entry stays at 5 rows" five (serve "T");
-  moved "and still hits" (1, 0, 0) s;
+  check_bool "the pinned version's list is still served" true
+    (Table.within at3 (fun () -> serve srv "T") == three);
+  moved "a hit" (1, 0, 0) s;
   (* the logical view V over T *)
-  check_int "V at 5 rows" 5 (List.length (serve "V"));
+  check_int "V at 5 rows" 5 (List.length (serve srv "V"));
   let s = stats () in
   check_int "V pinned at 3 rows" 3
-    (List.length (Table.within at3 (fun () -> serve "V")));
-  moved "V bypassed, T's first rows served" (1, 1, 0) s;
+    (List.length (Table.within at3 (fun () -> serve srv "V")));
+  moved "V bypassed, T's pinned list served" (1, 1, 0) s;
   let s = stats () in
-  check_int "V still at 5 rows" 5 (List.length (serve "V"));
+  check_int "V still at 5 rows" 5 (List.length (serve srv "V"));
   moved "the newer V stayed resident" (1, 0, 0) s;
   (* a direct store at an older version keeps the newer entry *)
   let c = Server.scan_cache srv in
-  Scan_cache.store c "k" (Scan_cache.Scan (t, 5)) five;
-  Scan_cache.store c "k" (Scan_cache.Scan (t, 3)) three;
-  match Scan_cache.lookup c "k" with
-  | Scan_cache.Hit seq -> same_elements "store kept the newer entry" five seq
-  | _ -> Alcotest.fail "the newer entry was replaced"
-
-(* Within one statement a table is served one list even when the cache
-   does not admit it: a scan over the row cap is built once per
-   statement, not once per call.  Outside a statement, and on a
-   disabled cache, every call builds. *)
-let one_scan_per_statement () =
-  let app, t = tiny_app [ 1; 2; 3 ] in
-  let capped = Scan_cache.create ~max_rows:2 app in
-  let built = ref 0 in
-  let produce c () =
-    incr built;
-    let seq = List.map Item.node (Table.to_flat_xml t) in
-    Scan_cache.store c "T" (Scan_cache.Scan (t, Table.version t)) seq;
-    seq
-  in
-  let twice c =
-    Scan_cache.statement (fun () ->
-        let a = Scan_cache.scan c t (produce c) in
-        (a, Scan_cache.scan c t (produce c)))
-  in
-  let a, b = twice capped in
-  check_bool "both calls get one list" true (a == b);
-  check_int "built once" 1 !built;
-  check_int "the second call is a hit" 1 (Scan_cache.stats capped).Scan_cache.hits;
-  check_int "the scan is over the cap, not resident" 0
-    (Scan_cache.stats capped).Scan_cache.entries;
-  ignore (twice capped);
-  check_int "the next statement builds again" 2 !built;
-  ignore (Scan_cache.scan capped t (produce capped));
-  ignore (Scan_cache.scan capped t (produce capped));
-  check_int "outside a statement every call builds" 4 !built;
-  let off = Scan_cache.create ~enabled:false app in
-  let a, b = twice off in
-  check_bool "a disabled cache builds per call" true (a != b);
-  check_int "twice" 6 !built
+  Scan_cache.store c "k" [ (t, 5) ] five;
+  Scan_cache.store c "k" [ (t, 3) ] three;
+  (match Scan_cache.lookup c "k" with
+  | Some seq -> check_bool "store kept the newer entry" true (seq == five)
+  | None -> Alcotest.fail "the newer entry was replaced");
+  (* with the cache off, every call builds fresh elements *)
+  let off = Server.create ~scan_cache:false app in
+  check_bool "a disabled cache builds per call" true
+    (serve off "T" != serve off "T")
 
 (* A compiled-engine fault reruns the statement on the interpreter over
    the same scan cache, but a logical function's materialized result
@@ -740,8 +705,7 @@ let group_key_injective_random =
 let suite =
   ( "scan_cache",
     [
-      Helpers.case "read view: pinned, behind and ahead entries" pinned_versions;
-      Helpers.case "a table is scanned once per statement" one_scan_per_statement;
+      Helpers.case "read view: one list per pinned version" pinned_versions;
       Helpers.case "self-join semantics preserved" self_join_semantics;
       Helpers.case "warm run hits the cache" warm_hits;
       Helpers.case "revision bump invalidates" revision_invalidation;
