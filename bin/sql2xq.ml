@@ -259,11 +259,17 @@ let analyze_cmd =
         else begin
           Printf.printf
             "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) \
-             (%d correlated probe(s)), %d constructor fusion(s)\n"
+             (%d correlated probe(s)), %d constructor fusion(s), %d hoisted \
+             closed subexpression(s) (%d semi-join, %d anti-join, %d set-op \
+             probe(s))\n"
             report.Aqua_xqeval.Optimize.pushed_predicates
             report.Aqua_xqeval.Optimize.hash_joins
             report.Aqua_xqeval.Optimize.correlated_probes
-            report.Aqua_xqeval.Optimize.fusions;
+            report.Aqua_xqeval.Optimize.fusions
+            report.Aqua_xqeval.Optimize.hoisted
+            report.Aqua_xqeval.Optimize.semi_joins
+            report.Aqua_xqeval.Optimize.anti_joins
+            report.Aqua_xqeval.Optimize.setop_probes;
           List.iter
             (fun note -> Printf.printf "  note: %s\n" note)
             (report.Aqua_xqeval.Optimize.notes

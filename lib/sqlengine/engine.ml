@@ -15,16 +15,38 @@ module Atomic = Aqua_xml.Atomic
 let fail = Errors.raise_error
 let type_error fmt = Format.kasprintf (fun s -> raise (Value.Type_error s)) fmt
 
+(* Tuples: one value array per view, aligned with the view's columns. *)
+type frame = (Scope.view * Value.t array) list
+
+(* A subquery runs at most once per statement when it reads nothing of
+   the query around it, on first use.  That is decided by watching the
+   run: a subquery under evaluation is watched with the frames it was
+   called under, and a column read that resolves into one of those
+   frames marks it correlated.  A run that read no outer value would
+   take the same path and return the same rows under any other outer
+   tuple, so the rows of an unmarked run are kept for the statement,
+   keyed by the subquery's node. *)
+type watch = { w_outer : frame list; mutable w_correlated : bool }
+
+type subqueries = {
+  mutable watching : watch list;  (* innermost first *)
+  mutable known : (A.query * (Outcol.t list * Value.t array list)) list;
+}
+
 type env = {
   app : Artifact.application;
   sem : Semantic.env;
   optimize : bool;
       (* use the hash equi-join fast path for inner joins; off = the
          pure nested-loop oracle *)
+  subqueries : subqueries;  (* the statement's, fresh per statement *)
 }
 
+let no_subqueries () = { watching = []; known = [] }
+
 let env_of_application ?(optimize = true) app =
-  { app; sem = Semantic.env_of_application app; optimize }
+  { app; sem = Semantic.env_of_application app; optimize;
+    subqueries = no_subqueries () }
 
 (* The catalog entry of a table reference and its backing physical
    table's rows at the statement's pinned version, kept on the table's
@@ -47,10 +69,6 @@ let table_data env (n : A.table_name) pos =
       | None -> fail ~pos Errors.Unknown_table "%s" n.A.table))
 
 (* ------------------------------------------------------------------ *)
-(* Tuples: one value array per view, aligned with the view's columns. *)
-
-type frame = (Scope.view * Value.t array) list
-
 (* Evaluation context: scope chain and the frame stack aligned with
    it; [group] holds the current group's frames when evaluating
    aggregates. *)
@@ -68,7 +86,19 @@ let col_index (view : Scope.view) (col : Scope.vcol) =
   in
   go 0 view.Scope.cols
 
+(* a read of the frames [depth] levels out marks every watched subquery
+   whose outer frames it reaches *)
+let note_read subs frames depth =
+  let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t in
+  let read = drop depth frames in
+  let rec reaches l = l == read || match l with [] -> false | _ :: t -> reaches t in
+  List.iter
+    (fun w -> if (not w.w_correlated) && reaches w.w_outer then w.w_correlated <- true)
+    subs.watching
+
 let lookup_value ctx (r : Scope.resolution) : Value.t =
+  let subs = ctx.env.subqueries in
+  if subs.watching <> [] then note_read subs ctx.frames r.Scope.res_depth;
   match List.nth_opt ctx.frames r.Scope.res_depth with
   | None -> type_error "internal: no frame at depth %d" r.Scope.res_depth
   | Some frame -> (
@@ -303,7 +333,7 @@ let rec eval_expr ?(params : params = [||]) ctx (e : A.expr) : Value.t =
     | Some (_, t) -> eval ctx t
     | None -> ( match else_ with Some e -> eval ctx e | None -> Value.Null))
   | A.Scalar_subquery q -> (
-    let _, rows = exec_query ~params ctx.env ctx.scope ctx.frames q in
+    let _, rows = subquery ~params ctx q in
     match rows with
     | [] -> Value.Null
     | [ row ] ->
@@ -446,7 +476,7 @@ and eval_pred ?(params : params = [||]) ctx (e : A.expr) : Value.bool3 =
     if negated then Value.not3 base else base
   | A.In_query { arg; query; negated } ->
     let v = eval ctx arg in
-    let _, rows = exec_query ~params ctx.env ctx.scope ctx.frames query in
+    let _, rows = subquery ~params ctx query in
     let base =
       List.fold_left
         (fun acc row -> Value.or3 acc (Value.equal3 v row.(0)))
@@ -454,11 +484,11 @@ and eval_pred ?(params : params = [||]) ctx (e : A.expr) : Value.bool3 =
     in
     if negated then Value.not3 base else base
   | A.Exists q ->
-    let _, rows = exec_query ~params ctx.env ctx.scope ctx.frames q in
+    let _, rows = subquery ~params ctx q in
     Value.of_bool (rows <> [])
   | A.Quantified { op; quantifier; arg; query } ->
     let v = eval ctx arg in
-    let _, rows = exec_query ~params ctx.env ctx.scope ctx.frames query in
+    let _, rows = subquery ~params ctx query in
     let fold init combine =
       List.fold_left
         (fun acc row ->
@@ -479,6 +509,27 @@ and eval_pred ?(params : params = [||]) ctx (e : A.expr) : Value.bool3 =
     | Value.Null -> Value.Unknown
     | Value.Bool b -> Value.of_bool b
     | v -> type_error "%s is not a boolean" (Value.to_display v))
+
+(* A subquery's rows: kept for the statement once a run of it read no
+   outer value (see [subqueries]). *)
+and subquery ?(params : params = [||]) ctx (q : A.query) =
+  let subs = ctx.env.subqueries in
+  match List.assq_opt q subs.known with
+  | Some r -> r
+  | None ->
+    let w = { w_outer = ctx.frames; w_correlated = false } in
+    subs.watching <- w :: subs.watching;
+    let r =
+      match exec_query ~params ctx.env ctx.scope ctx.frames q with
+      | r ->
+        subs.watching <- List.tl subs.watching;
+        r
+      | exception e ->
+        subs.watching <- List.tl subs.watching;
+        raise e
+    in
+    if not w.w_correlated then subs.known <- (q, r) :: subs.known;
+    r
 
 and cmp_result (op : A.cmp_op) c =
   match op with
@@ -969,6 +1020,7 @@ and exec_query ?(params : params = [||]) env outer_scope outer_frames
 
 (* A statement reads one state of the data, as through the DSP server. *)
 let execute_with_params env (stmt : A.statement) (params : params) : Rowset.t =
+  let env = { env with subqueries = no_subqueries () } in
   Artifact.read_view env.app @@ fun () ->
   (* stage-two validation gives coherent errors before evaluation, and
      the ORDER BY targets *)

@@ -24,7 +24,9 @@ val env_of_application :
     {!Aqua_relational.Table.rows}: the list the table keeps for the
     version the statement pinned.  Each statement reads one state of
     the data: it runs in the read view {!Aqua_dsp.Artifact.read_view}
-    opens, as a DSP server statement does. *)
+    opens, as a DSP server statement does.  A subquery that reads no
+    value of the query around it runs at most once per statement, on
+    first use (not eagerly), and its rows serve every later use. *)
 
 val execute : env -> Aqua_sql.Ast.statement -> Aqua_relational.Rowset.t
 (** @raise Aqua_translator.Errors.Error on semantic errors (the same

@@ -49,6 +49,8 @@ type note =
   | N_order of { inputs : int Lazy.t; retained : int }
   | N_skipped of string * X.expr  (* a let nothing reads, not built *)
   | N_text of int  (* a text-writer sink and its cells per row *)
+  | N_hoisted of int * X.expr  (* a hoisted value's run slot, its expression *)
+  | N_probe of string  (* a probe over a hoisted value, described *)
 
 (* Compile-time environment: name -> slot. *)
 type cenv = {
@@ -68,12 +70,20 @@ type cenv = {
       (* the plan's operator notes, newest first; a place is reserved
          before an operator compiles its expressions, so its note
          precedes those of the FLWORs nested in them *)
+  runs : int ref;
+      (* run slots handed out: one per hoisted value and per probe
+         table over one ([run_slot]) *)
 }
 
 let reserve_note cenv =
   let r = ref None in
   cenv.notes := r :: !(cenv.notes);
   r
+
+let run_slot cenv =
+  let k = !(cenv.runs) in
+  incr cenv.runs;
+  k
 
 let bind_slot cenv name =
   let slot = !(cenv.next) in
@@ -126,6 +136,139 @@ let children_matching matches (item : Item.t) : Item.sequence =
         | Node.Element c as n when matches c.name -> Some (Item.Node n)
         | Node.Element _ | Node.Text _ -> None)
       e.Node.children
+
+(* Per-run state of hoisted values ([Optimize]'s [aqua:hoisted]) and of
+   the probe tables built over them.
+
+   A hoisted expression may read the plan's externals (a cached plan's
+   lifted literals) and the statement's pinned scans, so its value
+   belongs to one run, never to the plan: [run] gives each run an array
+   of slots, one per hoisted value and per probe table, and makes it
+   the current one of its domain for the run's duration (a nested run,
+   a logical data service's body, installs its own and puts the outer
+   one back).  A value is computed where it stands, on first demand,
+   and its slot then holds the value or the exception it raised, which
+   every later demand in the run re-raises. *)
+
+(* The probe table of a quantifier over a hoisted value: its items'
+   child cells hashed, [single] when no cell holds more than one atom,
+   [null] when some cell is empty; [Q_nested] when some item is not a
+   node, so reading a cell raises and only the nested loop says where. *)
+type quant_table =
+  | Q_nested
+  | Q_probe of { single : bool; null : bool; tbl : Join_table.t }
+
+(* The set operations' match table: the right-hand records by their
+   composite null-safe key.  [so_exact]: every item is a node whose key
+   cells are each empty or one string-class atom (untypedAtomic or
+   string), where comparing is comparing strings, so equal keys are
+   exactly matching records.  [so_rows] maps a key to its rows,
+   newest first. *)
+type setop_table = {
+  so_exact : bool;
+  so_items : Item.t array;
+  so_rows : (string, int) Hashtbl.t;
+}
+
+type run_slot =
+  | R_pending
+  | R_value of Item.sequence
+  | R_failed of exn * Printexc.raw_backtrace
+  | R_set of Join_table.t
+  | R_quant of quant_table
+  | R_setop of setop_table
+
+let run_slots : run_slot array ref Mcore.Dls.key =
+  Mcore.Dls.new_key (fun () -> ref [||])
+
+let current_run () = !(Mcore.Dls.get run_slots)
+
+let hoisted_value k (c : comp) rt =
+  let st = current_run () in
+  match st.(k) with
+  | R_value v -> v
+  | R_failed (e, bt) -> Printexc.raise_with_backtrace e bt
+  | _ -> (
+    match c rt with
+    | v ->
+      st.(k) <- R_value v;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      st.(k) <- R_failed (e, bt);
+      Printexc.raise_with_backtrace e bt)
+
+(* the general-comparison hash set over [set]'s atoms, once per run *)
+let set_table k (set : Item.sequence) =
+  let st = current_run () in
+  match st.(k) with
+  | R_set t -> t
+  | _ ->
+    let items = Array.of_list set in
+    let t = Join_table.build_keyed items (Array.map (fun i -> Item.atomize [ i ]) items) in
+    st.(k) <- R_set t;
+    t
+
+let quant_table k matches (set : Item.sequence) =
+  let st = current_run () in
+  match st.(k) with
+  | R_quant q -> q
+  | _ ->
+    let items = Array.of_list set in
+    let q =
+      match Array.map (fun i -> Item.atomize (children_matching matches i)) items with
+      | cells ->
+        Q_probe
+          { single = Array.for_all (function [] | [ _ ] -> true | _ -> false) cells;
+            null = Array.exists (( = ) []) cells;
+            tbl = Join_table.build_keyed items cells }
+      | exception Error.Dynamic_error _ -> Q_nested
+    in
+    st.(k) <- R_quant q;
+    q
+
+(* Appends one column's component of a set-op key: for an empty cell
+   or one string-class atom; [false] for anything else. *)
+let setop_component buf (v : Item.sequence) =
+  match Item.atomize v with
+  | [] ->
+    Group_key.add_component buf [];
+    true
+  | [ (Atomic.Untyped _ | Atomic.String _) as a ] ->
+    Group_key.add_component buf [ Item.Atomic a ];
+    true
+  | _ -> false
+
+let setop_table k matchers (set : Item.sequence) =
+  let st = current_run () in
+  match st.(k) with
+  | R_setop t -> t
+  | _ ->
+    let items = Array.of_list set in
+    Budget.tick_items (Array.length items);
+    Telemetry.incr Telemetry.c_hash_join_builds;
+    Telemetry.add Telemetry.c_hash_join_build_rows (Array.length items);
+    let rows = Hashtbl.create (max 16 (Array.length items)) in
+    let buf = Buffer.create 64 in
+    let exact =
+      match
+        Array.iteri
+          (fun r item ->
+            Buffer.clear buf;
+            if
+              Array.for_all
+                (fun m -> setop_component buf (children_matching m item))
+                matchers
+            then Hashtbl.add rows (Buffer.contents buf) r
+            else raise Exit)
+          items
+      with
+      | () -> true
+      | exception (Exit | Error.Dynamic_error _) -> false
+    in
+    let t = { so_exact = exact; so_items = items; so_rows = rows } in
+    st.(k) <- R_setop t;
+    t
 
 (* Lexicographic comparison over pre-atomized order-by keys; [ckeys]
    pairs each key position with its (compiled key, descending, empty)
@@ -1135,6 +1278,11 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
             let widened = List.concat_map (children_matching m) seq in
             List.fold_left (fun items p -> p rt items) widened preds)
           (cbase rt) csteps)
+  | X.Call (name, [ arg ]) when String.equal name Functions.hoisted_name ->
+    let k = run_slot cenv in
+    reserve_note cenv := Some (N_hoisted (k, arg));
+    let c = compile_expr_c cenv arg in
+    fun rt -> hoisted_value k c rt
   | X.Call (name, args) -> (
     match text_plans ~node_fns:cenv.node_fns ~consts:(const_names cenv) name args with
     | Some plans -> compile_text_writer cenv plans
@@ -1192,6 +1340,9 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
     let ce = compile_expr_c cenv e in
     fun rt ->
       if Item.effective_boolean_value (cc rt) then ct rt else ce rt
+  | X.Binop _ when Option.is_some (Optimize.semi_join e) ->
+    let c = compile_semi_join cenv (Option.get (Optimize.semi_join e)) in
+    fun rt -> Item.of_bool (c rt)
   | X.Binop (op, a, b) -> (
     let ca = compile_expr_c cenv a and cb = compile_expr_c cenv b in
     match op with
@@ -1222,25 +1373,14 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
       | [ Atomic.Integer i ] -> Item.of_int (-i)
       | [ v ] -> [ Item.Atomic (Atomic.Double (-.Atomic.cast_double v)) ]
       | _ -> dfail "unary minus requires a singleton operand")
-  | X.Quantified { every; bindings; satisfies } ->
-    let rec build cenv = function
-      | [] ->
-        let cs = compile_expr_c cenv satisfies in
-        fun rt -> Item.effective_boolean_value (cs rt)
-      | (var, src) :: rest ->
-        let csrc = compile_expr_c cenv src in
-        let cenv', slot = bind_slot cenv var in
-        let inner = build cenv' rest in
-        fun rt ->
-          let items = csrc rt in
-          let test item =
-            rt.(slot) <- [ item ];
-            inner rt
-          in
-          if every then List.for_all test items else List.exists test items
-    in
-    let body = build cenv bindings in
-    fun rt -> Item.of_bool (body rt)
+  | X.Quantified { every; bindings; satisfies } -> (
+    match Optimize.quantified_probe e with
+    | Some q ->
+      let c = compile_quantified_probe cenv q satisfies in
+      fun rt -> Item.of_bool (c rt)
+    | None ->
+      let c = compile_quantified cenv every bindings satisfies in
+      fun rt -> Item.of_bool (c rt))
   | X.Filter (base, pred) ->
     let cbase = compile_expr_c cenv base in
     let cpred = compile_predicate cenv pred in
@@ -1254,6 +1394,8 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
    the per-row path — the shape of every translated residual filter. *)
 and compile_cond cenv (e : X.expr) : rt -> bool =
   match e with
+  | X.Binop _ when Option.is_some (Optimize.semi_join e) ->
+    compile_semi_join cenv (Option.get (Optimize.semi_join e))
   | X.Binop (X.B_and, a, b) ->
     let ca = compile_cond cenv a and cb = compile_cond cenv b in
     fun rt -> ca rt && cb rt
@@ -1291,6 +1433,96 @@ and compile_predicate cenv (pred : X.expr) : rt -> Item.sequence -> Item.sequenc
           Atomic.cast_double a = float_of_int (i + 1)
         | result -> Item.effective_boolean_value result)
       items
+
+and compile_quantified cenv every bindings satisfies : rt -> bool =
+  let rec build cenv = function
+    | [] ->
+      let cs = compile_expr_c cenv satisfies in
+      fun rt -> Item.effective_boolean_value (cs rt)
+    | (var, src) :: rest ->
+      let csrc = compile_expr_c cenv src in
+      let cenv', slot = bind_slot cenv var in
+      let inner = build cenv' rest in
+      fun rt ->
+        let items = csrc rt in
+        let test item =
+          rt.(slot) <- [ item ];
+          inner rt
+        in
+        if every then List.for_all test items else List.exists test items
+  in
+  build cenv bindings
+
+(* Probes over hoisted values (DESIGN.md section 7).  Each builds its
+   table from the hoisted value once per run, in a run slot of its own,
+   and evaluates the operands in the order the comparison it replaces
+   does, so an error surfaces at the same tuple.  Keying is
+   [Join_table]'s, faithful to general comparison (untypedAtomic
+   promotion, NaN); like the hash join, a pair of incomparable types
+   simply does not match where the nested loop would raise. *)
+
+(* [L = H]: the hash set of [H]'s atoms, probed with [L]'s. *)
+and compile_semi_join cenv (sj : Optimize.semi_join) : rt -> bool =
+  let k = run_slot cenv in
+  reserve_note cenv
+  := Some (N_probe "semi-join probe: hash set over the hoisted value, built once per run");
+  let cset = compile_expr_c cenv sj.Optimize.sj_set in
+  let cprobe = compile_expr_c cenv sj.Optimize.sj_probe in
+  if sj.Optimize.sj_set_right then fun rt ->
+    let set = cset rt in
+    let probe = cprobe rt in
+    Join_table.has_match (set_table k set) (Item.atomize probe)
+  else fun rt ->
+    let probe = cprobe rt in
+    let set = cset rt in
+    Join_table.has_match (set_table k set) (Item.atomize probe)
+
+(* [some $w in H satisfies L = $w/C] and [every $w in H satisfies L !=
+   $w/C]: [L] is read only when [H] is not empty, as the nested loop
+   reads it at the first item.  SQL's NULL rules fall out of the
+   comparison: for NOT IN, an empty cell ($w/C, a NULL on the right)
+   makes every item's test false, and an empty [L] (a NULL on the left)
+   does too, so a row is kept only when [H] is empty.  Items that are
+   not all nodes, and a multi-atom [L] or cell under [every], take the
+   nested loop ([nested]) over the memoized [H]. *)
+and compile_quantified_probe cenv (q : Optimize.quantified_probe) satisfies :
+    rt -> bool =
+  let k = run_slot cenv in
+  reserve_note cenv
+  := Some
+       (N_probe
+          (Printf.sprintf "%s probe: $%s/%s hashed once per run"
+             (if q.Optimize.qp_every then "anti-join" else "semi-join")
+             q.Optimize.qp_var q.Optimize.qp_step));
+  let every = q.Optimize.qp_every in
+  let cset = compile_expr_c cenv q.Optimize.qp_set in
+  let cprobe = compile_expr_c cenv q.Optimize.qp_probe in
+  let matches = compile_step_matcher q.Optimize.qp_step in
+  (* the quantifier itself over the memoized items *)
+  let cenv', slot = bind_slot cenv q.Optimize.qp_var in
+  let csat = compile_expr_c cenv' satisfies in
+  let nested rt set =
+    let test item =
+      rt.(slot) <- [ item ];
+      Item.effective_boolean_value (csat rt)
+    in
+    if every then List.for_all test set else List.exists test set
+  in
+  fun rt ->
+    match cset rt with
+    | [] -> every
+    | set -> (
+      match quant_table k matches set with
+      | Q_nested -> nested rt set
+      | Q_probe t -> (
+        let probe = Item.atomize (cprobe rt) in
+        if not every then Join_table.has_match t.tbl probe
+        else if t.null then false
+        else
+          match probe with
+          | [] -> false
+          | [ _ ] when t.single -> not (Join_table.has_match t.tbl probe)
+          | _ -> nested rt set))
 
 (* FLWOR compilation.  Each clause becomes a push-based operator over
    [Batch.columns] batches (one value vector per bound slot plus a
@@ -1337,6 +1569,84 @@ and compile_predicate cenv (pred : X.expr) : rt -> Item.sequence -> Item.sequenc
    per clause per invocation, matching the interpreter's eager
    pipeline construction. *)
 and compile_flwor cenv (f : X.flwor) : comp =
+  match Optimize.setop_probe f with
+  | Some p -> compile_setop_probe cenv f p
+  | None -> compile_pipeline cenv f
+
+(* The set operations' matches FLWOR ([Optimize.setop_probe]) as one
+   probe per invocation: the right-hand records are keyed once per run
+   by their composite null-safe key (an empty cell is its own
+   component), and the invocation's key variables look their matches up
+   in build order.  Records or keys outside the string class of
+   [setop_table] take the nested loop over the memoized records. *)
+and compile_setop_probe cenv (f : X.flwor) (p : Optimize.setop_probe) : comp =
+  let k = run_slot cenv in
+  reserve_note cenv
+  := Some
+       (N_probe
+          (Printf.sprintf
+             "set-op probe: $%s matched on a %d-column null-safe key, hash \
+              table built once per run"
+             p.Optimize.sp_var (List.length p.Optimize.sp_keys)));
+  let csrc = compile_expr_c cenv p.Optimize.sp_source in
+  let ckeys =
+    Array.of_list
+      (List.map (fun (kv, _) -> compile_expr_c cenv (X.Var kv)) p.Optimize.sp_keys)
+  in
+  let matchers =
+    Array.of_list
+      (List.map (fun (_, c) -> compile_step_matcher c) p.Optimize.sp_keys)
+  in
+  let cenv_r, r_slot = bind_slot cenv p.Optimize.sp_var in
+  let cret =
+    match f.X.return with
+    | X.Var v when String.equal v p.Optimize.sp_var -> None
+    | r -> Some (compile_expr_c cenv_r r)
+  in
+  let emit rt item =
+    match cret with
+    | None -> [ item ]
+    | Some c ->
+      rt.(r_slot) <- [ item ];
+      c rt
+  in
+  let conds =
+    List.filter_map
+      (function X.Where c -> Some (compile_cond cenv_r c) | _ -> None)
+      f.X.clauses
+  in
+  let nested rt set =
+    List.concat_map
+      (fun item ->
+        rt.(r_slot) <- [ item ];
+        if List.for_all (fun c -> c rt) conds then emit rt item else [])
+      set
+  in
+  let nclauses = List.length f.X.clauses in
+  fun rt ->
+    (* the pipeline's clause failpoints and feed batch *)
+    for _ = 1 to nclauses do
+      Failpoint.hit "xqeval.clause"
+    done;
+    cnote_batch 1;
+    Budget.steps 1;
+    match csrc rt with
+    | [] -> []
+    | set ->
+      let t = setop_table k matchers set in
+      let buf = Buffer.create 32 in
+      if
+        not
+          (t.so_exact && Array.for_all (fun c -> setop_component buf (c rt)) ckeys)
+      then nested rt set
+      else begin
+        Telemetry.incr Telemetry.c_hash_join_probes;
+        let rows = List.rev (Hashtbl.find_all t.so_rows (Buffer.contents buf)) in
+        Budget.steps (List.length rows);
+        List.concat_map (fun r -> emit rt t.so_items.(r)) rows
+      end
+
+and compile_pipeline cenv (f : X.flwor) : comp =
   let p = plan_flwor ~node_fns:cenv.node_fns ~consts:(const_names cenv) f in
   let cenv_ret, run = lower_flwor cenv p in
   let cret = compile_expr_c cenv_ret p.treturn in
@@ -2408,6 +2718,7 @@ type compiled = {
   size : int;
   externals : (string * int) list;  (* runtime bindings -> slots *)
   notes : note option ref list;  (* newest first *)
+  runs : int;  (* run slots a run needs ([run_slot]) *)
 }
 
 let no_resolve _ = None
@@ -2444,7 +2755,7 @@ let compile_expr ?(optimize = true) ?(resolve = no_resolve)
   let notes = ref [] in
   let cenv =
     { slots = []; next = ref 0; resolve; node_fns; consts = []; cells = [];
-      notes }
+      notes; runs = ref 0 }
   in
   let cenv, externals =
     List.fold_left
@@ -2455,7 +2766,8 @@ let compile_expr ?(optimize = true) ?(resolve = no_resolve)
   in
   let cenv = { cenv with consts = externals } in
   let code = compile_expr_c cenv e in
-  { code; size = !(cenv.next); externals = List.rev externals; notes = !notes }
+  { code; size = !(cenv.next); externals = List.rev externals; notes = !notes;
+    runs = !(cenv.runs) }
 
 let compile ?optimize ?resolve ?node_fns ?vars (q : X.query) =
   compile_expr ?optimize ?resolve ?node_fns ?vars q.X.body
@@ -2481,7 +2793,21 @@ let run ?(bindings = []) t =
         | None -> dfail "external variable $%s is not bound" name))
   in
   bind t.externals bindings;
-  t.code rt
+  if t.runs = 0 then t.code rt
+  else begin
+    (* this run's hoisted values, the enclosing run's put back after *)
+    let cur = Mcore.Dls.get run_slots in
+    let outer = !cur in
+    cur := Array.make t.runs R_pending;
+    match t.code rt with
+    | v ->
+      cur := outer;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      cur := outer;
+      Printexc.raise_with_backtrace e bt
+  end
 
 let kept verb inputs n =
   let inputs = Lazy.force inputs in
@@ -2553,6 +2879,12 @@ let note_lines = function
     [ Printf.sprintf "columnar: let $%s skipped (nothing reads it)" var ]
   | N_text cells ->
     [ Printf.sprintf "columnar: string-join text writer, %d cell(s) per row" cells ]
+  | N_hoisted (k, e) ->
+    [ Printf.sprintf
+        "columnar: hoisted value #%d, evaluated at most once per run on first \
+         demand: %s"
+        k (Optimize.summary e) ]
+  | N_probe what -> [ "columnar: " ^ what ]
 
 let shape t =
   Printf.sprintf

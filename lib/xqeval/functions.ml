@@ -91,6 +91,16 @@ let fn_content_data args =
   arity content_data_name 1 args;
   content_data (List.hd args)
 
+(* The optimizer's mark on a closed subexpression it hoisted: its
+   value is its argument's.  The compiled engine evaluates the argument
+   once per run, on first demand; an interpreter evaluating an optimized
+   plan simply evaluates it each time. *)
+let hoisted_name = "aqua:hoisted"
+
+let fn_hoisted args =
+  arity hoisted_name 1 args;
+  List.hd args
+
 (* ---------------------------------------------------------------- *)
 (* Accessors and cardinality                                        *)
 
@@ -564,6 +574,7 @@ let register name impl = Hashtbl.replace registry name impl
 let () =
   register "fn:data" fn_data;
   register content_data_name fn_content_data;
+  register hoisted_name fn_hoisted;
   register "fn:string" fn_string;
   register "fn:empty" fn_empty;
   register "fn:exists" fn_exists;

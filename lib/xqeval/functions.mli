@@ -27,6 +27,12 @@ val content_data : Aqua_xml.Item.sequence -> Aqua_xml.Item.sequence
 val content_data_name : string
 (** ["aqua:content-data"]. *)
 
+val hoisted_name : string
+(** ["aqua:hoisted"]: the built-in the optimizer wraps around a closed
+    subexpression it hoisted ({!Optimize.expr}).  Its value is its
+    argument's; the compiled engine evaluates that argument at most once
+    per run, on first demand, and memoizes the value or the error. *)
+
 val numeric_of_atomic : string -> Aqua_xml.Atomic.t -> float
 (** The numeric promotion used by [fn:sum]/[fn:avg]: numerics cast to
     double, untyped values parsed, anything else raises

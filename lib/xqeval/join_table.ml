@@ -69,7 +69,7 @@ let secondary_keys (a : Atomic.t) : string list =
    The table indexes [items] in place: the compiled engine passes the
    array view it memoizes with the source, so a build never copies the
    source again. *)
-let build (items : Item.t array) ~(key_of : Item.t -> Item.sequence)
+let build_with (items : Item.t array) ~(atoms_of : int -> Atomic.t list)
     ~(value_cmp : bool) : t =
   let module T = Aqua_core.Telemetry in
   T.with_span "xqeval.hashjoin.build" @@ fun () ->
@@ -81,27 +81,31 @@ let build (items : Item.t array) ~(key_of : Item.t -> Item.sequence)
   let tbl = Hashtbl.create (max 16 (Array.length items)) in
   let poison = ref false in
   let any_nonempty = ref false in
-  Array.iteri
-    (fun i item ->
-      match Item.atomize (key_of item) with
-      | [] -> ()
-      | _ :: _ :: _ when value_cmp ->
-        any_nonempty := true;
-        poison := true
-      | atoms ->
-        any_nonempty := true;
-        List.iter
-          (fun a ->
-            let key = Atomic.hash_key a in
-            if Hashtbl.mem tbl key then T.incr T.c_hash_join_collisions;
-            Hashtbl.add tbl key (i, true);
-            List.iter
-              (fun k -> Hashtbl.add tbl k (i, false))
-              (secondary_keys a))
-          atoms)
-    items;
+  for i = 0 to Array.length items - 1 do
+    match atoms_of i with
+    | [] -> ()
+    | _ :: _ :: _ when value_cmp ->
+      any_nonempty := true;
+      poison := true
+    | atoms ->
+      any_nonempty := true;
+      List.iter
+        (fun a ->
+          let key = Atomic.hash_key a in
+          if Hashtbl.mem tbl key then T.incr T.c_hash_join_collisions;
+          Hashtbl.add tbl key (i, true);
+          List.iter
+            (fun k -> Hashtbl.add tbl k (i, false))
+            (secondary_keys a))
+        atoms
+  done;
   { items; tbl; poison = !poison; any_nonempty = !any_nonempty;
     seen_stamp = Array.make (Array.length items) 0; stamp = 0 }
+
+let build items ~key_of ~value_cmp =
+  build_with items ~atoms_of:(fun i -> Item.atomize (key_of items.(i))) ~value_cmp
+
+let build_keyed items keys = build_with items ~atoms_of:(Array.get keys) ~value_cmp:false
 
 let rows_for_atom t a =
   let rows_at key ~primary_only =
@@ -169,6 +173,18 @@ let matches t ~value_cmp (probe_atoms : Atomic.t list) : int list =
     else List.concat_map (rows_for_atom t) probe_atoms
   in
   dedup_build_order t matched
+
+(* Whether some probe atom equals some build atom, as [matches] with
+   general comparison would find, without collecting rows. *)
+let has_match t (probe_atoms : Atomic.t list) =
+  Aqua_core.Telemetry.incr Aqua_core.Telemetry.c_hash_join_probes;
+  List.exists
+    (fun a ->
+      Hashtbl.mem t.tbl (Atomic.hash_key a)
+      || List.exists
+           (fun k -> List.exists snd (Hashtbl.find_all t.tbl k))
+           (secondary_keys a))
+    probe_atoms
 
 let probe t ~value_cmp probe_atoms =
   let module T = Aqua_core.Telemetry in

@@ -27,6 +27,15 @@ val build :
     flags of XQuery value comparison are recorded instead of indexing
     multi-atom keys. *)
 
+val build_keyed : Aqua_xml.Item.t array -> Aqua_xml.Atomic.t list array -> t
+(** [build_keyed items keys]: {!build} for general comparison, row [i]
+    keyed by the atoms [keys.(i)] already extracted. *)
+
+val has_match : t -> Aqua_xml.Atomic.t list -> bool
+(** Whether some probe atom matches some build atom of a general
+    comparison table, as a nonempty {!matches} would say, without
+    collecting the rows; counts one probe. *)
+
 val probe : t -> value_cmp:bool -> Aqua_xml.Atomic.t list -> int list
 (** Matching build rows for one probe key, sorted ascending (build
     order), deduplicated; counts one probe.  @raise Error.Dynamic_error

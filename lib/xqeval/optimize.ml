@@ -55,6 +55,10 @@ type report = {
       (** always 0: kept only because perfbench/perfbench.ml reads it;
           the benchmark's next change (ROADMAP item 2) deletes it *)
   fusions : int;            (** constructor fusions (unnest, navigate, inline) *)
+  hoisted : int;            (** closed subexpressions hoisted *)
+  semi_joins : int;         (** of their uses, semi-join probes *)
+  anti_joins : int;         (** anti-join probes *)
+  setop_probes : int;       (** set operations' match probes *)
   notes : string list;      (** human-readable one-liners, newest first *)
 }
 
@@ -65,6 +69,13 @@ type acc = {
   mutable joins : int;
   mutable correlated : int;
   mutable fused : int;
+  mutable loops : int;
+      (* nested FLWORs, quantifiers and predicates the rewrite left in
+         the plan, over-counted: with none, nothing can be hoisted *)
+  mutable hoists : int;
+  mutable semis : int;
+  mutable antis : int;
+  mutable setops : int;
   mutable notes : string list;
 }
 
@@ -169,6 +180,12 @@ let clause_reads = function
     Vars.union
       (free_vars_all [ source; probe_key ])
       (Vars.remove var (free_vars build_key))
+
+(* [List.assoc_opt] on string keys, without polymorphic compare: the
+   analyses probe at every variable read of the plan *)
+let rec assoc_str k = function
+  | [] -> None
+  | (k', v) :: rest -> if String.equal k k' then Some v else assoc_str k rest
 
 (* clauses that see the whole tuple stream at once *)
 let reorders = function X.Group _ | X.Order_by _ -> true | _ -> false
@@ -674,6 +691,15 @@ let record_branches step content =
   in
   match go [] content with Some (_ :: _ as bs) -> Some bs | _ -> None
 
+(* What [rewrite] counts in [acc.loops]: a nested FLWOR, quantifier or
+   predicate in a position that may run more than once per run, where
+   [hoist_closed] may find something.  Not counted, since nothing in
+   them can be closed and worth hoisting: a FLWOR led by a correlated
+   probe (its source is a bare scan, its probe reads the enclosing
+   tuple), and a positional predicate on a variable ([$p[1]]). *)
+let probe_led = function X.Hash_join _ :: _ -> true | _ -> false
+let constant_pred = function X.Literal _ -> true | _ -> false
+
 (* F1 over one FLWOR (whose subexpressions are already rewritten), then
    F2; [finish ~nested] runs the remaining FLWOR rewrites on the result
    and on every FLWOR distribution creates. *)
@@ -1079,75 +1105,571 @@ let recognize_joins acc ~nested clauses =
 (* ------------------------------------------------------------------ *)
 (* Bottom-up rewrite                                                  *)
 
-let rec rewrite acc ~nested (e : X.expr) : X.expr =
+(* [rep]: [e] may run more than once per run (it sits after a [for]
+   of a FLWOR, in a quantifier or a predicate), for [acc.loops] *)
+let rec rewrite acc ~nested ~rep (e : X.expr) : X.expr =
   match e with
   | X.Literal _ | X.Var _ | X.Context_item | X.Text _ -> e
-  | X.Seq es -> X.Seq (List.map (rewrite acc ~nested) es)
+  | X.Seq es -> X.Seq (List.map (rewrite acc ~nested ~rep) es)
   | X.Flwor f ->
-    let clauses = List.map (rewrite_clause acc) f.clauses in
-    let return = rewrite acc ~nested:true f.return in
+    let iterated = ref rep in
+    let clauses =
+      List.map
+        (fun c ->
+          let c' = rewrite_clause acc ~rep:!iterated c in
+          (match c with
+          | X.For _ | X.Hash_join _ | X.Group _ -> iterated := true
+          | X.Let _ | X.Where _ | X.Order_by _ -> ());
+          c')
+        f.clauses
+    in
+    let return = rewrite acc ~nested:true ~rep:!iterated f.return in
     (* constructor fusion first, so the clause lists it splices still
        get pushdown and join recognition *)
-    fuse_flwor acc ~nested { clauses; return } ~finish:(fun ~nested f ->
-        let clauses = push_predicates acc f.X.clauses in
-        X.Flwor
-          { clauses = recognize_joins acc ~nested clauses; return = f.X.return })
+    let e' =
+      fuse_flwor acc ~nested { clauses; return } ~finish:(fun ~nested f ->
+          let clauses = push_predicates acc f.X.clauses in
+          X.Flwor
+            { clauses = recognize_joins acc ~nested clauses; return = f.X.return })
+    in
+    (match e' with
+    | X.Flwor { clauses; _ } when probe_led clauses -> ()
+    | _ -> if rep then acc.loops <- acc.loops + 1);
+    e'
   | X.Path (base, steps) ->
     X.Path
-      ( rewrite acc ~nested base,
+      ( rewrite acc ~nested ~rep base,
         List.map
           (fun (s : X.step) ->
-            { s with
-              X.predicates = List.map (rewrite acc ~nested:true) s.predicates })
+            if s.X.predicates = [] then s
+            else begin
+              if rep && not (List.for_all constant_pred s.X.predicates) then
+                acc.loops <- acc.loops + 1;
+              { s with
+                X.predicates =
+                  List.map (rewrite acc ~nested:true ~rep:true) s.predicates }
+            end)
           steps )
-  | X.Call (name, args) -> X.Call (name, List.map (rewrite acc ~nested) args)
+  | X.Call (name, args) -> X.Call (name, List.map (rewrite acc ~nested ~rep) args)
   | X.Elem { name; content } ->
-    X.Elem { name; content = List.map (rewrite acc ~nested) content }
+    X.Elem { name; content = List.map (rewrite acc ~nested ~rep) content }
   | X.If (c, t, e) ->
     X.If
-      (rewrite acc ~nested c, rewrite acc ~nested t, rewrite acc ~nested e)
+      ( rewrite acc ~nested ~rep c,
+        rewrite acc ~nested ~rep t,
+        rewrite acc ~nested ~rep e )
   | X.Binop (op, a, b) ->
-    X.Binop (op, rewrite acc ~nested a, rewrite acc ~nested b)
-  | X.Neg e -> X.Neg (rewrite acc ~nested e)
+    X.Binop (op, rewrite acc ~nested ~rep a, rewrite acc ~nested ~rep b)
+  | X.Neg e -> X.Neg (rewrite acc ~nested ~rep e)
   | X.Quantified { every; bindings; satisfies } ->
+    if rep then acc.loops <- acc.loops + 1;
     X.Quantified
       {
         every;
         bindings =
-          List.map (fun (v, e) -> (v, rewrite acc ~nested:true e)) bindings;
-        satisfies = rewrite acc ~nested:true satisfies;
+          List.mapi
+            (fun i (v, e) -> (v, rewrite acc ~nested:true ~rep:(rep || i > 0) e))
+            bindings;
+        satisfies = rewrite acc ~nested:true ~rep:true satisfies;
       }
   | X.Filter (base, pred) ->
-    X.Filter (rewrite acc ~nested base, rewrite acc ~nested:true pred)
+    (match (base, pred) with
+    | X.Var _, X.Literal _ -> ()
+    | _ -> if rep then acc.loops <- acc.loops + 1);
+    X.Filter
+      (rewrite acc ~nested ~rep base, rewrite acc ~nested:true ~rep:true pred)
 
 (* every subexpression of a clause sits inside the FLWOR's binders *)
-and rewrite_clause acc = function
-  | X.For { var; source } -> X.For { var; source = rewrite acc ~nested:true source }
-  | X.Let { var; value } -> X.Let { var; value = rewrite acc ~nested:true value }
-  | X.Where cond -> X.Where (rewrite acc ~nested:true cond)
+and rewrite_clause acc ~rep = function
+  | X.For { var; source } ->
+    X.For { var; source = rewrite acc ~nested:true ~rep source }
+  | X.Let { var; value } -> X.Let { var; value = rewrite acc ~nested:true ~rep value }
+  | X.Where cond -> X.Where (rewrite acc ~nested:true ~rep cond)
   | X.Group { grouped; partition; keys } ->
     X.Group
       {
         grouped;
         partition;
-        keys = List.map (fun (k, v) -> (rewrite acc ~nested:true k, v)) keys;
+        keys = List.map (fun (k, v) -> (rewrite acc ~nested:true ~rep k, v)) keys;
       }
   | X.Order_by specs ->
     X.Order_by
       (List.map
          (fun (s : X.order_spec) ->
-           { s with X.key = rewrite acc ~nested:true s.X.key })
+           { s with X.key = rewrite acc ~nested:true ~rep s.X.key })
          specs)
   | X.Hash_join { var; source; build_key; probe_key; value_cmp } ->
-    let rw = rewrite acc ~nested:true in
     X.Hash_join
       {
         var;
-        source = rw source;
-        build_key = rw build_key;
-        probe_key = rw probe_key;
+        source = rewrite acc ~nested:true ~rep source;
+        build_key = rewrite acc ~nested:true ~rep:true build_key;
+        probe_key = rewrite acc ~nested:true ~rep probe_key;
         value_cmp;
       }
+
+(* ------------------------------------------------------------------ *)
+(* Closed-subexpression hoisting                                      *)
+
+(* Stage three nests an uncorrelated subquery, and the right input of a
+   set operation, inside the outer FLWOR (paper section 3.4): an [IN]
+   as [x = (for .. return <RECORD>..</RECORD>)/C], a scalar subquery as
+   [fn:zero-or-one(fn:data((let .. return <RECORD>..</RECORD>)/E))],
+   [NOT IN]/[ANY]/[ALL] as quantifiers over such a FLWOR, and
+   [INTERSECT]/[EXCEPT] as a matches FLWOR over a let-bound RECORDSET
+   run once per group.  Each evaluation of such an expression yields the
+   same value, since it reads no variable the loop binds, yet the
+   engines evaluate it once per outer tuple.
+
+   The pass wraps each maximal closed subexpression that sits where it
+   may run more than once per run (after a for of its FLWOR, in a
+   quantifier or a predicate) and does work (it holds a FLWOR, a
+   quantifier, a path over a variable or a data-service call) in
+   [aqua:hoisted(E)].
+   "Closed" means it reads no variable but the plan's externals and
+   variables let-bound to closed values, whose every evaluation yields
+   the same value too; a data-service call reads the statement's pinned
+   read view, so it is closed.  A bare data-service call is left alone:
+   the scan memo already serves its rows.  The mark changes no value:
+   [aqua:hoisted(E)] is [E] ({!Functions.hoisted_name}).  The compiled
+   engine evaluates it where it stands, on first demand, at most once
+   per run, and memoizes its value or its error in the run's own
+   state, never in the plan; so a subquery no tuple reaches is never
+   evaluated, and an error surfaces where the interpreter raises it.
+
+   One bottom-up walk: each node reports the scope levels of the
+   variables it reads (run constants excluded) as a bit mask, and
+   whether it does work; a parent that is not itself hoisted wraps its
+   closed, working children in repeated positions. *)
+
+let hoisted_name = Functions.hoisted_name
+
+let is_hoisted (e : X.expr) =
+  match e with X.Call (n, [ _ ]) -> String.equal n hoisted_name | _ -> false
+
+(* [$var/C]: one unpredicated, named child step of [var] *)
+let var_step var (e : X.expr) =
+  match e with
+  | X.Path (X.Var v, [ { X.name; predicates = [] } ])
+    when String.equal v var && name <> "*" ->
+    Some name
+  | _ -> None
+
+type semi_join = {
+  sj_probe : X.expr;  (** the comparand evaluated per tuple *)
+  sj_set : X.expr;  (** the hoisted sequence *)
+  sj_set_right : bool;  (** the hoisted operand is the right one *)
+}
+
+let semi_join (e : X.expr) =
+  match e with
+  | X.Binop (X.B_general X.Eq, l, r) when is_hoisted r && not (is_hoisted l) ->
+    Some { sj_probe = l; sj_set = r; sj_set_right = true }
+  | X.Binop (X.B_general X.Eq, l, r) when is_hoisted l && not (is_hoisted r) ->
+    Some { sj_probe = r; sj_set = l; sj_set_right = false }
+  | _ -> None
+
+type quantified_probe = {
+  qp_every : bool;  (** [every .. satisfies L != $w/C]: the anti-join *)
+  qp_var : string;
+  qp_set : X.expr;  (** the hoisted binding sequence *)
+  qp_probe : X.expr;  (** [L], which does not read [qp_var] *)
+  qp_step : string;  (** [C] *)
+  qp_probe_left : bool;  (** [L] is the left operand *)
+}
+
+let quantified_probe (e : X.expr) =
+  match e with
+  | X.Quantified
+      { every; bindings = [ (w, set) ]; satisfies = X.Binop (X.B_general op, l, r) }
+    when is_hoisted set && if every then op = X.Ne else op = X.Eq -> (
+    let probe p step left =
+      if Vars.mem w (free_vars p) then None
+      else
+        Some
+          { qp_every = every; qp_var = w; qp_set = set; qp_probe = p;
+            qp_step = step; qp_probe_left = left }
+    in
+    match (var_step w r, var_step w l) with
+    | Some step, _ -> probe l step true
+    | None, Some step -> probe r step false
+    | None, None -> None)
+  | _ -> None
+
+type setop_probe = {
+  sp_var : string;
+  sp_source : X.expr;  (** the hoisted sequence of right-hand records *)
+  sp_keys : (string * string) list;
+      (** per column: the key variable [K] and the step [C] of
+          [K = $r/C or fn:empty(K) and fn:empty($r/C)] *)
+}
+
+(* [K = $r/C or fn:empty(K) and fn:empty($r/C)]: the set operations'
+   null-safe column match *)
+let null_safe_eq var (e : X.expr) =
+  match e with
+  | X.Binop
+      ( X.B_or,
+        X.Binop (X.B_general X.Eq, X.Var k, p),
+        X.Binop
+          ( X.B_and,
+            X.Call ("fn:empty", [ X.Var k' ]),
+            X.Call ("fn:empty", [ p' ]) ) )
+    when String.equal k k' && not (String.equal k var) -> (
+    match (var_step var p, var_step var p') with
+    | Some c, Some c' when String.equal c c' -> Some (k, c)
+    | _ -> None)
+  | _ -> None
+
+let setop_probe (f : X.flwor) =
+  match f.X.clauses with
+  | X.For { var; source } :: (_ :: _ as rest) when is_hoisted source ->
+    let rec keys acc = function
+      | [] -> Some { sp_var = var; sp_source = source; sp_keys = List.rev acc }
+      | X.Where c :: rest ->
+        let rec conj acc = function
+          | [] -> keys acc rest
+          | c :: cs -> (
+            match null_safe_eq var c with
+            | Some k -> conj (k :: acc) cs
+            | None -> None)
+        in
+        conj acc (split_conjuncts c)
+      | _ -> None
+    in
+    keys [] rest
+  | _ -> None
+
+(* A short description for notes, by the expression's head: e.g.
+   [fn:zero-or-one(fn:data(FLWOR/EXPR_1))] or [FLWOR over ns1:ORDERS()]. *)
+let rec summary (e : X.expr) =
+  match e with
+  | X.Var v -> "$" ^ v
+  | X.Path (b, steps) ->
+    List.fold_left (fun acc (s : X.step) -> acc ^ "/" ^ s.X.name) (summary b) steps
+  | X.Call (n, [ a ]) -> n ^ "(" ^ summary a ^ ")"
+  | X.Call (n, args) -> n ^ if args = [] then "()" else "(..)"
+  | X.Flwor { clauses; _ } -> (
+    match
+      List.find_map
+        (function X.For { source = X.Call (n, []); _ } -> Some n | _ -> None)
+        clauses
+    with
+    | Some n -> "FLWOR over " ^ n ^ "()"
+    | None -> "FLWOR")
+  | X.Quantified { every; _ } -> if every then "every .." else "some .."
+  | _ -> "expression"
+
+(* A child as its parent's [finish] sees it. *)
+type hkid = {
+  k_e : X.expr;  (* rewritten *)
+  k_orig : X.expr;
+  k_cand : bool;  (* closed, working, in a repeated position *)
+  k_mask : int;
+  k_work : bool;
+}
+
+(* worth a memo of its own: not a bare data-service scan, not hoisted *)
+let hoistable (e : X.expr) =
+  match e with X.Call (_, []) -> false | e -> not (is_hoisted e)
+
+(* a call of no built-in: every built-in lives in one of these
+   namespaces ([Functions]) *)
+let service_call n =
+  String.length n = 0
+  ||
+  match String.unsafe_get n 0 with
+  | 'f' | 'x' | 'a' ->
+    not
+      (String.starts_with ~prefix:"fn:" n
+      || String.starts_with ~prefix:"xs:" n
+      || String.starts_with ~prefix:"fn-bea:" n
+      || String.starts_with ~prefix:"aqua:" n)
+  | _ -> true
+
+(* A path walks a variable's nodes, or filters: a path over a literal
+   or the empty sequence does no work of its own. *)
+let path_work (base : X.expr) steps =
+  (match base with X.Var _ -> true | _ -> false)
+  || List.exists
+       (fun (s : X.step) -> match s.X.predicates with [] -> false | _ -> true)
+       steps
+
+(* The scope levels [hoist_closed] tracks, as bits of an int: levels
+   from 62 up share the last bit, which no filter clears below them. *)
+let level_bit l = 1 lsl (if l > 62 then 62 else l)
+let below depth m = if depth >= 62 then m else m land ((1 lsl depth) - 1)
+
+(* the bit of a variable read ([env]: innermost first, a run constant
+   at level -1; an unbound name is an external of the plan) *)
+let read_level env v =
+  match assoc_str v env with Some l when l >= 0 -> level_bit l | _ -> 0
+
+let hoist_closed acc (e : X.expr) : X.expr =
+  let read = read_level in
+  (* what [go] last returned: the levels read, whether it does work *)
+  let mask = ref 0 and work = ref false in
+  let wrap e =
+    acc.hoists <- acc.hoists + 1;
+    acc.notes <-
+      ("hoisted closed subexpression: " ^ summary e
+     ^ " (evaluated at most once per run, on first demand)")
+      :: acc.notes;
+    X.Call (hoisted_name, [ e ])
+  in
+  let count e =
+    (match semi_join e with
+    | Some _ ->
+      acc.semis <- acc.semis + 1;
+      acc.notes <- "semi-join probe: a hash set over the hoisted value" :: acc.notes
+    | None -> ());
+    match quantified_probe e with
+    | Some q ->
+      if q.qp_every then begin
+        acc.antis <- acc.antis + 1;
+        acc.notes <-
+          ("anti-join probe: every $" ^ q.qp_var ^ " satisfies != $" ^ q.qp_var ^ "/"
+         ^ q.qp_step)
+          :: acc.notes
+      end
+      else begin
+        acc.semis <- acc.semis + 1;
+        acc.notes <-
+          ("semi-join probe: some $" ^ q.qp_var ^ " satisfies = $" ^ q.qp_var ^ "/"
+         ^ q.qp_step)
+          :: acc.notes
+      end
+    | None -> ()
+  in
+  (* [go ~rep env depth e]: [e] rewritten, [rep] when it may run more
+     than once per run.  Each node lists its children as kids, each with
+     its own [rep]; [finish] rebuilds it from them. *)
+  let rec go ~rep env depth (e : X.expr) : X.expr =
+    match e with
+    | X.Literal _ | X.Text _ ->
+      mask := 0;
+      work := false;
+      e
+    | X.Var v ->
+      mask := read env v;
+      work := false;
+      e
+    | X.Context_item ->
+      mask := read env ".";
+      work := false;
+      e
+    | X.Seq es ->
+      let ks = List.map (kid ~rep env depth) es in
+      finish ~rep depth e ks (fun es -> X.Seq es)
+    | X.Call (n, args) ->
+      let ks = List.map (kid ~rep env depth) args in
+      finish ~rep ~w:(service_call n) depth e ks (fun args -> X.Call (n, args))
+    | X.Elem { name; content } ->
+      let ks = List.map (kid ~rep env depth) content in
+      finish ~rep depth e ks (fun content -> X.Elem { name; content })
+    | X.If (c, t, f) ->
+      let ks = [ kid ~rep env depth c; kid ~rep env depth t; kid ~rep env depth f ] in
+      finish ~rep depth e ks (function
+        | [ c; t; f ] -> X.If (c, t, f)
+        | _ -> assert false)
+    | X.Binop (op, a, b) ->
+      let ks = [ kid ~rep env depth a; kid ~rep env depth b ] in
+      let e' =
+        finish ~rep depth e ks (function
+          | [ a; b ] -> X.Binop (op, a, b)
+          | _ -> assert false)
+      in
+      count e';
+      e'
+    | X.Neg a ->
+      let ks = [ kid ~rep env depth a ] in
+      finish ~rep depth e ks (function [ a ] -> X.Neg a | _ -> assert false)
+    | X.Path (base, steps) ->
+      let kb = kid ~rep env depth base in
+      let env', depth' = ((".", depth) :: env, depth + 1) in
+      let kps =
+        List.map
+          (fun (s : X.step) -> List.map (kid ~rep:true env' depth') s.X.predicates)
+          steps
+      in
+      finish ~rep ~w:(path_work base steps) depth e
+        (kb :: List.concat kps)
+        (function
+          | base :: preds ->
+            let rest = ref preds in
+            X.Path
+              ( base,
+                List.map
+                  (fun (s : X.step) ->
+                    let ps =
+                      List.map
+                        (fun _ ->
+                          match !rest with
+                          | p :: r ->
+                            rest := r;
+                            p
+                          | [] -> assert false)
+                        s.X.predicates
+                    in
+                    { s with X.predicates = ps })
+                  steps )
+          | [] -> assert false)
+    | X.Filter (base, pred) ->
+      let kb = kid ~rep env depth base in
+      let kp = kid ~rep:true ((".", depth) :: env) (depth + 1) pred in
+      finish ~rep ~w:true depth e [ kb; kp ] (function
+        | [ b; p ] -> X.Filter (b, p)
+        | _ -> assert false)
+    | X.Quantified { every; bindings; satisfies } ->
+      let env = ref env and d = ref depth and first = ref true in
+      let kbs =
+        List.map
+          (fun (v, src) ->
+            let k = kid ~rep:(rep || not !first) !env !d src in
+            first := false;
+            env := (v, !d) :: !env;
+            incr d;
+            k)
+          bindings
+      in
+      let ks = kid ~rep:true !env !d satisfies in
+      let e' =
+        finish ~rep ~w:true depth e (kbs @ [ ks ]) (fun es ->
+            let rec split bs es =
+              match (bs, es) with
+              | [], [ s ] -> ([], s)
+              | (v, _) :: bs, src :: es ->
+                let bs, s = split bs es in
+                ((v, src) :: bs, s)
+              | _ -> assert false
+            in
+            let bindings, satisfies = split bindings es in
+            X.Quantified { every; bindings; satisfies })
+      in
+      count e';
+      e'
+    | X.Flwor { clauses; return } ->
+      let env = ref env and d = ref depth and iter = ref false in
+      let entry = !env in
+      let bind v =
+        env := (v, !d) :: !env;
+        incr d
+      in
+      (* per clause, its expressions' kids *)
+      let kcs =
+        List.map
+          (fun (c : X.clause) ->
+            let r = rep || !iter in
+            match c with
+            | X.For { var; source } ->
+              let k = kid ~rep:r !env !d source in
+              bind var;
+              iter := true;
+              [ k ]
+            | X.Let { var; value } ->
+              let k = kid ~rep:r !env !d value in
+              (* a let of a closed value is a run constant *)
+              if k.k_mask = 0 then env := (var, -1) :: !env else bind var;
+              [ k ]
+            | X.Where cond -> [ kid ~rep:r !env !d cond ]
+            | X.Order_by specs ->
+              List.map (fun (s : X.order_spec) -> kid ~rep:r !env !d s.X.key) specs
+            | X.Group { grouped; keys; partition } ->
+              let gv = X.Var grouped in
+              let g = { k_e = gv; k_orig = gv; k_cand = false;
+                        k_mask = read !env grouped; k_work = false } in
+              let ks = List.map (fun (k, _) -> kid ~rep:r !env !d k) keys in
+              env := entry;
+              List.iter (fun (_, kv) -> bind kv) keys;
+              bind partition;
+              iter := true;
+              g :: ks
+            | X.Hash_join { var; source; probe_key; build_key; _ } ->
+              let ks = kid ~rep:r !env !d source in
+              let kp = kid ~rep:r !env !d probe_key in
+              let kb = kid ~rep:true ((var, !d) :: !env) (!d + 1) build_key in
+              bind var;
+              iter := true;
+              [ ks; kp; kb ])
+          clauses
+      in
+      let kr = kid ~rep:(rep || !iter) !env !d return in
+      let e' =
+        finish ~rep ~w:true depth e (List.concat kcs @ [ kr ]) (fun es ->
+            let rest = ref es in
+            let next () =
+              match !rest with
+              | x :: r ->
+                rest := r;
+                x
+              | [] -> assert false
+            in
+            let clauses =
+              List.map
+                (fun (c : X.clause) ->
+                  match c with
+                  | X.For { var; _ } -> X.For { var; source = next () }
+                  | X.Let { var; _ } -> X.Let { var; value = next () }
+                  | X.Where _ -> X.Where (next ())
+                  | X.Order_by specs ->
+                    X.Order_by
+                      (List.map (fun (s : X.order_spec) -> { s with X.key = next () }) specs)
+                  | X.Group g ->
+                    ignore (next ());
+                    X.Group { g with keys = List.map (fun (_, kv) -> (next (), kv)) g.keys }
+                  | X.Hash_join h ->
+                    let source = next () in
+                    let probe_key = next () in
+                    let build_key = next () in
+                    X.Hash_join { h with source; probe_key; build_key })
+                clauses
+            in
+            X.Flwor { clauses; return = next () })
+      in
+      (match e' with
+      | X.Flwor f -> (
+        match setop_probe f with
+        | Some p ->
+          acc.setops <- acc.setops + 1;
+          acc.notes <-
+            ("set-op probe: $" ^ p.sp_var ^ " matched on a "
+            ^ string_of_int (List.length p.sp_keys)
+            ^ "-column null-safe key")
+            :: acc.notes
+        | None -> ())
+      | _ -> ());
+      e'
+  and kid ~rep env depth c =
+    match c with
+    | X.Literal _ | X.Text _ ->
+      { k_e = c; k_orig = c; k_cand = false; k_mask = 0; k_work = false }
+    | X.Var v ->
+      { k_e = c; k_orig = c; k_cand = false; k_mask = read env v; k_work = false }
+    | _ ->
+      let c' = go ~rep env depth c in
+      let m = !mask and w = !work in
+      { k_e = c'; k_orig = c; k_cand = rep && m = 0 && w && hoistable c';
+        k_mask = m; k_work = w }
+  (* the node's mask and work from its kids; wraps the candidates
+     unless the node itself is one *)
+  and finish ~rep ?(w = false) depth e ks rebuild =
+    let rec fold m w cand changed = function
+      | [] -> (m, w, cand, changed)
+      | k :: rest ->
+        fold (m lor k.k_mask) (w || k.k_work) (cand || k.k_cand)
+          (changed || k.k_e != k.k_orig) rest
+    in
+    let m, w, cand, changed = fold 0 w false false ks in
+    let m = below depth m in
+    let self = rep && m = 0 && w in
+    mask := m;
+    work := w;
+    if (cand && not self) || changed then
+      rebuild
+        (List.map (fun k -> if k.k_cand && not self then wrap k.k_e else k.k_e) ks)
+    else e
+  in
+  go ~rep:false [] 0 e
 
 (* ------------------------------------------------------------------ *)
 (* Scan column projection                                             *)
@@ -1171,11 +1693,6 @@ type projection = {
   p_cols : (string * string) list;  (** (step name, column variable) *)
 }
 
-(* [List.assoc_opt] on string keys, without polymorphic compare: the
-   analysis probes at every variable read of the plan *)
-let rec assoc_str k = function
-  | [] -> None
-  | (k', v) :: rest -> if String.equal k k' then Some v else assoc_str k rest
 
 (* A [where] that keeps few rows: some conjunct is an equality against
    a constant (the classic selectivity heuristic; a range or a join
@@ -1541,10 +2058,20 @@ let expr ?(node_fns = fun _ -> false) e =
       joins = 0;
       correlated = 0;
       fused = 0;
+      loops = 0;
+      hoists = 0;
+      semis = 0;
+      antis = 0;
+      setops = 0;
       notes = [];
     }
   in
-  let e = rewrite acc ~nested:false e in
+  let e = rewrite acc ~nested:false ~rep:false e in
+  (* a closed subexpression worth hoisting holds a loop of its own or
+     sits in one (a path over a let-bound RECORDSET: the set
+     operations), so a plan the rewrite left no nested loop in has
+     none *)
+  let e = if acc.loops > 0 then hoist_closed acc e else e in
   let module T = Aqua_core.Telemetry in
   T.add T.c_pushdown_rewrites acc.pushed;
   T.add T.c_hash_join_rewrites acc.joins;
@@ -1555,6 +2082,10 @@ let expr ?(node_fns = fun _ -> false) e =
       correlated_probes = acc.correlated;
       shared_scans = 0;
       fusions = acc.fused;
+      hoisted = acc.hoists;
+      semi_joins = acc.semis;
+      anti_joins = acc.antis;
+      setop_probes = acc.setops;
       notes = List.rev acc.notes;
     } )
 

@@ -29,6 +29,18 @@
       build the table once and each invocation of the FLWOR is a single
       probe.
 
+    After those, one more walk hoists closed subexpressions: each
+    maximal subexpression that reads no variable but the plan's
+    externals and variables let-bound to closed values, does work (a
+    FLWOR, a quantifier, a path over a variable or a data-service call,
+    but not a bare scan) and sits where it may run more than once per run is wrapped in
+    [aqua:hoisted(E)] ({!Functions.hoisted_name}), whose value is [E]'s.
+    The compiled engine evaluates it where it stands, on first demand,
+    at most once per run, and memoizes the value or the error in the
+    run's own slots; over the hoisted value it lowers the shapes
+    {!semi_join}, {!quantified_probe} and {!setop_probe} recognize to
+    hash probes built once per run.
+
     A parameterless data-service call that occurs more than once in the
     plan (a self-join, an uncorrelated subquery) stays in place: the DSP
     server pins one read view per statement, so every occurrence returns
@@ -48,6 +60,13 @@ type report = {
   fusions : int;
       (** constructor fusions: RECORDSETs unnested, lets read through
           their constructor, [return $w] inlined *)
+  hoisted : int;  (** closed subexpressions wrapped in [aqua:hoisted] *)
+  semi_joins : int;
+      (** [L = H] and [some $w in H satisfies L = $w/C] over a hoisted
+          [H] ({!semi_join}, {!quantified_probe}) *)
+  anti_joins : int;
+      (** [every $w in H satisfies L != $w/C] over a hoisted [H] *)
+  setop_probes : int;  (** set operations' matches FLWORs ({!setop_probe}) *)
   notes : string list;      (** human-readable one-liners *)
 }
 
@@ -80,6 +99,51 @@ val query :
   Aqua_xquery.Ast.query ->
   Aqua_xquery.Ast.query * report
 (** Optimize a query body (prolog is untouched). *)
+
+(** {1 Probes over hoisted values}
+
+    The shapes stage three emits for uncorrelated subqueries and set
+    operations, recognized on the optimized plan.  The optimizer counts
+    them; {!Compile} lowers them. *)
+
+val summary : Aqua_xquery.Ast.expr -> string
+(** The expression on one line, cut at 60 characters, for notes. *)
+
+type semi_join = {
+  sj_probe : Aqua_xquery.Ast.expr;  (** the comparand evaluated per tuple *)
+  sj_set : Aqua_xquery.Ast.expr;  (** the hoisted sequence *)
+  sj_set_right : bool;  (** the hoisted operand is the right one *)
+}
+
+val semi_join : Aqua_xquery.Ast.expr -> semi_join option
+(** [L = H] or [H = L] (general comparison), [H] hoisted and [L] not:
+    an uncorrelated [IN]. *)
+
+type quantified_probe = {
+  qp_every : bool;  (** [every .. satisfies L != $w/C]: the anti-join *)
+  qp_var : string;
+  qp_set : Aqua_xquery.Ast.expr;  (** the hoisted binding sequence *)
+  qp_probe : Aqua_xquery.Ast.expr;  (** [L], which does not read [qp_var] *)
+  qp_step : string;  (** [C] *)
+  qp_probe_left : bool;  (** [L] is the left operand *)
+}
+
+val quantified_probe : Aqua_xquery.Ast.expr -> quantified_probe option
+(** [some $w in H satisfies L = $w/C] (an uncorrelated [= ANY]) or
+    [every $w in H satisfies L != $w/C] (an uncorrelated [NOT IN]), either
+    operand order, [H] hoisted. *)
+
+type setop_probe = {
+  sp_var : string;
+  sp_source : Aqua_xquery.Ast.expr;  (** the hoisted right-hand records *)
+  sp_keys : (string * string) list;
+      (** per column: the key variable [K] and the step [C] *)
+}
+
+val setop_probe : Aqua_xquery.Ast.flwor -> setop_probe option
+(** [for $r in H where (K1 = $r/C1 or fn:empty(K1) and fn:empty($r/C1))
+    and ... return R], [H] hoisted: the matches FLWOR [INTERSECT],
+    [EXCEPT] and their [ALL] forms run per left-hand group. *)
 
 (** {1 Columnar-engine analyses}
 

@@ -393,6 +393,73 @@ let rerun_reads_the_pinned_version () =
 (* ------------------------------------------------------------------ *)
 
 (* Pool exhaustion is a typed, bounded error: SQLSTATE 53300. *)
+(* A hoisted value belongs to its run: two domains run one cached plan
+   with different literals while a third appends ORDERS rows.  The
+   statement counts the PRIORITY = k orders whose ORDERID is not in the
+   hoisted set of PRIORITY = k order ids, which is 0 only when the set
+   was built from the statement's own literal, at the version its outer
+   scan reads.  Needs real domains to race. *)
+let hoisted_probe_sql k =
+  Printf.sprintf
+    "SELECT COUNT(*) N FROM ORDERS WHERE PRIORITY = %d AND ORDERID NOT IN \
+     (SELECT ORDERID FROM ORDERS WHERE PRIORITY = %d)"
+    k k
+
+let hoisted_values_per_run () =
+  if Mcore.multicore then begin
+    let app =
+      Aqua_workload.Datagen.application ~seed:7
+        { Aqua_workload.Datagen.customers = 20; orders = 200;
+          lines_per_order = 1; payments = 4 }
+    in
+    let orders_ds = Option.get (Artifact.find_service app ~path:"Sales" ~name:"ORDERS") in
+    let orders =
+      match Artifact.find_function orders_ds "ORDERS" with
+      | Some { Artifact.body = Artifact.Physical t; _ } -> t
+      | _ -> Alcotest.fail "ORDERS is not physical"
+    in
+    let conn = Connection.connect app in
+    ignore (Connection.execute_query conn (hoisted_probe_sql 4));
+    let date = Value.Date { Aqua_xml.Atomic.year = 2024; month = 3; day = 1 } in
+    let stop = Atomic.make false in
+    let inserter =
+      Mcore.Domains.spawn (fun () ->
+          let k = ref 0 in
+          while not (Atomic.get stop) do
+            incr k;
+            Table.insert orders
+              [ Value.Int (800_000 + !k); Value.Int 2; date; Value.Str "NEW";
+                Value.Int (if !k mod 2 = 0 then 2 else 4) ];
+            Unix.sleepf 0.0002
+          done)
+    in
+    Fun.protect ~finally:(fun () ->
+        Atomic.set stop true;
+        Mcore.Domains.join inserter)
+    @@ fun () ->
+    let module Batch = Aqua_xqeval.Batch in
+    let prev = Batch.size () in
+    Fun.protect ~finally:(fun () -> Batch.set_size prev) @@ fun () ->
+    List.iter
+      (fun size ->
+        Batch.set_size size;
+        let stmts = List.init 200 (fun i -> hoisted_probe_sql (if i mod 2 = 0 then 4 else 2)) in
+        List.iteri
+          (fun i r ->
+            match r with
+            | Ok rs -> (
+              match (rowset_of rs).Rowset.rows with
+              | [ [| Value.Int 0 |] ] -> ()
+              | _ ->
+                Alcotest.failf "batch size %d, statement %d (%s): N is not 0" size i
+                  (List.nth stmts i))
+            | Error e -> raise e)
+          (Connection.execute_concurrent ~domains:2 conn stmts))
+      [ 1; 7; 1024 ];
+    Alcotest.(check int) "one plan for both literals" 1
+      (Connection.translation_cache_size conn)
+  end
+
 let pool_exhaustion () =
   let app = Helpers.demo_app () in
   let conn = Connection.connect app in
@@ -600,6 +667,8 @@ let suite =
         view_beside_its_table;
       Helpers.case "an engine-fault rerun reads the pinned version"
         rerun_reads_the_pinned_version;
+      Helpers.case "hoisted values are per run across domains"
+        hoisted_values_per_run;
       Helpers.case "exhausted pool raises SQLSTATE 53300" pool_exhaustion;
       Helpers.case "bounded-wait borrow succeeds after a release"
         blocking_borrow;
