@@ -14,34 +14,72 @@ module Breaker = Aqua_resilience.Breaker
 
 type table = Statements | Activity | Breakers
 
-let table_names =
-  [ "aqua_stat_statements"; "aqua_stat_activity"; "aqua_stat_breakers" ]
+let tables =
+  [ ("aqua_stat_statements", Statements); ("aqua_stat_activity", Activity);
+    ("aqua_stat_breakers", Breakers) ]
+
+let table_names = List.map fst tables
 
 (* Recognize exactly [SELECT * FROM <name>] (any case, any whitespace,
    optional trailing semicolon).  Anything fancier — projections,
    predicates — falls through to the translator and fails there with
    its normal unknown-table error, which is the honest answer: these
-   are not catalog tables. *)
+   are not catalog tables.
+
+   Every wire statement passes through here, so the match reads the
+   text in place and gives up at the first word that cannot match: an
+   ordinary statement is rejected at its first or second word, without
+   copying, splitting or lowercasing the text. *)
+
+(* [String.trim]'s blanks; inside the text only these separate words *)
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+let is_separator c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+
 let recognize sql =
-  let s = String.trim sql in
-  let s =
-    let n = String.length s in
-    if n > 0 && s.[n - 1] = ';' then String.trim (String.sub s 0 (n - 1))
-    else s
+  let n = String.length sql in
+  let rec trim_left lo =
+    if lo < n && is_blank sql.[lo] then trim_left (lo + 1) else lo
   in
-  let toks =
-    String.split_on_char ' '
-      (String.map (fun c -> if c = '\t' || c = '\n' || c = '\r' then ' ' else c) s)
-    |> List.filter (fun t -> t <> "")
-    |> List.map String.lowercase_ascii
+  let lo = trim_left 0 in
+  let rec trim_right hi =
+    if hi > lo && is_blank sql.[hi - 1] then trim_right (hi - 1) else hi
   in
-  match toks with
-  | [ "select"; "*"; "from"; name ] -> (
-    match name with
-    | "aqua_stat_statements" -> Some Statements
-    | "aqua_stat_activity" -> Some Activity
-    | "aqua_stat_breakers" -> Some Breakers
-    | _ -> None)
+  let hi = trim_right n in
+  let hi = if hi > lo && sql.[hi - 1] = ';' then trim_right (hi - 1) else hi in
+  (* the word starting at the first non-separator at or after [pos]:
+     [Some (start, stop)], or [None] at the end of the text *)
+  let rec word pos =
+    if pos >= hi then None
+    else if is_separator sql.[pos] then word (pos + 1)
+    else
+      let rec stop i =
+        if i < hi && not (is_separator sql.[i]) then stop (i + 1) else i
+      in
+      Some (pos, stop pos)
+  in
+  (* [sql.[start, stop)] is [w], case aside ([w] is lowercase) *)
+  let is (start, stop) w =
+    stop - start = String.length w
+    &&
+    let rec eq i =
+      i = String.length w
+      || (Char.lowercase_ascii sql.[start + i] = w.[i] && eq (i + 1))
+    in
+    eq 0
+  in
+  let expect w pos k =
+    match word pos with
+    | Some ((_, stop) as x) when is x w -> k stop
+    | _ -> None
+  in
+  expect "select" lo @@ fun pos ->
+  expect "*" pos @@ fun pos ->
+  expect "from" pos @@ fun pos ->
+  match word pos with
+  | Some ((_, stop) as name) when word stop = None ->
+    List.find_map
+      (fun (n, table) -> if is name n then Some table else None)
+      tables
   | _ -> None
 
 let col label ty =

@@ -6,8 +6,13 @@
    garbage length, an unknown type byte — is an [error] value the
    server maps to a session-scoped 08P01.  Nothing in this module
    raises on malformed input; the only exceptions that can escape are
-   [Unix.Unix_error] from the byte source, and [of_fd] folds those
-   into [Eof]/[Timeout] too. *)
+   [Unix.Unix_error] from the byte source, and the reader folds those
+   into [Eof]/[Timeout] too.
+
+   The reader is buffered: one read of the byte source fills a chunk,
+   and frames are parsed out of it in place, so a reply of n frames
+   costs about one read per chunk instead of three per frame.  Bytes
+   read past a frame stay in the chunk for the next one. *)
 
 module Sql_type = Aqua_relational.Sql_type
 module Value = Aqua_relational.Value
@@ -47,43 +52,98 @@ module Reader = struct
     read : bytes -> int -> int -> int;
         (* Unix.read contract: 0 = EOF; may raise Unix_error *)
     max_frame : int;
+    mutable chunk : bytes;
+    mutable pos : int;  (* first unparsed byte of [chunk] *)
+    mutable lim : int;  (* end of the bytes read into [chunk] *)
   }
 
   let default_max_frame = 1 lsl 20
 
-  let of_fd ?(max_frame = default_max_frame) fd =
-    { read = (fun b off len -> Unix.read fd b off len); max_frame }
+  (* One read(2) fills at most this much.  OCaml's [Unix.read] copies
+     through a 64 KiB stack buffer (UNIX_BUFFER_SIZE), so no single
+     call returns more: a larger chunk would buy no fewer reads. *)
+  let chunk_size = 65_536
 
-  let of_string ?(max_frame = default_max_frame) s =
-    let pos = ref 0 in
-    let read b off len =
-      let n = min len (String.length s - !pos) in
-      if n <= 0 then 0
-      else begin
-        Bytes.blit_string s !pos b off n;
-        pos := !pos + n;
-        n
-      end
-    in
-    { read; max_frame }
+  (* A reader starts on a chunk that holds any ordinary startup frame
+     and takes the full one at its first typed frame, so a connection
+     refused after its startup frame never allocates [chunk_size]. *)
+  let startup_chunk_size = 512
 
-  (* Exactly [len] bytes, or the error that stopped us.  A partial
-     frame followed by EOF is [Eof] — truncation and a closed peer are
-     indistinguishable on a stream socket, and both end the session. *)
-  let read_exact t len =
-    let buf = Bytes.create len in
-    let rec go off =
-      if off = len then Ok (Bytes.unsafe_to_string buf)
-      else
-        match t.read buf off (len - off) with
-        | 0 -> Error Eof
-        | n -> go (off + n)
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
-          ->
-          Error Timeout
-        | exception Unix.Unix_error _ -> Error Eof
-    in
-    go 0
+  let of_read ?(max_frame = default_max_frame) read =
+    { read; max_frame; chunk = Bytes.create startup_chunk_size; pos = 0;
+      lim = 0 }
+
+  let of_fd ?max_frame fd = of_read ?max_frame (Unix.read fd)
+
+  let of_string ?max_frame s =
+    let off = ref 0 in
+    of_read ?max_frame (fun b pos len ->
+        let n = min len (String.length s - !off) in
+        Bytes.blit_string s !off b pos n;
+        off := !off + n;
+        n)
+
+  let full_chunk t =
+    if Bytes.length t.chunk < chunk_size then begin
+      let c = Bytes.create chunk_size in
+      Bytes.blit t.chunk t.pos c 0 (t.lim - t.pos);
+      t.chunk <- c;
+      t.lim <- t.lim - t.pos;
+      t.pos <- 0
+    end
+
+  (* One read into the chunk, after moving the unparsed tail to its
+     front.  EOF, even mid-frame, is [Eof]: truncation and a closed
+     peer are indistinguishable on a stream socket, and both end the
+     session. *)
+  let fill t =
+    let rest = t.lim - t.pos in
+    if t.pos > 0 then begin
+      Bytes.blit t.chunk t.pos t.chunk 0 rest;
+      t.pos <- 0;
+      t.lim <- rest
+    end;
+    match t.read t.chunk t.lim (Bytes.length t.chunk - t.lim) with
+    | 0 -> Error Eof
+    | n ->
+      t.lim <- t.lim + n;
+      Ok ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+      Error Timeout
+    | exception Unix.Unix_error _ -> Error Eof
+
+  (* At least [n] unparsed bytes in the chunk ([n] is a header's size,
+     far below the chunk's). *)
+  let rec ensure t n =
+    if t.lim - t.pos >= n then Ok ()
+    else match fill t with Ok () -> ensure t n | Error _ as e -> e
+
+  (* The next [len] bytes as a string: cut from the chunk when it holds
+     them, else assembled across refills. *)
+  let take t len =
+    let avail = t.lim - t.pos in
+    if avail >= len then begin
+      let s = Bytes.sub_string t.chunk t.pos len in
+      t.pos <- t.pos + len;
+      Ok s
+    end
+    else begin
+      let buf = Bytes.create len in
+      Bytes.blit t.chunk t.pos buf 0 avail;
+      t.pos <- t.lim;
+      let rec go off =
+        if off = len then Ok (Bytes.unsafe_to_string buf)
+        else
+          match fill t with
+          | Error _ as e -> e
+          | Ok () ->
+            let k = min (t.lim - t.pos) (len - off) in
+            Bytes.blit t.chunk t.pos buf off k;
+            t.pos <- t.pos + k;
+            go (off + k)
+      in
+      go avail
+    end
 
   let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
@@ -92,6 +152,21 @@ module Reader = struct
     lor (Char.code s.[off + 1] lsl 16)
     lor (Char.code s.[off + 2] lsl 8)
     lor Char.code s.[off + 3]
+
+  (* The next byte, and the next big-endian length, read in place and
+     consumed; [ensure] has made them available. *)
+  let chunk_byte t =
+    let c = Bytes.get t.chunk t.pos in
+    t.pos <- t.pos + 1;
+    c
+
+  let chunk_be32 t =
+    let v =
+      (Bytes.get_uint16_be t.chunk t.pos lsl 16)
+      lor Bytes.get_uint16_be t.chunk (t.pos + 2)
+    in
+    t.pos <- t.pos + 4;
+    v
 
   (* NUL-separated fields of a startup payload: key/value pairs until
      the empty-string terminator; trailing garbage is ignored (be
@@ -106,15 +181,15 @@ module Reader = struct
     pairs [] fields
 
   let read_startup t =
-    let* header = read_exact t 8 in
-    let length = be32 header 0 in
-    let code = be32 header 4 in
+    let* () = ensure t 8 in
+    let length = chunk_be32 t in
+    let code = chunk_be32 t in
     if length < 8 then
       Error (Malformed (Printf.sprintf "startup length %d < 8" length))
     else if length - 8 > t.max_frame then
       Error (Oversized { kind = "startup"; length; max = t.max_frame })
     else
-      let* payload = read_exact t (length - 8) in
+      let* payload = take t (length - 8) in
       if code = ssl_request_code then Ok Ssl_request
       else if code = gss_request_code then Ok Gss_request
       else if code = cancel_request_code then Ok Cancel_request
@@ -132,10 +207,10 @@ module Reader = struct
     | None -> payload
 
   let read_message t =
-    let* tag = read_exact t 1 in
-    let tag = tag.[0] in
-    let* header = read_exact t 4 in
-    let length = be32 header 0 in
+    full_chunk t;
+    let* () = ensure t 5 in
+    let tag = chunk_byte t in
+    let length = chunk_be32 t in
     if length < 4 then
       Error
         (Malformed (Printf.sprintf "message %C length %d < 4" tag length))
@@ -144,7 +219,7 @@ module Reader = struct
         (Oversized
            { kind = Printf.sprintf "%C" tag; length; max = t.max_frame })
     else
-      let* payload = read_exact t (length - 4) in
+      let* payload = take t (length - 4) in
       match tag with
       | 'Q' -> Ok (Query (cstring payload))
       | 'X' -> Ok Terminate
@@ -156,7 +231,9 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Encoders: every frame is appended whole to a Buffer.t, so the
-   sender flushes one write per batch. *)
+   sender flushes one write per batch.  Each encoder knows its
+   payload's length before writing it, so a frame goes straight into
+   the caller's buffer: type byte, length prefix, payload. *)
 
 let add_be32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
@@ -172,45 +249,54 @@ let add_cstring buf s =
   Buffer.add_string buf s;
   Buffer.add_char buf '\000'
 
-(* [frame buf 'T' fill]: type byte, then a length prefix covering the
-   payload [fill] writes (plus the prefix itself, per the protocol). *)
-let frame buf tag fill =
+let cstring_length s = String.length s + 1
+
+(* [header buf 'T' n]: the type byte, then a length prefix covering an
+   [n]-byte payload (plus the prefix itself, per the protocol). *)
+let header buf tag payload_length =
   Buffer.add_char buf tag;
-  let body = Buffer.create 64 in
-  fill body;
-  add_be32 buf (Buffer.length body + 4);
-  Buffer.add_buffer buf body
+  add_be32 buf (payload_length + 4)
 
 (* frontend: the untyped startup frame, then the typed ones *)
 
 let startup_message buf params =
-  let body = Buffer.create 64 in
-  add_be32 body protocol_v3;
+  let pairs =
+    List.fold_left
+      (fun n (k, v) -> n + cstring_length k + cstring_length v)
+      0 params
+  in
+  add_be32 buf (4 + 4 + pairs + 1);
+  add_be32 buf protocol_v3;
   List.iter
     (fun (k, v) ->
-      add_cstring body k;
-      add_cstring body v)
+      add_cstring buf k;
+      add_cstring buf v)
     params;
-  Buffer.add_char body '\000';
-  add_be32 buf (Buffer.length body + 4);
-  Buffer.add_buffer buf body
+  Buffer.add_char buf '\000'
 
-let query_message buf sql = frame buf 'Q' (fun b -> add_cstring b sql)
-let terminate_message buf = frame buf 'X' (fun _ -> ())
+let query_message buf sql =
+  header buf 'Q' (cstring_length sql);
+  add_cstring buf sql
 
-let authentication_ok buf = frame buf 'R' (fun b -> add_be32 b 0)
+let terminate_message buf = header buf 'X' 0
+
+let authentication_ok buf =
+  header buf 'R' 4;
+  add_be32 buf 0
 
 let parameter_status buf key value =
-  frame buf 'S' (fun b ->
-      add_cstring b key;
-      add_cstring b value)
+  header buf 'S' (cstring_length key + cstring_length value);
+  add_cstring buf key;
+  add_cstring buf value
 
 let backend_key_data buf ~pid ~secret =
-  frame buf 'K' (fun b ->
-      add_be32 b pid;
-      add_be32 b secret)
+  header buf 'K' 8;
+  add_be32 buf pid;
+  add_be32 buf secret
 
-let ready_for_query buf = frame buf 'Z' (fun b -> Buffer.add_char b 'I')
+let ready_for_query buf =
+  header buf 'Z' 1;
+  Buffer.add_char buf 'I'
 
 (* PostgreSQL catalog OIDs for the SQL-92 types the translator can
    infer, so a real client library recognizes the columns. *)
@@ -228,47 +314,69 @@ let type_oid = function
   | Sql_type.Time -> 1083
   | Sql_type.Timestamp -> 1114
 
+(* the fixed descriptor bytes after each column name *)
+let field_descriptor_length = 18
+
 let row_description buf (cols : Outcol.t list) =
-  frame buf 'T' (fun b ->
-      add_be16 b (List.length cols);
-      List.iter
-        (fun (c : Outcol.t) ->
-          add_cstring b c.Outcol.label;
-          add_be32 b 0 (* table OID: not a catalog table *);
-          add_be16 b 0 (* attribute number *);
-          add_be32 b (type_oid c.Outcol.ty);
-          add_be16 b 0xffff (* typlen -1: variable *);
-          add_be32 b 0xffffffff (* typmod -1 *);
-          add_be16 b 0 (* format: text *))
-        cols)
+  header buf 'T'
+    (List.fold_left
+       (fun n (c : Outcol.t) ->
+         n + cstring_length c.Outcol.label + field_descriptor_length)
+       2 cols);
+  add_be16 buf (List.length cols);
+  List.iter
+    (fun (c : Outcol.t) ->
+      add_cstring buf c.Outcol.label;
+      add_be32 buf 0 (* table OID: not a catalog table *);
+      add_be16 buf 0 (* attribute number *);
+      add_be32 buf (type_oid c.Outcol.ty);
+      add_be16 buf 0xffff (* typlen -1: variable *);
+      add_be32 buf 0xffffffff (* typmod -1 *);
+      add_be16 buf 0 (* format: text *))
+    cols
 
+(* The cells are rendered first, so the length prefix can be written
+   ahead of them; SQL NULL is the -1 length sentinel, with no bytes. *)
 let data_row buf values =
-  frame buf 'D' (fun b ->
-      add_be16 b (Array.length values);
-      Array.iter
-        (fun v ->
-          match v with
-          | Value.Null -> add_be32 b 0xffffffff (* -1: SQL NULL *)
-          | v ->
-            let s = Value.to_string v in
-            add_be32 b (String.length s);
-            Buffer.add_string b s)
-        values)
+  let cells =
+    Array.map
+      (function Value.Null -> None | v -> Some (Value.to_string v))
+      values
+  in
+  header buf 'D'
+    (Array.fold_left
+       (fun n cell ->
+         n + 4 + match cell with None -> 0 | Some s -> String.length s)
+       2 cells);
+  add_be16 buf (Array.length cells);
+  Array.iter
+    (function
+      | None -> add_be32 buf 0xffffffff
+      | Some s ->
+        add_be32 buf (String.length s);
+        Buffer.add_string buf s)
+    cells
 
-let command_complete buf tag = frame buf 'C' (fun b -> add_cstring b tag)
-let empty_query_response buf = frame buf 'I' (fun _ -> ())
+let command_complete buf tag =
+  header buf 'C' (cstring_length tag);
+  add_cstring buf tag
+
+let empty_query_response buf = header buf 'I' 0
 
 let error_response buf ?(severity = "ERROR") ~sqlstate message =
-  frame buf 'E' (fun b ->
-      Buffer.add_char b 'S';
-      add_cstring b severity;
-      Buffer.add_char b 'V';
-      add_cstring b severity;
-      Buffer.add_char b 'C';
-      add_cstring b sqlstate;
-      Buffer.add_char b 'M';
-      add_cstring b message;
-      Buffer.add_char b '\000' (* field-list terminator *))
+  (* four coded fields, then the field-list terminator *)
+  header buf 'E'
+    (1 + cstring_length severity + 1 + cstring_length severity + 1
+    + cstring_length sqlstate + 1 + cstring_length message + 1);
+  Buffer.add_char buf 'S';
+  add_cstring buf severity;
+  Buffer.add_char buf 'V';
+  add_cstring buf severity;
+  Buffer.add_char buf 'C';
+  add_cstring buf sqlstate;
+  Buffer.add_char buf 'M';
+  add_cstring buf message;
+  Buffer.add_char buf '\000'
 
 let ssl_refused buf = Buffer.add_char buf 'N'
 
@@ -360,19 +468,20 @@ let decode_data_row payload =
     value [] 2 n
 
 let read_backend (r : Reader.t) =
-  let* tag = Reader.read_exact r 1 in
-  let tag = tag.[0] in
+  Reader.full_chunk r;
+  let* () = Reader.ensure r 1 in
+  let tag = Reader.chunk_byte r in
   if tag = 'N' then Ok (B_other ('N', "")) (* SSL refusal byte *)
   else
-    let* header = Reader.read_exact r 4 in
-    let length = Reader.be32 header 0 in
+    let* () = Reader.ensure r 4 in
+    let length = Reader.chunk_be32 r in
     if length < 4 then Error (Malformed "backend length < 4")
     else if length - 4 > r.Reader.max_frame then
       Error
         (Oversized
            { kind = Printf.sprintf "%C" tag; length; max = r.Reader.max_frame })
     else
-      let* payload = Reader.read_exact r (length - 4) in
+      let* payload = Reader.take r (length - 4) in
       match tag with
       | 'R' -> Ok B_auth_ok
       | 'S' -> (

@@ -12,8 +12,9 @@
     in-memory string for the fuzz suite), and every decoding failure
     is a value — {!error} — never an exception, so the server can map
     garbage, truncation and oversized frames to a session-scoped
-    SQLSTATE 08P01 instead of dying.  Encoders append to a [Buffer.t]
-    so one flush per response batch reaches the socket. *)
+    SQLSTATE 08P01 instead of dying.  Encoders append each frame
+    straight to a [Buffer.t], so one flush per response batch reaches
+    the socket as one write. *)
 
 (** {1 Frontend (client -> server) messages} *)
 
@@ -43,16 +44,32 @@ val error_to_string : error -> string
 
 module Reader : sig
   type t
+  (** A buffered frame reader.  It reads its byte source a chunk
+      ({!chunk_size} bytes) at a time and parses frames out of the
+      chunk; bytes read past one frame are kept for the next, so
+      pipelined frames are never dropped.  A connection's startup
+      frame is read through a small chunk, and the full chunk is
+      allocated at the first typed frame. *)
+
+  val chunk_size : int
+  (** 64 KiB, the most one [Unix.read] returns. *)
+
+  val of_read : ?max_frame:int -> (bytes -> int -> int -> int) -> t
+  (** Reads from a byte source with the [Unix.read] contract: [read b
+      off len] stores at most [len] bytes at [off] and returns their
+      count, 0 at end of stream.  [max_frame] (default 1 MiB) bounds
+      any single frame's declared payload length, and is checked
+      before the payload is allocated — a garbage length prefix can
+      therefore never make the server allocate or block unboundedly.
+      An [EAGAIN]/[EWOULDBLOCK]/[EINTR] [Unix_error] (a [SO_RCVTIMEO]
+      expiry) surfaces as {!Timeout}; any other as {!Eof}.  End of
+      stream, at a frame boundary or inside a frame, is {!Eof}. *)
 
   val of_fd : ?max_frame:int -> Unix.file_descr -> t
-  (** Reads from a connected socket.  [max_frame] (default 1 MiB)
-      bounds any single frame's declared payload length — a garbage
-      length prefix can therefore never make the server allocate or
-      block unboundedly.  A [SO_RCVTIMEO] expiry surfaces as
-      {!Timeout}; any other socket error as {!Eof}. *)
+  (** [of_read] over a connected socket. *)
 
   val of_string : ?max_frame:int -> string -> t
-  (** Reads from an in-memory byte string (fuzz and unit tests);
+  (** [of_read] over an in-memory byte string (fuzz and unit tests);
       running out of bytes is {!Eof}, exactly like a closed peer. *)
 
   val read_startup : t -> (frontend, error) result

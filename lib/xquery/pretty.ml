@@ -188,6 +188,18 @@ and emit_element ctx name content =
   add ctx ("</" ^ name ^ ">")
 
 and emit_flwor ctx f =
+  match f.clauses with
+  | Where c :: rest ->
+    (* XQuery opens a FLWOR with for or let, so a leading where (the
+       optimizer hoists a closed condition to the front) prints as the
+       conditional it means: c tested once, empty when false *)
+    let body =
+      match rest with [] -> f.return | _ -> Flwor { f with clauses = rest }
+    in
+    emit ctx 0 (If (c, body, Seq []))
+  | _ -> emit_clauses ctx f
+
+and emit_clauses ctx f =
   List.iteri
     (fun i clause ->
       if i > 0 then nl ctx;

@@ -16,6 +16,11 @@ module Telemetry = Aqua_core.Telemetry
 module Json = Aqua_core.Json
 module Stats = Aqua_obs.Stats
 module Expose = Aqua_obs.Expose
+module Stat_tables = Aqua_net.Stat_tables
+module Result_set = Aqua_driver.Result_set
+module Value = Aqua_relational.Value
+module Sql_type = Aqua_relational.Sql_type
+module Outcol = Aqua_translator.Outcol
 
 (* ------------------------------------------------------------------ *)
 (* Codec *)
@@ -116,6 +121,243 @@ let garbage_never_crashes =
       in
       walk 64)
 
+(* Every encoder's length prefix covers exactly the bytes it wrote. *)
+let encoder_lengths () =
+  let frame name encode =
+    let buf = Buffer.create 64 in
+    encode buf;
+    let s = Buffer.contents buf in
+    let declared = Bytes.get_int32_be (Bytes.of_string s) 1 in
+    Alcotest.(check int) name (String.length s - 1) (Int32.to_int declared)
+  in
+  frame "Q" (fun b -> Wire.query_message b "SELECT 1 FROM T");
+  frame "X" Wire.terminate_message;
+  frame "R" Wire.authentication_ok;
+  frame "S" (fun b -> Wire.parameter_status b "server_version" "15.0");
+  frame "K" (fun b -> Wire.backend_key_data b ~pid:7 ~secret:9);
+  frame "Z" Wire.ready_for_query;
+  frame "T" (fun b ->
+      Wire.row_description b
+        [ Outcol.make ~label:"ID" ~element:"ID" ~ty:Sql_type.Integer
+            ~nullable:false;
+          Outcol.make ~label:"NAME" ~element:"NAME"
+            ~ty:(Sql_type.Varchar None) ~nullable:true ]);
+  frame "D" (fun b ->
+      Wire.data_row b [| Value.Int 42; Value.Null; Value.Str "x\000y" |]);
+  frame "C" (fun b -> Wire.command_complete b "SELECT 6");
+  frame "I" Wire.empty_query_response;
+  frame "E" (fun b ->
+      Wire.error_response b ~severity:"FATAL" ~sqlstate:"08P01" "bad frame");
+  let buf = Buffer.create 64 in
+  Wire.startup_message buf [ ("user", "u"); ("database", "d") ];
+  let s = Buffer.contents buf in
+  Alcotest.(check int) "startup" (String.length s)
+    (Int32.to_int (Bytes.get_int32_be (Bytes.of_string s) 0))
+
+(* ------------------------------------------------------------------ *)
+(* Buffered reading *)
+
+(* A byte source over [s] with the [Unix.read] contract that returns
+   the [sizes] in turn, as a socket's short reads would (never more
+   than asked for, or than is left); [calls] counts its reads. *)
+let short_reads ?(calls = ref 0) s sizes =
+  let sizes = Array.of_list sizes in
+  let off = ref 0 in
+  fun b pos len ->
+    let want = sizes.(!calls mod Array.length sizes) in
+    incr calls;
+    let n = min (min want len) (String.length s - !off) in
+    Bytes.blit_string s !off b pos n;
+    off := !off + n;
+    n
+
+(* every frame a reader yields, up to and including the first error *)
+let decode_all read_frame r =
+  let rec go acc =
+    match read_frame r with
+    | Ok _ as f -> go (f :: acc)
+    | Error _ as e -> List.rev (e :: acc)
+  in
+  go []
+
+let frontend_trace r =
+  match Wire.Reader.read_startup r with
+  | Error _ as e -> [ e ]
+  | Ok _ as f -> f :: decode_all Wire.Reader.read_message r
+
+let encoded encode =
+  let buf = Buffer.create 64 in
+  encode buf;
+  Buffer.contents buf
+
+(* Streams of valid frames of both directions, payloads larger than
+   the chunk among them, with garbage, oversized frames and a
+   truncated tail mixed in. *)
+let stream_gen =
+  let open QCheck.Gen in
+  let text = string_size ~gen:printable (0 -- 300) in
+  let piece =
+    frequency
+      [ (8, map (fun s -> encoded (fun b -> Wire.query_message b s)) text);
+        ( 1,
+          map
+            (fun n ->
+              encoded (fun b -> Wire.query_message b (String.make n 'q')))
+            (Wire.Reader.chunk_size -- (2 * Wire.Reader.chunk_size)) );
+        (2, return (encoded Wire.terminate_message));
+        (1, return (encoded Wire.ready_for_query));
+        ( 3,
+          map
+            (fun cells ->
+              encoded (fun b ->
+                  Wire.data_row b
+                    (Array.of_list
+                       (List.map
+                          (function None -> Value.Null | Some s -> Value.Str s)
+                          cells))))
+            (list_size (0 -- 6) (opt text)) );
+        (2, map (fun s -> encoded (fun b -> Wire.command_complete b s)) text);
+        ( 1,
+          map2
+            (fun state m ->
+              encoded (fun b -> Wire.error_response b ~sqlstate:state m))
+            (string_size ~gen:numeral (return 5))
+            text );
+        (1, string_size (1 -- 8) (* garbage *));
+        (1, return "Q\x7f\xff\xff\xff" (* oversized *)) ]
+  in
+  let stream =
+    map3
+      (fun startup pieces cut ->
+        let s =
+          (if startup then
+             encoded (fun b -> Wire.startup_message b [ ("user", "u") ])
+           else "")
+          ^ String.concat "" pieces
+        in
+        (* a third of the streams lose their tail mid-frame *)
+        match cut with
+        | Some keep -> String.sub s 0 (String.length s * keep / 1000)
+        | None -> s)
+      bool
+      (list_size (0 -- 12) piece)
+      (frequency [ (2, return None); (1, map Option.some (0 -- 999)) ])
+  in
+  let sizes =
+    oneofl [ 1; 2; 3; 5; 8; 64; 700; 4096; Wire.Reader.chunk_size + 3 ]
+    >>= fun k -> list_size (1 -- 8) (1 -- k)
+  in
+  pair stream sizes
+
+let short_reads_agree =
+  QCheck.Test.make ~name:"short reads decode like the whole stream"
+    ~count:300
+    (QCheck.make stream_gen ~print:(fun (s, sizes) ->
+         Printf.sprintf "%d bytes %S..., reads of %s" (String.length s)
+           (String.sub s 0 (min 40 (String.length s)))
+           (String.concat "," (List.map string_of_int sizes))))
+    (fun (s, sizes) ->
+      let whole = Wire.Reader.of_string s in
+      let short () = Wire.Reader.of_read (short_reads s sizes) in
+      frontend_trace whole = frontend_trace (short ())
+      && decode_all Wire.read_backend (Wire.Reader.of_string s)
+         = decode_all Wire.read_backend (short ()))
+
+(* One read per chunk, not three per frame: a 200-row reply of about
+   100 KB comes through a source that returns all it is asked for in
+   at most 1 + ceil(bytes / chunk) reads. *)
+let reads_per_chunk () =
+  let buf = Buffer.create 4096 in
+  Wire.row_description buf
+    [ Outcol.make ~label:"ID" ~element:"ID" ~ty:Sql_type.Integer
+        ~nullable:false;
+      Outcol.make ~label:"NOTE" ~element:"NOTE" ~ty:(Sql_type.Varchar None)
+        ~nullable:false ];
+  for i = 1 to 200 do
+    Wire.data_row buf [| Value.Int i; Value.Str (String.make 500 'n') |]
+  done;
+  Wire.command_complete buf "SELECT 200";
+  Wire.ready_for_query buf;
+  let reply = Buffer.contents buf in
+  let calls = ref 0 in
+  let r = Wire.Reader.of_read (short_reads ~calls reply [ max_int ]) in
+  let rec rows n =
+    match Wire.read_backend r with
+    | Ok (Wire.B_ready _) -> n
+    | Ok (Wire.B_data_row _) -> rows (n + 1)
+    | Ok _ -> rows n
+    | Error e -> Alcotest.failf "reply cut short: %s" (Wire.error_to_string e)
+  in
+  Alcotest.(check int) "rows" 200 (rows 0);
+  let chunk = Wire.Reader.chunk_size in
+  let bound = 1 + ((String.length reply + chunk - 1) / chunk) in
+  if !calls > bound then
+    Alcotest.failf "%d reads for a %d-byte reply, at most %d allowed" !calls
+      (String.length reply) bound
+
+(* The wire fast path for aqua_stat_* reads the text in place; it must
+   match exactly what the whitespace-split reading of the statement
+   matched. *)
+let recognize_by_tokens sql =
+  let s = String.trim sql in
+  let s =
+    let n = String.length s in
+    if n > 0 && s.[n - 1] = ';' then String.trim (String.sub s 0 (n - 1))
+    else s
+  in
+  String.split_on_char ' '
+    (String.map
+       (fun c -> if c = '\t' || c = '\n' || c = '\r' then ' ' else c)
+       s)
+  |> List.filter (fun t -> t <> "")
+  |> List.map String.lowercase_ascii
+  |> function
+  | [ "select"; "*"; "from"; "aqua_stat_statements" ] ->
+    Some Stat_tables.Statements
+  | [ "select"; "*"; "from"; "aqua_stat_activity" ] ->
+    Some Stat_tables.Activity
+  | [ "select"; "*"; "from"; "aqua_stat_breakers" ] ->
+    Some Stat_tables.Breakers
+  | _ -> None
+
+let recognize_matches_tokens =
+  let gen =
+    let open QCheck.Gen in
+    let word =
+      oneofl
+        [ "select"; "SELECT"; "Select"; "*"; "from"; "FROM";
+          "aqua_stat_statements"; "AQUA_STAT_ACTIVITY"; "aqua_stat_Breakers";
+          "aqua_stat_"; "pid"; ";"; "CUSTOMERS"; "selects" ]
+    in
+    let blank = oneofl [ ""; " "; "  "; "\t"; "\n"; "\r\n"; "\012"; ";" ] in
+    (* the matching shape, in any case, then maybe a word too many *)
+    let canonical =
+      map3
+        (fun (select, from) (name, tail) seps ->
+          match seps with
+          | [ a; b; c; d; e ] ->
+            a ^ select ^ b ^ "*" ^ c ^ from ^ d ^ name ^ e ^ tail
+          | _ -> name)
+        (pair
+           (oneofl [ "select"; "SELECT"; "sElEcT" ])
+           (oneofl [ "from"; "FROM" ]))
+        (pair
+           (oneofl (Stat_tables.table_names @ [ "AQUA_STAT_STATEMENTS" ]))
+           (oneofl [ ""; ""; ""; " pid"; ";"; " ;"; "x"; "\t*" ]))
+        (list_repeat 5 blank)
+    in
+    let random =
+      map
+        (fun parts ->
+          String.concat "" (List.concat_map (fun (b, w) -> [ b; w ]) parts))
+        (list_size (0 -- 7) (pair blank word))
+    in
+    frequency [ (1, canonical); (2, random) ]
+  in
+  QCheck.Test.make ~name:"aqua_stat_* matching agrees with the token reading"
+    ~count:1000 (QCheck.make gen ~print:(Printf.sprintf "%S"))
+    (fun sql -> Stat_tables.recognize sql = recognize_by_tokens sql)
+
 (* ------------------------------------------------------------------ *)
 (* Live server (multicore only: Netserver.start needs domains) *)
 
@@ -204,6 +446,23 @@ let serve_nulls_and_escapes () =
 
 (* A garbage frame is session-scoped: FATAL 08P01 on that socket, any
    other session keeps working. *)
+(* A hand-rolled session, past its greeting, for writing raw bytes. *)
+let raw_session t =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Netserver.port t));
+  let hello = encoded (fun b -> Wire.startup_message b [ ("user", "raw") ]) in
+  ignore (Unix.write_substring fd hello 0 (String.length hello));
+  let reader = Wire.Reader.of_fd fd in
+  let rec to_ready () =
+    match Wire.read_backend reader with
+    | Ok (Wire.B_ready _) -> ()
+    | Ok _ -> to_ready ()
+    | Error e -> Alcotest.failf "greeting failed: %s" (Wire.error_to_string e)
+  in
+  to_ready ();
+  (fd, reader)
+
 let protocol_error_scoped () =
   if not Mcore.multicore then ()
   else
@@ -211,22 +470,7 @@ let protocol_error_scoped () =
     let healthy = connect_ok t in
     expect_rows healthy "SELECT CUSTOMERID FROM CUSTOMERS" 6;
     (* hand-rolled socket so we can write raw garbage post-handshake *)
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-    Unix.connect fd
-      (Unix.ADDR_INET (Unix.inet_addr_loopback, Netserver.port t));
-    let buf = Buffer.create 64 in
-    Wire.startup_message buf [ ("user", "garbage") ];
-    ignore
-      (Unix.write_substring fd (Buffer.contents buf) 0 (Buffer.length buf));
-    let reader = Wire.Reader.of_fd fd in
-    let rec to_ready () =
-      match Wire.read_backend reader with
-      | Ok (Wire.B_ready _) -> ()
-      | Ok _ -> to_ready ()
-      | Error e -> Alcotest.failf "greeting failed: %s" (Wire.error_to_string e)
-    in
-    to_ready ();
+    let fd, reader = raw_session t in
     (* type byte 0x01 is not a letter: Malformed, FATAL 08P01, close *)
     ignore (Unix.write_substring fd "\x01\x00\x00\x00\x04" 0 5);
     let rec find_error () =
@@ -250,6 +494,72 @@ let protocol_error_scoped () =
     let s = Netserver.summary t in
     Alcotest.(check bool) "protocol error counted" true
       (s.Netserver.protocol_errors >= 1)
+
+(* A reply several chunks long (7 776 rows, about 250 KB) arrives
+   whole and equal to the in-process result. *)
+let reply_spans_chunks () =
+  if not Mcore.multicore then ()
+  else
+    let sql =
+      "SELECT A.CUSTOMERID, B.CUSTOMERID, C.CUSTOMERID, D.CUSTOMERID, \
+       E.CUSTOMERID FROM CUSTOMERS A, CUSTOMERS B, CUSTOMERS C, CUSTOMERS D, \
+       CUSTOMERS E"
+    in
+    let app = Helpers.demo_app () in
+    let expected =
+      let rows = ref [] in
+      Result_set.iter_rows
+        (Connection.execute_query (Connection.connect app) sql)
+        (fun row ->
+          rows :=
+            Array.to_list
+              (Array.map
+                 (function Value.Null -> None | v -> Some (Value.to_string v))
+                 row)
+            :: !rows);
+      List.rev !rows
+    in
+    with_server ~app @@ fun t ->
+    let c = connect_ok t in
+    (match Client.query c sql with
+    | Ok reply ->
+      Alcotest.(check string) "tag" "SELECT 7776" reply.Client.tag;
+      Alcotest.(check int) "rows" 7776 (List.length reply.Client.rows);
+      Alcotest.(check bool) "rows equal the in-process result" true
+        (reply.Client.rows = expected)
+    | Error (code, msg) -> Alcotest.failf "cross join failed: %s %s" code msg);
+    Client.close c
+
+(* Two Query frames in one write: the server's reader keeps the bytes
+   it read past the first and answers both, in order. *)
+let pipelined_queries () =
+  if not Mcore.multicore then ()
+  else
+    with_server @@ fun t ->
+    let fd, reader = raw_session t in
+    let both =
+      encoded (fun b ->
+          Wire.query_message b "SELECT CUSTOMERID FROM CUSTOMERS";
+          Wire.query_message b
+            "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = 2")
+    in
+    ignore (Unix.write_substring fd both 0 (String.length both));
+    let rec reply rows =
+      match Wire.read_backend reader with
+      | Ok (Wire.B_data_row _) -> reply (rows + 1)
+      | Ok (Wire.B_command_complete tag) ->
+        (match Wire.read_backend reader with
+        | Ok (Wire.B_ready _) -> (rows, tag)
+        | _ -> Alcotest.fail "expected ReadyForQuery after the tag")
+      | Ok (Wire.B_error fields) ->
+        Alcotest.failf "query failed: %s"
+          (Option.value ~default:"" (List.assoc_opt 'M' fields))
+      | Ok _ -> reply rows
+      | Error e -> Alcotest.failf "reply cut short: %s" (Wire.error_to_string e)
+    in
+    Alcotest.(check (pair int string)) "first reply" (6, "SELECT 6") (reply 0);
+    Alcotest.(check (pair int string)) "second reply" (1, "SELECT 1") (reply 0);
+    Unix.close fd
 
 (* Queue-depth admission: one worker pinned by a live session, one
    queue slot taken — the next connection is refused 53300 before any
@@ -671,10 +981,18 @@ let suite =
       Helpers.case "truncated frames are typed errors" truncation_is_typed;
       Helpers.case "oversized frames are refused" oversized_frame_rejected;
       Helpers.qcheck garbage_never_crashes;
+      Helpers.case "length prefixes cover their frames" encoder_lengths;
+      Helpers.qcheck short_reads_agree;
+      Helpers.case "one read per chunk, not per frame" reads_per_chunk;
+      Helpers.qcheck recognize_matches_tokens;
       Helpers.case "serves queries over the wire" serve_basic;
       Helpers.case "DataRows carry NULLs and escaped characters"
         serve_nulls_and_escapes;
       Helpers.case "protocol errors are session-scoped" protocol_error_scoped;
+      Helpers.case "a reply longer than the chunk arrives whole"
+        reply_spans_chunks;
+      Helpers.case "pipelined queries are answered in order"
+        pipelined_queries;
       Helpers.case "full queue sheds with 53300" queue_admission_shed;
       Helpers.case "graceful drain: 57P01/57P03, no lost queries"
         drain_semantics;
