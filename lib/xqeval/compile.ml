@@ -929,6 +929,41 @@ let cbatch_pool_for cap =
 let cbatch_release (pool : Batch.columns list ref) acquired =
   pool := take cbatch_pool_cap (List.rev_append acquired !pool)
 
+(* Int vectors for the kernel group's slot and row vectors, pooled per
+   domain like the batch buffers.  A vector is taken for one batch and
+   given back after it, so an invocation nested in that batch (an input
+   that runs a subquery) takes others; one is allocated, at the batch's
+   size, only when none in the pool is long enough.  The pool is a
+   fixed stack, so taking and giving allocate nothing. *)
+type int_pool = { vecs : int array array; mutable nvecs : int }
+
+let int_vecs_cap = 16
+
+let int_vecs : int_pool Mcore.Dls.key =
+  Mcore.Dls.new_key (fun () -> { vecs = Array.make int_vecs_cap [||]; nvecs = 0 })
+
+let take_ints n =
+  let p = Mcore.Dls.get int_vecs in
+  let i = ref (p.nvecs - 1) in
+  while !i >= 0 && Array.length p.vecs.(!i) < n do
+    decr i
+  done;
+  if !i < 0 then Array.make n 0
+  else begin
+    let v = p.vecs.(!i) in
+    p.nvecs <- p.nvecs - 1;
+    p.vecs.(!i) <- p.vecs.(p.nvecs);
+    p.vecs.(p.nvecs) <- [||];
+    v
+  end
+
+let give_ints v =
+  let p = Mcore.Dls.get int_vecs in
+  if p.nvecs < int_vecs_cap then begin
+    p.vecs.(p.nvecs) <- v;
+    p.nvecs <- p.nvecs + 1
+  end
+
 let ccounter cctx label =
   if not cctx.cinstr then fun _ -> ()
   else begin
@@ -987,10 +1022,17 @@ let cell_row (dcols : dcol array) id rs derive (scratch : rt) =
    splices its memoized component, any other key is evaluated once, in
    key order, so the first error raised is the same.  A single derived
    key reads its memoized component only the first time a value id is
-   seen: the slot of every later row with that id is an array read. *)
+   seen: the slot of every later row with that id is an array read,
+   and [kr_by_row] reads it straight from a scan row.  Such a key also
+   bounds the slots: at most one per value id of each column read
+   ([kr_bound]), which sizes the kernel accumulators once. *)
 type key_reader = {
   kr_slot : rt -> int;
   kr_values : unit -> Item.sequence list;
+  kr_by_row : (int -> int) option;
+      (* a single derived key: the slot of a scan row, which must not
+         hold an error cell *)
+  kr_bound : unit -> int;  (* slots this column can reach; 0: no bound *)
 }
 
 let key_reader (dcols : dcol array) (keys : cinput array) =
@@ -1011,68 +1053,99 @@ let key_reader (dcols : dcol array) (keys : cinput array) =
     | In_cell (id, rs, derive) -> rows.(i) <- cell_row dcols id rs derive scratch
     | In_expr c -> vals.(i) <- c scratch
   in
-  let kr_slot =
-    match keys with
-    | [| In_cell (id, _, _) |] ->
-      (* the id -> slot array of the column last read: a column
-         republished mid-invocation (its source grew) starts a new one,
-         the string table still deciding the slots *)
-      let cur = ref no_dcol and ids = ref [||] and slots = ref [||] in
-      fun scratch ->
-        load scratch 0;
-        let d = dcols.(id) in
-        if d != !cur then begin
-          let built = Option.is_none d.dc_ids in
-          let x = dcol_ids d in
-          if built then recount ();
-          cur := d;
-          ids := x.id_of;
-          slots := Array.make x.nids (-1)
-        end;
-        let r = rows.(0) in
-        let v = !ids.(r) in
-        let s = !slots.(v) in
-        if s >= 0 then s
-        else begin
-          let s = slot_of_string (dcol_keys d).(r) in
-          !slots.(v) <- s;
-          s
-        end
-    | _ ->
-      fun scratch ->
-        for i = 0 to n - 1 do
-          load scratch i
-        done;
-        Buffer.clear buf;
-        for i = 0 to n - 1 do
-          match keys.(i) with
-          | In_cell (id, _, _) ->
-            Buffer.add_string buf (dcol_keys dcols.(id)).(rows.(i))
-          | In_expr _ -> Group_key.add_component buf vals.(i)
-        done;
-        slot_of_string (Buffer.contents buf)
-  in
   let kr_values () =
     List.init n (fun i ->
         match keys.(i) with
         | In_cell (id, _, _) -> dcols.(id).dc_vals.(rows.(i))
         | In_expr _ -> vals.(i))
   in
-  { kr_slot; kr_values }
+  match keys with
+  | [| In_cell (id, _, _) |] ->
+    (* the id -> slot array of the column last read: a column
+       republished mid-invocation (its source grew) starts a new one,
+       the string table still deciding the slots *)
+    let cur = ref no_dcol and ids = ref [||] and slots = ref [||] in
+    let bound = ref 0 in
+    let by_row r =
+      let d = dcols.(id) in
+      if d != !cur then begin
+        let built = Option.is_none d.dc_ids in
+        let x = dcol_ids d in
+        if built then recount ();
+        cur := d;
+        ids := x.id_of;
+        slots := Array.make x.nids (-1);
+        bound := Hashtbl.length table + x.nids
+      end;
+      rows.(0) <- r;
+      let v = !ids.(r) in
+      let s = !slots.(v) in
+      if s >= 0 then s
+      else begin
+        let s = slot_of_string (dcol_keys d).(r) in
+        !slots.(v) <- s;
+        s
+      end
+    in
+    { kr_slot =
+        (fun scratch ->
+          load scratch 0;
+          by_row rows.(0));
+      kr_values; kr_by_row = Some by_row; kr_bound = (fun () -> !bound) }
+  | _ ->
+    let kr_slot scratch =
+      for i = 0 to n - 1 do
+        load scratch i
+      done;
+      Buffer.clear buf;
+      for i = 0 to n - 1 do
+        match keys.(i) with
+        | In_cell (id, _, _) ->
+          Buffer.add_string buf (dcol_keys dcols.(id)).(rows.(i))
+        | In_expr _ -> Group_key.add_component buf vals.(i)
+      done;
+      slot_of_string (Buffer.contents buf)
+    in
+    { kr_slot; kr_values; kr_by_row = None; kr_bound = (fun () -> 0) }
 
-(* Per-group state by dense slot, grown by doubling. *)
-type 'a groups = { mutable g : 'a array; mutable ng : int }
+(* Per-group key values and carried entry columns by dense slot.  The
+   arrays grow by copying into arrays filled with constants: [Array.make]
+   of more than 256 words with a freshly allocated initial value would
+   empty the minor heap first. *)
+type groups = {
+  mutable g_keys : Item.sequence list array;
+  mutable g_saved : Item.sequence array array;
+  mutable ng : int;
+}
 
-let groups () = { g = [||]; ng = 0 }
+let groups () = { g_keys = [||]; g_saved = [||]; ng = 0 }
 
-let add_group gs x =
-  if gs.ng = Array.length gs.g then begin
-    let a = Array.make (max 8 (2 * gs.ng)) x in
-    Array.blit gs.g 0 a 0 gs.ng;
-    gs.g <- a
-  end;
-  gs.g.(gs.ng) <- x;
-  gs.ng <- gs.ng + 1
+let regrow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Room for one more group: when full, grow to the key's bound if it
+   has one, else by doubling, and let [grow] resize the caller's own
+   per-group arrays to the same capacity. *)
+let group_room gs kr ~grow =
+  let cap = Array.length gs.g_keys in
+  if gs.ng = cap then begin
+    let b = kr.kr_bound () in
+    let n = if b > cap then b else max 8 (2 * cap) in
+    gs.g_keys <- regrow gs.g_keys n [];
+    gs.g_saved <- regrow gs.g_saved n [||];
+    grow n
+  end
+
+(* Register the next group: its key values and the carried entry cells
+   of batch row [idx]; the caller has made room. *)
+let add_group gs key_values in_entry idx =
+  let g = gs.ng in
+  gs.g_keys.(g) <- key_values;
+  if Array.length in_entry > 0 then
+    gs.g_saved.(g) <- Array.map (fun (c : Item.sequence array) -> c.(idx)) in_entry;
+  gs.ng <- g + 1
 
 (* Fetch an expander's derived columns from its source's memo entry and
    publish them to this invocation's kernels and group keys. *)
@@ -1546,10 +1619,11 @@ and compile_quantified_probe cenv (q : Optimize.quantified_probe) satisfies :
    - Kernel-fused aggregation.  When every post-group read of the
      partition variable is one of the translator's aggregate shapes,
      [Optimize.group_kernels] rewrites them into reads of synthetic
-     kernel variables and the group operator keeps one [Kernels.state]
-     per (group, kernel) instead of materializing the partition: a
-     tight per-tuple update loop during cpush, finished into output
-     columns at flush.  Each kernel folds its per-tuple input
+     kernel variables and the group operator keeps one accumulator per
+     kernel, indexed by group slot ([Kernels.acc]), instead of
+     materializing the partition: a column loop per kernel during
+     cpush, read into output columns at flush.  Each kernel folds its
+     per-tuple input
      ([k_arg]); when the grouped variable is let-bound to a record
      constructor that input reads the field through the constructor,
      so the record itself is dead and never built.
@@ -2245,6 +2319,9 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
             let pruned = max 0 (cctx.cnslots - entry_n) in
             let scratch = cctx.cscratch in
             let gs = groups () in
+            (* each group's grouped cells, newest first *)
+            let parts = ref [||] in
+            let grow_parts n = parts := regrow !parts n [] in
             let keys = key_reader cctx.cdcols ckeys in
             let out = cctx.calloc () in
             let out_entry = Array.map (Batch.column out) entry_copy in
@@ -2268,27 +2345,24 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
                     let idx = b.Batch.sel.(k) in
                     gather gslots scratch b idx;
                     let g = keys.kr_slot scratch in
-                    if g < gs.ng then begin
-                      let acc, _, _ = gs.g.(g) in
-                      acc := grouped_col.(idx) :: !acc
-                    end
-                    else
-                      let saved = Array.map (fun c -> c.(idx)) in_entry in
-                      add_group gs
-                        (ref [ grouped_col.(idx) ], keys.kr_values (), saved)
+                    if g = gs.ng then begin
+                      group_room gs keys ~grow:grow_parts;
+                      add_group gs (keys.kr_values ()) in_entry idx
+                    end;
+                    !parts.(g) <- grouped_col.(idx) :: !parts.(g)
                   done);
               cflush =
                 (fun () ->
                   count gs.ng;
                   Telemetry.add Telemetry.c_col_pruned_columns (pruned * gs.ng);
                   for g = 0 to gs.ng - 1 do
-                    let acc, key_values, saved = gs.g.(g) in
+                    let saved = gs.g_saved.(g) in
                     let j = out.Batch.n in
                     for t = 0 to entry_n - 1 do
                       out_entry.(t).(j) <- saved.(t)
                     done;
-                    List.iter2 (fun c v -> c.(j) <- v) out_keys key_values;
-                    part_col.(j) <- List.concat (List.rev !acc);
+                    List.iter2 (fun c v -> c.(j) <- v) out_keys gs.g_keys.(g);
+                    part_col.(j) <- List.concat (List.rev !parts.(g));
                     out.Batch.sel.(j) <- j;
                     out.Batch.n <- j + 1;
                     if out.Batch.n = cctx.ccap then emit ()
@@ -2299,10 +2373,12 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
           in
           ((label, mk), cenv_post)
         | C_kernel { ck_partition; ck_keys; ck_specs; ck_orig = _ } ->
-          (* kernel group: the partition is never materialized — one
-             aggregation-kernel state per (group, spec), updated in a
-             tight loop per batch from the spec's per-tuple input,
-             finished into output columns at flush *)
+          (* kernel group: the partition is never materialized.  Each
+             spec folds into one accumulator indexed by group slot
+             ([Kernels.acc]), a column at a time per batch: a slot
+             vector from the key, one row vector per derived row slot,
+             then one loop per spec.  Inputs and keys that may raise go
+             through a per-row pass first, in the unfused order. *)
           let note = reserve_note cenv in
           let args =
             List.map (fun (s : Optimize.kernel_spec) -> s.Optimize.k_arg) ck_specs
@@ -2322,8 +2398,13 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
               [] args
           in
           let cargs = Array.of_list (List.map (cinput cenv) distinct) in
-          let arg_cell =
-            Array.map (function In_cell _ -> true | In_expr _ -> false) cargs
+          (* a literal input (COUNT( * )'s) is the same every row: counted,
+             never evaluated *)
+          let arg_const =
+            Array.of_list
+              (List.map
+                 (function X.Literal a -> Some [ Item.Atomic a ] | _ -> None)
+                 distinct)
           in
           let arg_of =
             Array.of_list
@@ -2337,6 +2418,39 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
                  args)
           in
           let nargs = Array.length cargs in
+          (* some input is an expression evaluated per row *)
+          let evaluated =
+            Array.exists2
+              (fun c k -> match c with In_expr _ -> Option.is_none k | In_cell _ -> false)
+              cargs arg_const
+          in
+          (* the specs each argument feeds, for the per-row pass *)
+          let specs_of =
+            Array.init nargs (fun a ->
+                Array.of_list
+                  (List.filter (fun t -> arg_of.(t) = a)
+                     (List.init (Array.length arg_of) Fun.id)))
+          in
+          (* row slots read straight from the batch: a single derived
+             key's and each derived input's, one row vector each *)
+          let key_cell =
+            match ckeys with [| In_cell (id, rs, _) |] -> Some (id, rs) | _ -> None
+          in
+          let row_slots =
+            Array.of_list
+              (List.sort_uniq compare
+                 (Option.to_list (Option.map snd key_cell)
+                 @ List.filter_map
+                     (function In_cell (_, rs, _) -> Some rs | In_expr _ -> None)
+                     (Array.to_list cargs)))
+          in
+          let row_vec rs =
+            let rec find v = if row_slots.(v) = rs then v else find (v + 1) in
+            find 0
+          in
+          let arg_rows =
+            Array.map (function In_cell (_, rs, _) -> row_vec rs | In_expr _ -> -1) cargs
+          in
           let entry_env = { cenv with slots = entry_slots } in
           let cenv_post, key_slots =
             List.fold_left
@@ -2383,13 +2497,45 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
             let gs = groups () in
             let dcols = cctx.cdcols in
             let keys = key_reader dcols ckeys in
+            let accs = Array.map (fun kind -> Kernels.acc kind 0) kinds in
             let out = cctx.calloc () in
             let out_entry = Array.map (Batch.column out) entry_copy in
             let out_keys = List.map (Batch.column out) key_slots in
             let out_specs = Array.map (Batch.column out) spec_slots in
-            let inputs = Array.make nargs [] in
-            let cell_inputs = Array.make nargs (Kernels.cells [||]) in
-            let cell_rows = Array.make nargs 0 in
+            let rowv = Array.make (Array.length row_slots) [||] in
+            let grow_accs n = Array.iter (fun a -> Kernels.reserve a n) accs in
+            let new_group in_entry idx =
+              group_room gs keys ~grow:grow_accs;
+              add_group gs (keys.kr_values ()) in_entry idx
+            in
+            (* the per-row pass: a key that may raise, then the inputs
+               that may or are expressions, in argument order *)
+            let row_pass ~key slots b in_entry =
+              let sel = b.Batch.sel in
+              for k = 0 to b.Batch.n - 1 do
+                let idx = sel.(k) in
+                gather gslots scratch b idx;
+                if key then begin
+                  let g = keys.kr_slot scratch in
+                  if g = gs.ng then new_group in_entry idx;
+                  slots.(k) <- g
+                end;
+                for a = 0 to nargs - 1 do
+                  match cargs.(a) with
+                  | In_cell (id, _, derive) ->
+                    let d = dcols.(id) in
+                    if d.dc_err then
+                      ignore (read_cell derive d.dc_vals.(rowv.(arg_rows.(a)).(k)))
+                  | In_expr c ->
+                    if Option.is_none arg_const.(a) then begin
+                      let v = c scratch in
+                      Array.iter
+                        (fun t -> Kernels.add accs.(t) slots.(k) v)
+                        specs_of.(a)
+                    end
+                done
+              done
+            in
             let emit () =
               if out.Batch.n > 0 then begin
                 cnote_batch out.Batch.n;
@@ -2399,58 +2545,71 @@ and lower_flwor cenv (p : fplan) : cenv * (rt -> (rt -> unit) -> unit) =
             in
             { cpush =
                 (fun b ->
-                  Budget.steps b.Batch.n;
+                  let n = b.Batch.n in
+                  Budget.steps n;
                   Telemetry.with_span "xqeval.columnar.kernel" @@ fun () ->
-                  Telemetry.add Telemetry.c_col_kernel_updates
-                    (nspecs * b.Batch.n);
+                  Telemetry.add Telemetry.c_col_kernel_updates (nspecs * n);
                   let in_entry =
                     Array.map (fun s -> b.Batch.cols.(s)) entry_copy
                   in
-                  for k = 0 to b.Batch.n - 1 do
-                    let idx = b.Batch.sel.(k) in
-                    gather gslots scratch b idx;
-                    let g = keys.kr_slot scratch in
-                    let states =
-                      if g < gs.ng then
-                        let states, _, _ = gs.g.(g) in
-                        states
-                      else begin
-                        let states = Array.map Kernels.create kinds in
-                        let saved =
-                          Array.map (fun c -> c.(idx)) in_entry
-                        in
-                        add_group gs (states, keys.kr_values (), saved);
-                        states
-                      end
-                    in
-                    for a = 0 to nargs - 1 do
-                      match cargs.(a) with
-                      | In_cell (id, rs, derive) ->
-                        cell_rows.(a) <- cell_row dcols id rs derive scratch;
-                        cell_inputs.(a) <- dcol_cells dcols.(id)
-                      | In_expr c -> inputs.(a) <- c scratch
+                  let sel = b.Batch.sel in
+                  let slots = take_ints n in
+                  for v = 0 to Array.length row_slots - 1 do
+                    let rv = take_ints n and col = b.Batch.cols.(row_slots.(v)) in
+                    for k = 0 to n - 1 do
+                      rv.(k) <- row_of col.(sel.(k))
                     done;
-                    for t = 0 to nspecs - 1 do
-                      let a = arg_of.(t) in
-                      if arg_cell.(a) then
-                        Kernels.update_at states.(t) cell_inputs.(a) cell_rows.(a)
-                      else Kernels.update states.(t) inputs.(a)
-                    done
-                  done);
+                    rowv.(v) <- rv
+                  done;
+                  let by_row =
+                    match (keys.kr_by_row, key_cell) with
+                    | Some f, Some (id, rs) when not dcols.(id).dc_err ->
+                      Some (f, rowv.(row_vec rs))
+                    | _ -> None
+                  in
+                  (match by_row with
+                   | Some (slot_of, rows) ->
+                     for k = 0 to n - 1 do
+                       let g = slot_of rows.(k) in
+                       if g = gs.ng then new_group in_entry sel.(k);
+                       slots.(k) <- g
+                     done
+                   | None -> ());
+                  let per_row =
+                    Option.is_none by_row || evaluated
+                    || Array.exists
+                         (function
+                           | In_cell (id, _, _) -> dcols.(id).dc_err
+                           | In_expr _ -> false)
+                         cargs
+                  in
+                  if per_row then
+                    row_pass ~key:(Option.is_none by_row) slots b in_entry;
+                  for t = 0 to nspecs - 1 do
+                    let a = arg_of.(t) in
+                    match (cargs.(a), arg_const.(a)) with
+                    | In_cell (id, _, _), _ ->
+                      Kernels.add_cells accs.(t) (dcol_cells dcols.(id)) ~slots
+                        ~rows:rowv.(arg_rows.(a)) n
+                    | In_expr _, Some v -> Kernels.add_const accs.(t) ~slots n v
+                    | In_expr _, None -> ()
+                  done;
+                  give_ints slots;
+                  Array.iter give_ints rowv);
               cflush =
                 (fun () ->
                   Telemetry.with_span "xqeval.columnar.kernel" @@ fun () ->
                   count gs.ng;
                   Telemetry.add Telemetry.c_col_pruned_columns (pruned * gs.ng);
                   for g = 0 to gs.ng - 1 do
-                    let states, key_values, saved = gs.g.(g) in
+                    let saved = gs.g_saved.(g) in
                     let j = out.Batch.n in
                     for t = 0 to entry_n - 1 do
                       out_entry.(t).(j) <- saved.(t)
                     done;
-                    List.iter2 (fun c v -> c.(j) <- v) out_keys key_values;
+                    List.iter2 (fun c v -> c.(j) <- v) out_keys gs.g_keys.(g);
                     for t = 0 to nspecs - 1 do
-                      out_specs.(t).(j) <- Kernels.finish states.(t)
+                      out_specs.(t).(j) <- Kernels.result accs.(t) g
                     done;
                     out.Batch.sel.(j) <- j;
                     out.Batch.n <- j + 1;
