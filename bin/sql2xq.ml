@@ -4,6 +4,7 @@
      sql2xq run       "SELECT ..."                execute via DSP, print rows
      sql2xq text      "SELECT ..."                print the section-4 wrapper
      sql2xq tables                                list demo catalog tables
+     sql2xq lint-prom FILE                        lint Prometheus text
 
    Queries run against the built-in demo catalog (see demo_catalog.ml). *)
 
@@ -754,6 +755,25 @@ let tables_cmd =
     (Cmd.info "tables" ~doc:"List the demo catalog's tables")
     Term.(const run $ const ())
 
+let lint_prom_cmd =
+  let file_arg =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
+  in
+  let run file =
+    match Expose.lint (read_input file) with
+    | [] -> Printf.printf "lint-prom: %s ok\n" file
+    | problems ->
+      List.iter (fun m -> Printf.eprintf "%s: %s\n" file m) problems;
+      exit 1
+  in
+  Cmd.v
+    (Cmd.info "lint-prom"
+       ~doc:
+         "Check a Prometheus text exposition (FILE, or - for stdin), such \
+          as $(b,stats --format prom) output or a $(b,/metrics) scrape; \
+          print each problem and exit 1 if there is any.")
+    Term.(const run $ file_arg)
+
 let serve_cmd =
   let module Netserver = Aqua_net.Netserver in
   let port_opt =
@@ -942,4 +962,4 @@ let () =
        (Cmd.group (Cmd.info "sql2xq" ~doc)
           [ translate_cmd; run_cmd; analyze_cmd; stats_cmd; text_cmd;
             diff_cmd; wdiff_cmd; explain_cmd; xq_cmd; tables_cmd;
-            serve_cmd; client_cmd ]))
+            lint_prom_cmd; serve_cmd; client_cmd ]))

@@ -395,6 +395,20 @@ and gen_aggregate state gctx ~(func : A.agg_func) ~distinct ~arg : X.expr =
       if distinct then X.call "fn:distinct-values" [ collected ]
       else collected
     in
+    (* SQL orders character values as strings, while fn:min/fn:max read
+       an untyped cell that looks like a number as xs:double: each
+       collected character value is cast to xs:string first (a NULL,
+       being absent, stays absent) *)
+    let ordered collected =
+      if Sql_type.is_character (Semantic.info state.res arg).Typer.ty then
+        let v = Namer.var state.namer ~ctx:0 Namer.GB in
+        X.Flwor
+          {
+            X.clauses = [ X.For { var = v; source = collected } ];
+            X.return = X.call "xs:string" [ X.var v ];
+          }
+      else collected
+    in
     (match func with
     | A.A_count_star -> assert false
     | A.A_count -> X.call "fn:count" [ collected ]
@@ -405,8 +419,8 @@ and gen_aggregate state gctx ~(func : A.agg_func) ~distinct ~arg : X.expr =
           X.empty_seq,
           X.call "fn:sum" [ collected ] )
     | A.A_avg -> X.call "fn:avg" [ collected ]
-    | A.A_min -> X.call "fn:min" [ collected ]
-    | A.A_max -> X.call "fn:max" [ collected ])
+    | A.A_min -> X.call "fn:min" [ ordered collected ]
+    | A.A_max -> X.call "fn:max" [ ordered collected ])
 
 (* ================================================================== *)
 (* Predicates with polarity                                           *)

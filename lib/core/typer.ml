@@ -72,8 +72,9 @@ let literal (lit : A.literal) =
 
 (* Infers an operand whose type stage three reads (the other side of a
    comparison with a literal, a function argument it may null-guard, a
-   LIKE argument); literals and columns need no note, stage three types
-   them from the literal and the column's resolution. *)
+   LIKE argument, an aggregate's argument); literals and columns need
+   no note, stage three types them from the literal and the column's
+   resolution. *)
 let rec operand env (e : A.expr) =
   let i = infer env e in
   (match e with A.Lit _ | A.Column _ -> () | _ -> env.note e i);
@@ -176,7 +177,7 @@ and infer env (e : A.expr) : info =
     if Option.fold ~none:false ~some:A.contains_aggregate arg then
       fail Errors.Grouping "aggregate function %s takes an aggregate argument"
         (A.agg_func_name func);
-    let arg_info = Option.map (infer env) arg in
+    let arg_info = Option.map (operand env) arg in
     (match arg_info with
     | Some i
       when i.known

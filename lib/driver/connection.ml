@@ -252,7 +252,6 @@ let translate t sql =
     }
 
 let translation_cache_size t = Lru.length t.plans
-let translation_cache_clock t = Lru.clock t.plans
 let clear_translation_cache t = Lru.clear t.plans
 
 (* --- per-statement stage clocks and observation -------------------- *)

@@ -101,9 +101,6 @@ val translate : t -> string -> Aqua_translator.Translator.t
 val translation_cache_size : t -> int
 (** Number of cached plans currently held. *)
 
-val translation_cache_clock : t -> int
-(** Current LRU stamp counter (testing aid). *)
-
 val clear_translation_cache : t -> unit
 
 val execute_query :

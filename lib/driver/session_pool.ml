@@ -27,8 +27,7 @@ module T = Aqua_core.Telemetry
 
 type session = {
   id : int;
-  mutable limits : Budget.limits;
-  mutable queries : int;  (** statements executed under this session *)
+  limits : Budget.limits;
 }
 
 type t = {
@@ -63,7 +62,7 @@ let create ?(capacity = 8) ?limits conn =
     capacity;
     lock = Mcore.Mutex.create ();
     cond = Mcore.Condition.create ();
-    free = List.init capacity (fun id -> { id; limits; queries = 0 });
+    free = List.init capacity (fun id -> { id; limits });
     in_use = 0;
     borrows = 0;
     rejections = 0;
@@ -75,9 +74,6 @@ let connection t = t.conn
 let capacity (t : t) = t.capacity
 
 let session_id s = s.id
-let session_limits s = s.limits
-let set_session_limits s l = s.limits <- l
-let session_queries s = s.queries
 
 (* one borrow attempt; the caller holds [t.lock] *)
 let take_unlocked t =
@@ -153,7 +149,6 @@ let with_session ?wait_ms t f =
 
 let execute ?key ?wait_ms t sql =
   with_session ?wait_ms t @@ fun s ->
-  s.queries <- s.queries + 1;
   Connection.execute_query ?key ~limits:s.limits t.conn sql
 
 (* Pooled concurrent serving: [domains] domains each drain statements

@@ -26,11 +26,6 @@ val connection : t -> Connection.t
 val capacity : t -> int
 
 val session_id : session -> int
-val session_limits : session -> Aqua_resilience.Budget.limits
-val set_session_limits : session -> Aqua_resilience.Budget.limits -> unit
-
-val session_queries : session -> int
-(** Statements executed under this session so far. *)
 
 val borrow : ?wait_ms:int -> t -> session
 (** Take a session.  With [wait_ms <= 0] (default) an empty pool fails

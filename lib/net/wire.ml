@@ -509,8 +509,3 @@ let read_backend (r : Reader.t) =
       | 'I' -> Ok B_empty_query
       | 'E' -> Ok (B_error (decode_error_fields payload))
       | c -> Ok (B_other (c, payload))
-
-let error_field b code =
-  match b with
-  | B_error fields -> List.assoc_opt code fields
-  | _ -> None

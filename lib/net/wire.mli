@@ -137,7 +137,3 @@ type backend =
   | B_other of char * string
 
 val read_backend : Reader.t -> (backend, error) result
-
-val error_field : backend -> char -> string option
-(** [error_field (B_error fields) 'C'] is the SQLSTATE, ['M'] the
-    message; [None] on other frames. *)

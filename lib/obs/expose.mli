@@ -4,9 +4,10 @@
     span aggregates, the named latency histograms, and the
     per-fingerprint registry — for scraping ({!prometheus}) or
     programmatic consumption ({!json}).  {!lint} is a standalone
-    checker for the Prometheus text format, used by the CI [obs-smoke]
-    job (via [bench/validate.exe --prom]) and the test suite, so the
-    renderer can never silently drift from the format. *)
+    checker for the Prometheus text format, used by [sql2xq lint-prom]
+    (which CI runs over the CLI's and a live [/metrics] exposition) and
+    the test suite, so the renderer can never silently drift from the
+    format. *)
 
 (** {1 Gauges}
 

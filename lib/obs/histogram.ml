@@ -87,7 +87,6 @@ let count t = t.n
 let total t = t.sum
 let min_value t = if t.n = 0 then 0L else t.min_v
 let max_value t = if t.n = 0 then 0L else t.max_v
-let mean t = if t.n = 0 then nan else Int64.to_float t.sum /. float_of_int t.n
 let is_empty t = t.n = 0
 
 let percentile t p =

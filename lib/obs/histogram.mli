@@ -37,9 +37,6 @@ val min_value : t -> int64
 val max_value : t -> int64
 (** Exact; 0 when empty. *)
 
-val mean : t -> float
-(** [nan] when empty. *)
-
 val percentile : t -> float -> int64
 (** [percentile h p] for [p] in [0,100]: the upper bound of the bucket
     holding the value of rank [ceil(p/100 * count)] — within one

@@ -59,12 +59,6 @@ let current : t option Mcore.Dls.key = Mcore.Dls.new_key (fun () -> None)
 
 let active () = Mcore.Dls.get current <> None
 
-let resource_to_string = function
-  | Deadline -> "deadline"
-  | Rows -> "output rows"
-  | Items -> "materialized items"
-  | Fuel -> "evaluator steps"
-
 let to_sqlstate { resource; limit } =
   match resource with
   | Deadline ->

@@ -34,8 +34,6 @@ type violation = { resource : resource; limit : int64 }
 
 exception Exceeded of violation
 
-val resource_to_string : resource -> string
-
 val to_sqlstate : violation -> Sqlstate.t
 (** [Deadline] maps to 57014 (query canceled), [Rows] to 53400
     (configured limit exceeded), [Items] and [Fuel] to 53000

@@ -52,10 +52,6 @@ let disarm () =
   armed := false;
   Hashtbl.reset sites
 
-let hit_count name =
-  Mcore.Mutex.protect lock @@ fun () ->
-  match Hashtbl.find_opt sites name with Some s -> s.hits | None -> 0
-
 (* Deterministic per-hit randomness for [Flaky]: splitmix64-style
    mixing of (seed, site name, hit index) to a float in [0, 1). *)
 let mix64 z =

@@ -49,5 +49,3 @@ val hit : string -> unit
 (** Announce one pass through a named site.  No-op unless armed.
     @raise Injected when the armed schedule fires. *)
 
-val hit_count : string -> int
-(** Hits recorded against a site since it was armed (0 if unarmed). *)

@@ -12,9 +12,6 @@ type sizes = {
   payments : int;
 }
 
-let default_sizes =
-  { customers = 50; orders = 200; lines_per_order = 3; payments = 120 }
-
 let cities =
   [| "Austin"; "Boston"; "Chicago"; "Denver"; "El Paso"; "Fresno"; "Georgetown" |]
 

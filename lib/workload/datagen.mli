@@ -13,8 +13,6 @@ type sizes = {
   payments : int;
 }
 
-val default_sizes : sizes
-
 val tables : ?seed:int -> sizes -> Aqua_relational.Table.t list
 (** CUSTOMERS, ORDERS, ORDERLINES, PAYMENTS with realistic value
     distributions and NULL fractions; deterministic for a seed. *)

@@ -775,6 +775,7 @@ let rec fuse_flwor acc ~finish ~nested (f : X.flwor) : X.expr =
      fn:count($p)            fn:count($p/COL)
      fn:sum($p/COL)          if (fn:empty($p/COL)) then () else fn:sum($p/COL)
      fn:avg / fn:min / fn:max ($p/COL)
+     fn:min / fn:max (for $x in $p/COL return xs:string($x))
      fn:empty($p) / fn:exists($p)   (and the /COL variants)
 
    [group_kernels] rewrites every such use in the post-group remainder
@@ -822,17 +823,18 @@ let group_kernels ?record ~grouped ~partition (clauses : X.clause list)
     | None, _ -> X.Var grouped
     | Some name, None -> X.path1 (X.Var grouped) name
   in
-  let spec kind step =
+  let spec ?(cast = Fun.id) kind step =
+    let a = cast (arg kind step) in
     match
-      List.find_opt (fun s -> s.k_kind = kind && s.k_step = step) !specs
+      List.find_opt
+        (fun s -> s.k_kind = kind && s.k_step = step && s.k_arg = a)
+        !specs
     with
     | Some s -> s.k_var
     | None ->
       let v = Printf.sprintf "#agg:%s:%d" partition !nspecs in
       incr nspecs;
-      specs :=
-        { k_kind = kind; k_step = step; k_var = v; k_arg = arg kind step }
-        :: !specs;
+      specs := { k_kind = kind; k_step = step; k_var = v; k_arg = a } :: !specs;
       v
   in
   let kind_of = function
@@ -863,6 +865,16 @@ let group_kernels ?record ~grouped ~partition (clauses : X.clause list)
       X.Var (spec Kernels.K_sum_null (Option.get (column g)))
     | X.Call (name, [ arg ]) when kind_of name <> None && column arg <> None ->
       X.Var (spec (Option.get (kind_of name)) (Option.get (column arg)))
+    (* the translator's character MIN/MAX: each tuple's input is cast
+       to xs:string before the group *)
+    | X.Call
+        ( (("fn:min" | "fn:max") as name),
+          [ X.Flwor
+              ({ clauses = [ X.For { var; source } ];
+                 return = X.Call ("xs:string", [ X.Var x ]) } as f) ] )
+      when x = var && column source <> None ->
+      let cast a = X.Flwor { f with clauses = [ X.For { var; source = a } ] } in
+      X.Var (spec ~cast (Option.get (kind_of name)) (Option.get (column source)))
     | X.Var v when v = partition -> raise Not_kernelizable
     | X.Literal _ | X.Var _ | X.Context_item | X.Text _ -> e
     | X.Seq es -> X.Seq (List.map rw es)

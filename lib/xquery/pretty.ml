@@ -37,14 +37,11 @@ let atomic_literal a =
   | Atomic.Timestamp ts ->
     Printf.sprintf "xs:dateTime(\"%s\")" (Atomic.timestamp_to_string ts)
 
-type ctx = { buf : Buffer.t; mutable indent : int; pretty : bool }
+type ctx = { buf : Buffer.t; mutable indent : int }
 
 let nl ctx =
-  if ctx.pretty then begin
-    Buffer.add_char ctx.buf '\n';
-    Buffer.add_string ctx.buf (String.make (2 * ctx.indent) ' ')
-  end
-  else Buffer.add_char ctx.buf ' '
+  Buffer.add_char ctx.buf '\n';
+  Buffer.add_string ctx.buf (String.make (2 * ctx.indent) ' ')
 
 let add ctx s = Buffer.add_string ctx.buf s
 
@@ -161,10 +158,7 @@ and emit_element ctx name content =
      braces — the JSP-like constructor style of the paper. *)
   add ctx ("<" ^ name ^ ">");
   let multiline =
-    ctx.pretty
-    && List.exists
-         (function Text _ | Literal _ -> false | _ -> true)
-         content
+    List.exists (function Text _ | Literal _ -> false | _ -> true) content
   in
   if multiline then ctx.indent <- ctx.indent + 1;
   List.iter
@@ -251,8 +245,8 @@ and emit_clauses ctx f =
   emit ctx 1 f.return;
   ctx.indent <- ctx.indent - 1
 
-let render pretty (q : query) =
-  let ctx = { buf = Buffer.create 1024; indent = 0; pretty } in
+let query_to_string (q : query) =
+  let ctx = { buf = Buffer.create 1024; indent = 0 } in
   List.iter
     (fun imp ->
       add ctx
@@ -264,9 +258,6 @@ let render pretty (q : query) =
   Buffer.contents ctx.buf
 
 let expr_to_string e =
-  let ctx = { buf = Buffer.create 256; indent = 0; pretty = true } in
+  let ctx = { buf = Buffer.create 256; indent = 0 } in
   emit ctx 0 e;
   Buffer.contents ctx.buf
-
-let query_to_string q = render true q
-let query_to_compact_string q = render false q

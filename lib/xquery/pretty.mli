@@ -4,7 +4,3 @@
 
 val expr_to_string : Ast.expr -> string
 val query_to_string : Ast.query -> string
-
-val query_to_compact_string : Ast.query -> string
-(** Single-line form (whitespace-minimal), used by benchmarks to
-    measure emission cost without formatting overhead. *)

@@ -115,6 +115,17 @@ let assert_contains ~needle haystack =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Minor-heap words one call of [f] allocates in the calling domain,
+   after two warm calls (a statement's plan, scans and column memos are
+   all in place by its third run): a count of work that, unlike a time,
+   does not depend on how busy the machine is. *)
+let minor_words f =
+  ignore (f ());
+  ignore (f ());
+  let before = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. before
+
 (* Every property-based test routes through here so the whole suite is
    byte-reproducible: one seed (default 42, override with QCHECK_SEED)
    drives all generators.  qcheck-alcotest's default is

@@ -2335,14 +2335,8 @@ let prop_kernel_battery =
               (Aqua_sqlengine.Engine.env_of_application app)
               sql)
       in
-      (* MIN and MAX over VARCHAR text read numeric-looking text as
-         xs:double, so they diverge from SQL's string order (a
-         translation fault, not a kernel one): such statements are
-         checked against the interpreter only *)
-      if not (List.exists (fun f -> Helpers.contains ~needle:(f ^ "(K.S)") sql) [ "MIN"; "MAX" ])
-      then
-        agree_state ~messages:false ~what:"interpreter vs reference engine" sql
-          interp reference;
+      agree_state ~messages:false ~what:"interpreter vs reference engine" sql
+        interp reference;
       let col = Connection.connect app in
       List.iter
         (fun size ->

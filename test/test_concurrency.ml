@@ -652,6 +652,45 @@ let budget_isolation () =
     | _ -> Alcotest.fail "unbounded session failed")
   | _ -> Alcotest.fail "a domain died unexpectedly"
 
+(* Serving scales across domains: a mixed read workload (point lookup,
+   filtered scan, equi-join, grouped aggregate) through one session pool
+   over one shared connection completes at least as many queries per
+   second on 4 domains as on 1.  A time ratio, so it binds only under
+   AQUA_STRESS, on a multicore runtime with at least 4 cores. *)
+let throughput_scales () =
+  if Sys.getenv_opt "AQUA_STRESS" <> None && Mcore.multicore && Mcore.num_cores () >= 4
+  then begin
+    let conn =
+      Connection.connect
+        (Aqua_workload.Datagen.application ~seed:42
+           { customers = 200; orders = 300; lines_per_order = 2; payments = 150 })
+    in
+    let mix =
+      [| "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = 17";
+         "SELECT CUSTOMERNAME, CREDIT FROM CUSTOMERS WHERE TIER > 1";
+         "SELECT C.CUSTOMERNAME, O.ORDERID FROM CUSTOMERS C, ORDERS O WHERE \
+          C.CUSTOMERID = O.CUSTOMERID AND O.PRIORITY > 2";
+         "SELECT CITY, COUNT(*) N FROM CUSTOMERS GROUP BY CITY" |]
+    in
+    Array.iter (fun sql -> ignore (Connection.execute_query conn sql)) mix;
+    let ops = 200 in
+    let qps n =
+      let pool = Session_pool.create ~capacity:n conn in
+      let t0 = Unix.gettimeofday () in
+      List.iter
+        (function Ok () -> () | Error e -> raise e)
+        (Mcore.Domains.parallel
+           (List.init n (fun d () ->
+                for i = 0 to ops - 1 do
+                  ignore (Session_pool.execute ~wait_ms:60_000 pool mix.((d + i) mod 4))
+                done)));
+      float (n * ops) /. (Unix.gettimeofday () -. t0)
+    in
+    let one = qps 1 and four = qps 4 in
+    if four < one then
+      Alcotest.failf "4 domains serve %.0f queries/s, 1 domain %.0f" four one
+  end
+
 let suite =
   ( "concurrency",
     [ Helpers.case "atomic counters survive a 4-domain hammer" counter_hammer;
@@ -676,4 +715,6 @@ let suite =
         counter_parity;
       Helpers.case "stats registry survives a 4-domain hammer"
         observability_parity;
-      Helpers.case "budgets are isolated per domain" budget_isolation ] )
+      Helpers.case "budgets are isolated per domain" budget_isolation;
+      Helpers.case "4 domains serve at least the queries/s of 1"
+        throughput_scales ] )

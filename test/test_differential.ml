@@ -413,6 +413,60 @@ let lexical_space_statements () =
          WHERE CUSTOMERID < 4",
         Ok [ "1000000000000001"; "1000000000000002"; "1000000000000003" ] ) ]
 
+(* MIN and MAX over a character column follow SQL's string order, on
+   both engines and transports: "100" < "12" < "7", where reading the
+   cells as numbers would give 7 and 100, and text that is not a number
+   compares too.  The grouped form stays on the kernels. *)
+let character_extrema () =
+  let module Schema = Aqua_relational.Schema in
+  let module Sql_type = Aqua_relational.Sql_type in
+  let module Value = Aqua_relational.Value in
+  let app = Aqua_dsp.Artifact.application "MM" in
+  let t =
+    Aqua_relational.Table.create "T"
+      [ Schema.column "G" Sql_type.Integer;
+        Schema.column "S" (Sql_type.Varchar (Some 8)) ]
+  in
+  List.iter
+    (fun (g, s) ->
+      Aqua_relational.Table.insert t
+        [ Value.Int g; (match s with Some s -> Value.Str s | None -> Value.Null) ])
+    [ (1, Some "12"); (1, Some "7"); (1, Some "100"); (2, Some "abc");
+      (2, Some "9"); (2, None); (3, None) ];
+  ignore (Aqua_dsp.Artifact.import_physical_table app ~project:"P" t);
+  let sql = "SELECT T.G, MIN(T.S) MN, MAX(T.S) MX FROM T GROUP BY T.G" in
+  let expected = [ "1|100|7"; "2|9|abc"; "3|NULL|NULL" ] in
+  let show (rs : Rowset.t) =
+    List.sort compare
+      (List.map
+         (fun r -> String.concat "|" (List.map Value.to_display (Array.to_list r)))
+         rs.Rowset.rows)
+  in
+  Alcotest.(check (list string)) "SQL engine" expected
+    (show (Engine.execute_sql (Engine.env_of_application app) sql));
+  List.iter
+    (fun (transport, optimize) ->
+      let conn = Connection.connect ~transport ~optimize app in
+      Alcotest.(check (list string))
+        (Printf.sprintf "driver (%s, optimize=%b)"
+           (if transport = Connection.Text then "text" else "xml") optimize)
+        expected
+        (show (Aqua_driver.Result_set.to_rowset (Connection.execute_query conn sql))))
+    [ (Connection.Text, true); (Connection.Text, false); (Connection.Xml, true) ];
+  let shape =
+    let t =
+      Aqua_translator.Translator.translate
+        (Aqua_translator.Semantic.env_of_application app) sql
+    in
+    let srv = Aqua_dsp.Server.create app in
+    String.concat "\n"
+      (Aqua_dsp.Server.shape
+         (Aqua_dsp.Server.prepare srv
+            (Aqua_translator.Translator.for_text_transport t)))
+  in
+  if not (Helpers.contains ~needle:"kernels [min(" shape) then
+    Alcotest.failf "character MIN/MAX left the kernels:\n%s" shape
+
 let suite =
   ( "differential",
     [ Helpers.case "battery via text transport" (battery_case Connection.Text);
@@ -420,6 +474,8 @@ let suite =
       Helpers.case "naive style agrees" naive_style_agrees;
       Helpers.case "optimized plans re-parse" optimized_plans_reparse;
       Helpers.case "casts read the XSD lexical spaces" lexical_space_statements;
+      Helpers.case "MIN and MAX over characters follow string order"
+        character_extrema;
       Helpers.case "never-reached subqueries (known divergence)"
         never_reached_subqueries;
       Helpers.qcheck prop_differential;

@@ -173,6 +173,43 @@ let translation_is_deterministic () =
   in
   check_str "same text every time" once twice
 
+(* Paper section 4: the driver reads the fn:string-join text and never
+   materializes XML.  At the result widths of the paper's reporting
+   use (10 to 4000 rows, 4 to 16 columns) the text payload is at least
+   1.8x smaller than the serialized XML, and decoding it into rows
+   allocates at most a fifth of the words parsing the XML does. *)
+let text_transport_beats_xml () =
+  List.iter
+    (fun (rows, cols) ->
+      let name = Printf.sprintf "W%d" cols in
+      let app = Aqua_dsp.Artifact.application name in
+      ignore
+        (Aqua_dsp.Artifact.import_physical_table app ~project:"P"
+           (Aqua_workload.Datagen.wide_table ~seed:42 ~name ~columns:cols ~rows ()));
+      let t =
+        Aqua_translator.Translator.translate
+          (Aqua_translator.Semantic.env_of_application app)
+          ("SELECT * FROM " ^ name)
+      in
+      let columns = t.Aqua_translator.Translator.columns in
+      let srv = Aqua_dsp.Server.create app in
+      let xml = Aqua_dsp.Server.execute_to_xml srv t.Aqua_translator.Translator.xquery in
+      let text =
+        Aqua_dsp.Server.execute_to_text srv
+          (Aqua_translator.Translator.for_text_transport t)
+      in
+      let of_xml () = Result_set.to_rowset (Result_set.of_xml_text columns xml) in
+      let of_text () = Result_set.to_rowset (Result_set.of_encoded_text columns text) in
+      let what = Printf.sprintf "%d rows x %d columns" rows cols in
+      check_bool ("same rows, " ^ what) true
+        (Aqua_relational.Rowset.diff_summary (of_xml ()) (of_text ()) = None);
+      let bytes = float (String.length xml) /. float (String.length text) in
+      let words = Helpers.minor_words of_xml /. Helpers.minor_words of_text in
+      if bytes < 1.8 || words < 5.0 then
+        Alcotest.failf "%s: XML/text bytes %.2fx (floor 1.8x), decode words %.2fx (floor 5x)"
+          what bytes words)
+    [ (10, 4); (100, 4); (100, 16); (1000, 4); (1000, 16); (4000, 8) ]
+
 let suite =
   ( "driver",
     [ Helpers.case "cursor api" cursor_api;
@@ -184,4 +221,6 @@ let suite =
       Helpers.case "metadata cache" metadata_cache_counts;
       Helpers.case "qualified table names" qualified_table_names;
       Helpers.case "odd identifiers through the pipeline" odd_identifiers_pipeline;
-      Helpers.case "translation is deterministic" translation_is_deterministic ] )
+      Helpers.case "translation is deterministic" translation_is_deterministic;
+      Helpers.case "section 4: text transport beats XML on bytes and words"
+        text_transport_beats_xml ] )

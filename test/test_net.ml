@@ -810,6 +810,116 @@ let trace_sampling_zero_is_silent () =
       "0%% sampling emits no span lines" [] (span_traces (collect ()));
     Client.close c
 
+(* Unsampled tracing allocates nothing: at trace_sample = 0.0 a query
+   served with a trace sink installed allocates the same words as with
+   no sink, within a small constant.  The words are counted in the
+   worker domain that runs the query: the telemetry clock reads that
+   domain's minor-word count, so the net.query span's total is the
+   words its queries allocated. *)
+let unsampled_trace_costs_no_words () =
+  if not Mcore.multicore then ()
+  else begin
+    let sql = "SELECT CITY, COUNT(*) N FROM CUSTOMERS GROUP BY CITY" in
+    Telemetry.set_enabled true;
+    Stats.set_enabled true;
+    Stats.install_span_histograms ();
+    Telemetry.set_clock (fun () -> Int64.of_float (Gc.minor_words ()));
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.set_clock (fun () -> Int64.of_float (Unix.gettimeofday () *. 1e9));
+        Telemetry.set_trace_sink None;
+        Stats.uninstall_span_histograms ();
+        Stats.set_enabled false;
+        Stats.reset ();
+        Telemetry.set_enabled false;
+        Telemetry.reset ())
+    @@ fun () ->
+    let words_per_query sink =
+      Telemetry.set_trace_sink sink;
+      with_server @@ fun t ->
+      let c = connect_ok t in
+      for _ = 1 to 3 do expect_rows c sql 4 done;
+      Telemetry.reset ();
+      for _ = 1 to 20 do expect_rows c sql 4 done;
+      Client.close c;
+      match List.find_opt (fun (n, _, _) -> n = "net.query") (Telemetry.span_stats ()) with
+      | Some (_, 20, words) -> Int64.to_float words /. 20.
+      | _ -> Alcotest.fail "expected 20 net.query spans"
+    in
+    let without = words_per_query None in
+    let lines = ref 0 in
+    let with_sink = words_per_query (Some (fun _ -> incr lines)) in
+    Alcotest.(check int) "no trace lines" 0 !lines;
+    if Float.abs (with_sink -. without) > 16. then
+      Alcotest.failf "a query allocates %.0f words with an unsampled sink, %.0f without"
+        with_sink without
+  end
+
+(* Overload is accounted for: a burst of connection-per-query arrivals
+   from eight clients against four workers and a queue of four ends
+   every offered query completed or shed with a SQLSTATE (each shed is
+   kept as its code, so the sheds by code sum to the sheds), and
+   completes some; also with the net layer's session and read
+   failpoints armed. *)
+let burst_ledger () =
+  if not Mcore.multicore then ()
+  else
+    let app =
+      Aqua_workload.Datagen.application ~seed:42
+        { customers = 200; orders = 300; lines_per_order = 2; payments = 150 }
+    in
+    let stmts =
+      [| "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = 17";
+         "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE TIER > 1";
+         "SELECT CITY, COUNT(*) N FROM CUSTOMERS GROUP BY CITY";
+         "SELECT CUSTOMERNAME FROM CUSTOMERS ORDER BY CUSTOMERNAME" |]
+    in
+    let config =
+      { Netserver.default_config with
+        pool_size = 4; workers = 4; queue_depth = 4; borrow_wait_ms = 200 }
+    in
+    with_server ~config ~app @@ fun t ->
+    let offered = 80 in
+    let leg label =
+      let next = Atomic.make 0 in
+      let client () =
+        let completed = ref 0 and shed = ref [] in
+        let rec go () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < offered then begin
+            (match Client.connect ~timeout_ms:5_000 ~host:"127.0.0.1" ~port:(Netserver.port t) () with
+            | Error (code, _) -> shed := code :: !shed
+            | Ok c ->
+              (match Client.query c stmts.(i mod Array.length stmts) with
+              | Ok _ -> incr completed
+              | Error (code, _) -> shed := code :: !shed);
+              Client.close c);
+            go ()
+          end
+        in
+        go ();
+        (!completed, !shed)
+      in
+      let outcomes = Mcore.Domains.parallel (List.init 8 (fun _ -> client)) in
+      let completed, codes =
+        List.fold_left
+          (fun (n, cs) -> function
+            | Ok (m, c) -> (n + m, c @ cs)
+            | Error e -> Alcotest.failf "%s: a client died: %s" label (Printexc.to_string e))
+          (0, []) outcomes
+      in
+      List.iter
+        (fun c ->
+          if String.length c <> 5 then Alcotest.failf "%s: shed without a SQLSTATE: %S" label c)
+        codes;
+      Alcotest.(check int) (label ^ ": offered = completed + shed") offered
+        (completed + List.length codes);
+      if completed = 0 then Alcotest.failf "%s: nothing completed" label
+    in
+    leg "burst";
+    Helpers.with_failpoints "net.session=flaky(0.1);net.read=flaky(0.05)" (fun () ->
+        leg "burst with net faults")
+
 (* ------------------------------------------------------------------ *)
 (* aqua_stat_* virtual tables *)
 
@@ -1003,6 +1113,10 @@ let suite =
         traceparent_keeps_positions;
       Helpers.case "zero sampling emits no trace lines"
         trace_sampling_zero_is_silent;
+      Helpers.case "zero sampling allocates no words for its sink"
+        unsampled_trace_costs_no_words;
+      Helpers.case "a burst ends every query completed or shed"
+        burst_ledger;
       Helpers.case "aqua_stat_* virtual tables answer over the wire"
         stat_tables_over_wire;
       Helpers.case "admin plane: /metrics, /healthz, /statusz" admin_plane ] )

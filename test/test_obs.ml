@@ -444,6 +444,53 @@ let test_linter_catches_breakage () =
     (Expose.lint
        "# HELP c a counter\n# TYPE c counter\nc{label=\"v\"} 12\n")
 
+(* --- probe cost ------------------------------------------------------ *)
+
+(* The probes cost O(1) per query: with the flight recorder, the
+   per-fingerprint stats, telemetry spans and span histograms all on, a
+   warm join allocates the same number of extra words over 150 ORDERS
+   rows as over 1500, within a small constant, so no probe does work
+   per row.  Each figure is the least of three warm calls, since a span
+   histogram allocates when a duration lands in a new bucket. *)
+let test_probe_cost_is_per_query () =
+  let sql =
+    "SELECT C.CUSTOMERNAME, O.ORDERID FROM CUSTOMERS C INNER JOIN ORDERS O \
+     ON C.CUSTOMERID = O.CUSTOMERID WHERE O.PRIORITY > 1"
+  in
+  let probes on =
+    Recorder.set_enabled on;
+    Stats.set_enabled on;
+    Telemetry.set_enabled on;
+    if on then Stats.install_span_histograms ()
+    else Stats.uninstall_span_histograms ()
+  in
+  let extra (customers, orders, lines_per_order, payments) =
+    let conn =
+      Connection.connect
+        (Aqua_workload.Datagen.application ~seed:42
+           { customers; orders; lines_per_order; payments })
+    in
+    let words on =
+      probes on;
+      List.fold_left Float.min infinity
+        (List.init 3 (fun _ ->
+             Helpers.minor_words (fun () -> Connection.execute_query conn sql)))
+    in
+    let off = words false in
+    words true -. off
+  in
+  with_obs @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      probes false;
+      Recorder.set_enabled true)
+  @@ fun () ->
+  let small = extra (40, 150, 2, 90) and large = extra (400, 1500, 2, 900) in
+  if Float.abs (large -. small) > 32. then
+    Alcotest.failf
+      "the probes allocate %.0f words per query over 150 ORDERS rows and \
+       %.0f over 1500"
+      small large
+
 let suite =
   ( "obs",
     [ case "histogram basics" test_histogram_basics;
@@ -458,4 +505,6 @@ let suite =
       case "prometheus exposition lints clean" test_prometheus_lints_clean;
       case "gauges render, lint and unregister" test_gauges_render_and_lint;
       case "recorder stamps trace ids" test_recorder_trace_ids;
-      case "linter catches breakage" test_linter_catches_breakage ] )
+      case "linter catches breakage" test_linter_catches_breakage;
+      case "probes cost the same words at 10x the rows"
+        test_probe_cost_is_per_query ] )
