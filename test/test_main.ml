@@ -26,4 +26,5 @@ let () =
       Test_columnar.suite;
       Test_concurrency.suite;
       Test_plan_cache.suite;
-      Test_net.suite ]
+      Test_net.suite;
+      Test_notes_golden.suite ]
