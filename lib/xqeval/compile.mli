@@ -15,9 +15,11 @@
     never materialize the partition; see {!Optimize.group_kernels} and
     {!Kernels}).  Single-step column accesses over physical scans read
     per-column vectors memoized with the scan
-    ({!Optimize.scan_projections}); the memo is domain-local, keyed by
-    the physical identity of the scan's sequence, and bounded by entry
-    count and by {!projected_cells_max}.  The section-4 wrapper's
+    ({!Optimize.scan_projections}, {!Src_memo}).  Each operator
+    family's runtime is its own module behind one interface
+    ({!Operator}): expanders ({!Expand}), groups ({!Group}) and
+    [order by] ({!Order}); this module plans them (liveness by slot,
+    slot binding) and compiles expressions.  The section-4 wrapper's
     [fn:string-join(F, "")] over delimiter-and-cell rows is lowered to
     a text writer that appends each row's escaped cells to one buffer
     per invocation (DESIGN.md section 16); the text is byte for byte
@@ -87,8 +89,3 @@ val shape : compiled -> string list
     derived, kernels selected, lets skipped, text writers and their
     cells per row.  Compiling records them as
     data; only this formats them. *)
-
-val projected_cells_max : int
-(** Bound on the projected and derived column cells (rows times
-    columns) the columnar engine's per-domain scan memo retains.  A
-    source whose own columns exceed it is served but not retained. *)

@@ -963,7 +963,7 @@ let projection_without_scan_cache () =
 (* A source whose columns exceed the memo's cell bound is served
    correctly and not retained: the second run builds again. *)
 let projection_cell_bound () =
-  let n = Compile.projected_cells_max + 1 in
+  let n = Aqua_xqeval.Src_memo.projected_cells_max + 1 in
   let big =
     List.init n (fun i ->
         Item.Node
@@ -993,7 +993,7 @@ let projection_cell_bound () =
    retained — the second run derives the probe column (and its ids and
    probe results) again. *)
 let probe_id_cell_bound () =
-  let n = Compile.projected_cells_max + 1 in
+  let n = Aqua_xqeval.Src_memo.projected_cells_max + 1 in
   let big =
     List.init n (fun i ->
         Item.Node

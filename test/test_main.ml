@@ -27,4 +27,5 @@ let () =
       Test_concurrency.suite;
       Test_plan_cache.suite;
       Test_net.suite;
-      Test_notes_golden.suite ]
+      Test_notes_golden.suite;
+      Test_src_memo.suite ]
