@@ -152,11 +152,7 @@ let start_trace () =
   Telemetry.reset ();
   Telemetry.set_trace_sink (Some prerr_endline)
 
-let finish_trace () =
-  prerr_endline
-    ("{\"ev\":\"snapshot\",\"metrics\":"
-    ^ Telemetry.metrics_to_json (Telemetry.snapshot ())
-    ^ "}")
+let finish_trace () = prerr_endline (Expose.trace_snapshot ())
 
 let run_cmd =
   let run sql naive no_optimize no_scan_cache trace timeout max_rows
@@ -233,7 +229,6 @@ let analyze_cmd =
                 Aqua_driver.Result_set.of_encoded_text t.Translator.columns
                   text) )
         in
-        let snap = Telemetry.snapshot () in
         let clause_rows = Telemetry.clause_rows () in
         let span_stats = Telemetry.span_stats () in
         let execute_ns = Telemetry.span_total_ns "execute" in
@@ -242,7 +237,7 @@ let analyze_cmd =
         Obs_stats.set_enabled false;
         (* the counters are frozen now, so re-running the optimizer for
            its report and compiling the plan again for its notes does
-           not skew the snapshot *)
+           not skew the figures read below *)
         let _, report =
           Aqua_xqeval.Optimize.query
             ~node_fns:
@@ -253,24 +248,17 @@ let analyze_cmd =
         in
         Printf.printf "EXPLAIN ANALYZE  %s\n" sql;
         Printf.printf "translation (three stages):\n";
-        Printf.printf "  stage 1 parse      %8.3f ms\n" (ms snap.Telemetry.parse_ns);
-        Printf.printf "  stage 2 semantic   %8.3f ms\n" (ms snap.Telemetry.semantic_ns);
-        Printf.printf "  stage 3 generate   %8.3f ms\n" (ms snap.Telemetry.generate_ns);
+        List.iter
+          (fun (stage, span) ->
+            Printf.printf "  %-18s %8.3f ms\n" stage
+              (ms (Telemetry.span_total_ns span)))
+          [ ("stage 1 parse", "translate.parse");
+            ("stage 2 semantic", "translate.semantic");
+            ("stage 3 generate", "translate.generate") ];
+        let v = Telemetry.value in
         if no_optimize then Printf.printf "optimizer: disabled (--no-optimize)\n"
         else begin
-          Printf.printf
-            "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) \
-             (%d correlated probe(s)), %d constructor fusion(s), %d hoisted \
-             closed subexpression(s) (%d semi-join, %d anti-join, %d set-op \
-             probe(s))\n"
-            report.Aqua_xqeval.Optimize.pushed_predicates
-            report.Aqua_xqeval.Optimize.hash_joins
-            report.Aqua_xqeval.Optimize.correlated_probes
-            report.Aqua_xqeval.Optimize.fusions
-            report.Aqua_xqeval.Optimize.hoisted
-            report.Aqua_xqeval.Optimize.semi_joins
-            report.Aqua_xqeval.Optimize.anti_joins
-            report.Aqua_xqeval.Optimize.setop_probes;
+          print_endline (Aqua_xqeval.Optimize.report_line report);
           List.iter
             (fun note -> Printf.printf "  note: %s\n" note)
             (report.Aqua_xqeval.Optimize.notes
@@ -297,15 +285,14 @@ let analyze_cmd =
         if no_optimize then
           Printf.printf "batch pipeline: disabled (--no-optimize)\n"
         else begin
-          let batches = snap.Telemetry.batch_batches in
-          let brows = snap.Telemetry.batch_rows in
-          let bfilt = snap.Telemetry.batch_filtered in
+          let batches = v Telemetry.c_col_batches in
+          let brows = v Telemetry.c_col_rows in
           Printf.printf
             "batch pipeline: %d-row batches; %d batch(es) pushed, %.1f \
              rows/batch avg, %d row(s) where-filtered\n"
             (Aqua_xqeval.Batch.size ()) batches
             (if batches = 0 then 0.0 else float_of_int brows /. float_of_int batches)
-            bfilt;
+            (v Telemetry.c_batch_filtered);
           (* per-clause selectivity: each vectorized clause's output
              rows against its input (the previous clause's output) *)
           if clause_rows <> [] then begin
@@ -326,22 +313,23 @@ let analyze_cmd =
              pruned, %d kernel update(s); %d projected column(s) built, \
              %d memo hit(s); %d derived cell column(s) built, %d derived \
              hit(s)\n"
-            snap.Telemetry.columnar_batches snap.Telemetry.columnar_rows
-            snap.Telemetry.columnar_pruned_columns
-            snap.Telemetry.columnar_kernel_updates
-            (Telemetry.value Telemetry.c_col_projected_columns)
-            (Telemetry.value Telemetry.c_col_projection_hits)
-            (Telemetry.value Telemetry.c_col_derived_columns)
-            (Telemetry.value Telemetry.c_col_derived_hits)
+            batches brows
+            (v Telemetry.c_col_pruned_columns)
+            (v Telemetry.c_col_kernel_updates)
+            (v Telemetry.c_col_projected_columns)
+            (v Telemetry.c_col_projection_hits)
+            (v Telemetry.c_col_derived_columns)
+            (v Telemetry.c_col_derived_hits)
         end;
         Printf.printf "engine counters:\n";
-        Printf.printf "  rows emitted (all clauses)   %8d\n" snap.Telemetry.rows_emitted;
+        Printf.printf "  rows emitted (all clauses)   %8d\n"
+          (v Telemetry.c_rows_emitted);
         Printf.printf
           "  hash join: builds=%d build_rows=%d probes=%d collisions=%d \
            reused=%d\n"
-          snap.Telemetry.hash_join_builds snap.Telemetry.hash_join_build_rows
-          snap.Telemetry.hash_join_probes snap.Telemetry.hash_join_collisions
-          snap.Telemetry.hash_join_reused;
+          (v Telemetry.c_hash_join_builds) (v Telemetry.c_hash_join_build_rows)
+          (v Telemetry.c_hash_join_probes) (v Telemetry.c_hash_join_collisions)
+          (v Telemetry.c_hash_join_reused);
         let ds_spans =
           List.filter
             (fun (name, _, _) ->
@@ -357,7 +345,6 @@ let analyze_cmd =
                 n (ms total))
             ds_spans
         end;
-        let v = Telemetry.value in
         let resilience_active =
           v Telemetry.c_retry_attempts + v Telemetry.c_retry_giveups
           + v Telemetry.c_breaker_trips + v Telemetry.c_breaker_recoveries
@@ -565,6 +552,7 @@ let stats_cmd =
           Aqua_driver.Connection.connect ~limits
             ~scan_cache:(not no_scan_cache) app
         in
+        Aqua_driver.Connection.register_scan_cache_gauge conn;
         let executed = ref 0 and failures = ref 0 in
         for _ = 1 to max 1 repeat do
           List.iter

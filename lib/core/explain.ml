@@ -118,18 +118,7 @@ let explain_optimizer p =
       ~resolve:(fun _ -> Some (fun _ -> []))
       optimized
   in
-  line p 1
-    "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) (%d \
-     correlated probe(s)), %d constructor fusion(s), %d hoisted closed \
-     subexpression(s) (%d semi-join, %d anti-join, %d set-op probe(s))"
-    report.Aqua_xqeval.Optimize.pushed_predicates
-    report.Aqua_xqeval.Optimize.hash_joins
-    report.Aqua_xqeval.Optimize.correlated_probes
-    report.Aqua_xqeval.Optimize.fusions
-    report.Aqua_xqeval.Optimize.hoisted
-    report.Aqua_xqeval.Optimize.semi_joins
-    report.Aqua_xqeval.Optimize.anti_joins
-    report.Aqua_xqeval.Optimize.setop_probes;
+  line p 1 "%s" (Aqua_xqeval.Optimize.report_line report);
   List.iter
     (fun note -> line p 2 "PLAN %s" note)
     (report.Aqua_xqeval.Optimize.notes @ Aqua_xqeval.Compile.shape compiled);

@@ -153,6 +153,11 @@ let limits t = t.limits
 let set_limits t l = t.limits <- l
 let scan_cache t = Server.scan_cache t.srv
 
+let register_scan_cache_gauge t =
+  Aqua_obs.Expose.register_gauge ~help:"bytes resident in the scan cache"
+    "scan_cache.bytes" (fun () ->
+      (Aqua_dsp.Scan_cache.stats (scan_cache t)).Aqua_dsp.Scan_cache.bytes)
+
 (* A metadata change (a service added after connect) silently
    invalidates every cached plan and catalog answer; compare the
    application's revision on each use and flush when stale. *)

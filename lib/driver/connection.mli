@@ -81,6 +81,11 @@ val scan_cache : t -> Aqua_dsp.Scan_cache.t
 (** The server's materialized scan cache (disabled when connected with
     [~scan_cache:false]). *)
 
+val register_scan_cache_gauge : t -> unit
+(** Expose that cache's resident bytes as the [scan_cache.bytes] gauge
+    ({!Aqua_obs.Expose.register_gauge}), read from
+    {!Aqua_dsp.Scan_cache.stats} at every scrape. *)
+
 val invalidate : t -> unit
 (** Flush the plan cache, the metadata cache and the
     materialized scan cache.  Also happens automatically when the

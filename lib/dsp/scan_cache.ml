@@ -182,7 +182,6 @@ let collect f =
 let drop t key (e : entry) ~invalidated =
   Hashtbl.remove t.tbl key;
   t.bytes <- t.bytes - e.bytes;
-  T.add T.c_scan_cache_bytes (-e.bytes);
   if invalidated then t.invalidations <- t.invalidations + 1
   else begin
     t.evictions <- t.evictions + 1;
@@ -279,7 +278,6 @@ let store t key source (seq : Item.sequence) =
         Hashtbl.replace t.tbl key
           { seq; source; bytes; stamp = t.clock };
         t.bytes <- t.bytes + bytes;
-        T.add T.c_scan_cache_bytes bytes;
         while
           Hashtbl.length t.tbl > t.max_entries || t.bytes > t.max_bytes
         do

@@ -18,9 +18,9 @@
     for hits and misses, so caching cannot evade result-size governors
     and a query admitted cold is never rejected warm.
 
-    Global telemetry counters ([scan_cache.hits/misses/evictions] and
-    the [scan_cache.bytes] resident gauge) move on every operation;
-    [stats] exposes per-instance figures for tests and the CLI. *)
+    Global telemetry counters ([scan_cache.hits/misses/evictions]) move
+    on every operation; [stats] exposes per-instance figures for tests,
+    the CLI and the [scan_cache.bytes] gauge. *)
 
 type t
 

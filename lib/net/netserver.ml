@@ -625,8 +625,6 @@ let worker srv =
 let queue_length srv =
   Mcore.Mutex.protect srv.qlock (fun () -> Queue.length srv.queue)
 
-let json_str = T.json_escape
-
 (* Health is about admission: draining or a full connection queue
    means new work will be refused, so a load balancer should stop
    sending it (503); anything else is 200 with the load numbers. *)
@@ -667,9 +665,9 @@ let statusz srv =
           (fun (pid, fp, shape, elapsed_ns, trace) ->
             Printf.sprintf
               "{\"pid\":%d,\"fingerprint\":\"%s\",\"query\":\"%s\",\"elapsed_ms\":%.3f,\"trace\":\"%s\"}"
-              pid (json_str fp) (json_str shape)
+              pid (T.json_escape fp) (T.json_escape shape)
               (Int64.to_float elapsed_ns /. 1e6)
-              (json_str trace))
+              (T.json_escape trace))
           inflight))
     pool.Session_pool.capacity pool.Session_pool.in_use
     pool.Session_pool.borrows pool.Session_pool.rejections
@@ -679,7 +677,7 @@ let statusz srv =
           (fun b ->
             Printf.sprintf
               "{\"function\":\"%s\",\"state\":\"%s\",\"rejecting\":%b}"
-              (json_str (Breaker.name b))
+              (T.json_escape (Breaker.name b))
               (Breaker.state_to_string (Breaker.state b))
               (Breaker.rejecting b))
           breakers))
@@ -702,7 +700,8 @@ let admin_handler srv path =
 (* gauge names registered by this server (Expose keys by name; a
    restarted server re-registers over its predecessor) *)
 let gauge_names =
-  [ "net.queue_depth"; "net.in_flight"; "session_pool.in_use" ]
+  [ "net.queue_depth"; "net.in_flight"; "session_pool.in_use";
+    "scan_cache.bytes" ]
 
 let register_gauges srv =
   Expose.register_gauge
@@ -716,7 +715,8 @@ let register_gauges srv =
   Expose.register_gauge
     ~help:"sessions currently borrowed from the session pool"
     "session_pool.in_use"
-    (fun () -> (Session_pool.stats srv.pool).Session_pool.in_use)
+    (fun () -> (Session_pool.stats srv.pool).Session_pool.in_use);
+  Connection.register_scan_cache_gauge srv.conn
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)

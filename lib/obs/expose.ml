@@ -228,30 +228,37 @@ let prometheus () =
 (* ------------------------------------------------------------------ *)
 (* JSON                                                               *)
 
-let json_escape = Telemetry.json_escape
+let int_fields pairs =
+  String.concat ","
+    (List.map
+       (fun (name, v) ->
+         Printf.sprintf "\"%s\":%d" (Telemetry.json_escape name) v)
+       pairs)
+
+let span_array () =
+  String.concat ","
+    (List.map
+       (fun (name, n, total) ->
+         Printf.sprintf "{\"name\":\"%s\",\"count\":%d,\"total_ns\":%Ld}"
+           (Telemetry.json_escape name) n total)
+       (Telemetry.span_stats ()))
+
+(* The trace's closing line carries the same [counters] and [spans]
+   members as {!json}, so both name a counter the way the registry
+   does. *)
+let trace_snapshot () =
+  Printf.sprintf "{\"ev\":\"snapshot\",\"counters\":{%s},\"spans\":[%s]}"
+    (int_fields (Telemetry.counters ()))
+    (span_array ())
 
 let json () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"counters\":{";
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map
-          (fun (name, v) -> Printf.sprintf "\"%s\":%d" (json_escape name) v)
-          (Telemetry.counters ())));
+  Buffer.add_string buf (int_fields (Telemetry.counters ()));
   Buffer.add_string buf "},\"gauges\":{";
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map
-          (fun (name, v) -> Printf.sprintf "\"%s\":%d" (json_escape name) v)
-          (gauge_values ())));
+  Buffer.add_string buf (int_fields (gauge_values ()));
   Buffer.add_string buf "},\"spans\":[";
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map
-          (fun (name, n, total) ->
-            Printf.sprintf "{\"name\":\"%s\",\"count\":%d,\"total_ns\":%Ld}"
-              (json_escape name) n total)
-          (Telemetry.span_stats ())));
+  Buffer.add_string buf (span_array ());
   Buffer.add_string buf "],\"histograms\":{";
   Buffer.add_string buf
     (String.concat ","
@@ -260,7 +267,7 @@ let json () =
             if Histogram.is_empty h then None
             else
               Some
-                (Printf.sprintf "\"%s\":%s" (json_escape op)
+                (Printf.sprintf "\"%s\":%s" (Telemetry.json_escape op)
                    (Histogram.quantiles_to_json h)))
           (Stats.histograms ())));
   Buffer.add_string buf "},\"fingerprints\":[";
@@ -273,14 +280,10 @@ let json () =
             in
             Printf.sprintf
               "{\"fp\":\"%s\",\"shape\":\"%s\",\"calls\":%d,\"rows\":%d,\"cache_hits\":%d,\"errors\":{%s},%s,%s,%s,%s}"
-              (json_escape e.Stats.fingerprint)
-              (json_escape e.Stats.shape)
+              (Telemetry.json_escape e.Stats.fingerprint)
+              (Telemetry.json_escape e.Stats.shape)
               e.Stats.calls e.Stats.rows e.Stats.cache_hits
-              (String.concat ","
-                 (List.map
-                    (fun (cls, n) ->
-                      Printf.sprintf "\"%s\":%d" (json_escape cls) n)
-                    (Stats.error_classes e)))
+              (int_fields (Stats.error_classes e))
               (stage "translate" e.Stats.translate)
               (stage "execute" e.Stats.execute)
               (stage "decode" e.Stats.decode)

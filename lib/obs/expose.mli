@@ -45,6 +45,12 @@ val json : unit -> string
 (** The same data as one JSON object:
     [{"counters":…,"gauges":…,"spans":…,"histograms":…,"fingerprints":…}]. *)
 
+val trace_snapshot : unit -> string
+(** The NDJSON line closing a [sql2xq --trace] run:
+    [{"ev":"snapshot","counters":…,"spans":…}], the two members as in
+    {!json} — every registered counter under its registry name, and
+    every span's count and total nanoseconds. *)
+
 val lint : string -> string list
 (** Problems found in a Prometheus text exposition (empty = valid):
     malformed lines, samples without a preceding [# TYPE], unknown

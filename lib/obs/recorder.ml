@@ -3,9 +3,8 @@
    the last [capacity] statements are always available for a
    post-mortem dump, at O(1) per statement and fixed memory. *)
 
-let json_escape = Aqua_core.Telemetry.json_escape
-
 module Mcore = Aqua_multicore.Mcore
+module Telemetry = Aqua_core.Telemetry
 
 type resilience = {
   retries : int;
@@ -70,9 +69,7 @@ let record ~fingerprint ~shape ~start_ns ~dur_ns ?(rows = 0)
     let trace_id =
       match trace_id with
       | Some t -> t
-      | None ->
-        Option.value ~default:""
-          (Aqua_core.Telemetry.current_trace_id ())
+      | None -> Option.value ~default:"" (Telemetry.current_trace_id ())
     in
     Mcore.Mutex.protect lock @@ fun () ->
     incr seq;
@@ -118,18 +115,19 @@ let last_error () =
 let event_to_ndjson ev =
   Printf.sprintf
     "{\"ev\":\"query\",\"seq\":%d,\"fp\":\"%s\",\"shape\":\"%s\",\"start_ns\":%Ld,\"dur_ns\":%Ld,\"rows\":%d,\"cache_hit\":%b,\"plan\":\"%s\"%s,\"outcome\":\"%s\",\"retries\":%d,\"fallbacks\":%d,\"faults\":%d,\"breaker_rejections\":%d}"
-    ev.seq (json_escape ev.fingerprint) (json_escape ev.shape) ev.start_ns
-    ev.dur_ns ev.rows ev.cache_hit (json_escape ev.plan)
+    ev.seq (Telemetry.json_escape ev.fingerprint)
+    (Telemetry.json_escape ev.shape) ev.start_ns ev.dur_ns ev.rows
+    ev.cache_hit (Telemetry.json_escape ev.plan)
     (if ev.trace_id = "" then ""
-     else Printf.sprintf ",\"trace\":\"%s\"" (json_escape ev.trace_id))
-    (match ev.outcome with Done -> "ok" | Failed s -> json_escape s)
+     else Printf.sprintf ",\"trace\":\"%s\"" (Telemetry.json_escape ev.trace_id))
+    (match ev.outcome with Done -> "ok" | Failed s -> Telemetry.json_escape s)
     ev.resilience.retries ev.resilience.fallbacks ev.resilience.faults
     ev.resilience.breaker_rejections
 
 let dump ?(reason = "on-demand") () =
   let evs = events () in
   Printf.sprintf "{\"ev\":\"recorder\",\"reason\":\"%s\",\"events\":%d}"
-    (json_escape reason) (List.length evs)
+    (Telemetry.json_escape reason) (List.length evs)
   :: List.map event_to_ndjson evs
 
 let dump_sink : (string -> unit) option ref = ref None

@@ -101,15 +101,10 @@ let c_fallbacks_unoptimized = counter "driver.fallbacks_unoptimized"
 let c_scan_cache_hits = counter "scan_cache.hits"
 let c_scan_cache_misses = counter "scan_cache.misses"
 let c_scan_cache_evictions = counter "scan_cache.evictions"
-(* resident bytes: incremented on insert, decremented on evict/flush —
-   a gauge kept in the counter table so snapshots and the Prometheus
-   exposition pick it up for free *)
-let c_scan_cache_bytes = counter "scan_cache.bytes"
-let c_batch_batches = counter "xqeval.batch.batches"
-let c_batch_rows = counter "xqeval.batch.rows"
 let c_batch_filtered = counter "xqeval.batch.filtered"
 let c_col_batches = counter "xqeval.columnar.batches"
 let c_col_rows = counter "xqeval.columnar.rows"
+let c_batch_rows = c_col_rows
 let c_col_pruned_columns = counter "xqeval.columnar.pruned_columns"
 let c_col_kernel_updates = counter "xqeval.columnar.kernel_updates"
 let c_col_projected_columns = counter "xqeval.columnar.projected_columns"
@@ -308,110 +303,9 @@ let span_total_ns name =
   | Some a -> a.total_ns
   | None -> 0L
 
-(* Snapshot ----------------------------------------------------------- *)
-
-type metrics = {
-  translations : int;
-  parse_ns : int64;
-  semantic_ns : int64;
-  generate_ns : int64;
-  rows_emitted : int;
-  hash_join_builds : int;
-  hash_join_build_rows : int;
-  hash_join_probes : int;
-  hash_join_collisions : int;
-  hash_join_reused : int;
-  pushdown_rewrites : int;
-  hash_join_rewrites : int;
-  engine_rows_scanned : int;
-  engine_rows_joined : int;
-  cache_hits : int;
-  cache_misses : int;
-  resultset_rows : int;
-  ds_calls : int;
-  ds_call_ns : int64;
-  scan_cache_hits : int;
-  scan_cache_misses : int;
-  scan_cache_evictions : int;
-  scan_cache_bytes : int;
-  batch_batches : int;
-  batch_rows : int;
-  batch_filtered : int;
-  columnar_batches : int;
-  columnar_rows : int;
-  columnar_pruned_columns : int;
-  columnar_kernel_updates : int;
-}
-
-let ds_call_prefix = "dsp.call."
-
-let snapshot () =
-  let ds_calls, ds_call_ns =
-    Mcore.Mutex.protect registry_lock @@ fun () ->
-    Hashtbl.fold
-      (fun name a (calls, ns) ->
-        if String.length name > String.length ds_call_prefix
-           && String.sub name 0 (String.length ds_call_prefix) = ds_call_prefix
-        then (calls + a.n, Int64.add ns a.total_ns)
-        else (calls, ns))
-      span_table (0, 0L)
-  in
-  {
-    translations = value c_translations;
-    parse_ns = span_total_ns "translate.parse";
-    semantic_ns = span_total_ns "translate.semantic";
-    generate_ns = span_total_ns "translate.generate";
-    rows_emitted = value c_rows_emitted;
-    hash_join_builds = value c_hash_join_builds;
-    hash_join_build_rows = value c_hash_join_build_rows;
-    hash_join_probes = value c_hash_join_probes;
-    hash_join_collisions = value c_hash_join_collisions;
-    hash_join_reused = value c_hash_join_reused;
-    pushdown_rewrites = value c_pushdown_rewrites;
-    hash_join_rewrites = value c_hash_join_rewrites;
-    engine_rows_scanned = value c_engine_rows_scanned;
-    engine_rows_joined = value c_engine_rows_joined;
-    cache_hits = value c_cache_hits;
-    cache_misses = value c_cache_misses;
-    resultset_rows = value c_resultset_rows;
-    ds_calls;
-    ds_call_ns;
-    scan_cache_hits = value c_scan_cache_hits;
-    scan_cache_misses = value c_scan_cache_misses;
-    scan_cache_evictions = value c_scan_cache_evictions;
-    scan_cache_bytes = value c_scan_cache_bytes;
-    batch_batches = value c_batch_batches;
-    batch_rows = value c_batch_rows;
-    batch_filtered = value c_batch_filtered;
-    columnar_batches = value c_col_batches;
-    columnar_rows = value c_col_rows;
-    columnar_pruned_columns = value c_col_pruned_columns;
-    columnar_kernel_updates = value c_col_kernel_updates;
-  }
-
-let metrics_to_json m =
-  Printf.sprintf
-    "{\"translations\":%d,\"parse_ns\":%Ld,\"semantic_ns\":%Ld,\"generate_ns\":%Ld,\"rows_emitted\":%d,\"hash_join_builds\":%d,\"hash_join_build_rows\":%d,\"hash_join_probes\":%d,\"hash_join_collisions\":%d,\"hash_join_reused\":%d,\"pushdown_rewrites\":%d,\"hash_join_rewrites\":%d,\"engine_rows_scanned\":%d,\"engine_rows_joined\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"resultset_rows\":%d,\"ds_calls\":%d,\"ds_call_ns\":%Ld,\"scan_cache_hits\":%d,\"scan_cache_misses\":%d,\"scan_cache_evictions\":%d,\"scan_cache_bytes\":%d,\"batch_batches\":%d,\"batch_rows\":%d,\"batch_filtered\":%d,\"columnar_batches\":%d,\"columnar_rows\":%d,\"columnar_pruned_columns\":%d,\"columnar_kernel_updates\":%d}"
-    m.translations m.parse_ns m.semantic_ns m.generate_ns m.rows_emitted
-    m.hash_join_builds m.hash_join_build_rows m.hash_join_probes
-    m.hash_join_collisions m.hash_join_reused m.pushdown_rewrites
-    m.hash_join_rewrites
-    m.engine_rows_scanned m.engine_rows_joined m.cache_hits m.cache_misses
-    m.resultset_rows m.ds_calls m.ds_call_ns m.scan_cache_hits
-    m.scan_cache_misses m.scan_cache_evictions m.scan_cache_bytes
-    m.batch_batches m.batch_rows m.batch_filtered
-    m.columnar_batches m.columnar_rows m.columnar_pruned_columns
-    m.columnar_kernel_updates
-
 let reset () =
   Mcore.Mutex.protect registry_lock @@ fun () ->
-  (* [c_scan_cache_bytes] is a gauge, not a counter: it tracks bytes
-     resident in live scan caches via +insert/-drop deltas.  Zeroing it
-     while entries remain resident would make subsequent drops push it
-     negative, so reset leaves it alone. *)
-  Hashtbl.iter
-    (fun _ c -> if c != c_scan_cache_bytes then Atomic.set c.count 0)
-    counter_table;
+  Hashtbl.iter (fun _ c -> Atomic.set c.count 0) counter_table;
   Hashtbl.reset clause_table;
   clause_order := [];
   Hashtbl.reset span_table;

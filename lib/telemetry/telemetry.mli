@@ -4,8 +4,11 @@
     disabled, so it can stay permanently threaded through the translator
     stages, both XQuery engines, the SQL engine, the driver and the DSP
     server.  Enable it with {!set_enabled}, run a workload, then read the
-    aggregate {!snapshot} or attach an NDJSON {!set_trace_sink} for
-    per-span events. *)
+    aggregates ({!counters}, {!span_stats}, or one counter's {!value})
+    or attach an NDJSON {!set_trace_sink} for per-span events.  The
+    counter registry is the only list of counter names: every report
+    (the [sql2xq] trace snapshot, [analyze], the Prometheus and JSON
+    expositions) reads it or the handles below. *)
 
 (** {1 Switch and clock} *)
 
@@ -75,12 +78,13 @@ val c_fallbacks_unoptimized : counter (* server reran a statement on the interpr
 val c_scan_cache_hits : counter      (* materialized-scan cache hits (dsp) *)
 val c_scan_cache_misses : counter    (* scan-cache misses (scan fetched and stored) *)
 val c_scan_cache_evictions : counter (* entries evicted by the byte/row/entry budgets *)
-val c_scan_cache_bytes : counter     (* resident scan-cache bytes (gauge: +insert/-evict) *)
-val c_batch_batches : counter        (* batches pushed by the vectorized pipeline *)
-val c_batch_rows : counter           (* rows carried by those batches *)
 val c_batch_filtered : counter       (* rows dropped by vectorized where filters *)
 val c_col_batches : counter          (* columnar (struct-of-arrays) batches pushed *)
 val c_col_rows : counter             (* rows carried by columnar batches *)
+val c_batch_rows : counter
+(* [c_col_rows] under its former name: kept only because
+   perfbench/perfbench.ml reads it; the benchmark's next change
+   deletes it *)
 val c_col_pruned_columns : counter   (* column copies avoided by required-columns pruning *)
 val c_col_kernel_updates : counter   (* per-tuple aggregation-kernel state updates *)
 val c_col_projected_columns : counter  (* scan column vectors built for projection *)
@@ -169,54 +173,9 @@ val trace_event : string -> (string * string) list -> unit
     [{"ev":ev, field:value, ...}] to the sink, if any.  Values are
     emitted as JSON strings. *)
 
-(** {1 Snapshot} *)
-
-type metrics = {
-  translations : int;
-  parse_ns : int64;
-  semantic_ns : int64;
-  generate_ns : int64;
-  rows_emitted : int;
-  hash_join_builds : int;
-  hash_join_build_rows : int;
-  hash_join_probes : int;
-  hash_join_collisions : int;
-  hash_join_reused : int;
-  pushdown_rewrites : int;
-  hash_join_rewrites : int;
-  engine_rows_scanned : int;
-  engine_rows_joined : int;
-  cache_hits : int;
-  cache_misses : int;
-  resultset_rows : int;
-  ds_calls : int;          (** DSP data-service function invocations *)
-  ds_call_ns : int64;      (** total latency across those invocations *)
-  scan_cache_hits : int;
-  scan_cache_misses : int;
-  scan_cache_evictions : int;
-  scan_cache_bytes : int;  (** resident bytes at snapshot time *)
-  batch_batches : int;     (** batches pushed by the vectorized pipeline *)
-  batch_rows : int;        (** rows carried by those batches *)
-  batch_filtered : int;    (** rows dropped by vectorized where filters *)
-  columnar_batches : int;  (** columnar (struct-of-arrays) batches pushed *)
-  columnar_rows : int;     (** rows carried by columnar batches *)
-  columnar_pruned_columns : int;
-      (** column copies avoided by required-columns pruning *)
-  columnar_kernel_updates : int;
-      (** per-tuple aggregation-kernel state updates *)
-}
-
-val snapshot : unit -> metrics
-
-val metrics_to_json : metrics -> string
-(** One-line JSON object, schema documented in DESIGN.md §8. *)
-
 val reset : unit -> unit
 (** Zero all counters, span aggregates and clause-row records.  Does not
-    change the enabled flag, clock or trace sink — and does not touch
-    the {!c_scan_cache_bytes} gauge, whose value tracks bytes still
-    resident in live scan caches (zeroing it mid-life would let later
-    evictions drive it negative). *)
+    change the enabled flag, clock or trace sink. *)
 
 (** {1 JSON string escaping} *)
 

@@ -136,8 +136,6 @@ type t = {
 
 let cnote_batch n =
   Failpoint.hit "xqeval.batch";
-  Telemetry.incr Telemetry.c_batch_batches;
-  Telemetry.add Telemetry.c_batch_rows n;
   Telemetry.incr Telemetry.c_col_batches;
   Telemetry.add Telemetry.c_col_rows n
 

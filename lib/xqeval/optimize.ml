@@ -62,6 +62,14 @@ type report = {
   notes : string list;      (** human-readable one-liners, newest first *)
 }
 
+let report_line r =
+  Printf.sprintf
+    "optimizer: %d predicate(s) pushed down, %d hash equi-join(s) (%d \
+     correlated probe(s)), %d constructor fusion(s), %d hoisted closed \
+     subexpression(s) (%d semi-join, %d anti-join, %d set-op probe(s))"
+    r.pushed_predicates r.hash_joins r.correlated_probes r.fusions r.hoisted
+    r.semi_joins r.anti_joins r.setop_probes
+
 type acc = {
   externals : Vars.t Lazy.t;  (** free variables of the whole plan *)
   node_fns : string -> bool;  (** external functions returning only nodes *)
@@ -82,10 +90,9 @@ type acc = {
 (* ------------------------------------------------------------------ *)
 (* Precise free variables                                             *)
 
-(* [ast.ml]'s [free_vars] is deliberately conservative (it includes
-   bound variables); the optimizer needs the real thing, including the
-   context item "." treated as a variable and the scoping quirk of the
-   BEA group clause (pre-group bindings do not survive grouping). *)
+(* Free variables that respect binding structure, with the context
+   item "." treated as a variable and the scoping quirk of the BEA
+   group clause (pre-group bindings do not survive grouping). *)
 
 let rec fv bound acc (e : X.expr) : Vars.t =
   match e with

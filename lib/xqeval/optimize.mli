@@ -70,6 +70,10 @@ type report = {
   notes : string list;      (** human-readable one-liners *)
 }
 
+val report_line : report -> string
+(** The counts as the one line [explain] and [analyze] print:
+    ["optimizer: N predicate(s) pushed down, …"]. *)
+
 val reusable_build :
   var:string ->
   source:Aqua_xquery.Ast.expr ->
@@ -316,9 +320,9 @@ val derived_label : derived -> string
 
 val free_vars : Aqua_xquery.Ast.expr -> Vars.t
 (** Precise free variables of an expression, with the context item "."
-    treated as a variable.  Unlike [Ast.free_vars] this respects
-    binding structure (FLWOR clauses, quantifiers, predicates) and the
-    BEA group-by scoping rule (pre-group bindings do not survive). *)
+    treated as a variable.  It respects binding structure (FLWOR
+    clauses, quantifiers, predicates) and the BEA group-by scoping rule
+    (pre-group bindings do not survive). *)
 
 val free_vars_all : Aqua_xquery.Ast.expr list -> Vars.t
 (** The union of {!free_vars} over a list. *)

@@ -110,43 +110,6 @@ let path1 e name = Path (e, [ { name; predicates = [] } ])
 let elem name content = Elem { name; content }
 let empty_seq = Seq []
 
-let rec free_vars acc = function
-  | Literal _ | Text _ | Context_item -> acc
-  | Var v -> v :: acc
-  | Seq es -> List.fold_left free_vars acc es
-  | Flwor { clauses; return } ->
-    (* conservative: includes bound vars; used only for diagnostics *)
-    let acc =
-      List.fold_left
-        (fun acc c ->
-          match c with
-          | For { source; _ } -> free_vars acc source
-          | Let { value; _ } -> free_vars acc value
-          | Where e -> free_vars acc e
-          | Group { keys; _ } ->
-            List.fold_left (fun acc (k, _) -> free_vars acc k) acc keys
-          | Order_by specs ->
-            List.fold_left (fun acc s -> free_vars acc s.key) acc specs
-          | Hash_join { source; build_key; probe_key; _ } ->
-            free_vars (free_vars (free_vars acc source) build_key) probe_key)
-        acc clauses
-    in
-    free_vars acc return
-  | Path (e, steps) ->
-    List.fold_left
-      (fun acc s -> List.fold_left free_vars acc s.predicates)
-      (free_vars acc e) steps
-  | Call (_, args) -> List.fold_left free_vars acc args
-  | Elem { content; _ } -> List.fold_left free_vars acc content
-  | If (c, t, e) -> free_vars (free_vars (free_vars acc c) t) e
-  | Binop (_, a, b) -> free_vars (free_vars acc a) b
-  | Neg e -> free_vars acc e
-  | Quantified { bindings; satisfies; _ } ->
-    free_vars
-      (List.fold_left (fun acc (_, e) -> free_vars acc e) acc bindings)
-      satisfies
-  | Filter (e, p) -> free_vars (free_vars acc e) p
-
 (* [e] with every read of a variable [f] maps replaced.  The translator
    uses it to put literal values back into a lifted plan, whose
    [$litK] externals no clause rebinds, so scoping is not tracked. *)

@@ -212,7 +212,7 @@ let midstream_failpoint_falls_back () =
 (* --------------------------------------------------------------- *)
 (* Counter hygiene, both directions: the interpreter leaves the
    xqeval.columnar.* counters untouched; the compiled engine moves
-   them and the xqeval.batch.* family in step.                       *)
+   them, and its where filter moves xqeval.batch.filtered.           *)
 
 let columnar_counters_respect_toggle () =
   let app = Helpers.demo_app () in
@@ -223,30 +223,25 @@ let columnar_counters_respect_toggle () =
   with_telemetry @@ fun () ->
   let interp = Connection.connect ~optimize:false app in
   ignore (Connection.execute_query interp sql);
-  let m = Telemetry.snapshot () in
+  let v = Telemetry.value in
   check_int "no columnar batches under the interpreter" 0
-    m.Telemetry.columnar_batches;
+    (v Telemetry.c_col_batches);
   check_int "no columnar rows under the interpreter" 0
-    m.Telemetry.columnar_rows;
+    (v Telemetry.c_col_rows);
   check_int "no pruning under the interpreter" 0
-    m.Telemetry.columnar_pruned_columns;
+    (v Telemetry.c_col_pruned_columns);
   check_int "no kernel updates under the interpreter" 0
-    m.Telemetry.columnar_kernel_updates;
+    (v Telemetry.c_col_kernel_updates);
   Telemetry.reset ();
   let col = Connection.connect app in
   ignore (Connection.execute_query col sql);
-  let m = Telemetry.snapshot () in
   check_bool "columnar run pushes columnar batches" true
-    (m.Telemetry.columnar_batches > 0);
-  check_bool "columnar run carries rows" true (m.Telemetry.columnar_rows > 0);
-  check_int "columnar batches also count as batch traffic"
-    m.Telemetry.columnar_batches m.Telemetry.batch_batches;
-  check_int "columnar rows also count as batch rows" m.Telemetry.columnar_rows
-    m.Telemetry.batch_rows;
+    (v Telemetry.c_col_batches > 0);
+  check_bool "columnar run carries rows" true (v Telemetry.c_col_rows > 0);
   check_bool "the aggregation ran through kernels" true
-    (m.Telemetry.columnar_kernel_updates > 0);
+    (v Telemetry.c_col_kernel_updates > 0);
   check_bool "the where filter dropped rows in-batch" true
-    (m.Telemetry.batch_filtered > 0)
+    (v Telemetry.c_batch_filtered > 0)
 
 (* --------------------------------------------------------------- *)
 (* Pruning goldens: the optimizer report names the columnar pipeline
@@ -453,10 +448,10 @@ let correlated_probe_battery () =
      builds (none when an earlier run left the table cached) *)
   with_telemetry @@ fun () ->
   ignore (Connection.execute_query col (List.nth correlated_queries 4));
-  let m = Telemetry.snapshot () in
-  check_bool "at most one build" true (m.Telemetry.hash_join_builds <= 1);
+  let builds = Telemetry.value Telemetry.c_hash_join_builds in
+  check_bool "at most one build" true (builds <= 1);
   check_int "one build or reuse per invocation" 5
-    (m.Telemetry.hash_join_builds + m.Telemetry.hash_join_reused)
+    (builds + Telemetry.value Telemetry.c_hash_join_reused)
 
 (* Faults on a correlated probe: an armed hash-join failpoint degrades
    to the unoptimized interpreter with identical rows, and governors
@@ -2201,7 +2196,7 @@ let hoisted_reads_inner_once () =
         (outcome_of (fun () -> Aqua_sqlengine.Engine.execute_sql oracle_env sql));
       with_telemetry @@ fun () ->
       ignore (Connection.execute_query conn sql);
-      let rows = (Telemetry.snapshot ()).Telemetry.columnar_rows in
+      let rows = Telemetry.value Telemetry.c_col_rows in
       if rows > 4 * (outer + inner) then
         Alcotest.failf "%s: batches carried %d rows, over 4 x (%d + %d)" sql rows
           outer inner)

@@ -513,14 +513,16 @@ let counter_parity () =
   let run_measured run =
     with_telemetry @@ fun () ->
     run ();
-    let m = T.snapshot () in
-    ( m.T.translations,
-      m.T.cache_hits,
-      m.T.cache_misses,
-      m.T.rows_emitted,
-      m.T.resultset_rows,
-      m.T.scan_cache_hits,
-      m.T.scan_cache_misses )
+    String.concat " "
+      (List.map
+         (fun (name, c) -> Printf.sprintf "%s=%d" name (T.value c))
+         [ ("translations", T.c_translations);
+           ("cache_hits", T.c_cache_hits);
+           ("cache_misses", T.c_cache_misses);
+           ("rows_emitted", T.c_rows_emitted);
+           ("resultset_rows", T.c_resultset_rows);
+           ("scan_hits", T.c_scan_cache_hits);
+           ("scan_misses", T.c_scan_cache_misses) ])
   in
   (* prewarm translation, metadata and scan caches *)
   List.iter (fun sql -> ignore (Connection.execute_query conn sql)) workload;
@@ -536,15 +538,8 @@ let counter_parity () =
           (function Ok _ -> () | Error e -> raise e)
           (Connection.execute_concurrent ~domains conn workload))
   in
-  let pp (a, b, c, d, e, f, g) =
-    Printf.sprintf
-      "translations=%d cache_hits=%d cache_misses=%d rows_emitted=%d \
-       resultset_rows=%d scan_hits=%d scan_misses=%d"
-      a b c d e f g
-  in
   Alcotest.(check string)
-    "1-domain and 4-domain runs count identically" (pp sequential)
-    (pp concurrent)
+    "1-domain and 4-domain runs count identically" sequential concurrent
 
 (* ------------------------------------------------------------------ *)
 

@@ -834,17 +834,32 @@ let unsampled_trace_costs_no_words () =
         Telemetry.set_enabled false;
         Telemetry.reset ())
     @@ fun () ->
+    let spans () =
+      match List.find_opt (fun (n, _, _) -> n = "net.query") (Telemetry.span_stats ()) with
+      | Some (_, n, words) -> (n, words)
+      | None -> (0, 0L)
+    in
+    (* a worker closes a query's span after flushing its reply, so the
+       client can read the totals before the last span is in them *)
+    let await n =
+      let deadline = Unix.gettimeofday () +. 5. in
+      while fst (spans ()) < n && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done
+    in
     let words_per_query sink =
       Telemetry.set_trace_sink sink;
       with_server @@ fun t ->
       let c = connect_ok t in
       for _ = 1 to 3 do expect_rows c sql 4 done;
+      await 3;
       Telemetry.reset ();
       for _ = 1 to 20 do expect_rows c sql 4 done;
+      await 20;
       Client.close c;
-      match List.find_opt (fun (n, _, _) -> n = "net.query") (Telemetry.span_stats ()) with
-      | Some (_, 20, words) -> Int64.to_float words /. 20.
-      | _ -> Alcotest.fail "expected 20 net.query spans"
+      match spans () with
+      | 20, words -> Int64.to_float words /. 20.
+      | n, _ -> Alcotest.failf "expected 20 net.query spans, got %d" n
     in
     let without = words_per_query None in
     let lines = ref 0 in
@@ -1054,6 +1069,9 @@ let admin_plane () =
       (Helpers.contains ~needle:"# TYPE aqua_net_queue_depth gauge" metrics);
     Alcotest.(check bool) "pool gauge scraped" true
       (Helpers.contains ~needle:"aqua_session_pool_in_use" metrics);
+    Alcotest.(check bool) "scan-cache bytes scraped as a gauge" true
+      (Helpers.contains ~needle:"# TYPE aqua_scan_cache_bytes gauge" metrics
+      && not (Helpers.contains ~needle:"aqua_scan_cache_bytes_total" metrics));
     let status, health = http_get ap "/healthz" in
     Alcotest.(check int) "healthz 200" 200 status;
     (match Json.member "status" (Json.parse health) with

@@ -8,6 +8,8 @@ module Translator = Aqua_translator.Translator
 module Semantic = Aqua_translator.Semantic
 module Server = Aqua_dsp.Server
 module Connection = Aqua_driver.Connection
+module Expose = Aqua_obs.Expose
+module Scan_cache = Aqua_dsp.Scan_cache
 module Result_set = Aqua_driver.Result_set
 module Datagen = Aqua_workload.Datagen
 
@@ -79,14 +81,16 @@ let test_stage_spans_nest () =
   Alcotest.(check int) "parse depth" 1 (depth_of "translate.parse");
   Alcotest.(check int) "semantic depth" 1 (depth_of "translate.semantic");
   Alcotest.(check int) "generate depth" 1 (depth_of "translate.generate");
-  (* stage spans aggregate into the snapshot *)
-  let snap = Telemetry.snapshot () in
-  Alcotest.(check int) "one translation" 1 snap.Telemetry.translations;
-  Alcotest.(check bool) "parse time recorded" true (snap.Telemetry.parse_ns >= 0L);
+  (* stage spans aggregate into the span totals *)
+  Alcotest.(check int) "one translation" 1
+    (Telemetry.value Telemetry.c_translations);
+  let stage = Telemetry.span_total_ns in
+  Alcotest.(check bool) "parse time recorded" true
+    (stage "translate.parse" >= 0L);
   (* child stage totals cannot exceed the enclosing translate span *)
   let stage_total =
-    Int64.add snap.Telemetry.parse_ns
-      (Int64.add snap.Telemetry.semantic_ns snap.Telemetry.generate_ns)
+    Int64.add (stage "translate.parse")
+      (Int64.add (stage "translate.semantic") (stage "translate.generate"))
   in
   Alcotest.(check bool) "stages within parent" true
     (stage_total <= Telemetry.span_total_ns "translate")
@@ -122,17 +126,17 @@ let test_p6_join_counters () =
   let (), _ =
     with_telemetry (fun () -> ignore (Server.execute srv t.Translator.xquery))
   in
-  let snap = Telemetry.snapshot () in
+  let v = Telemetry.value in
   (* one hash join: ORDERS (second for) is the build side, one probe
      per customer tuple streaming through the pipeline *)
-  Alcotest.(check int) "builds" 1 snap.Telemetry.hash_join_builds;
+  Alcotest.(check int) "builds" 1 (v Telemetry.c_hash_join_builds);
   Alcotest.(check int) "build rows = orders" p6_sizes.Datagen.orders
-    snap.Telemetry.hash_join_build_rows;
+    (v Telemetry.c_hash_join_build_rows);
   Alcotest.(check int) "probes = customers" p6_sizes.Datagen.customers
-    snap.Telemetry.hash_join_probes;
+    (v Telemetry.c_hash_join_probes);
   Alcotest.(check bool) "join rewrite fired" true
-    (snap.Telemetry.hash_join_rewrites >= 1);
-  Alcotest.(check bool) "rows emitted" true (snap.Telemetry.rows_emitted > 0);
+    (v Telemetry.c_hash_join_rewrites >= 1);
+  Alcotest.(check bool) "rows emitted" true (v Telemetry.c_rows_emitted > 0);
   (* per-clause accounting saw the hash join *)
   let clause_rows = Telemetry.clause_rows () in
   Alcotest.(check bool) "hash-join clause recorded" true
@@ -149,13 +153,13 @@ let test_p6_naive_no_hash_join () =
   let (), _ =
     with_telemetry (fun () -> ignore (Server.execute srv t.Translator.xquery))
   in
-  let snap = Telemetry.snapshot () in
-  Alcotest.(check int) "no hash builds" 0 snap.Telemetry.hash_join_builds;
-  Alcotest.(check int) "no probes" 0 snap.Telemetry.hash_join_probes;
+  let v = Telemetry.value in
+  Alcotest.(check int) "no hash builds" 0 (v Telemetry.c_hash_join_builds);
+  Alcotest.(check int) "no probes" 0 (v Telemetry.c_hash_join_probes);
   (* the nested loop pushes every customer x order pair through the
      where clause *)
   Alcotest.(check bool) "nested loop emits the cross product" true
-    (snap.Telemetry.rows_emitted
+    (v Telemetry.c_rows_emitted
     >= p6_sizes.Datagen.customers * p6_sizes.Datagen.orders)
 
 let test_disabled_counts_nothing () =
@@ -164,10 +168,10 @@ let test_disabled_counts_nothing () =
   let env = Semantic.env_of_application app in
   let t = Translator.translate env p6_sql in
   ignore (Server.execute (Server.create app) t.Translator.xquery);
-  let snap = Telemetry.snapshot () in
-  Alcotest.(check int) "no translations" 0 snap.Telemetry.translations;
-  Alcotest.(check int) "no builds" 0 snap.Telemetry.hash_join_builds;
-  Alcotest.(check int) "no rows" 0 snap.Telemetry.rows_emitted
+  let v = Telemetry.value in
+  Alcotest.(check int) "no translations" 0 (v Telemetry.c_translations);
+  Alcotest.(check int) "no builds" 0 (v Telemetry.c_hash_join_builds);
+  Alcotest.(check int) "no rows" 0 (v Telemetry.c_rows_emitted)
 
 (* --- driver counters ------------------------------------------------ *)
 
@@ -180,12 +184,16 @@ let test_driver_cache_counters () =
         ignore (Result_set.to_rowset (Connection.execute_query conn sql));
         ignore (Result_set.to_rowset (Connection.execute_query conn sql)))
   in
-  let snap = Telemetry.snapshot () in
-  Alcotest.(check int) "one miss" 1 snap.Telemetry.cache_misses;
-  Alcotest.(check int) "one hit" 1 snap.Telemetry.cache_hits;
+  let v = Telemetry.value in
+  Alcotest.(check int) "one miss" 1 (v Telemetry.c_cache_misses);
+  Alcotest.(check int) "one hit" 1 (v Telemetry.c_cache_hits);
   Alcotest.(check bool) "rows materialized" true
-    (snap.Telemetry.resultset_rows > 0);
-  Alcotest.(check bool) "ds calls recorded" true (snap.Telemetry.ds_calls > 0)
+    (v Telemetry.c_resultset_rows > 0);
+  Alcotest.(check bool) "ds calls recorded" true
+    (List.exists
+       (fun (name, n, _) ->
+         String.starts_with ~prefix:"dsp.call." name && n > 0)
+       (Telemetry.span_stats ()))
 
 (* --- NDJSON trace --------------------------------------------------- *)
 
@@ -223,12 +231,66 @@ let test_trace_is_ndjson () =
   List.iter
     (fun j ->
       Alcotest.(check bool) "dur_ns >= 0" true (field_num "dur_ns" j >= 0.0))
-    (span_events lines);
-  (* the snapshot serializes to parseable JSON too *)
-  match Json.parse (Telemetry.metrics_to_json (Telemetry.snapshot ())) with
-  | Json.Obj fields ->
-    Alcotest.(check bool) "snapshot has fields" true (List.length fields >= 18)
-  | _ -> Alcotest.fail "snapshot JSON is not an object"
+    (span_events lines)
+
+(* One name per counter: the trace snapshot's counter keys are the
+   registry's names, each renders exactly once in the Prometheus
+   exposition as aqua_<name>_total, and scan_cache.bytes is a gauge
+   read from the live cache, never a counter. *)
+let test_counter_names_invariant () =
+  let app = Helpers.demo_app () in
+  let conn = Connection.connect app in
+  let cache = Connection.scan_cache conn in
+  let store () =
+    Scan_cache.store cache "k" []
+      [ Aqua_xml.Item.Atomic (Aqua_xml.Atomic.String "resident") ]
+  in
+  (* stored while telemetry is off, dropped while it is on: the gauge
+     must still read what is resident, never a negative delta sum *)
+  store ();
+  let (), _ =
+    with_telemetry (fun () ->
+        ignore (Connection.execute_query conn "SELECT * FROM CUSTOMERS");
+        Scan_cache.flush cache)
+  in
+  store ();
+  let names = List.map fst (Telemetry.counters ()) in
+  (match Json.member "counters" (Json.parse (Expose.trace_snapshot ())) with
+  | Some (Json.Obj fields) ->
+    Alcotest.(check (list string)) "snapshot keys are the registry's names"
+      names (List.map fst fields)
+  | _ -> Alcotest.fail "trace snapshot has no counters object");
+  Alcotest.(check bool) "scan_cache.bytes is not a counter" false
+    (List.mem "scan_cache.bytes" names);
+  Connection.register_scan_cache_gauge conn;
+  Fun.protect ~finally:(fun () -> Expose.unregister_gauge "scan_cache.bytes")
+  @@ fun () ->
+  let prom = Expose.prometheus () in
+  let lines = String.split_on_char '\n' prom in
+  let samples metric =
+    List.length
+      (List.filter (String.starts_with ~prefix:(metric ^ " ")) lines)
+  in
+  List.iter
+    (fun name ->
+      let metric =
+        "aqua_" ^ String.map (fun c -> if c = '.' then '_' else c) name
+        ^ "_total"
+      in
+      Alcotest.(check int) (metric ^ " renders once") 1 (samples metric))
+    names;
+  Alcotest.(check bool) "scan_cache.bytes typed as a gauge" true
+    (List.mem "# TYPE aqua_scan_cache_bytes gauge" lines);
+  Alcotest.(check int) "no scan_cache.bytes counter" 0
+    (samples "aqua_scan_cache_bytes_total");
+  let gauge () = List.assoc "scan_cache.bytes" (Expose.gauge_values ()) in
+  Alcotest.(check bool) "the gauge reads the resident entry" true
+    (gauge () > 0
+    && gauge () = (Scan_cache.stats cache).Scan_cache.bytes);
+  Alcotest.(check (list string)) "exposition lints clean" []
+    (Expose.lint prom);
+  Scan_cache.flush cache;
+  Alcotest.(check int) "an emptied cache reads zero" 0 (gauge ())
 
 let test_reset_zeroes () =
   let (), _ =
@@ -237,8 +299,8 @@ let test_reset_zeroes () =
         Telemetry.with_span "x" (fun () -> ());
         ignore (Telemetry.clause_counter "for $x");
         Telemetry.reset ();
-        let snap = Telemetry.snapshot () in
-        Alcotest.(check int) "hits zeroed" 0 snap.Telemetry.cache_hits;
+        Alcotest.(check int) "hits zeroed" 0
+          (Telemetry.value Telemetry.c_cache_hits);
         Alcotest.(check (list (pair string int))) "clauses cleared" []
           (Telemetry.clause_rows ());
         Alcotest.(check int) "span stats cleared" 0
@@ -376,6 +438,8 @@ let suite =
       case "disabled telemetry counts nothing" test_disabled_counts_nothing;
       case "driver cache and result-set counters" test_driver_cache_counters;
       case "trace output is NDJSON over all stages" test_trace_is_ndjson;
+      case "one name per counter across snapshot and /metrics"
+        test_counter_names_invariant;
       case "reset zeroes everything" test_reset_zeroes;
       case "backwards clock clamps to zero" test_backwards_clock_clamps;
       case "json parser" test_json_parser;

@@ -233,8 +233,8 @@ let midstream_failpoint_falls_back () =
 
 (* --------------------------------------------------------------- *)
 (* Counter hygiene: the interpreter ([~optimize:false]) must leave the
-   xqeval.batch.* counters untouched; the compiled path must move
-   them.                                                             *)
+   batch counters (xqeval.columnar.batches/rows, xqeval.batch.filtered)
+   untouched; the compiled path must move them.                      *)
 
 let batch_counters_respect_toggle () =
   let app = Helpers.demo_app () in
@@ -242,19 +242,18 @@ let batch_counters_respect_toggle () =
   with_telemetry @@ fun () ->
   let oracle = Connection.connect ~optimize:false app in
   ignore (Connection.execute_query oracle sql);
-  let m = Telemetry.snapshot () in
-  check_int "no batches under the interpreter" 0 m.Telemetry.batch_batches;
-  check_int "no batch rows under the interpreter" 0 m.Telemetry.batch_rows;
+  let v = Telemetry.value in
+  check_int "no batches under the interpreter" 0 (v Telemetry.c_col_batches);
+  check_int "no batch rows under the interpreter" 0 (v Telemetry.c_col_rows);
   check_int "no batch filtering under the interpreter" 0
-    m.Telemetry.batch_filtered;
+    (v Telemetry.c_batch_filtered);
   Telemetry.reset ();
   let compiled = Connection.connect app in
   ignore (Connection.execute_query compiled sql);
-  let m = Telemetry.snapshot () in
-  check_bool "compiled run pushes batches" true (m.Telemetry.batch_batches > 0);
-  check_bool "compiled run carries rows" true (m.Telemetry.batch_rows > 0);
+  check_bool "compiled run pushes batches" true (v Telemetry.c_col_batches > 0);
+  check_bool "compiled run carries rows" true (v Telemetry.c_col_rows > 0);
   check_bool "the filter dropped rows in-batch" true
-    (m.Telemetry.batch_filtered > 0)
+    (v Telemetry.c_batch_filtered > 0)
 
 (* --------------------------------------------------------------- *)
 (* Join-table reuse across invocations: repeated execution of the same
